@@ -323,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--breaker-failures", type=int, default=3,
                     help="consecutive failures that open a circuit")
     sp.add_argument("--batch-window", type=float, default=0.01,
-                    help="linger seconds for same-graph coalescing")
+                    help="longest a same-graph group lingers for "
+                         "coalescing while every worker is busy "
+                         "(seconds)")
     sp.add_argument("--max-batch", type=int, default=32)
     sp.add_argument("--max-resident-bytes", type=_size, default=None,
                     metavar="SIZE",

@@ -32,7 +32,7 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 from repro.dashboard import pages
@@ -40,6 +40,7 @@ from repro.dashboard.follower import EventFollower
 from repro.dashboard.runs import RunInfo, discover_runs
 from repro.dashboard.service_poll import ServicePoller
 from repro.errors import DashboardError
+from repro.httputil import FrontEndServer, write_response
 from repro.logging_util import get_logger
 from repro.observability.timeline import render_svg, span_tree
 
@@ -169,7 +170,7 @@ class DashboardServer:
         self._poller = ServicePoller(
             config.serve_url, history=config.history
         ) if config.serve_url else None
-        self._server: ThreadingHTTPServer | None = None
+        self._server: FrontEndServer | None = None
 
     # ------------------------------------------------------------------
     # State (all reads under the lock: ThreadingHTTPServer handles
@@ -268,14 +269,13 @@ class DashboardServer:
                       ready_event: threading.Event | None = None
                       ) -> int:
         try:
-            self._server = ThreadingHTTPServer(
+            self._server = FrontEndServer(
                 (self.config.host, self.config.port), _Handler)
         except OSError as exc:
             raise DashboardError(
                 f"cannot bind {self.config.host}:{self.config.port}: "
                 f"{exc}") from exc
         self._server.dash = self            # type: ignore[attr-defined]
-        self._server.daemon_threads = True
         self.port = self._server.server_address[1]
         self._log.info("dashboard on http://%s:%d/ (watching %s%s)",
                        self.config.host, self.port,
@@ -302,6 +302,10 @@ class DashboardServer:
             self._server.shutdown()
 
 
+#: Every page and payload is a live view; nothing may be cached.
+_NO_STORE = {"Cache-Control": "no-store"}
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "epg-dash"
 
@@ -313,24 +317,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.dash._log.debug("http: " + fmt, *args)
 
     # ------------------------------------------------------------------
-    def _send(self, status: int, body: bytes, ctype: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Cache-Control", "no-store")
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass                        # client went away mid-refresh
-
     def _json(self, payload: dict, status: int = 200) -> None:
-        self._send(status, json.dumps(payload).encode("utf-8"),
-                   "application/json")
+        write_response(self, status, "application/json",
+                       json.dumps(payload), _NO_STORE)
 
     def _html(self, markup: str, status: int = 200) -> None:
-        self._send(status, markup.encode("utf-8"),
-                   "text/html; charset=utf-8")
+        write_response(self, status, "text/html; charset=utf-8",
+                       markup, _NO_STORE)
 
     def _not_found(self, api: bool) -> None:
         if api:
@@ -386,8 +379,8 @@ class _Handler(BaseHTTPRequestHandler):
                     except ValueError:
                         depth = None
                 svg = dash.timeline_svg(info, depth)
-                return self._send(200, svg.encode("utf-8"),
-                                  "image/svg+xml")
+                return write_response(self, 200, "image/svg+xml", svg,
+                                      _NO_STORE)
         return self._not_found(api=False)
 
     def _route_api(self, parts: list[str]) -> None:

@@ -2,10 +2,15 @@
 
 The Graph500 never times one BFS: it sweeps a batch of roots over one
 loaded graph.  The daemon borrows the idiom for throughput: queries
-that agree on (graph, system, algorithm, n_threads) and arrive within
-a short linger window are executed as a single
+that agree on (graph, system, algorithm, n_threads) and arrive while
+every worker is busy are executed as a single
 :meth:`~repro.systems.base.GraphSystem.run_many` sweep on one worker,
 with duplicate roots sharing a single execution.
+
+A group lingers only while it could not run anyway: a job submitted
+while a worker is idle is flushed at once, a waiting group is flushed
+the moment a worker frees, and the linger window bounds how long a
+group waits behind busy workers before it joins the pool's queue.
 
 Chaos discipline: injected faults are attached per *query*, and a
 fault may never poison co-batched innocents.  Crash faults fail their
@@ -139,7 +144,8 @@ class _Batch:
 
 
 class BatchingExecutor:
-    """Groups submitted jobs by key; flushes by linger window or size."""
+    """Groups submitted jobs by key; flushes a group when a worker is
+    idle, it is full, or it has waited the linger window out."""
 
     def __init__(self, pool, manager, telemetry=None, *,
                  window_s: float = 0.01, max_batch: int = 32,
@@ -157,6 +163,7 @@ class BatchingExecutor:
         self._flusher: threading.Thread | None = None
         self._solo_ids = itertools.count()
         self._log = get_logger("repro.service")
+        pool.on_idle = self._flush_while_idle
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -177,10 +184,19 @@ class BatchingExecutor:
             group.append(job)
             if key not in self._deadlines:
                 self._deadlines[key] = self._clock() + self.window_s
-            if len(group) >= self.max_batch or job.solo:
+            if len(group) >= self.max_batch or job.solo \
+                    or self.pool.has_idle_worker():
                 self._flush_locked(key)
             self._cond.notify()
         return True
+
+    def _flush_while_idle(self) -> None:
+        """Pool hook: capacity came back, so the longest-waiting groups
+        stop lingering."""
+        with self._cond:
+            while self._deadlines and self.pool.has_idle_worker():
+                self._flush_locked(
+                    min(self._deadlines, key=self._deadlines.get))
 
     # ------------------------------------------------------------------
     def _flush_locked(self, key: tuple) -> None:
@@ -246,6 +262,10 @@ class BatchingExecutor:
         try:
             with self.manager.lease(first.graph, first.system,
                                     first.n_threads) as (system, loaded):
+                if ctx.abandoned.is_set():
+                    # Quarantined while waiting for the structure's
+                    # previous sweep: the jobs have their 503 already.
+                    return
                 roots = (tuple(int(j.root) for j in runnable)
                          if rooted else ())
                 results = system.run_many(loaded, first.algorithm,

@@ -26,10 +26,11 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 from repro.errors import ReproError, ServiceError
+from repro.httputil import FrontEndServer, write_response
 from repro.logging_util import get_logger
 from repro.observability import Tracer
 from repro.resilience.faults import FaultInjector
@@ -75,6 +76,8 @@ class ServeConfig:
     #: Wedge deadline before the watchdog quarantines a worker.
     wedge_timeout_s: float | None = None
     breaker_failures: int = 3
+    #: Longest a same-key group waits to coalesce *while every worker
+    #: is busy*; with a worker idle a query is dispatched at once.
     batch_window_s: float = 0.01
     max_batch: int = 32
     max_resident_bytes: int | None = None
@@ -134,7 +137,7 @@ class QueryDaemon:
         self._drained = False
         self._drain_lock = threading.Lock()
         self._shutdown = threading.Event()
-        self._server: ThreadingHTTPServer | None = None
+        self._server: FrontEndServer | None = None
         self._log = get_logger("repro.service")
 
     # ------------------------------------------------------------------
@@ -380,14 +383,13 @@ class QueryDaemon:
         """Start, serve until SIGTERM/SIGINT, drain, return 0."""
         self.start()
         try:
-            self._server = ThreadingHTTPServer(
+            self._server = FrontEndServer(
                 (self.config.host, self.config.port),
                 _make_handler(self))
         except OSError as exc:
             raise ServiceError(
                 f"cannot bind {self.config.host}:{self.config.port}: "
                 f"{exc}") from exc
-        self._server.daemon_threads = True
         if install_signal_handlers:
             def _on_signal(signum, frame):
                 self.request_shutdown()
@@ -421,21 +423,10 @@ def _make_handler(daemon: QueryDaemon):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "epg-serve"
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):  # quiet by default
             log.debug("%s " + fmt, self.address_string(), *args)
-
-        # ----------------------------------------------------------
-        def _respond(self, status: int, content_type: str, body: str,
-                     headers: dict | None = None) -> None:
-            data = body.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            for k, v in (headers or {}).items():
-                self.send_header(k, v)
-            self.end_headers()
-            self.wfile.write(data)
 
         def do_GET(self):
             try:
@@ -448,45 +439,48 @@ def _make_handler(daemon: QueryDaemon):
                     "epg_serve_requests_total",
                     endpoint=endpoint,
                     status=str(status))
-                self._respond(status, ctype, body)
-            except BrokenPipeError:
-                pass
+                write_response(self, status, ctype, body)
             except Exception:
                 log.exception("GET %s failed", self.path)
-                self._respond(503, "application/json", json.dumps(
-                    {"error": "internal", "detail": "handler error"}))
+                write_response(
+                    self, 503, "application/json", json.dumps(
+                        {"error": "internal", "detail": "handler error"}))
 
         def do_POST(self):
             try:
                 if self.path.split("?", 1)[0] != "/query":
-                    self._respond(404, "application/json", json.dumps(
-                        {"error": "not_found", "detail": self.path}))
+                    # The body stays unread: close, so that it is not
+                    # parsed as the connection's next request.
+                    write_response(
+                        self, 404, "application/json", json.dumps(
+                            {"error": "not_found", "detail": self.path}),
+                        {"Connection": "close"})
                     return
                 try:
                     length = int(self.headers.get("Content-Length", 0))
                     payload = json.loads(
                         self.rfile.read(length).decode("utf-8"))
                 except (ValueError, UnicodeDecodeError):
-                    self._respond(400, "application/json", json.dumps(
-                        {"error": "bad_request",
-                         "detail": "body must be JSON"}))
+                    write_response(
+                        self, 400, "application/json", json.dumps(
+                            {"error": "bad_request",
+                             "detail": "body must be JSON"}))
                     return
                 client = (self.headers.get("X-Client")
                           or self.client_address[0])
                 status, body, headers = daemon.handle_query(
                     payload, client)
-                self._respond(status, "application/json",
-                              json.dumps(body), headers)
-            except BrokenPipeError:
-                pass
+                write_response(self, status, "application/json",
+                               json.dumps(body), headers)
             except Exception:
                 # The no-500 guarantee: anything unexpected degrades
                 # to a well-formed 503.
                 log.exception("POST %s failed", self.path)
                 try:
-                    self._respond(503, "application/json", json.dumps(
-                        {"error": "internal",
-                         "detail": "handler error"}),
+                    write_response(
+                        self, 503, "application/json", json.dumps(
+                            {"error": "internal",
+                             "detail": "handler error"}),
                         {"Retry-After": "1.0"})
                 except Exception:
                     pass

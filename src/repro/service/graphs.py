@@ -11,7 +11,11 @@ zero-copy).  The :class:`ResidentGraphManager` owns three concerns:
   the battle-tested :class:`~repro.core.experiment.Experiment`
   setup/homogenize phases, then published in ``served.json``.
 * **Residency** -- loaded structures are LRU-bounded by
-  ``max_resident_bytes``; in-use entries are never evicted.
+  ``max_resident_bytes``; in-use entries are never evicted.  A
+  structure is loaded once however many first queries race for it, and
+  runs one sweep at a time: kernels keep their scratch arenas (and,
+  sharded, their worker pool) on the loaded structure, so two sweeps
+  over one structure would corrupt each other.
 * **Recovery** -- on restart the roster is rebuilt from the manifest;
   a dataset whose on-disk bytes no longer match the published size is
   treated as corrupt, deleted, and rematerialized.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import shutil
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +145,8 @@ class _Resident:
     refs: int = 0
     #: Monotonically increasing use stamp (manager-assigned LRU order).
     stamp: int = 0
+    #: Held for the length of a lease: one sweep at a time.
+    run_lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 class ResidentGraphManager:
@@ -162,6 +168,8 @@ class ResidentGraphManager:
         #: name -> HomogenizedDataset of every published graph.
         self.datasets: dict[str, HomogenizedDataset] = {}
         self._residents: dict[tuple, _Resident] = {}
+        #: key -> set once the thread loading that key has finished.
+        self._loading: dict[tuple, threading.Event] = {}
         self._lock = threading.Lock()
         self._stamp = 0
         self._log = get_logger("repro.service")
@@ -262,8 +270,15 @@ class ResidentGraphManager:
 
     def lease(self, graph: str, system: str, n_threads: int):
         """Context manager yielding ``(GraphSystem, LoadedGraph)`` with
-        the entry pinned against eviction for the duration."""
+        the entry pinned against eviction, and closed to every other
+        lease of the same entry, for the duration."""
         return _Lease(self, graph, system, int(n_threads))
+
+    def _pin_locked(self, entry: _Resident) -> _Resident:
+        entry.refs += 1
+        self._stamp += 1
+        entry.stamp = self._stamp
+        return entry
 
     def _acquire(self, graph: str, system: str,
                  n_threads: int) -> _Resident:
@@ -273,31 +288,36 @@ class ResidentGraphManager:
         if system not in available_systems():
             raise ServiceError(f"unknown system {system!r}")
         key = (graph, system, n_threads)
-        with self._lock:
-            entry = self._residents.get(key)
-            if entry is not None:
-                entry.refs += 1
-                self._stamp += 1
-                entry.stamp = self._stamp
-                return entry
+        while True:
+            with self._lock:
+                entry = self._residents.get(key)
+                if entry is not None:
+                    return self._pin_locked(entry)
+                loading = self._loading.get(key)
+                if loading is None:
+                    loading = self._loading[key] = threading.Event()
+                    break
+            # Someone else is loading this key: take their result (or,
+            # if their load failed, our turn at it).
+            loading.wait()
         # Load outside the lock: materializing a structure can take a
         # while and must not block queries on already-resident graphs.
-        sys_inst = create_system(system, n_threads=n_threads,
-                                 shards=self.shards)
-        loaded = sys_inst.load(dataset, cache=self.cache)
-        nbytes = _estimate_resident_bytes(loaded)
-        with self._lock:
-            entry = self._residents.get(key)
-            if entry is None:
+        try:
+            sys_inst = create_system(system, n_threads=n_threads,
+                                     shards=self.shards)
+            loaded = sys_inst.load(dataset, cache=self.cache)
+            nbytes = _estimate_resident_bytes(loaded)
+            with self._lock:
                 self._evict_to_fit(nbytes)
                 entry = _Resident(system=sys_inst, loaded=loaded,
                                   nbytes=nbytes)
                 self._residents[key] = entry
-            entry.refs += 1
-            self._stamp += 1
-            entry.stamp = self._stamp
-            self._publish_gauges()
-            return entry
+                self._publish_gauges()
+                return self._pin_locked(entry)
+        finally:
+            with self._lock:
+                del self._loading[key]
+            loading.set()
 
     def _release(self, graph: str, system: str, n_threads: int) -> None:
         with self._lock:
@@ -340,8 +360,10 @@ class _Lease:
 
     def __enter__(self):
         self._entry = self._mgr._acquire(*self._key)
+        self._entry.run_lock.acquire()
         return self._entry.system, self._entry.loaded
 
     def __exit__(self, *exc) -> bool:
+        self._entry.run_lock.release()
         self._mgr._release(*self._key)
         return False

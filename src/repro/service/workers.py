@@ -7,6 +7,11 @@ flag, fails the task's promises so clients get their 503 immediately,
 and spawns a replacement thread so pool capacity is restored.  The
 quarantined thread exits at its next cooperative check -- the serving
 analogue of the batch supervisor killing a cell at its deadline.
+
+The pool also answers the one question the batcher needs to decide
+whether lingering can pay: is a worker idle right now?
+(:meth:`WorkerPool.has_idle_worker`, and the ``on_idle`` hook fired
+each time capacity comes back.)
 """
 
 from __future__ import annotations
@@ -89,6 +94,12 @@ class WorkerPool:
         self._queue: queue.Queue = queue.Queue()
         self._workers: list[_Worker] = []
         self._lock = threading.Lock()
+        #: Tasks queued or running on a live (non-quarantined) worker.
+        self._outstanding = 0
+        #: Called with no arguments, outside every pool lock, whenever
+        #: a worker finishes a task or a replacement is spawned.  One
+        #: subscriber: the batcher that submits to this pool.
+        self.on_idle = None
         self._stopping = False
         self._watchdog: threading.Thread | None = None
         self.quarantined = 0
@@ -114,7 +125,19 @@ class WorkerPool:
 
     def submit(self, task) -> None:
         """``task`` needs ``run(ctx)`` and ``abandon(reason)``."""
+        with self._lock:
+            self._outstanding += 1
         self._queue.put(task)
+
+    def has_idle_worker(self) -> bool:
+        """True when a task submitted now would start at once instead
+        of queueing behind another."""
+        with self._lock:
+            return self._outstanding < self.n_workers
+
+    def _notify_idle(self) -> None:
+        if self.on_idle is not None:
+            self.on_idle()
 
     # ------------------------------------------------------------------
     def _run(self, worker: _Worker) -> None:
@@ -137,15 +160,21 @@ class WorkerPool:
                     worker.ctx = None
                     worker.task = None
                     worker.busy_since = None
-            if ctx.abandoned.is_set():
-                # Quarantined: a replacement already took this slot.
+                    quarantined = ctx.abandoned.is_set()
+                    if not quarantined:
+                        self._outstanding -= 1
+            if quarantined:
+                # A replacement already took this slot (and its share
+                # of ``_outstanding``).
                 return
+            self._notify_idle()
 
     def _watch(self) -> None:
         interval = max(min(self.wedge_timeout_s / 4, 0.25), 0.01)
         while not self._stopping:
             time.sleep(interval)
             now = self._clock()
+            replaced = False
             with self._lock:
                 for worker in list(self._workers):
                     if worker.busy_since is None \
@@ -159,6 +188,8 @@ class WorkerPool:
                     self._workers.remove(worker)
                     self.quarantined += 1
                     self._spawn_locked()
+                    self._outstanding -= 1
+                    replaced = True
                     self._log.warning(
                         "watchdog: worker wedged %.1fs; quarantined "
                         "and replaced", now - worker.busy_since)
@@ -169,6 +200,8 @@ class WorkerPool:
                         # Outside nothing: fail fast so the waiting
                         # request gets its 503 now, not at its timeout.
                         task.abandon("worker wedged")
+            if replaced:
+                self._notify_idle()
 
     # ------------------------------------------------------------------
     def stop(self, timeout_s: float = 5.0) -> None:

@@ -40,6 +40,7 @@ def running_dash(**cfg_kwargs):
         daemon=True)
     thread.start()
     assert ready.wait(30.0), "dashboard never came up"
+    assert server._server.request_queue_size == 128
     try:
         yield f"http://127.0.0.1:{server.port}"
     finally:

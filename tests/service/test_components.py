@@ -89,6 +89,49 @@ class TestWorkerPool:
         finally:
             pool.stop()
 
+    def test_idle_worker_tracking_and_hook(self):
+        class Blocker(_Quick):
+            def __init__(self):
+                super().__init__()
+                self.release = threading.Event()
+
+            def run(self, ctx):
+                self.ran.set()
+                self.release.wait(5.0)
+
+        pool = WorkerPool(1, wedge_timeout_s=5.0)
+        freed = threading.Event()
+        pool.on_idle = freed.set
+        pool.start()
+        try:
+            assert pool.has_idle_worker()
+            blocker = Blocker()
+            pool.submit(blocker)
+            # Busy from the moment of submission, not of pick-up.
+            assert not pool.has_idle_worker()
+            assert blocker.ran.wait(2.0)
+            assert not freed.is_set()
+            blocker.release.set()
+            assert freed.wait(2.0)
+            assert pool.has_idle_worker()
+        finally:
+            pool.stop()
+
+    def test_quarantine_restores_idle_capacity(self):
+        pool = WorkerPool(1, wedge_timeout_s=0.08)
+        freed = threading.Event()
+        pool.on_idle = freed.set
+        pool.start()
+        try:
+            pool.submit(_Wedged())
+            assert not pool.has_idle_worker()
+            assert freed.wait(3.0)      # the replacement worker
+            assert pool.has_idle_worker()
+        finally:
+            pool.stop()
+        # The wedged thread's late exit must not count a second time.
+        assert pool._outstanding == 0
+
     def test_task_exception_does_not_kill_worker(self):
         class Boom:
             def __init__(self):
@@ -135,11 +178,14 @@ class _FakeLoaded:
 
 
 class _FakeSystem:
-    def __init__(self, calls):
+    def __init__(self, calls, gate=None):
         self.calls = calls
+        self.gate = gate
 
     def run_many(self, loaded, algorithm, roots=(), **params):
         self.calls.append(tuple(roots))
+        if self.gate is not None:
+            self.gate(tuple(roots))
         if not roots:
             return [_FakeResult(algorithm, None, loaded.n_vertices)]
         return [_FakeResult(algorithm, r, loaded.n_vertices)
@@ -147,16 +193,24 @@ class _FakeSystem:
 
 
 class _FakeManager:
-    def __init__(self):
+    def __init__(self, gate=None):
         self.calls = []
+        self.gate = gate
 
     @contextlib.contextmanager
     def lease(self, graph, system, n_threads):
-        yield _FakeSystem(self.calls), _FakeLoaded()
+        yield _FakeSystem(self.calls, self.gate), _FakeLoaded()
 
 
 class _InlinePool:
-    """Runs each batch synchronously on the submitting thread."""
+    """Runs each batch synchronously on the submitting thread.  Looks
+    fully busy unless ``idle`` is set, so groups linger by default."""
+
+    def __init__(self, idle=False):
+        self.idle = idle
+
+    def has_idle_worker(self):
+        return self.idle
 
     def submit(self, task):
         class _Ctx:
@@ -167,6 +221,11 @@ class _InlinePool:
 def make_job(root=0, *, algorithm="bfs", fault=None, solo=False):
     return Job(graph="g", system="fake", algorithm=algorithm,
                n_threads=2, root=root, fault=fault, solo=solo)
+
+
+def frozen_clock():
+    """Time stands still: no linger window ever elapses."""
+    return 0.0
 
 
 class TestBatching:
@@ -243,6 +302,64 @@ class TestBatching:
                               window_s=60.0)
         ex.stop()
         assert ex.submit(make_job()) is False
+
+    def test_idle_pool_runs_a_job_without_the_window_elapsing(self):
+        mgr = _FakeManager()
+        ex = BatchingExecutor(_InlinePool(idle=True), mgr,
+                              window_s=60.0, clock=frozen_clock)
+        for root in (4, 5):
+            job = make_job(root=root)
+            ex.submit(job)
+            assert job.promise.wait(0)[0] == "ok"
+        assert mgr.calls == [(4,), (5,)]
+
+    def test_busy_pool_coalesces_until_a_worker_frees(self):
+        mgr = _FakeManager()
+        pool = _InlinePool()
+        ex = BatchingExecutor(pool, mgr, window_s=60.0, max_batch=8,
+                              clock=frozen_clock)
+        jobs = [make_job(root=r) for r in (3, 1, 3)]
+        other = make_job(root=9, algorithm="sssp")
+        for job in jobs + [other]:
+            ex.submit(job)
+        assert mgr.calls == []          # every worker busy: linger
+        pool.idle = True
+        pool.on_idle()                  # what a freed worker calls
+        # One sweep per group, longest-waiting group first.
+        assert mgr.calls == [(3, 1, 3), (9,)]
+        assert all(j.promise.done for j in jobs + [other])
+
+    def test_real_pool_coalesces_behind_a_busy_worker(self):
+        """The same, end to end on a one-worker :class:`WorkerPool`:
+        the first job takes the idle worker at once; what arrives
+        while it runs becomes a single sweep the moment it finishes."""
+        started, release = threading.Event(), threading.Event()
+
+        def gate(roots):
+            if roots == (0,):
+                started.set()
+                assert release.wait(5.0)
+
+        mgr = _FakeManager(gate)
+        pool = WorkerPool(1, wedge_timeout_s=30.0)
+        ex = BatchingExecutor(pool, mgr, window_s=60.0, max_batch=8,
+                              clock=frozen_clock)
+        pool.start()
+        try:
+            first = make_job(root=0)
+            ex.submit(first)
+            assert started.wait(2.0)
+            waiting = [make_job(root=r) for r in (1, 2, 3)]
+            for job in waiting:
+                ex.submit(job)
+            assert mgr.calls == [(0,)]
+            release.set()
+            for job in [first] + waiting:
+                assert job.promise.wait(2.0)[0] == "ok"
+            assert mgr.calls == [(0,), (1, 2, 3)]
+        finally:
+            release.set()
+            pool.stop()
 
     def test_linger_window_flushes_on_time(self):
         mgr = _FakeManager()
@@ -387,6 +504,91 @@ class TestResidentGraphManager:
             # The idle t2 entry is evicted to make room.
             keys = set(mgr._residents)
             assert keys == {("kron6", "gap", 4)}
+
+    def test_one_sweep_at_a_time_per_resident_entry(self, tmp_path):
+        mgr = self.make_manager(tmp_path)
+        mgr.add_graph("kron:6")
+        with mgr.lease("kron6", "gap", 2):
+            held = mgr._residents["kron6", "gap", 2].run_lock
+            assert held.locked()
+            # A different structure is a different lock.
+            with mgr.lease("kron6", "gap", 4):
+                assert mgr._residents["kron6", "gap", 4].run_lock \
+                    is not held
+        assert not held.locked()
+        with pytest.raises(RuntimeError):
+            with mgr.lease("kron6", "gap", 2):
+                raise RuntimeError("kernel exploded")
+        assert not held.locked()
+
+    def test_concurrent_first_leases_load_once(self, tmp_path,
+                                               monkeypatch):
+        from repro.service import graphs
+
+        mgr = self.make_manager(tmp_path)
+        mgr.add_graph("kron:6")
+        loads = []
+        first_in, second_in = threading.Event(), threading.Event()
+        release = threading.Event()
+        real_create = graphs.create_system
+
+        def create(name, **kw):
+            system = real_create(name, **kw)
+            real_load = system.load
+
+            def load(dataset, cache=None):
+                loads.append(name)
+                (second_in if first_in.is_set() else first_in).set()
+                assert release.wait(10.0)
+                return real_load(dataset, cache=cache)
+
+            system.load = load
+            return system
+
+        monkeypatch.setattr(graphs, "create_system", create)
+        entries = []
+
+        def lease():
+            with mgr.lease("kron6", "gap", 2) as (_, loaded):
+                entries.append(loaded)
+
+        threads = [threading.Thread(target=lease) for _ in range(2)]
+        threads[0].start()
+        assert first_in.wait(5.0)
+        threads[1].start()
+        # The second thread must wait for the first load, not start
+        # its own; give it every chance to get that wrong.
+        assert not second_in.wait(0.2)
+        release.set()
+        for t in threads:
+            t.join(10.0)
+            assert not t.is_alive()
+        assert loads == ["gap"]
+        assert len(entries) == 2 and entries[0] is entries[1]
+        assert mgr._loading == {}
+
+    def test_failed_load_hands_the_turn_to_the_waiter(self, tmp_path,
+                                                      monkeypatch):
+        from repro.service import graphs
+
+        mgr = self.make_manager(tmp_path)
+        mgr.add_graph("kron:6")
+        real_create = graphs.create_system
+        attempts = []
+
+        def create(name, **kw):
+            attempts.append(name)
+            if len(attempts) == 1:
+                raise ServiceError("disk on fire")
+            return real_create(name, **kw)
+
+        monkeypatch.setattr(graphs, "create_system", create)
+        with pytest.raises(ServiceError):
+            with mgr.lease("kron6", "gap", 2):
+                pass
+        assert mgr._loading == {}
+        with mgr.lease("kron6", "gap", 2) as (_, loaded):
+            assert loaded.n_vertices == 64
 
     def test_recover_rebuilds_corrupt_graph(self, tmp_path):
         data_dir = tmp_path / "serve"

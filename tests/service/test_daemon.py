@@ -9,6 +9,7 @@ graceful SIGTERM drain.
 import contextlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -87,6 +88,9 @@ class TestDaemonHTTP:
         with running_daemon(data_dir) as (daemon, base):
             assert http_get(base + "/healthz")[0] == 200
             assert http_get(base + "/readyz")[0] == 200
+            # A burst of fresh connections (loadgen opens one per
+            # request) must not overflow the stdlib's backlog of 5.
+            assert daemon._server.request_queue_size == 128
             status, body = http_get(base + "/graphs")
             graphs = json.loads(body)["graphs"]
             assert [g["name"] for g in graphs] == ["kron6"]
@@ -226,6 +230,69 @@ class TestDaemonHTTP:
             assert status == 503 and body["error"] == "draining"
             assert http_get(base + "/readyz")[0] == 503
             daemon.draining = False  # let the fixture drain cleanly
+
+
+class TestSharedGraph:
+    """Two workers, one resident structure.  Kernels keep scratch
+    arenas (and, sharded, a worker pool) on the loaded structure; with
+    nothing idling in front of them, two sweeps met there in ~10 % of
+    same-graph requests until leases became exclusive."""
+
+    QUERIES = 100
+
+    @pytest.fixture(scope="class")
+    def kron10_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("serve-kron10")
+        daemon = QueryDaemon(ServeConfig(data_dir=root,
+                                         graphs=("kron:10",)))
+        daemon.start()
+        daemon.drain()
+        return root
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_two_clients_on_one_graph_never_fail(self, kron10_dir,
+                                                 shards):
+        daemon = QueryDaemon(ServeConfig(data_dir=kron10_dir,
+                                         workers=2, shards=shards))
+        daemon.start()
+        answers: list[list] = [[], []]
+
+        def client(c: int) -> None:
+            rng = random.Random(c)
+            for _ in range(self.QUERIES):
+                payload = {
+                    "graph": "kron10", "system": "gap",
+                    "algorithm": rng.choice(
+                        ("bfs", "sssp", "pagerank")),
+                    "root": rng.randrange(1024)}
+                status, body, _ = daemon.handle_query(
+                    payload, f"client{c}")
+                answers[c].append((status, body.get("detail")))
+
+        # Short time slices interleave the two kernels far more often
+        # than the default 5 ms does.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            daemon.drain()
+            # A daemon's shard pools die with its process; this one's
+            # process lives on, so reap them here.
+            for entry in daemon.manager._residents.values():
+                for engine in entry.loaded.__dict__.get(
+                        "_shard_engines", {}).values():
+                    engine.close()
+        bad = [a for per in answers for a in per if a[0] != 200]
+        assert not bad, bad[:3]
+        assert sum(map(len, answers)) == 2 * self.QUERIES
 
 
 @pytest.mark.faulty
