@@ -386,41 +386,10 @@ def pagerank_warm(graph: CSRGraph, rank0: np.ndarray,
                   epsilon: float = DEFAULT_EPSILON,
                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
                   ) -> tuple[np.ndarray, int]:
-    """Power iteration warm-started from ``rank0``.
-
-    Identical per-sweep arithmetic to
-    :func:`~repro.algorithms.pagerank.pagerank` (same ``np.add.at``
-    association, same L1 stop), differing only in the starting vector,
-    so the contraction bound of :func:`pagerank_l1_bound` applies to
-    the pair of results.
-    """
-    n = graph.n_vertices
-    if n == 0:
-        return np.zeros(0), 0
-    rank0 = np.asarray(rank0, dtype=np.float64)
-    if rank0.shape != (n,):
-        raise ValidationError(
-            f"warm-start vector has shape {rank0.shape}, graph has "
-            f"{n} vertices")
-    out_deg = graph.out_degrees().astype(np.float64)
-    dangling = out_deg == 0
-    src = graph.source_ids()
-    dst = graph.col_idx
-
-    rank = rank0.copy()
-    base = (1.0 - damping) / n
-    for it in range(1, max_iterations + 1):
-        contrib = np.zeros(n)
-        if src.size:
-            share = rank[src] / out_deg[src]
-            np.add.at(contrib, dst, share)
-        dangling_mass = rank[dangling].sum() / n
-        new_rank = base + damping * (contrib + dangling_mass)
-        delta = np.abs(new_rank - rank).sum()
-        rank = new_rank
-        if delta < epsilon:
-            return rank, it
-    return rank, max_iterations
+    """Power iteration warm-started from ``rank0``: the cold kernel's
+    own loop from another starting vector, so the contraction bound of
+    :func:`pagerank_l1_bound` applies to the pair of results."""
+    return pagerank(graph, damping, epsilon, max_iterations, rank0=rank0)
 
 
 def pagerank_l1_bound(damping: float = DEFAULT_DAMPING,

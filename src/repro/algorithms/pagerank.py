@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
 
 __all__ = ["pagerank", "DEFAULT_EPSILON", "DEFAULT_DAMPING"]
@@ -25,27 +26,38 @@ DEFAULT_MAX_ITERATIONS = 1000
 def pagerank(graph: CSRGraph, damping: float = DEFAULT_DAMPING,
              epsilon: float = DEFAULT_EPSILON,
              max_iterations: int = DEFAULT_MAX_ITERATIONS,
-             ) -> tuple[np.ndarray, int]:
+             rank0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Return ``(ranks, iterations)``.
 
     ``ranks`` sums to 1; ``iterations`` is the number of power-iteration
-    sweeps executed before the L1 criterion was met.
+    sweeps executed before the L1 criterion was met.  ``rank0`` (not
+    modified) replaces the uniform starting vector: the warm start of
+    :func:`repro.algorithms.incremental.pagerank_warm`.
+
+    Shares are divided once per vertex and expanded per arc (CSR order
+    is source order); ``np.bincount(weights=)`` adds each destination's
+    left to right in arc order, bit-identical to ``np.add.at`` into zeros.
     """
     n = graph.n_vertices
     if n == 0:
         return np.zeros(0), 0
-    out_deg = graph.out_degrees().astype(np.float64)
+    if rank0 is None:
+        rank = np.full(n, 1.0 / n)
+    else:
+        rank = np.asarray(rank0, dtype=np.float64)
+        if rank.shape != (n,):
+            raise ValidationError(
+                f"warm-start vector has shape {rank.shape}, graph has "
+                f"{n} vertices")
+    out_deg = graph.out_degrees()
     dangling = out_deg == 0
-    src = graph.source_ids()
-    dst = graph.col_idx
-
-    rank = np.full(n, 1.0 / n)
+    # Dangling vertices repeat zero times; 1 only keeps 0/0 out of it.
+    divisor = np.maximum(out_deg, 1).astype(np.float64)
     base = (1.0 - damping) / n
     for it in range(1, max_iterations + 1):
-        contrib = np.zeros(n)
-        if src.size:
-            share = rank[src] / out_deg[src]
-            np.add.at(contrib, dst, share)
+        contrib = np.bincount(
+            graph.col_idx, minlength=n,
+            weights=np.repeat(rank / divisor, out_deg))
         dangling_mass = rank[dangling].sum() / n
         new_rank = base + damping * (contrib + dangling_mass)
         delta = np.abs(new_rank - rank).sum()

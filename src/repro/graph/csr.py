@@ -4,9 +4,9 @@ CSR is the representation the paper reports for the Graph500, GAP, and
 GraphBIG (Sec. III-C); PowerGraph layers a vertex-cut scheme on top of it
 and GraphMat doubly-compresses it (:mod:`repro.graph.dcsr`).
 
-Construction is fully vectorized: a counting sort over ``src`` via
-``np.bincount``/``cumsum`` plus a stable ``argsort`` for the column
-order, which mirrors what the C systems do (bucket by row, then place).
+Construction is fully vectorized: ``bincount``/``cumsum`` row pointers
+plus a stable two-key ``lexsort`` for the arc order; transposition is
+the linear bucket-then-place pass the C systems use.
 """
 
 from __future__ import annotations
@@ -19,6 +19,16 @@ from repro.errors import GraphFormatError
 from repro.graph.edgelist import EdgeList
 
 __all__ = ["CSRGraph"]
+
+
+def _check_endpoints(name: str, ids: np.ndarray, n: int) -> None:
+    """Raise unless every id is in ``[0, n)``: a negative or too-large
+    id silently corrupts a counting pass (or writes out of bounds in C)."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        i = int(np.argmax((ids < 0) | (ids >= n)))
+        raise GraphFormatError(
+            f"{name}[{i}] = {int(ids[i])}: vertex id out of "
+            f"range [0, {n})")
 
 
 @dataclass(frozen=True)
@@ -50,25 +60,17 @@ class CSRGraph:
     @staticmethod
     def from_arrays(src: np.ndarray, dst: np.ndarray, n: int,
                     weights: np.ndarray | None = None) -> "CSRGraph":
-        """Build CSR from parallel endpoint arrays (counting sort).
+        """Build CSR from parallel endpoint arrays, in any order: row
+        pointers from a counting pass over ``src``, arc order from a
+        stable ``O(m log m)`` two-key ``np.lexsort``.
 
-        Endpoints are validated against ``[0, n)`` first: an id ``>= n``
-        used to surface as a raw NumPy shape error out of the
-        ``bincount``/``cumsum`` pair, and a *negative* id silently
-        corrupted the counting sort (``bincount`` rejects it only
-        sometimes, and ``row_ptr`` went inconsistent).  Mutation batches
-        arriving from event streams make this path load-bearing.
+        Endpoints are validated against ``[0, n)`` first; mutation
+        batches arriving from event streams make that load-bearing.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        for name, arr in (("src", src), ("dst", dst)):
-            if arr.size:
-                bad = (arr < 0) | (arr >= n)
-                if bad.any():
-                    i = int(np.argmax(bad))
-                    raise GraphFormatError(
-                        f"{name}[{i}] = {int(arr[i])}: vertex id out of "
-                        f"range [0, {n})")
+        _check_endpoints("src", src, n)
+        _check_endpoints("dst", dst, n)
         counts = np.bincount(src, minlength=n)
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=row_ptr[1:])
@@ -183,17 +185,26 @@ class CSRGraph:
     def transposed(self) -> "CSRGraph":
         """CSR of the reverse graph (i.e. CSC of this one), memoized.
 
-        Direction-optimizing BFS and pull-style PageRank need incoming
-        adjacency; GAP builds and stores both directions.  Systems that
-        used to rebuild the transpose per kernel now share one copy per
-        graph instance.
+        Arcs are already in source order, so one stable linear counting
+        pass by destination (SciPy's ``csr -> csc``) lands them exactly
+        where ``from_arrays(col_idx, source_ids())`` would, parallel
+        arcs included, without the sort -- streaming repair transposes
+        every fresh snapshot.  The C pass trusts its indices, which
+        ``__post_init__`` never looked at, hence the check.
         """
         cached = self.__dict__.get("_transposed")
         if cached is None:
+            import scipy.sparse as sp
+
             n = self.n_vertices
-            src = self.source_ids()
-            cached = CSRGraph.from_arrays(self.col_idx, src, n,
-                                          weights=self.weights)
+            _check_endpoints("col_idx", self.col_idx, n)
+            data = (self.weights if self.weights is not None
+                    else np.zeros(self.n_edges, dtype=np.int8))
+            csc = sp.csr_matrix((data, self.col_idx, self.row_ptr),
+                                shape=(n, n)).tocsc()
+            cached = CSRGraph(
+                row_ptr=csc.indptr, col_idx=csc.indices,
+                weights=None if self.weights is None else csc.data)
             object.__setattr__(self, "_transposed", cached)
         return cached
 

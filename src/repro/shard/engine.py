@@ -115,14 +115,19 @@ def _build_context(shard: int, n: int, arrays, weighted: bool,
 
 
 def _worker_main(shard: int, n: int, static_spec, dyn_spec,
-                 go, done, weighted: bool, has_in: bool) -> None:
+                 go, done, weighted: bool, has_in: bool,
+                 owner_pid: int) -> None:
     """Worker loop: attach arenas, then serve supersteps until told to
     shut down.  Each round is one ``go`` token in, one ``done`` token
     out -- plain semaphores, nothing a SIGKILLed sibling can leave
     locked (an ``mp.Barrier`` hides a condition lock that dies with
     its holder and deadlocks everyone else).  Op exceptions are already
     recorded in the ring header by :func:`~repro.shard.ops.run_op`; the
-    loop swallows them so the worker always posts its token."""
+    loop swallows them so the worker always posts its token.
+
+    ``owner_pid`` is the engine owner's pid as *it* read it: a
+    ``getppid()`` taken here would already be 1 if the owner died
+    before this line ran, and the orphan would never notice."""
     # The suite's cell-pool workers set SIGTERM to SIG_IGN (so a
     # checkpointing parent can drain them); a shard worker forked from
     # one inherits that and would then survive the ``terminate()``
@@ -130,7 +135,6 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
     # children -- deadlocking the join that follows.  Restore the
     # default so this worker is always reapable.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    ppid = os.getppid()
     static = ShmArena.attach(static_spec)
     dyn = ShmArena.attach(dyn_spec)
     arrays = dict(static.arrays)
@@ -139,7 +143,7 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
     try:
         while True:
             while not go.acquire(True, ORPHAN_POLL_S):
-                if os.getppid() != ppid:
+                if os.getppid() != owner_pid:
                     return  # orphaned: parent died, shutdown never comes
             op = int(ctx.ctrl_i[ops.CTRL_OP])
             if op == ops.OP_SHUTDOWN:
@@ -228,7 +232,7 @@ class ShardEngine:
                         args=(k, self.n, self._static_arena.spec,
                               self._dyn_arena.spec, self._go[k],
                               self._done, self.weighted,
-                              self.has_in),
+                              self.has_in, os.getpid()),
                         daemon=True,
                         name=f"epg-shard-{k}")
                     proc.start()

@@ -1,11 +1,23 @@
 """Reference PageRank vs. networkx and stochastic invariants."""
 
+import hashlib
+import warnings
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms.incremental import pagerank_warm
 from repro.algorithms.pagerank import pagerank
 from repro.graph.csr import CSRGraph
+
+#: ``pagerank(kron10_csr)`` as computed by the per-arc ``np.add.at``
+#: sweep, pinned at commit 45ef066 before the sweep body was rewritten.
+KRON10_RANKS_SHA256 = (
+    "f79c5746a6f9ce8272f760a1d13082e90e63523b7f8d5a05862de8b1bce2c99e")
+KRON10_ITERATIONS = 23
 
 
 def test_sums_to_one(kron10_csr):
@@ -75,3 +87,56 @@ def test_higher_in_degree_higher_rank():
     csr = CSRGraph.from_arrays(src, dst, 5)
     rank, _ = pagerank(csr)
     assert rank[0] == rank.max()
+
+
+def test_kron10_golden_bytes(kron10_csr):
+    """The sweep rewrite changed no bit: 132 dangling vertices, parallel
+    arcs and self-loops all flow through this fixture."""
+    rank, it = pagerank(kron10_csr)
+    assert it == KRON10_ITERATIONS
+    assert hashlib.sha256(rank.tobytes()).hexdigest() == KRON10_RANKS_SHA256
+
+
+def test_warm_from_uniform_is_cold(kron10_csr):
+    n = kron10_csr.n_vertices
+    cold, it_cold = pagerank(kron10_csr)
+    start = np.full(n, 1.0 / n)
+    warm, it_warm = pagerank_warm(kron10_csr, start)
+    assert it_warm == it_cold
+    assert warm.tobytes() == cold.tobytes()
+    assert start.tobytes() == np.full(n, 1.0 / n).tobytes()  # not mutated
+
+
+def test_dangling_vertices_raise_no_divide_warning():
+    """Sinks and isolated vertices have out-degree 0; the per-vertex
+    share must not compute (or warn about) ``rank / 0`` for them."""
+    csr = CSRGraph.from_arrays(np.array([0, 1, 1]), np.array([1, 2, 2]), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rank, _ = pagerank(csr)
+        warm, _ = pagerank_warm(csr, rank)
+    assert np.isfinite(rank).all() and np.isfinite(warm).all()
+    assert rank.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+_doubles = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), _doubles), max_size=60))))
+@settings(max_examples=300, deadline=None)
+def test_ordered_sum_is_add_at_into_zeros(case):
+    """The sweep's ``bincount(weights=)`` adds the same doubles in the
+    same left-to-right order as ``np.add.at`` into zeros -- bit for bit,
+    duplicates, cancellation and signed zeros included."""
+    n, pairs = case
+    idx = np.array([i for i, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    want = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge draws
+        np.add.at(want, idx, values)
+        got = np.bincount(idx, weights=values, minlength=n)
+    assert got.tobytes() == want.tobytes()

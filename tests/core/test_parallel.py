@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,10 @@ from repro.parallel import CellPool, resolve_jobs, run_cell_task
 from repro.resilience import SuiteCheckpoint
 
 PARAMS = dict(scale=8, n_roots=2, render_svg=False)
+
+#: The checkout under test, so CLI subprocesses run *this* tree and not
+#: whatever lives at some fixed path.
+REPO = Path(__file__).resolve().parents[2]
 
 #: Wall-clock fields are the only legal difference between traces of
 #: the same run at different job counts.
@@ -157,13 +162,17 @@ def test_sigkill_then_cli_resume_byte_identical(tmp_path, ref_plain):
     """The acceptance scenario end to end: SIGKILL the ``epg
     reproduce --jobs 2`` process mid-suite, then ``epg resume``."""
     out = tmp_path / "suite"
-    env = dict(os.environ, PYTHONPATH="src")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     cmd = [sys.executable, "-m", "repro.cli", "reproduce",
            "--output", str(out), "--scale", "8", "--roots", "2",
            "--no-svg", "--jobs", "2"]
-    proc = subprocess.Popen(cmd, cwd="/root/repo", env=env,
+    # Own session: the SIGKILL under test goes to the leader only, and
+    # its two pool workers (which ignore SIGTERM) are swept as a group
+    # afterwards instead of outliving the test.
+    proc = subprocess.Popen(cmd, cwd=REPO, env=env,
                             stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+                            stderr=subprocess.DEVNULL,
+                            start_new_session=True)
     deadline = time.monotonic() + 60
     try:
         # Wait until at least one cell has been committed, then kill.
@@ -177,8 +186,11 @@ def test_sigkill_then_cli_resume_byte_identical(tmp_path, ref_plain):
             proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
     finally:
-        if proc.poll() is None:
-            proc.kill()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass                # leader reaped and no worker left
+        proc.wait()
     if proc.returncode == 0:
         pytest.skip("suite finished before SIGKILL landed")
 
@@ -186,7 +198,7 @@ def test_sigkill_then_cli_resume_byte_identical(tmp_path, ref_plain):
     done = subprocess.run(
         [sys.executable, "-m", "repro.cli", "resume", str(out),
          "--jobs", "2"],
-        cwd="/root/repo", env=env, capture_output=True, text=True)
+        cwd=REPO, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (out / "REPORT.md").read_bytes() == ref_plain
 
@@ -197,11 +209,11 @@ def test_sigterm_checkpoints_and_exits_resume_code(tmp_path, ref_plain):
     checkpoint what completed, exit 130 with a resume hint, and leave a
     state ``epg resume`` finishes byte-identically."""
     out = tmp_path / "suite"
-    env = dict(os.environ, PYTHONPATH="src")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     cmd = [sys.executable, "-m", "repro.cli", "reproduce",
            "--output", str(out), "--scale", "8", "--roots", "2",
            "--no-svg", "--jobs", "2"]
-    proc = subprocess.Popen(cmd, cwd="/root/repo", env=env,
+    proc = subprocess.Popen(cmd, cwd=REPO, env=env,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE, text=True)
     deadline = time.monotonic() + 60
@@ -227,7 +239,7 @@ def test_sigterm_checkpoints_and_exits_resume_code(tmp_path, ref_plain):
     done = subprocess.run(
         [sys.executable, "-m", "repro.cli", "resume", str(out),
          "--jobs", "2"],
-        cwd="/root/repo", env=env, capture_output=True, text=True)
+        cwd=REPO, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (out / "REPORT.md").read_bytes() == ref_plain
 

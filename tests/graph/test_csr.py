@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
@@ -127,3 +129,63 @@ class TestEndpointValidation:
     def test_boundary_ids_accepted(self):
         csr = CSRGraph.from_arrays(np.array([0, 3]), np.array([3, 0]), 4)
         assert csr.n_edges == 2
+
+
+@st.composite
+def _multigraphs(draw):
+    """CSR with parallel arcs (of differing weights when weighted),
+    self-loops, empty rows, isolated vertices and ``m == 0``: ids are
+    drawn from a prefix of ``[0, n)`` so collisions are the norm."""
+    n = draw(st.integers(1, 12))
+    hi = draw(st.integers(0, n - 1))
+    ids = st.lists(st.integers(0, hi), min_size=0, max_size=40)
+    src = draw(ids)
+    dst = draw(st.lists(st.integers(0, hi), min_size=len(src),
+                        max_size=len(src)))
+    weights = None
+    if draw(st.booleans()):
+        # Distinct per arc, so a parallel arc landing out of order shows.
+        weights = np.arange(len(src), dtype=np.float64) + 0.5
+    return CSRGraph.from_arrays(np.array(src, dtype=np.int64),
+                                np.array(dst, dtype=np.int64), n,
+                                weights=weights)
+
+
+def _old_transposed(g):
+    """What ``transposed()`` computed before it became a counting pass."""
+    return CSRGraph.from_arrays(g.col_idx, g.source_ids(), g.n_vertices,
+                                weights=g.weights)
+
+
+def _assert_same_bytes(got, want):
+    for name in ("row_ptr", "col_idx", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+class TestTransposeIsTheOldSort:
+    """``transposed()`` is a linear counting pass; its contract is the
+    exact bytes of the two-key sort it replaced."""
+
+    @given(_multigraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_byte_identical_to_from_arrays(self, g):
+        _assert_same_bytes(g.transposed(), _old_transposed(g))
+
+    def test_kron10_byte_identical(self, kron10_csr):
+        _assert_same_bytes(kron10_csr.transposed(),
+                           _old_transposed(kron10_csr))
+
+    @pytest.mark.parametrize("bad", (3, -1))
+    def test_bad_col_idx_still_raises(self, bad):
+        """A hand-built CSR skips ``from_arrays``' endpoint check; the
+        transpose must catch it before the C pass indexes with it."""
+        g = CSRGraph(row_ptr=np.array([0, 1, 2, 2]),
+                     col_idx=np.array([1, bad]))
+        with pytest.raises(GraphFormatError,
+                           match=rf"col_idx\[1\] = {bad}.*\[0, 3\)"):
+            g.transposed()
