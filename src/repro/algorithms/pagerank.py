@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
+from repro.graph.sweeps import LocalSweeps, SweepExecutor
 
 __all__ = ["pagerank", "DEFAULT_EPSILON", "DEFAULT_DAMPING"]
 
@@ -26,7 +27,9 @@ DEFAULT_MAX_ITERATIONS = 1000
 def pagerank(graph: CSRGraph, damping: float = DEFAULT_DAMPING,
              epsilon: float = DEFAULT_EPSILON,
              max_iterations: int = DEFAULT_MAX_ITERATIONS,
-             rank0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+             rank0: np.ndarray | None = None,
+             sweeps: SweepExecutor | None = None
+             ) -> tuple[np.ndarray, int]:
     """Return ``(ranks, iterations)``.
 
     ``ranks`` sums to 1; ``iterations`` is the number of power-iteration
@@ -34,9 +37,9 @@ def pagerank(graph: CSRGraph, damping: float = DEFAULT_DAMPING,
     modified) replaces the uniform starting vector: the warm start of
     :func:`repro.algorithms.incremental.pagerank_warm`.
 
-    Shares are divided once per vertex and expanded per arc (CSR order
-    is source order); ``np.bincount(weights=)`` adds each destination's
-    left to right in arc order, bit-identical to ``np.add.at`` into zeros.
+    Each sweep over the arcs is one ``pagerank_sweep`` of ``sweeps``
+    (in-process by default); the dangling mass and the L1 residual are
+    always taken here, on the full vectors.
     """
     n = graph.n_vertices
     if n == 0:
@@ -49,19 +52,16 @@ def pagerank(graph: CSRGraph, damping: float = DEFAULT_DAMPING,
             raise ValidationError(
                 f"warm-start vector has shape {rank.shape}, graph has "
                 f"{n} vertices")
-    out_deg = graph.out_degrees()
-    dangling = out_deg == 0
-    # Dangling vertices repeat zero times; 1 only keeps 0/0 out of it.
-    divisor = np.maximum(out_deg, 1).astype(np.float64)
+    if sweeps is None:
+        sweeps = LocalSweeps(graph)
+    rank = sweeps.begin_pagerank(rank)
+    dangling = graph.out_degrees() == 0
     base = (1.0 - damping) / n
     for it in range(1, max_iterations + 1):
-        contrib = np.bincount(
-            graph.col_idx, minlength=n,
-            weights=np.repeat(rank / divisor, out_deg))
         dangling_mass = rank[dangling].sum() / n
-        new_rank = base + damping * (contrib + dangling_mass)
+        new_rank = sweeps.pagerank_sweep(rank, dangling_mass, base, damping)
         delta = np.abs(new_rank - rank).sum()
         rank = new_rank
         if delta < epsilon:
-            return rank, it
-    return rank, max_iterations
+            return rank.copy(), it
+    return rank.copy(), max_iterations

@@ -23,8 +23,7 @@ built on:
 from repro.graph.edgelist import EdgeList
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
-from repro.graph.frontier import Frontier
 from repro.graph.scratch import KernelScratch, scratch_for
 
-__all__ = ["EdgeList", "CSRGraph", "DCSRMatrix", "Frontier",
-           "KernelScratch", "scratch_for"]
+__all__ = ["EdgeList", "CSRGraph", "DCSRMatrix", "KernelScratch",
+           "scratch_for"]

@@ -49,13 +49,8 @@ from repro.errors import ConfigError
 from repro.graph.scratch import COUNTERS, KernelScratch
 
 __all__ = ["GatherSlots", "gather_slots", "claim_first_parent",
-           "segment_min_scatter", "dedup_ids", "Frontier", "BucketQueue",
-           "resolve_batch_rows", "DENSE_FRONTIER_DENSITY"]
-
-#: Sparse-list frontiers denser than this switch to bitmap form (the
-#: Ligra-style |F| > n/32 rule of thumb: beyond it a dense bool sweep
-#: beats maintaining a sorted id list).
-DENSE_FRONTIER_DENSITY = 1.0 / 32.0
+           "first_hit_scan", "segment_min_scatter", "dedup_ids",
+           "BucketQueue", "resolve_batch_rows"]
 
 #: Below ``n >> _SMALL_SHIFT`` touched elements, sort-based paths beat
 #: O(n) mask sweeps; both sides are bit-identical so this is purely a
@@ -173,6 +168,35 @@ def claim_first_parent(nbrs: np.ndarray, srcs: np.ndarray,
     parent[new_v] = claim[new_v]
     visited[new_v] = True
     return new_v
+
+
+def first_hit_scan(row_ptr: np.ndarray, col_idx: np.ndarray,
+                   rows: np.ndarray, in_frontier: np.ndarray,
+                   scratch: KernelScratch
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bottom-up parent search: each of ``rows`` scans its neighbor list
+    for the first one set in ``in_frontier``.
+
+    Returns ``(found, parents, examined)``: a mask over ``rows``, the
+    first frontier neighbor of each found row, and the scanned-arc count
+    under early exit -- up to and including the first hit, or the whole
+    list when a row has none (the entire point of bottom-up).
+    """
+    gs = gather_slots(row_ptr, rows, scratch)
+    hit_pos = np.flatnonzero(in_frontier[col_idx[gs.slots]])
+    if hit_pos.size == 0:
+        # Nobody has a frontier neighbor: every list was scanned whole.
+        return np.zeros(rows.size, dtype=bool), hit_pos, gs.total
+    # First hit per segment: positions of hits, bucketed by segment.
+    seg_end = gs.offsets + gs.counts
+    first_idx = np.searchsorted(hit_pos, gs.offsets)
+    has_hit = first_idx < hit_pos.size
+    first_hit = np.where(
+        has_hit, hit_pos[np.minimum(first_idx, hit_pos.size - 1)], -1)
+    found = has_hit & (first_hit < seg_end)
+    parents = col_idx[gs.slots[first_hit[found]]]
+    examined = np.where(found, first_hit - gs.offsets + 1, gs.counts)
+    return found, parents, int(examined.sum())
 
 
 def segment_min_scatter(dist: np.ndarray, dsts: np.ndarray,
@@ -303,70 +327,3 @@ def resolve_batch_rows(batch_rows: int | None, n: int,
         raise ConfigError(
             f"batch_rows must be in [1, n={n}], got {batch_rows}")
     return batch_rows
-
-
-class Frontier:
-    """A vertex frontier holding sparse-list and dense-bitmap forms.
-
-    The active set is canonically a sorted ``int64`` id list (what
-    top-down expansion consumes); :meth:`as_mask` materializes the
-    bitmap view on demand into per-graph scratch (what bottom-up
-    parent search and pull-style sweeps consume), clearing the previous
-    round's bits proportionally to their count.  :attr:`dense` exposes
-    the Ligra-style switch hint: past
-    :data:`DENSE_FRONTIER_DENSITY` the bitmap is the cheaper working
-    form.  The wrapper never changes which representation an
-    algorithm's *accounting* assumes -- it only keeps both forms
-    coherent and allocation-free.
-    """
-
-    __slots__ = ("n", "_scratch", "_ids", "_masked")
-
-    def __init__(self, n: int, scratch: KernelScratch,
-                 ids: np.ndarray | None = None):
-        self.n = int(n)
-        self._scratch = scratch
-        self._ids = (np.empty(0, dtype=np.int64)
-                     if ids is None else ids)
-        self._masked: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return int(self._ids.size)
-
-    def __bool__(self) -> bool:
-        return self._ids.size > 0
-
-    @property
-    def density(self) -> float:
-        return self._ids.size / self.n if self.n else 0.0
-
-    @property
-    def dense(self) -> bool:
-        """True when the bitmap form is the cheaper working set."""
-        return self.density >= DENSE_FRONTIER_DENSITY
-
-    # ------------------------------------------------------------------
-    def replace(self, ids: np.ndarray) -> None:
-        """Swap in the next round's id list, invalidating the bitmap."""
-        if self._masked is not None:
-            self._scratch.release_mask(self._scratch.mask("frontier"),
-                                       self._masked)
-            self._masked = None
-        self._ids = ids
-
-    def as_ids(self) -> np.ndarray:
-        return self._ids
-
-    def as_mask(self) -> np.ndarray:
-        """The ``bool[n]`` bitmap view (scratch-backed, reused)."""
-        mask = self._scratch.mask("frontier")
-        if self._masked is None:
-            mask[self._ids] = True
-            self._masked = self._ids
-        return mask
-
-    def release(self) -> None:
-        """Clear the bitmap so the scratch mask is clean for others."""
-        self.replace(np.empty(0, dtype=np.int64))

@@ -104,8 +104,7 @@ class KernelScratch:
 
         Callers (the frontier primitives) must reset every entry they
         set before returning, which keeps the clear proportional to the
-        touched set.  :meth:`release_mask` does that given the touched
-        ids.
+        touched set.
         """
         buf = self._vertex_bool.get(name)
         if buf is None:
@@ -114,11 +113,6 @@ class KernelScratch:
         else:
             COUNTERS["scratch_reuse"] += 1.0
         return buf
-
-    @staticmethod
-    def release_mask(mask: np.ndarray, touched: np.ndarray) -> None:
-        """Re-clear a mask given the ids that were set."""
-        mask[touched] = False
 
 
 #: One scratch per live graph structure, keyed by ``id`` (the graph

@@ -1,0 +1,159 @@
+"""The sweep interface the control loops are written against.
+
+``dobfs``, ``bfs_bitmap``, ``delta_stepping`` and ``pagerank`` each keep
+their control flow -- direction switch, bucket bookkeeping, residual,
+work profile -- in one function and hand the per-round edge sweep to an
+executor.  Two exist: :class:`LocalSweeps` below runs the serial step
+bodies in-process, :class:`repro.shard.engine.ShardEngine` fans the same
+calls out over its shards.  Both return bit-identical values, so which
+one ran never shows in an output, a profile or a stat.
+
+An executor owns the state its sweeps read (visited set, distance
+vector) and the writes into it; a loop only sees what a call returns.
+Arrays handed out by ``begin_sssp`` / ``pagerank_sweep`` belong to the
+executor and are reused by its next kernel: loops return copies.
+"""
+
+from __future__ import annotations
+
+from typing import Protocol
+
+import numpy as np
+
+from repro.graph.csr import CSRGraph
+from repro.graph.frontier import (
+    claim_first_parent,
+    first_hit_scan,
+    gather_slots,
+    segment_min_scatter,
+)
+from repro.graph.scratch import KernelScratch
+
+__all__ = ["SweepExecutor", "LocalSweeps", "RELAX_LIGHT", "RELAX_HEAVY"]
+
+#: ``relax`` modes: arcs lighter than delta, or all the others.
+RELAX_LIGHT = 0
+RELAX_HEAVY = 1
+
+
+class SweepExecutor(Protocol):
+    """What a control loop may call.  Vertex-id results are sorted."""
+
+    def begin_bfs(self, root: int) -> None:
+        """Start a BFS: only ``root`` is visited."""
+
+    def top_down(self, frontier: np.ndarray, parent: np.ndarray
+                 ) -> tuple[np.ndarray, int]:
+        """Claim every unvisited out-neighbor of ``frontier`` for its
+        lowest frontier source (written to ``parent``); returns the
+        claimed vertices and the out-arcs examined."""
+
+    def bottom_up(self, frontier: np.ndarray, parent: np.ndarray
+                  ) -> tuple[np.ndarray, int]:
+        """Each unvisited vertex takes its first in-neighbor in
+        ``frontier`` as parent; same returns, early-exit arc count."""
+
+    def begin_sssp(self, root: int, delta: float) -> np.ndarray:
+        """Start an SSSP; returns the distance vector ``relax`` updates."""
+
+    def relax(self, members: np.ndarray, mode: int
+              ) -> tuple[np.ndarray, int]:
+        """Relax the light or heavy out-arcs of ``members``; returns the
+        vertices whose distance dropped and the arcs gathered."""
+
+    def begin_pagerank(self, rank: np.ndarray) -> np.ndarray:
+        """Start a power iteration from ``rank`` (not modified); returns
+        the vector to pass to the first ``pagerank_sweep``."""
+
+    def pagerank_sweep(self, rank: np.ndarray, dangling_mass: float,
+                       base: float, damping: float) -> np.ndarray:
+        """One sweep over every arc.  ``rank`` is what ``begin_pagerank``
+        or the previous sweep returned; the result is another array."""
+
+
+class LocalSweeps:
+    """The serial step bodies over one graph's CSR (``inn`` only for
+    ``bottom_up``; ``scratch`` for everything but PageRank)."""
+
+    def __init__(self, out: CSRGraph, inn: CSRGraph | None = None,
+                 scratch: KernelScratch | None = None):
+        self.out = out
+        self.inn = inn
+        self.scratch = scratch
+        self.n = out.n_vertices
+
+    # -- BFS -----------------------------------------------------------
+    def begin_bfs(self, root: int) -> None:
+        self.visited = np.zeros(self.n, dtype=bool)
+        self.visited[root] = True
+
+    def top_down(self, frontier, parent):
+        gs = gather_slots(self.out.row_ptr, frontier, self.scratch)
+        if gs.total == 0:
+            return np.empty(0, dtype=np.int64), 0
+        nbrs = self.out.col_idx[gs.slots]
+        srcs = np.repeat(frontier, gs.counts)
+        # Claiming over the *unfiltered* edges equals filtering first: a
+        # still-unvisited target keeps all of its frontier edges, so its
+        # minimum source is unchanged.
+        new_v = claim_first_parent(nbrs, srcs, self.visited, parent,
+                                   self.scratch)
+        return new_v, gs.total
+
+    def bottom_up(self, frontier, parent):
+        cand = np.flatnonzero(~self.visited)
+        in_frontier = self.scratch.mask("frontier")
+        in_frontier[frontier] = True
+        found, parents, examined = first_hit_scan(
+            self.inn.row_ptr, self.inn.col_idx, cand, in_frontier,
+            self.scratch)
+        in_frontier[frontier] = False
+        new_v = cand[found]
+        parent[new_v] = parents
+        self.visited[new_v] = True
+        return new_v, examined
+
+    # -- SSSP ----------------------------------------------------------
+    def begin_sssp(self, root: int, delta: float) -> np.ndarray:
+        self.light = self.out.weights < delta
+        self.dist = np.full(self.n, np.inf)
+        self.dist[root] = 0.0
+        return self.dist
+
+    def relax(self, members, mode):
+        out, dist = self.out, self.dist
+        none = np.empty(0, dtype=np.int64)
+        gs = gather_slots(out.row_ptr, members, self.scratch)
+        if gs.total == 0:
+            return none, 0
+        keep = self.light[gs.slots]
+        if mode == RELAX_HEAVY:
+            keep = ~keep
+        slots = gs.slots[keep]
+        srcs = np.repeat(members, gs.counts)[keep]
+        if slots.size == 0:
+            return none, gs.total
+        dsts = out.col_idx[slots]
+        cand = dist[srcs] + out.weights[slots]
+        better = cand < dist[dsts]
+        dsts_b = dsts[better]
+        if dsts_b.size == 0:
+            return none, gs.total
+        return (segment_min_scatter(dist, dsts_b, cand[better],
+                                    self.scratch), gs.total)
+
+    # -- PageRank ------------------------------------------------------
+    def begin_pagerank(self, rank):
+        self.out_deg = self.out.out_degrees()
+        # Dangling vertices repeat zero times; 1 only keeps 0/0 out of it.
+        self.divisor = np.maximum(self.out_deg, 1).astype(np.float64)
+        return rank
+
+    def pagerank_sweep(self, rank, dangling_mass, base, damping):
+        # Shares are divided once per vertex and expanded per arc (CSR
+        # order is source order); ``bincount`` adds each destination's
+        # left to right in arc order, bit-identical to ``np.add.at``.
+        contrib = np.bincount(
+            self.out.col_idx, minlength=self.n,
+            weights=np.repeat(rank / self.divisor, self.out_deg))
+        return base + damping * (contrib + dangling_mass)

@@ -176,6 +176,7 @@ class QueryDaemon:
                 and time.monotonic() < deadline:
             time.sleep(0.05)
         self.pool.stop()
+        self.manager.close()
         self.manager.manifest.save()
         self.telemetry.close()
         self._log.info("drain complete")

@@ -267,6 +267,14 @@ class ResidentGraphManager:
             dropped = self._residents.pop(victim)
             self._log.info("evicting resident %s (%d bytes)",
                            "/".join(map(str, victim)), dropped.nbytes)
+            dropped.loaded.close()  # idle (refs == 0): no sweep in it
+
+    def close(self) -> None:
+        """Drop every resident and shut its shard pools down."""
+        with self._lock:
+            residents, self._residents = self._residents, {}
+        for entry in residents.values():
+            entry.loaded.close()
 
     def lease(self, graph: str, system: str, n_threads: int):
         """Context manager yielding ``(GraphSystem, LoadedGraph)`` with

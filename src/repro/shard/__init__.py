@@ -18,11 +18,14 @@ Layers:
   memmap-bundle idiom, re-targeted at shared segments);
 * :mod:`repro.shard.ops` -- the per-shard superstep bodies, shared
   verbatim between worker processes and the inline fallback;
-* :mod:`repro.shard.engine` -- the persistent worker pool, barrier
-  protocol, and preallocated delta rings;
-* :mod:`repro.shard.drivers` -- sharded ports of the serial kernels
-  (direction-optimizing BFS, bitmap BFS, delta-stepping SSSP, pull
-  PageRank).
+* :mod:`repro.shard.engine` -- the persistent worker pool, semaphore
+  protocol, and preallocated delta rings; implements
+  :class:`repro.graph.sweeps.SweepExecutor`, so the serial control
+  loops (direction-optimizing BFS, bitmap BFS, delta-stepping SSSP,
+  PageRank) run sharded when handed an engine;
+* :mod:`repro.shard.drivers` -- those four kernels under their
+  ``shard_*`` names, engine passed through (no control flow of its
+  own; kept for the benchmark's span boundary).
 """
 
 from repro.shard.drivers import (

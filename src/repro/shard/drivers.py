@@ -1,240 +1,43 @@
-"""Sharded ports of the serial kernels (bit-identical by contract).
+"""The four kernels with a :class:`~repro.shard.engine.ShardEngine` as
+their sweep executor, under the names the benchmark's span boundary
+(``bench/trace.py``) wraps: engine third, its ``rounds`` /
+``bytes_exchanged`` holding that one kernel's exchange on return.
 
-Each driver is the serial kernel's control loop run in the parent --
-same switch heuristics, same bucket bookkeeping, same profile rounds --
-with only the per-round edge sweep fanned out through a
-:class:`~repro.shard.engine.ShardEngine` superstep.  All global
-decisions (direction switches, bucket selection, convergence residuals)
-are computed by the parent on full assembled arrays with the serial
-kernels' exact expressions, so for every shard count and partition
-strategy the outputs, :class:`~repro.machine.threads.WorkProfile`
-rounds, and stats dicts are byte-identical to
-:func:`repro.systems.gap.bfs.dobfs`,
-:func:`repro.systems.graph500.bfs.bfs_bitmap`,
-:func:`repro.systems.gap.sssp.delta_stepping`, and
-:func:`repro.algorithms.pagerank.pagerank` (asserted by
-``tests/shard/test_drivers.py`` and gated by
-``benchmarks/bench_shard.py``).
+There is no sharded control flow here or anywhere else: each function
+is the serial kernel, called with the engine.  The module goes away
+once a benchmark-only PR re-points that boundary (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import SystemCapabilityError
-from repro.graph.csr import CSRGraph
-from repro.graph.frontier import BucketQueue
-from repro.machine.threads import WorkProfile
-from repro.shard import ops
-from repro.shard.engine import ShardEngine
-from repro.systems.gap.bfs import DEFAULT_ALPHA, DEFAULT_BETA
-from repro.systems.gap.graph import GapGraph
-from repro.systems.gap.sssp import DEFAULT_DELTA
+from repro.algorithms.pagerank import (
+    DEFAULT_DAMPING,
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITERATIONS,
+    pagerank,
+)
+from repro.systems.gap.bfs import DEFAULT_ALPHA, DEFAULT_BETA, dobfs
+from repro.systems.gap.sssp import DEFAULT_DELTA, delta_stepping
+from repro.systems.graph500.bfs import bfs_bitmap
 
 __all__ = ["shard_dobfs", "shard_bfs_bitmap", "shard_delta_stepping",
            "shard_pagerank"]
 
 
-def shard_dobfs(graph: GapGraph, root: int, engine: ShardEngine,
-                alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA
-                ) -> tuple[np.ndarray, np.ndarray, WorkProfile, dict]:
-    """Sharded direction-optimizing BFS (= ``gap.bfs.dobfs``)."""
-    n = graph.n
-    out_deg = graph.out_degree()
-    engine.reset_stats()
-    parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)
-    visited = engine.visited
-    visited[:] = False
-    parent[root] = root
-    level[root] = 0
-    visited[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    profile = WorkProfile()
-    edges_unexplored = int(out_deg.sum()) - int(out_deg[root])
-    depth = 0
-    steps: list[str] = []
-    bottom_up = False
-    max_deg = float(out_deg.max()) if n else 0.0
-
-    while frontier.size:
-        depth += 1
-        edges_front = int(out_deg[frontier].sum())
-        if not bottom_up and edges_front * alpha > max(edges_unexplored, 1):
-            bottom_up = True
-        elif bottom_up and frontier.size * beta < n:
-            bottom_up = False
-
-        if bottom_up:
-            new_v, parents, examined = engine.bottom_up(frontier)
-            steps.append("bu")
-        else:
-            new_v, parents, examined = engine.top_down(frontier)
-            steps.append("td")
-        parent[new_v] = parents
-        visited[new_v] = True
-
-        skew = min(max_deg / max(examined, 1.0), 0.15)
-        profile.add_round(units=examined + frontier.size,
-                          memory_bytes=12.0 * examined, skew=skew)
-        level[new_v] = depth
-        edges_unexplored -= int(out_deg[new_v].sum())
-        frontier = new_v
-
-    stats = {"depth": depth, "steps": "".join(
-        "B" if s == "bu" else "T" for s in steps)}
-    return parent, level, profile, stats
+def shard_dobfs(graph, root, engine, alpha=DEFAULT_ALPHA,
+                beta=DEFAULT_BETA):
+    return dobfs(graph, root, alpha, beta, engine)
 
 
-def shard_bfs_bitmap(csr: CSRGraph, root: int, engine: ShardEngine
-                     ) -> tuple[np.ndarray, np.ndarray, WorkProfile,
-                                dict]:
-    """Sharded level-synchronous BFS (= ``graph500.bfs.bfs_bitmap``)."""
-    n = csr.n_vertices
-    engine.reset_stats()
-    parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)
-    visited = engine.visited
-    visited[:] = False
-    parent[root] = root
-    level[root] = 0
-    visited[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    profile = WorkProfile()
-    deg = csr.out_degrees()
-    max_deg = float(deg.max()) if n else 0.0
-    depth = 0
-    examined_total = 0
-
-    while frontier.size:
-        depth += 1
-        new_v, parents, total = engine.top_down(frontier)
-        if total == 0:
-            break
-        examined_total += total
-        skew = min(max_deg / max(total, 1.0), 1.0)
-        profile.add_round(units=total + frontier.size,
-                          memory_bytes=9.0 * total, skew=skew)
-        parent[new_v] = parents
-        visited[new_v] = True
-        level[new_v] = depth
-        frontier = new_v
-
-    stats = {"depth": depth, "edges_examined": examined_total}
-    return parent, level, profile, stats
+def shard_bfs_bitmap(csr, root, engine):
+    return bfs_bitmap(csr, root, engine)
 
 
-def shard_delta_stepping(graph: GapGraph, root: int,
-                         engine: ShardEngine,
-                         delta: float = DEFAULT_DELTA
-                         ) -> tuple[np.ndarray, WorkProfile, dict]:
-    """Sharded delta-stepping SSSP (= ``gap.sssp.delta_stepping``).
-
-    The parent runs the bucket logic verbatim and stays the single
-    writer of the shared distance vector: shards compute per-
-    destination segment minima against the pre-round distances, the
-    parent applies the exact merged minimum between barriers.
-    """
-    out = graph.out
-    if out.weights is None:
-        raise SystemCapabilityError("GAP SSSP needs a weighted graph")
-    if delta <= 0:
-        raise SystemCapabilityError("delta must be positive")
-    n = graph.n
-    engine.reset_stats()
-    engine.set_delta(delta)
-    dist = engine.vec
-    dist[:] = np.inf
-    dist[root] = 0.0
-    profile = WorkProfile()
-    max_deg = float(out.out_degrees().max()) if n else 0.0
-
-    bucket = np.full(n, -1, dtype=np.int64)
-    bucket[root] = 0
-    queue = BucketQueue()
-    queue.push(np.array([root], dtype=np.int64),
-               np.zeros(1, dtype=np.int64))
-    relaxations = 0
-    phases = 0
-    while True:
-        head = queue.pop(bucket)
-        if head is None:
-            break
-        current, members = head
-        settled_this_bucket: list[np.ndarray] = []
-        while members.size:
-            phases += 1
-            improved, mins, examined = engine.relax(
-                members, ops.RELAX_LIGHT)
-            if improved.size:
-                dist[improved] = np.minimum(dist[improved], mins)
-            relaxations += examined
-            skew = min(max_deg / max(examined, 1.0), 0.15)
-            profile.add_round(units=examined + members.size,
-                              memory_bytes=20.0 * examined, skew=skew)
-            settled_this_bucket.append(members)
-            bucket[members] = -2
-            if improved.size:
-                new_bucket = np.minimum(
-                    (dist[improved] / delta).astype(np.int64),
-                    np.iinfo(np.int64).max)
-                stay = new_bucket == current
-                bucket[improved] = new_bucket
-                ahead = ~stay
-                if ahead.any():
-                    queue.push(improved[ahead], new_bucket[ahead])
-                members = improved[stay]
-            else:
-                members = np.empty(0, dtype=np.int64)
-        settled = np.unique(np.concatenate(settled_this_bucket))
-        phases += 1
-        improved, mins, examined = engine.relax(settled,
-                                                ops.RELAX_HEAVY)
-        if improved.size:
-            dist[improved] = np.minimum(dist[improved], mins)
-        relaxations += examined
-        skew = min(max_deg / max(examined, 1.0), 0.15)
-        profile.add_round(units=examined + settled.size,
-                          memory_bytes=20.0 * examined, skew=skew)
-        if improved.size:
-            nb = (dist[improved] / delta).astype(np.int64)
-            nb = np.maximum(nb, current + 1)
-            bucket[improved] = nb
-            queue.push(improved, nb)
-
-    stats = {"phases": phases, "relaxations": relaxations,
-             "delta": delta}
-    return dist.copy(), profile, stats
+def shard_delta_stepping(graph, root, engine, delta=DEFAULT_DELTA):
+    return delta_stepping(graph, root, delta, engine)
 
 
-def shard_pagerank(csr: CSRGraph, engine: ShardEngine,
-                   damping: float = 0.85, epsilon: float = 6e-8,
-                   max_iterations: int = 1000
-                   ) -> tuple[np.ndarray, int]:
-    """Sharded pull PageRank (= ``algorithms.pagerank.pagerank``).
-
-    Per sweep each shard accumulates its owned destinations in full
-    in-neighbor order and scatters them into the shared new-rank
-    buffer; the parent computes the dangling mass and the L1 residual
-    on the assembled full vectors with the serial expressions (NumPy's
-    pairwise summation is deterministic for a fixed array layout, so
-    both reductions are bit-identical at every shard count).
-    """
-    n = csr.n_vertices
-    if n == 0:
-        return np.zeros(0), 0
-    engine.reset_stats()
-    out_deg = csr.out_degrees().astype(np.float64)
-    dangling = out_deg == 0
-    rank = engine.vec
-    new_rank = engine.vec2
-    rank[:] = 1.0 / n
-    base = (1.0 - damping) / n
-    for it in range(1, max_iterations + 1):
-        dangling_mass = rank[dangling].sum() / n
-        engine.pagerank_sweep(dangling_mass, base, damping)
-        delta = np.abs(new_rank - rank).sum()
-        rank[:] = new_rank
-        if delta < epsilon:
-            return rank.copy(), it
-    return rank.copy(), max_iterations
+def shard_pagerank(csr, engine, damping=DEFAULT_DAMPING,
+                   epsilon=DEFAULT_EPSILON,
+                   max_iterations=DEFAULT_MAX_ITERATIONS):
+    return pagerank(csr, damping, epsilon, max_iterations, sweeps=engine)

@@ -34,6 +34,12 @@ When ``n_shards == 1`` -- or when process fan-out is unavailable
 (daemonic parent, e.g. a suite cell worker) -- the engine runs the very
 same :mod:`repro.shard.ops` bodies inline in-process, so every caller
 gets identical results through one code path.
+
+The kernel-facing methods implement
+:class:`repro.graph.sweeps.SweepExecutor`: the serial control loops
+take an engine wherever they take a
+:class:`~repro.graph.sweeps.LocalSweeps`, and no kernel has a sharded
+twin.
 """
 
 from __future__ import annotations
@@ -195,7 +201,8 @@ class ShardEngine:
         self.inline = bool(inline)
         self._closed = False
         #: Exchange accounting for the comm cost model and the
-        #: ``epg_shard_*`` metrics (reset per kernel by the drivers).
+        #: ``epg_shard_*`` metrics (one kernel's worth: ``begin_*``
+        #: zeroes it).
         self.rounds = 0
         self.bytes_exchanged = 0
 
@@ -290,29 +297,6 @@ class ShardEngine:
         return arrays
 
     # ------------------------------------------------------------------
-    # Shared round state (drivers mutate these directly)
-    # ------------------------------------------------------------------
-    @property
-    def vec(self) -> np.ndarray:
-        return self._arrays["vec"]
-
-    @property
-    def vec2(self) -> np.ndarray:
-        return self._arrays["vec2"]
-
-    @property
-    def visited(self) -> np.ndarray:
-        return self._arrays["visited"]
-
-    @property
-    def in_frontier(self) -> np.ndarray:
-        return self._arrays["in_frontier"]
-
-    def reset_stats(self) -> None:
-        self.rounds = 0
-        self.bytes_exchanged = 0
-
-    # ------------------------------------------------------------------
     # Superstep protocol
     # ------------------------------------------------------------------
     def _superstep(self, op: int, frontier: np.ndarray | None = None,
@@ -391,65 +375,89 @@ class ShardEngine:
         return ops._min_per_id(all_ids, all_val)
 
     # ------------------------------------------------------------------
-    # Kernel-facing supersteps
+    # Kernel-facing supersteps (repro.graph.sweeps.SweepExecutor)
     # ------------------------------------------------------------------
-    def top_down(self, frontier: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-        """One top-down BFS expansion.  Returns ``(new_vertices,
-        parents, edges_examined)``: the global minimum frontier source
-        per still-unvisited target -- exactly the serial
-        ``claim_first_parent`` winner -- in sorted target order."""
-        rings = self._superstep(ops.OP_TD, frontier=frontier)
-        ids, val = self._merge_min(rings)
-        examined = sum(r[2] for r in rings)
-        return ids, val.astype(np.int64), examined
+    def _begin(self, state: str) -> np.ndarray:
+        """A kernel starts: its exchange accounting starts from zero."""
+        self.rounds = 0
+        self.bytes_exchanged = 0
+        return self._arrays[state]
 
-    def bottom_up(self, frontier: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
-        """One bottom-up BFS sweep over every shard's unvisited owned
-        vertices.  Owners partition the vertex space, so shard results
-        are disjoint; each shard scans *complete* in-rows, making its
+    def begin_bfs(self, root: int) -> None:
+        visited = self._begin("visited")
+        visited[:] = False
+        visited[root] = True
+
+    def _claim(self, rings, new_v: np.ndarray, parents: np.ndarray,
+               parent: np.ndarray) -> tuple[np.ndarray, int]:
+        """The parent's write after a merge: record and mark the claims."""
+        parent[new_v] = parents.astype(np.int64)  # ring values are float64
+        self._arrays["visited"][new_v] = True
+        return new_v, sum(r[2] for r in rings)
+
+    def top_down(self, frontier: np.ndarray, parent: np.ndarray
+                 ) -> tuple[np.ndarray, int]:
+        """The global minimum frontier source per still-unvisited
+        target -- exactly the serial ``claim_first_parent`` winner --
+        in sorted target order."""
+        rings = self._superstep(ops.OP_TD, frontier=frontier)
+        new_v, parents = self._merge_min(rings)
+        return self._claim(rings, new_v, parents, parent)
+
+    def bottom_up(self, frontier: np.ndarray, parent: np.ndarray
+                  ) -> tuple[np.ndarray, int]:
+        """Owners partition the vertex space, so shard results are
+        disjoint; each shard scans *complete* in-rows, making its
         early-exit examined counts sum to the serial count."""
         f = self._arrays["in_frontier"]
         f[:] = False
         f[frontier] = True
         rings = self._superstep(ops.OP_BU)
         ids = np.concatenate([r[0] for r in rings])
-        val = np.concatenate([r[1] for r in rings])
         order = np.argsort(ids, kind="stable")
-        examined = sum(r[2] for r in rings)
-        return ids[order], val[order].astype(np.int64), examined
+        val = np.concatenate([r[1] for r in rings])
+        return self._claim(rings, ids[order], val[order], parent)
+
+    def begin_sssp(self, root: int, delta: float) -> np.ndarray:
+        dist = self._begin("vec")
+        self._arrays["ctrl_f"][ops.CTRL_DELTA] = delta
+        dist[:] = np.inf
+        dist[root] = 0.0
+        return dist
 
     def relax(self, members: np.ndarray, mode: int
-              ) -> tuple[np.ndarray, np.ndarray, int]:
-        """One delta-stepping relaxation over ``members``'s (light /
-        heavy / all) arcs against the shared distance vector
-        (:attr:`vec`).  Returns improved destinations (sorted), their
-        exact new minima, and the relaxed-arc count; the caller applies
-        the scatter, keeping the parent the single writer of ``vec``."""
+              ) -> tuple[np.ndarray, int]:
+        """Shards take per-destination minima against the pre-round
+        distances; the parent applies the exact merged minimum between
+        barriers and stays the single writer of the vector."""
         rings = self._superstep(ops.OP_RELAX, frontier=members,
                                 mode=mode)
-        ids, val = self._merge_min(rings)
-        examined = sum(r[2] for r in rings)
-        return ids, val, examined
+        improved, mins = self._merge_min(rings)
+        dist = self._arrays["vec"]
+        dist[improved] = np.minimum(dist[improved], mins)
+        return improved, sum(r[2] for r in rings)
 
-    def pagerank_sweep(self, dangling_mass: float, base: float,
-                       damping: float) -> None:
-        """One power-iteration sweep: each shard scatters its owned
-        slice of the new rank vector into :attr:`vec2` (owners are
-        disjoint, so this *is* the allreduce), reading ranks from
-        :attr:`vec`."""
+    def begin_pagerank(self, rank: np.ndarray) -> np.ndarray:
+        shared = self._begin("vec")
+        shared[:] = rank
+        return shared
+
+    def pagerank_sweep(self, rank: np.ndarray, dangling_mass: float,
+                       base: float, damping: float) -> np.ndarray:
+        """Each shard scatters its owned slice of the new rank vector
+        into whichever of the two shared buffers ``rank`` is not
+        (owners are disjoint, so this *is* the allreduce)."""
         a = self._arrays
+        flip = rank is a["vec2"]
+        a["ctrl_i"][ops.CTRL_FLIP] = flip
         a["ctrl_f"][ops.CTRL_DANGLING] = dangling_mass
         a["ctrl_f"][ops.CTRL_BASE] = base
         a["ctrl_f"][ops.CTRL_DAMPING] = damping
         self._superstep(ops.OP_PR)
         # Each rank entry crosses once: the owner writes it, the parent
-        # reads it for the residual and rebroadcasts.
+        # reads it for the residual and the next sweep reads it back.
         self.bytes_exchanged += self.n * 8
-
-    def set_delta(self, delta: float) -> None:
-        self._arrays["ctrl_f"][ops.CTRL_DELTA] = delta
+        return a["vec" if flip else "vec2"]
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -5,8 +5,12 @@ the shared round state (rank/distance vector, visited/frontier bitmaps,
 broadcast buffer), and its preallocated delta ring.  The four op
 functions below are the *entire* worker-side compute: the engine's
 worker loop and its inline fallback both dispatch to these, so the
-process-backed and in-process paths are the same code by construction
--- the bit-identity argument only has to be made once.
+process-backed and in-process paths are the same code by construction.
+They are the shard-side counterparts of the step bodies in
+:class:`repro.graph.sweeps.LocalSweeps`: same values, different
+division of labour (candidates are filtered and reduced per shard, the
+parent merges and writes), with the bottom-up scan shared outright
+(:func:`repro.graph.frontier.first_hit_scan`).
 
 Each op reads shared state (parent-written, stable between barriers),
 computes on its own slice, and writes ``(ids, values)`` deltas plus an
@@ -15,18 +19,19 @@ shards (min-parent, min-distance) are exact integer/float minima, which
 are order-independent; floating-point *sums* never cross a shard
 boundary -- PageRank accumulates per destination inside the owning
 shard, in the destination's full in-neighbor order, exactly as the
-serial kernel does (see ``docs/sharding.md``).
+serial sweep does (see ``docs/sharding.md``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.frontier import gather_slots
+from repro.graph.frontier import first_hit_scan, gather_slots
 from repro.graph.scratch import KernelScratch
+from repro.graph.sweeps import RELAX_LIGHT
 
 __all__ = ["ShardContext", "OP_SHUTDOWN", "OP_TD", "OP_BU", "OP_RELAX",
-           "OP_PR", "run_op", "RELAX_LIGHT", "RELAX_HEAVY", "RELAX_ALL"]
+           "OP_PR", "run_op"]
 
 OP_SHUTDOWN = 0
 OP_TD = 1
@@ -34,14 +39,12 @@ OP_BU = 2
 OP_RELAX = 3
 OP_PR = 4
 
-RELAX_LIGHT = 0
-RELAX_HEAVY = 1
-RELAX_ALL = 2
-
-#: ctrl_i layout: [0] op, [1] frontier length, [2] relax mode.
+#: ctrl_i layout: [0] op, [1] frontier length, [2] relax mode,
+#: [3] PageRank reads ``vec2`` and writes ``vec`` instead of the reverse.
 CTRL_OP = 0
 CTRL_FRONT_LEN = 1
 CTRL_MODE = 2
+CTRL_FLIP = 3
 #: ctrl_f layout: [0] delta, [1] dangling mass, [2] base, [3] damping.
 CTRL_DELTA = 0
 CTRL_DANGLING = 1
@@ -152,41 +155,18 @@ def op_td(ctx: ShardContext) -> None:
 
 def op_bu(ctx: ShardContext) -> None:
     """Bottom-up parent search over the mastered vertices' full
-    in-neighbor lists, replicating the serial early-exit accounting
-    per vertex (scan up to and including the first frontier neighbor,
-    or the whole list when there is none)."""
+    in-neighbor lists, so the per-vertex early-exit counts sum to the
+    serial count."""
     owned = ctx.owned
     cand = owned[~ctx.visited[owned]]
-    if cand.size == 0:
-        ctx.emit_empty(0)
-        return
-    rows = np.searchsorted(owned, cand)
-    gs = gather_slots(ctx.in_row_ptr, rows, ctx.scratch)
-    if gs.total == 0:
-        ctx.emit_empty(0)
-        return
-    slots = gs.slots
-    counts = gs.counts
-    hits = ctx.in_frontier[ctx.in_col_idx[slots]]
-    hit_pos = np.flatnonzero(hits)
-    if hit_pos.size == 0:
-        ctx.emit_empty(gs.total)
-        return
-    seg_start = gs.offsets
-    seg_end = seg_start + counts
-    first_idx = np.searchsorted(hit_pos, seg_start)
-    has_hit = first_idx < hit_pos.size
-    first_hit = np.where(
-        has_hit, hit_pos[np.minimum(first_idx, hit_pos.size - 1)], -1)
-    found = has_hit & (first_hit < seg_end)
-    new_v = cand[found]
-    parents = ctx.in_col_idx[slots[first_hit[found]]]
-    examined = np.where(found, first_hit - seg_start + 1, counts)
-    ctx.emit(new_v, parents.astype(np.float64), int(examined.sum()))
+    found, parents, examined = first_hit_scan(
+        ctx.in_row_ptr, ctx.in_col_idx, np.searchsorted(owned, cand),
+        ctx.in_frontier, ctx.scratch)
+    ctx.emit(cand[found], parents.astype(np.float64), examined)
 
 
 def op_relax(ctx: ShardContext) -> None:
-    """One relaxation round over this shard's (light/heavy/all) arcs of
+    """One relaxation round over this shard's light or heavy arcs of
     the broadcast members; per-destination segment minimum."""
     members = ctx.frontier[:int(ctx.ctrl_i[CTRL_FRONT_LEN])]
     mode = int(ctx.ctrl_i[CTRL_MODE])
@@ -194,17 +174,14 @@ def op_relax(ctx: ShardContext) -> None:
     if gs.total == 0:
         ctx.emit_empty(0)
         return
-    slots = gs.slots
-    srcs = np.repeat(members, gs.counts)
-    if mode != RELAX_ALL:
-        delta = float(ctx.ctrl_f[CTRL_DELTA])
-        w = ctx.out_weights[slots]
-        keep = w < delta if mode == RELAX_LIGHT else ~(w < delta)
-        slots = slots[keep]
-        srcs = srcs[keep]
-        if slots.size == 0:
-            ctx.emit_empty(gs.total)
-            return
+    keep = ctx.out_weights[gs.slots] < float(ctx.ctrl_f[CTRL_DELTA])
+    if mode != RELAX_LIGHT:
+        keep = ~keep
+    slots = gs.slots[keep]
+    srcs = np.repeat(members, gs.counts)[keep]
+    if slots.size == 0:
+        ctx.emit_empty(gs.total)
+        return
     dsts = ctx.out_col_idx[slots]
     cand = ctx.vec[srcs] + ctx.out_weights[slots]
     better = cand < ctx.vec[dsts]
@@ -219,21 +196,22 @@ def op_relax(ctx: ShardContext) -> None:
 def op_pr(ctx: ShardContext) -> None:
     """One PageRank sweep over the mastered destinations.
 
-    Accumulates each destination's contributions with ``np.add.at`` in
-    its full in-neighbor (ascending source) order -- the same per-
-    element addition sequence as the serial kernel's global edge sweep,
-    so every rank entry is bit-identical.  The shard writes its owned
-    slice of the new rank vector directly (the disjoint-scatter
-    "allreduce"); no float sum ever crosses a shard boundary.
+    ``bincount`` adds each destination's contributions in its full
+    in-neighbor (ascending source) order -- the same per-element
+    addition sequence as the serial sweep over all arcs, so every rank
+    entry is bit-identical.  The shard writes its owned slice of the new
+    rank vector directly (the disjoint-scatter "allreduce"); no float
+    sum ever crosses a shard boundary.
     """
     dangling = float(ctx.ctrl_f[CTRL_DANGLING])
     base = float(ctx.ctrl_f[CTRL_BASE])
     damping = float(ctx.ctrl_f[CTRL_DAMPING])
-    contrib = np.zeros(ctx.owned.size)
-    if ctx.in_col_idx.size:
-        share = ctx.vec[ctx.in_col_idx] / ctx.out_degrees[ctx.in_col_idx]
-        np.add.at(contrib, ctx.pr_rows, share)
-    ctx.vec2[ctx.owned] = base + damping * (contrib + dangling)
+    rank, new_rank = ((ctx.vec2, ctx.vec) if ctx.ctrl_i[CTRL_FLIP]
+                      else (ctx.vec, ctx.vec2))
+    share = rank[ctx.in_col_idx] / ctx.out_degrees[ctx.in_col_idx]
+    contrib = np.bincount(ctx.pr_rows, weights=share,
+                          minlength=ctx.owned.size)
+    new_rank[ctx.owned] = base + damping * (contrib + dangling)
     ctx.emit_empty(ctx.in_col_idx.size)
 
 

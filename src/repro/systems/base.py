@@ -63,6 +63,13 @@ class LoadedGraph:
     def load_s(self) -> float:
         return self.read_s + (self.build_s or 0.0)
 
+    def close(self) -> None:
+        """Shut down the shard pools the systems cached on this graph
+        (workers and ``/dev/shm`` arenas); a later sharded run starts
+        fresh ones.  Idempotent."""
+        for engine in self.__dict__.pop("_shard_engines", {}).values():
+            engine.close()
+
 
 @dataclass
 class KernelResult:
@@ -300,8 +307,13 @@ class GraphSystem(ABC):
             root: int | None = None, **params: Any) -> KernelResult:
         """Execute one kernel and price it."""
         self.require(algorithm)
-        if algorithm in ("bfs", "sssp") and root is None:
-            raise SystemCapabilityError(f"{algorithm} requires a root")
+        if algorithm in ("bfs", "sssp"):
+            if root is None:
+                raise SystemCapabilityError(f"{algorithm} requires a root")
+            if not 0 <= root < loaded.n_vertices:
+                raise SystemCapabilityError(
+                    f"{algorithm} root must be in [0, "
+                    f"{loaded.n_vertices}), got {root}")
         method = getattr(self, f"_run_{algorithm}")
         with self.tracer.span(f"exec:{self.name}/{algorithm}",
                               category="exec", system=self.name,

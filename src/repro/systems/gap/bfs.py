@@ -14,19 +14,19 @@ reproduces: bottom-up pays off only when it prunes enough edge
 examinations, and the *actual* examined-edge counts are what the cost
 model prices.
 
-The per-round hot loops run on :mod:`repro.graph.frontier`: top-down
-expansion is :func:`~repro.graph.frontier.gather_slots` +
-:func:`~repro.graph.frontier.claim_first_parent` over a byte ``visited``
-mask (bit-identical to the old lexsort dedup -- see ``docs/kernels.md``),
-bottom-up reuses the same slot expansion for its in-neighbor scan.
+The loop below is the only copy of that control flow.  The per-round
+edge sweeps go through a :class:`~repro.graph.sweeps.SweepExecutor`:
+in-process :class:`~repro.graph.sweeps.LocalSweeps` by default, a
+:class:`~repro.shard.engine.ShardEngine` when the run is sharded --
+bit-identical either way (``docs/kernels.md``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.frontier import Frontier, claim_first_parent, gather_slots
-from repro.graph.scratch import KernelScratch, scratch_for
+from repro.graph.scratch import scratch_for
+from repro.graph.sweeps import LocalSweeps, SweepExecutor
 from repro.machine.threads import WorkProfile
 from repro.systems.gap.graph import GapGraph
 
@@ -36,119 +36,51 @@ DEFAULT_ALPHA = 15.0
 DEFAULT_BETA = 18.0
 
 
-def _top_down_step(graph: GapGraph, frontier: np.ndarray,
-                   parent: np.ndarray, visited: np.ndarray,
-                   scratch: KernelScratch) -> tuple[np.ndarray, int]:
-    """Expand the frontier along out-edges; return (next, edges_examined)."""
-    out = graph.out
-    gs = gather_slots(out.row_ptr, frontier, scratch)
-    if gs.total == 0:
-        return np.empty(0, dtype=np.int64), 0
-    nbrs = out.col_idx[gs.slots]
-    srcs = np.repeat(frontier, gs.counts)
-    # Claiming over the *unfiltered* edges is equivalent to the old
-    # fresh-filter + lexsort: a still-unvisited target keeps all of its
-    # frontier edges, so the minimum source is unchanged.
-    new_v = claim_first_parent(nbrs, srcs, visited, parent, scratch)
-    return new_v, gs.total
-
-
-def _bottom_up_step(graph: GapGraph, in_frontier: np.ndarray,
-                    parent: np.ndarray, visited: np.ndarray,
-                    scratch: KernelScratch) -> tuple[np.ndarray, int]:
-    """Each unvisited vertex scans its in-neighbors for a frontier parent.
-
-    Returns (newly visited vertices, edges examined).  The examined
-    count honours early exit: a vertex stops scanning at its first
-    frontier in-neighbor, which is the entire point of bottom-up.
-    """
-    inn = graph.inn
-    cand = np.flatnonzero(~visited)
-    if cand.size == 0:
-        return np.empty(0, dtype=np.int64), 0
-    gs = gather_slots(inn.row_ptr, cand, scratch)
-    if gs.total == 0:
-        return np.empty(0, dtype=np.int64), 0
-    counts = gs.counts
-    slots = gs.slots
-    hits = in_frontier[inn.col_idx[slots]]
-
-    # First hit per segment: positions of hits, bucketed by segment.
-    hit_pos = np.flatnonzero(hits)
-    if hit_pos.size == 0:
-        # No unvisited vertex has a frontier in-neighbor: everyone
-        # scanned their whole list for nothing.
-        return np.empty(0, dtype=np.int64), gs.total
-    seg_start = gs.offsets
-    seg_end = seg_start + counts
-    first_idx = np.searchsorted(hit_pos, seg_start)
-    has_hit = (first_idx < hit_pos.size)
-    first_hit = np.where(has_hit, hit_pos[np.minimum(first_idx,
-                                                     hit_pos.size - 1)],
-                         -1)
-    found = has_hit & (first_hit < seg_end)
-
-    new_v = cand[found]
-    parent_slot = slots[first_hit[found]]
-    parent[new_v] = inn.col_idx[parent_slot]
-    visited[new_v] = True
-
-    # Early-exit accounting: scanned up to and including the first hit,
-    # or the whole list when no frontier neighbor exists.
-    examined = np.where(found, first_hit - seg_start + 1, counts)
-    return new_v, int(examined.sum())
-
-
 def dobfs(graph: GapGraph, root: int, alpha: float = DEFAULT_ALPHA,
-          beta: float = DEFAULT_BETA
+          beta: float = DEFAULT_BETA, sweeps: SweepExecutor | None = None
           ) -> tuple[np.ndarray, np.ndarray, WorkProfile, dict]:
     """Run direction-optimizing BFS; return (parent, level, profile, stats)."""
     n = graph.n
     out_deg = graph.out_degree()
-    scratch = scratch_for(graph, n, graph.out.n_edges)
+    if sweeps is None:
+        sweeps = LocalSweeps(graph.out, graph.inn,
+                             scratch_for(graph, n, graph.out.n_edges))
+    sweeps.begin_bfs(root)
     parent = np.full(n, -1, dtype=np.int64)
     level = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
     parent[root] = root
     level[root] = 0
-    visited[root] = True
-    front = Frontier(n, scratch, np.array([root], dtype=np.int64))
+    frontier = np.array([root], dtype=np.int64)
     profile = WorkProfile()
     edges_unexplored = int(out_deg.sum()) - int(out_deg[root])
     depth = 0
-    steps: list[str] = []
+    steps = ""
     bottom_up = False
     max_deg = float(out_deg.max()) if n else 0.0
 
-    while front:
+    while frontier.size:
         depth += 1
-        frontier = front.as_ids()
         edges_front = int(out_deg[frontier].sum())
         if not bottom_up and edges_front * alpha > max(edges_unexplored, 1):
             bottom_up = True
-        elif bottom_up and front.size * beta < n:
+        elif bottom_up and frontier.size * beta < n:
             bottom_up = False
 
         if bottom_up:
-            new_v, examined = _bottom_up_step(graph, front.as_mask(),
-                                              parent, visited, scratch)
-            steps.append("bu")
+            new_v, examined = sweeps.bottom_up(frontier, parent)
+            steps += "B"
         else:
-            new_v, examined = _top_down_step(graph, frontier, parent,
-                                             visited, scratch)
-            steps.append("td")
+            new_v, examined = sweeps.top_down(frontier, parent)
+            steps += "T"
 
         # GAP parallelizes over *edges* (OpenMP dynamic scheduling over
         # neighbor chunks), so a single hub cannot stall a thread: round
         # skew is capped low regardless of the frontier's degree spread.
         skew = min(max_deg / max(examined, 1.0), 0.15)
-        profile.add_round(units=examined + front.size,
+        profile.add_round(units=examined + frontier.size,
                           memory_bytes=12.0 * examined, skew=skew)
         level[new_v] = depth
         edges_unexplored -= int(out_deg[new_v].sum())
-        front.replace(new_v)
+        frontier = new_v
 
-    front.release()
-    stats = {"depth": depth, "steps": "".join(
-        "B" if s == "bu" else "T" for s in steps)}
-    return parent, level, profile, stats
+    return parent, level, profile, {"depth": depth, "steps": steps}

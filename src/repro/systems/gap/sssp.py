@@ -7,10 +7,11 @@ the bucket drains.  The paper lists delta among the tunables EPG* leaves
 at defaults (Sec. V); for the uniform (0,1] weights of the homogenized
 datasets we default to 0.25.
 
-The relaxation loop is vectorized: one round gathers every out-edge of
-the current bucket (:func:`~repro.graph.frontier.gather_slots`) and
-applies :func:`~repro.graph.frontier.segment_min_scatter` -- the count
-of those gathered edges is exactly the work the cost model prices.
+One relaxation round gathers every out-edge of the current bucket and
+takes the per-destination minimum; the count of those gathered edges is
+exactly the work the cost model prices.  The rounds go through a
+:class:`~repro.graph.sweeps.SweepExecutor` (in-process by default, the
+shard engine when sharded); the bucket logic below is the only copy.
 
 Bucket membership is tracked lazily (the shared
 :class:`~repro.graph.frontier.BucketQueue`, which k-core peeling also
@@ -27,12 +28,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SystemCapabilityError
-from repro.graph.frontier import (
-    BucketQueue,
-    gather_slots,
-    segment_min_scatter,
+from repro.graph.frontier import BucketQueue
+from repro.graph.scratch import scratch_for
+from repro.graph.sweeps import (
+    RELAX_HEAVY,
+    RELAX_LIGHT,
+    LocalSweeps,
+    SweepExecutor,
 )
-from repro.graph.scratch import KernelScratch, scratch_for
 from repro.machine.threads import WorkProfile
 from repro.systems.gap.graph import GapGraph
 
@@ -41,37 +44,9 @@ __all__ = ["delta_stepping", "DEFAULT_DELTA"]
 DEFAULT_DELTA = 0.25
 
 
-def _relax(out, frontier: np.ndarray, dist: np.ndarray,
-           light_mask: np.ndarray | None, scratch: KernelScratch
-           ) -> tuple[np.ndarray, int]:
-    """Relax the (light or heavy or all) out-edges of ``frontier``.
-
-    Returns (vertices whose distance improved, edges relaxed).
-    """
-    gs = gather_slots(out.row_ptr, frontier, scratch)
-    if gs.total == 0:
-        return np.empty(0, dtype=np.int64), 0
-    slots = gs.slots
-    srcs = np.repeat(frontier, gs.counts)
-    if light_mask is not None:
-        keep = light_mask[slots]
-        slots = slots[keep]
-        srcs = srcs[keep]
-        if slots.size == 0:
-            return np.empty(0, dtype=np.int64), gs.total
-    dsts = out.col_idx[slots]
-    cand = dist[srcs] + out.weights[slots]
-    better = cand < dist[dsts]
-    dsts_b = dsts[better]
-    cand_b = cand[better]
-    if dsts_b.size == 0:
-        return np.empty(0, dtype=np.int64), gs.total
-    improved = segment_min_scatter(dist, dsts_b, cand_b, scratch)
-    return improved, gs.total
-
-
 def delta_stepping(graph: GapGraph, root: int,
-                   delta: float = DEFAULT_DELTA
+                   delta: float = DEFAULT_DELTA,
+                   sweeps: SweepExecutor | None = None
                    ) -> tuple[np.ndarray, WorkProfile, dict]:
     """Return (distances, work profile, stats)."""
     out = graph.out
@@ -80,10 +55,9 @@ def delta_stepping(graph: GapGraph, root: int,
     if delta <= 0:
         raise SystemCapabilityError("delta must be positive")
     n = graph.n
-    scratch = scratch_for(graph, n, out.n_edges)
-    dist = np.full(n, np.inf)
-    dist[root] = 0.0
-    light = out.weights < delta
+    if sweeps is None:
+        sweeps = LocalSweeps(out, None, scratch_for(graph, n, out.n_edges))
+    dist = sweeps.begin_sssp(root, delta)
     profile = WorkProfile()
     max_deg = float(out.out_degrees().max()) if n else 0.0
 
@@ -103,7 +77,7 @@ def delta_stepping(graph: GapGraph, root: int,
         # Light-edge phases: iterate inside the bucket.
         while members.size:
             phases += 1
-            improved, examined = _relax(out, members, dist, light, scratch)
+            improved, examined = sweeps.relax(members, RELAX_LIGHT)
             relaxations += examined
             # Edge-parallel relaxation: hub skew capped (see bfs.py).
             skew = min(max_deg / max(examined, 1.0), 0.15)
@@ -128,8 +102,7 @@ def delta_stepping(graph: GapGraph, root: int,
         # Heavy-edge phase: once per bucket.
         settled = np.unique(np.concatenate(settled_this_bucket))
         phases += 1
-        heavy = ~light
-        improved, examined = _relax(out, settled, dist, heavy, scratch)
+        improved, examined = sweeps.relax(settled, RELAX_HEAVY)
         relaxations += examined
         skew = min(max_deg / max(examined, 1.0), 0.15)
         profile.add_round(units=examined + settled.size,
@@ -143,4 +116,4 @@ def delta_stepping(graph: GapGraph, root: int,
 
     stats = {"phases": phases, "relaxations": relaxations,
              "delta": delta}
-    return dist, profile, stats
+    return dist.copy(), profile, stats

@@ -9,10 +9,9 @@ wins).  Every frontier out-edge is examined, so the per-root work is
 per-edge constant is the leanest but its examined-edge count the
 highest (see calibration anchors).
 
-The expansion/claim loop is the shared
-:func:`~repro.graph.frontier.gather_slots` +
-:func:`~repro.graph.frontier.claim_first_parent` pair (bit-identical to
-the old per-system lexsort idiom; ``docs/kernels.md``).
+The per-level expansion and claim is one ``top_down`` call on a
+:class:`~repro.graph.sweeps.SweepExecutor` (in-process by default, the
+shard engine when sharded; ``docs/kernels.md``).
 """
 
 from __future__ import annotations
@@ -20,24 +19,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import claim_first_parent, gather_slots
 from repro.graph.scratch import scratch_for
+from repro.graph.sweeps import LocalSweeps, SweepExecutor
 from repro.machine.threads import WorkProfile
 
 __all__ = ["bfs_bitmap"]
 
 
-def bfs_bitmap(csr: CSRGraph, root: int
+def bfs_bitmap(csr: CSRGraph, root: int,
+               sweeps: SweepExecutor | None = None
                ) -> tuple[np.ndarray, np.ndarray, WorkProfile, dict]:
     """Return (parent, level, profile, stats) for one search key."""
     n = csr.n_vertices
-    scratch = scratch_for(csr, n, csr.n_edges)
+    if sweeps is None:
+        sweeps = LocalSweeps(csr, None, scratch_for(csr, n, csr.n_edges))
+    sweeps.begin_bfs(root)
     parent = np.full(n, -1, dtype=np.int64)
     level = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
     parent[root] = root
     level[root] = 0
-    visited[root] = True
     frontier = np.array([root], dtype=np.int64)
     profile = WorkProfile()
     deg = csr.out_degrees()
@@ -47,16 +47,13 @@ def bfs_bitmap(csr: CSRGraph, root: int
 
     while frontier.size:
         depth += 1
-        gs = gather_slots(csr.row_ptr, frontier, scratch)
-        if gs.total == 0:
+        new_v, total = sweeps.top_down(frontier, parent)
+        if total == 0:
             break
-        nbrs = csr.col_idx[gs.slots]
-        srcs = np.repeat(frontier, gs.counts)
-        examined_total += gs.total
-        skew = min(max_deg / max(gs.total, 1.0), 1.0)
-        profile.add_round(units=gs.total + frontier.size,
-                          memory_bytes=9.0 * gs.total, skew=skew)
-        new_v = claim_first_parent(nbrs, srcs, visited, parent, scratch)
+        examined_total += total
+        skew = min(max_deg / max(total, 1.0), 1.0)
+        profile.add_round(units=total + frontier.size,
+                          memory_bytes=9.0 * total, skew=skew)
         level[new_v] = depth
         frontier = new_v
 

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
-from repro.graph.frontier import (DENSE_FRONTIER_DENSITY, Frontier,
-                                  claim_first_parent, dedup_ids,
+from repro.graph.frontier import (claim_first_parent, dedup_ids,
                                   gather_slots, segment_min_scatter)
 from repro.graph.scratch import (COUNTERS, KernelScratch, consume_counters,
                                  scratch_for)
@@ -256,34 +255,6 @@ def test_dedup_ids_both_paths():
     big = np.arange(500, dtype=np.int64).repeat(2)
     assert np.array_equal(dedup_ids(big, 1000, scratch), np.unique(big))
     assert not scratch.mask("dedup").any()
-
-
-# ----------------------------------------------------------------------
-# Frontier wrapper
-# ----------------------------------------------------------------------
-
-
-def test_frontier_ids_mask_coherence():
-    scratch = KernelScratch(10)
-    f = Frontier(10, scratch, np.array([1, 4], dtype=np.int64))
-    assert f.size == 2 and bool(f)
-    mask = f.as_mask()
-    assert np.array_equal(np.flatnonzero(mask), [1, 4])
-    f.replace(np.array([7], dtype=np.int64))
-    mask = f.as_mask()
-    assert np.array_equal(np.flatnonzero(mask), [7])
-    f.release()
-    assert not scratch.mask("frontier").any()
-    assert not f
-
-
-def test_frontier_density_switch():
-    scratch = KernelScratch(64)
-    f = Frontier(64, scratch, np.array([0], dtype=np.int64))
-    assert not f.dense
-    f.replace(np.arange(0, 64, 8, dtype=np.int64))
-    assert f.density >= DENSE_FRONTIER_DENSITY
-    assert f.dense
 
 
 # ----------------------------------------------------------------------

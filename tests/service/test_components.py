@@ -505,6 +505,29 @@ class TestResidentGraphManager:
             keys = set(mgr._residents)
             assert keys == {("kron6", "gap", 4)}
 
+    def test_eviction_closes_shard_pools(self, tmp_path):
+        """An evicted resident used to keep its workers and arenas
+        until ``__del__`` got round to them."""
+        import multiprocessing
+        import os
+
+        def shard_children():
+            return [p for p in multiprocessing.active_children()
+                    if p.name.startswith("epg-shard-")]
+
+        mgr = self.make_manager(tmp_path, max_resident_bytes=1, shards=2)
+        mgr.add_graph("kron:6")
+        with mgr.lease("kron6", "gap", 2) as (system, loaded):
+            system.run(loaded, "bfs", root=0)
+            assert len(shard_children()) == 2 and os.listdir("/dev/shm")
+        with mgr.lease("kron6", "gap", 4):
+            assert set(mgr._residents) == {("kron6", "gap", 4)}
+            assert shard_children() == [] and os.listdir("/dev/shm") == []
+        with mgr.lease("kron6", "gap", 4) as (system, loaded):
+            system.run(loaded, "sssp", root=0)
+        mgr.close()
+        assert shard_children() == [] and os.listdir("/dev/shm") == []
+
     def test_one_sweep_at_a_time_per_resident_entry(self, tmp_path):
         mgr = self.make_manager(tmp_path)
         mgr.add_graph("kron:6")

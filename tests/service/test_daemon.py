@@ -283,13 +283,7 @@ class TestSharedGraph:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
-            daemon.drain()
-            # A daemon's shard pools die with its process; this one's
-            # process lives on, so reap them here.
-            for entry in daemon.manager._residents.values():
-                for engine in entry.loaded.__dict__.get(
-                        "_shard_engines", {}).values():
-                    engine.close()
+            daemon.drain()  # also closes the residents' shard pools
         bad = [a for per in answers for a in per if a[0] != 200]
         assert not bad, bad[:3]
         assert sum(map(len, answers)) == 2 * self.QUERIES

@@ -156,7 +156,8 @@ def test_sigkilled_worker_raises_shard_error_cleanly():
                              step_timeout_s=5.0)
         os.kill(engine._workers[0].pid, signal.SIGKILL)
         try:
-            engine.top_down(np.array([0], dtype=np.int64))
+            engine.top_down(np.array([0], dtype=np.int64),
+                            np.full(n, -1, dtype=np.int64))
         except ShardError as exc:
             assert "epg-shard-0" in str(exc), exc
             print("SHARD_ERROR_OK")
@@ -186,7 +187,8 @@ def test_exit_without_close_is_clean():
                                    rng.integers(0, n, m), n)
         inn = CSRGraph.from_arrays(out.col_idx, out.source_ids(), n)
         engine = ShardEngine(out, inn, n_shards=2, inline=False)
-        engine.top_down(np.array([0], dtype=np.int64))
+        engine.top_down(np.array([0], dtype=np.int64),
+                        np.full(n, -1, dtype=np.int64))
         print("DONE")  # exits with live workers and mapped arenas
     """)
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
@@ -223,7 +225,8 @@ def test_pool_worker_hosting_engine_exits_cleanly():
             inn = CSRGraph.from_arrays(out.col_idx, out.source_ids(), n)
             engine = ShardEngine(out, inn, n_shards=2, inline=False)
             assert not engine.inline
-            ids, _, _ = engine.top_down(np.array([0], dtype=np.int64))
+            ids, _ = engine.top_down(np.array([0], dtype=np.int64),
+                                     np.full(n, -1, dtype=np.int64))
             return int(ids.size)   # exit WITHOUT close(): the worker's
                                    # finalizer chain must handle it
 
@@ -300,11 +303,13 @@ def test_worker_exception_surfaces_without_breaking_pool():
     """An op exception lands in the ring header, raises ShardError in
     the parent, and the pool keeps serving supersteps afterwards."""
     out, inn = _graph()
+    parent = np.full(out.n_vertices, -1, dtype=np.int64)
     with ShardEngine(out, inn, n_shards=2, inline=False) as engine:
         with pytest.raises(ShardError, match="shard"):
             # Out-of-range frontier ids make the gather throw inside
             # the worker.
-            engine.top_down(np.array([10 ** 9], dtype=np.int64))
-        ids, _, examined = engine.top_down(np.array([0], dtype=np.int64))
+            engine.top_down(np.array([10 ** 9], dtype=np.int64), parent)
+        ids, examined = engine.top_down(np.array([0], dtype=np.int64),
+                                        parent)
         assert np.all(np.diff(ids) > 0)
         assert examined >= ids.size

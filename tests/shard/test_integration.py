@@ -62,18 +62,29 @@ def test_shard_metrics_emitted_only_when_sharded(kron_ds, tmp_path):
     assert nbytes.value(system="gap", algorithm="bfs", shards=2) > 0
 
 
-def test_engine_cached_on_loaded_graph(kron_ds):
+def test_engine_cached_on_loaded_graph(kron_ds, monkeypatch):
+    from repro.shard.engine import ShardEngine
+
+    built = []
+    init = ShardEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShardEngine, "__init__", counting_init)
     system = create_system("gap", n_threads=4, shards=2)
     loaded = system.load(kron_ds)
-    system.run(loaded, "bfs", root=0)
-    engines = loaded.__dict__["_shard_engines"]
-    assert len(engines) == 1
-    system.run(loaded, "sssp", root=0)
-    assert len(engines) == 1  # bfs and sssp share the pull engine
-    engine = next(iter(engines.values()))
-    system.run(loaded, "bfs", root=1)
-    assert next(iter(engines.values())) is engine  # reused, not rebuilt
-    engine.close()
+    # bfs and sssp share the pull engine; reused, not rebuilt
+    for algorithm, root in (("bfs", 0), ("sssp", 0), ("bfs", 1)):
+        system.run(loaded, algorithm, root=root)
+    assert len(built) == 1 and not built[0]._closed
+    loaded.close()
+    assert built[0]._closed
+    loaded.close()  # idempotent
+    system.run(loaded, "bfs", root=0)  # a later run starts a fresh pool
+    assert len(built) == 2
+    loaded.close()
 
 
 def test_experiment_config_shards(tmp_path):

@@ -70,6 +70,22 @@ class TestCapabilities:
         with pytest.raises(SystemCapabilityError):
             s.run(loaded, "bfs")
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("system, algorithm", [
+        ("gap", "bfs"), ("gap", "sssp"), ("graph500", "bfs")])
+    @pytest.mark.parametrize("root", [-1, 1024, 10 ** 9])
+    def test_root_out_of_range(self, kron10_dataset, system, algorithm,
+                               root, shards):
+        """Used to escape the kernel as a bare NumPy IndexError (or, for
+        -1, run from the last vertex)."""
+        s = create_system(system, shards=shards)
+        loaded = s.load(kron10_dataset)
+        try:
+            with pytest.raises(SystemCapabilityError, match="root must be"):
+                s.run(loaded, algorithm, root=root)
+        finally:
+            loaded.close()
+
     def test_invalid_thread_count(self):
         with pytest.raises(SystemCapabilityError):
             create_system("gap", n_threads=0)
