@@ -80,7 +80,9 @@ def test_cache_gate(benchmark, tmp_path_factory):
         n_roots=GATE_ROOTS)
     create_system("gap").load(ds, cache=cache)  # ensure the entry exists
     warm_sys = create_system("gap")
-    arrays, _ = warm_sys._pack_data(warm_sys.load(ds, cache=cache).data)
+    warm = warm_sys.load(ds, cache=cache).data
+    arrays = {**warm.out.to_arrays_map("out_"),
+              **warm.inn.to_arrays_map("inn_")}
     assert arrays and all(_memmap_backed(a) for a in arrays.values()), \
         "warm GAP load is not memmap-backed -- workers would copy"
     assert cache.stats["hits"] >= 1, \

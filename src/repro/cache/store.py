@@ -115,7 +115,7 @@ class ArtifactCache:
     @staticmethod
     def from_config(config, tracer=None) -> "ArtifactCache | None":
         """Build the cache an :class:`ExperimentConfig` asks for, or
-        ``None`` when caching is off (no ``cache_dir``, or disabled)."""
+        ``None`` when caching is off (no ``cache_dir``)."""
         if not getattr(config, "cache_active", False):
             return None
         return ArtifactCache(config.cache_dir,

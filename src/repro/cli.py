@@ -83,6 +83,60 @@ def _size(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+#: The execution flags, each spelled here and nowhere else.  None of
+#: them changes a reported byte.
+_EXECUTION_FLAGS = {
+    "--max-retries": dict(
+        type=int, default=2, help="retries per cell before quarantine"),
+    "--cell-timeout": dict(
+        type=float, default=None,
+        help="per-attempt deadline in simulated seconds"),
+    "--fault-spec": dict(
+        default=None,
+        help="inject deterministic faults, e.g. 'gap/bfs/t32:crash:2' "
+             "(testing; under `serve`, server-side chaos)"),
+    "--jobs": dict(
+        type=int, default=None,
+        help="worker processes for experiment cells; results are "
+             "byte-identical at any value (default: one per CPU "
+             "core; under `resume`, the interrupted run's count)"),
+    "--shards": dict(
+        type=int, default=1,
+        help="worker processes per kernel execution (sharded engine; "
+             "outputs are bit-identical at any value, see "
+             "docs/sharding.md)"),
+    "--cache-dir": dict(
+        type=Path, default=None,
+        help="persistent artifact cache directory (byte-transparent; "
+             "see docs/cache.md)"),
+    "--cache-max-bytes": dict(
+        type=_size, default=None, metavar="SIZE",
+        help="cache LRU GC budget, e.g. 500M or 2G"),
+}
+
+
+def _add_execution_flags(sp, *names: str) -> None:
+    """Declare the named :data:`_EXECUTION_FLAGS` (default: all) on
+    the subparser ``sp``."""
+    for name in names or _EXECUTION_FLAGS:
+        short = ("-j",) if name == "--jobs" else ()
+        sp.add_argument(name, *short, **_EXECUTION_FLAGS[name])
+
+
+def _execution_kwargs(args) -> dict:
+    """The execution flags under the keyword names
+    :class:`ExperimentConfig` and ``run_paper_suite`` share;
+    ``--jobs`` is resolved here, once (absent = one per core)."""
+    from repro.parallel import resolve_jobs
+
+    return dict(max_retries=args.max_retries,
+                cell_timeout_s=args.cell_timeout,
+                fault_spec=args.fault_spec,
+                jobs=resolve_jobs(args.jobs), shards=args.shards,
+                cache_dir=args.cache_dir,
+                cache_max_bytes=args.cache_max_bytes)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="epg",
@@ -109,28 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trials", type=int, default=1)
         sp.add_argument("--threads", type=int, nargs="+", default=[32])
         sp.add_argument("--seed", type=int, default=20170402)
-        sp.add_argument("--max-retries", type=int, default=2,
-                        help="retries per cell before quarantine")
-        sp.add_argument("--cell-timeout", type=float, default=None,
-                        help="per-attempt deadline in simulated seconds")
-        sp.add_argument("--fault-spec", default=None,
-                        help="inject deterministic faults, e.g. "
-                             "'gap/bfs/t32:crash:2' (testing)")
-        sp.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for the run phase "
-                             "(default: one per CPU core; results are "
-                             "identical at any value)")
-        sp.add_argument("--shards", type=int, default=1,
-                        help="worker processes per kernel execution "
-                             "(sharded engine; outputs are "
-                             "bit-identical at any value, see "
-                             "docs/sharding.md)")
-        sp.add_argument("--cache-dir", type=Path, default=None,
-                        help="persistent artifact cache directory "
-                             "(byte-transparent; see docs/cache.md)")
-        sp.add_argument("--cache-max-bytes", type=_size, default=None,
-                        metavar="SIZE",
-                        help="cache LRU GC budget, e.g. 500M or 2G")
+        _add_execution_flags(sp)
 
     for name, help_ in (
             ("setup", "phase 1: verify systems, persist config"),
@@ -184,26 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-svg", action="store_true")
     sp.add_argument("--resume", action="store_true",
                     help="keep checkpoints: skip already-completed cells")
-    sp.add_argument("--max-retries", type=int, default=2)
-    sp.add_argument("--cell-timeout", type=float, default=None)
-    sp.add_argument("--fault-spec", default=None)
     sp.add_argument("--trace", action="store_true",
                     help="record hierarchical spans + metrics under "
                          "<output>/trace/")
-    sp.add_argument("--jobs", "-j", type=int, default=None,
-                    help="worker processes for experiment cells "
-                         "(default: one per CPU core; the report is "
-                         "byte-identical at any value)")
-    sp.add_argument("--shards", type=int, default=1,
-                    help="worker processes per kernel execution "
-                         "(the report is byte-identical at any value; "
-                         "see docs/sharding.md)")
-    sp.add_argument("--cache-dir", type=Path, default=None,
-                    help="persistent artifact cache directory "
-                         "(byte-transparent; see docs/cache.md)")
-    sp.add_argument("--cache-max-bytes", type=_size, default=None,
-                    metavar="SIZE",
-                    help="cache LRU GC budget, e.g. 500M or 2G")
+    _add_execution_flags(sp)
 
     sp = sub.add_parser(
         "resume",
@@ -211,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpoints")
     sp.add_argument("output", type=Path,
                     help="the interrupted suite's output directory")
-    sp.add_argument("--jobs", "-j", type=int, default=None,
-                    help="override the interrupted run's worker count")
+    _add_execution_flags(sp, "--jobs")
 
     sp = sub.add_parser(
         "verify", help="check an experiment dir against provenance.json")
@@ -291,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", action="store_true",
                     help="record stream spans + metrics under "
                          "<output>/trace/")
-    sp.add_argument("--cache-dir", type=Path, default=None,
-                    help="artifact cache for the Kronecker tuples")
+    _add_execution_flags(sp, "--cache-dir")
 
     sp = sub.add_parser(
         "serve",
@@ -307,10 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--port", type=int, default=8750)
     sp.add_argument("--workers", type=int, default=2,
                     help="kernel worker threads")
-    sp.add_argument("--shards", type=int, default=1,
-                    help="worker processes per kernel execution in "
-                         "the batch executor (bit-identical results; "
-                         "see docs/sharding.md)")
+    _add_execution_flags(sp, "--shards", "--cache-dir", "--fault-spec")
     sp.add_argument("--max-queue", type=int, default=16,
                     help="admission queue bound; excess queries get 503")
     sp.add_argument("--max-inflight", type=int, default=4,
@@ -332,12 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="resident-graph LRU budget, e.g. 1.5G or 512k")
     sp.add_argument("--max-rps-per-client", type=float, default=None,
                     help="per-client token-bucket rate (429 over it)")
-    sp.add_argument("--fault-spec", default=None,
-                    help="server-side chaos injection, e.g. "
-                         "'gap/bfs/t32:crash:5' (testing)")
     sp.add_argument("--seed", type=int, default=20170402)
-    sp.add_argument("--cache-dir", type=Path, default=None,
-                    help="artifact cache shared with batch runs")
     sp.add_argument("--trace", action="store_true",
                     help="record request spans + metrics under "
                          "<data-dir>/trace/")
@@ -393,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    from repro.parallel import resolve_jobs
-
     return ExperimentConfig(
         output_dir=args.output,
         dataset=args.dataset,
@@ -406,13 +411,7 @@ def _config_from_args(args) -> ExperimentConfig:
         n_trials=args.trials,
         thread_counts=tuple(args.threads),
         seed=args.seed,
-        max_retries=args.max_retries,
-        cell_timeout_s=args.cell_timeout,
-        fault_spec=args.fault_spec,
-        jobs=resolve_jobs(args.jobs),
-        shards=args.shards,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
+        **_execution_kwargs(args),
     )
 
 
@@ -514,20 +513,12 @@ def _dispatch(args) -> int:
 
     if args.command == "reproduce":
         from repro.core.suite import run_paper_suite
-        from repro.parallel import resolve_jobs
 
         report = run_paper_suite(args.output, scale=args.scale,
                                  n_roots=args.roots, seed=args.seed,
                                  render_svg=not args.no_svg,
-                                 resume=args.resume,
-                                 max_retries=args.max_retries,
-                                 cell_timeout_s=args.cell_timeout,
-                                 fault_spec=args.fault_spec,
-                                 trace=args.trace,
-                                 jobs=resolve_jobs(args.jobs),
-                                 shards=args.shards,
-                                 cache_dir=args.cache_dir,
-                                 cache_max_bytes=args.cache_max_bytes)
+                                 resume=args.resume, trace=args.trace,
+                                 **_execution_kwargs(args))
         print(f"wrote {report}")
         _warn_if_degraded(args.output)
         return 0

@@ -9,7 +9,7 @@ PageRank, threads = 32, Kronecker edge factor 16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from repro.errors import ConfigError
@@ -24,6 +24,13 @@ DATASET_KINDS = ("kronecker", "cit-patents", "dota-league", "snap-file")
 #: The paper's PageRank epsilon: "approximately machine epsilon for a
 #: single precision floating-point number" (Sec. IV-A).
 DEFAULT_EPSILON = 6e-8
+
+
+def _execution_detail(default):
+    """A field that says *how* to execute, never what is computed:
+    left out of :meth:`ExperimentConfig.to_dict`, so it cannot perturb
+    a checkpoint digest, ``config.json`` or provenance."""
+    return field(default=default, metadata={"execution_detail": True})
 
 
 @dataclass(frozen=True)
@@ -57,13 +64,13 @@ class ExperimentConfig:
     #: each kernel window (Sec. V's fine-grained extension); traces land
     #: under ``<output>/traces/`` as CSV.
     capture_power_traces: bool = False
+    #: Trace sample rate in Hz (only used when traces are on).
+    trace_sample_hz: float = 100_000.0
     #: Validate every kernel's output against the reference oracles
     #: during the run phase, Graph500-style ("a fast system cannot win
     #: by returning garbage").  Off by default: validation costs more
     #: than the kernels at small scales.
     validate_outputs: bool = False
-    #: Trace sample rate in Hz (only used when traces are on).
-    trace_sample_hz: float = 100_000.0
     #: Retries per cell after the first failed attempt; a cell that
     #: fails ``max_retries + 1`` times is quarantined, not fatal.
     max_retries: int = 2
@@ -73,25 +80,17 @@ class ExperimentConfig:
     #: Fault-injection spec (see :mod:`repro.resilience.faults` for the
     #: grammar); None disables injection.
     fault_spec: str | None = None
-    #: Worker processes for the run phase (``epg run --jobs``); None or
-    #: 1 executes serially.  Excluded from :meth:`to_dict` -- the job
-    #: count is an execution detail that must not perturb checkpoint
-    #: digests or provenance (results are identical at any level).
-    jobs: int | None = None
+    #: Worker processes for the run phase (``epg run --jobs``); 1 runs
+    #: the cells in this process.
+    jobs: int = _execution_detail(1)
     #: Worker processes *inside* one kernel execution (``epg run
     #: --shards``): the sharded engine splits each BFS/SSSP query
-    #: across this many cores.  Like ``jobs``, an execution detail
-    #: excluded from :meth:`to_dict` -- sharded outputs, profiles, and
-    #: reports are bit-identical to the serial kernels.
-    shards: int = 1
-    #: Artifact cache master switch.  Like ``jobs``, the cache knobs are
-    #: execution details: the cache is byte-transparent, so they are
-    #: excluded from :meth:`to_dict` and never perturb provenance.
-    cache_enabled: bool = True
-    #: On-disk cache root; None disables caching even when enabled.
-    cache_dir: Path | None = None
+    #: across this many cores.
+    shards: int = _execution_detail(1)
+    #: On-disk artifact cache root; None disables caching.
+    cache_dir: Path | None = _execution_detail(None)
     #: LRU garbage-collection budget in bytes (None = unbounded).
-    cache_max_bytes: int | None = None
+    cache_max_bytes: int | None = _execution_detail(None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -129,7 +128,7 @@ class ExperimentConfig:
             from repro.resilience.faults import parse_fault_spec
 
             parse_fault_spec(self.fault_spec)  # raises ConfigError if bad
-        if self.jobs is not None and self.jobs < 1:
+        if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
@@ -142,7 +141,7 @@ class ExperimentConfig:
     @property
     def cache_active(self) -> bool:
         """Whether runs should use the artifact cache."""
-        return self.cache_enabled and self.cache_dir is not None
+        return self.cache_dir is not None
 
     # ------------------------------------------------------------------
     @property
@@ -159,24 +158,16 @@ class ExperimentConfig:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "output_dir": str(self.output_dir),
-            "dataset": self.dataset,
-            "scale": self.scale,
-            "realworld_factor": self.realworld_factor,
-            "snap_path": str(self.snap_path) if self.snap_path else None,
-            "systems": list(self.systems),
-            "algorithms": list(self.algorithms),
-            "n_roots": self.n_roots,
-            "n_trials": self.n_trials,
-            "thread_counts": list(self.thread_counts),
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "measure_power": self.measure_power,
-            "capture_power_traces": self.capture_power_traces,
-            "trace_sample_hz": self.trace_sample_hz,
-            "validate_outputs": self.validate_outputs,
-            "max_retries": self.max_retries,
-            "cell_timeout_s": self.cell_timeout_s,
-            "fault_spec": self.fault_spec,
-        }
+        """Everything that decides results, JSON-ready, in field order
+        (the machine is recorded by :mod:`repro.core.provenance`)."""
+        out = {}
+        for f in fields(self):
+            if f.name == "machine" or f.metadata.get("execution_detail"):
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, Path):
+                value = str(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out

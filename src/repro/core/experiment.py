@@ -12,12 +12,12 @@ one method, and :meth:`Experiment.run_all` chains them:
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from pathlib import Path
 
 from repro.core.config import ExperimentConfig
 from repro.core.logs import parse_all_logs
 from repro.core.records import Record
-from repro.core.runner import Runner
 from repro.datasets.homogenize import HomogenizedDataset, homogenize
 from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
 from repro.datasets.realworld import (
@@ -32,14 +32,7 @@ from repro.graph.edgelist import EdgeList
 from repro.ioutil import atomic_write_json
 from repro.logging_util import get_logger, phase_timer
 from repro.observability import Tracer
-from repro.resilience import (
-    CellOutcome,
-    CellSupervisor,
-    FaultInjector,
-    RetryPolicy,
-    SuiteCheckpoint,
-    cell_id,
-)
+from repro.resilience import CellOutcome, SuiteCheckpoint, cell_id
 from repro.systems.registry import available_systems
 
 __all__ = ["Experiment"]
@@ -129,120 +122,67 @@ class Experiment:
         what makes ``epg resume`` (and plain rerun-after-crash) cheap
         and byte-identical.
 
-        ``pool`` is an optional :class:`repro.parallel.CellPool`: the
-        independent cells fan out to its workers and their results are
-        committed -- checkpoint record, trace splice, outcome ledger --
-        strictly in canonical cell order, so the report and trace are
-        byte-identical to a serial run's.  Without a pool, a
-        ``config.jobs`` greater than one creates a private pool for
-        this call.
+        One sweep at every job count: outstanding cells are submitted
+        to ``pool`` (a :class:`repro.parallel.CellPool`; default: a
+        private one of ``config.jobs`` jobs) and committed -- trace
+        splice, checkpoint record, outcome ledger -- strictly in
+        canonical cell order, whoever executed them (a one-job pool:
+        this process, as the commit loop reaches each).  An interrupt
+        loses only uncommitted cells; the checkpoint always holds a
+        canonical prefix, so resume reruns exactly the missing tail.
         """
+        from repro.parallel import CellPool
+
         if self.dataset is None:
             self.homogenize()
         checkpoint = SuiteCheckpoint.load_or_create(
             self.config.output_dir, self.config)
         self.cell_outcomes = []
         paths: list[Path] = []
-        own_pool = None
-        if pool is None and (self.config.jobs or 1) > 1:
-            from repro.parallel import CellPool
-
-            shard_root = (self.tracer.directory / "workers"
-                          if self.tracer.enabled else None)
-            own_pool = pool = CellPool(self.config.jobs,
-                                       shard_root=shard_root)
-        try:
-            with phase_timer("run", self._log, tracer=self.tracer):
-                if pool is not None and pool.parallel:
-                    self._run_parallel(pool, checkpoint, paths)
+        cells = [(cell_id(*cell), cell) for cell in self._cells()]
+        with ExitStack() as stack:
+            if pool is None:
+                pool = stack.enter_context(CellPool(
+                    self.config.jobs,
+                    shard_root=(self.tracer.directory / "workers"
+                                if self.tracer.enabled else None)))
+            stack.enter_context(
+                phase_timer("run", self._log, tracer=self.tracer))
+            stack.enter_context(pool.sweep(self.tracer, self._prewarm))
+            futures = {cid: pool.submit_cell(self.config, self.dataset,
+                                             *cell)
+                       for cid, cell in cells
+                       if checkpoint.get(cid) is None}
+            for cid, cell in cells:
+                if cid in futures:
+                    outcome, events = futures[cid].result()
+                    self.tracer.ingest_cell_events(events)
+                    checkpoint.record(outcome)
                 else:
-                    self._run_serial(checkpoint, paths)
-        finally:
-            if own_pool is not None:
-                own_pool.close()
+                    outcome = checkpoint.get(cid)
+                    self.tracer.counter("epg_checkpoint_hits_total",
+                                        cell=cid)
+                    self._log.debug("checkpoint: %s already %s",
+                                    cid, outcome.status)
+                self._finish_cell(*cell, outcome, paths)
         return paths
 
     def _cells(self) -> list[tuple[str, str, int]]:
-        """Canonical cell order: the serial visit order."""
+        """Canonical cell order: the commit order."""
         return [(system, algorithm, n_threads)
                 for n_threads in self.config.thread_counts
                 for system in self.config.systems
                 for algorithm in self.config.algorithms]
 
-    def _run_serial(self, checkpoint: SuiteCheckpoint,
-                    paths: list[Path]) -> None:
-        runner = Runner(self.config, self.dataset, tracer=self.tracer)
-        injector = (FaultInjector(self.config.seed, self.config.fault_spec)
-                    if self.config.fault_spec else None)
-        supervisor = CellSupervisor(
-            runner, RetryPolicy.from_config(self.config),
-            injector=injector)
-        for system, algorithm, n_threads in self._cells():
-            cid = cell_id(system, algorithm, n_threads)
-            outcome = checkpoint.get(cid)
-            if outcome is None:
-                if self.tracer.enabled:
-                    # Route the cell through the same capture/splice a
-                    # parallel worker uses, so every simulated stamp is
-                    # computed cell-locally and shifted by exactly one
-                    # addition -- bit-identical either way.  Bonus: an
-                    # interrupted cell's partial events never reach the
-                    # log, so a traced resume stays byte-identical too.
-                    self.tracer.begin_capture(reset_sim=True, divert=True)
-                    try:
-                        outcome = supervisor.run_cell(
-                            system, algorithm, n_threads)
-                    finally:
-                        events = self.tracer.take_capture()
-                    self.tracer.ingest_cell_events(events)
-                else:
-                    outcome = supervisor.run_cell(
-                        system, algorithm, n_threads)
-                checkpoint.record(outcome)
-            else:
-                self.tracer.counter("epg_checkpoint_hits_total", cell=cid)
-                self._log.debug("checkpoint: %s already %s",
-                                cid, outcome.status)
-            self._finish_cell(system, algorithm, n_threads, outcome, paths)
-
-    def _run_parallel(self, pool, checkpoint: SuiteCheckpoint,
-                      paths: list[Path]) -> None:
-        cells = self._cells()
+    def _prewarm(self) -> None:
+        """Before a multi-process fan-out: materialize every graph
+        structure in the artifact cache once; the workers then map it
+        read-only (zero-copy, not per-worker deserialization)."""
         cache = self._artifact_cache()
         if cache is not None:
-            # The parent materializes every graph structure once; the
-            # workers then map the cached arrays read-only (zero-copy
-            # sharing instead of per-worker deserialization).
             from repro.cache.prewarm import prewarm_loaded_graphs
 
             prewarm_loaded_graphs(self.config, self.dataset, cache)
-        # Fork safety: children inherit this file handle, and their
-        # exit-time flush would duplicate whatever it still buffers.
-        self.tracer.flush()
-        futures = {}
-        for system, algorithm, n_threads in cells:
-            cid = cell_id(system, algorithm, n_threads)
-            if checkpoint.get(cid) is None:
-                futures[cid] = pool.submit_cell(
-                    self.config, self.dataset, system, algorithm,
-                    n_threads)
-        # Commit sweep: canonical order, regardless of completion
-        # order.  An interrupt here loses only uncommitted cells; the
-        # checkpoint always holds a canonical prefix, so resume reruns
-        # exactly the missing tail.
-        for system, algorithm, n_threads in cells:
-            cid = cell_id(system, algorithm, n_threads)
-            fut = futures.get(cid)
-            if fut is None:
-                outcome = checkpoint.get(cid)
-                self.tracer.counter("epg_checkpoint_hits_total", cell=cid)
-                self._log.debug("checkpoint: %s already %s",
-                                cid, outcome.status)
-            else:
-                outcome, events = fut.result()
-                self.tracer.ingest_cell_events(events)
-                checkpoint.record(outcome)
-            self._finish_cell(system, algorithm, n_threads, outcome, paths)
 
     def _finish_cell(self, system: str, algorithm: str, n_threads: int,
                      outcome: CellOutcome, paths: list[Path]) -> None:

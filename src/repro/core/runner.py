@@ -73,6 +73,13 @@ class Runner:
         #: timeline from this.
         self.last_cell_seconds: float = 0.0
 
+    def close(self) -> None:
+        """Release the loaded graphs (and the shard pools cached on
+        them) now, not whenever the collector gets to them."""
+        for _, loaded in self._loaded_cache.values():
+            loaded.close()
+        self._loaded_cache.clear()
+
     # ------------------------------------------------------------------
     # Graph500-style output validation (config.validate_outputs)
     # ------------------------------------------------------------------

@@ -67,6 +67,17 @@ def _section(title: str, body: str) -> str:
     return f"## {title}\n\n```\n{body}\n```\n"
 
 
+#: Manifest keys every version of the suite has written; the later
+#: ones default as in ``run_paper_suite``'s signature.
+_MANIFEST_REQUIRED = ("scale", "n_roots", "seed", "render_svg",
+                      "max_retries", "cell_timeout_s", "fault_spec")
+
+#: The execution options ``run_paper_suite`` forwards verbatim to every
+#: :class:`ExperimentConfig` it builds (same names there).
+_CONFIG_OPTIONS = ("max_retries", "cell_timeout_s", "fault_spec",
+                   "shards", "cache_dir", "cache_max_bytes")
+
+
 def run_paper_suite(out_dir: str | Path, scale: int = 12,
                     n_roots: int = 8, seed: int = 20170402,
                     render_svg: bool = True, *, resume: bool = False,
@@ -74,7 +85,7 @@ def run_paper_suite(out_dir: str | Path, scale: int = 12,
                     cell_timeout_s: float | None = None,
                     fault_spec: str | None = None,
                     trace: bool = False,
-                    jobs: int | None = None,
+                    jobs: int = 1,
                     shards: int = 1,
                     cache_dir: str | Path | None = None,
                     cache_max_bytes: int | None = None) -> Path:
@@ -88,9 +99,8 @@ def run_paper_suite(out_dir: str | Path, scale: int = 12,
     timeline SVG) and appends an Observability section to REPORT.md.
     ``jobs`` greater than one fans independent cells out to that many
     worker processes (``epg reproduce --jobs``); results are committed
-    in canonical order, so the report is byte-identical to a serial
-    run's (see ``docs/parallel.md``).  ``None`` means serial here; the
-    CLI resolves its default to the machine's core count.
+    in canonical order, so the report is byte-identical to a one-job
+    run's (see ``docs/parallel.md``).
     ``cache_dir`` enables the persistent artifact cache there
     (``epg reproduce --cache-dir``); ``cache_max_bytes`` sets its LRU
     garbage-collection budget.  The cache is byte-transparent (see
@@ -100,9 +110,16 @@ def run_paper_suite(out_dir: str | Path, scale: int = 12,
     see ``docs/sharding.md``) -- like ``jobs`` and the cache, an
     execution detail that never changes a reported byte.
     """
-    from repro.parallel import CellPool, resolve_jobs
+    from repro.parallel import CellPool
 
-    jobs = 1 if jobs is None else resolve_jobs(jobs)
+    # What ``resume_paper_suite`` replays as keyword arguments.
+    manifest = dict(
+        scale=scale, n_roots=n_roots, seed=seed, render_svg=render_svg,
+        max_retries=max_retries, cell_timeout_s=cell_timeout_s,
+        fault_spec=fault_spec, trace=trace, jobs=jobs, shards=shards,
+        cache_dir=None if cache_dir is None else str(cache_dir),
+        cache_max_bytes=cache_max_bytes)
+    options = {k: manifest[k] for k in _CONFIG_OPTIONS}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shard_root = out_dir / "trace" / "workers"
@@ -110,29 +127,15 @@ def run_paper_suite(out_dir: str | Path, scale: int = 12,
         for sub in _SUBDIRS:
             SuiteCheckpoint.clear(out_dir / sub)
         shutil.rmtree(shard_root, ignore_errors=True)
-    atomic_write_json(out_dir / SUITE_MANIFEST, {
-        "scale": scale, "n_roots": n_roots, "seed": seed,
-        "render_svg": render_svg, "max_retries": max_retries,
-        "cell_timeout_s": cell_timeout_s, "fault_spec": fault_spec,
-        "trace": trace, "jobs": jobs, "shards": shards,
-        "cache_dir": str(cache_dir) if cache_dir is not None else None,
-        "cache_max_bytes": cache_max_bytes,
-    })
-    resilience = dict(max_retries=max_retries,
-                      cell_timeout_s=cell_timeout_s,
-                      fault_spec=fault_spec,
-                      shards=shards,
-                      cache_dir=cache_dir,
-                      cache_max_bytes=cache_max_bytes)
+    atomic_write_json(out_dir / SUITE_MANIFEST, manifest)
     tracer = (Tracer(out_dir / "trace", resume=resume) if trace
               else Tracer())
-    pool = (CellPool(jobs, shard_root=shard_root if trace else None)
-            if jobs > 1 else None)
+    pool = CellPool(jobs, shard_root=shard_root if trace else None)
     try:
         with tracer.span("suite", category="suite", scale=scale,
                          n_roots=n_roots, seed=seed):
             sections, kron = _suite_sections(
-                out_dir, scale, n_roots, seed, render_svg, resilience,
+                out_dir, scale, n_roots, seed, render_svg, options,
                 tracer, pool)
         observability = None
         if tracer.enabled:
@@ -146,8 +149,7 @@ def run_paper_suite(out_dir: str | Path, scale: int = 12,
                         embed_figures=render_svg,
                         observability=observability)
     finally:
-        if pool is not None:
-            pool.close()
+        pool.close()
         tracer.close()
 
     report = out_dir / "REPORT.md"
@@ -178,8 +180,8 @@ def _export_trace(tracer: Tracer, want_svg: bool) -> str:
 
 
 def _suite_sections(out_dir: Path, scale: int, n_roots: int, seed: int,
-                    render_svg: bool, resilience: dict,
-                    tracer: Tracer, pool=None
+                    render_svg: bool, options: dict,
+                    tracer: Tracer, pool
                     ) -> tuple[list[str], Analysis]:
     """Run every experiment; return (REPORT sections, kron analysis)."""
     sections: list[str] = [
@@ -192,7 +194,7 @@ def _suite_sections(out_dir: Path, scale: int, n_roots: int, seed: int,
     kron_cfg = ExperimentConfig(
         output_dir=out_dir / "kron", dataset="kronecker", scale=scale,
         n_roots=n_roots, seed=seed,
-        algorithms=("bfs", "sssp", "pagerank"), **resilience)
+        algorithms=("bfs", "sssp", "pagerank"), **options)
     kron_exp = Experiment(kron_cfg, tracer=tracer)
     with tracer.span("experiment:kron", category="experiment",
                      dataset="kronecker", scale=scale):
@@ -227,7 +229,7 @@ def _suite_sections(out_dir: Path, scale: int, n_roots: int, seed: int,
         cfg = ExperimentConfig(
             output_dir=out_dir / sub, dataset=ds, n_roots=n_roots,
             seed=seed, algorithms=("bfs", "sssp", "pagerank"),
-            **resilience)
+            **options)
         exp = Experiment(cfg, tracer=tracer)
         with tracer.span(f"experiment:{sub}", category="experiment",
                          dataset=ds):
@@ -252,7 +254,7 @@ def _suite_sections(out_dir: Path, scale: int, n_roots: int, seed: int,
     scaling_cfg = ExperimentConfig(
         output_dir=out_dir / "scaling", dataset="kronecker",
         scale=scale, n_roots=min(n_roots, 4), seed=seed,
-        algorithms=("bfs",), thread_counts=_THREADS, **resilience)
+        algorithms=("bfs",), thread_counts=_THREADS, **options)
     scaling_exp = Experiment(scaling_cfg, tracer=tracer)
     with tracer.span("experiment:scaling", category="experiment",
                      dataset="kronecker"):
@@ -273,7 +275,7 @@ def _suite_sections(out_dir: Path, scale: int, n_roots: int, seed: int,
     struct_cfg = ExperimentConfig(
         output_dir=out_dir / "structural", dataset="kronecker",
         scale=scale, n_roots=min(n_roots, 2), seed=seed,
-        algorithms=_STRUCTURAL_ALGOS, **resilience)
+        algorithms=_STRUCTURAL_ALGOS, **options)
     struct_exp = Experiment(struct_cfg, tracer=tracer)
     with tracer.span("experiment:structural", category="experiment",
                      dataset="kronecker", scale=scale):
@@ -408,18 +410,10 @@ def resume_paper_suite(out_dir: str | Path,
     except json.JSONDecodeError as exc:
         raise CheckpointError(
             f"{mpath}: corrupt suite manifest ({exc})") from exc
-    try:
-        return run_paper_suite(
-            out_dir, scale=params["scale"], n_roots=params["n_roots"],
-            seed=params["seed"], render_svg=params["render_svg"],
-            resume=True, max_retries=params["max_retries"],
-            cell_timeout_s=params["cell_timeout_s"],
-            fault_spec=params["fault_spec"],
-            trace=params.get("trace", False),
-            jobs=jobs if jobs is not None else params.get("jobs", 1),
-            shards=params.get("shards", 1),
-            cache_dir=params.get("cache_dir"),
-            cache_max_bytes=params.get("cache_max_bytes"))
-    except KeyError as exc:
+    missing = [k for k in _MANIFEST_REQUIRED if k not in params]
+    if missing:
         raise CheckpointError(
-            f"{mpath}: suite manifest missing key {exc}") from exc
+            f"{mpath}: suite manifest missing key {missing[0]!r}")
+    if jobs is not None:
+        params["jobs"] = jobs
+    return run_paper_suite(out_dir, resume=True, **params)

@@ -148,18 +148,23 @@ class GraphalyticsHarness:
                    pool=None) -> list[GraphalyticsResult]:
         """Tables I-II: every platform x algorithm cell on one dataset.
 
-        With a :class:`repro.parallel.CellPool`, cells fan out to the
-        workers and results are gathered in table order -- every cell
-        is a pure function of the harness seed, so the tables are
-        identical at any job count.
+        The cells go through ``pool`` (a :class:`repro.parallel.
+        CellPool`; default: one job, i.e. on this harness, in this
+        process) and are gathered in table order -- every cell is a
+        pure function of the harness seed, so the tables are identical
+        at any job count.
         """
-        cells = [(p, a) for p in platforms for a in algorithms]
-        if pool is not None and pool.parallel:
-            futures = [pool.submit_graphalytics(
-                self.machine, self.n_threads, self.seed,
-                self.time_limit_s, p, a, dataset) for p, a in cells]
+        from repro.parallel import CellPool
+
+        with (pool or CellPool(1)).sweep() as pool:
+            futures = [pool.submit_graphalytics(self, p, a, dataset)
+                       for p in platforms for a in algorithms]
             return [f.result() for f in futures]
-        return [self.run_cell(p, a, dataset) for p, a in cells]
+
+    def __getstate__(self) -> dict:
+        """Pickle the parameters, never the loaded graphs: a worker
+        process loads its own (once, on its resident harness)."""
+        return {**self.__dict__, "_loaded": {}}
 
     # ------------------------------------------------------------------
     def _run_kernel(self, system, loaded, algorithm: str,

@@ -1,12 +1,15 @@
-"""Process-parallel execution of independent suite cells.
+"""Execution of independent suite cells, in process or across processes.
 
 The paper's evaluation grid is embarrassingly parallel: every
 (system, algorithm, threads) cell is seeded independently, so the
 harness can fan cells out to a pool of worker processes and still
 produce the exact report a serial run would.  :class:`CellPool` is the
-parent-side scheduler (``epg reproduce --jobs N``); workers run the
-full retry/quarantine supervision per cell and ship each cell's
-outcome plus its captured trace-event group back for a deterministic,
+parent-side scheduler (``epg reproduce --jobs N``): one
+submit-then-commit sweep whose executor is a process pool, or -- at
+one job -- the calling process itself.  Either way a
+:class:`~repro.parallel.worker.CellWorker` runs the full
+retry/quarantine supervision per cell and hands back each cell's
+outcome plus its captured trace-event group for a deterministic,
 canonical-order merge (see :mod:`repro.parallel.scheduler` and
 ``docs/parallel.md`` for the invariant).
 """

@@ -1,33 +1,39 @@
-"""Parent-process side: job resolution and the worker pool.
+"""Parent-process side: job resolution and the cell pool.
 
-:class:`CellPool` wraps a lazily created
-:class:`~concurrent.futures.ProcessPoolExecutor`.  The scheduling
-discipline lives in the callers (:meth:`repro.core.experiment.
-Experiment.run` and :meth:`repro.graphalytics.harness.
-GraphalyticsHarness.run_matrix`): submit every outstanding cell, then
-*commit results strictly in canonical cell order*, blocking on each
-future in turn.  Completion order is irrelevant -- checkpoint records,
-trace splices, and the failures ledger are applied in the same order a
-serial run would apply them, which is the deterministic-merge
-invariant ``--jobs N`` rests on (REPORT.md is byte-identical to
-``--jobs 1``).
+:class:`CellPool` hands cell tasks to one of two executors, chosen by
+its job count and nothing else: a lazily created
+:class:`~concurrent.futures.ProcessPoolExecutor`, or (one job) a
+:class:`~repro.parallel.worker.CellWorker` in the calling process,
+whose futures run their task when ``result()`` is called.  The scheduling discipline lives
+in the callers (:meth:`repro.core.experiment.Experiment.run` and
+:meth:`repro.graphalytics.harness.GraphalyticsHarness.run_matrix`) and
+is the same for both: submit every outstanding cell, then *commit
+results strictly in canonical cell order*, blocking on each future in
+turn.  Completion order is irrelevant -- checkpoint records, trace
+splices, and the failures ledger are applied in the order the cells
+are listed, which is the deterministic-merge invariant ``--jobs N``
+rests on (REPORT.md is byte-identical at every job count).  Laziness
+keeps a one-job run serial where it matters: cell *k* is in the
+checkpoint before cell *k+1* starts.
 
 Fork discipline: workers inherit the parent's open trace file handle,
 and a worker's exit-time flush would duplicate any bytes still
-buffered in it at fork time.  Callers therefore flush the parent
-tracer before a submission batch; the pool spawns workers only during
-submission, never during the commit sweep.
+buffered in it at fork time.  :meth:`CellPool.sweep` therefore flushes
+the parent tracer before a submission batch; the pool spawns workers
+only during submission, never during the commit sweep.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.parallel.worker import (
+    CellWorker,
     init_worker,
     run_cell_task,
     run_graphalytics_task,
@@ -54,54 +60,69 @@ def _mp_context():
 
 
 class CellPool:
-    """A lazily created pool of cell workers, shared across a suite.
+    """The executor for a suite's cells, shared across its experiments.
 
     ``shard_root`` (set when the run is traced) is where each worker
     opens its debug event shard; ``None`` gives workers a disabled
     tracer, so untraced parallel runs pay no event-capture cost.
     """
 
-    def __init__(self, jobs: int | None,
-                 shard_root: str | Path | None = None):
+    def __init__(self, jobs: int, shard_root: str | Path | None = None):
         self.jobs = resolve_jobs(jobs)
         self.shard_root = (Path(shard_root) if shard_root is not None
                            else None)
-        self._executor: ProcessPoolExecutor | None = None
-
-    @property
-    def parallel(self) -> bool:
-        """False for a one-job pool; callers fall back to serial."""
-        return self.jobs > 1
+        self._processes: ProcessPoolExecutor | None = None
+        #: The executor of the sweep in progress (see :meth:`sweep`).
+        self._executor = None
 
     def _ensure(self) -> ProcessPoolExecutor:
-        if self._executor is None:
+        if self._processes is None:
             if self.shard_root is not None:
                 self.shard_root.mkdir(parents=True, exist_ok=True)
-            self._executor = ProcessPoolExecutor(
+            self._processes = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=_mp_context(),
                 initializer=init_worker,
                 initargs=(str(self.shard_root)
                           if self.shard_root is not None else None,))
-        return self._executor
+        return self._processes
 
     # ------------------------------------------------------------------
+    @contextmanager
+    def sweep(self, tracer=None, prewarm=None):
+        """Scope one submit-then-commit sweep (submissions are valid
+        only inside).  One job: a fresh in-process :class:`CellWorker` on
+        ``tracer``, closed on exit, so nothing a sweep loaded outlives
+        it.  More: the pool's processes, after ``prewarm()`` (shared
+        state the parent materializes once; in process it would only
+        be a second load) and a fork-safety flush of ``tracer``."""
+        with ExitStack() as stack:
+            if self.jobs == 1:
+                self._executor = stack.enter_context(
+                    closing(CellWorker(tracer, divert=True)))
+            else:
+                if prewarm is not None:
+                    prewarm()
+                if tracer is not None:
+                    tracer.flush()
+                self._executor = self._ensure()
+            stack.callback(setattr, self, "_executor", None)
+            yield self
+
     def submit_cell(self, config, dataset, system: str, algorithm: str,
-                    n_threads: int) -> Future:
-        return self._ensure().submit(run_cell_task, config, dataset,
+                    n_threads: int):
+        return self._executor.submit(run_cell_task, config, dataset,
                                      system, algorithm, n_threads)
 
-    def submit_graphalytics(self, machine, n_threads: int, seed: int,
-                            time_limit_s, platform: str, algorithm: str,
-                            dataset) -> Future:
-        return self._ensure().submit(
-            run_graphalytics_task, machine, n_threads, seed,
-            time_limit_s, platform, algorithm, dataset)
+    def submit_graphalytics(self, harness, platform: str, algorithm: str,
+                            dataset):
+        return self._executor.submit(run_graphalytics_task, harness,
+                                     platform, algorithm, dataset)
 
     # ------------------------------------------------------------------
     def close(self, wait: bool = True) -> None:
-        if self._executor is not None:
-            executor, self._executor = self._executor, None
+        if self._processes is not None:
+            executor, self._processes = self._processes, None
             try:
                 executor.shutdown(wait=wait, cancel_futures=True)
             except KeyboardInterrupt:

@@ -1,19 +1,24 @@
-"""Worker-process side of the cell scheduler.
+"""The executing side of the cell scheduler: one :class:`CellWorker`.
 
-Each pool worker owns a module-level :data:`_STATE`: one shard
-:class:`~repro.observability.tracer.Tracer` (when the run is traced),
-one :class:`~repro.resilience.supervisor.CellSupervisor` per experiment
-directory, and one Graphalytics harness per parameter set.  The
+A :class:`CellWorker` runs cell tasks and holds what consecutive tasks
+share: a :class:`~repro.observability.tracer.Tracer`, one
+:class:`~repro.resilience.supervisor.CellSupervisor` per experiment
+configuration, and the resident Graphalytics harnesses.  The
 supervisors hold the worker's :class:`~repro.core.runner.Runner`, whose
 loaded-graph cache means a worker deserializes each (system, threads)
-CSR once, not once per cell.
+CSR once, not once per cell.  A pool worker process owns one for its
+lifetime (:func:`init_worker`), capturing on its own shard tracer; a
+one-job :class:`~repro.parallel.CellPool` makes one per sweep *its
+executor* (:meth:`CellWorker.submit`), capturing on the experiment's
+tracer in divert mode -- the only difference between the two.
 
 When the run names a ``--cache-dir``, the parent prewarms every graph
-structure into the on-disk artifact cache before the fan-out, and each
-worker's Runner maps the cached ``.npy`` arrays read-only
-(``np.load(mmap_mode="r")``): the OS page cache backs one physical copy
-of each graph shared zero-copy across all workers, instead of every
-worker parsing and building its own (see ``docs/cache.md``).
+structure into the on-disk artifact cache before a multi-process
+fan-out, and each worker's Runner maps the cached ``.npy`` arrays
+read-only (``np.load(mmap_mode="r")``): the OS page cache backs one
+physical copy of each graph shared zero-copy across all workers,
+instead of every worker parsing and building its own (see
+``docs/cache.md``).
 
 Tasks return plain picklable values.  A cell task returns the
 :class:`~repro.resilience.supervisor.CellOutcome` together with the
@@ -28,13 +33,84 @@ runs a cell never changes its result.
 from __future__ import annotations
 
 import os
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
-__all__ = ["init_worker", "run_cell_task", "run_graphalytics_task"]
+from repro.observability import Tracer
 
-#: Per-process state, populated by :func:`init_worker` in each pool
-#: worker (or lazily on first task for direct in-process calls).
-_STATE: dict = {}
+__all__ = ["CellWorker", "init_worker", "run_cell_task",
+           "run_graphalytics_task"]
+
+
+class CellWorker:
+    """Runs cell tasks; owns the state consecutive tasks share."""
+
+    def __init__(self, tracer=None, *, divert: bool = False):
+        self.tracer = tracer if tracer is not None else Tracer()
+        #: Capture without writing: ``tracer`` is the parent's own.
+        self.divert = divert
+        self._supervisors: dict = {}
+        self._harnesses: dict = {}
+
+    def _supervisor(self, config, dataset):
+        """The supervised Runner for ``config`` -- keyed on all of it
+        (directory, digest inputs, machine), so experiments sharing a
+        pool or a directory never run on each other's Runner."""
+        from repro.core.runner import Runner
+        from repro.resilience import (
+            CellSupervisor,
+            FaultInjector,
+            RetryPolicy,
+        )
+
+        sup = self._supervisors.get(config)
+        if sup is None:
+            runner = Runner(config, dataset, tracer=self.tracer)
+            injector = (FaultInjector(config.seed, config.fault_spec)
+                        if config.fault_spec else None)
+            sup = self._supervisors[config] = CellSupervisor(
+                runner, RetryPolicy.from_config(config), injector=injector)
+        return sup
+
+    def run_cell(self, config, dataset, system: str, algorithm: str,
+                 n_threads: int):
+        """Run one supervised cell; return (outcome, captured events).
+        Stamps are cell-local and shifted once at ingest: bit-identical
+        whoever ran the cell; an interrupted cell's events never land."""
+        self.tracer.begin_capture(reset_sim=True, divert=self.divert)
+        try:
+            outcome = self._supervisor(config, dataset).run_cell(
+                system, algorithm, n_threads)
+        finally:
+            events = self.tracer.take_capture()
+        return outcome, events
+
+    def run_graphalytics(self, harness, platform: str, algorithm: str,
+                         dataset):
+        """Run one Graphalytics cell on the resident harness with
+        ``harness``'s parameters -- the first one seen (in process the
+        caller's own), so loaded graphs are reused across cells."""
+        key = (harness.machine, harness.n_threads, harness.seed,
+               harness.time_limit_s)
+        resident = self._harnesses.setdefault(key, harness)
+        return resident.run_cell(platform, algorithm, dataset)
+
+    def submit(self, task, *args):
+        """The one-job executor: a future that runs ``task`` on this
+        worker when ``result()`` is called (and raises there)."""
+        return SimpleNamespace(result=partial(task, *args, worker=self))
+
+    def close(self) -> None:
+        """Drop the shared state, shutting down what it holds open."""
+        for supervisor in self._supervisors.values():
+            supervisor.runner.close()
+        self._supervisors.clear()
+
+
+#: This process's own worker; :func:`init_worker` replaces it in each
+#: pool worker process.
+_WORKER = CellWorker()
 
 
 def init_worker(shard_root: str | None) -> None:
@@ -48,8 +124,7 @@ def init_worker(shard_root: str | None) -> None:
     """
     import signal
 
-    from repro.observability import Tracer
-
+    global _WORKER
     # Termination signals belong to the parent: it drains, checkpoints
     # completed cells, and exits 130.  A worker that died to a
     # group-delivered SIGTERM/SIGINT mid-cell would instead tear a
@@ -60,59 +135,19 @@ def init_worker(shard_root: str | None) -> None:
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
 
-    tracer = (Tracer(Path(shard_root) / f"worker-{os.getpid()}")
-              if shard_root else Tracer())
-    _STATE["tracer"] = tracer
-    _STATE["supervisors"] = {}
-    _STATE["harnesses"] = {}
-
-
-def _tracer():
-    if "tracer" not in _STATE:
-        init_worker(None)
-    return _STATE["tracer"]
-
-
-def _supervisor(config, dataset):
-    """The worker's supervisor for one experiment directory (cached)."""
-    from repro.core.runner import Runner
-    from repro.resilience import CellSupervisor, FaultInjector, RetryPolicy
-
-    key = str(config.output_dir)
-    sup = _STATE.setdefault("supervisors", {}).get(key)
-    if sup is None:
-        runner = Runner(config, dataset, tracer=_tracer())
-        injector = (FaultInjector(config.seed, config.fault_spec)
-                    if config.fault_spec else None)
-        sup = CellSupervisor(runner, RetryPolicy.from_config(config),
-                             injector=injector)
-        _STATE["supervisors"][key] = sup
-    return sup
+    _WORKER = CellWorker(Tracer(Path(shard_root) / f"worker-{os.getpid()}")
+                         if shard_root else None)
 
 
 def run_cell_task(config, dataset, system: str, algorithm: str,
-                  n_threads: int):
-    """Run one supervised cell; return (outcome, captured events)."""
-    tracer = _tracer()
-    tracer.begin_capture(reset_sim=True)
-    try:
-        outcome = _supervisor(config, dataset).run_cell(
-            system, algorithm, n_threads)
-    finally:
-        events = tracer.take_capture()
-    return outcome, events
+                  n_threads: int, *, worker: CellWorker | None = None):
+    """:meth:`CellWorker.run_cell` on ``worker`` (default: this process's)."""
+    return (worker or _WORKER).run_cell(
+        config, dataset, system, algorithm, n_threads)
 
 
-def run_graphalytics_task(machine, n_threads: int, seed: int,
-                          time_limit_s, platform: str, algorithm: str,
-                          dataset):
-    """Run one Graphalytics cell (the harness emits no trace events)."""
-    from repro.graphalytics.harness import GraphalyticsHarness
-
-    key = (n_threads, seed, time_limit_s)
-    harness = _STATE.setdefault("harnesses", {}).get(key)
-    if harness is None:
-        harness = GraphalyticsHarness(machine=machine, n_threads=n_threads,
-                                      seed=seed, time_limit_s=time_limit_s)
-        _STATE["harnesses"][key] = harness
-    return harness.run_cell(platform, algorithm, dataset)
+def run_graphalytics_task(harness, platform: str, algorithm: str,
+                          dataset, *, worker: CellWorker | None = None):
+    """:meth:`CellWorker.run_graphalytics`, likewise."""
+    return (worker or _WORKER).run_graphalytics(
+        harness, platform, algorithm, dataset)

@@ -210,27 +210,23 @@ class GraphSystem(ABC):
             self._read_rate_key()) * 1e6)
 
         data, build_profile = self._cached_build(dataset, cache)
-        build_sim = self.thread_model.simulate(
+        build_s = self.thread_model.simulate(
             build_profile, calibration.build_params(self.name, self.machine),
-            self.n_threads)
-
-        if self.separable_construction:
-            return LoadedGraph(
-                system=self.name, name=dataset.name,
-                n_vertices=dataset.n_vertices, n_arcs=self._n_arcs(data),
-                directed=dataset.directed, weighted=True,
-                read_s=read_s, build_s=build_sim.time_s, data=data,
-                input_bytes=n_bytes)
+            self.n_threads).time_s
+        if not self.separable_construction:
+            read_s, build_s = read_s + build_s, None
         return LoadedGraph(
             system=self.name, name=dataset.name,
             n_vertices=dataset.n_vertices, n_arcs=self._n_arcs(data),
             directed=dataset.directed, weighted=True,
-            read_s=read_s + build_sim.time_s, build_s=None, data=data,
+            read_s=read_s, build_s=build_s, data=data,
             input_bytes=n_bytes)
 
     def _cached_build(self, dataset: HomogenizedDataset, cache
                       ) -> tuple[Any, WorkProfile]:
-        """Produce (data, build_profile), through ``cache`` when given.
+        """Produce (data, build_profile): look the built arrays up in
+        ``cache``, else build (and store) them, then assemble -- a warm
+        load is a cold load minus the build.
 
         Layer 2 of the artifact cache: the built structure's arrays and
         the recorded build profile round-trip through one ``.npy``
@@ -238,7 +234,7 @@ class GraphSystem(ABC):
         or stale entry falls back to a fresh build (and is evicted).
         """
         key = None
-        if cache is not None and self._pack_data is not None:
+        if cache is not None:
             from repro.cache.keys import loaded_graph_key
 
             key = loaded_graph_key(self, dataset)
@@ -246,46 +242,33 @@ class GraphSystem(ABC):
             if hit is not None:
                 arrays, meta = hit
                 try:
-                    data = self._unpack_data(arrays, meta, dataset)
                     profile = WorkProfile.from_arrays(
                         arrays["profile_units"], arrays["profile_mem"],
                         arrays["profile_skew"],
                         meta["profile_serial_units"])
-                    return data, profile
+                    return self._assemble(arrays, meta), profile
                 except Exception as exc:
                     cache._log.warning(
                         "cache entry %s unusable (%s: %s); rebuilding",
                         key, type(exc).__name__, exc)
                     cache._evict(cache._entry_dir(key))
 
-        edges = self._read_input(dataset)
-        data, profile = self._build(edges, dataset)
+        arrays, meta, profile = self._build(self._read_input(dataset),
+                                            dataset)
         if key is not None:
-            packed = self._pack_data(data)
-            arrays = dict(packed[0])
-            arrays.update(profile.to_arrays())
-            meta = dict(packed[1])
-            meta["profile_serial_units"] = profile.serial_units
-            cache.put_arrays(key, f"graph:{self.name}", arrays, meta)
-        return data, profile
+            cache.put_arrays(
+                key, f"graph:{self.name}",
+                {**arrays, **profile.to_arrays()},
+                {**meta, "profile_serial_units": profile.serial_units})
+        return self._assemble(arrays, meta), profile
 
     def _read_rate_key(self) -> str:
         return self.input_key
 
     def _cache_token(self) -> dict:
         """Build-affecting knobs beyond the input bytes (cache key
-        material); override alongside :meth:`_pack_data`."""
+        material)."""
         return {}
-
-    #: Systems opt into layer-2 caching by overriding ``_pack_data``
-    #: (structure -> ``(arrays, meta)``) and ``_unpack_data`` (the
-    #: inverse, reconstructing from memmap-backed arrays).  ``None``
-    #: means "not cacheable" and bypasses the cache entirely.
-    _pack_data = None
-
-    def _unpack_data(self, arrays: dict, meta: dict,
-                     dataset: HomogenizedDataset) -> Any:
-        raise NotImplementedError
 
     @abstractmethod
     def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
@@ -293,8 +276,14 @@ class GraphSystem(ABC):
 
     @abstractmethod
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset
-               ) -> tuple[Any, WorkProfile]:
-        """Build the internal structure; report the construction work."""
+               ) -> tuple[dict[str, np.ndarray], dict, WorkProfile]:
+        """Build the structure's named arrays + scalar metadata (what
+        the artifact cache stores); report the construction work."""
+
+    @abstractmethod
+    def _assemble(self, arrays: dict, meta: dict) -> Any:
+        """Wrap ``_build``'s arrays (fresh, or read-only memmaps from
+        the cache) into the kernels' structure, copying nothing."""
 
     @abstractmethod
     def _n_arcs(self, data: Any) -> int:

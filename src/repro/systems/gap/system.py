@@ -7,6 +7,7 @@ import numpy as np
 from repro.datasets import formats
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.errors import SystemCapabilityError
+from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.machine.threads import WorkProfile
 from repro.systems.base import GraphSystem
@@ -71,8 +72,7 @@ class GapSystem(GraphSystem):
                                directed=dataset.directed,
                                name=dataset.name)
 
-    def _build(self, edges: EdgeList, dataset: HomogenizedDataset
-               ) -> tuple[GapGraph, WorkProfile]:
+    def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
         if self.weight_dtype == "int32" and edges.weights is not None:
             # The integer-weight build truncates at ingest (0.2 -> 0).
             edges = EdgeList(
@@ -89,27 +89,20 @@ class GapSystem(GraphSystem):
             # pass (GAP's point in shipping the converter).  Keep only
             # the transpose build, which the file does not store.
             profile = WorkProfile(rounds=profile.rounds[-1:])
-        return graph, profile
+        arrays = {**graph.out.to_arrays_map("out_"),
+                  **graph.inn.to_arrays_map("inn_")}
+        return arrays, {"n": graph.n, "directed": graph.directed}, profile
 
     def _n_arcs(self, data: GapGraph) -> int:
         return data.n_arcs
 
-    # -- artifact cache ------------------------------------------------
     def _cache_token(self) -> dict:
         # Both knobs change the built bytes: int32 truncates weights at
         # ingest, and the serialized path skips symmetrization.
         return {"weight_dtype": self.weight_dtype,
                 "serialized": self.use_serialized}
 
-    def _pack_data(self, data: GapGraph):
-        arrays = {}
-        arrays.update(data.out.to_arrays_map("out_"))
-        arrays.update(data.inn.to_arrays_map("inn_"))
-        return arrays, {"n": data.n, "directed": data.directed}
-
-    def _unpack_data(self, arrays, meta, dataset) -> GapGraph:
-        from repro.graph.csr import CSRGraph
-
+    def _assemble(self, arrays, meta) -> GapGraph:
         return GapGraph(out=CSRGraph.from_arrays_map(arrays, "out_"),
                         inn=CSRGraph.from_arrays_map(arrays, "inn_"),
                         n=int(meta["n"]),
@@ -202,13 +195,3 @@ class GapSystem(GraphSystem):
         return ({"triangles": np.array([count], dtype=np.int64)},
                 profile, None,
                 {"triangles": float(count), "wedges": stats["wedges"]})
-
-    # -- extras --------------------------------------------------------
-    @staticmethod
-    def weight_dtype_note() -> str:
-        """Paper Sec. IV-A: GAP can be recompiled to store weights as
-        integers, truncating values like 0.2 to 0.  This reproduction
-        always stores float64 weights; the note is kept as API
-        documentation for users comparing against integer-weight
-        builds."""
-        return "weights stored as float64 (recompile-to-int not modeled)"

@@ -73,16 +73,12 @@ class Graph500System(GraphSystem):
         profile.add_round(units=m, memory_bytes=16.0 * m, skew=0.05)
         csr = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices)
         profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
-        return csr, profile
+        return csr.to_arrays_map("g_"), {"n": csr.n_vertices}, profile
 
     def _n_arcs(self, data: CSRGraph) -> int:
         return data.n_edges
 
-    # -- artifact cache ------------------------------------------------
-    def _pack_data(self, data: CSRGraph):
-        return data.to_arrays_map("g_"), {"n": data.n_vertices}
-
-    def _unpack_data(self, arrays, meta, dataset) -> CSRGraph:
+    def _assemble(self, arrays, meta) -> CSRGraph:
         return CSRGraph.from_arrays_map(arrays, "g_")
 
     # -- kernels -------------------------------------------------------

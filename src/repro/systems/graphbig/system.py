@@ -68,26 +68,15 @@ class GraphBigSystem(GraphSystem):
                           memory_bytes=48.0 * m, skew=0.05)
         csr = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices,
                                    weights=el.weights)
-        n = el.n_vertices
-        props = {
-            "level": np.full(n, -1, dtype=np.int64),
-            "color": np.zeros(n, dtype=np.int64),
-            "rank": np.zeros(n, dtype=np.float64),
-            "distance": np.full(n, np.inf),
-        }
-        return PropertyGraph(out=csr, n=n, properties=props), profile
+        return csr.to_arrays_map("out_"), {"n": el.n_vertices}, profile
 
     def _n_arcs(self, data: PropertyGraph) -> int:
         return data.n_arcs
 
-    # -- artifact cache ------------------------------------------------
-    def _pack_data(self, data: PropertyGraph):
-        # Only the CSR is cached: the property records are kernel
-        # *outputs* (kernels replace them per run), so they are
-        # reallocated fresh on restore instead of shared read-only.
-        return data.out.to_arrays_map("out_"), {"n": data.n}
-
-    def _unpack_data(self, arrays, meta, dataset) -> PropertyGraph:
+    def _assemble(self, arrays, meta) -> PropertyGraph:
+        # The property records are kernel *outputs* (kernels replace
+        # them per run), so they are allocated fresh per load instead
+        # of stored and shared read-only.
         n = int(meta["n"])
         props = {
             "level": np.full(n, -1, dtype=np.int64),

@@ -112,21 +112,15 @@ class GraphMatSystem(GraphSystem):
         at_sym = DCSRMatrix.from_csr(csr_sym)
         profile.add_round(units=sym.n_edges, memory_bytes=16.0 * sym.n_edges,
                           skew=0.05)
-        out_deg = np.bincount(el.src, minlength=n)
-        return GraphMatMatrices(at=at, at_sym=at_sym, out_degrees=out_deg,
-                                n=n), profile
+        arrays = {"out_degrees": np.bincount(el.src, minlength=n),
+                  **at.to_arrays_map("at_"),
+                  **at_sym.to_arrays_map("ats_")}
+        return arrays, {"n": n}, profile
 
     def _n_arcs(self, data: GraphMatMatrices) -> int:
         return data.n_arcs
 
-    # -- artifact cache ------------------------------------------------
-    def _pack_data(self, data: GraphMatMatrices):
-        arrays = {"out_degrees": data.out_degrees}
-        arrays.update(data.at.to_arrays_map("at_"))
-        arrays.update(data.at_sym.to_arrays_map("ats_"))
-        return arrays, {"n": data.n}
-
-    def _unpack_data(self, arrays, meta, dataset) -> GraphMatMatrices:
+    def _assemble(self, arrays, meta) -> GraphMatMatrices:
         n = int(meta["n"])
         return GraphMatMatrices(
             at=DCSRMatrix.from_arrays_map(arrays, n, "at_"),

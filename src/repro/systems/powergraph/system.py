@@ -101,20 +101,19 @@ class PowerGraphSystem(GraphSystem):
         out_s = CSRGraph.from_arrays(sym.src, sym.dst, sym.n_vertices)
         profile.add_round(units=sym.n_edges, memory_bytes=16.0 * sym.n_edges,
                           skew=0.05)
-        from repro.systems.powergraph.gas import AsyncGasEngine
-
-        engine_cls = (AsyncGasEngine if self.engine_kind == "async"
-                      else GasEngine)
-        data = PowerGraphData(
-            engine=engine_cls(inn, out, cut),
-            engine_sym=engine_cls(inn_s, out_s, cut),
-            cut=cut, n=el.n_vertices)
-        return data, profile
+        arrays = {"cut_edge_partition": cut.edge_partition,
+                  "cut_replicas": cut.replicas,
+                  "cut_master": cut.master,
+                  **inn.to_arrays_map("inn_"),
+                  **out.to_arrays_map("out_"),
+                  **inn_s.to_arrays_map("inns_"),
+                  **out_s.to_arrays_map("outs_")}
+        meta = {"n": el.n_vertices, "n_partitions": cut.n_partitions}
+        return arrays, meta, profile
 
     def _n_arcs(self, data: PowerGraphData) -> int:
         return data.n_arcs
 
-    # -- artifact cache ------------------------------------------------
     def _cache_token(self) -> dict:
         # The cut depends on the partition count; the engines are
         # rebuilt around the arrays per instance, but engine kind rides
@@ -122,18 +121,7 @@ class PowerGraphSystem(GraphSystem):
         return {"n_partitions": self.n_partitions,
                 "engine": self.engine_kind}
 
-    def _pack_data(self, data: PowerGraphData):
-        arrays = {"cut_edge_partition": data.cut.edge_partition,
-                  "cut_replicas": data.cut.replicas,
-                  "cut_master": data.cut.master}
-        arrays.update(data.engine.inn.to_arrays_map("inn_"))
-        arrays.update(data.engine.out.to_arrays_map("out_"))
-        arrays.update(data.engine_sym.inn.to_arrays_map("inns_"))
-        arrays.update(data.engine_sym.out.to_arrays_map("outs_"))
-        return arrays, {"n": data.n,
-                        "n_partitions": data.cut.n_partitions}
-
-    def _unpack_data(self, arrays, meta, dataset) -> PowerGraphData:
+    def _assemble(self, arrays, meta) -> PowerGraphData:
         from repro.systems.powergraph.gas import AsyncGasEngine
 
         n = int(meta["n"])

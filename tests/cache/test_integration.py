@@ -29,6 +29,20 @@ def memmap_backed(a) -> bool:
     return False
 
 
+def structure_arrays(obj, path="data"):
+    """Every array a loaded structure is made of, as ``{path: array}``:
+    public fields, recursively.  Underscore attributes are memo caches
+    and GraphBIG's ``properties`` are per-load kernel outputs -- neither
+    comes from the build."""
+    if isinstance(obj, np.ndarray):
+        return {path: obj}
+    found = {}
+    for name, value in getattr(obj, "__dict__", {}).items():
+        if not name.startswith("_") and name != "properties":
+            found.update(structure_arrays(value, f"{path}.{name}"))
+    return found
+
+
 # ----------------------------------------------------------------------
 # Layer 2: per-system loaded-graph caching
 # ----------------------------------------------------------------------
@@ -49,10 +63,10 @@ def test_warm_load_is_zero_copy_and_bit_identical(name, kron10_dataset,
     assert warm.build_s == cold.build_s
     assert warm.n_arcs == cold.n_arcs
 
-    # Every packed array of the warm structure is a read-only view
-    # over the cached .npy memmaps -- zero copies were made.
-    arrays, _ = warm_sys._pack_data(warm.data)
-    assert arrays, f"{name}: _pack_data returned no arrays"
+    # Every array of the warm structure is a read-only view over the
+    # cached .npy memmaps -- zero copies were made.
+    arrays = structure_arrays(warm.data)
+    assert arrays, f"{name}: warm structure holds no arrays"
     for aname, arr in arrays.items():
         assert memmap_backed(arr), \
             f"{name}: warm array {aname!r} is not memmap-backed"

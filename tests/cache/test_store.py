@@ -171,9 +171,6 @@ class TestMaintenance:
 
         off = ExperimentConfig(output_dir=tmp_path / "o")
         assert ArtifactCache.from_config(off) is None
-        disabled = off.with_(cache_dir=tmp_path / "c",
-                             cache_enabled=False)
-        assert ArtifactCache.from_config(disabled) is None
         on = off.with_(cache_dir=tmp_path / "c")
         cache = ArtifactCache.from_config(on)
         assert cache is not None and cache.root == tmp_path / "c"

@@ -18,12 +18,14 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import ExperimentConfig
+from repro.core.experiment import Experiment
+from repro.core.logs import parse_all_logs
 from repro.core.runner import Runner
 from repro.core.suite import run_paper_suite, resume_paper_suite
 from repro.errors import ConfigError
 from repro.observability.export import read_events, validate_events
 from repro.parallel import CellPool, resolve_jobs, run_cell_task
-from repro.resilience import SuiteCheckpoint
+from repro.resilience import SuiteCheckpoint, cell_id
 
 PARAMS = dict(scale=8, n_roots=2, render_svg=False)
 
@@ -79,10 +81,31 @@ class TestResolveJobs:
 
 
 class TestCellPool:
-    def test_serial_pool_is_not_parallel(self):
+    def test_one_job_pool_runs_in_process_at_result(self, tmp_path,
+                                                    kron10_dataset):
+        """The one-job executor is lazy: ``submit_cell`` runs nothing,
+        ``result()`` runs the cell in this process, and closing a pool
+        that never forked is safe."""
+        cfg = ExperimentConfig(output_dir=tmp_path, scale=10, n_roots=2)
+        pids = []
+        real = Runner.run_system_algorithm
+
+        def spy(self, *args, **kwargs):
+            pids.append(os.getpid())
+            return real(self, *args, **kwargs)
+
         pool = CellPool(1)
-        assert not pool.parallel
-        pool.close()  # never created an executor; must still be safe
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Runner, "run_system_algorithm", spy)
+            with pool.sweep():
+                fut = pool.submit_cell(cfg, kron10_dataset,
+                                       "gap", "bfs", 32)
+                assert pids == []
+                outcome, events = fut.result()
+        assert pids == [os.getpid()]
+        assert outcome.status == "completed" and events == []
+        assert pool._processes is None
+        pool.close()
 
     def test_run_cell_task_in_process(self, tmp_path, kron10_dataset):
         """The worker entry point works without a pool: it returns the
@@ -92,6 +115,62 @@ class TestCellPool:
                                         "gap", "bfs", 32)
         assert outcome.status == "completed"
         assert isinstance(events, list)  # untraced -> empty capture
+
+    def test_shared_pool_never_reuses_a_stale_runner(self, tmp_path):
+        """Regression: worker state was keyed on the output directory
+        alone, so a second experiment in the same directory and pool
+        silently ran on the first one's Runner (and its ``n_roots``)."""
+        def roots_per_cell(n_roots, pool):
+            cfg = ExperimentConfig(
+                output_dir=tmp_path, scale=6, n_roots=n_roots,
+                systems=("gap", "graphbig"), algorithms=("bfs", "sssp"))
+            SuiteCheckpoint.clear(tmp_path)
+            exp = Experiment(cfg)
+            exp.setup()
+            exp.run(pool=pool)
+            roots = {}
+            for r in parse_all_logs(tmp_path / "logs"):
+                if r.metric == "time":
+                    roots.setdefault((r.system, r.algorithm),
+                                     set()).add(r.root)
+            return {len(v) for v in roots.values()}
+
+        with CellPool(2) as pool:
+            assert roots_per_cell(2, pool) == {2}
+            assert roots_per_cell(3, pool) == {3}
+
+
+# ----------------------------------------------------------------------
+# An interrupt inside cell k: what the checkpoint holds afterwards
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_interrupt_leaves_a_canonical_prefix(tmp_path, jobs):
+    """At one job exactly the cells before the interrupted one are
+    recorded; at two, a (possibly shorter) prefix of the same order."""
+    cfg = ExperimentConfig(
+        output_dir=tmp_path, scale=6, n_roots=1, jobs=jobs,
+        systems=("gap", "graphbig"), algorithms=("bfs", "sssp"))
+    exp = Experiment(cfg)
+    exp.setup()
+    order = [cell_id(*cell) for cell in exp._cells()]
+    k = 2
+    real = Runner.run_system_algorithm
+
+    def dying(self, system, algorithm, n_threads, **kwargs):
+        if cell_id(system, algorithm, n_threads) == order[k]:
+            raise KeyboardInterrupt
+        return real(self, system, algorithm, n_threads, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Runner, "run_system_algorithm", dying)
+        with pytest.raises(KeyboardInterrupt):
+            exp.run()
+    done = list(SuiteCheckpoint.load_or_create(tmp_path, cfg).cells)
+    assert done == order[:len(done)]
+    if jobs == 1:
+        assert done == order[:k]
+    else:
+        assert len(done) <= k
 
 
 # ----------------------------------------------------------------------
