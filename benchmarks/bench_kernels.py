@@ -7,7 +7,7 @@ benchmark run:
 
 * **Byte-identity.**  This file embeds the *pre-library* kernels
   verbatim (top-down/bottom-up dobfs, delta-stepping, Graph500 bitmap
-  BFS, GraphBIG queue BFS / Bellman-Ford, the GAS gather/signal phases,
+  BFS, GraphBIG queue BFS / Bellman-Ford, the full-gather GAS engine,
   reference BFS/CDLP/Dijkstra-dedup) and asserts that parent / level /
   dist / label arrays, WorkProfile round vectors, and stats dicts match
   the library-backed kernels *exactly* -- ``array_equal`` on every
@@ -33,6 +33,9 @@ from conftest import BENCH_SCALE, write_artifact
 
 from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
 from repro.graph.csr import CSRGraph
+from repro.graph.frontier import (_push_dense, _push_sparse,
+                                  segment_min_scatter)
+from repro.graph.scratch import KernelScratch
 from repro.machine.threads import WorkProfile
 from repro.systems.gap.bfs import dobfs
 from repro.systems.gap.graph import GapGraph, build_gap_graph
@@ -352,7 +355,11 @@ def _ref_sssp_bellman_ford(pg, root):
 
 
 class _RefGasEngine(GasEngine):
-    """GasEngine with the pre-library gather/signal phases."""
+    """The pre-library engine: a full gather over the in-edges of every
+    signalled vertex each superstep and a second out-edge expansion for
+    the signals, where :class:`GasEngine` now reads an accumulator
+    cache.  Runs the pre-library per-edge programs (``gather(state,
+    srcs, dsts, weights)``)."""
 
     def _gather_phase(self, program, state, targets):
         inn = self.inn
@@ -369,10 +376,7 @@ class _RefGasEngine(GasEngine):
         w = inn.weights[slots] if inn.weights is not None else None
         contributions = program.gather(state, srcs, dst_rep, w)
         idx = np.repeat(np.arange(targets.size), counts)
-        if program.reduce == "sum":
-            np.add.at(gathered, idx, contributions)
-        else:
-            np.minimum.at(gathered, idx, contributions)
+        np.minimum.at(gathered, idx, contributions)
         return gathered, total
 
     def _signaled(self, active):
@@ -386,6 +390,69 @@ class _RefGasEngine(GasEngine):
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         slots = np.repeat(starts - offsets, counts) + np.arange(total)
         return np.unique(out.col_idx[slots])
+
+    def run(self, program, initial, initially_active,
+            max_supersteps=10_000):
+        n = self.inn.n_vertices
+        state = SimpleNamespace(data=initial.copy(),
+                                active=initially_active.copy(),
+                                superstep=0)
+        profile = WorkProfile()
+        rep = max(self.cut.replication_factor, 1.0)
+        out_deg = self.out.out_degrees()
+        max_deg = float(out_deg.max()) if n else 0.0
+        gathered_edges = 0
+        scattered_edges = 0
+        while state.active.any() and state.superstep < max_supersteps:
+            state.superstep += 1
+            if state.superstep == 1:
+                targets = np.flatnonzero(state.active)
+            else:
+                targets = self._signaled(state.active)
+            if targets.size == 0:
+                break
+            gathered, g_edges = self._gather_phase(program, state, targets)
+            gathered_edges += g_edges
+            old_vals = state.data[targets].copy()
+            new_vals = program.apply(state, targets, gathered)
+            changed_mask = np.abs(new_vals - old_vals) > program.tolerance
+            state.data[targets] = new_vals
+            if state.superstep == 1:
+                changed = targets
+            else:
+                changed = targets[changed_mask]
+            s_edges = int(out_deg[changed].sum())
+            scattered_edges += s_edges
+            mirror_units = rep * targets.size
+            units = g_edges + s_edges + targets.size + mirror_units
+            profile.add_round(
+                units=units,
+                memory_bytes=24.0 * (g_edges + s_edges) + 16.0 * mirror_units,
+                skew=min(max_deg / max(units, 1.0), 1.0))
+            nxt = np.zeros(n, dtype=bool)
+            nxt[changed] = True
+            state.active = nxt
+        stats = {
+            "supersteps": state.superstep,
+            "gathered_edges": gathered_edges,
+            "scattered_edges": scattered_edges,
+            "replication_factor": self.cut.replication_factor,
+        }
+        return state.data, state.superstep, profile, stats
+
+
+def _ref_run_sssp(engine, root):
+    n = engine.inn.n_vertices
+    dist = np.full(n, np.inf)
+    dist[root] = 0.0
+    active = np.zeros(n, dtype=bool)
+    active[root] = True
+    program = SimpleNamespace(
+        gather=lambda state, srcs, dsts, weights: state.data[srcs] + weights,
+        apply=lambda state, vertices, gathered: np.minimum(
+            state.data[vertices], gathered),
+        tolerance=0.0, identity=np.inf)
+    return engine.run(program, dist, active)
 
 
 # ======================================================================
@@ -407,6 +474,27 @@ def _assert_identical(label, got, want, checks):
         f"{label}: WorkProfile diverged"
     assert g_stats == w_stats, f"{label}: stats diverged"
     checks.append(label)
+
+
+def _assert_push_sides_identical(csr, root, checks):
+    """Both sides of ``push_candidates``' switch, every round of a
+    Bellman-Ford from ``root``."""
+    scratch = KernelScratch(csr.n_vertices, csr.n_edges)
+    dist = np.full(csr.n_vertices, np.inf)
+    dist[root] = 0.0
+    active = np.array([root], dtype=np.int64)
+    rounds = 0
+    while active.size:
+        rounds += 1
+        args = (csr, csr.weights, active, dist, dist, scratch, None, None)
+        dsts, cand = _push_sparse(*args)
+        d_dsts, d_cand = _push_dense(*args)
+        assert np.array_equal(dsts, d_dsts) and np.array_equal(
+            cand, d_cand), f"push_candidates[{root}]: sides diverged"
+        if dsts.size == 0:
+            break
+        active = segment_min_scatter(dist, dsts, cand, scratch)
+    checks.append(f"frontier/push_candidates[{root}] x{rounds}")
 
 
 def _bench_graph(scale, weighted):
@@ -457,7 +545,8 @@ def test_kernel_gate(benchmark):
                           ((gd,), gprof, gst), ((rd,), rprof, rst),
                           checks)
 
-    # PowerGraph: full GAS SSSP on new vs pre-library engine phases.
+    # PowerGraph: GAS SSSP through the accumulator cache vs the
+    # pre-library full-gather engine.
     sym = el.symmetrized()
     out = CSRGraph.from_arrays(sym.src, sym.dst, sym.n_vertices,
                                weights=sym.weights)
@@ -468,10 +557,14 @@ def test_kernel_gate(benchmark):
     engine = GasEngine(inn, out, cut)
     ref_engine = _RefGasEngine(inn, out, cut)
     gd, git, gprof, gst = run_sssp(engine, root)
-    rd, rit, rprof, rst = run_sssp(ref_engine, root)
+    rd, rit, rprof, rst = _ref_run_sssp(ref_engine, root)
     assert git == rit
     _assert_identical(f"powergraph/gas_sssp[{root}]",
                       ((gd,), gprof, gst), ((rd,), rprof, rst), checks)
+
+    # The push primitive: both sides of its switch, every round of a
+    # Bellman-Ford over the same graph.
+    _assert_push_sides_identical(out, root, checks)
 
     # ------------------------------------------------------------------
     # 2. Hot-loop speedup at scale >= 16 (plus identity re-check there).
@@ -508,9 +601,6 @@ def test_kernel_gate(benchmark):
     hot_speedup = old_s / max(new_s, 1e-9)
 
     # Relaxation scatter: minimum.at + unique vs segment_min_scatter.
-    from repro.graph.frontier import segment_min_scatter
-    from repro.graph.scratch import KernelScratch
-
     n = hot.n_vertices
     m = 2_000_000
     rng = np.random.default_rng(2)

@@ -148,9 +148,20 @@ class DCSRMatrix:
             object.__setattr__(self, "_row_sources", cached)
         return cached
 
+    def col_nnz(self) -> np.ndarray:
+        """Entries per column (``int64[n]``), memoized read-only like
+        :meth:`row_sources`: what a masked SpMV touches is the sum of
+        this over the masked columns."""
+        cached = self.__dict__.get("_col_nnz")
+        if cached is None:
+            cached = np.bincount(self.col_idx, minlength=self.n)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_col_nnz", cached)
+        return cached
+
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items()
-                if k != "_row_sources"}
+                if k not in ("_row_sources", "_col_nnz")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)

@@ -17,6 +17,9 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
 
 * :func:`gather_slots` produces the identical ``int64`` slot vector via
   an integer cumulative sum (exact arithmetic, different association);
+* :func:`push_candidates` emits the arcs of a relaxation round in CSR
+  order with each candidate the sum of the same two operands, whether
+  it expanded slots or walked the whole CSR;
 * :func:`claim_first_parent` selects the minimum source per target --
   the same winner ``np.lexsort((srcs, nbrs))`` + first-occurrence picks
   -- either by reverse-order scatter (last write wins, so the first =
@@ -28,10 +31,14 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
   pass;
 * :func:`dedup_ids` is ``np.unique`` for bounded non-negative ids.
 
-Floating-point *sums* (``np.add.at`` in PageRank and Brandes) are left
-untouched everywhere: re-associating additions changes low-order bits,
-which the byte-identity gate (``benchmarks/bench_kernels.py``) would
-reject.
+Floating-point *sums* are never re-associated -- that changes low-order
+bits, which the byte-identity gate (``benchmarks/bench_kernels.py``)
+would reject -- so this module offers no sum primitive.  Brandes keeps
+``np.add.at``; every PageRank sweep accumulates with
+``np.bincount(dst, weights=...)``, which adds each destination's terms
+left to right in arc order exactly as ``np.add.at`` into zeros does
+(goldens in ``tests/graph/test_sweeps.py`` and
+``tests/systems/test_pagerank_goldens.py``).
 
 The gate also enforces the point of the exercise: >=2x on the
 gathered-edge hot loop at Kronecker scale 16.
@@ -46,16 +53,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.graph.csr import CSRGraph
 from repro.graph.scratch import COUNTERS, KernelScratch
 
 __all__ = ["GatherSlots", "gather_slots", "claim_first_parent",
-           "first_hit_scan", "segment_min_scatter", "dedup_ids",
-           "BucketQueue", "resolve_batch_rows"]
+           "first_hit_scan", "push_candidates", "segment_min_scatter",
+           "dedup_ids", "BucketQueue", "resolve_batch_rows"]
 
 #: Below ``n >> _SMALL_SHIFT`` touched elements, sort-based paths beat
 #: O(n) mask sweeps; both sides are bit-identical so this is purely a
 #: constant-factor switch.
 _SMALL_SHIFT = 4
+
+#: :func:`push_candidates` walks the whole CSR instead of expanding slots
+#: once the members own at least this share of its arcs.  Both sides
+#: return identical arrays, so this too is only a constant factor; the
+#: measurement that chose it is in that function's docstring.
+_DENSE_SHARE = 0.3
 
 
 @dataclass(frozen=True)
@@ -197,6 +211,101 @@ def first_hit_scan(row_ptr: np.ndarray, col_idx: np.ndarray,
     parents = col_idx[gs.slots[first_hit[found]]]
     examined = np.where(found, first_hit - gs.offsets + 1, gs.counts)
     return found, parents, int(examined.sum())
+
+
+def push_candidates(csr: CSRGraph, lengths: np.ndarray | None,
+                    members: np.ndarray, values: np.ndarray,
+                    dist: np.ndarray, scratch: KernelScratch,
+                    keep: np.ndarray | None = None,
+                    touched: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Out-arcs of ``members`` whose candidate beats ``dist`` at the
+    far end: the push half of every relaxation round.
+
+    The candidate of arc ``s -> d`` is ``values[s] + lengths[arc]``
+    (``values[s]`` itself when ``lengths`` is ``None``).  Returns
+    ``(dsts, cand, examined)``: destination and candidate of every arc
+    with ``cand < dist[dst]``, in CSR order, and the out-degree sum of
+    ``members`` -- the count the work profiles price, whatever the
+    filters drop.  ``members`` are sorted unique ids; ``keep`` is an
+    optional per-arc mask (delta-stepping's light or heavy arcs);
+    ``touched``, when given, is a ``bool[n]`` that is set at every
+    destination a kept arc of a member reaches, improved or not (the
+    GAS engine's signalled set, out of the same expansion).
+
+    Two ways to the same arrays.  *Sparse*: :func:`gather_slots`, then
+    one gather each of ``col_idx`` and ``lengths``; source values are
+    repeated per segment instead of gathered per arc.  *Dense*: a
+    per-vertex source value that is ``+inf`` off ``members`` is
+    repeated over the whole CSR, so no slot vector is built and
+    ``col_idx`` / ``lengths`` are read in place; an arc of a
+    non-member has candidate ``inf`` and never passes ``<``.  Element
+    order is CSR order on both sides and each candidate is the sum of
+    the same two operands, so the outputs are bit-identical and
+    :data:`_DENSE_SHARE` only picks the cheaper one.
+
+    Measured per call inside real SSSP runs (12 roots, symmetrized
+    Kronecker scale 13 / 16, each side forced in turn, best of 3): the
+    dense side costs a flat 1.0-1.5 ms / 7-9 ms whatever the share, the
+    sparse side grows linearly to 3.5-4.5 ms / 27-35 ms at a full
+    sweep.  They cross at a share of 0.20-0.25 for delta-stepping
+    (``keep`` makes the sparse side gather twice), 0.30-0.35 for
+    Bellman-Ford and 0.50-0.55 for the GAS scatter (``touched`` costs
+    the dense side a second pass).  0.3 sits between them: the worst
+    mis-pick is the GAS scatter at shares of 0.3-0.5, about 0.4 ms a
+    call at scale 13 on 3-4 calls per root.
+    """
+    examined = int((csr.row_ptr[members + 1] - csr.row_ptr[members]).sum())
+    if examined < _DENSE_SHARE * csr.n_edges:
+        side = _push_sparse
+    else:
+        side = _push_dense
+        # The sparse side's arcs are counted by ``gather_slots``.
+        COUNTERS["gather_edges"] += float(examined)
+    dsts, cand = side(csr, lengths, members, values, dist, scratch,
+                      keep, touched)
+    return dsts, cand, examined
+
+
+def _push_sparse(csr, lengths, members, values, dist, scratch, keep,
+                 touched):
+    gs = gather_slots(csr.row_ptr, members, scratch)
+    slots = gs.slots
+    cand = np.repeat(values[members], gs.counts)
+    if keep is not None:
+        kept = keep[slots]
+        slots = slots[kept]
+        cand = cand[kept]
+    dsts = csr.col_idx[slots]
+    if lengths is not None:
+        cand += lengths[slots]
+    if touched is not None:
+        touched[dsts] = True
+    better = cand < dist[dsts]
+    return dsts[better], cand[better]
+
+
+def _push_dense(csr, lengths, members, values, dist, scratch, keep,
+                touched):
+    out_deg = csr.out_degrees()
+    src_val = np.full(csr.n_vertices, np.inf)
+    src_val[members] = values[members]
+    cand = np.repeat(src_val, out_deg)
+    if lengths is not None:
+        cand += lengths
+    dsts = csr.col_idx
+    better = cand < dist[dsts]
+    if keep is not None:
+        better &= keep
+    if touched is not None:
+        is_member = scratch.mask("push")
+        is_member[members] = True
+        live = np.repeat(is_member, out_deg)
+        is_member[members] = False
+        if keep is not None:
+            live &= keep
+        touched[dsts[live]] = True
+    return dsts[better], cand[better]
 
 
 def segment_min_scatter(dist: np.ndarray, dsts: np.ndarray,

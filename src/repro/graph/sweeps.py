@@ -25,6 +25,7 @@ from repro.graph.frontier import (
     claim_first_parent,
     first_hit_scan,
     gather_slots,
+    push_candidates,
     segment_min_scatter,
 )
 from repro.graph.scratch import KernelScratch
@@ -115,32 +116,20 @@ class LocalSweeps:
 
     # -- SSSP ----------------------------------------------------------
     def begin_sssp(self, root: int, delta: float) -> np.ndarray:
-        self.light = self.out.weights < delta
+        light = self.out.weights < delta
+        self.keep = {RELAX_LIGHT: light, RELAX_HEAVY: ~light}
         self.dist = np.full(self.n, np.inf)
         self.dist[root] = 0.0
         return self.dist
 
     def relax(self, members, mode):
-        out, dist = self.out, self.dist
-        none = np.empty(0, dtype=np.int64)
-        gs = gather_slots(out.row_ptr, members, self.scratch)
-        if gs.total == 0:
-            return none, 0
-        keep = self.light[gs.slots]
-        if mode == RELAX_HEAVY:
-            keep = ~keep
-        slots = gs.slots[keep]
-        srcs = np.repeat(members, gs.counts)[keep]
-        if slots.size == 0:
-            return none, gs.total
-        dsts = out.col_idx[slots]
-        cand = dist[srcs] + out.weights[slots]
-        better = cand < dist[dsts]
-        dsts_b = dsts[better]
-        if dsts_b.size == 0:
-            return none, gs.total
-        return (segment_min_scatter(dist, dsts_b, cand[better],
-                                    self.scratch), gs.total)
+        dist = self.dist
+        dsts, cand, examined = push_candidates(
+            self.out, self.out.weights, members, dist, dist, self.scratch,
+            keep=self.keep[mode])
+        if dsts.size == 0:
+            return np.empty(0, dtype=np.int64), examined
+        return segment_min_scatter(dist, dsts, cand, self.scratch), examined
 
     # -- PageRank ------------------------------------------------------
     def begin_pagerank(self, rank):

@@ -47,24 +47,25 @@ def pagerank_gs(graph: GapGraph, damping: float = DEFAULT_DAMPING,
     profile = WorkProfile()
     bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64)
     nnz = inn.n_edges
+    # Per block: its vertex range, its arcs, and each arc's row within
+    # the block.
+    blocks = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if hi > lo:
+            ptr = inn.row_ptr[lo:hi + 1]
+            blocks.append((lo, hi, inn.col_idx[ptr[0]:ptr[-1]],
+                           np.repeat(np.arange(hi - lo), np.diff(ptr))))
 
     for it in range(1, max_iterations + 1):
         old = rank.copy()
         dangling_mass = rank[dangling].sum() / n
-        for b in range(n_blocks):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            if hi <= lo:
-                continue
-            seg_lo = inn.row_ptr[lo]
-            seg_hi = inn.row_ptr[hi]
-            srcs = inn.col_idx[seg_lo:seg_hi]
+        for lo, hi, srcs, local_rows in blocks:
             # Pull contributions using *current* rank: blocks already
             # swept this iteration contribute their fresh values.
-            contrib = np.zeros(hi - lo)
-            rows = np.repeat(
-                np.arange(lo, hi, dtype=np.int64),
-                np.diff(inn.row_ptr[lo:hi + 1]))
-            np.add.at(contrib, rows - lo, rank[srcs] * inv_out[srcs])
+            # ``bincount`` adds each row's terms left to right in arc
+            # order, bit-identical to ``np.add.at`` into zeros.
+            contrib = np.bincount(local_rows, minlength=hi - lo,
+                                  weights=rank[srcs] * inv_out[srcs])
             rank[lo:hi] = base + damping * (contrib + dangling_mass)
         # GAP renormalizes each sweep, keeping the probability mass exact
         # (Gauss-Seidel updates do not conserve it mid-stream).

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.frontier import (claim_first_parent, gather_slots,
-                                  segment_min_scatter)
+                                  push_candidates, segment_min_scatter)
 from repro.graph.scratch import scratch_for
 from repro.graph.simple import simple_undirected_view
 from repro.machine.threads import WorkProfile
@@ -87,22 +87,16 @@ def sssp_bellman_ford(pg, root: int):
     relaxations = 0
     while active.size:
         supersteps += 1
-        gs = gather_slots(csr.row_ptr, active, scratch)
-        relaxations += gs.total
+        dsts, cand, examined = push_candidates(
+            csr, csr.weights, active, dist, dist, scratch)
+        relaxations += examined
         profile.add_round(
-            units=gs.total + PROPERTY_ACCESS_COST * active.size,
-            memory_bytes=28.0 * gs.total,
-            skew=min(max_deg / max(gs.total, 1.0), 1.0))
-        if gs.total == 0:
+            units=examined + PROPERTY_ACCESS_COST * active.size,
+            memory_bytes=28.0 * examined,
+            skew=min(max_deg / max(examined, 1.0), 1.0))
+        if dsts.size == 0:
             break
-        nbrs = csr.col_idx[gs.slots]
-        srcs = np.repeat(active, gs.counts)
-        cand = dist[srcs] + csr.weights[gs.slots]
-        better = cand < dist[nbrs]
-        if not better.any():
-            break
-        active = segment_min_scatter(dist, nbrs[better], cand[better],
-                                     scratch)
+        active = segment_min_scatter(dist, dsts, cand, scratch)
     return dist, profile, {"supersteps": supersteps,
                            "relaxations": relaxations}
 
@@ -128,9 +122,10 @@ def pagerank_jacobi(pg, damping: float, epsilon: float,
     m = csr.n_edges
     iterations = max_iterations
     for it in range(1, max_iterations + 1):
-        contrib = np.zeros(n)
-        if m:
-            np.add.at(contrib, dst, rank[src] / out_deg[src])
+        # Ordered sum: ``bincount`` adds each destination's terms left
+        # to right in arc order, bit-identical to ``np.add.at``.
+        contrib = np.bincount(dst, minlength=n,
+                              weights=rank[src] / out_deg[src])
         new_rank = base + damping * (contrib + rank[dangling].sum() / n)
         delta = float(np.abs(new_rank - rank).sum())
         rank = new_rank

@@ -26,7 +26,7 @@ def _active_nnz(at: DCSRMatrix, active_mask: np.ndarray) -> float:
     """nnz of the columns selected by ``active_mask`` (the work a masked
     SpMV performs when the frontier is sparse)."""
     # Column-count view: at holds A^T, so columns of A^T = rows of A.
-    return float(active_mask[at.col_idx].sum())
+    return float(at.col_nnz()[active_mask].sum())
 
 
 def bfs_spmv(at: DCSRMatrix, out_degrees: np.ndarray, root: int):

@@ -1,16 +1,29 @@
 """The synchronous gather-apply-scatter engine.
 
 A :class:`VertexProgram` declares its three phases; the engine runs
-supersteps over the active vertex set until quiescence (no signals) or
-an iteration cap.  Work accounting per superstep:
+supersteps over the signalled vertex set until quiescence (no signals)
+or an iteration cap.  Work is *priced* per superstep as the toolkit
+performs it -- the Table/Fig numbers rest on these counts:
 
-* gather: one unit per in-edge of an active vertex;
-* apply: one unit per active vertex;
+* gather: one unit per in-edge of a signalled vertex (a full gather);
+* apply: one unit per signalled vertex;
 * scatter: one unit per out-edge of a changed vertex;
-* mirror sync: ``replication_factor`` units per active vertex (the
+* mirror sync: ``replication_factor`` units per signalled vertex (the
   master/mirror exchange a distributed PowerGraph would send over the
   network and the shared-memory build still performs through its
   communication abstraction).
+
+It is *executed* through an accumulator cache, PowerGraph's own delta
+caching (Gonzalez et al., OSDI'12, Sec. 4.2): ``acc[v]`` holds the
+min-reduced gather of ``v``; one dense pass over the in-CSR fills it
+and from then on the scatter of a changed vertex posts its new term to
+its out-neighbours' accumulators.  A gather is then a read of ``acc``,
+and the scatter's one out-edge expansion also names the next
+superstep's signalled set.  That is exact for the programs the engine
+accepts -- ``reduce="min"`` with an apply that never raises a value --
+because the term of an unchanged source is already in the accumulator,
+the new term of a changed one is no larger than the one it replaces,
+and ``min`` over NaN-free floats does not depend on order.
 
 The fiber scheduler's per-superstep latency is folded into the barrier
 cost of the thread model (PowerGraph's calibrated ``barrier_s`` is the
@@ -25,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import dedup_ids, gather_slots
+from repro.graph.frontier import push_candidates
 from repro.graph.scratch import scratch_for
 from repro.machine.threads import WorkProfile
 from repro.systems.powergraph.partition import VertexCut
@@ -38,7 +51,6 @@ class GasState:
     """Mutable engine state handed to the program's phases."""
 
     data: np.ndarray              # per-vertex value(s)
-    active: np.ndarray            # bool mask of signaled vertices
     superstep: int = 0
 
 
@@ -47,26 +59,29 @@ class VertexProgram:
     """One GAS algorithm.
 
     gather:
-        ``gather(state, srcs, dsts, weights) -> contributions`` --
-        per-in-edge values for the active destination vertices.
+        ``gather(state, weights) -> (values, lengths)`` -- what an arc
+        ``s -> t`` contributes to ``t`` is ``values[s] + lengths[arc]``,
+        or ``values[s]`` itself when ``lengths`` is ``None``.
+        ``weights`` are the per-arc weights of the CSR being walked
+        (``None`` when it has none); ``lengths`` is that array or
+        ``None``.
     reduce:
-        ``"sum"`` or ``"min"`` -- how contributions combine per vertex.
+        how contributions combine per vertex; the engines run ``"min"``
+        only.
     apply:
         ``apply(state, vertex_ids, gathered) -> new_values`` for the
-        gathered vertices (vertices with no in-edges get the identity).
-    scatter_changed_only:
-        signal out-neighbors of changed vertices (True for everything
-        here -- PowerGraph's delta-style programs).
-    tolerance:
-        per-vertex change threshold below which a vertex does not
-        re-signal.
+        signalled vertices (vertices with no in-edges get the
+        identity).  Must not raise a value: the accumulator cache keeps
+        every term a source has ever offered.
+
+    Every change scatters (PowerGraph's delta-style programs): a vertex
+    signals its out-neighbours whenever apply moved its value.
     """
 
     name: str
     gather: Callable
     reduce: str
     apply: Callable
-    tolerance: float = 0.0
     identity: float = 0.0
 
 
@@ -84,66 +99,57 @@ class GasEngine:
                            max(self.inn.n_edges, self.out.n_edges))
 
     # ------------------------------------------------------------------
-    def _gather_phase(self, program: VertexProgram, state: GasState,
-                      targets: np.ndarray) -> tuple[np.ndarray, int]:
-        """Reduce in-edge contributions for ``targets``.
-
-        The slot expansion is the shared
-        :func:`~repro.graph.frontier.gather_slots`; the per-vertex
-        reduction keeps ``np.add.at`` for sums (re-associating float
-        additions would change low-order bits) and ``np.minimum.at``
-        for mins.
-        """
+    def _full_gather(self, program: VertexProgram,
+                     state: GasState) -> np.ndarray:
+        """Min-reduced contribution of every in-edge, per vertex: the
+        accumulators' starting point."""
         inn = self.inn
-        gathered = np.full(targets.size, program.identity, dtype=np.float64)
-        gs = gather_slots(inn.row_ptr, targets, self._scratch())
-        if gs.total == 0:
-            return gathered, 0
-        srcs = inn.col_idx[gs.slots]
-        dst_rep = np.repeat(targets, gs.counts)
-        w = inn.weights[gs.slots] if inn.weights is not None else None
-        contributions = program.gather(state, srcs, dst_rep, w)
-        idx = np.repeat(np.arange(targets.size), gs.counts)
-        if program.reduce == "sum":
-            np.add.at(gathered, idx, contributions)
-        elif program.reduce == "min":
-            np.minimum.at(gathered, idx, contributions)
-        else:  # pragma: no cover - guarded by VertexProgram authors
-            raise ValueError(f"unknown reduce {program.reduce!r}")
-        return gathered, gs.total
+        acc = np.full(inn.n_vertices, program.identity, dtype=np.float64)
+        if inn.n_edges:
+            values, lengths = program.gather(state, inn.weights)
+            terms = values[inn.col_idx]
+            if lengths is not None:
+                terms += lengths
+            rows = np.flatnonzero(inn.out_degrees())
+            acc[rows] = np.minimum(
+                program.identity,
+                np.minimum.reduceat(terms, inn.row_ptr[rows]))
+        return acc
 
     def run(self, program: VertexProgram, initial: np.ndarray,
             initially_active: np.ndarray, max_supersteps: int = 10_000,
             ) -> tuple[np.ndarray, int, WorkProfile, dict]:
         """Run to quiescence; return (data, supersteps, profile, stats)."""
+        if program.reduce != "min":
+            raise ValueError("the GAS engines support min-programs only")
         n = self.inn.n_vertices
-        state = GasState(data=initial.copy(),
-                         active=initially_active.copy())
+        out = self.out
+        scratch = self._scratch()
+        state = GasState(data=initial.copy())
         profile = WorkProfile()
         rep = max(self.cut.replication_factor, 1.0)
-        out_deg = self.out.out_degrees()
+        in_deg = self.inn.out_degrees()
+        out_deg = out.out_degrees()
         max_deg = float(out_deg.max()) if n else 0.0
         gathered_edges = 0
         scattered_edges = 0
 
-        while state.active.any() and state.superstep < max_supersteps:
+        acc = self._full_gather(program, state)
+        signalled = scratch.mask("signal")
+        # Who gathers: the initially signalled set on the first
+        # superstep, then whoever the last scatter reached.
+        targets = changed = np.flatnonzero(initially_active)
+        while changed.size and state.superstep < max_supersteps:
             state.superstep += 1
-            # Gather targets: vertices whose in-neighborhood contains an
-            # active vertex (PowerGraph gathers at vertices signaled by
-            # scatter; synchronously that is the out-neighborhood of the
-            # active set, plus the active set itself on the first step).
-            if state.superstep == 1:
-                targets = np.flatnonzero(state.active)
-            else:
-                targets = self._signaled(state.active)
             if targets.size == 0:
+                # The last changed set had no out-arcs: the superstep
+                # that finds nobody signalled still counts.
                 break
-            gathered, g_edges = self._gather_phase(program, state, targets)
+            g_edges = int(in_deg[targets].sum())
             gathered_edges += g_edges
 
-            old_vals = state.data[targets].copy()
-            new_vals = program.apply(state, targets, gathered)
-            changed_mask = np.abs(new_vals - old_vals) > program.tolerance
+            old_vals = state.data[targets]
+            new_vals = program.apply(state, targets, acc[targets])
             state.data[targets] = new_vals
             if state.superstep == 1:
                 # Initially signaled vertices always scatter once, even
@@ -151,9 +157,16 @@ class GasEngine:
                 # SSSP must announce its zero distance).
                 changed = targets
             else:
-                changed = targets[changed_mask]
+                changed = targets[new_vals != old_vals]
 
-            s_edges = int(out_deg[changed].sum())
+            # Scatter: post each changed vertex's new term to its
+            # out-neighbours' accumulators; everyone reached is
+            # signalled, improved or not.
+            values, lengths = program.gather(state, out.weights)
+            dsts, cand, s_edges = push_candidates(
+                out, lengths, changed, values, acc, scratch,
+                touched=signalled)
+            np.minimum.at(acc, dsts, cand)
             scattered_edges += s_edges
             mirror_units = rep * targets.size
             units = g_edges + s_edges + targets.size + mirror_units
@@ -162,9 +175,8 @@ class GasEngine:
                 memory_bytes=24.0 * (g_edges + s_edges) + 16.0 * mirror_units,
                 skew=min(max_deg / max(units, 1.0), 1.0))
 
-            nxt = np.zeros(n, dtype=bool)
-            nxt[changed] = True
-            state.active = nxt
+            targets = np.flatnonzero(signalled)
+            signalled[targets] = False
 
         stats = {
             "supersteps": state.superstep,
@@ -173,16 +185,6 @@ class GasEngine:
             "replication_factor": self.cut.replication_factor,
         }
         return state.data, state.superstep, profile, stats
-
-    def _signaled(self, active: np.ndarray) -> np.ndarray:
-        """Out-neighborhood of the active set (who got signals)."""
-        frontier = np.flatnonzero(active)
-        out = self.out
-        scratch = self._scratch()
-        gs = gather_slots(out.row_ptr, frontier, scratch)
-        if gs.total == 0:
-            return np.empty(0, dtype=np.int64)
-        return dedup_ids(out.col_idx[gs.slots], out.n_vertices, scratch)
 
 
 class AsyncGasEngine(GasEngine):
@@ -210,8 +212,7 @@ class AsyncGasEngine(GasEngine):
             initially_active: np.ndarray, max_supersteps: int = 10_000,
             ) -> tuple[np.ndarray, int, WorkProfile, dict]:
         if program.reduce != "min":
-            raise ValueError(
-                "the async engine supports min-programs only")
+            raise ValueError("the GAS engines support min-programs only")
         import heapq
 
         n = self.inn.n_vertices

@@ -22,14 +22,14 @@ __all__ = ["sssp_program", "pagerank_gas", "wcc_program", "cdlp_gas",
 # SSSP (toolkit: graph_analytics/sssp.cpp)
 # ----------------------------------------------------------------------
 def sssp_program() -> VertexProgram:
-    def gather(state, srcs, dsts, weights):
-        return state.data[srcs] + weights
+    def gather(state, weights):
+        return state.data, weights
 
     def apply(state, vertices, gathered):
         return np.minimum(state.data[vertices], gathered)
 
     return VertexProgram(name="sssp", gather=gather, reduce="min",
-                         apply=apply, tolerance=0.0, identity=np.inf)
+                         apply=apply, identity=np.inf)
 
 
 def run_sssp(engine: GasEngine, root: int
@@ -47,14 +47,14 @@ def run_sssp(engine: GasEngine, root: int
 # PowerGraph toolkit member).
 # ----------------------------------------------------------------------
 def bfs_hop_program() -> VertexProgram:
-    def gather(state, srcs, dsts, weights):
-        return state.data[srcs] + 1.0
+    def gather(state, weights):
+        return state.data + 1.0, None
 
     def apply(state, vertices, gathered):
         return np.minimum(state.data[vertices], gathered)
 
     return VertexProgram(name="bfs-hops", gather=gather, reduce="min",
-                         apply=apply, tolerance=0.0, identity=np.inf)
+                         apply=apply, identity=np.inf)
 
 
 def run_bfs_hops(engine: GasEngine, root: int
@@ -101,9 +101,10 @@ def pagerank_gas(engine: GasEngine, damping: float = 0.85,
     iterations = 0
     for it in range(1, max_iterations + 1):
         iterations = it
-        contrib = np.zeros(n)
-        if nnz:
-            np.add.at(contrib, rows, rank[src] * inv_out[src])
+        # Ordered sum: ``bincount`` adds each row's terms left to right
+        # in arc order, bit-identical to ``np.add.at``.
+        contrib = np.bincount(rows, minlength=n,
+                              weights=rank[src] * inv_out[src])
         new_rank = base + damping * (contrib + rank[dangling].sum() / n)
         delta = float(np.abs(new_rank - rank).sum())
         rank = new_rank
@@ -125,14 +126,14 @@ def pagerank_gas(engine: GasEngine, damping: float = 0.85,
 # Connected components (toolkit: graph_analytics/connected_component.cpp)
 # ----------------------------------------------------------------------
 def wcc_program() -> VertexProgram:
-    def gather(state, srcs, dsts, weights):
-        return state.data[srcs]
+    def gather(state, weights):
+        return state.data, None
 
     def apply(state, vertices, gathered):
         return np.minimum(state.data[vertices], gathered)
 
     return VertexProgram(name="wcc", gather=gather, reduce="min",
-                         apply=apply, tolerance=0.0, identity=np.inf)
+                         apply=apply, identity=np.inf)
 
 
 def run_wcc(engine_sym: GasEngine

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
-from repro.graph.frontier import (claim_first_parent, dedup_ids,
-                                  gather_slots, segment_min_scatter)
+from repro.graph.frontier import (_push_dense, _push_sparse,
+                                  claim_first_parent, dedup_ids,
+                                  gather_slots, push_candidates,
+                                  segment_min_scatter)
 from repro.graph.scratch import (COUNTERS, KernelScratch, consume_counters,
                                  scratch_for)
 
@@ -55,6 +57,22 @@ def ref_claim(nbrs, srcs, visited, parent):
     parent[new_v] = srcs_s[first]
     visited[new_v] = True
     return new_v
+
+
+def ref_push(csr, lengths, members, values, dist, keep):
+    """The relaxation kernels' expansion as it stood before
+    ``push_candidates``: slot vector, three gathers per arc, filter."""
+    slots, counts = ref_gather(csr.row_ptr, members)
+    srcs = np.repeat(members, counts)
+    if keep is not None:
+        kept = keep[slots]
+        slots, srcs = slots[kept], srcs[kept]
+    dsts = csr.col_idx[slots]
+    cand = values[srcs]
+    if lengths is not None:
+        cand = cand + lengths[slots]
+    better = cand < dist[dsts]
+    return dsts, dsts[better], cand[better], int(counts.sum())
 
 
 def ref_min_scatter(dist, dsts, cand):
@@ -206,6 +224,106 @@ def test_claim_mask_path_dense_graph():
 
 
 # ----------------------------------------------------------------------
+# push_candidates
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def push_cases(draw):
+    """A CSR (zero-weight arcs, parallel arcs, self-loops), sorted
+    members (some without out-arcs), per-vertex values and distances
+    with ``inf`` entries, and a per-arc mask."""
+    weighted = draw(st.booleans())
+    csr, members = draw(graph_and_frontier(weighted=weighted))
+    n, m = csr.n_vertices, csr.n_edges
+    lengths = csr.weights
+    if weighted and m and draw(st.booleans()):
+        lengths = csr.weights.copy()
+        lengths[::3] = 0.0
+    finite = st.floats(0.0, 20.0, allow_nan=False)
+    maybe_inf = st.one_of(finite, st.just(np.inf))
+    dist = np.array(draw(st.lists(maybe_inf, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        values = dist
+    else:
+        values = np.array(draw(st.lists(maybe_inf, min_size=n, max_size=n)))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)),
+                    dtype=bool)
+    return csr, lengths, members, values, dist, keep
+
+
+@given(push_cases(), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_push_candidates_sides_match_reference(case, use_keep, use_touched):
+    csr, lengths, members, values, dist, keep = case
+    keep = keep if use_keep else None
+    n = csr.n_vertices
+    scratch = KernelScratch(n, csr.n_edges)
+    reached, want_d, want_c, want_examined = ref_push(
+        csr, lengths, members, values, dist, keep)
+    want_touched = np.zeros(n, dtype=bool)
+    want_touched[reached] = True
+
+    for side in (_push_sparse, _push_dense, None):
+        touched = np.zeros(n, dtype=bool) if use_touched else None
+        before = dist.copy()
+        if side is None:
+            dsts, cand, examined = push_candidates(
+                csr, lengths, members, values, dist, scratch,
+                keep=keep, touched=touched)
+            assert examined == want_examined
+        else:
+            dsts, cand = side(csr, lengths, members, values, dist,
+                              scratch, keep, touched)
+        assert dsts.dtype == np.int64 and cand.dtype == np.float64
+        assert np.array_equal(dsts, want_d)
+        assert cand.tobytes() == want_c.tobytes()
+        assert np.array_equal(dist, before)      # read-only on dist
+        if use_touched:
+            assert np.array_equal(touched, want_touched)
+        assert not scratch.mask("push").any()
+
+
+def test_push_candidates_switches_on_share_of_arcs():
+    """A star: the hub owns every arc, a leaf none -- the hub goes down
+    the dense side (no slot expansion is requested), a leaf the sparse
+    one, and both count the arcs they examined."""
+    k = 40
+    csr = CSRGraph.from_arrays(np.zeros(k, dtype=np.int64),
+                               np.arange(1, k + 1), k + 1,
+                               weights=np.full(k, 0.5))
+    scratch = KernelScratch(k + 1, k)
+    dist = np.full(k + 1, np.inf)
+    dist[0] = 0.0
+    consume_counters()
+    dsts, cand, examined = push_candidates(
+        csr, csr.weights, np.array([0]), dist, dist, scratch)
+    assert examined == k and np.array_equal(dsts, np.arange(1, k + 1))
+    assert np.array_equal(cand, np.full(k, 0.5))
+    dense = consume_counters()
+    assert dense == {"gather_edges": float(k), "scratch_reuse": 0.0}
+    dsts, cand, examined = push_candidates(
+        csr, csr.weights, np.array([3]), dist, dist, scratch)
+    assert examined == 0 and dsts.size == 0 and cand.size == 0
+    assert consume_counters()["scratch_reuse"] > 0     # went sparse
+
+
+def test_push_candidates_empty_members_and_empty_graph():
+    none = np.empty(0, dtype=np.int64)
+    csr = CSRGraph.from_arrays(np.array([0, 1]), np.array([1, 0]), 2)
+    scratch = KernelScratch(2, 2)
+    dist = np.zeros(2)
+    for side in (_push_sparse, _push_dense):
+        dsts, cand = side(csr, None, none, dist, dist, scratch, None, None)
+        assert dsts.size == 0 and cand.size == 0
+    empty = CSRGraph.from_arrays(none, none, 3)
+    dsts, cand, examined = push_candidates(
+        empty, None, np.array([0, 2]), np.zeros(3), np.zeros(3),
+        KernelScratch(3, 0))
+    assert (dsts.size, cand.size, examined) == (0, 0, 0)
+
+
+# ----------------------------------------------------------------------
 # segment_min_scatter / dedup_ids
 # ----------------------------------------------------------------------
 
@@ -320,6 +438,22 @@ def test_dcsr_row_sources_memoized():
     clone = pickle.loads(pickle.dumps(d))
     assert "_row_sources" not in clone.__dict__
     assert np.array_equal(clone.row_sources(), r1)
+
+
+def test_dcsr_col_nnz_memoized_and_exact():
+    csr = CSRGraph.from_arrays(np.array([0, 0, 2, 2]),
+                               np.array([1, 2, 0, 2]), 4)
+    d = DCSRMatrix.from_csr(csr)
+    c1 = d.col_nnz()
+    assert c1 is d.col_nnz()
+    assert not c1.flags.writeable
+    assert c1.tolist() == [1, 1, 2, 0]
+    mask = np.array([True, False, True, False])
+    assert c1[mask].sum() == mask[d.col_idx].sum()
+    assert "col_nnz" not in "".join(d.to_arrays_map())
+    clone = pickle.loads(pickle.dumps(d))
+    assert "_col_nnz" not in clone.__dict__
+    assert np.array_equal(clone.col_nnz(), c1)
 
 
 def test_to_scipy_no_unconditional_int32_cast():

@@ -1,10 +1,18 @@
 """PowerGraph-specific behaviour: vertex cut, GAS engine, overhead."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import sssp_dijkstra
+from repro.graph.csr import CSRGraph
+from repro.graph.frontier import dedup_ids, gather_slots
+from repro.machine.threads import WorkProfile
 from repro.systems import create_system
+from repro.systems.powergraph import programs
 from repro.systems.powergraph.gas import GasEngine, VertexProgram
 from repro.systems.powergraph.partition import random_vertex_cut
 
@@ -64,9 +72,6 @@ class TestGasEngine:
     def test_initially_active_scatter_once(self):
         """Regression: the SSSP root's unchanged apply must still
         scatter on superstep 1."""
-        from repro.graph.csr import CSRGraph
-        from repro.systems.powergraph import programs
-
         src = np.array([0, 1])
         dst = np.array([1, 2])
         w = np.array([1.0, 1.0])
@@ -78,8 +83,6 @@ class TestGasEngine:
         assert dist.tolist() == [0.0, 1.0, 2.0]
 
     def test_unknown_reduce_rejected(self):
-        from repro.graph.csr import CSRGraph
-
         src = np.array([0])
         dst = np.array([1])
         inn = CSRGraph.from_arrays(dst, src, 2)
@@ -91,6 +94,21 @@ class TestGasEngine:
         with pytest.raises(ValueError):
             engine.run(prog, np.zeros(2), np.ones(2, dtype=bool))
 
+    @pytest.mark.parametrize("reduce", ["median", "sum"])
+    def test_unknown_reduce_rejected_without_in_edges(self, reduce):
+        """Regression: the check sat behind the first gather, so a bad
+        program whose first targets had no in-edges (here only vertex 0
+        is signalled, and nothing points at it) ran to quiescence."""
+        src = np.array([0])
+        dst = np.array([1])
+        engine = GasEngine(CSRGraph.from_arrays(dst, src, 2),
+                           CSRGraph.from_arrays(src, dst, 2),
+                           random_vertex_cut(src, dst, 2, 2))
+        prog = VertexProgram(name="bad", gather=lambda *a: a[1] * 0.0,
+                             reduce=reduce, apply=lambda s, v, g: g)
+        with pytest.raises(ValueError):
+            engine.run(prog, np.zeros(2), np.array([True, False]))
+
     def test_mirror_sync_charged(self, kron10_dataset):
         """Per-superstep work includes replication traffic."""
         s = create_system("powergraph")
@@ -101,6 +119,237 @@ class TestGasEngine:
         n = loaded.n_vertices
         per_sweep = res.profile.rounds[0].units
         assert per_sweep >= loaded.n_arcs + n + rep * n - 1
+
+
+# ----------------------------------------------------------------------
+# The accumulator cache against the full-gather engine it replaced.
+# ----------------------------------------------------------------------
+
+
+class FullGatherEngine(GasEngine):
+    """The engine as it stood before the accumulator cache (commit
+    f305889), loop and phases verbatim: every signalled vertex
+    re-gathers all of its in-edges each superstep, and the signalled set
+    comes from a second expansion.  Runs the per-edge programs of that
+    commit (``gather(state, srcs, dsts, weights)``)."""
+
+    def _gather_phase(self, program, state, targets):
+        inn = self.inn
+        gathered = np.full(targets.size, program.identity, dtype=np.float64)
+        gs = gather_slots(inn.row_ptr, targets, self._scratch())
+        if gs.total == 0:
+            return gathered, 0
+        srcs = inn.col_idx[gs.slots]
+        dst_rep = np.repeat(targets, gs.counts)
+        w = inn.weights[gs.slots] if inn.weights is not None else None
+        contributions = program.gather(state, srcs, dst_rep, w)
+        idx = np.repeat(np.arange(targets.size), gs.counts)
+        np.minimum.at(gathered, idx, contributions)
+        return gathered, gs.total
+
+    def run(self, program, initial, initially_active,
+            max_supersteps=10_000):
+        n = self.inn.n_vertices
+        state = SimpleNamespace(data=initial.copy(),
+                                active=initially_active.copy(),
+                                superstep=0)
+        profile = WorkProfile()
+        rep = max(self.cut.replication_factor, 1.0)
+        out_deg = self.out.out_degrees()
+        max_deg = float(out_deg.max()) if n else 0.0
+        gathered_edges = 0
+        scattered_edges = 0
+
+        while state.active.any() and state.superstep < max_supersteps:
+            state.superstep += 1
+            if state.superstep == 1:
+                targets = np.flatnonzero(state.active)
+            else:
+                targets = self._signaled(state.active)
+            if targets.size == 0:
+                break
+            gathered, g_edges = self._gather_phase(program, state, targets)
+            gathered_edges += g_edges
+
+            old_vals = state.data[targets].copy()
+            new_vals = program.apply(state, targets, gathered)
+            changed_mask = np.abs(new_vals - old_vals) > program.tolerance
+            state.data[targets] = new_vals
+            if state.superstep == 1:
+                changed = targets
+            else:
+                changed = targets[changed_mask]
+
+            s_edges = int(out_deg[changed].sum())
+            scattered_edges += s_edges
+            mirror_units = rep * targets.size
+            units = g_edges + s_edges + targets.size + mirror_units
+            profile.add_round(
+                units=units,
+                memory_bytes=24.0 * (g_edges + s_edges) + 16.0 * mirror_units,
+                skew=min(max_deg / max(units, 1.0), 1.0))
+
+            nxt = np.zeros(n, dtype=bool)
+            nxt[changed] = True
+            state.active = nxt
+
+        stats = {
+            "supersteps": state.superstep,
+            "gathered_edges": gathered_edges,
+            "scattered_edges": scattered_edges,
+            "replication_factor": self.cut.replication_factor,
+        }
+        return state.data, state.superstep, profile, stats
+
+    def _signaled(self, active):
+        frontier = np.flatnonzero(active)
+        out = self.out
+        scratch = self._scratch()
+        gs = gather_slots(out.row_ptr, frontier, scratch)
+        if gs.total == 0:
+            return np.empty(0, dtype=np.int64)
+        return dedup_ids(out.col_idx[gs.slots], out.n_vertices, scratch)
+
+
+def _min_apply(state, vertices, gathered):
+    return np.minimum(state.data[vertices], gathered)
+
+
+#: The three programs as commit f305889 declared them.
+PER_EDGE_GATHER = {
+    "sssp": lambda state, srcs, dsts, weights: state.data[srcs] + weights,
+    "bfs-hops": lambda state, srcs, dsts, weights: state.data[srcs] + 1.0,
+    "wcc": lambda state, srcs, dsts, weights: state.data[srcs],
+}
+RUNNERS = {"sssp": programs.run_sssp, "bfs-hops": programs.run_bfs_hops}
+
+
+def _full_gather_run(engine, name, root):
+    n = engine.inn.n_vertices
+    program = SimpleNamespace(gather=PER_EDGE_GATHER[name],
+                              apply=_min_apply, tolerance=0.0,
+                              identity=np.inf)
+    if name == "wcc":
+        return engine.run(program, np.arange(n, dtype=np.float64),
+                          np.ones(n, dtype=bool))
+    data = np.full(n, np.inf)
+    data[root] = 0.0
+    active = np.zeros(n, dtype=bool)
+    active[root] = True
+    return engine.run(program, data, active)
+
+
+@st.composite
+def gas_cases(draw):
+    """A small directed weighted multigraph -- parallel arcs of
+    different weights, self-loops, zero-weight arcs, sinks, isolated and
+    unreachable vertices all likely -- and a root."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(0, 70))
+    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    src = np.array(draw(ids), dtype=np.int64)
+    dst = np.array(draw(ids), dtype=np.int64)
+    w = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 4.0, allow_nan=False)),
+        min_size=m, max_size=m)), dtype=np.float64)
+    if draw(st.booleans()):
+        # A root with no out-arcs: the trailing-superstep case.
+        keep = src != 0
+        src, dst, w = src[keep], dst[keep], w[keep]
+        root = 0
+    else:
+        root = draw(st.integers(0, n - 1))
+    return n, src, dst, w, root
+
+
+def _engines(n, src, dst, w):
+    cut = random_vertex_cut(src, dst, n, 4)
+    inn = CSRGraph.from_arrays(dst, src, n, weights=w)
+    out = CSRGraph.from_arrays(src, dst, n, weights=w)
+    return GasEngine(inn, out, cut), FullGatherEngine(inn, out, cut)
+
+
+def _assert_same_run(got, want):
+    g_data, g_steps, g_profile, g_stats = got
+    w_data, w_steps, w_profile, w_stats = want
+    assert g_data.dtype == w_data.dtype
+    assert g_data.tobytes() == w_data.tobytes()
+    assert g_steps == w_steps
+    g_arrays, w_arrays = g_profile.to_arrays(), w_profile.to_arrays()
+    assert g_arrays.keys() == w_arrays.keys()
+    for key in g_arrays:
+        assert g_arrays[key].tobytes() == w_arrays[key].tobytes(), key
+    assert g_profile.serial_units == w_profile.serial_units
+    assert g_stats == w_stats
+    assert {k: type(v) for k, v in g_stats.items()} == \
+        {k: type(v) for k, v in w_stats.items()}
+
+
+class TestAccumulatorCache:
+    @given(gas_cases(), st.sampled_from(["sssp", "bfs-hops"]))
+    @settings(max_examples=150, deadline=None)
+    def test_rooted_programs_equal_full_gather(self, case, name):
+        n, src, dst, w, root = case
+        engine, reference = _engines(n, src, dst, w)
+        _assert_same_run(RUNNERS[name](engine, root),
+                         _full_gather_run(reference, name, root))
+
+    @given(gas_cases(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_wcc_equals_full_gather(self, case, symmetrize):
+        """Directed too: the engines must agree on any graph, whatever
+        the system feeds WCC."""
+        n, src, dst, _, _ = case
+        if symmetrize:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        cut = random_vertex_cut(src, dst, n, 4)
+        inn = CSRGraph.from_arrays(dst, src, n)
+        out = CSRGraph.from_arrays(src, dst, n)
+        data, steps, profile, stats = programs.run_wcc(
+            GasEngine(inn, out, cut))
+        w_data, *rest = _full_gather_run(
+            FullGatherEngine(inn, out, cut), "wcc", None)
+        _assert_same_run((data, steps, profile, stats),
+                         (w_data.astype(np.int64), *rest))
+
+    def test_sink_root_counts_the_trailing_superstep(self):
+        """The root scatters to nobody: the superstep that finds no one
+        signalled is still counted, and adds no profile round."""
+        src = np.array([1, 2])
+        dst = np.array([0, 0])
+        engine, reference = _engines(3, src, dst, np.array([1.0, 2.0]))
+        got = programs.run_sssp(engine, 0)
+        assert got[1] == 2 and len(got[2].rounds) == 1
+        _assert_same_run(got, _full_gather_run(reference, "sssp", 0))
+
+    def test_superstep_cap_equals_full_gather(self):
+        src = np.arange(9)
+        dst = np.arange(1, 10)
+        engine, reference = _engines(10, src, dst, np.ones(9))
+        dist = np.full(10, np.inf)
+        dist[0] = 0.0
+        active = np.zeros(10, dtype=bool)
+        active[0] = True
+        got = engine.run(programs.sssp_program(), dist, active,
+                         max_supersteps=4)
+        want = reference.run(
+            SimpleNamespace(gather=PER_EDGE_GATHER["sssp"],
+                            apply=_min_apply, tolerance=0.0,
+                            identity=np.inf),
+            dist, active, max_supersteps=4)
+        assert got[1] == 4 and np.isinf(got[0][5])
+        _assert_same_run(got, want)
+
+    def test_kron10_all_roots(self, kron10_dataset):
+        s = create_system("powergraph")
+        loaded = s.load(kron10_dataset)
+        engine = loaded.data.engine
+        reference = FullGatherEngine(engine.inn, engine.out, engine.cut)
+        for root in kron10_dataset.roots[:4]:
+            for name in ("sssp", "bfs-hops"):
+                _assert_same_run(
+                    RUNNERS[name](engine, int(root)),
+                    _full_gather_run(reference, name, int(root)))
 
 
 class TestOverheadBehaviour:
