@@ -23,20 +23,21 @@ def propagate_labels_once(src: np.ndarray, dst: np.ndarray,
     """One synchronous round: mode of neighbor labels, min-label ties.
 
     Vectorized: sort (vertex, label) pairs, run-length encode to get per
-    (vertex, label) frequencies, then take per-vertex argmax with the
-    sort order guaranteeing the smallest label wins ties.
+    (vertex, label) frequencies, then take the per-vertex maximum of
+    ``count * n + (n - 1 - label)`` -- highest count, ties to the
+    smallest label -- with one ``maximum.reduceat``.  Labels are vertex
+    ids (``< n``), which is what lets both steps pack into one int64.
     """
     if src.size == 0:
         return labels.copy()
+    if int(n) * max(int(n), src.size) >= 2 ** 62:  # pragma: no cover
+        raise ValueError(f"CDLP keys do not pack into int64 at n = {n}")
     v = dst
     lab = labels[src]
-    if n <= np.iinfo(np.int64).max // max(n, 1):
-        # Labels are vertex ids (< n), so (v, label) packs into one
-        # int64 key and a single stable (radix) argsort replaces the
-        # two-key lexsort -- same permutation, both sorts are stable.
-        order = np.argsort(v * np.int64(n) + lab, kind="stable")
-    else:  # pragma: no cover - n beyond any harness scale
-        order = np.lexsort((lab, v))
+    # Equal (v, label) keys are interchangeable, so the sort need not be
+    # stable.  (Sorting the key values and splitting them back with
+    # ``divmod`` was slower than this gather: 64-bit integer division.)
+    order = np.argsort(v * np.int64(n) + lab)
     v_s = v[order]
     lab_s = lab[order]
     # Run starts of equal (v, label) pairs.
@@ -46,16 +47,15 @@ def propagate_labels_once(src: np.ndarray, dst: np.ndarray,
     counts = np.diff(np.append(starts, v_s.size))
     pair_v = v_s[starts]
     pair_lab = lab_s[starts]
-    # Pick, per vertex, the (count, -label) max.  Sorting by
-    # (vertex, count, reversed label) puts the winner last in each group.
-    sel = np.lexsort((-pair_lab, counts, pair_v))
-    pv = pair_v[sel]
-    last = np.ones(pv.size, dtype=bool)
-    last[:-1] = pv[1:] != pv[:-1]
-    winners_v = pv[last]
-    winners_lab = pair_lab[sel][last]
+    # Pairs are grouped by vertex already: reduce each group to its best
+    # (count, reversed label) and read the label back out of the winner.
+    new_v = np.ones(pair_v.size, dtype=bool)
+    new_v[1:] = pair_v[1:] != pair_v[:-1]
+    group_starts = np.flatnonzero(new_v)
+    best = np.maximum.reduceat(counts * n + (n - 1 - pair_lab),
+                               group_starts)
     out = labels.copy()
-    out[winners_v] = winners_lab
+    out[pair_v[group_starts]] = n - 1 - best % n
     return out
 
 

@@ -27,9 +27,12 @@ __all__ = ["Provenance", "capture", "verify", "digest_file"]
 
 
 def digest_file(path: str | Path) -> str:
-    """BLAKE2b content digest of one file (hex, 32 chars)."""
+    """BLAKE2b content digest of one file (hex, 32 chars), fed in
+    1 MiB blocks so the input never has to fit in RAM."""
     h = hashlib.blake2b(digest_size=16)
-    h.update(Path(path).read_bytes())
+    with Path(path).open("rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
     return h.hexdigest()
 
 

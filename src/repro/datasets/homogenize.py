@@ -181,11 +181,12 @@ def homogenize(edges: EdgeList, out_dir: str | Path,
 
     unweighted_el = EdgeList(edges.src, edges.dst, edges.n_vertices,
                              directed=edges.directed, name=name)
+    # The two other text formats of weighted_el are its .wel re-delimited.
+    wel_path = ddir / f"{name}.wel"
     writers = [
         ("el", lambda: formats.write_el(unweighted_el,
                                         ddir / f"{name}.el")),
-        ("wel", lambda: formats.write_el(weighted_el,
-                                         ddir / f"{name}.wel")),
+        ("wel", lambda: formats.write_el(weighted_el, wel_path)),
         ("sg", lambda: formats.write_sg(
             edges, ddir / f"{name}.sg", symmetrize=not edges.directed)),
         ("wsg", lambda: formats.write_sg(
@@ -196,9 +197,9 @@ def homogenize(edges: EdgeList, out_dir: str | Path,
         ("mtxbin", lambda: formats.write_graphmat_bin(
             weighted_el, ddir / f"{name}.mtxbin")),
         ("tsv", lambda: formats.write_powergraph_tsv(
-            weighted_el, ddir / f"{name}.tsv")),
+            weighted_el, ddir / f"{name}.tsv", from_el=wel_path)),
         ("graphbig", lambda: formats.write_graphbig_csv(
-            weighted_el, ddir / "graphbig")),
+            weighted_el, ddir / "graphbig", from_el=wel_path)),
     ]
     for key, write in writers:
         if tracer is not None:

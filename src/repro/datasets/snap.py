@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.datasets.formats import write_edge_rows
 from repro.errors import GraphFormatError
 from repro.graph.edgelist import EdgeList
 
@@ -104,15 +105,7 @@ def write_snap(edges: EdgeList, path: str | Path,
         "Directed" if edges.directed else "Undirected",
         *comments,
     )]
-    if edges.weighted:
-        cols = np.column_stack(
-            [edges.src.astype(np.float64), edges.dst.astype(np.float64),
-             edges.weights])
-        fmt = "%d\t%d\t%.17g"
-    else:
-        cols = np.column_stack([edges.src, edges.dst])
-        fmt = "%d\t%d"
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("\n".join(header) + "\n")
-        np.savetxt(fh, cols, fmt=fmt)
+    with path.open("wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("utf-8"))
+        write_edge_rows(fh, edges, "\t")
     return path

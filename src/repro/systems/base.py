@@ -183,13 +183,19 @@ class GraphSystem(ABC):
     # Loading (template method)
     # ------------------------------------------------------------------
     def load(self, dataset: HomogenizedDataset,
-             cache=None) -> LoadedGraph:
+             cache=None, built: dict | None = None) -> LoadedGraph:
         """Ingest a homogenized dataset.
 
         Reads this system's native file (real I/O), builds the internal
         structure (real work), and prices both phases.  Systems with
         fused read+build report ``build_s=None`` and fold the
         construction cost into ``read_s`` (their "load" time).
+
+        ``built`` is an optional dict the caller owns for one dataset:
+        the real half of a load (structure + build profile) is kept in
+        it per (system, :meth:`_cache_token`), and a later load at any
+        thread count only prices it again.  It sits above ``cache``
+        and never reads or changes a cache key.
 
         ``cache`` is an optional :class:`repro.cache.ArtifactCache`:
         on a hit the built arrays come back as read-only memmaps of the
@@ -209,7 +215,11 @@ class GraphSystem(ABC):
         read_s = n_bytes / (calibration.read_rate_mbs(
             self._read_rate_key()) * 1e6)
 
-        data, build_profile = self._cached_build(dataset, cache)
+        built = {} if built is None else built
+        key = (self.name, *sorted(self._cache_token().items()))
+        if key not in built:
+            built[key] = self._cached_build(dataset, cache)
+        data, build_profile = built[key]
         build_s = self.thread_model.simulate(
             build_profile, calibration.build_params(self.name, self.machine),
             self.n_threads).time_s

@@ -56,8 +56,7 @@ def build_gap_graph(edges: EdgeList, directed: bool
     out = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices,
                                weights=el.weights)
     profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
-    inn = CSRGraph.from_arrays(el.dst, el.src, el.n_vertices,
-                               weights=el.weights)
+    inn = out.transposed()  # from_arrays(el.dst, el.src)'s bytes, no sort
     profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
     return GapGraph(out=out, inn=inn, n=el.n_vertices,
                     directed=directed), profile

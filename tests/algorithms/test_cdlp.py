@@ -1,6 +1,8 @@
 """Tests for community detection by label propagation."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.cdlp import cdlp, propagate_labels_once
 from repro.graph.csr import CSRGraph
@@ -76,3 +78,72 @@ def test_empty_graph():
                    col_idx=np.array([], dtype=np.int64))
     labels = cdlp(csr, 3)
     assert np.array_equal(labels, np.arange(3))
+
+
+def _propagate_labels_once_lexsort(src, dst, labels, n):
+    """The round as it was before the winner became a ``reduceat``
+    (commit 2af891b), verbatim: the oracle."""
+    if src.size == 0:
+        return labels.copy()
+    v = dst
+    lab = labels[src]
+    if n <= np.iinfo(np.int64).max // max(n, 1):
+        order = np.argsort(v * np.int64(n) + lab, kind="stable")
+    else:  # pragma: no cover - n beyond any harness scale
+        order = np.lexsort((lab, v))
+    v_s = v[order]
+    lab_s = lab[order]
+    new_pair = np.ones(v_s.size, dtype=bool)
+    new_pair[1:] = (v_s[1:] != v_s[:-1]) | (lab_s[1:] != lab_s[:-1])
+    starts = np.flatnonzero(new_pair)
+    counts = np.diff(np.append(starts, v_s.size))
+    pair_v = v_s[starts]
+    pair_lab = lab_s[starts]
+    sel = np.lexsort((-pair_lab, counts, pair_v))
+    pv = pair_v[sel]
+    last = np.ones(pv.size, dtype=bool)
+    last[:-1] = pv[1:] != pv[:-1]
+    winners_v = pv[last]
+    winners_lab = pair_lab[sel][last]
+    out = labels.copy()
+    out[winners_v] = winners_lab
+    return out
+
+
+@st.composite
+def _labelled_multigraphs(draw):
+    """Arc arrays with parallel arcs, self-loops and isolated vertices,
+    plus a starting labelling that is *not* the identity (many vertices
+    share a label, so counts above 1 and count ties are the norm)."""
+    n = draw(st.integers(1, 14))
+    ids = st.integers(0, n - 1)
+    m = draw(st.integers(0, 60))
+    src = draw(st.lists(ids, min_size=m, max_size=m))
+    dst = draw(st.lists(ids, min_size=m, max_size=m))
+    labels = draw(st.lists(st.integers(0, draw(ids)), min_size=n,
+                           max_size=n))
+    return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            np.array(labels, dtype=np.int64), n)
+
+
+@given(_labelled_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_round_equals_the_lexsort_round(case):
+    src, dst, labels, n = case
+    before = labels.copy()
+    for _ in range(3):
+        want = _propagate_labels_once_lexsort(src, dst, labels, n)
+        got = propagate_labels_once(src, dst, labels, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        labels = got
+    assert np.array_equal(before, case[2])  # input never written
+
+
+def test_ten_rounds_equal_the_lexsort_rounds_on_kron10(kron10_csr):
+    src, dst = kron10_csr.source_ids(), kron10_csr.col_idx
+    n = kron10_csr.n_vertices
+    want = np.arange(n, dtype=np.int64)
+    for _ in range(10):
+        want = _propagate_labels_once_lexsort(src, dst, want, n)
+    assert np.array_equal(cdlp(kron10_csr, 10), want)

@@ -64,6 +64,17 @@ def test_digest_stable_and_content_sensitive(tmp_path):
     assert digest_file(a) != digest_file(b)
 
 
+def test_digest_is_blockwise_but_unchanged(tmp_path):
+    """Digests pinned from the whole-file ``read_bytes()`` hash (commit
+    2af891b): empty, and 2.2 MiB -- two full blocks and a partial."""
+    (tmp_path / "empty").write_bytes(b"")
+    (tmp_path / "big").write_bytes(bytes(range(256)) * 9001)
+    assert digest_file(tmp_path / "empty") == \
+        "cae66941d9efbd404e4d88758ea67670"
+    assert digest_file(tmp_path / "big") == \
+        "7eda5fdbefff3f96abd083e5e2afb2f3"
+
+
 def test_rerun_reproduces_digest(tmp_path_factory):
     """The determinism promise, checked through the digest."""
     def run(d):

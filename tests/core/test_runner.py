@@ -177,3 +177,69 @@ class TestOutputValidation:
                     "gap", "sssp", 32)
         finally:
             unregister_system("gap")  # built-ins re-register lazily
+
+
+class TestThreadSweepBuildsOnce:
+    """A structure is built once per Runner and priced per thread count:
+    the sweep's bytes are the parent's (digests pinned at commit
+    2af891b, when every thread count re-read and re-built), only the
+    number of real builds changes."""
+
+    RESULTS_SHA256 = (
+        "328fcade80048fd6ee9617c6f2d2abcad8271af6c5025700c76102b7cfd95102")
+    LOGS_SHA256 = (
+        "e1d4c359ee8f35956df0cd29a9caa1d06a24e97de3657e3c74d9a114320b437a")
+
+    @staticmethod
+    def _sweep(out, **execution):
+        import hashlib
+
+        cfg = ExperimentConfig(output_dir=out, scale=8, n_roots=2,
+                               thread_counts=(1, 2, 4, 8),
+                               algorithms=("bfs", "sssp"), **execution)
+        Experiment(cfg).run_all()
+        logs = hashlib.sha256()
+        for path in sorted((out / "logs").rglob("*.log")):
+            logs.update(path.relative_to(out).as_posix().encode())
+            logs.update(path.read_bytes())
+        return (hashlib.sha256((out / "results.csv").read_bytes())
+                .hexdigest(), logs.hexdigest())
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every real ``_build`` as ``(system, n_threads)``."""
+        from repro.systems import ALL_SYSTEM_NAMES, create_system
+
+        calls = []
+        for name in ALL_SYSTEM_NAMES:
+            cls = type(create_system(name))
+
+            def counted(self, edges, dataset, _build=cls._build):
+                calls.append((self.name, self.n_threads))
+                return _build(self, edges, dataset)
+
+            monkeypatch.setattr(cls, "_build", counted)
+        return calls
+
+    def test_one_build_per_system_and_cut(self, tmp_path, builds):
+        assert self._sweep(tmp_path) == (self.RESULTS_SHA256,
+                                         self.LOGS_SHA256)
+        # PowerGraph cuts into max(n_threads, 2) partitions: t=1 and
+        # t=2 share a structure, t=4 and t=8 each need their own.
+        assert builds == [
+            ("gap", 1), ("graph500", 1), ("graphbig", 1), ("graphmat", 1),
+            ("powergraph", 1), ("powergraph", 4), ("powergraph", 8)]
+
+    def test_same_bytes_and_builds_through_the_disk_cache(self, tmp_path,
+                                                          builds):
+        cold = self._sweep(tmp_path / "cold", cache_dir=tmp_path / "cache")
+        assert len(builds) == 7
+        warm = self._sweep(tmp_path / "warm", cache_dir=tmp_path / "cache")
+        assert len(builds) == 7  # every structure came off the disk
+        assert cold == warm == (self.RESULTS_SHA256, self.LOGS_SHA256)
+
+    def test_close_drops_the_built_structures(self, runner):
+        runner.run_system_algorithm("gap", "bfs", 4)
+        assert runner._built and runner._loaded_cache
+        runner.close()
+        assert not runner._built and not runner._loaded_cache

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
+from repro.graph import csr as csr_module
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 
@@ -189,3 +190,67 @@ class TestTransposeIsTheOldSort:
         with pytest.raises(GraphFormatError,
                            match=rf"col_idx\[1\] = {bad}.*\[0, 3\)"):
             g.transposed()
+
+
+@st.composite
+def _arc_lists(draw):
+    """``(src, dst, n)`` with parallel arcs, self-loops, ``m == 0`` and
+    ``n == 1`` all likely."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, draw(st.integers(0, n - 1)))
+    m = draw(st.integers(0, 40))
+    src = draw(st.lists(ids, min_size=m, max_size=m))
+    dst = draw(st.lists(ids, min_size=m, max_size=m))
+    return (np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64), n)
+
+
+class TestArcOrder:
+    """One packed value sort orders every arc list; its contract is the
+    permutation of the stable two-key ``lexsort`` it replaced."""
+
+    @given(_arc_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_sort_is_lexsort(self, arcs):
+        src, dst, n = arcs
+        want = np.lexsort((dst, src))
+        got = csr_module._arc_order(src, dst, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @given(_arc_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_both_sides_of_the_guard_build_the_same_csr(self, arcs):
+        """Limit 0 sends every arc list down the guarded fallback."""
+        src, dst, n = arcs
+        weights = np.arange(src.size, dtype=np.float64) + 0.5
+        packed = CSRGraph.from_arrays(src, dst, n, weights=weights)
+        saved = csr_module._PACK_LIMIT
+        csr_module._PACK_LIMIT = 0
+        try:
+            _assert_same_bytes(
+                CSRGraph.from_arrays(src, dst, n, weights=weights), packed)
+        finally:
+            csr_module._PACK_LIMIT = saved
+
+    def test_guard_trips_before_int64_wraps(self):
+        """``n * n * m`` is Python-int arithmetic: an ``np.int64`` n of
+        2**31, whose square times 3 wraps int64, still trips the guard
+        (packed keys built at that width would sort as garbage)."""
+        src = np.array([3, 0, 3], dtype=np.int64)
+        dst = np.array([1, 2, 1], dtype=np.int64)
+        assert csr_module._arc_order(
+            src, dst, np.int64(2 ** 31)).tolist() == [1, 0, 2]
+
+    def test_parallel_arcs_keep_input_order_of_weights(self):
+        csr = CSRGraph.from_arrays(
+            np.array([1, 0, 1, 1, 0]), np.array([2, 1, 2, 0, 1]), 3,
+            weights=np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
+        assert csr.col_idx.tolist() == [1, 1, 0, 2, 2]
+        assert csr.weights.tolist() == [4.0, 1.0, 2.0, 5.0, 3.0]
+
+    def test_scale_10_graph_matches_lexsort(self, kron10):
+        el = kron10.symmetrized()
+        assert np.array_equal(
+            csr_module._arc_order(el.src, el.dst, el.n_vertices),
+            np.lexsort((el.dst, el.src)))
