@@ -20,7 +20,8 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
 * :func:`push_candidates` emits the arcs of a relaxation round in CSR
   order with each candidate the sum of the same two operands, whether
   it expanded slots or walked the whole CSR;
-* :func:`claim_first_parent` selects the minimum source per target --
+* :func:`first_parent_candidates` (and :func:`claim_first_parent`, which
+  writes its result) selects the minimum source per target --
   the same winner ``np.lexsort((srcs, nbrs))`` + first-occurrence picks
   -- either by reverse-order scatter (last write wins, so the first =
   minimum source lands; requires the documented non-decreasing ``srcs``)
@@ -56,9 +57,10 @@ from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.graph.scratch import COUNTERS, KernelScratch
 
-__all__ = ["GatherSlots", "gather_slots", "claim_first_parent",
-           "first_hit_scan", "push_candidates", "segment_min_scatter",
-           "dedup_ids", "BucketQueue", "resolve_batch_rows"]
+__all__ = ["GatherSlots", "gather_slots", "first_parent_candidates",
+           "claim_first_parent", "first_hit_scan", "push_candidates",
+           "segment_min_scatter", "dedup_ids", "BucketQueue",
+           "resolve_batch_rows"]
 
 #: Below ``n >> _SMALL_SHIFT`` touched elements, sort-based paths beat
 #: O(n) mask sweeps; both sides are bit-identical so this is purely a
@@ -134,10 +136,10 @@ def gather_slots(row_ptr: np.ndarray, frontier: np.ndarray,
     return GatherSlots(slots, counts, offsets, total)
 
 
-def claim_first_parent(nbrs: np.ndarray, srcs: np.ndarray,
-                       visited: np.ndarray, parent: np.ndarray,
-                       scratch: KernelScratch) -> np.ndarray:
-    """Claim every unvisited target in ``nbrs`` for its smallest source.
+def first_parent_candidates(nbrs: np.ndarray, srcs: np.ndarray,
+                            visited: np.ndarray, scratch: KernelScratch
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Every unvisited target in ``nbrs`` with its smallest source.
 
     Replaces the per-round ``np.lexsort((srcs, nbrs))`` +
     first-occurrence dedup.  ``srcs`` must be non-decreasing -- always
@@ -149,16 +151,17 @@ def claim_first_parent(nbrs: np.ndarray, srcs: np.ndarray,
     dropped afterwards, which is equivalent to the old pre-filter
     because a still-unvisited target keeps all of its frontier edges.
 
-    Writes ``parent[new] = min src`` and ``visited[new] = True``;
-    returns the sorted ids of newly claimed vertices (the next
-    frontier), exactly as the lexsort version produced them.
+    Returns ``(new_v, parents)``: the sorted ids of the unvisited
+    targets, exactly as the lexsort version produced them, and the
+    minimum source of each.  Writes nothing but scratch, so a shard
+    worker may call it on state only the parent process may write.
 
     On rounds touching far fewer edges than ``n`` the O(n) mask sweep
     would dominate, so a stable counting sort (NumPy's radix path for
     int64) + ``minimum.reduceat`` computes the same winners instead.
     """
     if nbrs.size == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     n = visited.size
     if nbrs.size < (n >> _SMALL_SHIFT):
         order = np.argsort(nbrs, kind="stable")
@@ -168,10 +171,7 @@ def claim_first_parent(nbrs: np.ndarray, srcs: np.ndarray,
         uniq = nbrs_s[first]
         mins = np.minimum.reduceat(srcs[order], np.flatnonzero(first))
         fresh = ~visited[uniq]
-        new_v = uniq[fresh]
-        parent[new_v] = mins[fresh]
-        visited[new_v] = True
-        return new_v
+        return uniq[fresh], mins[fresh]
     mask = scratch.mask("claim")
     claim = scratch.vertex_i64("claim")
     mask[nbrs] = True
@@ -179,7 +179,18 @@ def claim_first_parent(nbrs: np.ndarray, srcs: np.ndarray,
     touched = np.flatnonzero(mask)
     mask[touched] = False
     new_v = touched[~visited[touched]]
-    parent[new_v] = claim[new_v]
+    return new_v, claim[new_v]
+
+
+def claim_first_parent(nbrs: np.ndarray, srcs: np.ndarray,
+                       visited: np.ndarray, parent: np.ndarray,
+                       scratch: KernelScratch) -> np.ndarray:
+    """Claim every unvisited target in ``nbrs`` for its smallest source:
+    :func:`first_parent_candidates` plus the two writes,
+    ``parent[new] = min src`` and ``visited[new] = True``.  Returns the
+    sorted ids of the newly claimed vertices (the next frontier)."""
+    new_v, parents = first_parent_candidates(nbrs, srcs, visited, scratch)
+    parent[new_v] = parents
     visited[new_v] = True
     return new_v
 

@@ -82,6 +82,7 @@ class LocalSweeps:
         self.inn = inn
         self.scratch = scratch
         self.n = out.n_vertices
+        self._delta = None
 
     # -- BFS -----------------------------------------------------------
     def begin_bfs(self, root: int) -> None:
@@ -116,11 +117,19 @@ class LocalSweeps:
 
     # -- SSSP ----------------------------------------------------------
     def begin_sssp(self, root: int, delta: float) -> np.ndarray:
-        light = self.out.weights < delta
-        self.keep = {RELAX_LIGHT: light, RELAX_HEAVY: ~light}
+        self.set_delta(delta)
         self.dist = np.full(self.n, np.inf)
         self.dist[root] = 0.0
         return self.dist
+
+    def set_delta(self, delta: float) -> None:
+        """Split the arcs into light and heavy; kept while ``delta``
+        repeats, for an executor that outlives one kernel (the shard
+        engine's, and each shard's over its slice)."""
+        if delta != self._delta:
+            light = self.out.weights < delta
+            self.keep = {RELAX_LIGHT: light, RELAX_HEAVY: ~light}
+            self._delta = delta
 
     def relax(self, members, mode):
         dist = self.dist

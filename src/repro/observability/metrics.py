@@ -49,7 +49,10 @@ METRIC_HELP = {
     "epg_kernel_scratch_reuse":
         "Kernel scratch buffers served without a fresh allocation.",
     "epg_shard_rounds_total":
-        "Supersteps executed by the sharded engine, per kernel.",
+        "Supersteps that crossed to the shards, per kernel.",
+    "epg_shard_local_rounds_total":
+        "Rounds the sharded engine ran in the parent (too few arcs to "
+        "pay for a superstep), per kernel.",
     "epg_shard_bytes_total":
         "Bytes exchanged between shards (frontiers plus ring messages).",
     "epg_shard_cut_edges":

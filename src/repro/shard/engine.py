@@ -13,8 +13,14 @@ One :class:`ShardEngine` owns a partitioned copy of a single graph:
 Execution is parent-driven bulk-synchronous supersteps: the parent
 writes the op code and round inputs, posts one ``go`` token per worker,
 collects one ``done`` token per worker, then merges the per-shard rings
-with *exact* reductions (integer/float minima, disjoint scatters).  The
-round trip is plain semaphores rather than an ``mp.Barrier`` on
+with *exact* reductions (integer/float minima applied ring by ring
+with one gather-scatter each, disjoint scatters; nothing sorts).  A
+round that would gather fewer than :data:`_INLINE_ARCS` arcs does not
+cross at all: the engine runs it on a
+:class:`~repro.graph.sweeps.LocalSweeps` it keeps over the whole graph,
+bound to the same round state.
+
+The round trip is plain semaphores rather than an ``mp.Barrier`` on
 purpose: a barrier hides a condition lock, and a worker SIGKILLed while
 holding it deadlocks every timed wait that follows -- a semaphore has
 no state a dead process can leave locked.  Workers are forked once
@@ -54,6 +60,9 @@ import numpy as np
 
 from repro.errors import ConfigError, ShardError
 from repro.graph.csr import CSRGraph
+from repro.graph.frontier import dedup_ids
+from repro.graph.scratch import KernelScratch
+from repro.graph.sweeps import LocalSweeps
 from repro.parallel.scheduler import _mp_context, resolve_jobs
 from repro.shard import ops
 from repro.shard.partition import (
@@ -74,6 +83,26 @@ DEFAULT_STEP_TIMEOUT_S = 120.0
 #: Accounting size of one exchanged delta: an int64 vertex id plus a
 #: float64 value, the rings' actual element width.
 MESSAGE_BYTES = 16
+
+#: A ``top_down`` / ``bottom_up`` / ``relax`` round that would gather
+#: fewer arcs than this is served in the parent -- by a
+#: :class:`~repro.graph.sweeps.LocalSweeps` over the whole graph, on the
+#: round state the shards read -- instead of crossing to them.  Both
+#: sides return identical arrays, so this is only a constant factor.
+#:
+#: Measured per round inside real kernels (12 roots x dobfs, bfs_bitmap
+#: and delta-stepping on the symmetrized Kronecker scale-13 graph, 2
+#: shards, each side forced in turn, medians of 3 passes): a crossing
+#: round costs 0.11-0.13 ms before it gathers anything (frontier
+#: broadcast, a go and a done token per worker, the merge; 0.28 ms
+#: bottom-up), and the whole local round costs 0.04 ms under 100 arcs,
+#: 0.09 at 1-2 k, 0.14 at 3-5 k and 0.20 at 5-7 k for relax, 0.08 and
+#: 0.11 at the last two for top-down.  Below about 5 000 arcs a round
+#: therefore cannot pay for its superstep on any machine; 62 % of the
+#: relax rounds of that pass are under it.  Where the two sides cross
+#: *above* it depends on the machine (table and the 2-vCPU reading in
+#: ``docs/sharding.md``), so this is the floor, not the break-even.
+_INLINE_ARCS = 5000
 
 #: How often an idle worker wakes to check whether its parent is still
 #: alive.  A worker orphaned by a hard-killed parent (which can never
@@ -205,6 +234,9 @@ class ShardEngine:
         #: zeroes it).
         self.rounds = 0
         self.bytes_exchanged = 0
+        #: Rounds served in this process, below :data:`_INLINE_ARCS`;
+        #: ``rounds`` counts only the supersteps that crossed.
+        self.local_rounds = 0
 
         static = self._build_static(out, inn)
         dyn = self._build_dynamic()
@@ -257,6 +289,15 @@ class ShardEngine:
             # unlink guards.
             self._exit_guard = multiprocessing.util.Finalize(
                 None, self.close, exitpriority=ENGINE_FINALIZE_PRIORITY)
+        #: The serial step bodies over the whole graph, on the round
+        #: state the shards read: what a round too small to cross runs.
+        local = LocalSweeps(out, inn, KernelScratch(self.n))
+        local.visited = self._arrays["visited"]
+        local.dist = self._arrays["vec"]
+        self._local_sweeps = local
+        #: Minimum source per target while top-down rings merge; all
+        #: ``+inf`` between rounds.
+        self._min_src = np.full(self.n, np.inf)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -364,15 +405,31 @@ class ShardEngine:
         self.bytes_exchanged += exchanged
         return results
 
-    @staticmethod
-    def _merge_min(rings) -> tuple[np.ndarray, np.ndarray]:
-        """Global exact minimum per id across shard rings (handles the
-        cross-shard duplicate targets a vertex-cut produces)."""
-        all_ids = np.concatenate([r[0] for r in rings])
-        all_val = np.concatenate([r[1] for r in rings])
-        if all_ids.size == 0:
-            return all_ids, all_val
-        return ops._min_per_id(all_ids, all_val)
+    def _merge_min(self, rings, best: np.ndarray) -> np.ndarray:
+        """``best[id] = min(best[id], value)`` over every ring (ids are
+        unique within a ring, so one gather-scatter each); returns the
+        sorted unique ids -- a target a vertex-cut gives to several
+        shards comes back once."""
+        for ids, vals, _ in rings:
+            best[ids] = np.minimum(best[ids], vals)
+        return dedup_ids(np.concatenate([r[0] for r in rings]), self.n,
+                         self._local_sweeps.scratch)
+
+    @property
+    def _local(self) -> LocalSweeps:
+        if self._closed:
+            raise ShardError("engine is closed")
+        return self._local_sweeps
+
+    def _stays_local(self, row_ptr: np.ndarray,
+                     members: np.ndarray) -> bool:
+        """Whether the round over ``members``' rows is too small to be
+        worth a superstep (see :data:`_INLINE_ARCS`)."""
+        arcs = int((row_ptr[members + 1] - row_ptr[members]).sum())
+        if arcs >= _INLINE_ARCS:
+            return False
+        self.local_rounds += 1
+        return True
 
     # ------------------------------------------------------------------
     # Kernel-facing supersteps (repro.graph.sweeps.SweepExecutor)
@@ -381,6 +438,7 @@ class ShardEngine:
         """A kernel starts: its exchange accounting starts from zero."""
         self.rounds = 0
         self.bytes_exchanged = 0
+        self.local_rounds = 0
         return self._arrays[state]
 
     def begin_bfs(self, root: int) -> None:
@@ -400,8 +458,13 @@ class ShardEngine:
         """The global minimum frontier source per still-unvisited
         target -- exactly the serial ``claim_first_parent`` winner --
         in sorted target order."""
+        local = self._local
+        if self._stays_local(local.out.row_ptr, frontier):
+            return local.top_down(frontier, parent)
         rings = self._superstep(ops.OP_TD, frontier=frontier)
-        new_v, parents = self._merge_min(rings)
+        new_v = self._merge_min(rings, self._min_src)
+        parents = self._min_src[new_v]
+        self._min_src[new_v] = np.inf
         return self._claim(rings, new_v, parents, parent)
 
     def bottom_up(self, frontier: np.ndarray, parent: np.ndarray
@@ -409,6 +472,10 @@ class ShardEngine:
         """Owners partition the vertex space, so shard results are
         disjoint; each shard scans *complete* in-rows, making its
         early-exit examined counts sum to the serial count."""
+        local = self._local
+        if self._stays_local(local.inn.row_ptr,
+                             np.flatnonzero(~local.visited)):
+            return local.bottom_up(frontier, parent)
         f = self._arrays["in_frontier"]
         f[:] = False
         f[frontier] = True
@@ -421,6 +488,7 @@ class ShardEngine:
     def begin_sssp(self, root: int, delta: float) -> np.ndarray:
         dist = self._begin("vec")
         self._arrays["ctrl_f"][ops.CTRL_DELTA] = delta
+        self._local.set_delta(delta)
         dist[:] = np.inf
         dist[root] = 0.0
         return dist
@@ -430,11 +498,12 @@ class ShardEngine:
         """Shards take per-destination minima against the pre-round
         distances; the parent applies the exact merged minimum between
         barriers and stays the single writer of the vector."""
+        local = self._local
+        if self._stays_local(local.out.row_ptr, members):
+            return local.relax(members, mode)
         rings = self._superstep(ops.OP_RELAX, frontier=members,
                                 mode=mode)
-        improved, mins = self._merge_min(rings)
-        dist = self._arrays["vec"]
-        dist[improved] = np.minimum(dist[improved], mins)
+        improved = self._merge_min(rings, self._arrays["vec"])
         return improved, sum(r[2] for r in rings)
 
     def begin_pagerank(self, rank: np.ndarray) -> np.ndarray:
@@ -460,6 +529,11 @@ class ShardEngine:
         return a["vec" if flip else "vec2"]
 
     # ------------------------------------------------------------------
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` ran, or a dead worker forced it."""
+        return self._closed
+
     def close(self) -> None:
         """Shut workers down and unlink both arenas (idempotent; also
         runs as an exit finalizer when the owner never calls it)."""
@@ -489,6 +563,7 @@ class ShardEngine:
             self._workers = []
             self._contexts = []
             self._arrays = {}
+            self._local_sweeps = None  # its round state is unmapped next
             if self._static_arena is not None:
                 self._static_arena.destroy()
             if self._dyn_arena is not None:

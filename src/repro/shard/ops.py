@@ -6,11 +6,14 @@ broadcast buffer), and its preallocated delta ring.  The four op
 functions below are the *entire* worker-side compute: the engine's
 worker loop and its inline fallback both dispatch to these, so the
 process-backed and in-process paths are the same code by construction.
-They are the shard-side counterparts of the step bodies in
-:class:`repro.graph.sweeps.LocalSweeps`: same values, different
-division of labour (candidates are filtered and reduced per shard, the
-parent merges and writes), with the bottom-up scan shared outright
-(:func:`repro.graph.frontier.first_hit_scan`).
+They are the step bodies of :class:`repro.graph.sweeps.LocalSweeps`
+applied to a slice: the same :mod:`repro.graph.frontier` primitives
+(:func:`~repro.graph.frontier.first_parent_candidates`,
+:func:`~repro.graph.frontier.first_hit_scan`,
+:func:`~repro.graph.frontier.push_candidates`) find the round's
+candidates, a scatter into a shard-private accumulator keeps the best
+one per vertex, and the writes a local sweep would make are left to the
+parent: an op never writes ``visited``, ``vec`` or ``in_frontier``.
 
 Each op reads shared state (parent-written, stable between barriers),
 computes on its own slice, and writes ``(ids, values)`` deltas plus an
@@ -26,9 +29,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.frontier import first_hit_scan, gather_slots
+from repro.graph.csr import CSRGraph
+from repro.graph.frontier import (
+    first_hit_scan,
+    first_parent_candidates,
+    gather_slots,
+    push_candidates,
+    segment_min_scatter,
+)
 from repro.graph.scratch import KernelScratch
-from repro.graph.sweeps import RELAX_LIGHT
+from repro.graph.sweeps import LocalSweeps
 
 __all__ = ["ShardContext", "OP_SHUTDOWN", "OP_TD", "OP_BU", "OP_RELAX",
            "OP_PR", "run_op"]
@@ -60,9 +70,9 @@ HDR_ERROR = 2
 class ShardContext:
     """Everything one shard's op functions touch.
 
-    ``out_*`` is the push slice (full row space), ``in_*`` the pull
-    slice (local rows over ``owned``); shared arrays are views into the
-    dynamic arena (or plain arrays in inline mode).
+    ``out`` is the push slice as a CSR over the full row space,
+    ``in_*`` the pull slice (local rows over ``owned``); shared arrays
+    are views into the dynamic arena (or plain arrays in inline mode).
     """
 
     def __init__(self, shard: int, n: int, *,
@@ -79,9 +89,8 @@ class ShardContext:
                  ring_val: np.ndarray, ring_hdr: np.ndarray):
         self.shard = int(shard)
         self.n = int(n)
-        self.out_row_ptr = out_row_ptr
-        self.out_col_idx = out_col_idx
-        self.out_weights = out_weights
+        self.out = CSRGraph(row_ptr=out_row_ptr, col_idx=out_col_idx,
+                            weights=out_weights)
         self.owned = owned
         self.in_row_ptr = in_row_ptr
         self.in_col_idx = in_col_idx
@@ -99,6 +108,11 @@ class ShardContext:
         n_edges = max(out_col_idx.size,
                       in_col_idx.size if in_col_idx is not None else 0)
         self.scratch = KernelScratch(self.n, n_edges)
+        #: The slice's light / heavy arc masks, kept per delta.
+        self.sweeps = LocalSweeps(self.out, scratch=self.scratch)
+        #: Best candidate per destination within one relax round; all
+        #: ``+inf`` between rounds.
+        self.best = np.full(self.n, np.inf)
         #: Local destination row per pull arc (static; PageRank's
         #: accumulation index, precomputed once per engine).
         self.pr_rows = (np.repeat(
@@ -115,42 +129,16 @@ class ShardContext:
         self.ring_hdr[HDR_COUNT] = k
         self.ring_hdr[HDR_EXAMINED] = examined
 
-    def emit_empty(self, examined: int) -> None:
-        self.ring_hdr[HDR_COUNT] = 0
-        self.ring_hdr[HDR_EXAMINED] = examined
-
-
-def _min_per_id(ids: np.ndarray, vals: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (sorted unique ids, min value per id)."""
-    order = np.argsort(ids, kind="stable")
-    ids_s = ids[order]
-    first = np.ones(ids_s.size, dtype=bool)
-    first[1:] = ids_s[1:] != ids_s[:-1]
-    mins = np.minimum.reduceat(vals[order], np.flatnonzero(first))
-    return ids_s[first], mins
-
 
 def op_td(ctx: ShardContext) -> None:
-    """Top-down expansion: per-target minimum source over this shard's
-    arcs, candidates restricted to unvisited targets (visited is stable
-    within the superstep, so shard-side filtering equals the serial
-    post-claim filter)."""
+    """Top-down expansion: minimum source over this shard's arcs for
+    every unvisited target (visited is stable within the superstep)."""
     frontier = ctx.frontier[:int(ctx.ctrl_i[CTRL_FRONT_LEN])]
-    gs = gather_slots(ctx.out_row_ptr, frontier, ctx.scratch)
-    if gs.total == 0:
-        ctx.emit_empty(0)
-        return
-    nbrs = ctx.out_col_idx[gs.slots]
-    srcs = np.repeat(frontier, gs.counts)
-    keep = ~ctx.visited[nbrs]
-    nbrs = nbrs[keep]
-    srcs = srcs[keep]
-    if nbrs.size == 0:
-        ctx.emit_empty(gs.total)
-        return
-    uniq, mins = _min_per_id(nbrs, srcs)
-    ctx.emit(uniq, mins.astype(np.float64), gs.total)
+    gs = gather_slots(ctx.out.row_ptr, frontier, ctx.scratch)
+    new_v, parents = first_parent_candidates(
+        ctx.out.col_idx[gs.slots], np.repeat(frontier, gs.counts),
+        ctx.visited, ctx.scratch)
+    ctx.emit(new_v, parents, gs.total)
 
 
 def op_bu(ctx: ShardContext) -> None:
@@ -167,30 +155,16 @@ def op_bu(ctx: ShardContext) -> None:
 
 def op_relax(ctx: ShardContext) -> None:
     """One relaxation round over this shard's light or heavy arcs of
-    the broadcast members; per-destination segment minimum."""
+    the broadcast members; per-destination minimum of the candidates
+    that beat the pre-round distance."""
     members = ctx.frontier[:int(ctx.ctrl_i[CTRL_FRONT_LEN])]
-    mode = int(ctx.ctrl_i[CTRL_MODE])
-    gs = gather_slots(ctx.out_row_ptr, members, ctx.scratch)
-    if gs.total == 0:
-        ctx.emit_empty(0)
-        return
-    keep = ctx.out_weights[gs.slots] < float(ctx.ctrl_f[CTRL_DELTA])
-    if mode != RELAX_LIGHT:
-        keep = ~keep
-    slots = gs.slots[keep]
-    srcs = np.repeat(members, gs.counts)[keep]
-    if slots.size == 0:
-        ctx.emit_empty(gs.total)
-        return
-    dsts = ctx.out_col_idx[slots]
-    cand = ctx.vec[srcs] + ctx.out_weights[slots]
-    better = cand < ctx.vec[dsts]
-    dsts_b = dsts[better]
-    if dsts_b.size == 0:
-        ctx.emit_empty(gs.total)
-        return
-    uniq, mins = _min_per_id(dsts_b, cand[better])
-    ctx.emit(uniq, mins, gs.total)
+    ctx.sweeps.set_delta(float(ctx.ctrl_f[CTRL_DELTA]))
+    dsts, cand, examined = push_candidates(
+        ctx.out, ctx.out.weights, members, ctx.vec, ctx.vec, ctx.scratch,
+        keep=ctx.sweeps.keep[int(ctx.ctrl_i[CTRL_MODE])])
+    ids = segment_min_scatter(ctx.best, dsts, cand, ctx.scratch)
+    ctx.emit(ids, ctx.best[ids], examined)
+    ctx.best[ids] = np.inf
 
 
 def op_pr(ctx: ShardContext) -> None:
@@ -212,7 +186,8 @@ def op_pr(ctx: ShardContext) -> None:
     contrib = np.bincount(ctx.pr_rows, weights=share,
                           minlength=ctx.owned.size)
     new_rank[ctx.owned] = base + damping * (contrib + dangling)
-    ctx.emit_empty(ctx.in_col_idx.size)
+    ctx.ring_hdr[HDR_COUNT] = 0
+    ctx.ring_hdr[HDR_EXAMINED] = ctx.in_col_idx.size
 
 
 _OPS = {OP_TD: op_td, OP_BU: op_bu, OP_RELAX: op_relax, OP_PR: op_pr}

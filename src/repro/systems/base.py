@@ -135,7 +135,7 @@ class GraphSystem(ABC):
         engines = loaded.__dict__.setdefault("_shard_engines", {})
         key = (self.shards, self.shard_strategy, inn is not None)
         engine = engines.get(key)
-        if engine is None or engine._closed:
+        if engine is None or engine.closed:
             engine = ShardEngine(out, inn, n_shards=self.shards,
                                  strategy=self.shard_strategy)
             engines[key] = engine
@@ -148,16 +148,13 @@ class GraphSystem(ABC):
         REPORT reads none of them, preserving byte-identity)."""
         labels = {"system": self.name, "algorithm": algorithm,
                   "shards": engine.n_shards}
-        if engine.rounds:
-            self.tracer.counter("epg_shard_rounds_total",
-                                float(engine.rounds), **labels)
-        if engine.bytes_exchanged:
-            self.tracer.counter("epg_shard_bytes_total",
-                                float(engine.bytes_exchanged), **labels)
-        if engine.partition.cut_edges:
-            self.tracer.counter("epg_shard_cut_edges",
-                                float(engine.partition.cut_edges),
-                                **labels)
+        for name, value in (
+                ("epg_shard_rounds_total", engine.rounds),
+                ("epg_shard_local_rounds_total", engine.local_rounds),
+                ("epg_shard_bytes_total", engine.bytes_exchanged),
+                ("epg_shard_cut_edges", engine.partition.cut_edges)):
+            if value:
+                self.tracer.counter(name, float(value), **labels)
 
     # ------------------------------------------------------------------
     # Capabilities

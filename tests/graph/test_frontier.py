@@ -20,6 +20,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
 from repro.graph.frontier import (_push_dense, _push_sparse,
                                   claim_first_parent, dedup_ids,
+                                  first_parent_candidates,
                                   gather_slots, push_candidates,
                                   segment_min_scatter)
 from repro.graph.scratch import (COUNTERS, KernelScratch, consume_counters,
@@ -178,6 +179,13 @@ def _run_claim_case(csr, frontier, visited0):
 
     parent_new = np.where(visited0, np.arange(n, dtype=np.int64), -1)
     visited_new = visited0.copy()
+    # The candidates half alone writes nothing but scratch.
+    cand_v, cand_p = first_parent_candidates(nbrs, srcs, visited_new,
+                                             scratch)
+    assert np.array_equal(visited_new, visited0)
+    assert np.array_equal(cand_v, want_new)
+    assert np.array_equal(cand_p, parent_ref[want_new])
+    assert not scratch.mask("claim").any()
     got_new = claim_first_parent(nbrs, srcs, visited_new, parent_new,
                                  scratch)
     assert np.array_equal(got_new, want_new)

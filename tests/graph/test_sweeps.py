@@ -11,6 +11,7 @@ and every :class:`LocalSweeps` call against the inline engine's.
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.graph.sweeps import (
     LocalSweeps,
     SweepExecutor,
 )
+import repro.shard.engine as engine_mod
 from repro.shard.engine import ShardEngine
 from repro.shard.partition import PARTITION_STRATEGIES
 from repro.systems.gap.bfs import dobfs
@@ -192,6 +194,9 @@ def test_loop_touches_only_the_interface(kron10_gap, kernel, touched):
 # ----------------------------------------------------------------------
 # LocalSweeps == inline engine, call by call
 # ----------------------------------------------------------------------
+# Every round crosses: left to itself the engine would serve graphs
+# this small with a LocalSweeps of its own.
+@mock.patch.object(engine_mod, "_INLINE_ARCS", 0)
 @given(csr_graphs(max_n=40, max_m=160), st.integers(1, 4),
        st.sampled_from(sorted(PARTITION_STRATEGIES)), st.data())
 @settings(max_examples=60, deadline=None)

@@ -18,6 +18,7 @@ from repro.shard.drivers import (
     shard_dobfs,
     shard_pagerank,
 )
+import repro.shard.engine as engine_mod
 from repro.shard.engine import ShardEngine
 from repro.shard.partition import PARTITION_STRATEGIES
 from repro.systems.gap.bfs import dobfs
@@ -122,14 +123,24 @@ def test_process_backed_bit_identity_and_pool_reuse():
         assert it0 == it1
 
 
-def test_exchange_accounting_resets_per_kernel():
+def test_exchange_accounting_resets_per_kernel(monkeypatch):
     g = GRAPHS["random"]
     with ShardEngine(g.out, g.inn, n_shards=2, inline=True) as engine:
-        shard_dobfs(g, 0, engine)
-        first = (engine.rounds, engine.bytes_exchanged)
-        assert first[0] > 0 and first[1] > 0
-        shard_dobfs(g, 0, engine)
-        assert (engine.rounds, engine.bytes_exchanged) == first
+        def accounting():
+            shard_dobfs(g, 0, engine)
+            return (engine.rounds, engine.bytes_exchanged,
+                    engine.local_rounds)
+
+        # A graph this small is served in the parent...
+        first = accounting()
+        assert first[:2] == (0, 0) and first[2] > 0
+        assert accounting() == first
+        # ...unless every round is made to cross.
+        monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+        crossing = accounting()
+        assert crossing[0] == first[2] and crossing[1] > 0
+        assert crossing[2] == 0
+        assert accounting() == crossing
 
 
 def test_sssp_capability_errors():

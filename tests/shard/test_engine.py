@@ -21,6 +21,8 @@ import pytest
 from repro.errors import ConfigError, ShardError
 from repro.graph.csr import CSRGraph
 from repro.parallel.scheduler import resolve_jobs
+import repro.shard.engine as engine_mod
+from repro.shard import ops
 from repro.shard.engine import ShardEngine, resolve_shards
 from repro.shard.shm import ArenaSpec, ShmArena
 
@@ -137,16 +139,21 @@ def test_inline_engine_has_no_segments():
 # ----------------------------------------------------------------------
 # Failure paths (observed from outside)
 # ----------------------------------------------------------------------
+# The graphs here are far below the engine's break-even, so every round
+# would be served in the parent: the scripts pin ``_INLINE_ARCS`` to 0
+# to drive a real superstep.
 def test_sigkilled_worker_raises_shard_error_cleanly():
     """SIGKILL one worker mid-pool: the next superstep must raise
     ShardError naming the dead worker, leave /dev/shm empty, and emit
     no tracker noise or stray tracebacks on stderr."""
     proc = _run_script("""
         import numpy as np, os, signal
+        import repro.shard.engine as engine_mod
         from repro.errors import ShardError
         from repro.graph.csr import CSRGraph
         from repro.shard.engine import ShardEngine
 
+        engine_mod._INLINE_ARCS = 0
         rng = np.random.default_rng(1)
         n, m = 300, 1500
         out = CSRGraph.from_arrays(rng.integers(0, n, m),
@@ -178,9 +185,11 @@ def test_exit_without_close_is_clean():
     segments."""
     proc = _run_script("""
         import numpy as np
+        import repro.shard.engine as engine_mod
         from repro.graph.csr import CSRGraph
         from repro.shard.engine import ShardEngine
 
+        engine_mod._INLINE_ARCS = 0
         rng = np.random.default_rng(0)
         n, m = 300, 1500
         out = CSRGraph.from_arrays(rng.integers(0, n, m),
@@ -216,8 +225,10 @@ def test_pool_worker_hosting_engine_exits_cleanly():
             # The suite's cell workers ignore SIGTERM (checkpointing
             # parents drain them); reproduce that hostile inheritance.
             signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            import repro.shard.engine as engine_mod
             from repro.graph.csr import CSRGraph
             from repro.shard.engine import ShardEngine
+            engine_mod._INLINE_ARCS = 0
             rng = np.random.default_rng(3)
             n, m = 200, 800
             out = CSRGraph.from_arrays(rng.integers(0, n, m),
@@ -299,17 +310,75 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def test_worker_exception_surfaces_without_breaking_pool():
+def test_worker_exception_surfaces_without_breaking_pool(monkeypatch):
     """An op exception lands in the ring header, raises ShardError in
     the parent, and the pool keeps serving supersteps afterwards."""
+    real = ops._OPS[ops.OP_TD]
+
+    def failing_on_7(ctx):
+        if ctx.frontier[0] == 7:
+            raise RuntimeError("injected")
+        real(ctx)
+
+    # Patched before the pool forks, so the workers inherit it.
+    monkeypatch.setitem(ops._OPS, ops.OP_TD, failing_on_7)
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
     out, inn = _graph()
     parent = np.full(out.n_vertices, -1, dtype=np.int64)
     with ShardEngine(out, inn, n_shards=2, inline=False) as engine:
         with pytest.raises(ShardError, match="shard"):
-            # Out-of-range frontier ids make the gather throw inside
-            # the worker.
-            engine.top_down(np.array([10 ** 9], dtype=np.int64), parent)
+            engine.top_down(np.array([7], dtype=np.int64), parent)
         ids, examined = engine.top_down(np.array([0], dtype=np.int64),
                                         parent)
+        assert (engine.rounds, engine.local_rounds) == (1, 0)
         assert np.all(np.diff(ids) > 0)
         assert examined >= ids.size
+
+
+# ----------------------------------------------------------------------
+# Rounds served in the parent obey the same discipline
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("inline", [True, False])
+def test_closed_engine_refuses_every_round(inline):
+    out, inn = _graph()
+    engine = ShardEngine(out, inn, n_shards=2, inline=inline)
+    assert not engine.closed
+    engine.close()
+    assert engine.closed
+    frontier = np.array([0], dtype=np.int64)
+    parent = np.full(out.n_vertices, -1, dtype=np.int64)
+    for call in (lambda: engine.top_down(frontier, parent),
+                 lambda: engine.bottom_up(frontier, parent),
+                 lambda: engine.relax(frontier, 0)):
+        with pytest.raises(ShardError, match="engine is closed"):
+            call()
+
+
+@pytest.mark.parametrize("report", ["crossing round", "close"])
+def test_worker_death_during_local_rounds_is_reported(report, monkeypatch):
+    """A worker SIGKILLed while the parent serves rounds itself goes
+    unnoticed by them (they need no worker) and is reported by the next
+    round that crosses, or reaped by ``close()``; either way nothing is
+    left in /dev/shm."""
+    out, inn = _graph()
+    n = out.n_vertices
+    parent = np.full(n, -1, dtype=np.int64)
+    engine = ShardEngine(out, inn, n_shards=2, inline=False,
+                         step_timeout_s=5.0)
+    try:
+        engine.begin_bfs(0)
+        victim = engine._workers[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        frontier, _ = engine.top_down(np.array([0], dtype=np.int64), parent)
+        engine.bottom_up(frontier, parent)
+        assert (engine.rounds, engine.local_rounds) == (0, 2)
+        if report == "crossing round":
+            monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+            with pytest.raises(ShardError, match="epg-shard-1"):
+                engine.top_down(frontier, parent)
+            assert engine.closed
+    finally:
+        engine.close()
+    assert os.listdir("/dev/shm") == []

@@ -1,0 +1,85 @@
+"""Which rounds cross to the shards never shows in a result.
+
+``ShardEngine`` serves a round in the parent when it would gather fewer
+than ``_INLINE_ARCS`` arcs, so on the small graphs tests use every round
+stays local and ``repro.shard.ops`` would go unexercised.  This pins the
+constant to 0 (every round crosses), leaves it alone, and pins it to
+infinity (none does), and holds all three to the serial kernels: output
+arrays, ``WorkProfile`` arrays, examined counts and iteration counts,
+byte for byte, at every shard count, strategy and execution mode.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.shard.engine as engine_mod
+from repro.algorithms.pagerank import pagerank
+from repro.graph.csr import CSRGraph
+from repro.shard.engine import ShardEngine
+from repro.shard.partition import PARTITION_STRATEGIES
+from repro.systems.gap.bfs import dobfs
+from repro.systems.gap.graph import GapGraph
+from repro.systems.gap.sssp import delta_stepping
+from repro.systems.graph500.bfs import bfs_bitmap
+from tests.graph.test_sweeps import _same
+
+
+@st.composite
+def multigraphs(draw, max_n=24, max_m=72):
+    """Weighted directed multigraphs: parallel arcs, self-loops and
+    zero-weight arcs are added on purpose, isolated vertices come with
+    ``n`` outrunning ``m``."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=max_m))
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=8)) if arcs else []
+    arcs += [(v, v) for v in draw(st.lists(vertex, max_size=3))]
+    weights = draw(st.lists(
+        st.sampled_from([0.0, 0.0, 0.001, 0.1, 0.25, 0.3, 1.0, 7.5]),
+        min_size=len(arcs), max_size=len(arcs)))
+    src = np.array([a for a, _ in arcs], dtype=np.int64)
+    dst = np.array([b for _, b in arcs], dtype=np.int64)
+    out = CSRGraph.from_arrays(src, dst, n,
+                               weights=np.array(weights, dtype=np.float64))
+    return GapGraph(out=out, inn=out.transposed(), n=n, directed=True)
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "process"])
+@pytest.mark.parametrize("strategy", sorted(PARTITION_STRATEGIES))
+@pytest.mark.parametrize("shards", [1, 2, 3])
+@pytest.mark.parametrize("inline_arcs", [0, None, float("inf")],
+                         ids=["all-cross", "default", "none-cross"])
+def test_results_do_not_depend_on_which_rounds_cross(inline_arcs, shards,
+                                                     strategy, inline):
+    @given(multigraphs(), st.data())
+    @settings(max_examples=12 if inline else 4, deadline=None)
+    def check(g, data):
+        root = data.draw(st.integers(0, g.n - 1))
+        # A high alpha sends dobfs bottom-up early, beta 1 keeps it there.
+        alpha, beta = data.draw(st.sampled_from(
+            [(15.0, 18.0), (1e6, 1.0), (1e6, 18.0)]))
+        delta = data.draw(st.sampled_from([0.01, 0.25, 5.0]))
+        with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
+                         inline=inline) as engine:
+            assert _same(dobfs(g, root, alpha, beta, engine),
+                         dobfs(g, root, alpha, beta))
+            rounds = engine.rounds, engine.local_rounds
+            assert _same(bfs_bitmap(g.out, root, engine),
+                         bfs_bitmap(g.out, root))
+            assert _same(delta_stepping(g, root, delta, engine),
+                         delta_stepping(g, root, delta))
+            assert _same(pagerank(g.out, sweeps=engine), pagerank(g.out))
+        if inline_arcs == 0:
+            assert rounds[0] > 0 and rounds[1] == 0
+        elif inline_arcs is not None:
+            assert rounds[0] == 0 and rounds[1] > 0
+
+    if inline_arcs is None:
+        check()
+    else:
+        with mock.patch.object(engine_mod, "_INLINE_ARCS", inline_arcs):
+            check()

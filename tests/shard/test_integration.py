@@ -43,23 +43,33 @@ def test_system_results_identical_under_sharding(kron_ds, system, algos):
                 assert np.array_equal(r0.output[key], r1.output[key])
 
 
-def test_shard_metrics_emitted_only_when_sharded(kron_ds, tmp_path):
+def test_shard_metrics_emitted_only_when_sharded(kron_ds, tmp_path,
+                                                 monkeypatch):
+    import repro.shard.engine as engine_mod
     from repro.observability import Tracer
 
-    serial = create_system("gap", n_threads=4)
-    sharded = create_system("gap", n_threads=4, shards=2)
-    # The default tracer is a no-op; give each a live one, as the
-    # runner does.
-    serial.tracer = Tracer(tmp_path / "serial")
-    sharded.tracer = Tracer(tmp_path / "sharded")
-    serial.run(serial.load(kron_ds), "bfs", root=0)
-    sharded.run(sharded.load(kron_ds), "bfs", root=0)
-    assert serial.tracer.metrics.counter(
-        "epg_shard_rounds_total").total() == 0
-    rounds = sharded.tracer.metrics.counter("epg_shard_rounds_total")
-    nbytes = sharded.tracer.metrics.counter("epg_shard_bytes_total")
-    assert rounds.value(system="gap", algorithm="bfs", shards=2) > 0
-    assert nbytes.value(system="gap", algorithm="bfs", shards=2) > 0
+    def traced(name, **kwargs):
+        # The default tracer is a no-op; give each system a live one,
+        # as the runner does.
+        system = create_system("gap", n_threads=4, **kwargs)
+        system.tracer = Tracer(tmp_path / name)
+        system.run(system.load(kron_ds), "bfs", root=0)
+        labels = dict(system="gap", algorithm="bfs", shards=2)
+        return {key: system.tracer.metrics.counter(
+                    f"epg_shard_{key}_total").value(**labels)
+                for key in ("rounds", "local_rounds", "bytes")}
+
+    assert traced("serial") == {"rounds": 0, "local_rounds": 0, "bytes": 0}
+    # Which rounds of a graph this small cross is the engine's choice;
+    # that every round is counted on one side or the other is not.
+    default = traced("default", shards=2)
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+    crossing = traced("crossing", shards=2)
+    assert crossing["rounds"] > 0 and crossing["bytes"] > 0
+    assert crossing["local_rounds"] == 0
+    assert (default["rounds"] + default["local_rounds"]
+            == crossing["rounds"])
+    assert default["bytes"] <= crossing["bytes"]
 
 
 def test_engine_cached_on_loaded_graph(kron_ds, monkeypatch):
@@ -78,9 +88,9 @@ def test_engine_cached_on_loaded_graph(kron_ds, monkeypatch):
     # bfs and sssp share the pull engine; reused, not rebuilt
     for algorithm, root in (("bfs", 0), ("sssp", 0), ("bfs", 1)):
         system.run(loaded, algorithm, root=root)
-    assert len(built) == 1 and not built[0]._closed
+    assert len(built) == 1 and not built[0].closed
     loaded.close()
-    assert built[0]._closed
+    assert built[0].closed
     loaded.close()  # idempotent
     system.run(loaded, "bfs", root=0)  # a later run starts a fresh pool
     assert len(built) == 2

@@ -1,0 +1,175 @@
+"""The shard ops and the ring merge against the bodies they replaced.
+
+``op_td`` and ``op_relax`` used to be a third copy of the sweep (slot
+vector, three gathers per arc, a stable argsort per reduction) and are
+now the :mod:`repro.graph.frontier` primitives applied to a slice, with
+scatters doing the per-id minima.  The old bodies, as of commit d5b168a,
+are typed out below as the oracle: ring contents and merged results
+must be equal, on both sides of the primitives' internal switches.
+"""
+
+from contextlib import ExitStack
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.graph.frontier as frontier_mod
+from repro.graph.frontier import gather_slots
+from repro.graph.sweeps import RELAX_HEAVY, RELAX_LIGHT
+from repro.shard import ops
+from repro.shard.engine import ShardEngine
+from repro.shard.partition import PARTITION_STRATEGIES
+from tests.shard.test_identity import multigraphs
+
+
+# ----------------------------------------------------------------------
+# The bodies at d5b168a; each returns the ring it would have emitted.
+# ----------------------------------------------------------------------
+def old_min_per_id(ids, vals):
+    order = np.argsort(ids, kind="stable")
+    ids_s = ids[order]
+    first = np.ones(ids_s.size, dtype=bool)
+    first[1:] = ids_s[1:] != ids_s[:-1]
+    mins = np.minimum.reduceat(vals[order], np.flatnonzero(first))
+    return ids_s[first], mins
+
+
+EMPTY = np.empty(0, dtype=np.int64), np.empty(0)
+
+
+def old_op_td(ctx, frontier):
+    gs = gather_slots(ctx.out.row_ptr, frontier, ctx.scratch)
+    if gs.total == 0:
+        return *EMPTY, 0
+    nbrs = ctx.out.col_idx[gs.slots]
+    srcs = np.repeat(frontier, gs.counts)
+    keep = ~ctx.visited[nbrs]
+    nbrs = nbrs[keep]
+    srcs = srcs[keep]
+    if nbrs.size == 0:
+        return *EMPTY, gs.total
+    uniq, mins = old_min_per_id(nbrs, srcs)
+    return uniq, mins.astype(np.float64), gs.total
+
+
+def old_op_relax(ctx, members, mode, delta):
+    gs = gather_slots(ctx.out.row_ptr, members, ctx.scratch)
+    if gs.total == 0:
+        return *EMPTY, 0
+    keep = ctx.out.weights[gs.slots] < delta
+    if mode != RELAX_LIGHT:
+        keep = ~keep
+    slots = gs.slots[keep]
+    srcs = np.repeat(members, gs.counts)[keep]
+    if slots.size == 0:
+        return *EMPTY, gs.total
+    dsts = ctx.out.col_idx[slots]
+    cand = ctx.vec[srcs] + ctx.out.weights[slots]
+    better = cand < ctx.vec[dsts]
+    dsts_b = dsts[better]
+    if dsts_b.size == 0:
+        return *EMPTY, gs.total
+    uniq, mins = old_min_per_id(dsts_b, cand[better])
+    return uniq, mins, gs.total
+
+
+def old_merge_min(rings):
+    all_ids = np.concatenate([r[0] for r in rings])
+    all_val = np.concatenate([r[1] for r in rings])
+    if all_ids.size == 0:
+        return all_ids, all_val
+    return old_min_per_id(all_ids, all_val)
+
+
+# ----------------------------------------------------------------------
+def _assert_rings_equal(got, want):
+    assert len(got) == len(want)
+    for (ids, vals, examined), (w_ids, w_vals, w_examined) in zip(got, want):
+        assert ids.dtype == np.int64 and vals.dtype == np.float64
+        assert ids.tobytes() == w_ids.tobytes()
+        assert vals.tobytes() == w_vals.tobytes()
+        assert examined == w_examined
+
+
+def _subset(data, n):
+    picks = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.flatnonzero(np.array(picks, dtype=bool))
+
+
+#: ``_SMALL_SHIFT`` 0 sorts whenever fewer than ``n`` arcs are touched
+#: and 63 never does; ``_DENSE_SHARE`` 0 always walks the whole slice
+#: and infinity never does.  ``None`` leaves the module's own value.
+@pytest.mark.parametrize("dense_share", [0.0, None, float("inf")],
+                         ids=["dense", "default", "sparse"])
+@pytest.mark.parametrize("small_shift", [0, None, 63],
+                         ids=["sort", "default", "mask"])
+def test_ops_and_merge_match_the_old_bodies(small_shift, dense_share):
+    @given(multigraphs(), st.integers(1, 3),
+           st.sampled_from(sorted(PARTITION_STRATEGIES)), st.data())
+    @settings(max_examples=25, deadline=None)
+    def check(g, shards, strategy, data):
+        n = g.n
+        with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
+                         inline=True) as engine:
+            state = engine._arrays
+            state["visited"][:] = False
+            state["visited"][_subset(data, n)] = True
+            state["in_frontier"][_subset(data, n)] = True
+            state["vec"][:] = data.draw(st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, np.inf]),
+                min_size=n, max_size=n))
+            members = _subset(data, n)
+            delta = data.draw(st.sampled_from([0.01, 0.25, 5.0]))
+            state["ctrl_f"][ops.CTRL_DELTA] = delta
+            mode = data.draw(st.sampled_from([RELAX_LIGHT, RELAX_HEAVY]))
+            before = {k: state[k].tobytes()
+                      for k in ("visited", "vec", "in_frontier")}
+
+            def superstep(*args, **kwargs):
+                # Ring contents are views that the next round overwrites.
+                return [(ids.copy(), vals.copy(), examined) for
+                        ids, vals, examined in
+                        engine._superstep(*args, **kwargs)]
+
+            def unchanged():
+                return all(state[k].tobytes() == b
+                           for k, b in before.items())
+
+            rings = superstep(ops.OP_TD, frontier=members)
+            assert unchanged()
+            _assert_rings_equal(
+                rings, [old_op_td(c, members) for c in engine._contexts])
+            want_ids, want_min = old_merge_min(rings)
+            best = np.full(n, np.inf)
+            got_ids = engine._merge_min(rings, best)
+            assert got_ids.tobytes() == want_ids.tobytes()
+            assert best[got_ids].tobytes() == want_min.tobytes()
+
+            rings = superstep(ops.OP_RELAX, frontier=members, mode=mode)
+            assert unchanged()
+            _assert_rings_equal(
+                rings, [old_op_relax(c, members, mode, delta)
+                        for c in engine._contexts])
+            assert all(not np.isfinite(c.best).any()
+                       for c in engine._contexts)  # handed back clean
+            want_ids, want_min = old_merge_min(rings)
+            want = state["vec"].copy()
+            want[want_ids] = np.minimum(want[want_ids], want_min)
+            got = state["vec"].copy()
+            got_ids = engine._merge_min(rings, got)
+            assert got_ids.tobytes() == want_ids.tobytes()
+            assert got.tobytes() == want.tobytes()
+
+            superstep(ops.OP_BU)
+            assert unchanged()
+
+    with ExitStack() as pinned:
+        for name, value in (("_SMALL_SHIFT", small_shift),
+                            ("_DENSE_SHARE", dense_share)):
+            if value is not None:
+                pinned.enter_context(
+                    mock.patch.object(frontier_mod, name, value))
+        check()
