@@ -30,18 +30,20 @@ scratch.  The contracts, enforced by ``benchmarks/bench_stream.py``:
 Deletion repair is Ramalingam-Reps style: arcs whose removal cuts a
 shortest-path-tree link orphan the cut vertex's whole tree subtree;
 orphans are unsettled and re-settled -- together with insertion-improved
-vertices -- by a monotone Dijkstra pass over the affected region only
-(the shared :class:`~repro.graph.frontier.BucketQueue` for unit-weight
-BFS, a lazy-deletion binary heap for float SSSP).  Vertices outside the
+vertices -- by a pass over the affected region only: level by level off
+the shared :class:`~repro.graph.frontier.BucketQueue` for unit-weight
+BFS, by frontier rounds of the cold kernels' own relaxation
+(:func:`~repro.graph.frontier.push_candidates` +
+:func:`~repro.graph.frontier.segment_min_scatter`) for float SSSP, whose
+fixed point is the same whatever the order.  Vertices outside the
 affected region keep their answer: a non-orphan's parent chain is
 intact, so its distance cannot increase, and any decrease must travel
 through an inserted arc or a repaired vertex, both of which seed or
-relax the queue.
+relax the frontier.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,13 @@ from repro.algorithms.sssp import sssp_dijkstra
 from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import AppliedBatch
-from repro.graph.frontier import BucketQueue, gather_slots
+from repro.graph.frontier import (
+    BucketQueue,
+    dedup_ids,
+    gather_slots,
+    push_candidates,
+    segment_min_scatter,
+)
 from repro.graph.scratch import scratch_for
 
 __all__ = ["IncrementalBFS", "IncrementalSSSP", "IncrementalPageRank",
@@ -78,7 +86,8 @@ class RepairStats:
     n_cut: int
     #: Tree descendants of the cut vertices (unsettled for repair).
     n_orphaned: int
-    #: Vertices (re)settled by the affected-region Dijkstra pass.
+    #: Vertices (re)settled by the affected-region pass, each counted
+    #: once however many times its distance dropped on the way.
     n_resettled: int
 
 
@@ -121,6 +130,67 @@ def _segmented_min(values: np.ndarray, offsets: np.ndarray,
     return np.minimum.reduceat(values, offsets[nonempty]), nonempty
 
 
+def _cut_and_orphan(graph: CSRGraph, applied: AppliedBatch,
+                    parent: np.ndarray, root: int, dist: np.ndarray,
+                    unreached):
+    """Steps 1-2 of a repair: find the vertices whose tree arc the batch
+    removed and set their whole tree subtrees to ``unreached``.
+
+    Returns ``(cut, orphans, rev, scratch, rscratch)``: the transpose
+    and the two scratch arenas are what the rest of the repair gathers
+    through.
+    """
+    n = graph.n_vertices
+    rd = applied.removed_dst
+    cut = np.unique(rd[(parent[rd] == applied.removed_src) & (rd != root)])
+    rev = graph.transposed()
+    scratch = scratch_for(graph, n, graph.n_edges)
+    rscratch = scratch_for(rev, n, rev.n_edges)
+    orphans = _tree_descendants(graph, parent, cut, scratch)
+    dist[orphans] = unreached
+    return cut, orphans, rev, scratch, rscratch
+
+
+def _moved_witnesses(graph: CSRGraph, scratch, moved: np.ndarray,
+                     reached: np.ndarray, is_witness,
+                     applied: AppliedBatch, root: int) -> np.ndarray:
+    """Where the witness set may have moved: ``moved`` itself (orphans
+    and every vertex whose distance dropped), insertion targets, and
+    the out-neighbors a ``reached`` moved vertex witnesses (it can
+    become their new minimum witness without their own distance
+    changing)."""
+    extra = [moved, applied.inserted_dst]
+    fin = moved[reached]
+    gs = gather_slots(graph.row_ptr, fin, scratch)
+    if gs.total:
+        nbrs = graph.col_idx[gs.slots]
+        srcs = np.repeat(fin, gs.counts)
+        extra.append(nbrs[is_witness(graph, srcs, nbrs, gs.slots)])
+    verts = np.unique(np.concatenate(extra))
+    return verts[verts != root]
+
+
+def _recompute_parents(rev: CSRGraph, rscratch, parent: np.ndarray,
+                       verts: np.ndarray, reached: np.ndarray,
+                       is_witness, what: str) -> None:
+    """``parent[v] = min{u in in(v): is_witness(rev, u, v, slot)}`` for
+    the ``reached`` among ``verts``, ``-1`` for the others."""
+    parent[verts[~reached]] = -1
+    fin = verts[reached]
+    if fin.size == 0:
+        return
+    gs = gather_slots(rev.row_ptr, fin, rscratch)
+    n = parent.size
+    innb = rev.col_idx[gs.slots]
+    ok = is_witness(rev, innb, np.repeat(fin, gs.counts), gs.slots)
+    mins, nonempty = _segmented_min(np.where(ok, innb, np.int64(n)),
+                                    gs.offsets, gs.counts)
+    if (~nonempty).any() or (mins >= n).any():
+        raise ValidationError(
+            f"{what} repair: reached vertex lost every parent witness")
+    parent[fin] = mins
+
+
 class IncrementalBFS:
     """Dynamic BFS repair; state bit-identical to :func:`bfs_parents`.
 
@@ -138,49 +208,29 @@ class IncrementalBFS:
                applied: AppliedBatch) -> RepairStats:
         """Repair across one applied batch; ``graph`` is the post-batch
         snapshot."""
-        n = graph.n_vertices
-        root = self.root
         parent, level = self.parent, self.level
         dist = np.where(level >= 0, level, INF_LEVEL)
-
-        # 1. Cut detection: removed arcs that carried a tree link.
-        rd = applied.removed_dst
-        cut = np.unique(rd[(parent[rd] == applied.removed_src)
-                           & (rd != root)])
-
-        rev = graph.transposed()
-        scratch = scratch_for(graph, n, graph.n_edges)
-        rscratch = scratch_for(rev, n, rev.n_edges)
-
-        # 2. Orphan the cut vertices' whole tree subtrees.
-        orphans = _tree_descendants(graph, parent, cut, scratch)
-        dist[orphans] = INF_LEVEL
+        cut, orphans, rev, scratch, rscratch = _cut_and_orphan(
+            graph, applied, parent, self.root, dist, INF_LEVEL)
 
         bq = BucketQueue()
-        touched_parts: list[np.ndarray] = []
+        moved_parts = [orphans]
 
         def offer(vs: np.ndarray, cand: np.ndarray) -> None:
             ok = cand < dist[vs]
-            if not ok.any():
-                return
-            vs, cand = vs[ok], cand[ok]
-            np.minimum.at(dist, vs, cand)
-            uv = np.unique(vs)
-            touched_parts.append(uv)
-            bq.push(uv, dist[uv])
+            if ok.any():
+                uv = segment_min_scatter(dist, vs[ok], cand[ok], scratch)
+                moved_parts.append(uv)
+                bq.push(uv, dist[uv])
 
         # 3a. Seed orphans from their still-settled in-neighbors.
-        if orphans.size:
-            gs = gather_slots(rev.row_ptr, orphans, rscratch)
-            if gs.total:
-                innb = rev.col_idx[gs.slots]
-                mins, nonempty = _segmented_min(dist[innb], gs.offsets,
-                                                gs.counts)
-                offer(orphans[nonempty], mins + 1)
+        gs = gather_slots(rev.row_ptr, orphans, rscratch)
+        if gs.total:
+            mins, nonempty = _segmented_min(dist[rev.col_idx[gs.slots]],
+                                            gs.offsets, gs.counts)
+            offer(orphans[nonempty], mins + 1)
         # 3b. Seed insertion improvements.
-        if applied.inserted_src.size:
-            offer(applied.inserted_dst,
-                  dist[applied.inserted_src] + 1)
+        offer(applied.inserted_dst, dist[applied.inserted_src] + 1)
 
         # 4. Monotone re-settle over the affected region only.
         n_resettled = 0
@@ -195,55 +245,24 @@ class IncrementalBFS:
                 nbrs = graph.col_idx[gs.slots]
                 offer(nbrs, np.full(nbrs.size, k + 1, dtype=np.int64))
 
-        # 5. Recompute parents wherever the witness set may have moved:
-        #    orphans, every dist-changed vertex, insertion targets, and
-        #    out-neighbors of moved vertices that sit exactly one level
-        #    below them (a moved vertex can become their new minimum
-        #    witness without their own level changing).
-        touched = (np.unique(np.concatenate(touched_parts))
-                   if touched_parts else np.empty(0, dtype=np.int64))
-        moved = np.unique(np.concatenate([orphans, touched]))
-        extra = [moved, applied.inserted_dst]
-        if moved.size:
-            gs = gather_slots(graph.row_ptr, moved, scratch)
-            if gs.total:
-                nbrs = graph.col_idx[gs.slots]
-                srcs = np.repeat(moved, gs.counts)
-                extra.append(nbrs[dist[nbrs] == dist[srcs] + 1])
-        recompute = np.unique(np.concatenate(extra))
-        recompute = recompute[recompute != root]
-        self._recompute_parents(graph, rev, rscratch, dist, parent,
-                                recompute)
+        # 5. ``parent[v] = min{u in in(v): level[u] == level[v] - 1}``
+        #    -- the claim-first-parent winner of the reference BFS --
+        #    wherever that set may have moved.
+        def one_level_up(csr, u, v, slots):
+            return dist[u] + 1 == dist[v]
+
+        moved = np.unique(np.concatenate(moved_parts))
+        verts = _moved_witnesses(graph, scratch, moved,
+                                 dist[moved] < INF_LEVEL, one_level_up,
+                                 applied, self.root)
+        _recompute_parents(rev, rscratch, parent, verts,
+                           dist[verts] < INF_LEVEL, one_level_up, "BFS")
 
         self.level = np.where(dist < INF_LEVEL, dist, -1)
         self.graph = graph
         return RepairStats(n_cut=int(cut.size),
                            n_orphaned=int(orphans.size),
                            n_resettled=int(n_resettled))
-
-    @staticmethod
-    def _recompute_parents(graph: CSRGraph, rev: CSRGraph, rscratch,
-                           dist: np.ndarray, parent: np.ndarray,
-                           verts: np.ndarray) -> None:
-        """``parent[v] = min{u in in(v): dist[u] == dist[v] - 1}`` --
-        exactly the claim-first-parent winner of the reference BFS."""
-        if verts.size == 0:
-            return
-        unreached = verts[dist[verts] >= INF_LEVEL]
-        parent[unreached] = -1
-        fin = verts[dist[verts] < INF_LEVEL]
-        if fin.size == 0:
-            return
-        gs = gather_slots(rev.row_ptr, fin, rscratch)
-        n = graph.n_vertices
-        innb = rev.col_idx[gs.slots]
-        want = np.repeat(dist[fin] - 1, gs.counts)
-        cand = np.where(dist[innb] == want, innb, np.int64(n))
-        mins, nonempty = _segmented_min(cand, gs.offsets, gs.counts)
-        if (~nonempty).any() or (mins >= n).any():
-            raise ValidationError(
-                "BFS repair: reached vertex lost every parent witness")
-        parent[fin] = mins
 
 
 class IncrementalSSSP:
@@ -266,119 +285,70 @@ class IncrementalSSSP:
         self.parent = np.full(graph.n_vertices, -1, dtype=np.int64)
         self.parent[self.root] = self.root
         fin = np.flatnonzero(np.isfinite(self.dist))
-        self._recompute_parents(graph, self.dist, self.parent,
-                                fin[fin != self.root])
+        fin = fin[fin != self.root]
+        rev = graph.transposed()
+        _recompute_parents(
+            rev, scratch_for(rev, graph.n_vertices, rev.n_edges),
+            self.parent, fin, np.ones(fin.size, dtype=bool),
+            self._supports, "SSSP")
         self.graph = graph
+
+    def _supports(self, csr, u, v, slots):
+        """Exact float equality: both sides are the same double sums."""
+        return self.dist[u] + csr.weights[slots] == self.dist[v]
 
     def update(self, graph: CSRGraph,
                applied: AppliedBatch) -> RepairStats:
-        n = graph.n_vertices
-        root = self.root
+        # NaN fails ``>=`` too.  Checked before any state is touched:
+        # the relaxation rounds below only terminate on ``w >= 0``.
+        if not (applied.inserted_weights >= 0).all():
+            raise ValidationError(
+                "incremental SSSP requires non-negative weights")
         dist, parent = self.dist, self.parent
+        cut, orphans, rev, scratch, rscratch = _cut_and_orphan(
+            graph, applied, parent, self.root, dist, np.inf)
 
-        rd = applied.removed_dst
-        cut = np.unique(rd[(parent[rd] == applied.removed_src)
-                           & (rd != root)])
-        rev = graph.transposed()
-        scratch = scratch_for(graph, n, graph.n_edges)
-        rscratch = scratch_for(rev, n, rev.n_edges)
+        # Seeds: each orphan's best still-settled in-neighbor, then
+        # every inserted arc that improves its target.
+        seeds = []
+        gs = gather_slots(rev.row_ptr, orphans, rscratch)
+        if gs.total:
+            cand = dist[rev.col_idx[gs.slots]] + rev.weights[gs.slots]
+            mins, nonempty = _segmented_min(cand, gs.offsets, gs.counts)
+            finite = np.isfinite(mins)
+            seeds.append(segment_min_scatter(
+                dist, orphans[nonempty][finite], mins[finite], scratch))
+        cand = dist[applied.inserted_src] + applied.inserted_weights
+        better = cand < dist[applied.inserted_dst]
+        seeds.append(segment_min_scatter(
+            dist, applied.inserted_dst[better], cand[better], scratch))
 
-        orphans = _tree_descendants(graph, parent, cut, scratch)
-        dist[orphans] = np.inf
+        # Relaxation rounds over the affected region: the round the
+        # cold kernels run (``LocalSweeps.relax``).  The order is
+        # immaterial for the final floats (see the module docstring);
+        # strict ``<`` and ``w >= 0`` end it.
+        n = dist.size
+        rounds = [dedup_ids(np.concatenate(seeds), n, scratch)]
+        while rounds[-1].size:
+            dsts, cand, _ = push_candidates(graph, graph.weights,
+                                            rounds[-1], dist, dist, scratch)
+            rounds.append(segment_min_scatter(dist, dsts, cand, scratch))
 
-        heap: list[tuple[float, int]] = []
-        touched_parts: list[np.ndarray] = []
-
-        def offer(vs: np.ndarray, cand: np.ndarray) -> None:
-            ok = cand < dist[vs]
-            if not ok.any():
-                return
-            vs, cand = vs[ok], cand[ok]
-            np.minimum.at(dist, vs, cand)
-            uv = np.unique(vs)
-            touched_parts.append(uv)
-            for v in uv:
-                heapq.heappush(heap, (float(dist[v]), int(v)))
-
-        if orphans.size:
-            gs = gather_slots(rev.row_ptr, orphans, rscratch)
-            if gs.total:
-                innb = rev.col_idx[gs.slots]
-                cand = dist[innb] + rev.weights[gs.slots]
-                mins, nonempty = _segmented_min(cand, gs.offsets,
-                                                gs.counts)
-                finite = np.isfinite(mins)
-                offer(orphans[nonempty][finite], mins[finite])
-        if applied.inserted_src.size:
-            src_d = dist[applied.inserted_src]
-            finite = np.isfinite(src_d)
-            if finite.any():
-                offer(applied.inserted_dst[finite],
-                      src_d[finite] + applied.inserted_weights[finite])
-
-        # Lazy-deletion Dijkstra over the affected region.  The settle
-        # order is immaterial for the final floats (see the module
-        # docstring); a Python heap is fine because small batches touch
-        # small regions -- exactly the regime the gate times.
-        row_ptr, col_idx, weights = (graph.row_ptr, graph.col_idx,
-                                     graph.weights)
-        n_resettled = 0
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d != dist[v]:
-                continue            # stale entry (improved since push)
-            n_resettled += 1
-            s, e = row_ptr[v], row_ptr[v + 1]
-            if e > s:
-                offer(col_idx[s:e], d + weights[s:e])
-
-        touched = (np.unique(np.concatenate(touched_parts))
-                   if touched_parts else np.empty(0, dtype=np.int64))
+        # Re-settled = distance dropped, however many times: what a
+        # monotone Dijkstra pass over the region settles exactly once.
+        touched = dedup_ids(np.concatenate(rounds), n, scratch)
         moved = np.unique(np.concatenate([orphans, touched]))
-        extra = [moved, applied.inserted_dst]
-        fin_moved = moved[np.isfinite(dist[moved])]
-        if fin_moved.size:
-            gs = gather_slots(graph.row_ptr, fin_moved, scratch)
-            if gs.total:
-                nbrs = col_idx[gs.slots]
-                srcs = np.repeat(fin_moved, gs.counts)
-                support = dist[srcs] + weights[gs.slots] == dist[nbrs]
-                extra.append(nbrs[support])
-        recompute = np.unique(np.concatenate(extra))
-        recompute = recompute[recompute != root]
-        self._recompute_parents(graph, dist, parent, recompute)
+        verts = _moved_witnesses(graph, scratch, moved,
+                                 np.isfinite(dist[moved]), self._supports,
+                                 applied, self.root)
+        _recompute_parents(rev, rscratch, parent, verts,
+                           np.isfinite(dist[verts]), self._supports,
+                           "SSSP")
 
         self.graph = graph
         return RepairStats(n_cut=int(cut.size),
                            n_orphaned=int(orphans.size),
-                           n_resettled=int(n_resettled))
-
-    @staticmethod
-    def _recompute_parents(graph: CSRGraph, dist: np.ndarray,
-                           parent: np.ndarray,
-                           verts: np.ndarray) -> None:
-        """``parent[v] = min{u in in(v): dist[u] + w == dist[v]}``
-        (exact float equality: both sides are the same double sums)."""
-        if verts.size == 0:
-            return
-        unreached = verts[~np.isfinite(dist[verts])]
-        parent[unreached] = -1
-        fin = verts[np.isfinite(dist[verts])]
-        if fin.size == 0:
-            return
-        rev = graph.transposed()
-        rscratch = scratch_for(rev, graph.n_vertices, rev.n_edges)
-        gs = gather_slots(rev.row_ptr, fin, rscratch)
-        n = graph.n_vertices
-        innb = rev.col_idx[gs.slots]
-        want = np.repeat(dist[fin], gs.counts)
-        support = dist[innb] + rev.weights[gs.slots] == want
-        cand = np.where(support, innb, np.int64(n))
-        mins, nonempty = _segmented_min(cand, gs.offsets, gs.counts)
-        if (~nonempty).any() or (mins >= n).any():
-            raise ValidationError(
-                "SSSP repair: reached vertex lost every supporter")
-        parent[fin] = mins
+                           n_resettled=int(touched.size))
 
 
 def pagerank_warm(graph: CSRGraph, rank0: np.ndarray,

@@ -335,9 +335,10 @@ class DynamicGraph:
                                      else None))
         src = self._keys // n
         np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
-        # ``% n`` allocates fresh arrays; ``_w`` is copy-on-write (see
-        # apply), so sharing it keeps the snapshot immutable.
-        return CSRGraph(row_ptr=row_ptr, col_idx=self._keys % n,
+        # ``dst = key - src * n``: the remainder without a second
+        # integer division, in a fresh array; ``_w`` is copy-on-write
+        # (see apply), so sharing it keeps the snapshot immutable.
+        return CSRGraph(row_ptr=row_ptr, col_idx=self._keys - src * n,
                         weights=self._w)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

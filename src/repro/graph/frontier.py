@@ -35,9 +35,10 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
 Floating-point *sums* are never re-associated -- that changes low-order
 bits, which the byte-identity gate (``benchmarks/bench_kernels.py``)
 would reject -- so this module offers no sum primitive.  Brandes keeps
-``np.add.at``; every PageRank sweep accumulates with
-``np.bincount(dst, weights=...)``, which adds each destination's terms
-left to right in arc order exactly as ``np.add.at`` into zeros does
+``np.add.at``; the PageRank sweeps accumulate with
+``np.bincount(dst, weights=...)`` or, in ``LocalSweeps``, a CSC
+mat-vec, both of which add each destination's terms left to right in
+arc order exactly as ``np.add.at`` into zeros does
 (goldens in ``tests/graph/test_sweeps.py`` and
 ``tests/systems/test_pagerank_goldens.py``).
 

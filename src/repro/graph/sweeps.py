@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Protocol
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import (
@@ -142,16 +143,19 @@ class LocalSweeps:
 
     # -- PageRank ------------------------------------------------------
     def begin_pagerank(self, rank):
-        self.out_deg = self.out.out_degrees()
-        # Dangling vertices repeat zero times; 1 only keeps 0/0 out of it.
-        self.divisor = np.maximum(self.out_deg, 1).astype(np.float64)
+        out = self.out
+        # Dangling vertices own no arc; 1 only keeps 0/0 out of it.
+        self.divisor = np.maximum(out.out_degrees(), 1).astype(np.float64)
+        # ``out``'s CSR arrays read as CSC: column = source, row =
+        # destination, every arc (parallel ones included) an entry 1.
+        self.arcs = csc_matrix(
+            (np.ones(out.n_edges), out.col_idx, out.row_ptr),
+            shape=(self.n, self.n))
         return rank
 
     def pagerank_sweep(self, rank, dangling_mass, base, damping):
-        # Shares are divided once per vertex and expanded per arc (CSR
-        # order is source order); ``bincount`` adds each destination's
-        # left to right in arc order, bit-identical to ``np.add.at``.
-        contrib = np.bincount(
-            self.out.col_idx, minlength=self.n,
-            weights=np.repeat(rank / self.divisor, self.out_deg))
+        # Shares are divided once per vertex.  A CSC mat-vec walks the
+        # columns in order and adds ``x[src]`` into ``y[dst]`` entry by
+        # entry -- arc order, bit-identical to ``np.add.at`` into zeros.
+        contrib = self.arcs @ (rank / self.divisor)
         return base + damping * (contrib + dangling_mass)

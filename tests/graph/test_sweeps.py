@@ -244,3 +244,28 @@ def test_local_sweeps_match_inline_engine(out, n_shards, strategy, data):
                      for ex, r in zip(both, ranks)]
             assert ranks[0].tobytes() == ranks[1].tobytes()
         assert start.tobytes() == np.full(n, 1.0 / n).tobytes()
+
+
+# ----------------------------------------------------------------------
+# LocalSweeps.pagerank_sweep adds in arc order
+# ----------------------------------------------------------------------
+@given(csr_graphs(max_n=30, max_m=200), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pagerank_sweep_is_the_ordered_add_at(out, data):
+    # Parallel arcs, self-loops, dangling and isolated vertices all come
+    # out of ``csr_graphs``; shares ten orders of magnitude apart make a
+    # re-associated sum land on other low-order bits.
+    n = out.n_vertices
+    rank = np.array(data.draw(st.lists(
+        st.floats(1e-10, 1.0), min_size=n, max_size=n)))
+    dangling_mass, base, damping = 0.03, 0.15 / n, 0.85
+    local = LocalSweeps(out)
+    got = local.pagerank_sweep(local.begin_pagerank(rank), dangling_mass,
+                               base, damping)
+
+    src = out.source_ids()
+    share = rank / np.maximum(out.out_degrees(), 1)
+    contrib = np.zeros(n)
+    np.add.at(contrib, out.col_idx, share[src])
+    want = base + damping * (contrib + dangling_mass)
+    assert got.tobytes() == want.tobytes()

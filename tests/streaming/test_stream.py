@@ -1,5 +1,7 @@
 """Tests for the streaming scenario builder and replay harness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,22 @@ class TestArtifacts:
         assert len(lines) == len(rows) + 1
         assert lines[0].startswith("batch,n_inserted,")
         assert lines[1].split(",")[0] == "0"
+
+    def test_counters_match_pinned_golden(self, tmp_path, capsys):
+        # `epg stream --scale 10 --batches 6 --batch-edges 48` at commit
+        # 7352591, the last one that repaired SSSP one heap pop at a
+        # time: the *_resettled / pagerank_sweeps columns go into
+        # REPORT.md, and a repair may get faster but not count otherwise.
+        from repro.cli import main
+
+        out = tmp_path / "stream"
+        assert main(["stream", "--output", str(out), "--scale", "10",
+                     "--batches", "6", "--batch-edges", "48"]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(
+            (out / "stream_results.csv").read_bytes()).hexdigest()
+        assert digest == ("c660cb4f110076ce980804a70e319dd8"
+                          "414d53c739f09d541f1754e9521e84c9")
 
     def test_trace_spans_and_metrics(self, small_scenario, tmp_path):
         tracer = Tracer(tmp_path / "trace")
