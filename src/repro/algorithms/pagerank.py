@@ -13,15 +13,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import ConfigError, ValidationError
 from repro.graph.csr import CSRGraph
 from repro.graph.sweeps import LocalSweeps, SweepExecutor
 
-__all__ = ["pagerank", "DEFAULT_EPSILON", "DEFAULT_DAMPING"]
+__all__ = ["pagerank", "check_pagerank_params", "DEFAULT_EPSILON",
+           "DEFAULT_DAMPING"]
 
 DEFAULT_EPSILON = 6e-8
 DEFAULT_DAMPING = 0.85
 DEFAULT_MAX_ITERATIONS = 1000
+
+
+def check_pagerank_params(damping: float, epsilon: float,
+                          max_iterations: int, n_blocks: int = 1) -> None:
+    """Reject parameters no power iteration is defined for -- every
+    PageRank here (this one and the four systems') calls it first.
+
+    ``epsilon = 0`` is legal: Graphalytics runs a fixed number of
+    sweeps that way.  The comparisons are written so NaN fails them.
+    """
+    if not 0.0 <= damping < 1.0:
+        raise ConfigError(f"damping must be in [0, 1), got {damping}")
+    if not epsilon >= 0.0:
+        raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
+    if max_iterations < 1:
+        raise ConfigError(
+            f"max_iterations must be >= 1, got {max_iterations}")
+    if n_blocks < 1:
+        raise ConfigError(f"n_blocks must be >= 1, got {n_blocks}")
 
 
 def pagerank(graph: CSRGraph, damping: float = DEFAULT_DAMPING,
@@ -41,6 +61,7 @@ def pagerank(graph: CSRGraph, damping: float = DEFAULT_DAMPING,
     (in-process by default); the dangling mass and the L1 residual are
     always taken here, on the full vectors.
     """
+    check_pagerank_params(damping, epsilon, max_iterations)
     n = graph.n_vertices
     if n == 0:
         return np.zeros(0), 0

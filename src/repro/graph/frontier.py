@@ -34,13 +34,12 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
 
 Floating-point *sums* are never re-associated -- that changes low-order
 bits, which the byte-identity gate (``benchmarks/bench_kernels.py``)
-would reject -- so this module offers no sum primitive.  Brandes keeps
-``np.add.at``; the PageRank sweeps accumulate with
-``np.bincount(dst, weights=...)`` or, in ``LocalSweeps``, a CSC
-mat-vec, both of which add each destination's terms left to right in
-arc order exactly as ``np.add.at`` into zeros does
-(goldens in ``tests/graph/test_sweeps.py`` and
-``tests/systems/test_pagerank_goldens.py``).
+would reject.  The one sum primitive is :func:`arc_sum_operator`, which
+every PageRank sweep goes through (``LocalSweeps``, GAP, GraphBIG,
+PowerGraph and the shard op) and which adds in arc order (goldens in
+``tests/graph/test_sweeps.py`` and
+``tests/systems/test_pagerank_goldens.py``); Brandes keeps
+``np.add.at``.
 
 The gate also enforces the point of the exercise: >=2x on the
 gathered-edge hot loop at Kronecker scale 16.
@@ -53,6 +52,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
@@ -60,8 +60,8 @@ from repro.graph.scratch import COUNTERS, KernelScratch
 
 __all__ = ["GatherSlots", "gather_slots", "first_parent_candidates",
            "claim_first_parent", "first_hit_scan", "push_candidates",
-           "segment_min_scatter", "dedup_ids", "BucketQueue",
-           "resolve_batch_rows"]
+           "segment_min_scatter", "arc_sum_operator", "dedup_ids",
+           "BucketQueue", "resolve_batch_rows"]
 
 #: Below ``n >> _SMALL_SHIFT`` touched elements, sort-based paths beat
 #: O(n) mask sweeps; both sides are bit-identical so this is purely a
@@ -337,6 +337,35 @@ def segment_min_scatter(dist: np.ndarray, dsts: np.ndarray,
     """
     np.minimum.at(dist, dsts, cand)
     return dedup_ids(dsts, dist.size, scratch)
+
+
+def arc_sum_operator(row_ptr: np.ndarray, col_idx: np.ndarray, n: int,
+                     rows: tuple[int, int] | None = None,
+                     scatter: bool = False) -> csr_matrix | csc_matrix:
+    """A CSR's arcs as an all-ones float64 sparse matrix ``A``, so that
+    ``A @ x`` is the per-vertex sum of ``x`` over the arcs.
+
+    The CSR has ids below ``n`` in ``col_idx``; ``rows = (lo, hi)``
+    keeps rows ``lo .. hi - 1`` only (row ``lo`` becomes row 0).  By
+    default ``y[r]`` sums ``x[col_idx[a]]`` over row ``r``'s arcs (a
+    ``csr_matrix``, ``x`` of length ``n``); with ``scatter`` every arc
+    of row ``r`` adds ``x[r]`` into ``y[col_idx[a]]`` (the same arrays
+    read as a ``csc_matrix``, ``y`` of length ``n``).
+
+    Either mat-vec walks the rows in order and each row's arcs in
+    order, adding one ``1.0 * x[...]`` at a time into a ``y`` that
+    starts at zero: arc order, bit-identical to ``np.add.at`` into
+    zeros and to ``np.bincount(rows_of_arcs, weights=x[col_idx])``.
+    """
+    if rows is not None:
+        ptr = row_ptr[rows[0]:rows[1] + 1]
+        col_idx = col_idx[ptr[0]:ptr[-1]]
+        row_ptr = ptr - ptr[0]
+    n_rows = row_ptr.size - 1
+    arrays = (np.ones(col_idx.size), col_idx, row_ptr)
+    if scatter:
+        return csc_matrix(arrays, shape=(n, n_rows))
+    return csr_matrix(arrays, shape=(n_rows, n))
 
 
 def dedup_ids(ids: np.ndarray, n: int,

@@ -19,10 +19,10 @@ from __future__ import annotations
 from typing import Protocol
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import (
+    arc_sum_operator,
     claim_first_parent,
     first_hit_scan,
     gather_slots,
@@ -146,16 +146,11 @@ class LocalSweeps:
         out = self.out
         # Dangling vertices own no arc; 1 only keeps 0/0 out of it.
         self.divisor = np.maximum(out.out_degrees(), 1).astype(np.float64)
-        # ``out``'s CSR arrays read as CSC: column = source, row =
-        # destination, every arc (parallel ones included) an entry 1.
-        self.arcs = csc_matrix(
-            (np.ones(out.n_edges), out.col_idx, out.row_ptr),
-            shape=(self.n, self.n))
+        self.arcs = arc_sum_operator(out.row_ptr, out.col_idx, self.n,
+                                     scatter=True)
         return rank
 
     def pagerank_sweep(self, rank, dangling_mass, base, damping):
-        # Shares are divided once per vertex.  A CSC mat-vec walks the
-        # columns in order and adds ``x[src]`` into ``y[dst]`` entry by
-        # entry -- arc order, bit-identical to ``np.add.at`` into zeros.
+        # Shares are divided once per vertex, then pushed along the arcs.
         contrib = self.arcs @ (rank / self.divisor)
         return base + damping * (contrib + dangling_mass)

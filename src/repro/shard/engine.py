@@ -317,7 +317,10 @@ class ShardEngine:
                 arrays[f"i{k}_rp"] = isl.row_ptr
                 arrays[f"i{k}_ci"] = isl.col_idx
         if inn is not None:
-            arrays["outdeg"] = out.out_degrees().astype(np.float64)
+            # PageRank's per-vertex divisor: dangling vertices own no
+            # arc; 1 only keeps 0/0 out of it.
+            arrays["outdeg"] = np.maximum(
+                out.out_degrees(), 1).astype(np.float64)
         return arrays
 
     def _build_dynamic(self) -> dict[str, np.ndarray]:

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import (
+    arc_sum_operator,
     first_hit_scan,
     first_parent_candidates,
     gather_slots,
@@ -113,12 +114,10 @@ class ShardContext:
         #: Best candidate per destination within one relax round; all
         #: ``+inf`` between rounds.
         self.best = np.full(self.n, np.inf)
-        #: Local destination row per pull arc (static; PageRank's
-        #: accumulation index, precomputed once per engine).
-        self.pr_rows = (np.repeat(
-            np.arange(self.in_row_ptr.size - 1, dtype=np.int64),
-            np.diff(self.in_row_ptr))
-            if in_row_ptr is not None else None)
+        #: The pull slice as PageRank's sum over the owned rows' in-arcs
+        #: (static, built once per engine).
+        self.pr_arcs = (arc_sum_operator(in_row_ptr, in_col_idx, self.n)
+                        if in_row_ptr is not None else None)
 
     # ------------------------------------------------------------------
     def emit(self, ids: np.ndarray, vals: np.ndarray,
@@ -170,21 +169,19 @@ def op_relax(ctx: ShardContext) -> None:
 def op_pr(ctx: ShardContext) -> None:
     """One PageRank sweep over the mastered destinations.
 
-    ``bincount`` adds each destination's contributions in its full
-    in-neighbor (ascending source) order -- the same per-element
-    addition sequence as the serial sweep over all arcs, so every rank
-    entry is bit-identical.  The shard writes its owned slice of the new
-    rank vector directly (the disjoint-scatter "allreduce"); no float
-    sum ever crosses a shard boundary.
+    The local sweep on the owned rows: each destination's contributions
+    are added in its full in-neighbor (ascending source) order -- the
+    same per-element addition sequence as the serial sweep over all
+    arcs, so every rank entry is bit-identical.  The shard writes its
+    owned slice of the new rank vector directly (the disjoint-scatter
+    "allreduce"); no float sum ever crosses a shard boundary.
     """
     dangling = float(ctx.ctrl_f[CTRL_DANGLING])
     base = float(ctx.ctrl_f[CTRL_BASE])
     damping = float(ctx.ctrl_f[CTRL_DAMPING])
     rank, new_rank = ((ctx.vec2, ctx.vec) if ctx.ctrl_i[CTRL_FLIP]
                       else (ctx.vec, ctx.vec2))
-    share = rank[ctx.in_col_idx] / ctx.out_degrees[ctx.in_col_idx]
-    contrib = np.bincount(ctx.pr_rows, weights=share,
-                          minlength=ctx.owned.size)
+    contrib = ctx.pr_arcs @ (rank / ctx.out_degrees)
     new_rank[ctx.owned] = base + damping * (contrib + dangling)
     ctx.ring_hdr[HDR_COUNT] = 0
     ctx.ring_hdr[HDR_EXAMINED] = ctx.in_col_idx.size

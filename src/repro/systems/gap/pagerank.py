@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.pagerank import check_pagerank_params
+from repro.graph.frontier import arc_sum_operator
 from repro.machine.threads import WorkProfile
 from repro.systems.gap.graph import GapGraph
 
@@ -34,6 +36,7 @@ def pagerank_gs(graph: GapGraph, damping: float = DEFAULT_DAMPING,
                 n_blocks: int = DEFAULT_N_BLOCKS
                 ) -> tuple[np.ndarray, int, WorkProfile]:
     """Return (ranks, iterations, profile)."""
+    check_pagerank_params(damping, epsilon, max_iterations, n_blocks)
     n = graph.n
     inn = graph.inn
     out_deg = graph.out_degree().astype(np.float64)
@@ -47,26 +50,21 @@ def pagerank_gs(graph: GapGraph, damping: float = DEFAULT_DAMPING,
     profile = WorkProfile()
     bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64)
     nnz = inn.n_edges
-    # Per block: its vertex range, its arcs, and each arc's row within
-    # the block.
-    blocks = []
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        if hi > lo:
-            ptr = inn.row_ptr[lo:hi + 1]
-            blocks.append((lo, hi, inn.col_idx[ptr[0]:ptr[-1]],
-                           np.repeat(np.arange(hi - lo), np.diff(ptr))))
+    # Per block: its vertex range and the in-arcs of those rows.
+    blocks = [(lo, hi, arc_sum_operator(inn.row_ptr, inn.col_idx, n,
+                                        rows=(lo, hi)))
+              for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+              if hi > lo]
 
     for it in range(1, max_iterations + 1):
         old = rank.copy()
         dangling_mass = rank[dangling].sum() / n
-        for lo, hi, srcs, local_rows in blocks:
+        share = rank * inv_out
+        for lo, hi, arcs in blocks:
             # Pull contributions using *current* rank: blocks already
             # swept this iteration contribute their fresh values.
-            # ``bincount`` adds each row's terms left to right in arc
-            # order, bit-identical to ``np.add.at`` into zeros.
-            contrib = np.bincount(local_rows, minlength=hi - lo,
-                                  weights=rank[srcs] * inv_out[srcs])
-            rank[lo:hi] = base + damping * (contrib + dangling_mass)
+            rank[lo:hi] = base + damping * (arcs @ share + dangling_mass)
+            share[lo:hi] = rank[lo:hi] * inv_out[lo:hi]
         # GAP renormalizes each sweep, keeping the probability mass exact
         # (Gauss-Seidel updates do not conserve it mid-stream).
         rank /= rank.sum()

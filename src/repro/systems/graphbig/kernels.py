@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.frontier import (claim_first_parent, gather_slots,
-                                  push_candidates, segment_min_scatter)
+from repro.algorithms.pagerank import check_pagerank_params
+from repro.graph.frontier import (arc_sum_operator, claim_first_parent,
+                                  gather_slots, push_candidates,
+                                  segment_min_scatter)
 from repro.graph.scratch import scratch_for
 from repro.graph.simple import simple_undirected_view
 from repro.machine.threads import WorkProfile
@@ -110,22 +112,21 @@ def pagerank_jacobi(pg, damping: float, epsilon: float,
     Gauss-Seidel (fewer) and GraphMat's no-change float32 criterion and
     PowerGraph's unnormalized toolkit (more) -- the Fig 4 spread.
     """
+    check_pagerank_params(damping, epsilon, max_iterations)
     csr = pg.out
     n = pg.n
     out_deg = csr.out_degrees().astype(np.float64)
     dangling = out_deg == 0
-    src = csr.source_ids()
-    dst = csr.col_idx
+    arcs = arc_sum_operator(csr.row_ptr, csr.col_idx, n, scatter=True)
+    # Dangling vertices own no arc; 1 only keeps 0/0 out of it.
+    divisor = np.maximum(out_deg, 1.0)
     rank = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     profile = WorkProfile()
     m = csr.n_edges
     iterations = max_iterations
     for it in range(1, max_iterations + 1):
-        # Ordered sum: ``bincount`` adds each destination's terms left
-        # to right in arc order, bit-identical to ``np.add.at``.
-        contrib = np.bincount(dst, minlength=n,
-                              weights=rank[src] / out_deg[src])
+        contrib = arcs @ (rank / divisor)
         new_rank = base + damping * (contrib + rank[dangling].sum() / n)
         delta = float(np.abs(new_rank - rank).sum())
         rank = new_rank

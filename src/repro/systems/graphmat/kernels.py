@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.pagerank import check_pagerank_params
 from repro.graph.dcsr import DCSRMatrix
 from repro.graph.frontier import gather_slots
 from repro.graph.scratch import scratch_for
@@ -99,7 +100,8 @@ def sssp_bellman_spmv(at: DCSRMatrix, root: int):
 
 
 def pagerank_float32(at: DCSRMatrix, out_degrees: np.ndarray,
-                     damping: float, max_iterations: int):
+                     damping: float, max_iterations: int,
+                     epsilon: float = 0.0):
     """GraphMat PageRank: float32, stop when no rank visibly changes.
 
     "GraphMat continues to run until none of the vertices' ranks change
@@ -114,7 +116,12 @@ def pagerank_float32(at: DCSRMatrix, out_degrees: np.ndarray,
     reaching per-vertex relative deltas below ~1.2e-7 takes far more
     sweeps than the homogenized L1 < 6e-8 criterion the other systems
     use -- the Fig 4 iteration gap.
+
+    ``epsilon`` is accepted for interface homogeneity, checked like the
+    other systems' and otherwise unused: "with GraphMat there is no
+    computation of |p_k - p_k'|" (Sec. IV-A).
     """
+    check_pagerank_params(damping, epsilon, max_iterations)
     n = at.n
     out_deg = out_degrees.astype(np.float32)
     dangling = out_deg == 0

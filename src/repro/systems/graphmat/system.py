@@ -149,12 +149,11 @@ class GraphMatSystem(GraphSystem):
 
     def _run_pagerank(self, loaded, damping: float = 0.85,
                       max_iterations: int = 1000, epsilon: float = 0.0):
-        # ``epsilon`` accepted for interface homogeneity but unused:
-        # "with GraphMat there is no computation of |p_k - p_k'|"
-        # (Sec. IV-A) -- it stops only on exact no-change.
+        # GraphMat stops only on exact no-change; the kernel checks
+        # ``epsilon`` and ignores it.
         data = loaded.data
         rank, iterations, profile = kernels.pagerank_float32(
-            data.at, data.out_degrees, damping, max_iterations)
+            data.at, data.out_degrees, damping, max_iterations, epsilon)
         return ({"rank": rank}, profile, iterations, {})
 
     def _run_wcc(self, loaded):

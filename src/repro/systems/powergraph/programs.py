@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.pagerank import check_pagerank_params
+from repro.graph.frontier import arc_sum_operator
 from repro.machine.threads import WorkProfile
 from repro.systems.powergraph.gas import GasEngine, VertexProgram
 
@@ -84,6 +86,7 @@ def pagerank_gas(engine: GasEngine, damping: float = 0.85,
     quiescence detection superstep of the synchronous engine is included
     in the iteration count.
     """
+    check_pagerank_params(damping, epsilon, max_iterations)
     inn = engine.inn
     n = inn.n_vertices
     out_deg = engine.out.out_degrees().astype(np.float64)
@@ -95,16 +98,12 @@ def pagerank_gas(engine: GasEngine, damping: float = 0.85,
     profile = WorkProfile()
     nnz = inn.n_edges
     rep = max(engine.cut.replication_factor, 1.0)
-    src = inn.col_idx
-    rows = inn.source_ids()
+    arcs = arc_sum_operator(inn.row_ptr, inn.col_idx, n)
 
     iterations = 0
     for it in range(1, max_iterations + 1):
         iterations = it
-        # Ordered sum: ``bincount`` adds each row's terms left to right
-        # in arc order, bit-identical to ``np.add.at``.
-        contrib = np.bincount(rows, minlength=n,
-                              weights=rank[src] * inv_out[src])
+        contrib = arcs @ (rank * inv_out)
         new_rank = base + damping * (contrib + rank[dangling].sum() / n)
         delta = float(np.abs(new_rank - rank).sum())
         rank = new_rank

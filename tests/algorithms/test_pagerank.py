@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from repro.algorithms.incremental import pagerank_warm
 from repro.algorithms.pagerank import pagerank
+from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
+from repro.systems import create_system
+from repro.systems.gap.pagerank import pagerank_gs
 
 #: ``pagerank(kron10_csr)`` as computed by the per-arc ``np.add.at``
 #: sweep, pinned at commit 45ef066 before the sweep body was rewritten.
@@ -71,6 +74,47 @@ def test_epsilon_controls_iterations(kron10_csr):
 def test_max_iterations_cap(kron10_csr):
     rank, it = pagerank(kron10_csr, epsilon=1e-300, max_iterations=5)
     assert it == 5
+
+
+BAD_PARAMS = [{"damping": 1.5}, {"damping": 1.0}, {"damping": -0.2},
+              {"damping": float("nan")}, {"epsilon": float("nan")},
+              {"epsilon": -1e-9}, {"max_iterations": 0},
+              {"max_iterations": -3}]
+PAGERANK_SYSTEMS = ["gap", "graphbig", "graphmat", "powergraph"]
+
+
+@pytest.mark.parametrize("params", BAD_PARAMS, ids=repr)
+@pytest.mark.parametrize("system", ["reference"] + PAGERANK_SYSTEMS)
+def test_bad_parameters_are_config_errors(system, params, kron10_csr,
+                                          kron10_dataset):
+    # At 3cce08a these returned negative "ranks", ran NaN thresholds
+    # to the cap, or reported ``iterations == -3``.
+    with pytest.raises(ConfigError, match=next(iter(params))):
+        if system == "reference":
+            pagerank(kron10_csr, **params)
+        else:
+            s = create_system(system)
+            s.run(s.load(kron10_dataset), "pagerank", **params)
+
+
+def test_gap_rejects_zero_blocks(kron10_dataset):
+    s = create_system("gap")
+    with pytest.raises(ConfigError, match="n_blocks"):
+        pagerank_gs(s.load(kron10_dataset).data, n_blocks=0)
+
+
+@pytest.mark.parametrize("system", ["reference"] + PAGERANK_SYSTEMS)
+def test_graphalytics_parameters_stay_legal(system, kron10_csr,
+                                            kron10_dataset):
+    params = {"damping": 0.0, "epsilon": 0.0, "max_iterations": 1}
+    if system == "reference":
+        _, iterations = pagerank(kron10_csr, **params)
+    else:
+        s = create_system(system)
+        iterations = s.run(s.load(kron10_dataset), "pagerank",
+                           **params).iterations
+    # PowerGraph counts its quiescence superstep.
+    assert iterations == (2 if system == "powergraph" else 1)
 
 
 def test_empty_graph():
