@@ -11,7 +11,10 @@ benchmark run:
   reference BFS/CDLP/Dijkstra-dedup) and asserts that parent / level /
   dist / label arrays, WorkProfile round vectors, and stats dicts match
   the library-backed kernels *exactly* -- ``array_equal`` on every
-  array, never a tolerance.
+  array, never a tolerance.  The two-sided primitives are compared
+  with themselves too: ``push_candidates``' sparse and dense sides,
+  and ``relax_round``'s push and pull, round by round over a whole
+  Bellman-Ford, GAS SSSP and GraphMat SSSP.
 * **Speedup.**  The gathered-edge hot loop (always-top-down BFS over a
   symmetrized Kronecker graph at scale >= 16) must run at least
   ``SPEEDUP_FLOOR``x faster than the old idiom, and the relaxation
@@ -31,8 +34,13 @@ from types import SimpleNamespace
 import numpy as np
 from conftest import BENCH_SCALE, write_artifact
 
+import repro.systems.graphbig.kernels as graphbig_kernels
+import repro.systems.graphmat.kernels as graphmat_kernels
+import repro.systems.powergraph.gas as gas_module
 from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
+from repro.graph import frontier as frontier_lib
 from repro.graph.csr import CSRGraph
+from repro.graph.dcsr import DCSRMatrix
 from repro.graph.frontier import (_push_dense, _push_sparse,
                                   segment_min_scatter)
 from repro.graph.scratch import KernelScratch
@@ -497,6 +505,49 @@ def _assert_push_sides_identical(csr, root, checks):
     checks.append(f"frontier/push_candidates[{root}] x{rounds}")
 
 
+def _relax_both_sides(rounds):
+    """A stand-in for ``relax_round`` that runs each call down the push
+    and the pull side on copies of its state, asserts they wrote the
+    same bytes and returned the same ids, then runs it for real."""
+    def relax(out, inn, members, values, dist, scratch, weighted=True,
+              touched=None):
+        runs = []
+        saved = frontier_lib.PULL_SHARE
+        try:
+            for share in (2.0, 0.0):     # push, then pull
+                frontier_lib.PULL_SHARE = share
+                d = dist.copy()
+                t = None if touched is None else touched.copy()
+                ids, examined = frontier_lib.relax_round(
+                    out, inn, members, d if values is dist else values, d,
+                    scratch, weighted, t)
+                runs.append((d.tobytes(), ids.tobytes(), examined,
+                             None if t is None else t.tobytes()))
+        finally:
+            frontier_lib.PULL_SHARE = saved
+        assert runs[0] == runs[1], "relax_round: push and pull diverged"
+        rounds.append(runs[0][2] >= frontier_lib.PULL_SHARE * out.n_edges)
+        return frontier_lib.relax_round(out, inn, members, values, dist,
+                                    scratch, weighted, touched)
+    return relax
+
+
+def _assert_relax_sides_identical(label, module, kernel, checks):
+    """Every round of ``kernel()`` -- which returns ``(dist,
+    WorkProfile)`` -- down both sides of ``relax_round`` (looked up in
+    ``module``), then the whole run against an unpatched one."""
+    pulls = []
+    module.relax_round = _relax_both_sides(pulls)
+    try:
+        got_dist, got_profile = kernel()
+    finally:
+        module.relax_round = frontier_lib.relax_round
+    want_dist, want_profile = kernel()
+    assert got_dist.tobytes() == want_dist.tobytes(), label
+    assert _profiles_equal(got_profile, want_profile), label
+    checks.append(f"{label} x{len(pulls)} ({sum(pulls)} pull)")
+
+
 def _bench_graph(scale, weighted):
     el = generate_kronecker(KroneckerSpec(scale=scale, weighted=weighted))
     return el
@@ -539,7 +590,7 @@ def test_kernel_gate(benchmark):
         _assert_identical(f"graphbig/bfs_queue[{root}]",
                           (got[:2], got[2], got[3]),
                           (ref[:2], ref[2], ref[3]), checks)
-        gd, gprof, gst = sssp_bellman_ford(pg, root)
+        gd, gprof, gst = sssp_bellman_ford(pg, root, symmetric=True)
         rd, rprof, rst = _ref_sssp_bellman_ford(pg, root)
         _assert_identical(f"graphbig/bellman_ford[{root}]",
                           ((gd,), gprof, gst), ((rd,), rprof, rst),
@@ -565,6 +616,23 @@ def test_kernel_gate(benchmark):
     # The push primitive: both sides of its switch, every round of a
     # Bellman-Ford over the same graph.
     _assert_push_sides_identical(out, root, checks)
+
+    # The relaxation primitive: push and pull, every round of a whole
+    # Bellman-Ford, GAS SSSP and GraphMat SSSP over the same graph.
+    bf_graph = SimpleNamespace(out=out, n=out.n_vertices)
+    at = DCSRMatrix.from_csr(inn)
+    _assert_relax_sides_identical(
+        f"graphbig/bellman_ford push|pull[{root}]", graphbig_kernels,
+        lambda: sssp_bellman_ford(bf_graph, root, symmetric=True)[:2],
+        checks)
+    _assert_relax_sides_identical(
+        f"powergraph/gas_sssp push|pull[{root}]", gas_module,
+        lambda: run_sssp(engine, root)[::2], checks)
+    _assert_relax_sides_identical(
+        f"graphmat/sssp_spmv push|pull[{root}]", graphmat_kernels,
+        lambda: graphmat_kernels.sssp_bellman_spmv(at, root,
+                                                   symmetric=True)[:2],
+        checks)
 
     # ------------------------------------------------------------------
     # 2. Hot-loop speedup at scale >= 16 (plus identity re-check there).
@@ -644,6 +712,7 @@ def test_kernel_gate(benchmark):
         "relax_new_s": round(relax_new_s, 4),
         "relax_speedup": round(relax_speedup, 2),
         "speedup_floor": SPEEDUP_FLOOR,
+        "push_pull_rounds": [c for c in checks if "push|pull" in c],
     }
     write_artifact("BENCH_kernels.json", json.dumps(payload, indent=2))
     write_artifact("kernels_gate.txt", "\n".join([
@@ -654,4 +723,6 @@ def test_kernel_gate(benchmark):
         f"speedup {hot_speedup:.2f}x (floor {SPEEDUP_FLOOR}x)",
         f"relax_scatter (2M edges): old {relax_old_s * 1e3:.1f}ms "
         f"new {relax_new_s * 1e3:.1f}ms speedup {relax_speedup:.2f}x",
+        *(f"relax_round {c}: both sides byte-identical every round"
+          for c in payload["push_pull_rounds"]),
     ]))

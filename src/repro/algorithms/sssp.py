@@ -8,7 +8,23 @@ import scipy.sparse.csgraph as csgraph
 from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["sssp_dijkstra"]
+__all__ = ["sssp_dijkstra", "check_sssp_weights"]
+
+
+def check_sssp_weights(weights: np.ndarray | None) -> None:
+    """Reject arc weights no SSSP here is defined for -- the reference
+    and all four systems' kernels call it before any state moves.
+
+    A negative weight can close a negative cycle, which a label-correcting
+    loop relaxes forever; a NaN never compares, so it was silently
+    dropped.  ``+inf`` is legal (an arc nothing reaches through).  The
+    comparison is written so NaN fails it.
+    """
+    if weights is None:
+        raise ValidationError("SSSP requires a weighted graph")
+    if weights.size and not weights.min() >= 0:
+        raise ValidationError(
+            f"SSSP requires non-negative weights, got {weights.min()}")
 
 
 def sssp_dijkstra(graph: CSRGraph, root: int) -> np.ndarray:
@@ -18,10 +34,7 @@ def sssp_dijkstra(graph: CSRGraph, root: int) -> np.ndarray:
     non-negative weights (the Graph500 SSSP convention; all datasets the
     harness produces satisfy it).
     """
-    if graph.weights is None:
-        raise ValidationError("SSSP requires a weighted graph")
-    if graph.n_edges and graph.weights.min() < 0:
-        raise ValidationError("Dijkstra requires non-negative weights")
+    check_sssp_weights(graph.weights)
     # scipy sums duplicate entries when canonicalizing; parallel edges must
     # instead keep their *minimum* weight, so dedupe explicitly first.
     import scipy.sparse as sp

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.graph.frontier import pull_min
 
 __all__ = ["DCSRMatrix"]
 
@@ -86,16 +87,6 @@ class DCSRMatrix:
             values=None if csr.weights is None else csr.weights.copy(),
         )
 
-    def to_csr(self) -> CSRGraph:
-        """Expand back to plain CSR (inverse of :meth:`from_csr`)."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        deg[self.row_ids] = np.diff(self.row_ptr)
-        row_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=row_ptr[1:])
-        return CSRGraph(row_ptr=row_ptr, col_idx=self.col_idx.copy(),
-                        weights=None if self.values is None
-                        else self.values.copy())
-
     # ------------------------------------------------------------------
     # Serialization (repro.cache array bundles)
     # ------------------------------------------------------------------
@@ -159,9 +150,26 @@ class DCSRMatrix:
             object.__setattr__(self, "_col_nnz", cached)
         return cached
 
+    def csr_view(self) -> CSRGraph:
+        """The same matrix as a plain CSR (the inverse of
+        :meth:`from_csr`) that shares ``col_idx`` and ``values`` -- only
+        the ``n + 1`` row pointer is new -- memoized like
+        :meth:`row_sources`.  Its memoized
+        :meth:`~repro.graph.csr.CSRGraph.transposed` is the matrix's
+        other direction: GraphMat's out-arcs on directed input."""
+        cached = self.__dict__.get("_csr_view")
+        if cached is None:
+            row_ptr = np.zeros(self.n + 1, dtype=np.int64)
+            row_ptr[self.row_ids + 1] = np.diff(self.row_ptr)
+            np.cumsum(row_ptr, out=row_ptr)
+            cached = CSRGraph(row_ptr=row_ptr, col_idx=self.col_idx,
+                              weights=self.values)
+            object.__setattr__(self, "_csr_view", cached)
+        return cached
+
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("_row_sources", "_col_nnz")}
+                if k not in ("_row_sources", "_col_nnz", "_csr_view")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -194,13 +202,10 @@ class DCSRMatrix:
         no entries yield ``+inf``.
         """
         y = np.full(self.n, np.inf)
-        if not self.nnz:
-            return y
-        terms = x[self.col_idx]
-        if self.values is not None:
-            terms = self.values + terms
-        mins = np.minimum.reduceat(terms, self.row_ptr[:-1])
-        y[self.row_ids] = mins
+        if self.nnz:
+            y[self.row_ids] = pull_min(self.row_ptr[:-1], self.col_idx,
+                                       self.values,
+                                       np.asarray(x, dtype=np.float64))
         return y
 
     def spmv_plus_times(self, x: np.ndarray,

@@ -30,6 +30,9 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
   (minimum is exact and order-independent over floats without NaN) and
   rebuilds ``np.unique``'s sorted-unique output with a boolean-mask
   pass;
+* :func:`relax_round` pushes (the two primitives above) or pulls the
+  same minima over the in-arcs with :func:`pull_min`, for the same
+  reason;
 * :func:`dedup_ids` is ``np.unique`` for bounded non-negative ids.
 
 Floating-point *sums* are never re-associated -- that changes low-order
@@ -60,8 +63,9 @@ from repro.graph.scratch import COUNTERS, KernelScratch
 
 __all__ = ["GatherSlots", "gather_slots", "first_parent_candidates",
            "claim_first_parent", "first_hit_scan", "push_candidates",
-           "segment_min_scatter", "arc_sum_operator", "dedup_ids",
-           "BucketQueue", "resolve_batch_rows"]
+           "segment_min_scatter", "pull_min", "relax_round",
+           "arc_sum_operator", "dedup_ids", "BucketQueue",
+           "resolve_batch_rows"]
 
 #: Below ``n >> _SMALL_SHIFT`` touched elements, sort-based paths beat
 #: O(n) mask sweeps; both sides are bit-identical so this is purely a
@@ -73,6 +77,12 @@ _SMALL_SHIFT = 4
 #: return identical arrays, so this too is only a constant factor; the
 #: measurement that chose it is in that function's docstring.
 _DENSE_SHARE = 0.3
+
+#: :func:`relax_round` pulls over the in-arcs instead of pushing along
+#: the out-arcs once the members own at least this share of the arcs,
+#: and so does a GraphMat BFS level; chosen like :data:`_DENSE_SHARE`,
+#: see that function's docstring.
+PULL_SHARE = 0.3
 
 
 @dataclass(frozen=True)
@@ -337,6 +347,106 @@ def segment_min_scatter(dist: np.ndarray, dsts: np.ndarray,
     """
     np.minimum.at(dist, dsts, cand)
     return dedup_ids(dsts, dist.size, scratch)
+
+
+def pull_min(starts: np.ndarray, col_idx: np.ndarray,
+             lengths: np.ndarray | None,
+             src_val: np.ndarray) -> np.ndarray:
+    """Per row, the minimum of ``src_val[col_idx[a]] + lengths[a]`` over
+    its arcs (``src_val[col_idx[a]]`` when ``lengths`` is ``None``).
+
+    ``starts`` are the first arcs of the *non-empty* rows, in order, so
+    each segment of ``np.minimum.reduceat`` is one row; ``col_idx`` must
+    not be empty.  The one pull body: :func:`relax_round`'s pull side
+    and :meth:`~repro.graph.dcsr.DCSRMatrix.spmv_min_plus`.
+    """
+    terms = src_val[col_idx]
+    if lengths is not None:
+        terms += lengths
+    return np.minimum.reduceat(terms, starts)
+
+
+def relax_round(out: CSRGraph, inn: CSRGraph | None,
+                members: np.ndarray, values: np.ndarray,
+                dist: np.ndarray, scratch: KernelScratch,
+                weighted: bool = True,
+                touched: np.ndarray | None = None
+                ) -> tuple[np.ndarray, int]:
+    """One relaxation round along the out-arcs of ``members``:
+    ``dist[d] = min(dist[d], values[s] + w)`` over every arc ``s -> d``
+    (``values[s]`` alone unless ``weighted``; the lengths are each CSR's
+    own ``weights``).
+
+    Returns ``(improved, examined)``: the sorted ids whose ``dist``
+    dropped and the out-degree sum of ``members`` (what the profiles
+    price).  ``inn`` is the in-arc CSR of the same multigraph -- ``out``
+    itself for a symmetrized one -- or ``None`` for ``out.transposed()``,
+    built on the first pull and memoized on ``out``.  ``touched``, when
+    given, is a ``bool[n]`` set at every destination of a member's arc,
+    improved or not (the GAS engine's signalled set).
+
+    Two ways to the same ``dist``.  *Push*, below :data:`PULL_SHARE`
+    of the arcs: :func:`gather_slots` over the members' out-arcs, then
+    :func:`segment_min_scatter`.  *Pull*, at or above it: a per-vertex
+    source value that is ``+inf`` off ``members`` goes through
+    :func:`pull_min` over every non-empty in-row, and rows whose minimum
+    beats ``dist`` take it.  A non-member's arc offers ``inf`` and never
+    wins; the minimum over NaN-free floats does not depend on order, so
+    both sides write the same bytes and return the same ids.  On a
+    symmetrized multigraph each vertex has one (neighbour, weight)
+    multiset in both directions, so pulling over ``out`` is exact.
+
+    Measured per call inside real SSSP runs (12 roots, symmetrized
+    Kronecker scale 13 / 16, each side forced in turn, best of 3, on a
+    2-core x86 box): the pull costs a flat 0.9-1.0 ms / 7.3-9.7 ms
+    whatever the share (1.0-1.1 / 11-12.7 ms with ``touched``), the push
+    grows linearly from 0.1 / 0.4 ms to 3.7 / 34 ms at a full sweep.
+    They cross at a share of 0.22-0.30 for GraphBIG's Bellman-Ford and
+    GraphMat's SSSP and 0.25-0.35 for the GAS scatter; GraphMat BFS's
+    levels, which switch on the same share, cross at about 0.2-0.3.
+    0.3 sits among them: the worst mis-pick is Bellman-Ford at shares
+    of 0.25-0.3 at scale 16, about 2 ms a round, hit by fewer than one
+    round per root.
+
+    ``touched`` needs no second pass when every offer is finite (no
+    member at ``inf``, no ``inf`` length): a member reached a row
+    exactly when the row's minimum is finite.  Otherwise a member mask
+    is reduced over the in-arcs as well.
+    """
+    examined = int((out.row_ptr[members + 1] - out.row_ptr[members]).sum())
+    if examined < PULL_SHARE * out.n_edges:
+        dsts, cand = _push_sparse(out, out.weights if weighted else None,
+                                  members, values, dist, scratch, None,
+                                  touched)
+        return segment_min_scatter(dist, dsts, cand, scratch), examined
+    # The push side's arcs are counted by ``gather_slots``.
+    COUNTERS["gather_edges"] += float(examined)
+    if inn is None:
+        inn = out.transposed()
+    rows = np.flatnonzero(inn.out_degrees())
+    if rows.size == 0:
+        return rows, examined
+    starts = inn.row_ptr[rows]
+    lengths = inn.weights if weighted else None
+    src_val = np.full(dist.size, np.inf)
+    src_val[members] = values[members]
+    y = pull_min(starts, inn.col_idx, lengths, src_val)
+    if touched is not None:
+        if (src_val[members].max(initial=-np.inf) < np.inf
+                and (lengths is None or lengths.max() < np.inf)):
+            # Every offer is finite, so a row is reached by a member
+            # exactly when its minimum is.
+            hit = y < np.inf
+        else:
+            is_member = scratch.mask("push")
+            is_member[members] = True
+            hit = np.logical_or.reduceat(is_member[inn.col_idx], starts)
+            is_member[members] = False
+        touched[rows[hit]] = True
+    better = y < dist[rows]
+    improved = rows[better]
+    dist[improved] = y[better]
+    return improved, examined
 
 
 def arc_sum_operator(row_ptr: np.ndarray, col_idx: np.ndarray, n: int,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.sssp import check_sssp_weights
 from repro.errors import SystemCapabilityError
 from repro.graph.frontier import BucketQueue
 from repro.graph.scratch import scratch_for
@@ -54,6 +55,7 @@ def delta_stepping(graph: GapGraph, root: int,
         raise SystemCapabilityError("GAP SSSP needs a weighted graph")
     if delta <= 0:
         raise SystemCapabilityError("delta must be positive")
+    check_sssp_weights(out.weights)
     n = graph.n
     if sweeps is None:
         sweeps = LocalSweeps(out, None, scratch_for(graph, n, out.n_edges))

@@ -13,9 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.algorithms.pagerank import check_pagerank_params
+from repro.algorithms.sssp import check_sssp_weights
 from repro.graph.frontier import (arc_sum_operator, claim_first_parent,
-                                  gather_slots, push_candidates,
-                                  segment_min_scatter)
+                                  gather_slots, relax_round)
 from repro.graph.scratch import scratch_for
 from repro.graph.simple import simple_undirected_view
 from repro.machine.threads import WorkProfile
@@ -74,11 +74,18 @@ def bfs_queue(pg, root: int):
     return parent, level, profile, {"depth": depth}
 
 
-def sssp_bellman_ford(pg, root: int):
-    """Queue-driven Bellman-Ford: active vertices relax all out-edges."""
+def sssp_bellman_ford(pg, root: int, symmetric: bool = False):
+    """Queue-driven Bellman-Ford: active vertices relax all out-edges.
+
+    ``symmetric`` says ``pg.out`` was symmetrized (undirected input), so
+    a dense round pulls over the one CSR; otherwise it pulls over the
+    transpose, built on the first dense round and memoized.
+    """
     csr = pg.out
+    check_sssp_weights(csr.weights)
     n = pg.n
     scratch = scratch_for(pg, n, csr.n_edges)
+    inn = csr if symmetric else None
     dist = np.full(n, np.inf)
     dist[root] = 0.0
     active = np.array([root], dtype=np.int64)
@@ -89,16 +96,14 @@ def sssp_bellman_ford(pg, root: int):
     relaxations = 0
     while active.size:
         supersteps += 1
-        dsts, cand, examined = push_candidates(
-            csr, csr.weights, active, dist, dist, scratch)
+        improved, examined = relax_round(csr, inn, active, dist, dist,
+                                         scratch)
         relaxations += examined
         profile.add_round(
             units=examined + PROPERTY_ACCESS_COST * active.size,
             memory_bytes=28.0 * examined,
             skew=min(max_deg / max(examined, 1.0), 1.0))
-        if dsts.size == 0:
-            break
-        active = segment_min_scatter(dist, dsts, cand, scratch)
+        active = improved
     return dist, profile, {"supersteps": supersteps,
                            "relaxations": relaxations}
 

@@ -95,7 +95,8 @@ class GraphBigSystem(GraphSystem):
                 {"depth": float(stats["depth"])})
 
     def _run_sssp(self, loaded, root: int):
-        dist, profile, stats = kernels.sssp_bellman_ford(loaded.data, root)
+        dist, profile, stats = kernels.sssp_bellman_ford(
+            loaded.data, root, symmetric=not loaded.directed)
         loaded.data.properties["distance"] = dist
         return ({"dist": dist}, profile, None,
                 {"supersteps": float(stats["supersteps"]),

@@ -5,7 +5,10 @@ transpose adjacency, followed by an O(n) apply step -- the
 bulk-synchronous structure GraphMat's engine executes.  Work units per
 iteration therefore count the nnz touched *plus* a full-vector term,
 which is exactly the overhead that makes GraphMat uncompetitive on
-small graphs (Sec. IV-A) while scaling beautifully (Fig 5).
+small graphs (Sec. IV-A) while scaling beautifully (Fig 5).  SSSP and
+BFS *execute* an iteration whose active set owns few arcs as a push
+along those arcs instead of a whole-matrix SpMV; it is priced as the
+masked SpMV either way.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.pagerank import check_pagerank_params
+from repro.algorithms.sssp import check_sssp_weights
 from repro.graph.dcsr import DCSRMatrix
-from repro.graph.frontier import gather_slots
+from repro.graph.frontier import (PULL_SHARE, first_parent_candidates,
+                                  gather_slots, relax_round)
 from repro.graph.scratch import scratch_for
 from repro.machine.threads import WorkProfile
 
@@ -30,72 +35,105 @@ def _active_nnz(at: DCSRMatrix, active_mask: np.ndarray) -> float:
     return float(at.col_nnz()[active_mask].sum())
 
 
-def bfs_spmv(at: DCSRMatrix, out_degrees: np.ndarray, root: int):
-    """BFS as repeated OR-AND SpMV with a visited mask."""
+def _directions(at: DCSRMatrix, symmetric: bool):
+    """``(out, inn)`` CSRs over ``at``'s arrays: ``at`` holds the
+    in-arcs, and on symmetrized (undirected) input it is its own
+    transpose; otherwise the out-arcs are its transpose, built once and
+    memoized on the matrix."""
+    inn = at.csr_view()
+    return (inn if symmetric else inn.transposed()), inn
+
+
+def bfs_spmv(at: DCSRMatrix, out_degrees: np.ndarray, root: int,
+             symmetric: bool = False):
+    """BFS as repeated OR-AND SpMV with a visited mask.
+
+    A level whose frontier owns under :data:`PULL_SHARE` of the arcs
+    expands their out-arcs instead of multiplying the whole matrix; both
+    find the same vertices and the same lowest frontier in-neighbour,
+    and the level is priced the same either way.
+    """
     n = at.n
     scratch = scratch_for(at, n, at.nnz)
+    out, inn = _directions(at, symmetric)
     parent = np.full(n, -1, dtype=np.int64)
     level = np.full(n, -1, dtype=np.int64)
     parent[root] = root
     level[root] = 0
     visited = np.zeros(n, dtype=bool)
     visited[root] = True
-    frontier = np.zeros(n, dtype=bool)
-    frontier[root] = True
+    frontier = np.array([root], dtype=np.int64)
     profile = WorkProfile()
     depth = 0
     max_deg = float(out_degrees.max()) if n else 0.0
 
-    while frontier.any():
+    while frontier.size:
         depth += 1
-        touched = _active_nnz(at, frontier)
-        reached = at.spmv_or_and(frontier)
-        new = reached & ~visited
+        touched = float(at.col_nnz()[frontier].sum())
+        if touched < PULL_SHARE * at.nnz:
+            gs = gather_slots(out.row_ptr, frontier, scratch)
+            new_ids, parents = first_parent_candidates(
+                out.col_idx[gs.slots], np.repeat(frontier, gs.counts),
+                visited, scratch)
+        else:
+            new_ids, parents = _pull_parents(at, inn, frontier, visited,
+                                             scratch)
         profile.add_round(units=touched + n,
                           memory_bytes=9.0 * touched + 2.0 * n,
                           skew=min(max_deg / max(touched, 1.0), 1.0))
-        if not new.any():
+        if not new_ids.size:
             break
-        # Parent assignment: lowest frontier in-neighbor (apply step).
-        # Every new vertex was reached through an in-edge, so its row is
-        # stored (DCSR keeps non-empty rows only) and its segment in the
-        # shared slot expansion is non-empty.
-        new_ids = np.flatnonzero(new)
-        rows = np.searchsorted(at.row_ids, new_ids)
-        gs = gather_slots(at.row_ptr, rows, scratch)
-        nbrs = at.col_idx[gs.slots]
-        # Non-frontier neighbors get an n sentinel; every new vertex has
-        # at least one frontier in-neighbor, so the minimum is valid.
-        vals = np.where(frontier[nbrs], nbrs, n)
-        parent[new_ids] = np.minimum.reduceat(vals, gs.offsets)
+        parent[new_ids] = parents
         level[new_ids] = depth
-        visited |= new
-        frontier = new
+        visited[new_ids] = True
+        frontier = new_ids
     return parent, level, profile, {"depth": depth}
 
 
-def sssp_bellman_spmv(at: DCSRMatrix, root: int):
-    """SSSP as min-plus SpMV iterations with an active mask."""
+def _pull_parents(at: DCSRMatrix, inn, frontier: np.ndarray,
+                  visited: np.ndarray, scratch):
+    """A dense BFS level: one OR-AND SpMV finds the unvisited vertices
+    with a frontier in-neighbour, the apply step takes the lowest."""
+    in_frontier = np.zeros(at.n, dtype=bool)
+    in_frontier[frontier] = True
+    new_ids = np.flatnonzero(at.spmv_or_and(in_frontier) & ~visited)
+    if not new_ids.size:
+        return new_ids, new_ids
+    # Every new vertex was reached through an in-edge, so its segment
+    # in the slot expansion of the in-rows is non-empty.
+    gs = gather_slots(inn.row_ptr, new_ids, scratch)
+    nbrs = inn.col_idx[gs.slots]
+    # Non-frontier neighbors get an n sentinel; every new vertex has at
+    # least one frontier in-neighbor, so the minimum is valid.
+    vals = np.where(in_frontier[nbrs], nbrs, at.n)
+    return new_ids, np.minimum.reduceat(vals, gs.offsets)
+
+
+def sssp_bellman_spmv(at: DCSRMatrix, root: int, symmetric: bool = False):
+    """SSSP as min-plus SpMV iterations with an active set.
+
+    An iteration whose active vertices own under :data:`PULL_SHARE` of
+    the arcs pushes along their out-arcs instead of multiplying the
+    whole matrix (:func:`~repro.graph.frontier.relax_round`); the same
+    distances come out and the iteration is priced the same either way.
+    """
+    check_sssp_weights(at.values)
     n = at.n
+    scratch = scratch_for(at, n, at.nnz)
+    out, inn = _directions(at, symmetric)
     dist = np.full(n, np.inf)
     dist[root] = 0.0
-    active = np.zeros(n, dtype=bool)
-    active[root] = True
+    active = np.array([root], dtype=np.int64)
     profile = WorkProfile()
     iterations = 0
-    while active.any():
+    while active.size:
         iterations += 1
-        touched = _active_nnz(at, active)
-        masked = np.where(active, dist, np.inf)
-        cand = at.spmv_min_plus(masked)
-        improved = cand < dist
+        active, examined = relax_round(out, inn, active, dist, dist,
+                                       scratch)
+        touched = float(examined)
         profile.add_round(units=touched + n,
                           memory_bytes=20.0 * touched + 8.0 * n,
                           skew=0.15)
-        if not improved.any():
-            break
-        dist = np.where(improved, cand, dist)
-        active = improved
     return dist, profile, {"iterations": iterations}
 
 

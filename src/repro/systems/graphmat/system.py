@@ -138,12 +138,13 @@ class GraphMatSystem(GraphSystem):
     def _run_bfs(self, loaded, root: int):
         data = loaded.data
         parent, level, profile, stats = kernels.bfs_spmv(
-            data.at, data.out_degrees, root)
+            data.at, data.out_degrees, root, symmetric=not loaded.directed)
         return ({"parent": parent, "level": level}, profile, None,
                 {"depth": float(stats["depth"])})
 
     def _run_sssp(self, loaded, root: int):
-        dist, profile, stats = kernels.sssp_bellman_spmv(loaded.data.at, root)
+        dist, profile, stats = kernels.sssp_bellman_spmv(
+            loaded.data.at, root, symmetric=not loaded.directed)
         return ({"dist": dist}, profile, None,
                 {"iterations": float(stats["iterations"])})
 

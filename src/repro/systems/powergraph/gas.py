@@ -15,11 +15,13 @@ performs it -- the Table/Fig numbers rest on these counts:
 
 It is *executed* through an accumulator cache, PowerGraph's own delta
 caching (Gonzalez et al., OSDI'12, Sec. 4.2): ``acc[v]`` holds the
-min-reduced gather of ``v``; one dense pass over the in-CSR fills it
-and from then on the scatter of a changed vertex posts its new term to
-its out-neighbours' accumulators.  A gather is then a read of ``acc``,
-and the scatter's one out-edge expansion also names the next
-superstep's signalled set.  That is exact for the programs the engine
+min-reduced gather of ``v``; one full gather fills it and from then on
+the scatter of a changed vertex posts its new term to its
+out-neighbours' accumulators.  Both are one
+:func:`~repro.graph.frontier.relax_round`, which pushes along the
+out-CSR or pulls over the in-CSR by the share of arcs it covers.  A
+gather is then a read of ``acc``, and the scatter's round also names
+the next superstep's signalled set.  That is exact for the programs the engine
 accepts -- ``reduce="min"`` with an apply that never raises a value --
 because the term of an unchanged source is already in the accumulator,
 the new term of a changed one is no larger than the one it replaces,
@@ -38,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import push_candidates
+from repro.graph.frontier import relax_round
 from repro.graph.scratch import scratch_for
 from repro.machine.threads import WorkProfile
 from repro.systems.powergraph.partition import VertexCut
@@ -99,22 +101,21 @@ class GasEngine:
                            max(self.inn.n_edges, self.out.n_edges))
 
     # ------------------------------------------------------------------
-    def _full_gather(self, program: VertexProgram,
-                     state: GasState) -> np.ndarray:
-        """Min-reduced contribution of every in-edge, per vertex: the
-        accumulators' starting point."""
-        inn = self.inn
-        acc = np.full(inn.n_vertices, program.identity, dtype=np.float64)
-        if inn.n_edges:
-            values, lengths = program.gather(state, inn.weights)
-            terms = values[inn.col_idx]
-            if lengths is not None:
-                terms += lengths
-            rows = np.flatnonzero(inn.out_degrees())
-            acc[rows] = np.minimum(
-                program.identity,
-                np.minimum.reduceat(terms, inn.row_ptr[rows]))
-        return acc
+    def _post(self, program: VertexProgram, state: GasState,
+              acc: np.ndarray, members: np.ndarray | None = None,
+              touched: np.ndarray | None = None) -> int:
+        """Post the terms of ``members`` along their out-arcs into
+        ``acc``; returns the out-arcs examined.  By default every vertex
+        with a finite term posts -- the full gather of every in-edge,
+        since an infinite term lowers no accumulator."""
+        values, lengths = program.gather(state, self.out.weights)
+        if members is None:
+            members = np.flatnonzero(values < np.inf)
+        _, examined = relax_round(self.out, self.inn, members, values, acc,
+                                  self._scratch(),
+                                  weighted=lengths is not None,
+                                  touched=touched)
+        return examined
 
     def run(self, program: VertexProgram, initial: np.ndarray,
             initially_active: np.ndarray, max_supersteps: int = 10_000,
@@ -134,7 +135,9 @@ class GasEngine:
         gathered_edges = 0
         scattered_edges = 0
 
-        acc = self._full_gather(program, state)
+        # The accumulators' starting point: a full gather.
+        acc = np.full(n, program.identity, dtype=np.float64)
+        self._post(program, state, acc)
         signalled = scratch.mask("signal")
         # Who gathers: the initially signalled set on the first
         # superstep, then whoever the last scatter reached.
@@ -162,11 +165,8 @@ class GasEngine:
             # Scatter: post each changed vertex's new term to its
             # out-neighbours' accumulators; everyone reached is
             # signalled, improved or not.
-            values, lengths = program.gather(state, out.weights)
-            dsts, cand, s_edges = push_candidates(
-                out, lengths, changed, values, acc, scratch,
-                touched=signalled)
-            np.minimum.at(acc, dsts, cand)
+            s_edges = self._post(program, state, acc, changed,
+                                 touched=signalled)
             scattered_edges += s_edges
             mirror_units = rep * targets.size
             units = g_edges + s_edges + targets.size + mirror_units

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.pagerank import check_pagerank_params
+from repro.algorithms.sssp import check_sssp_weights
 from repro.graph.frontier import arc_sum_operator
 from repro.machine.threads import WorkProfile
 from repro.systems.powergraph.gas import GasEngine, VertexProgram
@@ -36,6 +37,7 @@ def sssp_program() -> VertexProgram:
 
 def run_sssp(engine: GasEngine, root: int
              ) -> tuple[np.ndarray, int, WorkProfile, dict]:
+    check_sssp_weights(engine.out.weights)
     n = engine.inn.n_vertices
     dist = np.full(n, np.inf)
     dist[root] = 0.0

@@ -51,6 +51,20 @@ def test_rejects_negative_weights():
         sssp_dijkstra(csr, 0)
 
 
+def test_rejects_nan_weights():
+    # ``weights.min() < 0`` is False for NaN, so this used to run.
+    csr = CSRGraph.from_arrays(np.array([0, 1]), np.array([1, 2]), 3,
+                               weights=np.array([1.0, np.nan]))
+    with pytest.raises(ValidationError, match="non-negative"):
+        sssp_dijkstra(csr, 0)
+
+
+def test_inf_weights_are_legal():
+    csr = CSRGraph.from_arrays(np.array([0, 0]), np.array([1, 2]), 3,
+                               weights=np.array([np.inf, 1.0]))
+    assert sssp_dijkstra(csr, 0).tolist() == [0.0, np.inf, 1.0]
+
+
 def test_parallel_edges_use_min_weight():
     csr = CSRGraph.from_arrays(np.array([0, 0]), np.array([1, 1]), 2,
                                weights=np.array([5.0, 2.0]))

@@ -24,13 +24,13 @@ class TestCompression:
         assert d.nnz == 3
 
     def test_roundtrip(self, sparse_csr):
-        back = DCSRMatrix.from_csr(sparse_csr).to_csr()
+        back = DCSRMatrix.from_csr(sparse_csr).csr_view()
         assert np.array_equal(back.row_ptr, sparse_csr.row_ptr)
         assert np.array_equal(back.col_idx, sparse_csr.col_idx)
         assert np.array_equal(back.weights, sparse_csr.weights)
 
     def test_kron_roundtrip(self, kron10_csr):
-        back = DCSRMatrix.from_csr(kron10_csr).to_csr()
+        back = DCSRMatrix.from_csr(kron10_csr).csr_view()
         assert np.array_equal(back.row_ptr, kron10_csr.row_ptr)
         assert np.array_equal(back.col_idx, kron10_csr.col_idx)
 

@@ -16,14 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import frontier as frontier_lib
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
+from repro.graph.edgelist import EdgeList
 from repro.graph.frontier import (_push_dense, _push_sparse,
                                   arc_sum_operator,
                                   claim_first_parent, dedup_ids,
                                   first_parent_candidates,
-                                  gather_slots, push_candidates,
-                                  segment_min_scatter)
+                                  gather_slots, pull_min, push_candidates,
+                                  relax_round, segment_min_scatter)
 from repro.graph.scratch import (COUNTERS, KernelScratch, consume_counters,
                                  scratch_for)
 
@@ -333,6 +335,166 @@ def test_push_candidates_empty_members_and_empty_graph():
 
 
 # ----------------------------------------------------------------------
+# relax_round: push below PULL_SHARE, pull at or above it
+# ----------------------------------------------------------------------
+
+
+def ref_relax(csr, members, values, dist, weighted):
+    """The round as the push kernels typed it out: every out-arc of a
+    member offers ``values[src] + w``, ``np.minimum.at`` applies the
+    offers to a copy, ``np.unique`` names the improved destinations and
+    every destination reached is touched."""
+    slots, counts = ref_gather(csr.row_ptr, members)
+    dsts = csr.col_idx[slots]
+    cand = values[np.repeat(members, counts)]
+    if weighted:
+        cand = cand + csr.weights[slots]
+    after = dist.copy()
+    np.minimum.at(after, dsts, cand)
+    touched = np.zeros(dist.size, dtype=bool)
+    touched[dsts] = True
+    return after, np.unique(dsts[cand < dist[dsts]]), int(counts.sum()), \
+        touched
+
+
+@st.composite
+def relax_cases(draw):
+    """A multigraph with parallel arcs, self-loops, empty rows (m = 0
+    included) and, sometimes, ``+inf`` weights; members that are none,
+    all, or a drawn subset, some of them unreachable (value ``inf``)."""
+    csr, members = draw(graph_and_frontier(weighted=True))
+    n, m = csr.n_vertices, csr.n_edges
+    if m and draw(st.booleans()):
+        w = csr.weights.copy()
+        w[::3] = np.inf
+        csr = CSRGraph(csr.row_ptr, csr.col_idx, w)
+    pick = draw(st.sampled_from(["drawn", "none", "all"]))
+    if pick == "none":
+        members = np.empty(0, dtype=np.int64)
+    elif pick == "all":
+        members = np.arange(n)
+    maybe_inf = st.one_of(st.floats(0.0, 20.0, allow_nan=False),
+                          st.just(np.inf))
+    dist = np.array(draw(st.lists(maybe_inf, min_size=n, max_size=n)))
+    # Aliased: the values are the very array being relaxed, as in SSSP.
+    alias = draw(st.booleans())
+    values = dist if alias else np.array(
+        draw(st.lists(maybe_inf, min_size=n, max_size=n)))
+    return csr, members, values, dist, alias
+
+
+def _relax_forced(share, *args, **kwargs):
+    """``relax_round`` with :data:`PULL_SHARE` pinned: 0 always pulls,
+    2 always pushes (but on ``m = 0``, which has nothing to push)."""
+    saved = frontier_lib.PULL_SHARE
+    frontier_lib.PULL_SHARE = share
+    try:
+        return relax_round(*args, **kwargs)
+    finally:
+        frontier_lib.PULL_SHARE = saved
+
+
+@given(relax_cases(), st.booleans(), st.booleans())
+@settings(max_examples=250, deadline=None)
+def test_relax_round_sides_match_reference(case, weighted, use_touched):
+    csr, members, values, dist0, alias = case
+    n = csr.n_vertices
+    want_dist, want_ids, want_examined, want_touched = ref_relax(
+        csr, members, values, dist0, weighted)
+    scratch = KernelScratch(n, csr.n_edges)
+    for share in (0.0, 2.0, frontier_lib.PULL_SHARE):
+        for inn in (None, csr.transposed()):
+            dist = dist0.copy()
+            vals = dist if alias else values
+            touched = np.zeros(n, dtype=bool) if use_touched else None
+            ids, examined = _relax_forced(share, csr, inn, members, vals,
+                                          dist, scratch, weighted=weighted,
+                                          touched=touched)
+            assert dist.tobytes() == want_dist.tobytes()
+            assert ids.dtype == np.int64
+            assert np.array_equal(ids, want_ids)
+            assert examined == want_examined
+            if use_touched:
+                assert np.array_equal(touched, want_touched)
+            assert not scratch.mask("push").any()
+            assert not scratch.mask("dedup").any()
+
+
+@given(csr_graphs(weighted=True), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pull_over_a_symmetrized_out_csr_is_the_pull_over_its_transpose(
+        csr, data):
+    """``EdgeList.symmetrized()`` gives every vertex one (neighbour,
+    weight) multiset in and out, so the out-CSR serves as its own
+    in-arcs: the identity the systems rely on for undirected input."""
+    n = csr.n_vertices
+    src, dst = csr.to_edge_arrays()
+    sym = EdgeList(src, dst, n, weights=csr.weights).symmetrized()
+    out = CSRGraph.from_arrays(sym.src, sym.dst, n, weights=sym.weights)
+    members = np.unique(np.array(data.draw(st.lists(
+        st.integers(0, n - 1), max_size=n)), dtype=np.int64))
+    dist0 = np.array(data.draw(st.lists(
+        st.one_of(st.floats(0.0, 20.0), st.just(np.inf)),
+        min_size=n, max_size=n)))
+    runs = []
+    for inn in (out, out.transposed()):
+        dist, touched = dist0.copy(), np.zeros(n, dtype=bool)
+        ids, _ = _relax_forced(0.0, out, inn, members, dist0, dist,
+                               KernelScratch(n, out.n_edges),
+                               touched=touched)
+        runs.append((dist.tobytes(), ids.tolist(), touched.tolist()))
+    assert runs[0] == runs[1]
+
+
+def test_relax_round_inf_weight_signals_but_never_improves():
+    csr = CSRGraph.from_arrays(np.array([0, 0]), np.array([1, 2]), 3,
+                               weights=np.array([np.inf, 1.0]))
+    for share in (0.0, 2.0):
+        dist = np.array([0.0, np.inf, np.inf])
+        touched = np.zeros(3, dtype=bool)
+        ids, examined = _relax_forced(share, csr, None, np.array([0]),
+                                      dist, dist, KernelScratch(3, 2),
+                                      touched=touched)
+        assert ids.tolist() == [2] and examined == 2
+        assert dist.tolist() == [0.0, np.inf, 1.0]
+        assert touched.tolist() == [False, True, True]
+
+
+def test_relax_round_switches_on_share_and_transposes_lazily():
+    """A star: a leaf owns no arc and pushes, the hub owns them all and
+    pulls -- only then is the transpose built, and its arcs are counted
+    like the push side's."""
+    k = 40
+    csr = CSRGraph.from_arrays(np.zeros(k, dtype=np.int64),
+                               np.arange(1, k + 1), k + 1,
+                               weights=np.full(k, 0.5))
+    scratch = KernelScratch(k + 1, k)
+    dist = np.full(k + 1, np.inf)
+    dist[0] = 0.0
+    consume_counters()
+    ids, examined = relax_round(csr, None, np.array([3]), dist, dist,
+                                scratch)
+    assert ids.size == 0 and examined == 0
+    assert "_transposed" not in csr.__dict__
+    ids, examined = relax_round(csr, None, np.array([0]), dist, dist,
+                                scratch)
+    assert np.array_equal(ids, np.arange(1, k + 1)) and examined == k
+    assert "_transposed" in csr.__dict__
+    assert consume_counters()["gather_edges"] == float(k)
+
+
+def test_pull_min_is_the_reduceat_over_nonempty_rows():
+    starts = np.array([0, 2, 3])
+    col_idx = np.array([1, 2, 0, 2, 1])
+    src_val = np.array([5.0, 1.0, np.inf])
+    lengths = np.array([0.5, 0.0, 2.0, 1.0, 4.0])
+    assert pull_min(starts, col_idx, lengths, src_val).tolist() == \
+        [1.5, 7.0, 5.0]
+    assert pull_min(starts, col_idx, None, src_val).tolist() == \
+        [1.0, 5.0, 1.0]
+
+
+# ----------------------------------------------------------------------
 # segment_min_scatter / dedup_ids
 # ----------------------------------------------------------------------
 
@@ -512,6 +674,23 @@ def test_dcsr_col_nnz_memoized_and_exact():
     clone = pickle.loads(pickle.dumps(d))
     assert "_col_nnz" not in clone.__dict__
     assert np.array_equal(clone.col_nnz(), c1)
+
+
+def test_dcsr_csr_view_shares_arrays_and_is_dropped_from_pickle():
+    csr = CSRGraph.from_arrays(np.array([0, 0, 3, 3]),
+                               np.array([1, 3, 0, 3]), 5,
+                               weights=np.array([1.0, 2.0, 3.0, 4.0]))
+    d = DCSRMatrix.from_csr(csr)
+    view = d.csr_view()
+    assert view is d.csr_view()
+    assert np.array_equal(view.row_ptr, csr.row_ptr)
+    assert view.col_idx is d.col_idx and view.weights is d.values
+    out = view.transposed()          # GraphMat's directed out-arcs
+    clone = pickle.loads(pickle.dumps(d))
+    assert "_csr_view" not in clone.__dict__
+    assert np.array_equal(clone.csr_view().row_ptr, view.row_ptr)
+    assert np.array_equal(clone.csr_view().transposed().col_idx,
+                          out.col_idx)
 
 
 def test_to_scipy_no_unconditional_int32_cast():

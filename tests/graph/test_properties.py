@@ -56,7 +56,7 @@ def test_csr_row_ptr_invariants(el):
 def test_dcsr_csr_equivalence(el):
     csr = CSRGraph.from_edge_list(el)
     d = DCSRMatrix.from_csr(csr)
-    back = d.to_csr()
+    back = d.csr_view()
     assert np.array_equal(back.row_ptr, csr.row_ptr)
     assert np.array_equal(back.col_idx, csr.col_idx)
     # Every stored row is genuinely non-empty.

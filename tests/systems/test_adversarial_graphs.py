@@ -6,12 +6,18 @@ disconnected cliques, self-loops, and duplicate edges.  Every system's
 output must still match the reference kernels.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from repro.algorithms import bfs_levels, pagerank, sssp_dijkstra
 from repro.algorithms import weakly_connected_components
 from repro.datasets.homogenize import homogenize
+from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.validation import (
@@ -133,3 +139,63 @@ def test_chain_depth_equals_distance(tmp_path):
     loaded = system.load(dataset)
     res = system.run(loaded, "bfs", root=0)
     assert res.counters["depth"] >= 199
+
+
+# ----------------------------------------------------------------------
+# Weights no SSSP is defined for
+# ----------------------------------------------------------------------
+#: Runs every system's SSSP and the reference on the graph in argv[1]'s
+#: dataset directory, printing the name of each that refused it.
+_REFUSALS = textwrap.dedent("""
+    import sys
+
+    import numpy as np
+
+    from repro.algorithms import sssp_dijkstra
+    from repro.datasets.homogenize import homogenize
+    from repro.errors import ValidationError
+    from repro.graph.csr import CSRGraph
+    from repro.graph.edgelist import EdgeList
+    from repro.systems import create_system
+
+    # 0 -> 1 -> 0 is a cycle of length 1 - 2 < 0: every lap lowers both
+    # distances, so an unchecked label-correcting loop never ends.
+    el = EdgeList(np.array([0, 1, 1]), np.array([1, 0, 2]), 3,
+                  weights=np.array([1.0, -2.0, 0.5]), name="neg")
+    dataset = homogenize(el, sys.argv[1], n_roots=2)
+    for name in ("gap", "graphbig", "graphmat", "powergraph", "reference"):
+        try:
+            if name == "reference":
+                sssp_dijkstra(CSRGraph.from_arrays(
+                    el.src, el.dst, 3, weights=el.weights), 0)
+            else:
+                system = create_system(name)
+                system.run(system.load(dataset), "sssp", root=0)
+        except ValidationError as exc:
+            assert "non-negative" in str(exc), exc
+            print(name)
+    """)
+
+
+def test_negative_cycle_rejected_not_looped_on(tmp_path):
+    # GAP, GraphBIG and GraphMat used to spin until killed and
+    # PowerGraph ran to its 10 000-superstep cap; pytest-timeout is not
+    # installed, hence the subprocess.
+    done = subprocess.run(
+        [sys.executable, "-c", _REFUSALS, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [*SSSP_SYSTEMS, "reference"]
+
+
+@pytest.mark.parametrize("system_name", SSSP_SYSTEMS)
+def test_nan_weight_rejected(system_name, tmp_path):
+    """A NaN never compares, so every kernel used to drop its arc
+    silently and answer as if it were missing."""
+    el = EdgeList(np.array([0, 1, 0]), np.array([1, 2, 2]), 3,
+                  weights=np.array([1.0, np.nan, 5.0]), name="nan")
+    system = create_system(system_name)
+    loaded = system.load(homogenize(el, tmp_path, n_roots=2))
+    with pytest.raises(ValidationError, match="non-negative"):
+        system.run(loaded, "sssp", root=0)

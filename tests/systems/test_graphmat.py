@@ -22,7 +22,7 @@ class TestStructure:
     def test_transpose_stored(self, gmat, kron10_csr):
         """GraphMat pulls along in-edges: the matrix is A^T."""
         _, loaded = gmat
-        at = loaded.data.at.to_csr()
+        at = loaded.data.at.csr_view()
         assert np.array_equal(np.sort(at.out_degrees()),
                               np.sort(kron10_csr.in_degrees()))
 

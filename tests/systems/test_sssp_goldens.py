@@ -1,0 +1,105 @@
+"""Every system SSSP and GraphMat's BFS, pinned before the push/pull switch.
+
+The digests in ``sssp_goldens.json`` were pinned at commit fc6c008, the
+last one whose dense relaxation rounds expanded every arc with
+``np.repeat`` (GraphBIG, PowerGraph) or multiplied the whole matrix
+(GraphMat), before those rounds moved to
+:func:`repro.graph.frontier.relax_round`'s pull side.  Which side ran
+must change wall-clock only, so each digest covers, over every root of
+the dataset, the output bytes (``dist``, or GraphMat BFS's ``parent`` and
+``level``), the iteration count, the ``WorkProfile`` arrays and
+``serial_units``, the simulated ``time_s`` and the stats counters.
+
+Beside the two generated datasets (undirected ``kron10``, directed
+``patents_small``) sit two hand-built multigraphs for the corners a
+generated graph may not reach: parallel arcs of different weights, a
+self-loop, an isolated vertex, and -- in the directed one -- pairs whose
+in- and out-arcs differ, so reading one structure for both directions
+would be wrong there.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.datasets.homogenize import homogenize
+from repro.graph.edgelist import EdgeList
+from repro.systems import create_system
+
+#: 9 vertices, directed: parallel 0->1 at 0.7 and 0.2, self-loop 3->3,
+#: isolated 8, 2->4 without 4->2, 5 <-> 6 at different weights, a zero
+#: weight 6->7, and 7 reachable from 0 only the long way round.
+DIRECTED9 = ([0, 0, 0, 1, 1, 2, 3, 3, 4, 5, 6, 6, 7, 2],
+             [1, 1, 2, 2, 3, 4, 3, 5, 5, 6, 5, 7, 0, 6],
+             [0.7, 0.2, 0.9, 0.3, 0.8, 0.4, 0.1, 0.6, 0.5, 0.25, 0.75,
+              0.0, 0.35, 1.0])
+#: 7 vertices, undirected: parallel 0-1 at 0.5 and 0.125, self-loop
+#: 2-2, isolated 6, a triangle 3-4-5 and a bridge 1-3.
+UNDIRECTED7 = ([0, 0, 1, 2, 1, 3, 4, 5, 2],
+               [1, 1, 2, 2, 3, 4, 5, 3, 0],
+               [0.5, 0.125, 0.25, 0.75, 1.0, 0.375, 0.625, 0.875, 0.9])
+
+#: (system, algorithm) pairs the goldens cover.
+RUNS = [("gap", "sssp"), ("graphbig", "sssp"), ("graphmat", "sssp"),
+        ("powergraph", "sssp"), ("graphmat", "bfs")]
+
+GOLDENS = json.loads((Path(__file__).parent / "sssp_goldens.json")
+                     .read_text())
+
+
+@pytest.fixture(scope="module")
+def datasets(kron10_dataset, patents_dataset, tmp_path_factory):
+    out = {"kron10": (kron10_dataset, kron10_dataset.roots),
+           "patents_small": (patents_dataset, patents_dataset.roots)}
+    for name, n, directed, (src, dst, w) in (
+            ("directed9", 9, True, DIRECTED9),
+            ("undirected7", 7, False, UNDIRECTED7)):
+        el = EdgeList(np.array(src), np.array(dst), n, weights=np.array(w),
+                      directed=directed, name=name)
+        # Every vertex is a root, the isolated one included.
+        out[name] = (homogenize(el, tmp_path_factory.mktemp(name)),
+                     np.arange(n))
+    return out
+
+
+def run_digest(system: str, algorithm: str, dataset, roots) -> str:
+    """sha256 over every root's outputs, profile, time and stats."""
+    s = create_system(system)
+    loaded = s.load(dataset)
+    h = hashlib.sha256()
+    for root in roots:
+        res = s.run(loaded, algorithm, root=int(root))
+        for key in sorted(res.output):
+            h.update(key.encode())
+            h.update(np.ascontiguousarray(res.output[key]).tobytes())
+        h.update(repr(res.iterations).encode())
+        for _, a in sorted(res.profile.to_arrays().items()):
+            h.update(a.tobytes())
+        h.update(repr(res.profile.serial_units).encode())
+        h.update(repr(res.time_s).encode())
+        h.update(repr(sorted(res.counters.items())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("system,algorithm", RUNS,
+                         ids=[f"{s}-{a}" for s, a in RUNS])
+@pytest.mark.parametrize(
+    "graph", ["kron10", "patents_small", "directed9", "undirected7"])
+def test_run_pinned(graph, system, algorithm, datasets):
+    dataset, roots = datasets[graph]
+    assert run_digest(system, algorithm, dataset, roots) == \
+        GOLDENS[f"{graph}/{system}/{algorithm}"]
+
+
+def test_multigraphs_reach_the_system_intact(datasets):
+    """The parallel arcs and the self-loop survive homogenization, so
+    the goldens above really run over them."""
+    s = create_system("graphbig")
+    d9 = s.load(datasets["directed9"][0])
+    u7 = s.load(datasets["undirected7"][0])
+    assert d9.n_arcs == len(DIRECTED9[0])
+    # Symmetrized: every arc twice but the self-loop.
+    assert u7.n_arcs == 2 * len(UNDIRECTED7[0]) - 1
