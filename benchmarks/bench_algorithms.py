@@ -10,11 +10,11 @@ kernel gate:
   seed, and min-member component labels are all mathematically unique,
   so the comparison is ``array_equal``, never a tolerance.  Repeated
   runs must also be bit-identical (no hidden RNG or dict-order state).
-* **Speedup.**  The bucket-queue peel (:func:`core_numbers`) must beat
-  the ``O(n)``-rescan naive baseline (:func:`core_numbers_naive`) by at
+* **Speedup.**  The level peel (:func:`core_numbers`) must beat the
+  ``O(n)``-rescan naive baseline (:func:`core_numbers_naive`) by at
   least ``SPEEDUP_FLOOR``x on a Kronecker graph at scale
-  ``PEEL_SCALE`` -- the point of promoting GAP's lazy bucket queue
-  into the shared frontier library.
+  ``PEEL_SCALE`` -- decrementing only the touched neighborhoods, never
+  recounting the whole adjacency.
 
 Artifacts: ``bench_results/algorithms_gate.txt`` (human-readable) and
 ``bench_results/BENCH_algorithms.json`` (machine-readable, consumed by
@@ -125,6 +125,6 @@ def test_algorithms_gate(kron_dataset_bench):
         f"identity_checks: {len(checks)} system/algorithm cells "
         f"(scale {BENCH_SCALE}) -- all exact and bit-identical",
         f"kcore_peel (kron scale {PEEL_SCALE}, {peel_csr.n_edges} "
-        f"arcs): naive {naive_s:.3f}s bucket-queue {fast_s:.3f}s "
+        f"arcs): naive {naive_s:.3f}s level peel {fast_s:.3f}s "
         f"speedup {speedup:.2f}x (floor {SPEEDUP_FLOOR}x)",
     ]))

@@ -494,9 +494,10 @@ def _assert_push_sides_identical(csr, root, checks):
     rounds = 0
     while active.size:
         rounds += 1
-        args = (csr, csr.weights, active, dist, dist, scratch, None, None)
-        dsts, cand = _push_sparse(*args)
-        d_dsts, d_cand = _push_dense(*args)
+        dsts, cand = _push_sparse(csr, csr.weights, active, dist, dist,
+                                  scratch, None)
+        d_dsts, d_cand = _push_dense(csr, csr.weights, active, dist, dist,
+                                     None)
         assert np.array_equal(dsts, d_dsts) and np.array_equal(
             cand, d_cand), f"push_candidates[{root}]: sides diverged"
         if dsts.size == 0:

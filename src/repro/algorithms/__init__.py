@@ -5,10 +5,18 @@ algorithms the study touches -- BFS, SSSP, PageRank (the paper's three
 "building blocks", Sec. III-D), WCC, CDLP and LCC (needed by the
 Graphalytics comparison in Tables I-II), plus the widened structural
 matrix: triangle counting, k-core decomposition, maximal independent
-set, and Afforest connected components.  Every reimplemented system in
-:mod:`repro.systems` is validated against these in the test suite; the
-systems themselves do *not* call into this package (each has its own
-genuinely distinct implementation, as in the paper).
+set, and Afforest connected components.
+
+Where the systems genuinely differ in algorithm -- BFS, SSSP, PageRank,
+hash-min WCC, GraphMat's SpMV kernels -- each has its own
+implementation, validated against these in the test suite.  Where they
+run the same algorithm with the same rounds -- CDLP, LCC, k-core, MIS,
+Shiloach-Vishkin and Afforest components -- the body here is the one
+they all run: it computes the answer and reports per-round facts, and
+each system prices those facts its own way (``docs/algorithms.md``).
+The cross-system tests check those against oracles that share no code
+with the bodies (networkx, scipy union-find, the full-rescan peel, the
+sequential greedy MIS).
 """
 
 from repro.algorithms.bfs import bfs_levels, bfs_parents

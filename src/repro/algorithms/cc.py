@@ -1,41 +1,72 @@
-"""Reference connected components via Afforest-style sampling.
+"""Connected components by hook + compress: Shiloach-Vishkin and Afforest.
+
+Both bodies here are the ones the systems run and price round by round
+(GAP's ``wcc`` and GraphBIG's ``cc`` are Shiloach-Vishkin, GAP's ``cc``
+is Afforest).  Hooks always take the minimum label, so the converged
+labels are the Graphalytics-canonical "smallest member id" -- no
+relabeling pass needed, and exact equality with
+:func:`repro.algorithms.wcc.weakly_connected_components` (scipy
+union-find, sharing no code with either) holds.
 
 Afforest (Sutton, Ben-Nun & Barak) observes that on skewed graphs a
 couple of *sampled* hook rounds -- each vertex links through its r-th
 neighbor only -- already collapses most of the graph into one giant
 component, after which the full edge list needs to be walked only for
-the leftover vertices.  The union structure here is a label array with
+the leftover vertices.  Its union structure is a label array with
 min-hooking applied to the *roots* of the endpoint labels, then pointer
-compression to a fixpoint; because hooks always take the minimum vertex
-id, the converged labels are automatically the Graphalytics-canonical
-"smallest member id" -- no relabeling pass needed, and exact equality
-with :func:`repro.algorithms.wcc.weakly_connected_components` holds.
+compression to a fixpoint.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["afforest", "DEFAULT_NEIGHBOR_ROUNDS"]
+__all__ = ["afforest", "afforest_rounds", "shiloach_vishkin",
+           "DEFAULT_NEIGHBOR_ROUNDS"]
 
 DEFAULT_NEIGHBOR_ROUNDS = 2
 
 
-def _hook_compress(comp: np.ndarray, s: np.ndarray, d: np.ndarray) -> None:
-    """Min-hook the roots of ``comp[s]``/``comp[d]`` until stable.
+def shiloach_vishkin(src: np.ndarray, dst: np.ndarray, n: int
+                     ) -> tuple[np.ndarray, int]:
+    """Component labels over the arcs ``src -> dst`` (direction
+    ignored) and the number of rounds, each one hook over every arc and
+    one pointer jump; the last round changes nothing."""
+    comp = np.arange(n, dtype=np.int64)
+    rounds = 0
+    while True:
+        rounds += 1
+        # Hook: every edge pulls both endpoints to the smaller label.
+        low = np.minimum(comp[src], comp[dst])
+        new_comp = comp.copy()
+        np.minimum.at(new_comp, src, low)
+        np.minimum.at(new_comp, dst, low)
+        # Compress: pointer-jump labels toward the roots.
+        new_comp = new_comp[new_comp]
+        if np.array_equal(new_comp, comp):
+            return comp, rounds
+        comp = new_comp
+
+
+def _hook_compress(comp: np.ndarray, s: np.ndarray, d: np.ndarray) -> int:
+    """Min-hook the roots of ``comp[s]``/``comp[d]`` until stable;
+    returns the rounds run, the last one finding nothing to hook.
 
     Hooking the root (``comp[high] = min(...)``, not ``comp[s]``) is
     what lets a later, smaller label absorb an entire already-merged
     set: compression re-points every member through the captured root.
     """
+    rounds = 0
     while True:
+        rounds += 1
         ls = comp[s]
         ld = comp[d]
         diff = ls != ld
         if not diff.any():
-            return
+            return rounds
         low = np.minimum(ls[diff], ld[diff])
         high = np.maximum(ls[diff], ld[diff])
         np.minimum.at(comp, high, low)
@@ -46,17 +77,27 @@ def _hook_compress(comp: np.ndarray, s: np.ndarray, d: np.ndarray) -> None:
             comp[:] = nxt
 
 
-def afforest(graph: CSRGraph,
-             neighbor_rounds: int = DEFAULT_NEIGHBOR_ROUNDS) -> np.ndarray:
-    """Component label (minimum member id) per vertex.
+def afforest_rounds(graph: CSRGraph, neighbor_rounds: int | None = None
+                    ) -> tuple[np.ndarray, list[tuple[int, bool]]]:
+    """Afforest labels and its passes over the arcs, in order.
 
-    Directed arcs are treated as undirected links, matching weak
-    connectivity; self-loops and duplicate edges hook harmlessly.
+    Returns ``(comp, passes)``: one ``(arcs, True)`` per hook round
+    over ``arcs`` arcs, and one ``(m, False)`` for the scan that finds
+    the arcs outside the giant component.  An empty graph makes no
+    pass.  ``neighbor_rounds`` sampled rounds run first (``None`` is
+    :data:`DEFAULT_NEIGHBOR_ROUNDS`, 0 samples nothing, a negative
+    count raises ``ConfigError``).
     """
+    if neighbor_rounds is None:
+        neighbor_rounds = DEFAULT_NEIGHBOR_ROUNDS
+    if neighbor_rounds < 0:
+        raise ConfigError(
+            f"neighbor_rounds must be >= 0, got {neighbor_rounds}")
     n = graph.n_vertices
     comp = np.arange(n, dtype=np.int64)
+    passes: list[tuple[int, bool]] = []
     if n == 0 or graph.n_edges == 0:
-        return comp
+        return comp, passes
     src = graph.source_ids()
     dst = graph.col_idx
     deg = np.diff(graph.row_ptr)
@@ -64,11 +105,25 @@ def afforest(graph: CSRGraph,
         sampled = np.flatnonzero(deg > r)
         if sampled.size == 0:
             break
-        _hook_compress(comp, sampled, dst[graph.row_ptr[sampled] + r])
+        rounds = _hook_compress(comp, sampled,
+                                dst[graph.row_ptr[sampled] + r])
+        passes += [(int(sampled.size), True)] * rounds
     # Skip the inside of the biggest sampled component: those edges can
     # only re-derive a label their endpoints already share.
     giant = int(np.bincount(comp, minlength=n).argmax())
     rest = (comp[src] != giant) | (comp[dst] != giant)
+    passes.append((int(src.size), False))
     if rest.any():
-        _hook_compress(comp, src[rest], dst[rest])
-    return comp
+        s = src[rest]
+        passes += [(int(s.size), True)] * _hook_compress(comp, s, dst[rest])
+    return comp, passes
+
+
+def afforest(graph: CSRGraph,
+             neighbor_rounds: int | None = None) -> np.ndarray:
+    """Component label (minimum member id) per vertex.
+
+    Directed arcs are treated as undirected links, matching weak
+    connectivity; self-loops and duplicate edges hook harmlessly.
+    """
+    return afforest_rounds(graph, neighbor_rounds)[0]

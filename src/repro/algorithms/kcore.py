@@ -1,4 +1,4 @@
-"""Reference k-core decomposition.
+"""k-core decomposition: the one peel every system runs.
 
 The core number of a vertex is the largest ``k`` such that the vertex
 belongs to a maximal subgraph of minimum degree ``k`` (Matula-Beck).
@@ -7,14 +7,12 @@ self-loops dropped, duplicate edges counted once -- the convention every
 system implementation shares, so core numbers (which are mathematically
 unique) compare exactly across systems.
 
-Two implementations live here on purpose.  :func:`core_numbers` drives
-the peel with the shared :class:`~repro.graph.frontier.BucketQueue`
-(decrease-key by re-push, stale entries filtered on pop), touching only
-the neighborhoods of peeled vertices per round.  The deliberately slow
-:func:`core_numbers_naive` re-scans the full adjacency every
-sub-round; ``benchmarks/bench_algorithms.py`` holds the queue-driven
-peel to a >=2x advantage over it, and the hypothesis suite holds the
-two to exact agreement.
+:func:`peel_cores` is the body GAP, GraphBIG and PowerGraph price round
+by round (GraphMat's full-recount SpMV peel is its own algorithm).  The
+deliberately slow :func:`core_numbers_naive` re-scans the full
+adjacency every sub-round and shares nothing with it but the view;
+``benchmarks/bench_algorithms.py`` holds the peel to a >=2x advantage
+over it, and the hypothesis suite holds the two to exact agreement.
 """
 
 from __future__ import annotations
@@ -22,55 +20,62 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import BucketQueue
 from repro.graph.simple import SimpleView, simple_undirected_view
 
 __all__ = ["core_numbers", "core_numbers_naive", "peel_cores"]
 
 
-def peel_cores(view: SimpleView) -> np.ndarray:
-    """Bucket-queue peel of an already-simplified view.
+def peel_cores(view: SimpleView) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Level-synchronous peel of an already-simplified view.
 
-    Batch-popping a whole minimum bucket equals vertex-at-a-time
-    Matula-Beck: every member has residual degree <= the current level
-    (degrees are clamped at the level below), so any removal order
-    inside the batch assigns the same core number.
+    Returns ``(core, rounds)``: the core numbers and, per round,
+    ``(peeled, arcs)`` -- how many vertices the round peeled and how
+    many view arcs their neighborhoods hold, which is what the systems
+    price.  A level opens with every live vertex at or under it; each
+    round peels the frontier, decrements only the touched neighbors
+    (clamped at the level, so no ``O(n)`` rescan) and carries the ones
+    that fell to the level into the next round.
+
+    Peeling a whole frontier at once equals vertex-at-a-time
+    Matula-Beck: every member has residual degree <= the level, so any
+    removal order inside the batch assigns the same core number.  It is
+    also the round sequence of a lazy bucket queue popping its minimum
+    bucket: the clamp keeps every pushed key at or above the level, so
+    the lowest live bucket is always the current frontier.
     """
     n = view.n
     core = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return core
+    rounds: list[tuple[int, int]] = []
     deg = view.degrees.copy()
-    key = deg.copy()
-    queue = BucketQueue()
-    queue.push(np.arange(n, dtype=np.int64), key)
+    alive = np.ones(n, dtype=bool)
+    remaining = n
     level = 0
-    while True:
-        head = queue.pop(key)
-        if head is None:
-            break
-        k, members = head
-        level = max(level, k)
-        core[members] = level
-        key[members] = -1  # peeled; every queued entry is now stale
-        nbrs = view.neighbors_of(members)
-        nbrs = nbrs[key[nbrs] >= 0]
-        if nbrs.size == 0:
-            continue
-        # O(a log a) in the touched neighborhood -- never O(n)/round.
-        ids, cnt = np.unique(nbrs, return_counts=True)
-        new_deg = np.maximum(deg[ids] - cnt, level)
-        deg[ids] = new_deg
-        key[ids] = new_deg
-        queue.push(ids, new_deg)
-    return core
+    while remaining:
+        alive_idx = np.flatnonzero(alive)
+        level = max(level, int(deg[alive_idx].min()))
+        frontier = alive_idx[deg[alive_idx] <= level]
+        while frontier.size:
+            core[frontier] = level
+            alive[frontier] = False
+            remaining -= int(frontier.size)
+            nbrs = view.neighbors_of(frontier)
+            rounds.append((int(frontier.size), int(nbrs.size)))
+            nbrs = nbrs[alive[nbrs]]
+            if nbrs.size == 0:
+                break
+            # O(a log a) in the touched neighborhood -- never O(n)/round.
+            ids, cnt = np.unique(nbrs, return_counts=True)
+            new_deg = np.maximum(deg[ids] - cnt, level)
+            deg[ids] = new_deg
+            frontier = ids[new_deg <= level]
+    return core, rounds
 
 
 def core_numbers(graph: CSRGraph) -> np.ndarray:
     """Core number per vertex of the simple undirected view."""
     view = simple_undirected_view(
         graph.source_ids(), graph.col_idx, graph.n_vertices)
-    return peel_cores(view)
+    return peel_cores(view)[0]
 
 
 def core_numbers_naive(graph: CSRGraph) -> np.ndarray:
@@ -79,9 +84,9 @@ def core_numbers_naive(graph: CSRGraph) -> np.ndarray:
     Each sub-round *re-scans the full adjacency* to recount every
     vertex's alive-neighbor degree -- the ``O(m)``-per-sub-round shape
     the matrix-based systems execute (GraphMat's ``kcore_spmv`` is a
-    full SpMV recount per level, GraphBIG sweeps every property) --
-    then peels by an ``O(n)`` scan.  No incremental decrements, no
-    queue: correct, and the benchmark's foil.
+    full SpMV recount per level) -- then peels by an ``O(n)`` scan.  No
+    incremental decrements: correct, the benchmark's foil, and the
+    cross-system tests' independent oracle.
     """
     view = simple_undirected_view(
         graph.source_ids(), graph.col_idx, graph.n_vertices)

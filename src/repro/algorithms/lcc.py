@@ -1,4 +1,4 @@
-"""Reference local clustering coefficient (LCC).
+"""Local clustering coefficient (LCC): the one body every LCC runs.
 
 For every vertex ``v`` with neighborhood ``N(v)`` (union of in- and
 out-neighbors, self-loops excluded), LCC is the number of arcs between
@@ -9,79 +9,67 @@ neighborhoods produce enormous wedge counts), which this implementation
 preserves: cost scales with ``sum_v d(v)^2``.
 
 Computed with batched sparse matrix products so the ``A @ A``
-intermediate never materializes for the whole graph at once.
+intermediate never materializes for the whole graph at once.  GraphBIG,
+GraphMat and PowerGraph run :func:`clustering_blocks` and price its row
+blocks each their own way.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.csr import CSRGraph
+from repro.graph.frontier import resolve_batch_rows
+from repro.graph.simple import simple_patterns
 
-__all__ = ["local_clustering", "lcc_wedge_count"]
+__all__ = ["local_clustering", "lcc_wedge_count", "clustering_blocks"]
 
 
-def _undirected_pattern(graph: CSRGraph) -> sp.csr_matrix:
-    """0/1 symmetric adjacency without self-loops or duplicates."""
-    n = graph.n_vertices
-    src = graph.source_ids()
-    dst = graph.col_idx
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    a = sp.csr_matrix(
-        (np.ones(src.size, dtype=np.int64), (src, dst)), shape=(n, n))
-    a = a + a.T
-    a.data[:] = 1
-    a.sum_duplicates()
-    a.data[:] = 1
-    return a.tocsr()
+def clustering_blocks(src: np.ndarray, dst: np.ndarray, n: int,
+                      batch_rows: int | None = None
+                      ) -> tuple[np.ndarray, np.ndarray,
+                                 list[tuple[int, int]]]:
+    """LCC over the arcs ``src -> dst``, one row block at a time.
+
+    Returns ``(lcc, wedges, blocks)``: the coefficient per vertex (0.0
+    with fewer than 2 neighbors), the wedge count ``d(d-1)`` per vertex
+    (float64), and the ``(lo, hi)`` row range of every block in order.
+    ``batch_rows`` (default: min(2048, n)) is the block height;
+    out-of-range values raise ``ConfigError``.
+    """
+    batch_rows = resolve_batch_rows(batch_rows, n)
+    a_dir, und = simple_patterns(src, dst, n)
+    deg = np.asarray(und.sum(axis=1)).ravel().astype(np.float64)
+    wedges = deg * (deg - 1)
+
+    # Directed arc count inside each neighborhood: for vertex v this is
+    # the sum over ordered neighbor pairs (x, y) with an arc x->y, i.e.
+    # (A_und @ A_dir) restricted to the undirected pattern, summed by row.
+    tri = np.zeros(n, dtype=np.float64)
+    blocks = []
+    for lo in range(0, n, batch_rows):
+        hi = min(lo + batch_rows, n)
+        block = (und[lo:hi] @ a_dir).multiply(und[lo:hi])
+        tri[lo:hi] = np.asarray(block.sum(axis=1)).ravel()
+        blocks.append((lo, hi))
+
+    out = np.zeros(n, dtype=np.float64)
+    mask = wedges > 0
+    out[mask] = tri[mask] / wedges[mask]
+    return out, wedges, blocks
 
 
 def local_clustering(graph: CSRGraph,
                      batch_rows: int | None = None) -> np.ndarray:
-    """LCC per vertex (0.0 for vertices with fewer than 2 neighbors).
-
-    ``batch_rows`` (default: min(2048, n)) is the SpGEMM row-block
-    width; out-of-range values raise ``ConfigError``.
-    """
-    from repro.graph.frontier import resolve_batch_rows
-
-    n = graph.n_vertices
-    batch_rows = resolve_batch_rows(batch_rows, n)
-    und = _undirected_pattern(graph)
-    deg = np.asarray(und.sum(axis=1)).ravel()
-
-    # Directed arc count inside each neighborhood: for vertex v this is
-    # sum over ordered neighbor pairs (x, y) with an arc x->y, i.e.
-    # (A_und @ A_dir) restricted to the undirected pattern, summed by row
-    # ... where A_dir is the original directed adjacency (deduped).
-    src = graph.source_ids()
-    dst = graph.col_idx
-    keep = src != dst
-    a_dir = sp.csr_matrix(
-        (np.ones(keep.sum(), dtype=np.int64),
-         (src[keep], dst[keep])), shape=(n, n))
-    a_dir.sum_duplicates()
-    a_dir.data[:] = 1
-
-    tri = np.zeros(n, dtype=np.float64)
-    for lo in range(0, n, batch_rows):
-        hi = min(lo + batch_rows, n)
-        block = und[lo:hi] @ a_dir          # wedges from rows lo:hi
-        block = block.multiply(und[lo:hi])  # close them on the pattern
-        tri[lo:hi] = np.asarray(block.sum(axis=1)).ravel()
-
-    denom = deg * (deg - 1)
-    out = np.zeros(n, dtype=np.float64)
-    mask = denom > 0
-    out[mask] = tri[mask] / denom[mask]
-    return out
+    """LCC per vertex (0.0 for vertices with fewer than 2 neighbors)."""
+    return clustering_blocks(graph.source_ids(), graph.col_idx,
+                             graph.n_vertices, batch_rows)[0]
 
 
 def lcc_wedge_count(graph: CSRGraph) -> float:
     """Total wedge work, ``sum_v d(v) * (d(v) - 1)`` -- the quantity the
     systems' cost models charge for LCC."""
-    und = _undirected_pattern(graph)
+    und = simple_patterns(graph.source_ids(), graph.col_idx,
+                          graph.n_vertices)[1]
     deg = np.asarray(und.sum(axis=1)).ravel().astype(np.float64)
     return float((deg * (deg - 1)).sum())

@@ -1,4 +1,5 @@
-"""Reference maximal independent set (deterministic Luby rounds).
+"""Maximal independent set (deterministic Luby rounds): the one body
+every system with an MIS round loop runs.
 
 Luby's algorithm is randomized per round; to keep the PR-5 bit-identity
 contract across five systems we fix the randomness *once*: a seeded
@@ -33,29 +34,33 @@ __all__ = [
 DEFAULT_MIS_SEED = 20170402
 
 
-def mis_priorities(n: int, seed: int = DEFAULT_MIS_SEED) -> np.ndarray:
-    """Seeded priority permutation of ``0..n-1`` (lower wins)."""
-    rng = np.random.default_rng(seed)
+def mis_priorities(n: int, seed: int | None = None) -> np.ndarray:
+    """Seeded priority permutation of ``0..n-1`` (lower wins);
+    ``seed=None`` is :data:`DEFAULT_MIS_SEED`."""
+    rng = np.random.default_rng(DEFAULT_MIS_SEED if seed is None else seed)
     return rng.permutation(n).astype(np.int64)
 
 
 def luby_rounds(view: SimpleView, priorities: np.ndarray
-                ) -> tuple[np.ndarray, int]:
+                ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """Run the rounds on an already-simplified view.
 
-    Returns (membership mask, number of rounds).
+    Returns ``(in_set, rounds)``: the membership mask and, per round,
+    ``(undecided, undecided_arcs, winner_arcs)`` -- the vertices still
+    undecided when it starts, the view arcs they own, and the arcs of
+    the round's winners (whose far ends drop out), which is what the
+    systems price.
     """
     n = view.n
+    priorities = np.asarray(priorities, dtype=np.int64)
     in_set = np.zeros(n, dtype=bool)
     decided = np.zeros(n, dtype=bool)
-    if n == 0:
-        return in_set, 0
+    rounds: list[tuple[int, int, int]] = []
     sentinel = np.int64(n)
     starts = view.indptr[:-1]
     nonempty = view.degrees > 0
-    rounds = 0
     while not decided.all():
-        rounds += 1
+        undecided = np.flatnonzero(~decided)
         vals = np.where(decided[view.indices], sentinel,
                         priorities[view.indices])
         best = np.full(n, sentinel, dtype=np.int64)
@@ -70,6 +75,9 @@ def luby_rounds(view: SimpleView, priorities: np.ndarray
         decided[winners] = True
         losers = view.neighbors_of(np.flatnonzero(winners))
         decided[losers] = True
+        rounds.append((int(undecided.size),
+                       int(view.degrees[undecided].sum()),
+                       int(losers.size)))
     return in_set, rounds
 
 
@@ -81,5 +89,4 @@ def maximal_independent_set(graph: CSRGraph,
         graph.source_ids(), graph.col_idx, graph.n_vertices)
     if priorities is None:
         priorities = mis_priorities(view.n, seed)
-    in_set, _ = luby_rounds(view, np.asarray(priorities, dtype=np.int64))
-    return in_set
+    return luby_rounds(view, priorities)[0]

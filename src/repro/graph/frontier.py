@@ -238,8 +238,7 @@ def first_hit_scan(row_ptr: np.ndarray, col_idx: np.ndarray,
 def push_candidates(csr: CSRGraph, lengths: np.ndarray | None,
                     members: np.ndarray, values: np.ndarray,
                     dist: np.ndarray, scratch: KernelScratch,
-                    keep: np.ndarray | None = None,
-                    touched: np.ndarray | None = None
+                    keep: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """Out-arcs of ``members`` whose candidate beats ``dist`` at the
     far end: the push half of every relaxation round.
@@ -250,10 +249,7 @@ def push_candidates(csr: CSRGraph, lengths: np.ndarray | None,
     with ``cand < dist[dst]``, in CSR order, and the out-degree sum of
     ``members`` -- the count the work profiles price, whatever the
     filters drop.  ``members`` are sorted unique ids; ``keep`` is an
-    optional per-arc mask (delta-stepping's light or heavy arcs);
-    ``touched``, when given, is a ``bool[n]`` that is set at every
-    destination a kept arc of a member reaches, improved or not (the
-    GAS engine's signalled set, out of the same expansion).
+    optional per-arc mask (delta-stepping's light or heavy arcs).
 
     Two ways to the same arrays.  *Sparse*: :func:`gather_slots`, then
     one gather each of ``col_idx`` and ``lengths``; source values are
@@ -271,26 +267,25 @@ def push_candidates(csr: CSRGraph, lengths: np.ndarray | None,
     dense side costs a flat 1.0-1.5 ms / 7-9 ms whatever the share, the
     sparse side grows linearly to 3.5-4.5 ms / 27-35 ms at a full
     sweep.  They cross at a share of 0.20-0.25 for delta-stepping
-    (``keep`` makes the sparse side gather twice), 0.30-0.35 for
-    Bellman-Ford and 0.50-0.55 for the GAS scatter (``touched`` costs
-    the dense side a second pass).  0.3 sits between them: the worst
-    mis-pick is the GAS scatter at shares of 0.3-0.5, about 0.4 ms a
-    call at scale 13 on 3-4 calls per root.
+    (``keep`` makes the sparse side gather twice) and 0.30-0.35 for
+    Bellman-Ford; 0.3 sits between them.
     """
     examined = int((csr.row_ptr[members + 1] - csr.row_ptr[members]).sum())
     if examined < _DENSE_SHARE * csr.n_edges:
-        side = _push_sparse
+        dsts, cand = _push_sparse(csr, lengths, members, values, dist,
+                                  scratch, keep)
     else:
-        side = _push_dense
         # The sparse side's arcs are counted by ``gather_slots``.
         COUNTERS["gather_edges"] += float(examined)
-    dsts, cand = side(csr, lengths, members, values, dist, scratch,
-                      keep, touched)
+        dsts, cand = _push_dense(csr, lengths, members, values, dist, keep)
     return dsts, cand, examined
 
 
 def _push_sparse(csr, lengths, members, values, dist, scratch, keep,
-                 touched):
+                 touched=None):
+    """:func:`push_candidates`' sparse side; ``touched``, when given, is
+    a ``bool[n]`` set at every destination a kept arc of a member
+    reaches, improved or not (:func:`relax_round`'s signalled set)."""
     gs = gather_slots(csr.row_ptr, members, scratch)
     slots = gs.slots
     cand = np.repeat(values[members], gs.counts)
@@ -307,26 +302,16 @@ def _push_sparse(csr, lengths, members, values, dist, scratch, keep,
     return dsts[better], cand[better]
 
 
-def _push_dense(csr, lengths, members, values, dist, scratch, keep,
-                touched):
-    out_deg = csr.out_degrees()
+def _push_dense(csr, lengths, members, values, dist, keep):
     src_val = np.full(csr.n_vertices, np.inf)
     src_val[members] = values[members]
-    cand = np.repeat(src_val, out_deg)
+    cand = np.repeat(src_val, csr.out_degrees())
     if lengths is not None:
         cand += lengths
     dsts = csr.col_idx
     better = cand < dist[dsts]
     if keep is not None:
         better &= keep
-    if touched is not None:
-        is_member = scratch.mask("push")
-        is_member[members] = True
-        live = np.repeat(is_member, out_deg)
-        is_member[members] = False
-        if keep is not None:
-            live &= keep
-        touched[dsts[live]] = True
     return dsts[better], cand[better]
 
 
@@ -502,8 +487,8 @@ class BucketQueue:
     """Lazy monotone bucket queue: pending id lists + a min-heap of keys.
 
     Generalized out of GAP's delta-stepping (where it replaced the
-    ``O(n)`` ``np.flatnonzero(bucket == current)`` scan per bucket) so
-    k-core peeling can share it.  The caller-owned ``key`` array stays
+    ``O(n)`` ``np.flatnonzero(bucket == current)`` scan per bucket);
+    ``IncrementalBFS`` drives it too.  The caller-owned ``key`` array stays
     the source of truth; *decrease-key* (and increase-key) is simply a
     fresh :meth:`push` with the new key -- entries that went stale
     between push and pop are filtered by ``key[v] == k`` on pop.

@@ -7,8 +7,9 @@ directions.  The homogenized datasets can carry all three artifacts,
 and each system stores its own representation -- so cross-system exact
 agreement (the differential-matrix contract) requires every
 implementation to reduce to the identical view first.  This module is
-that reduction: the same scipy canonicalization the LCC kernels already
-use inline, packaged once so five systems cannot drift.
+that reduction, and :func:`simple_patterns` is the scipy
+canonicalization under it that the LCC body multiplies, packaged once
+so five systems cannot drift.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["SimpleView", "simple_undirected_view"]
+__all__ = ["SimpleView", "simple_patterns", "simple_undirected_view"]
 
 
 @dataclass(frozen=True)
@@ -57,15 +58,11 @@ class SimpleView:
         return src, self.indices
 
 
-def simple_undirected_view(src: np.ndarray, dst: np.ndarray,
-                           n: int) -> SimpleView:
-    """Reduce raw arcs to the canonical simple undirected view.
-
-    Follows the LCC kernels' exact construction -- drop self-loops,
-    binarize, symmetrize, re-binarize -- so every caller lands on
-    byte-identical ``indptr``/``indices`` arrays for the same input
-    edge set, whichever system's representation the arcs came from.
-    """
+def simple_patterns(src: np.ndarray, dst: np.ndarray, n: int
+                    ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """0/1 ``int64`` adjacency of the arcs ``src -> dst`` and its
+    symmetric closure, both without self-loops or duplicates: drop
+    self-loops, binarize, symmetrize, re-binarize."""
     src = np.asarray(src)
     dst = np.asarray(dst)
     keep = src != dst
@@ -78,7 +75,19 @@ def simple_undirected_view(src: np.ndarray, dst: np.ndarray,
     und.data[:] = 1
     und.sum_duplicates()
     und.data[:] = 1
-    und = und.tocsr()
+    return a_dir, und.tocsr()
+
+
+def simple_undirected_view(src: np.ndarray, dst: np.ndarray,
+                           n: int) -> SimpleView:
+    """Reduce raw arcs to the canonical simple undirected view.
+
+    The symmetric closure of :func:`simple_patterns` -- the pattern the
+    LCC body multiplies -- so every caller lands on byte-identical
+    ``indptr``/``indices`` arrays for the same input edge set,
+    whichever system's representation the arcs came from.
+    """
+    und = simple_patterns(src, dst, n)[1]
     und.sort_indices()
     indptr = und.indptr.astype(np.int64)
     indices = und.indices.astype(np.int64)

@@ -143,8 +143,8 @@ _ANCHORS: dict[str, dict[str, Anchor]] = {
         # not this paper (which does not time them).
         "bc": Anchor(2.0, 16 * 2 * 0.8 * _M),
         "tc": Anchor(60.0, SCALE22_WEDGES / 2.0),
-        # Structural matrix (docs/algorithms.md): bucket-queue peel
-        # touches each arc ~twice (decrement + re-bucket) ...
+        # Structural matrix (docs/algorithms.md): the peel touches
+        # each arc ~twice (gather + decrement) ...
         "kcore": Anchor(0.080, 2.0 * _M + 2.0 * _N),
         # ... Luby rounds touch live arcs ~1.5x before dying out ...
         "mis": Anchor(0.040, 1.5 * _M + _N),

@@ -14,10 +14,9 @@ exactly the work the cost model prices.  The rounds go through a
 shard engine when sharded); the bucket logic below is the only copy.
 
 Bucket membership is tracked lazily (the shared
-:class:`~repro.graph.frontier.BucketQueue`, which k-core peeling also
-drives): vertices are pushed onto per-bucket
-pending lists as their tentative bucket changes and stale entries are
-filtered on pop (``bucket[v] == k``), replacing the old ``O(n)``
+:class:`~repro.graph.frontier.BucketQueue`): vertices are pushed onto
+per-bucket pending lists as their tentative bucket changes and stale
+entries are filtered on pop (``bucket[v] == k``), replacing the old ``O(n)``
 ``np.flatnonzero(bucket == current)`` scan per bucket -- pure queue
 bookkeeping, so the (bucket, members) sequence, distances, stats, and
 profile are unchanged.

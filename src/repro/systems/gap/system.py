@@ -12,16 +12,15 @@ from repro.graph.edgelist import EdgeList
 from repro.machine.threads import WorkProfile
 from repro.systems.base import GraphSystem
 from repro.systems.gap.bfs import DEFAULT_ALPHA, DEFAULT_BETA, dobfs
-from repro.systems.gap.cc import afforest, shiloach_vishkin
 from repro.systems.gap.graph import GapGraph, build_gap_graph
-from repro.systems.gap.kcore import kcore_peel
-from repro.systems.gap.mis import mis_luby
 from repro.systems.gap.pagerank import (
     DEFAULT_DAMPING,
     DEFAULT_EPSILON,
     pagerank_gs,
 )
 from repro.systems.gap.sssp import DEFAULT_DELTA, delta_stepping
+from repro.systems.gap.structural import (afforest_components, kcore_peel,
+                                          mis_luby, sv_components)
 
 __all__ = ["GapSystem"]
 
@@ -151,29 +150,23 @@ class GapSystem(GraphSystem):
         return ({"rank": rank}, profile, iterations, {})
 
     def _run_wcc(self, loaded):
-        labels, rounds, profile = shiloach_vishkin(loaded.data)
+        labels, rounds, profile = sv_components(loaded.data)
         return ({"labels": labels}, profile, rounds, {})
 
     def _run_cc(self, loaded, neighbor_rounds: int | None = None):
-        from repro.systems.gap.cc import DEFAULT_NEIGHBOR_ROUNDS
-
-        neighbor_rounds = neighbor_rounds or DEFAULT_NEIGHBOR_ROUNDS
-        labels, rounds, profile = afforest(
-            loaded.data, neighbor_rounds=neighbor_rounds)
+        labels, rounds, profile = afforest_components(loaded.data,
+                                                      neighbor_rounds)
         return ({"labels": labels}, profile, rounds, {})
 
     def _run_kcore(self, loaded):
-        core, rounds, stats = kcore_peel(loaded.data)
-        return ({"core": core}, stats["profile"], rounds,
-                {"max_core": float(stats["max_core"])})
+        core, rounds, profile = kcore_peel(loaded.data)
+        return ({"core": core}, profile, rounds,
+                {"max_core": float(core.max()) if core.size else 0.0})
 
     def _run_mis(self, loaded, seed: int | None = None):
-        from repro.algorithms.mis import DEFAULT_MIS_SEED
-
-        in_set, rounds, stats = mis_luby(
-            loaded.data, seed=DEFAULT_MIS_SEED if seed is None else seed)
-        return ({"in_set": in_set.astype(np.int64)}, stats["profile"],
-                rounds, {"set_size": float(stats["set_size"])})
+        in_set, rounds, profile = mis_luby(loaded.data, seed)
+        return ({"in_set": in_set.astype(np.int64)}, profile, rounds,
+                {"set_size": float(in_set.sum())})
 
     def _run_bc(self, loaded, n_sources: int | None = None,
                 seed: int = 27):

@@ -4,14 +4,20 @@ All kernels operate on the property-graph structure
 (:class:`~repro.systems.graphbig.system.PropertyGraph`) through
 per-vertex property arrays, in the bulk-synchronous vertex-centric style
 of the original benchmark suite: a task queue of active vertices, one
-"process vertex" sweep per superstep.
+"process vertex" sweep per superstep.  CDLP, LCC, k-core, MIS and
+Shiloach-Vishkin components run the one body of each in
+:mod:`repro.algorithms`; what is GraphBIG's about them is the pricing,
+with every vertex visit paying :data:`PROPERTY_ACCESS_COST`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.algorithms.cc import shiloach_vishkin
+from repro.algorithms.kcore import peel_cores
+from repro.algorithms.lcc import clustering_blocks
+from repro.algorithms.mis import luby_rounds, mis_priorities
 from repro.algorithms.pagerank import check_pagerank_params
 from repro.algorithms.sssp import check_sssp_weights
 from repro.graph.frontier import (arc_sum_operator, claim_first_parent,
@@ -180,127 +186,62 @@ def cdlp_sync(pg, iterations: int):
     return labels, iterations, profile
 
 
+def _simplify(pg):
+    """The simple view plus its profile's first round: every arc and
+    every vertex record visited once."""
+    view = simple_undirected_view(pg.out.source_ids(), pg.out.col_idx,
+                                  pg.n)
+    profile = WorkProfile()
+    profile.add_round(units=pg.out.n_edges + PROPERTY_ACCESS_COST * pg.n,
+                      memory_bytes=16.0 * pg.out.n_edges, skew=0.05)
+    return view, profile
+
+
 def kcore_props(pg):
     """Level-synchronous k-core peel through the property records.
 
     GraphBIG keeps the residual degree as a vertex property and sweeps
     a task queue of sub-``k`` vertices per superstep; every peel and
     every neighbor decrement goes through the property API, so the
-    per-visit overhead is charged on top of the edge work.  Core
-    numbers are unique, so the output matches the other systems bit
-    for bit.
+    per-visit overhead is charged on top of the edge work.
     """
-    n = pg.n
-    view = simple_undirected_view(pg.out.source_ids(), pg.out.col_idx, n)
-    profile = WorkProfile()
-    profile.add_round(units=pg.out.n_edges + PROPERTY_ACCESS_COST * n,
-                      memory_bytes=16.0 * pg.out.n_edges, skew=0.05)
-    core = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return core, 0, profile
-    scratch = scratch_for(pg, n, max(pg.out.n_edges, view.nnz))
-    deg = view.degrees.copy()
-    alive = np.ones(n, dtype=bool)
-    remaining = n
-    level = 0
-    supersteps = 0
-    max_deg = float(deg.max())
-    while remaining:
-        alive_idx = np.flatnonzero(alive)
-        level = max(level, int(deg[alive_idx].min()))
-        frontier = alive_idx[deg[alive_idx] <= level]
-        while frontier.size:
-            supersteps += 1
-            core[frontier] = level
-            alive[frontier] = False
-            remaining -= int(frontier.size)
-            gs = gather_slots(view.indptr, frontier, scratch)
-            profile.add_round(
-                units=gs.total + PROPERTY_ACCESS_COST * frontier.size,
-                memory_bytes=32.0 * gs.total,
-                skew=min(max_deg / max(gs.total, 1.0), 1.0))
-            nbrs = view.indices[gs.slots]
-            nbrs = nbrs[alive[nbrs]]
-            if nbrs.size == 0:
-                break
-            ids, cnt = np.unique(nbrs, return_counts=True)
-            new_deg = np.maximum(deg[ids] - cnt, level)
-            deg[ids] = new_deg
-            frontier = ids[new_deg <= level]
-    return core, supersteps, profile
+    view, profile = _simplify(pg)
+    core, rounds = peel_cores(view)
+    max_deg = float(view.degrees.max()) if pg.n else 0.0
+    for peeled, arcs in rounds:
+        profile.add_round(units=arcs + PROPERTY_ACCESS_COST * peeled,
+                          memory_bytes=32.0 * arcs,
+                          skew=min(max_deg / max(arcs, 1.0), 1.0))
+    return core, len(rounds), profile
 
 
-def mis_props(pg, priorities: np.ndarray):
+def mis_props(pg, seed: int | None = None):
     """Pull-based Luby rounds over the vertex property array.
 
     Each superstep is a full vertex-centric sweep: every undecided
     vertex pulls the minimum priority of its undecided neighbors, wins
     if its own beats it, and winners' neighbors are retired through the
-    property API.  Shared seeded ``priorities`` make the rounds
-    equivalent to greedy-by-priority, hence identical across systems.
+    property API.
     """
-    n = pg.n
-    view = simple_undirected_view(pg.out.source_ids(), pg.out.col_idx, n)
-    profile = WorkProfile()
-    profile.add_round(units=pg.out.n_edges + PROPERTY_ACCESS_COST * n,
-                      memory_bytes=16.0 * pg.out.n_edges, skew=0.05)
-    in_set = np.zeros(n, dtype=bool)
-    if n == 0:
-        return in_set, 0, profile
-    scratch = scratch_for(pg, n, max(pg.out.n_edges, view.nnz))
-    pr = np.asarray(priorities, dtype=np.int64)
-    decided = np.zeros(n, dtype=bool)
-    sentinel = np.int64(n)
-    starts = view.indptr[:-1]
-    nonempty = view.degrees > 0
-    supersteps = 0
-    while not decided.all():
-        supersteps += 1
-        undecided = int(n - decided.sum())
-        vals = np.where(decided[view.indices], sentinel,
-                        pr[view.indices])
-        best = np.full(n, sentinel, dtype=np.int64)
-        if nonempty.any():
-            best[nonempty] = np.minimum.reduceat(vals, starts[nonempty])
-        winners = ~decided & (pr < best)
-        in_set[winners] = True
-        decided[winners] = True
-        ws = gather_slots(view.indptr, np.flatnonzero(winners), scratch)
-        decided[view.indices[ws.slots]] = True
+    view, profile = _simplify(pg)
+    in_set, rounds = luby_rounds(view, mis_priorities(pg.n, seed))
+    for undecided, _, winner_arcs in rounds:
         profile.add_round(
-            units=view.nnz + ws.total + PROPERTY_ACCESS_COST * undecided,
-            memory_bytes=24.0 * (view.nnz + ws.total), skew=0.1)
-    return in_set, supersteps, profile
+            units=view.nnz + winner_arcs + PROPERTY_ACCESS_COST * undecided,
+            memory_bytes=24.0 * (view.nnz + winner_arcs), skew=0.1)
+    return in_set, len(rounds), profile
 
 
 def cc_sv(pg):
-    """Shiloach-Vishkin components through the property records.
-
-    Hook + compress like GAP's ``cc``, but each label read/write is a
-    property access; converges to minimum-member-id labels (the
-    Graphalytics convention), exactly matching :func:`wcc_hashmin` on
-    undirected inputs and every other system's ``cc``.
-    """
-    n = pg.n
-    src = pg.out.source_ids()
-    dst = pg.out.col_idx
-    m = src.size
-    comp = np.arange(n, dtype=np.int64)
+    """Shiloach-Vishkin components through the property records: the
+    GAP ``wcc`` loop, but each label read/write is a property access."""
+    m = pg.out.n_edges
+    comp, rounds = shiloach_vishkin(pg.out.source_ids(), pg.out.col_idx,
+                                    pg.n)
     profile = WorkProfile()
-    rounds = 0
-    while True:
-        rounds += 1
-        low = np.minimum(comp[src], comp[dst])
-        new_comp = comp.copy()
-        if m:
-            np.minimum.at(new_comp, src, low)
-            np.minimum.at(new_comp, dst, low)
-        new_comp = new_comp[new_comp]
-        profile.add_round(units=2.0 * m + PROPERTY_ACCESS_COST * n,
+    for _ in range(rounds):
+        profile.add_round(units=2.0 * m + PROPERTY_ACCESS_COST * pg.n,
                           memory_bytes=24.0 * m, skew=0.05)
-        if np.array_equal(new_comp, comp):
-            break
-        comp = new_comp
     return comp, rounds, profile
 
 
@@ -313,39 +254,12 @@ def lcc_wedges(pg, batch_rows: int | None = None):
     LCC the largest number in Table I (1073.7 s).  ``batch_rows``
     (default: min(2048, n)) must tile the matrix or ``ConfigError``.
     """
-    from repro.graph.frontier import resolve_batch_rows
-
-    n = pg.n
-    batch_rows = resolve_batch_rows(batch_rows, n)
-    src = pg.out.source_ids()
-    dst = pg.out.col_idx
-    keep = src != dst
-    a_dir = sp.csr_matrix(
-        (np.ones(int(keep.sum()), dtype=np.int64),
-         (src[keep], dst[keep])), shape=(n, n))
-    a_dir.sum_duplicates()
-    a_dir.data[:] = 1
-    und = a_dir + a_dir.T
-    und.data[:] = 1
-    und.sum_duplicates()
-    und.data[:] = 1
-    und = und.tocsr()
-    deg = np.asarray(und.sum(axis=1)).ravel().astype(np.float64)
-
-    tri = np.zeros(n, dtype=np.float64)
+    lcc, wedges, blocks = clustering_blocks(
+        pg.out.source_ids(), pg.out.col_idx, pg.n, batch_rows)
     profile = WorkProfile()
-    wedge_weights = deg * (deg - 1)
-    max_w = float(wedge_weights.max()) if n else 0.0
-    for lo in range(0, n, batch_rows):
-        hi = min(lo + batch_rows, n)
-        block = (und[lo:hi] @ a_dir).multiply(und[lo:hi])
-        tri[lo:hi] = np.asarray(block.sum(axis=1)).ravel()
-        units = float(wedge_weights[lo:hi].sum()) + (hi - lo)
+    max_w = float(wedges.max()) if pg.n else 0.0
+    for lo, hi in blocks:
+        units = float(wedges[lo:hi].sum()) + (hi - lo)
         profile.add_round(units=units, memory_bytes=8.0 * units,
                           skew=min(max_w / max(units, 1.0), 1.0))
-
-    denom = wedge_weights
-    out = np.zeros(n, dtype=np.float64)
-    mask = denom > 0
-    out[mask] = tri[mask] / denom[mask]
-    return out, profile, {"wedges": float(denom.sum())}
+    return lcc, profile, {"wedges": float(wedges.sum())}

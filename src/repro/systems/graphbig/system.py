@@ -129,11 +129,7 @@ class GraphBigSystem(GraphSystem):
                 {"max_core": float(core.max()) if core.size else 0.0})
 
     def _run_mis(self, loaded, seed: int | None = None):
-        from repro.algorithms.mis import DEFAULT_MIS_SEED, mis_priorities
-
-        pr = mis_priorities(loaded.data.n,
-                            DEFAULT_MIS_SEED if seed is None else seed)
-        in_set, supersteps, profile = kernels.mis_props(loaded.data, pr)
+        in_set, supersteps, profile = kernels.mis_props(loaded.data, seed)
         return ({"in_set": in_set.astype(np.int64)}, profile, supersteps,
                 {"set_size": float(in_set.sum())})
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.lcc import clustering_blocks
 from repro.algorithms.pagerank import check_pagerank_params
 from repro.algorithms.sssp import check_sssp_weights
 from repro.graph.dcsr import DCSRMatrix
@@ -332,44 +333,17 @@ def mis_spmv(at: DCSRMatrix, priorities: np.ndarray):
 
 
 def lcc_spmv(at: DCSRMatrix, batch_rows: int | None = None):
-    """LCC via masked sparse-matrix products (SpGEMM on the pattern).
+    """LCC via masked sparse-matrix products (SpGEMM on the pattern),
+    one row tile per round.
 
     ``batch_rows`` (default: min(2048, n)) is the row-tile width;
     out-of-range values raise ``ConfigError``.
     """
-    import scipy.sparse as sp
-
-    from repro.graph.frontier import resolve_batch_rows
-
-    n = at.n
-    batch_rows = resolve_batch_rows(batch_rows, n)
-    # Reconstruct the directed adjacency A from its stored transpose.
-    src = at.row_sources()
-    dst = at.col_idx
-    keep = src != dst
-    a_dir = sp.csr_matrix(
-        (np.ones(int(keep.sum()), dtype=np.int64),
-         (dst[keep], src[keep])), shape=(n, n))
-    a_dir.sum_duplicates()
-    a_dir.data[:] = 1
-    und = a_dir + a_dir.T
-    und.data[:] = 1
-    und.sum_duplicates()
-    und.data[:] = 1
-    und = und.tocsr()
-    deg = np.asarray(und.sum(axis=1)).ravel().astype(np.float64)
-
-    tri = np.zeros(n, dtype=np.float64)
+    # The directed adjacency A is the transpose of the stored A^T.
+    lcc, wedges, blocks = clustering_blocks(at.col_idx, at.row_sources(),
+                                            at.n, batch_rows)
     profile = WorkProfile()
-    wedge_weights = deg * (deg - 1)
-    for lo in range(0, n, batch_rows):
-        hi = min(lo + batch_rows, n)
-        block = (und[lo:hi] @ a_dir).multiply(und[lo:hi])
-        tri[lo:hi] = np.asarray(block.sum(axis=1)).ravel()
-        units = float(wedge_weights[lo:hi].sum()) + (hi - lo)
+    for lo, hi in blocks:
+        units = float(wedges[lo:hi].sum()) + (hi - lo)
         profile.add_round(units=units, memory_bytes=8.0 * units, skew=0.3)
-
-    out = np.zeros(n, dtype=np.float64)
-    mask = wedge_weights > 0
-    out[mask] = tri[mask] / wedge_weights[mask]
-    return out, profile, {"wedges": float(wedge_weights.sum())}
+    return lcc, profile, {"wedges": float(wedges.sum())}

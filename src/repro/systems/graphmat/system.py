@@ -175,11 +175,10 @@ class GraphMatSystem(GraphSystem):
                 {"max_core": float(core.max()) if core.size else 0.0})
 
     def _run_mis(self, loaded, seed: int | None = None):
-        from repro.algorithms.mis import DEFAULT_MIS_SEED, mis_priorities
+        from repro.algorithms.mis import mis_priorities
 
-        pr = mis_priorities(loaded.data.n,
-                            DEFAULT_MIS_SEED if seed is None else seed)
-        in_set, rounds, profile = kernels.mis_spmv(loaded.data.at, pr)
+        in_set, rounds, profile = kernels.mis_spmv(
+            loaded.data.at, mis_priorities(loaded.data.n, seed))
         return ({"in_set": in_set.astype(np.int64)}, profile, rounds,
                 {"set_size": float(in_set.sum())})
 

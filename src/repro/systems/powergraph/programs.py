@@ -5,15 +5,22 @@ propagation, and (undirected) triangle counting / clustering -- but
 **not BFS** (Sec. III-C).  The distance-propagation program used by the
 Graphalytics PowerGraph driver to emulate BFS lives here too, under its
 own name, so the capability hole in PowerGraph itself stays visible.
+CDLP, LCC, k-core and MIS run the one body of each in
+:mod:`repro.algorithms`, priced as supersteps whose vertex term is
+weighted by the vertex cut's replication factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.kcore import peel_cores
+from repro.algorithms.lcc import clustering_blocks
+from repro.algorithms.mis import luby_rounds, mis_priorities
 from repro.algorithms.pagerank import check_pagerank_params
 from repro.algorithms.sssp import check_sssp_weights
 from repro.graph.frontier import arc_sum_operator
+from repro.graph.simple import simple_undirected_view
 from repro.machine.threads import WorkProfile
 from repro.systems.powergraph.gas import GasEngine, VertexProgram
 
@@ -179,43 +186,28 @@ def cdlp_gas(engine: GasEngine, iterations: int = 10
 # ----------------------------------------------------------------------
 def lcc_gas(engine: GasEngine, batch_rows: int | None = None
             ) -> tuple[np.ndarray, WorkProfile, dict]:
-    import scipy.sparse as sp
-
-    from repro.graph.frontier import resolve_batch_rows
-
     inn = engine.inn
-    n = inn.n_vertices
-    batch_rows = resolve_batch_rows(batch_rows, n)
-    dst = inn.source_ids()
-    src = inn.col_idx
-    keep = src != dst
-    a_dir = sp.csr_matrix(
-        (np.ones(int(keep.sum()), dtype=np.int64),
-         (src[keep], dst[keep])), shape=(n, n))
-    a_dir.sum_duplicates()
-    a_dir.data[:] = 1
-    und = a_dir + a_dir.T
-    und.data[:] = 1
-    und.sum_duplicates()
-    und.data[:] = 1
-    und = und.tocsr()
-    deg = np.asarray(und.sum(axis=1)).ravel().astype(np.float64)
-    wedge_weights = deg * (deg - 1)
-
-    tri = np.zeros(n, dtype=np.float64)
+    lcc, wedges, blocks = clustering_blocks(
+        inn.col_idx, inn.source_ids(), inn.n_vertices, batch_rows)
     profile = WorkProfile()
     rep = max(engine.cut.replication_factor, 1.0)
-    for lo in range(0, n, batch_rows):
-        hi = min(lo + batch_rows, n)
-        block = (und[lo:hi] @ a_dir).multiply(und[lo:hi])
-        tri[lo:hi] = np.asarray(block.sum(axis=1)).ravel()
-        units = float(wedge_weights[lo:hi].sum()) + rep * (hi - lo)
+    for lo, hi in blocks:
+        units = float(wedges[lo:hi].sum()) + rep * (hi - lo)
         profile.add_round(units=units, memory_bytes=8.0 * units, skew=0.3)
+    return lcc, profile, {"wedges": float(wedges.sum())}
 
-    out = np.zeros(n, dtype=np.float64)
-    mask = wedge_weights > 0
-    out[mask] = tri[mask] / wedge_weights[mask]
-    return out, profile, {"wedges": float(wedge_weights.sum())}
+
+def _simplify(engine: GasEngine):
+    """The simple view, the replication factor and the profile's first
+    round: every arc plus every mirror once."""
+    inn = engine.inn
+    n = inn.n_vertices
+    view = simple_undirected_view(inn.col_idx, inn.source_ids(), n)
+    rep = max(engine.cut.replication_factor, 1.0)
+    profile = WorkProfile()
+    profile.add_round(units=inn.n_edges + rep * n,
+                      memory_bytes=16.0 * inn.n_edges, skew=0.05)
+    return view, rep, profile
 
 
 # ----------------------------------------------------------------------
@@ -225,45 +217,13 @@ def lcc_gas(engine: GasEngine, batch_rows: int | None = None
 # ----------------------------------------------------------------------
 def kcore_gas(engine: GasEngine
               ) -> tuple[np.ndarray, int, WorkProfile, dict]:
-    from repro.graph.simple import simple_undirected_view
-
-    inn = engine.inn
-    n = inn.n_vertices
-    view = simple_undirected_view(inn.col_idx, inn.source_ids(), n)
-    rep = max(engine.cut.replication_factor, 1.0)
-    profile = WorkProfile()
-    profile.add_round(units=inn.n_edges + rep * n,
-                      memory_bytes=16.0 * inn.n_edges, skew=0.05)
-    core = np.zeros(n, dtype=np.int64)
-    stats = {"replication_factor": engine.cut.replication_factor}
-    if n == 0:
-        return core, 0, profile, stats
-    deg = view.degrees.copy()
-    alive = np.ones(n, dtype=bool)
-    remaining = n
-    level = 0
-    supersteps = 0
-    while remaining:
-        alive_idx = np.flatnonzero(alive)
-        level = max(level, int(deg[alive_idx].min()))
-        frontier = alive_idx[deg[alive_idx] <= level]
-        while frontier.size:
-            supersteps += 1
-            core[frontier] = level
-            alive[frontier] = False
-            remaining -= int(frontier.size)
-            nbrs = view.neighbors_of(frontier)
-            touched = nbrs.size
-            nbrs = nbrs[alive[nbrs]]
-            profile.add_round(units=touched + rep * frontier.size,
-                              memory_bytes=24.0 * touched, skew=0.1)
-            if nbrs.size == 0:
-                break
-            ids, cnt = np.unique(nbrs, return_counts=True)
-            new_deg = np.maximum(deg[ids] - cnt, level)
-            deg[ids] = new_deg
-            frontier = ids[new_deg <= level]
-    return core, supersteps, profile, stats
+    view, rep, profile = _simplify(engine)
+    core, rounds = peel_cores(view)
+    for peeled, arcs in rounds:
+        profile.add_round(units=arcs + rep * peeled,
+                          memory_bytes=24.0 * arcs, skew=0.1)
+    return core, len(rounds), profile, {
+        "replication_factor": engine.cut.replication_factor}
 
 
 # ----------------------------------------------------------------------
@@ -271,41 +231,13 @@ def kcore_gas(engine: GasEngine
 # is a min over mirror-replicated neighbor priorities, apply decides
 # winners, scatter retires their neighbors.
 # ----------------------------------------------------------------------
-def mis_gas(engine: GasEngine, priorities: np.ndarray
+def mis_gas(engine: GasEngine, seed: int | None = None
             ) -> tuple[np.ndarray, int, WorkProfile, dict]:
-    from repro.graph.simple import simple_undirected_view
-
-    inn = engine.inn
-    n = inn.n_vertices
-    view = simple_undirected_view(inn.col_idx, inn.source_ids(), n)
-    rep = max(engine.cut.replication_factor, 1.0)
-    profile = WorkProfile()
-    profile.add_round(units=inn.n_edges + rep * n,
-                      memory_bytes=16.0 * inn.n_edges, skew=0.05)
-    in_set = np.zeros(n, dtype=bool)
-    stats = {"replication_factor": engine.cut.replication_factor}
-    if n == 0:
-        return in_set, 0, profile, stats
-    pr = np.asarray(priorities, dtype=np.int64)
-    decided = np.zeros(n, dtype=bool)
-    sentinel = np.int64(n)
-    starts = view.indptr[:-1]
-    nonempty = view.degrees > 0
-    supersteps = 0
-    while not decided.all():
-        supersteps += 1
-        undecided = int(n - decided.sum())
-        vals = np.where(decided[view.indices], sentinel,
-                        pr[view.indices])
-        best = np.full(n, sentinel, dtype=np.int64)
-        if nonempty.any():
-            best[nonempty] = np.minimum.reduceat(vals, starts[nonempty])
-        winners = ~decided & (pr < best)
-        in_set[winners] = True
-        decided[winners] = True
-        losers = view.neighbors_of(np.flatnonzero(winners))
-        decided[losers] = True
+    view, rep, profile = _simplify(engine)
+    in_set, rounds = luby_rounds(view, mis_priorities(view.n, seed))
+    for undecided, _, winner_arcs in rounds:
         profile.add_round(
-            units=view.nnz + losers.size + rep * undecided,
-            memory_bytes=24.0 * (view.nnz + losers.size), skew=0.1)
-    return in_set, supersteps, profile, stats
+            units=view.nnz + winner_arcs + rep * undecided,
+            memory_bytes=24.0 * (view.nnz + winner_arcs), skew=0.1)
+    return in_set, len(rounds), profile, {
+        "replication_factor": engine.cut.replication_factor}

@@ -181,12 +181,8 @@ class PowerGraphSystem(GraphSystem):
                  "max_core": float(core.max()) if core.size else 0.0})
 
     def _run_mis(self, loaded, seed: int | None = None):
-        from repro.algorithms.mis import DEFAULT_MIS_SEED, mis_priorities
-
-        pr = mis_priorities(loaded.data.n,
-                            DEFAULT_MIS_SEED if seed is None else seed)
         in_set, supersteps, profile, stats = programs.mis_gas(
-            loaded.data.engine, pr)
+            loaded.data.engine, seed)
         return ({"in_set": in_set.astype(np.int64)}, profile, supersteps,
                 {"replication_factor": stats["replication_factor"],
                  "set_size": float(in_set.sum())})

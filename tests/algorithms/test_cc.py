@@ -9,11 +9,14 @@ giant-component-skip phases must not change the answer -- only the work
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.cc import DEFAULT_NEIGHBOR_ROUNDS, afforest
+from repro.algorithms.cc import (DEFAULT_NEIGHBOR_ROUNDS, afforest,
+                                 shiloach_vishkin)
 from repro.algorithms.wcc import weakly_connected_components
+from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 
 
@@ -57,6 +60,15 @@ def oracle_labels(graph):
 @settings(max_examples=100, deadline=None)
 def test_afforest_matches_union_find_oracle(graph):
     assert np.array_equal(afforest(graph), oracle_labels(graph))
+
+
+@given(csr_graphs())
+@settings(max_examples=100, deadline=None)
+def test_shiloach_vishkin_matches_union_find_oracle(graph):
+    labels, rounds = shiloach_vishkin(graph.source_ids(), graph.col_idx,
+                                      graph.n_vertices)
+    assert np.array_equal(labels, oracle_labels(graph))
+    assert rounds >= 1
 
 
 @given(csr_graphs())
@@ -109,6 +121,12 @@ def test_giant_component_skip_keeps_small_components_exact():
     graph = CSRGraph.from_arrays(np.concatenate([star_s, tail_s]),
                                  np.concatenate([star_d, tail_d]), n)
     assert np.array_equal(afforest(graph), oracle_labels(graph))
+
+
+def test_negative_neighbor_rounds_rejected():
+    graph = CSRGraph.from_arrays(np.array([0]), np.array([1]), 2)
+    with pytest.raises(ConfigError, match="neighbor_rounds"):
+        afforest(graph, neighbor_rounds=-1)
 
 
 def test_edgeless_graph_is_all_singletons():

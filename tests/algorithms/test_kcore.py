@@ -4,7 +4,7 @@ The reference oracle is the textbook Matula-Beck peel: repeatedly
 remove a minimum-degree vertex of the *simple undirected* graph and
 assign it the running maximum of the degrees seen at removal time.
 Core numbers are mathematically unique, so every comparison is exact
-integer equality -- including the fast bucket-queue peel against the
+integer equality -- including the level peel against the
 ``O(n)``-rescan naive baseline it must match bit for bit.
 """
 
@@ -60,7 +60,7 @@ def test_core_numbers_match_matula_beck_oracle(graph):
 @given(csr_graphs())
 @settings(max_examples=100, deadline=None)
 def test_fast_peel_matches_naive_rescan(graph):
-    """Bucket-queue peel and the O(n)-rescan baseline agree exactly."""
+    """The level peel and the O(n)-rescan baseline agree exactly."""
     assert np.array_equal(core_numbers(graph), core_numbers_naive(graph))
 
 
@@ -108,4 +108,19 @@ def test_known_nested_cores():
 def test_peel_cores_operates_on_view_directly():
     graph = CSRGraph.from_arrays(np.array([0, 1, 2]), np.array([1, 2, 0]), 3)
     view = simple_undirected_view(graph.col_idx, graph.source_ids(), 3)
-    assert np.array_equal(peel_cores(view), core_numbers(graph))
+    core, rounds = peel_cores(view)
+    assert np.array_equal(core, core_numbers(graph))
+    # The triangle goes in one round touching all six view arcs.
+    assert rounds == [(3, 6)]
+
+
+@given(csr_graphs())
+@settings(max_examples=100, deadline=None)
+def test_peel_rounds_cover_every_vertex_and_arc_once(graph):
+    """Each vertex is peeled in exactly one round, and a round touches
+    the view arcs of the vertices it peels."""
+    view = simple_undirected_view(graph.col_idx, graph.source_ids(),
+                                  graph.n_vertices)
+    _, rounds = peel_cores(view)
+    assert sum(peeled for peeled, _ in rounds) == view.n
+    assert sum(arcs for _, arcs in rounds) == view.nnz

@@ -16,6 +16,7 @@ from repro.algorithms.mis import (DEFAULT_MIS_SEED, luby_rounds,
                                   maximal_independent_set, mis_priorities)
 from repro.graph.csr import CSRGraph
 from repro.graph.simple import simple_undirected_view
+from tests.algorithms.oracles import oracle_greedy
 
 
 @st.composite
@@ -30,20 +31,6 @@ def csr_graphs(draw, max_n=40, max_m=140):
     return CSRGraph.from_arrays(src, dst, n)
 
 
-def oracle_greedy(view, priorities):
-    """Sequential greedy by increasing priority over the simple view."""
-    order = np.argsort(priorities, kind="stable")
-    in_set = np.zeros(view.n, dtype=bool)
-    blocked = np.zeros(view.n, dtype=bool)
-    for v in order:
-        if blocked[v]:
-            continue
-        in_set[v] = True
-        nbrs = view.indices[view.indptr[v]:view.indptr[v + 1]]
-        blocked[nbrs] = True
-    return in_set
-
-
 def _view(graph):
     return simple_undirected_view(graph.col_idx, graph.source_ids(),
                                   graph.n_vertices)
@@ -56,7 +43,9 @@ def test_luby_matches_sequential_greedy(graph, seed):
     view = _view(graph)
     in_set, rounds = luby_rounds(view, pr)
     assert np.array_equal(in_set, oracle_greedy(view, pr))
-    assert rounds >= (1 if graph.n_vertices else 0)
+    assert len(rounds) >= (1 if graph.n_vertices else 0)
+    # The first round starts with every vertex undecided.
+    assert rounds[0][:2] == (view.n, view.nnz)
 
 
 @given(csr_graphs())
@@ -91,6 +80,9 @@ def test_priorities_are_a_seeded_permutation():
     assert np.array_equal(np.sort(pr), np.arange(17))
     assert np.array_equal(pr, mis_priorities(17, 123))
     assert not np.array_equal(pr, mis_priorities(17, 124))
+    # No seed is the default seed, the one every system resolves to.
+    assert np.array_equal(mis_priorities(17, None),
+                          mis_priorities(17, DEFAULT_MIS_SEED))
 
 
 def test_self_loops_do_not_block_membership():

@@ -1,7 +1,7 @@
 """Property-based tests for the lazy monotone :class:`BucketQueue`.
 
-The queue was generalized out of GAP's delta-stepping so k-core peeling
-could share it; its contract is that a pop yields *exactly* the
+The queue was generalized out of GAP's delta-stepping and also drives
+``IncrementalBFS``; its contract is that a pop yields *exactly* the
 sorted-unique member set a full ``np.flatnonzero(key == k)`` scan of the
 lowest occupied bucket would have produced, with stale entries (pushed
 under a key that has since changed) skipped lazily.  The reference model
@@ -66,7 +66,7 @@ def test_decrease_key_repush_pops_at_new_key(key, data):
     live = np.flatnonzero(key >= 0).astype(np.int64)
     bq.push(live, key[live])
     if live.size:
-        # Decrease a random subset of keys and re-push, as peel/relax do.
+        # Decrease a random subset of keys and re-push, as relax does.
         k = data.draw(st.integers(1, live.size))
         idx = np.array(data.draw(st.lists(
             st.integers(0, live.size - 1), min_size=k, max_size=k,

@@ -263,36 +263,32 @@ def push_cases(draw):
     return csr, lengths, members, values, dist, keep
 
 
-@given(push_cases(), st.booleans(), st.booleans())
+@given(push_cases(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_push_candidates_sides_match_reference(case, use_keep, use_touched):
+def test_push_candidates_sides_match_reference(case, use_keep):
     csr, lengths, members, values, dist, keep = case
     keep = keep if use_keep else None
     n = csr.n_vertices
     scratch = KernelScratch(n, csr.n_edges)
-    reached, want_d, want_c, want_examined = ref_push(
+    _, want_d, want_c, want_examined = ref_push(
         csr, lengths, members, values, dist, keep)
-    want_touched = np.zeros(n, dtype=bool)
-    want_touched[reached] = True
 
-    for side in (_push_sparse, _push_dense, None):
-        touched = np.zeros(n, dtype=bool) if use_touched else None
+    for side in ("sparse", "dense", None):
         before = dist.copy()
         if side is None:
             dsts, cand, examined = push_candidates(
-                csr, lengths, members, values, dist, scratch,
-                keep=keep, touched=touched)
+                csr, lengths, members, values, dist, scratch, keep=keep)
             assert examined == want_examined
+        elif side == "sparse":
+            dsts, cand = _push_sparse(csr, lengths, members, values, dist,
+                                      scratch, keep)
         else:
-            dsts, cand = side(csr, lengths, members, values, dist,
-                              scratch, keep, touched)
+            dsts, cand = _push_dense(csr, lengths, members, values, dist,
+                                     keep)
         assert dsts.dtype == np.int64 and cand.dtype == np.float64
         assert np.array_equal(dsts, want_d)
         assert cand.tobytes() == want_c.tobytes()
         assert np.array_equal(dist, before)      # read-only on dist
-        if use_touched:
-            assert np.array_equal(touched, want_touched)
-        assert not scratch.mask("push").any()
 
 
 def test_push_candidates_switches_on_share_of_arcs():
@@ -324,8 +320,9 @@ def test_push_candidates_empty_members_and_empty_graph():
     csr = CSRGraph.from_arrays(np.array([0, 1]), np.array([1, 0]), 2)
     scratch = KernelScratch(2, 2)
     dist = np.zeros(2)
-    for side in (_push_sparse, _push_dense):
-        dsts, cand = side(csr, None, none, dist, dist, scratch, None, None)
+    for dsts, cand in (
+            _push_sparse(csr, None, none, dist, dist, scratch, None),
+            _push_dense(csr, None, none, dist, dist, None)):
         assert dsts.size == 0 and cand.size == 0
     empty = CSRGraph.from_arrays(none, none, 3)
     dsts, cand, examined = push_candidates(

@@ -241,12 +241,32 @@ def test_bfs_depths_agree_on_directed_patents(patents_dataset,
 # simple undirected view and have mathematically unique answers (core
 # numbers; greedy-by-priority MIS under the shared seeded priorities;
 # min-member component labels), so every comparison is exact integer
-# equality -- against the reference oracle, pairwise across systems,
-# and across repeated runs (bit-identity).
+# equality -- against an oracle that shares no code with the systems'
+# one body per algorithm, pairwise across systems, and across repeated
+# runs (bit-identity).
 # ----------------------------------------------------------------------
 KCORE_SYSTEMS = ("gap", "graphbig", "graphmat", "powergraph")
 MIS_SYSTEMS = ("gap", "graphbig", "graphmat", "powergraph")
 CC_SYSTEMS = ("gap", "graphbig")
+
+
+def _oracles(csr):
+    """``algorithm -> (output key, expected)`` from oracles that share
+    no code with the one body each structural algorithm has in
+    :mod:`repro.algorithms`: the full-rescan peel, the sequential greedy
+    MIS and scipy's union-find components."""
+    from repro.algorithms.kcore import core_numbers_naive
+    from repro.algorithms.mis import mis_priorities
+    from repro.algorithms.wcc import weakly_connected_components
+    from repro.graph.simple import simple_undirected_view
+    from tests.algorithms.oracles import oracle_greedy
+
+    view = simple_undirected_view(csr.source_ids(), csr.col_idx,
+                                  csr.n_vertices)
+    mis = oracle_greedy(view, mis_priorities(view.n))
+    return {"kcore": ("core", core_numbers_naive(csr)),
+            "mis": ("in_set", mis.astype(np.int64)),
+            "cc": ("labels", weakly_connected_components(csr))}
 
 
 def _structural_outputs(systems, names, algorithm, key):
@@ -265,9 +285,7 @@ def _structural_outputs(systems, names, algorithm, key):
 
 
 def test_kcore_agrees_with_oracle_and_pairwise(kron_systems, kron10_csr):
-    from repro.algorithms.kcore import core_numbers
-
-    want = core_numbers(kron10_csr)
+    _, want = _oracles(kron10_csr)["kcore"]
     cores = _structural_outputs(kron_systems, KCORE_SYSTEMS, "kcore",
                                 "core")
     for name, got in cores.items():
@@ -278,9 +296,7 @@ def test_kcore_agrees_with_oracle_and_pairwise(kron_systems, kron10_csr):
 
 
 def test_mis_agrees_with_oracle_and_pairwise(kron_systems, kron10_csr):
-    from repro.algorithms.mis import maximal_independent_set
-
-    want = maximal_independent_set(kron10_csr).astype(np.int64)
+    _, want = _oracles(kron10_csr)["mis"]
     sets = _structural_outputs(kron_systems, MIS_SYSTEMS, "mis", "in_set")
     for name, got in sets.items():
         assert np.array_equal(got, want), f"{name}: MIS differs"
@@ -292,9 +308,7 @@ def test_mis_agrees_with_oracle_and_pairwise(kron_systems, kron10_csr):
 def test_cc_agrees_with_oracle_and_wcc(kron_systems, kron10_csr):
     """Afforest labels equal the hash-min WCC labels exactly: both are
     canonical min-member labelings of the same components."""
-    from repro.algorithms.cc import afforest
-
-    want = afforest(kron10_csr)
+    _, want = _oracles(kron10_csr)["cc"]
     labels = _structural_outputs(kron_systems, CC_SYSTEMS, "cc", "labels")
     for name, got in labels.items():
         assert np.array_equal(got, want), f"{name}: CC labels differ"
@@ -304,30 +318,23 @@ def test_cc_agrees_with_oracle_and_wcc(kron_systems, kron10_csr):
         "afforest CC and Shiloach-Vishkin WCC labels diverge"
 
 
+STRUCTURAL_MATRIX = [("kcore", KCORE_SYSTEMS), ("mis", MIS_SYSTEMS),
+                     ("cc", CC_SYSTEMS)]
+
+
 def test_structural_kernels_on_isolated_vertex(isolated_dataset):
     """Disconnected graph with an isolated max-id vertex: vertex 7 must
     come back core 0, an MIS member, and its own component."""
-    from repro.algorithms.cc import afforest
-    from repro.algorithms.kcore import core_numbers
-    from repro.algorithms.mis import maximal_independent_set
     from repro.graph.csr import CSRGraph
 
     src = np.array([0, 0, 1, 2, 3, 4])
     dst = np.array([1, 2, 3, 4, 5, 6])
-    ref_csr = CSRGraph.from_arrays(src, dst, 8)
-    refs = {
-        "kcore": ("core", core_numbers(ref_csr)),
-        "mis": ("in_set",
-                maximal_independent_set(ref_csr).astype(np.int64)),
-        "cc": ("labels", afforest(ref_csr)),
-    }
+    refs = _oracles(CSRGraph.from_arrays(src, dst, 8))
     assert refs["kcore"][1][ISOLATED_ROOT] == 0
     assert refs["mis"][1][ISOLATED_ROOT] == 1
     assert refs["cc"][1][ISOLATED_ROOT] == ISOLATED_ROOT
 
-    matrix = [("kcore", KCORE_SYSTEMS), ("mis", MIS_SYSTEMS),
-              ("cc", CC_SYSTEMS)]
-    for algorithm, names in matrix:
+    for algorithm, names in STRUCTURAL_MATRIX:
         key, want = refs[algorithm]
         for name in names:
             system = create_system(name, n_threads=32)
@@ -340,9 +347,6 @@ def test_structural_kernels_on_isolated_vertex(isolated_dataset):
 def test_structural_kernels_on_directed_graph(tmp_path_factory):
     """Directed input: all three kernels are defined on the simple
     undirected view, so edge direction must not change any answer."""
-    from repro.algorithms.cc import afforest
-    from repro.algorithms.kcore import core_numbers
-    from repro.algorithms.mis import maximal_independent_set
     from repro.datasets.homogenize import homogenize
     from repro.graph.csr import CSRGraph
     from repro.graph.edgelist import EdgeList
@@ -355,16 +359,8 @@ def test_structural_kernels_on_directed_graph(tmp_path_factory):
                      directed=True, name="sink-structural")
     ds = homogenize(edges, tmp_path_factory.mktemp("sink_structural"),
                     n_roots=4)
-    ref_csr = CSRGraph.from_arrays(src, dst, 6)
-    refs = {
-        "kcore": ("core", core_numbers(ref_csr)),
-        "mis": ("in_set",
-                maximal_independent_set(ref_csr).astype(np.int64)),
-        "cc": ("labels", afforest(ref_csr)),
-    }
-    matrix = [("kcore", KCORE_SYSTEMS), ("mis", MIS_SYSTEMS),
-              ("cc", CC_SYSTEMS)]
-    for algorithm, names in matrix:
+    refs = _oracles(CSRGraph.from_arrays(src, dst, 6))
+    for algorithm, names in STRUCTURAL_MATRIX:
         key, want = refs[algorithm]
         for name in names:
             system = create_system(name, n_threads=32)

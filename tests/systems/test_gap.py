@@ -131,6 +131,25 @@ class TestGapSystem:
         assert res.counters["depth"] >= 1
         assert "bottom_up_steps" in res.counters
 
+    def test_cc_neighbor_rounds_zero_samples_nothing(self, kron10_dataset):
+        """0 sampled rounds is a real setting, not "use the default":
+        the first pass over the arcs is then the giant-component scan
+        (``m + n`` units), and only a negative count is refused."""
+        from repro.errors import ConfigError
+
+        s = create_system("gap")
+        loaded = s.load(kron10_dataset)
+        scan = float(loaded.data.out.n_edges + loaded.n_vertices)
+        none = s.run(loaded, "cc", neighbor_rounds=0)
+        default = s.run(loaded, "cc")
+        assert np.array_equal(none.output["labels"],
+                              default.output["labels"])
+        assert none.profile.rounds[0].units == scan
+        assert default.profile.rounds[0].units != scan
+        assert none.iterations != default.iterations
+        with pytest.raises(ConfigError, match="neighbor_rounds"):
+            s.run(loaded, "cc", neighbor_rounds=-3)
+
 
 class TestIntegerWeightBuild:
     """Paper Sec. IV-A: the recompile-to-int weight hazard."""
