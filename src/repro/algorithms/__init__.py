@@ -7,16 +7,17 @@ Graphalytics comparison in Tables I-II), plus the widened structural
 matrix: triangle counting, k-core decomposition, maximal independent
 set, and Afforest connected components.
 
-Where the systems genuinely differ in algorithm -- BFS, SSSP, PageRank,
-hash-min WCC, GraphMat's SpMV kernels -- each has its own
-implementation, validated against these in the test suite.  Where they
-run the same algorithm with the same rounds -- CDLP, LCC, k-core, MIS,
+Where the systems genuinely differ in algorithm -- GAP's and Graph500's
+BFS, delta-stepping, PageRank, PowerGraph's GAS programs -- each has its
+own implementation, validated against these in the test suite.  Where
+they run the same algorithm with the same rounds -- GraphBIG's and
+GraphMat's BFS, Bellman-Ford and hash-min WCC, CDLP, LCC, k-core, MIS,
 Shiloach-Vishkin and Afforest components -- the body here is the one
 they all run: it computes the answer and reports per-round facts, and
 each system prices those facts its own way (``docs/algorithms.md``).
 The cross-system tests check those against oracles that share no code
 with the bodies (networkx, scipy union-find, the full-rescan peel, the
-sequential greedy MIS).
+sequential greedy MIS, the push-only BFS and whole-array hash-min).
 """
 
 from repro.algorithms.bfs import bfs_levels, bfs_parents

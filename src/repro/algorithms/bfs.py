@@ -1,25 +1,62 @@
-"""Reference breadth-first search (level-synchronous, vectorized).
+"""Breadth-first search: the one level loop the reference, GraphBIG and
+GraphMat run.
 
-One frontier expansion per level: gather all neighbors of the frontier,
-keep the unvisited ones, record parents with "first writer wins"
-semantics resolved deterministically (lowest parent id), matching what a
-sequential textbook BFS would produce so results are reproducible.
-
-The expansion and parent claim are the shared
-:func:`~repro.graph.frontier.gather_slots` /
-:func:`~repro.graph.frontier.claim_first_parent` primitives
-(bit-identical to the historical lexsort idiom; see ``docs/kernels.md``).
+One frontier per level.  A level whose frontier owns under
+:data:`~repro.graph.frontier.PULL_SHARE` of the arcs runs top-down
+(:meth:`~repro.graph.sweeps.LocalSweeps.top_down`: expand the frontier's
+out-arcs, the lowest source claims each unvisited target); at or above
+it runs bottom-up (:meth:`~repro.graph.sweeps.LocalSweeps.bottom_up`:
+every unvisited vertex scans its in-row for the first frontier vertex).
+In-rows are sorted, so that first hit is the lowest-id frontier
+in-neighbour -- the source the top-down claim picks -- and both
+directions write the same parent: what a sequential textbook BFS with a
+lowest-id tie-break produces, so results are reproducible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graph import frontier as fr
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import claim_first_parent, gather_slots
 from repro.graph.scratch import scratch_for
+from repro.graph.sweeps import LocalSweeps
 
-__all__ = ["bfs_parents", "bfs_levels"]
+__all__ = ["bfs_rounds", "bfs_parents", "bfs_levels"]
+
+
+def bfs_rounds(out: CSRGraph, inn: CSRGraph | None, root: int
+               ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """BFS from ``root`` along the arcs of ``out``.
+
+    ``inn`` is the in-arc CSR of the same graph -- ``out`` itself when
+    it was symmetrized -- or ``None`` for ``out.transposed()``, built on
+    the first bottom-up level and memoized on ``out``.
+
+    Returns ``(parent, level, rounds)``: ``-1`` marks unreached vertices
+    in both arrays, ``parent[root] == root``, and per level ``(frontier,
+    arcs)`` is the size of the frontier it expanded and that frontier's
+    out-degree sum, which is what the systems price whichever direction
+    ran.  The last level's frontier claims nothing.
+    """
+    n = out.n_vertices
+    parent = np.full(n, -1, dtype=np.int64)
+    level = np.full(n, -1, dtype=np.int64)
+    parent[root] = root
+    level[root] = 0
+    sweeps = LocalSweeps(out, inn, scratch_for(out, n, out.n_edges))
+    sweeps.begin_bfs(root)
+    frontier = np.array([root], dtype=np.int64)
+    rounds: list[tuple[int, int]] = []
+    while frontier.size:
+        arcs = int((out.row_ptr[frontier + 1] - out.row_ptr[frontier]).sum())
+        rounds.append((int(frontier.size), arcs))
+        if arcs < fr.PULL_SHARE * out.n_edges:
+            frontier, _ = sweeps.top_down(frontier, parent)
+        else:
+            frontier, _ = sweeps.bottom_up(frontier, parent)
+        level[frontier] = len(rounds)
+    return parent, level, rounds
 
 
 def bfs_parents(graph: CSRGraph, root: int) -> tuple[np.ndarray, np.ndarray]:
@@ -28,28 +65,7 @@ def bfs_parents(graph: CSRGraph, root: int) -> tuple[np.ndarray, np.ndarray]:
     ``parent[v] == -1`` and ``level[v] == -1`` mark unreached vertices;
     ``parent[root] == root``.
     """
-    n = graph.n_vertices
-    scratch = scratch_for(graph, n, graph.n_edges)
-    parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    parent[root] = root
-    level[root] = 0
-    visited[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        depth += 1
-        gs = gather_slots(graph.row_ptr, frontier, scratch)
-        if gs.total == 0:
-            break
-        nbrs = graph.col_idx[gs.slots]
-        srcs = np.repeat(frontier, gs.counts)
-        # Deterministic tie-break: lowest source id claims the vertex.
-        new_v = claim_first_parent(nbrs, srcs, visited, parent, scratch)
-        level[new_v] = depth
-        frontier = new_v
-    return parent, level
+    return bfs_rounds(graph, None, root)[:2]
 
 
 def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:

@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["cdlp", "DEFAULT_CDLP_ITERATIONS", "propagate_labels_once"]
+__all__ = ["cdlp", "DEFAULT_CDLP_ITERATIONS", "propagate_labels",
+           "propagate_labels_once"]
 
 DEFAULT_CDLP_ITERATIONS = 10
 
@@ -59,13 +60,20 @@ def propagate_labels_once(src: np.ndarray, dst: np.ndarray,
     return out
 
 
-def cdlp(graph: CSRGraph, iterations: int = DEFAULT_CDLP_ITERATIONS
-         ) -> np.ndarray:
-    """Run ``iterations`` synchronous label-propagation rounds."""
-    n = graph.n_vertices
+def propagate_labels(src: np.ndarray, dst: np.ndarray, n: int,
+                     iterations: int) -> np.ndarray:
+    """``iterations`` synchronous rounds along the arcs ``src -> dst``,
+    every vertex starting with its own id: the one CDLP loop the
+    reference and every system run (each prices ``iterations`` rounds
+    its own way)."""
     labels = np.arange(n, dtype=np.int64)
-    src = graph.source_ids()
-    dst = graph.col_idx
     for _ in range(iterations):
         labels = propagate_labels_once(src, dst, labels, n)
     return labels
+
+
+def cdlp(graph: CSRGraph, iterations: int = DEFAULT_CDLP_ITERATIONS
+         ) -> np.ndarray:
+    """Run ``iterations`` synchronous label-propagation rounds."""
+    return propagate_labels(graph.source_ids(), graph.col_idx,
+                            graph.n_vertices, iterations)

@@ -7,10 +7,11 @@ self-loops dropped, duplicate edges counted once -- the convention every
 system implementation shares, so core numbers (which are mathematically
 unique) compare exactly across systems.
 
-:func:`peel_cores` is the body GAP, GraphBIG and PowerGraph price round
-by round (GraphMat's full-recount SpMV peel is its own algorithm).  The
-deliberately slow :func:`core_numbers_naive` re-scans the full
-adjacency every sub-round and shares nothing with it but the view;
+:func:`peel_cores` is the body all four systems with a k-core price
+round by round; GraphMat, which recounts degrees with a superstep, also
+prices the superstep that finds a level exhausted.  The deliberately
+slow :func:`core_numbers_naive` re-scans the full adjacency every
+sub-round and shares nothing with it but the view;
 ``benchmarks/bench_algorithms.py`` holds the peel to a >=2x advantage
 over it, and the hypothesis suite holds the two to exact agreement.
 """
@@ -25,16 +26,18 @@ from repro.graph.simple import SimpleView, simple_undirected_view
 __all__ = ["core_numbers", "core_numbers_naive", "peel_cores"]
 
 
-def peel_cores(view: SimpleView) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def peel_cores(view: SimpleView
+               ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """Level-synchronous peel of an already-simplified view.
 
     Returns ``(core, rounds)``: the core numbers and, per round,
-    ``(peeled, arcs)`` -- how many vertices the round peeled and how
-    many view arcs their neighborhoods hold, which is what the systems
-    price.  A level opens with every live vertex at or under it; each
-    round peels the frontier, decrements only the touched neighbors
-    (clamped at the level, so no ``O(n)`` rescan) and carries the ones
-    that fell to the level into the next round.
+    ``(peeled, arcs, level)`` -- how many vertices the round peeled, how
+    many view arcs their neighborhoods hold and the core number it
+    assigned, which is what the systems price.  A level opens with
+    every live vertex at or under it; each round peels the frontier,
+    decrements only the touched neighbors (clamped at the level, so no
+    ``O(n)`` rescan) and carries the ones that fell to the level into
+    the next round.
 
     Peeling a whole frontier at once equals vertex-at-a-time
     Matula-Beck: every member has residual degree <= the level, so any
@@ -45,7 +48,7 @@ def peel_cores(view: SimpleView) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """
     n = view.n
     core = np.zeros(n, dtype=np.int64)
-    rounds: list[tuple[int, int]] = []
+    rounds: list[tuple[int, int, int]] = []
     deg = view.degrees.copy()
     alive = np.ones(n, dtype=bool)
     remaining = n
@@ -59,7 +62,7 @@ def peel_cores(view: SimpleView) -> tuple[np.ndarray, list[tuple[int, int]]]:
             alive[frontier] = False
             remaining -= int(frontier.size)
             nbrs = view.neighbors_of(frontier)
-            rounds.append((int(frontier.size), int(nbrs.size)))
+            rounds.append((int(frontier.size), int(nbrs.size), level))
             nbrs = nbrs[alive[nbrs]]
             if nbrs.size == 0:
                 break
@@ -83,8 +86,8 @@ def core_numbers_naive(graph: CSRGraph) -> np.ndarray:
 
     Each sub-round *re-scans the full adjacency* to recount every
     vertex's alive-neighbor degree -- the ``O(m)``-per-sub-round shape
-    the matrix-based systems execute (GraphMat's ``kcore_spmv`` is a
-    full SpMV recount per level) -- then peels by an ``O(n)`` scan.  No
+    the matrix-based systems execute (GraphMat's ``kcore_spmv`` prices a
+    full SpMV recount per superstep) -- then peels by an ``O(n)`` scan.  No
     incremental decrements: correct, the benchmark's foil, and the
     cross-system tests' independent oracle.
     """

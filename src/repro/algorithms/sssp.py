@@ -1,4 +1,5 @@
-"""Reference single-source shortest paths (Dijkstra via scipy)."""
+"""Single-source shortest paths: the reference (Dijkstra via scipy) and
+the one Bellman-Ford loop GraphBIG and GraphMat run."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import scipy.sparse.csgraph as csgraph
 
 from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
+from repro.graph.frontier import relax_round
+from repro.graph.scratch import scratch_for
 
-__all__ = ["sssp_dijkstra", "check_sssp_weights"]
+__all__ = ["sssp_dijkstra", "check_sssp_weights", "bellman_ford_rounds"]
 
 
 def check_sssp_weights(weights: np.ndarray | None) -> None:
@@ -59,3 +62,30 @@ def sssp_dijkstra(graph: CSRGraph, root: int) -> np.ndarray:
     mat = sp.csr_matrix((w, (src, dst)), shape=(n, n))
     dist = csgraph.dijkstra(mat, directed=True, indices=root)
     return np.asarray(dist, dtype=np.float64)
+
+
+def bellman_ford_rounds(out: CSRGraph, inn: CSRGraph | None, root: int
+                        ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Label-correcting SSSP from ``root`` along the weighted arcs of
+    ``out``: each round relaxes the out-arcs of the vertices whose
+    distance dropped in the previous one, with one
+    :func:`~repro.graph.frontier.relax_round` (push below its
+    ``PULL_SHARE``, pull over ``inn`` at or above it; ``inn`` as there).
+
+    Returns ``(dist, rounds)``: ``+inf`` marks unreached vertices, and
+    per round ``(active, examined)`` is how many vertices it relaxed and
+    their out-degree sum, which is what the systems price.
+    """
+    check_sssp_weights(out.weights)
+    n = out.n_vertices
+    scratch = scratch_for(out, n, out.n_edges)
+    dist = np.full(n, np.inf)
+    dist[root] = 0.0
+    active = np.array([root], dtype=np.int64)
+    rounds: list[tuple[int, int]] = []
+    while active.size:
+        improved, examined = relax_round(out, inn, active, dist, dist,
+                                         scratch)
+        rounds.append((int(active.size), examined))
+        active = improved
+    return dist, rounds

@@ -1,4 +1,5 @@
-"""Reference weakly connected components (scipy union-find)."""
+"""Weakly connected components: the reference (scipy union-find) and the
+one synchronous hash-min GraphBIG and GraphMat run."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from repro.graph.csr import CSRGraph
+from repro.graph.frontier import pull_min
 
-__all__ = ["weakly_connected_components", "canonical_component_labels"]
+__all__ = ["weakly_connected_components", "canonical_component_labels",
+           "hashmin_rounds"]
 
 
 def weakly_connected_components(graph: CSRGraph) -> np.ndarray:
@@ -38,3 +41,39 @@ def canonical_component_labels(labels: np.ndarray) -> np.ndarray:
                    dtype=np.int64)
     np.minimum.at(mins, labels, np.arange(n, dtype=np.int64))
     return mins[labels]
+
+
+def hashmin_rounds(out: CSRGraph, inn: CSRGraph | None
+                   ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Synchronous hash-min over the arcs of ``out`` taken both ways.
+
+    Every round each vertex keeps the minimum of its own label and its
+    neighbours' labels from the round before, pulled with
+    :func:`~repro.graph.frontier.pull_min` over the rows of ``out``
+    (out-neighbours) and of ``inn`` (in-neighbours).  ``inn`` is the
+    in-arc CSR -- ``out`` itself when symmetrized, then pulled once --
+    or ``None`` for ``out.transposed()``.  The loop stops on, and
+    counts, the first round that changes nothing.
+
+    Returns ``(labels, rounds)``: the minimum member id of each vertex's
+    weak component, and per round ``(changed, arcs)``: how many labels
+    dropped and how many arcs were pulled.
+    """
+    if inn is None:
+        inn = out.transposed()
+    sides = [(c, np.flatnonzero(c.out_degrees()))
+             for c in ((out,) if inn is out else (out, inn))]
+    arcs = sum(c.n_edges for c, _ in sides)
+    labels = np.arange(out.n_vertices, dtype=np.int64)
+    rounds: list[tuple[int, int]] = []
+    while True:
+        new = labels.copy()
+        for c, rows in sides:
+            if rows.size:
+                y = pull_min(c.row_ptr[rows], c.col_idx, None, labels)
+                new[rows] = np.minimum(new[rows], y)
+        changed = int(np.count_nonzero(new != labels))
+        rounds.append((changed, arcs))
+        if not changed:
+            return labels, rounds
+        labels = new

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import pull_min
 
 __all__ = ["DCSRMatrix"]
 
@@ -126,7 +125,7 @@ class DCSRMatrix:
         return total
 
     def row_sources(self) -> np.ndarray:
-        """Per-entry row ids (expanded), used by the SpMV kernels.
+        """Per-entry row ids (expanded), used by the GraphMat kernels.
 
         Memoized read-only, mirroring
         :meth:`~repro.graph.csr.CSRGraph.source_ids`: the CDLP/LCC
@@ -137,17 +136,6 @@ class DCSRMatrix:
             cached = np.repeat(self.row_ids, np.diff(self.row_ptr))
             cached.setflags(write=False)
             object.__setattr__(self, "_row_sources", cached)
-        return cached
-
-    def col_nnz(self) -> np.ndarray:
-        """Entries per column (``int64[n]``), memoized read-only like
-        :meth:`row_sources`: what a masked SpMV touches is the sum of
-        this over the masked columns."""
-        cached = self.__dict__.get("_col_nnz")
-        if cached is None:
-            cached = np.bincount(self.col_idx, minlength=self.n)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_col_nnz", cached)
         return cached
 
     def csr_view(self) -> CSRGraph:
@@ -169,45 +157,15 @@ class DCSRMatrix:
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("_row_sources", "_col_nnz", "_csr_view")}
+                if k not in ("_row_sources", "_csr_view")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
-    # Generalized SpMV over (multiply, add) semirings -- the GraphMat
-    # programming model reduces every algorithm to this primitive.
+    # Generalized SpMV -- the GraphMat programming model reduces every
+    # algorithm to it; PageRank is the kernel that multiplies here.
     # ------------------------------------------------------------------
-    def spmv_or_and(self, x_mask: np.ndarray) -> np.ndarray:
-        """Boolean semiring SpMV: ``y[r] = OR_j (A[r, j] AND x[j])``.
-
-        Used by the GraphMat BFS: ``x_mask`` is the frontier on the
-        transposed adjacency, ``y`` the set of vertices with a frontier
-        in-neighbor.
-        """
-        hits = x_mask[self.col_idx]
-        seg = np.add.reduceat(hits, self.row_ptr[:-1]) if self.nnz else (
-            np.zeros(0, dtype=np.int64))
-        y = np.zeros(self.n, dtype=bool)
-        if self.nnz:
-            y[self.row_ids] = seg > 0
-        return y
-
-    def spmv_min_plus(self, x: np.ndarray) -> np.ndarray:
-        """Tropical semiring SpMV: ``y[r] = min_j (A[r, j] + x[j])``.
-
-        Used by GraphMat's Bellman-Ford SSSP on the transposed weighted
-        adjacency.  Pattern-only matrices behave as all-zero values
-        (pure min gather, what the CC vertex program needs).  Rows with
-        no entries yield ``+inf``.
-        """
-        y = np.full(self.n, np.inf)
-        if self.nnz:
-            y[self.row_ids] = pull_min(self.row_ptr[:-1], self.col_idx,
-                                       self.values,
-                                       np.asarray(x, dtype=np.float64))
-        return y
-
     def spmv_plus_times(self, x: np.ndarray,
                         pattern_only: bool = False) -> np.ndarray:
         """Arithmetic SpMV: ``y[r] = sum_j A[r, j] * x[j]``.
@@ -217,11 +175,10 @@ class DCSRMatrix:
         unweighted vertex program does even on a weighted matrix).
 
         An integer-dtype ``x`` against stored float values promotes the
-        result to ``float64`` (matching :meth:`spmv_min_plus`'s
-        contract); the old ``values.astype(x.dtype)`` silently truncated
-        every weight toward zero instead.  Floating ``x`` keeps the
-        historical dtype and rounding exactly (the kernel gate compares
-        bytes).
+        result to ``float64``; the old ``values.astype(x.dtype)``
+        silently truncated every weight toward zero instead.  Floating
+        ``x`` keeps the historical dtype and rounding exactly (the
+        kernel gate compares bytes).
         """
         use_values = self.values is not None and not pattern_only
         promote = use_values and not np.issubdtype(x.dtype, np.floating)

@@ -80,8 +80,8 @@ _DENSE_SHARE = 0.3
 
 #: :func:`relax_round` pulls over the in-arcs instead of pushing along
 #: the out-arcs once the members own at least this share of the arcs,
-#: and so does a GraphMat BFS level; chosen like :data:`_DENSE_SHARE`,
-#: see that function's docstring.
+#: and a level of :func:`repro.algorithms.bfs.bfs_rounds` runs bottom-up;
+#: chosen like :data:`_DENSE_SHARE`, see that function's docstring.
 PULL_SHARE = 0.3
 
 
@@ -343,7 +343,7 @@ def pull_min(starts: np.ndarray, col_idx: np.ndarray,
     ``starts`` are the first arcs of the *non-empty* rows, in order, so
     each segment of ``np.minimum.reduceat`` is one row; ``col_idx`` must
     not be empty.  The one pull body: :func:`relax_round`'s pull side
-    and :meth:`~repro.graph.dcsr.DCSRMatrix.spmv_min_plus`.
+    and :func:`~repro.algorithms.wcc.hashmin_rounds`.
     """
     terms = src_val[col_idx]
     if lengths is not None:

@@ -75,7 +75,9 @@ class SweepExecutor(Protocol):
 
 class LocalSweeps:
     """The serial step bodies over one graph's CSR (``inn`` only for
-    ``bottom_up``; ``scratch`` for everything but PageRank)."""
+    ``bottom_up``, ``None`` for ``out.transposed()``, built on the first
+    call and memoized on ``out``; ``scratch`` for everything but
+    PageRank)."""
 
     def __init__(self, out: CSRGraph, inn: CSRGraph | None = None,
                  scratch: KernelScratch | None = None):
@@ -104,6 +106,8 @@ class LocalSweeps:
         return new_v, gs.total
 
     def bottom_up(self, frontier, parent):
+        if self.inn is None:
+            self.inn = self.out.transposed()
         cand = np.flatnonzero(~self.visited)
         in_frontier = self.scratch.mask("frontier")
         in_frontier[frontier] = True

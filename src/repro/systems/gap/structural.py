@@ -81,7 +81,7 @@ def kcore_peel(graph: GapGraph) -> tuple[np.ndarray, int, WorkProfile]:
     the peeled vertices' neighborhoods -- never an ``O(n)`` rescan."""
     view, profile, max_deg = _simplify(graph)
     core, rounds = peel_cores(view)
-    for peeled, arcs in rounds:
+    for peeled, arcs, _ in rounds:
         profile.add_round(units=float(arcs + peeled),
                           memory_bytes=24.0 * arcs,
                           skew=min(max_deg / max(arcs, 1.0), 0.2))

@@ -4,25 +4,29 @@ All kernels operate on the property-graph structure
 (:class:`~repro.systems.graphbig.system.PropertyGraph`) through
 per-vertex property arrays, in the bulk-synchronous vertex-centric style
 of the original benchmark suite: a task queue of active vertices, one
-"process vertex" sweep per superstep.  CDLP, LCC, k-core, MIS and
-Shiloach-Vishkin components run the one body of each in
-:mod:`repro.algorithms`; what is GraphBIG's about them is the pricing,
-with every vertex visit paying :data:`PROPERTY_ACCESS_COST`.
+"process vertex" sweep per superstep.  Every kernel but PageRank runs
+the one body of its algorithm in :mod:`repro.algorithms` (BFS,
+Bellman-Ford, hash-min WCC, CDLP, LCC, k-core, MIS, Shiloach-Vishkin);
+what is GraphBIG's about them is the pricing, with every vertex visit
+paying :data:`PROPERTY_ACCESS_COST`.  The property graph keeps in-edge
+lists as well as out-edge lists: the in-arcs a BFS or WCC pull reads
+are ``pg.out.transposed()``, built on first use and memoized.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.bfs import bfs_rounds
 from repro.algorithms.cc import shiloach_vishkin
+from repro.algorithms.cdlp import propagate_labels
 from repro.algorithms.kcore import peel_cores
 from repro.algorithms.lcc import clustering_blocks
 from repro.algorithms.mis import luby_rounds, mis_priorities
 from repro.algorithms.pagerank import check_pagerank_params
-from repro.algorithms.sssp import check_sssp_weights
-from repro.graph.frontier import (arc_sum_operator, claim_first_parent,
-                                  gather_slots, relax_round)
-from repro.graph.scratch import scratch_for
+from repro.algorithms.sssp import bellman_ford_rounds
+from repro.algorithms.wcc import hashmin_rounds
+from repro.graph.frontier import arc_sum_operator
 from repro.graph.simple import simple_undirected_view
 from repro.machine.threads import WorkProfile
 
@@ -42,42 +46,22 @@ PROPERTY_ACCESS_COST = 16.0
 
 
 def bfs_queue(pg, root: int):
-    """Task-queue BFS: plain top-down, no bitmap, no direction switch.
+    """Task-queue BFS, priced as plain top-down: no bitmap, no direction
+    switch.
 
     The vertex property record (level + parent + color) is touched for
-    every examined edge, which is what the calibration's high per-edge
-    constant prices.  Expansion and parent claims run on the shared
-    frontier library (``docs/kernels.md``).
+    every out-arc of the queue, which is what the calibration's high
+    per-edge constant prices, whichever direction the shared level loop
+    (:func:`~repro.algorithms.bfs.bfs_rounds`) computed the level in.
     """
-    csr = pg.out
-    n = pg.n
-    scratch = scratch_for(pg, n, csr.n_edges)
-    level = np.full(n, -1, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    level[root] = 0
-    parent[root] = root
-    visited[root] = True
-    frontier = np.array([root], dtype=np.int64)
+    parent, level, rounds = bfs_rounds(pg.out, None, root)
     profile = WorkProfile()
-    deg = csr.out_degrees()
-    max_deg = float(deg.max()) if n else 0.0
-    depth = 0
-    while frontier.size:
-        depth += 1
-        gs = gather_slots(csr.row_ptr, frontier, scratch)
-        profile.add_round(
-            units=gs.total + PROPERTY_ACCESS_COST * frontier.size,
-            memory_bytes=32.0 * gs.total,
-            skew=min(max_deg / max(gs.total, 1.0), 1.0))
-        if gs.total == 0:
-            break
-        nbrs = csr.col_idx[gs.slots]
-        srcs = np.repeat(frontier, gs.counts)
-        new_v = claim_first_parent(nbrs, srcs, visited, parent, scratch)
-        level[new_v] = depth
-        frontier = new_v
-    return parent, level, profile, {"depth": depth}
+    max_deg = float(pg.out.out_degrees().max()) if pg.n else 0.0
+    for queued, arcs in rounds:
+        profile.add_round(units=arcs + PROPERTY_ACCESS_COST * queued,
+                          memory_bytes=32.0 * arcs,
+                          skew=min(max_deg / max(arcs, 1.0), 1.0))
+    return parent, level, profile, {"depth": len(rounds)}
 
 
 def sssp_bellman_ford(pg, root: int, symmetric: bool = False):
@@ -85,33 +69,22 @@ def sssp_bellman_ford(pg, root: int, symmetric: bool = False):
 
     ``symmetric`` says ``pg.out`` was symmetrized (undirected input), so
     a dense round pulls over the one CSR; otherwise it pulls over the
-    transpose, built on the first dense round and memoized.
+    transpose, built on the first dense round and memoized.  Each
+    superstep is one round of
+    :func:`~repro.algorithms.sssp.bellman_ford_rounds`.
     """
     csr = pg.out
-    check_sssp_weights(csr.weights)
-    n = pg.n
-    scratch = scratch_for(pg, n, csr.n_edges)
-    inn = csr if symmetric else None
-    dist = np.full(n, np.inf)
-    dist[root] = 0.0
-    active = np.array([root], dtype=np.int64)
+    dist, rounds = bellman_ford_rounds(csr, csr if symmetric else None,
+                                       root)
     profile = WorkProfile()
-    deg = csr.out_degrees()
-    max_deg = float(deg.max()) if n else 0.0
-    supersteps = 0
-    relaxations = 0
-    while active.size:
-        supersteps += 1
-        improved, examined = relax_round(csr, inn, active, dist, dist,
-                                         scratch)
-        relaxations += examined
+    max_deg = float(csr.out_degrees().max()) if pg.n else 0.0
+    for active, examined in rounds:
         profile.add_round(
-            units=examined + PROPERTY_ACCESS_COST * active.size,
+            units=examined + PROPERTY_ACCESS_COST * active,
             memory_bytes=28.0 * examined,
             skew=min(max_deg / max(examined, 1.0), 1.0))
-        active = improved
-    return dist, profile, {"supersteps": supersteps,
-                           "relaxations": relaxations}
+    return dist, profile, {"supersteps": len(rounds),
+                           "relaxations": sum(e for _, e in rounds)}
 
 
 def pagerank_jacobi(pg, damping: float, epsilon: float,
@@ -150,38 +123,26 @@ def pagerank_jacobi(pg, damping: float, epsilon: float,
 
 
 def wcc_hashmin(pg):
-    """HashMin label propagation over the undirected view."""
+    """HashMin label propagation along every arc both ways
+    (:func:`~repro.algorithms.wcc.hashmin_rounds` over the out- and
+    in-edge lists); a superstep visits each arc once per direction."""
     n = pg.n
-    src = np.concatenate([pg.out.source_ids(), pg.out.col_idx])
-    dst = np.concatenate([pg.out.col_idx, pg.out.source_ids()])
-    labels = np.arange(n, dtype=np.int64)
+    labels, rounds = hashmin_rounds(pg.out, None)
     profile = WorkProfile()
-    rounds = 0
-    m = src.size
-    while True:
-        rounds += 1
-        new_labels = labels.copy()
-        if m:
-            np.minimum.at(new_labels, dst, labels[src])
+    m = 2 * pg.out.n_edges
+    for _ in rounds:
         profile.add_round(units=m + n, memory_bytes=16.0 * m, skew=0.05)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return labels, rounds, profile
+    return labels, len(rounds), profile
 
 
 def cdlp_sync(pg, iterations: int):
     """Synchronous label propagation (Graphalytics CDLP semantics)."""
-    from repro.algorithms.cdlp import propagate_labels_once
-
     n = pg.n
-    src = pg.out.source_ids()
-    dst = pg.out.col_idx
-    labels = np.arange(n, dtype=np.int64)
+    labels = propagate_labels(pg.out.source_ids(), pg.out.col_idx, n,
+                              iterations)
     profile = WorkProfile()
-    m = src.size
+    m = pg.out.n_edges
     for _ in range(iterations):
-        labels = propagate_labels_once(src, dst, labels, n)
         profile.add_round(units=m + n, memory_bytes=32.0 * m, skew=0.08)
     return labels, iterations, profile
 
@@ -208,7 +169,7 @@ def kcore_props(pg):
     view, profile = _simplify(pg)
     core, rounds = peel_cores(view)
     max_deg = float(view.degrees.max()) if pg.n else 0.0
-    for peeled, arcs in rounds:
+    for peeled, arcs, _ in rounds:
         profile.add_round(units=arcs + PROPERTY_ACCESS_COST * peeled,
                           memory_bytes=32.0 * arcs,
                           skew=min(max_deg / max(arcs, 1.0), 1.0))

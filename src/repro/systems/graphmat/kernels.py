@@ -1,39 +1,37 @@
 """GraphMat kernels: vertex programs lowered to generalized SpMV.
 
-Each iteration is one SpMV over the appropriate semiring on the DCSR
-transpose adjacency, followed by an O(n) apply step -- the
-bulk-synchronous structure GraphMat's engine executes.  Work units per
-iteration therefore count the nnz touched *plus* a full-vector term,
-which is exactly the overhead that makes GraphMat uncompetitive on
-small graphs (Sec. IV-A) while scaling beautifully (Fig 5).  SSSP and
-BFS *execute* an iteration whose active set owns few arcs as a push
-along those arcs instead of a whole-matrix SpMV; it is priced as the
-masked SpMV either way.
+GraphMat's engine runs each iteration as one SpMV over the appropriate
+semiring on the DCSR transpose adjacency, followed by an O(n) apply
+step.  Work units per iteration therefore count the nnz the (masked)
+SpMV touches *plus* a full-vector term, which is exactly the overhead
+that makes GraphMat uncompetitive on small graphs (Sec. IV-A) while
+scaling beautifully (Fig 5).  That is what each kernel here prices.
+What computes the answer is the one body of each algorithm in
+:mod:`repro.algorithms` -- BFS, Bellman-Ford, hash-min, CDLP, LCC,
+k-core, MIS -- whose rounds are the SpMV iterations; only PageRank,
+whose float32 write-if-changed sweep is GraphMat's own, multiplies the
+matrix here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.bfs import bfs_rounds
+from repro.algorithms.cdlp import propagate_labels
+from repro.algorithms.kcore import peel_cores
 from repro.algorithms.lcc import clustering_blocks
+from repro.algorithms.mis import luby_rounds
 from repro.algorithms.pagerank import check_pagerank_params
-from repro.algorithms.sssp import check_sssp_weights
+from repro.algorithms.sssp import bellman_ford_rounds
+from repro.algorithms.wcc import hashmin_rounds
 from repro.graph.dcsr import DCSRMatrix
-from repro.graph.frontier import (PULL_SHARE, first_parent_candidates,
-                                  gather_slots, relax_round)
-from repro.graph.scratch import scratch_for
+from repro.graph.simple import simple_undirected_view
 from repro.machine.threads import WorkProfile
 
 __all__ = ["bfs_spmv", "sssp_bellman_spmv", "pagerank_float32",
            "wcc_minplus", "cdlp_spmv", "lcc_spmv",
-           "kcore_spmv", "mis_spmv", "simple_pattern_matrix"]
-
-
-def _active_nnz(at: DCSRMatrix, active_mask: np.ndarray) -> float:
-    """nnz of the columns selected by ``active_mask`` (the work a masked
-    SpMV performs when the frontier is sparse)."""
-    # Column-count view: at holds A^T, so columns of A^T = rows of A.
-    return float(at.col_nnz()[active_mask].sum())
+           "kcore_spmv", "mis_spmv"]
 
 
 def _directions(at: DCSRMatrix, symmetric: bool):
@@ -47,95 +45,39 @@ def _directions(at: DCSRMatrix, symmetric: bool):
 
 def bfs_spmv(at: DCSRMatrix, out_degrees: np.ndarray, root: int,
              symmetric: bool = False):
-    """BFS as repeated OR-AND SpMV with a visited mask.
+    """BFS as repeated OR-AND SpMV with a visited mask, one level per
+    iteration of :func:`~repro.algorithms.bfs.bfs_rounds`.
 
-    A level whose frontier owns under :data:`PULL_SHARE` of the arcs
-    expands their out-arcs instead of multiplying the whole matrix; both
-    find the same vertices and the same lowest frontier in-neighbour,
-    and the level is priced the same either way.
+    A level is priced as the masked SpMV over the frontier's columns,
+    whichever direction the level loop computed it in.
     """
     n = at.n
-    scratch = scratch_for(at, n, at.nnz)
     out, inn = _directions(at, symmetric)
-    parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)
-    parent[root] = root
-    level[root] = 0
-    visited = np.zeros(n, dtype=bool)
-    visited[root] = True
-    frontier = np.array([root], dtype=np.int64)
+    parent, level, rounds = bfs_rounds(out, inn, root)
     profile = WorkProfile()
-    depth = 0
     max_deg = float(out_degrees.max()) if n else 0.0
-
-    while frontier.size:
-        depth += 1
-        touched = float(at.col_nnz()[frontier].sum())
-        if touched < PULL_SHARE * at.nnz:
-            gs = gather_slots(out.row_ptr, frontier, scratch)
-            new_ids, parents = first_parent_candidates(
-                out.col_idx[gs.slots], np.repeat(frontier, gs.counts),
-                visited, scratch)
-        else:
-            new_ids, parents = _pull_parents(at, inn, frontier, visited,
-                                             scratch)
+    for _, touched in rounds:
         profile.add_round(units=touched + n,
                           memory_bytes=9.0 * touched + 2.0 * n,
                           skew=min(max_deg / max(touched, 1.0), 1.0))
-        if not new_ids.size:
-            break
-        parent[new_ids] = parents
-        level[new_ids] = depth
-        visited[new_ids] = True
-        frontier = new_ids
-    return parent, level, profile, {"depth": depth}
-
-
-def _pull_parents(at: DCSRMatrix, inn, frontier: np.ndarray,
-                  visited: np.ndarray, scratch):
-    """A dense BFS level: one OR-AND SpMV finds the unvisited vertices
-    with a frontier in-neighbour, the apply step takes the lowest."""
-    in_frontier = np.zeros(at.n, dtype=bool)
-    in_frontier[frontier] = True
-    new_ids = np.flatnonzero(at.spmv_or_and(in_frontier) & ~visited)
-    if not new_ids.size:
-        return new_ids, new_ids
-    # Every new vertex was reached through an in-edge, so its segment
-    # in the slot expansion of the in-rows is non-empty.
-    gs = gather_slots(inn.row_ptr, new_ids, scratch)
-    nbrs = inn.col_idx[gs.slots]
-    # Non-frontier neighbors get an n sentinel; every new vertex has at
-    # least one frontier in-neighbor, so the minimum is valid.
-    vals = np.where(in_frontier[nbrs], nbrs, at.n)
-    return new_ids, np.minimum.reduceat(vals, gs.offsets)
+    return parent, level, profile, {"depth": len(rounds)}
 
 
 def sssp_bellman_spmv(at: DCSRMatrix, root: int, symmetric: bool = False):
-    """SSSP as min-plus SpMV iterations with an active set.
+    """SSSP as min-plus SpMV iterations with an active set, one per
+    round of :func:`~repro.algorithms.sssp.bellman_ford_rounds`.
 
-    An iteration whose active vertices own under :data:`PULL_SHARE` of
-    the arcs pushes along their out-arcs instead of multiplying the
-    whole matrix (:func:`~repro.graph.frontier.relax_round`); the same
-    distances come out and the iteration is priced the same either way.
+    An iteration is priced as the masked SpMV over the active columns,
+    whether the round pushed along their out-arcs or pulled.
     """
-    check_sssp_weights(at.values)
     n = at.n
-    scratch = scratch_for(at, n, at.nnz)
-    out, inn = _directions(at, symmetric)
-    dist = np.full(n, np.inf)
-    dist[root] = 0.0
-    active = np.array([root], dtype=np.int64)
+    dist, rounds = bellman_ford_rounds(*_directions(at, symmetric), root)
     profile = WorkProfile()
-    iterations = 0
-    while active.size:
-        iterations += 1
-        active, examined = relax_round(out, inn, active, dist, dist,
-                                       scratch)
-        touched = float(examined)
+    for _, touched in rounds:
         profile.add_round(units=touched + n,
                           memory_bytes=20.0 * touched + 8.0 * n,
                           skew=0.15)
-    return dist, profile, {"iterations": iterations}
+    return dist, profile, {"iterations": len(rounds)}
 
 
 def pagerank_float32(at: DCSRMatrix, out_degrees: np.ndarray,
@@ -194,142 +136,93 @@ def pagerank_float32(at: DCSRMatrix, out_degrees: np.ndarray,
 def wcc_minplus(at: DCSRMatrix):
     """Connected components as min-selection SpMV until fixpoint.
 
-    Uses the symmetrized pattern implied by running on both A^T and the
-    apply step keeping the running minimum, so directed inputs still
-    produce *weak* components (GraphMat's CC vertex program gathers
-    along in- and out-edges; callers pass the symmetrized matrix)."""
+    GraphMat's CC vertex program gathers along in- and out-edges, so
+    callers pass the symmetrized matrix, which is its own transpose:
+    :func:`~repro.algorithms.wcc.hashmin_rounds` pulls over its rows
+    once per iteration, and directed inputs still produce *weak*
+    components."""
     n = at.n
-    labels = np.arange(n, dtype=np.float64)
+    labels, rounds = hashmin_rounds(*_directions(at, symmetric=True))
     profile = WorkProfile()
     nnz = at.nnz
-    rounds = 0
-    while True:
-        rounds += 1
-        gathered = at.spmv_min_plus(labels)  # values are 0 -> min gather
-        new_labels = np.minimum(labels, gathered)
+    for _ in rounds:
         profile.add_round(units=nnz + n,
                           memory_bytes=16.0 * nnz + 8.0 * n, skew=0.05)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return labels.astype(np.int64), rounds, profile
+    return labels, len(rounds), profile
 
 
 def cdlp_spmv(at: DCSRMatrix, iterations: int):
     """CDLP: the mode-of-neighbor-labels step does not fit a semiring,
     so GraphMat's vertex program materializes per-vertex label
     multisets -- reflected here in the heavy per-iteration anchor."""
-    from repro.algorithms.cdlp import propagate_labels_once
-
     n = at.n
-    src = at.col_idx          # A^T entries: (row=dst, col=src) of A
-    dst = at.row_sources()
-    labels = np.arange(n, dtype=np.int64)
+    # A^T entries: (row=dst, col=src) of A.
+    labels = propagate_labels(at.col_idx, at.row_sources(), n, iterations)
     nnz = at.nnz
     profile = WorkProfile()
     for _ in range(iterations):
-        labels = propagate_labels_once(src, dst, labels, n)
         profile.add_round(units=nnz + n, memory_bytes=40.0 * nnz,
                           skew=0.08)
     return labels, iterations, profile
 
 
-def simple_pattern_matrix(at: DCSRMatrix) -> DCSRMatrix:
-    """Simple undirected pattern DCSR for the structural kernels.
-
-    ``at_sym`` keeps self-loops and duplicate arcs (GraphMat stores the
-    matrix as given), but k-core and MIS are defined on the *simple*
-    view -- so those vertex programs start from a loop-free,
-    deduplicated, symmetric pattern matrix.  No values are attached:
-    zero-valued entries make ``spmv_min_plus`` a pure min-gather and
-    ``pattern_only`` SpMVs count neighbors.
-    """
-    from repro.graph.csr import CSRGraph
-    from repro.graph.simple import simple_undirected_view
-
+def _simplify(at: DCSRMatrix):
+    """The simple view k-core and MIS are defined on (GraphMat stores
+    the matrix as given, self-loops and duplicates included), plus the
+    profile's first round: the pass over ``at`` that builds it."""
     view = simple_undirected_view(at.row_sources(), at.col_idx, at.n)
-    u_src, u_dst = view.to_edge_arrays()
-    # Symmetric pattern: the matrix is its own transpose.
-    return DCSRMatrix.from_csr(CSRGraph.from_arrays(u_src, u_dst, at.n))
+    profile = WorkProfile()
+    profile.add_round(units=at.nnz + at.n, memory_bytes=16.0 * at.nnz,
+                      skew=0.05)
+    return view, profile
 
 
 def kcore_spmv(at: DCSRMatrix):
     """k-core as repeated degree-count SpMV plus a threshold apply.
 
-    Every superstep recounts live degrees with one ``pattern_only``
-    SpMV over the live mask and peels everything at or under the
-    current level in the apply step -- full-sweep bulk-synchronous, the
-    GraphMat shape (no bucket queue; the ``n``-term per sweep is what
-    the calibration prices).  Produces the unique Matula-Beck core
-    numbers, bit-identical to the peeling systems.
+    Every superstep recounts live degrees with one SpMV over the live
+    columns and peels everything at or under the current level in the
+    apply step -- full-sweep bulk-synchronous, the GraphMat shape (no
+    bucket queue; the ``n``-term per sweep is what the calibration
+    prices).  A superstep per round of
+    :func:`~repro.algorithms.kcore.peel_cores`, plus the one whose
+    recount finds a level exhausted, after every level but the last;
+    each touches the live columns, ``view.nnz`` minus the arcs peeled
+    before it.
     """
-    und = simple_pattern_matrix(at)
+    view, profile = _simplify(at)
+    core, rounds = peel_cores(view)
     n = at.n
-    profile = WorkProfile()
-    profile.add_round(units=at.nnz + n, memory_bytes=16.0 * at.nnz,
-                      skew=0.05)
-    core = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return core, 0, profile
-    nnz = und.nnz
-    alive = np.ones(n, dtype=bool)
-    remaining = n
-    level = 0
-    supersteps = 0
-    cur_deg = und.spmv_plus_times(alive.astype(np.float64),
-                                  pattern_only=True)
-    while remaining:
-        level = max(level, int(cur_deg[alive].min()))
-        while True:
-            supersteps += 1
-            peel = alive & (cur_deg <= level)
-            profile.add_round(units=_active_nnz(und, alive) + n,
-                              memory_bytes=12.0 * nnz + 8.0 * n,
-                              skew=0.05)
-            if not peel.any():
-                break
-            core[peel] = level
-            alive[peel] = False
-            remaining -= int(peel.sum())
-            if remaining == 0:
-                break
-            cur_deg = und.spmv_plus_times(alive.astype(np.float64),
-                                          pattern_only=True)
-    return core, supersteps, profile
+    nnz = view.nnz
+    steps = []
+    alive = nnz
+    for i, (_, arcs, level) in enumerate(rounds):
+        if i and level != rounds[i - 1][2]:
+            steps.append(alive)
+        steps.append(alive)
+        alive -= arcs
+    for alive in steps:
+        profile.add_round(units=alive + n,
+                          memory_bytes=12.0 * nnz + 8.0 * n, skew=0.05)
+    return core, len(steps), profile
 
 
 def mis_spmv(at: DCSRMatrix, priorities: np.ndarray):
     """MIS as min-gather SpMV rounds with an OR-AND knockout step.
 
-    One ``spmv_min_plus`` over the masked priority vector finds each
-    vertex's best undecided neighbor (empty rows gather ``inf``, so
-    isolated or fully-decided neighborhoods win outright); one
-    ``spmv_or_and`` over the winner mask retires their neighbors.
-    Shared seeded priorities pin the unique greedy result.
+    Each round of :func:`~repro.algorithms.mis.luby_rounds` is priced as
+    two whole-matrix SpMVs: a min-gather of the undecided neighbors'
+    priorities, then an OR-AND over the winner mask that retires their
+    neighbors.  Shared seeded priorities pin the unique greedy result.
     """
-    und = simple_pattern_matrix(at)
+    view, profile = _simplify(at)
+    in_set, rounds = luby_rounds(view, priorities)
     n = at.n
-    profile = WorkProfile()
-    profile.add_round(units=at.nnz + n, memory_bytes=16.0 * at.nnz,
-                      skew=0.05)
-    in_set = np.zeros(n, dtype=bool)
-    if n == 0:
-        return in_set, 0, profile
-    pr = np.asarray(priorities, dtype=np.float64)
-    decided = np.zeros(n, dtype=bool)
-    nnz = und.nnz
-    rounds = 0
-    while not decided.all():
-        rounds += 1
-        masked = np.where(decided, np.inf, pr)
-        best = und.spmv_min_plus(masked)
-        winners = ~decided & (pr < best)
-        in_set |= winners
-        reached = und.spmv_or_and(winners)
-        decided |= winners | reached
+    nnz = view.nnz
+    for _ in rounds:
         profile.add_round(units=2.0 * nnz + n,
                           memory_bytes=20.0 * nnz + 8.0 * n, skew=0.05)
-    return in_set, rounds, profile
+    return in_set, len(rounds), profile
 
 
 def lcc_spmv(at: DCSRMatrix, batch_rows: int | None = None):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.algorithms.mis import mis_priorities
 from repro.datasets import formats
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.graph.csr import CSRGraph
@@ -175,8 +176,6 @@ class GraphMatSystem(GraphSystem):
                 {"max_core": float(core.max()) if core.size else 0.0})
 
     def _run_mis(self, loaded, seed: int | None = None):
-        from repro.algorithms.mis import mis_priorities
-
         in_set, rounds, profile = kernels.mis_spmv(
             loaded.data.at, mis_priorities(loaded.data.n, seed))
         return ({"in_set": in_set.astype(np.int64)}, profile, rounds,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.cdlp import propagate_labels
 from repro.algorithms.kcore import peel_cores
 from repro.algorithms.lcc import clustering_blocks
 from repro.algorithms.mis import luby_rounds, mis_priorities
@@ -163,18 +164,13 @@ def run_wcc(engine_sym: GasEngine
 # ----------------------------------------------------------------------
 def cdlp_gas(engine: GasEngine, iterations: int = 10
              ) -> tuple[np.ndarray, int, WorkProfile, dict]:
-    from repro.algorithms.cdlp import propagate_labels_once
-
     inn = engine.inn
     n = inn.n_vertices
-    src = inn.col_idx
-    dst = inn.source_ids()
-    labels = np.arange(n, dtype=np.int64)
+    labels = propagate_labels(inn.col_idx, inn.source_ids(), n, iterations)
     profile = WorkProfile()
     nnz = inn.n_edges
     rep = max(engine.cut.replication_factor, 1.0)
     for _ in range(iterations):
-        labels = propagate_labels_once(src, dst, labels, n)
         profile.add_round(units=nnz + n + rep * n,
                           memory_bytes=40.0 * nnz, skew=0.08)
     return labels, iterations, profile, {
@@ -219,7 +215,7 @@ def kcore_gas(engine: GasEngine
               ) -> tuple[np.ndarray, int, WorkProfile, dict]:
     view, rep, profile = _simplify(engine)
     core, rounds = peel_cores(view)
-    for peeled, arcs in rounds:
+    for peeled, arcs, _ in rounds:
         profile.add_round(units=arcs + rep * peeled,
                           memory_bytes=24.0 * arcs, skew=0.1)
     return core, len(rounds), profile, {

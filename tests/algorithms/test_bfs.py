@@ -1,13 +1,17 @@
-"""Reference BFS vs. networkx and structural invariants."""
+"""Reference BFS vs. networkx, the push-only oracle, and structural
+invariants."""
 
 import networkx as nx
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.bfs import bfs_levels, bfs_parents
+from repro.algorithms.bfs import bfs_levels, bfs_parents, bfs_rounds
+from repro.graph import frontier as fr
 from repro.graph.csr import CSRGraph
 from repro.graph.validation import validate_bfs_parents
+from tests.algorithms.oracles import multigraphs, oracle_bfs
 
 
 def _nx_digraph(csr):
@@ -70,3 +74,33 @@ def test_bfs_tree_always_valid(seed, n):
     parent, level = bfs_parents(csr, root)
     got = validate_bfs_parents(csr, root, parent)
     assert np.array_equal(got, level)
+
+
+@pytest.mark.parametrize("share", [0.0, 2.0, fr.PULL_SHARE],
+                         ids=["all-bottom-up", "all-top-down", "default"])
+@given(graph=multigraphs(min_n=1), data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_level_loop_matches_push_only_oracle(share, graph, data,
+                                             monkeypatch):
+    """Whichever direction each level runs in, the level loop writes the
+    push-only oracle's parent and level bytes and reports its rounds:
+    on the directed multigraph (in-arcs transposed lazily or handed
+    over) and on its symmetrization read as its own transpose."""
+    monkeypatch.setattr(fr, "PULL_SHARE", share)
+    n, src, dst = graph
+    root = data.draw(st.integers(0, n - 1), label="root")
+    directed = CSRGraph.from_arrays(src, dst, n)
+    sym = CSRGraph.from_arrays(np.concatenate([src, dst]),
+                               np.concatenate([dst, src]), n)
+    for out, inn in ((directed, None),
+                     (directed, CSRGraph.from_arrays(dst, src, n)),
+                     (sym, sym)):
+        parent, level, rounds = bfs_rounds(out, inn, root)
+        want_parent, want_level, want_rounds = oracle_bfs(out, root)
+        assert parent.tobytes() == want_parent.tobytes()
+        assert level.tobytes() == want_level.tobytes()
+        assert rounds == want_rounds
+    got = bfs_parents(directed, root)
+    want = oracle_bfs(directed, root)[:2]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

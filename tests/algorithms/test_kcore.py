@@ -110,17 +110,23 @@ def test_peel_cores_operates_on_view_directly():
     view = simple_undirected_view(graph.col_idx, graph.source_ids(), 3)
     core, rounds = peel_cores(view)
     assert np.array_equal(core, core_numbers(graph))
-    # The triangle goes in one round touching all six view arcs.
-    assert rounds == [(3, 6)]
+    # The triangle goes in one round touching all six view arcs, at
+    # core number 2.
+    assert rounds == [(3, 6, 2)]
 
 
 @given(csr_graphs())
 @settings(max_examples=100, deadline=None)
 def test_peel_rounds_cover_every_vertex_and_arc_once(graph):
-    """Each vertex is peeled in exactly one round, and a round touches
-    the view arcs of the vertices it peels."""
+    """Each vertex is peeled in exactly one round, a round touches the
+    view arcs of the vertices it peels, and it carries the core number
+    it assigns: levels never fall, and the last is the largest core."""
     view = simple_undirected_view(graph.col_idx, graph.source_ids(),
                                   graph.n_vertices)
-    _, rounds = peel_cores(view)
-    assert sum(peeled for peeled, _ in rounds) == view.n
-    assert sum(arcs for _, arcs in rounds) == view.nnz
+    core, rounds = peel_cores(view)
+    assert sum(peeled for peeled, _, _ in rounds) == view.n
+    assert sum(arcs for _, arcs, _ in rounds) == view.nnz
+    levels = [level for _, _, level in rounds]
+    assert levels == sorted(levels)
+    assert levels[-1] == core.max()
+    assert sorted(set(levels)) == sorted(set(core.tolist()))

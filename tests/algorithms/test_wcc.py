@@ -1,13 +1,16 @@
-"""Reference WCC vs. networkx."""
+"""Reference WCC vs. networkx, and the hash-min body vs. its oracle."""
 
 import networkx as nx
 import numpy as np
+from hypothesis import given, settings
 
 from repro.algorithms.wcc import (
     canonical_component_labels,
+    hashmin_rounds,
     weakly_connected_components,
 )
 from repro.graph.csr import CSRGraph
+from tests.algorithms.oracles import multigraphs, oracle_hashmin
 
 
 def test_two_components():
@@ -49,3 +52,27 @@ def test_canonical_relabeling():
 def test_empty():
     got = canonical_component_labels(np.array([], dtype=np.int64))
     assert got.size == 0
+
+
+@given(multigraphs())
+@settings(max_examples=100, deadline=None)
+def test_hashmin_matches_whole_array_oracle(graph):
+    """The pull over out- and in-rows gives the oracle's labels and
+    round count on the directed multigraph, with the in-arcs transposed
+    lazily or handed over, and on its symmetrization pulled once."""
+    n, src, dst = graph
+    directed = CSRGraph.from_arrays(src, dst, n)
+    sym = CSRGraph.from_arrays(np.concatenate([src, dst]),
+                               np.concatenate([dst, src]), n)
+    want_labels, want_rounds = oracle_hashmin(directed)
+    assert want_labels.tobytes() == \
+        weakly_connected_components(directed).tobytes()
+    for out, inn, arcs in ((directed, None, 2 * src.size),
+                           (directed, CSRGraph.from_arrays(dst, src, n),
+                            2 * src.size),
+                           (sym, sym, 2 * src.size)):
+        labels, rounds = hashmin_rounds(out, inn)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert len(rounds) == want_rounds
+        assert [a for _, a in rounds] == [arcs] * want_rounds
+        assert rounds[-1][0] == 0 and all(c for c, _ in rounds[:-1])

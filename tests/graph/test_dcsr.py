@@ -52,29 +52,6 @@ class TestCompression:
 
 
 class TestSemiringSpMV:
-    def test_or_and_matches_dense(self, kron10_csr):
-        d = DCSRMatrix.from_csr(kron10_csr)
-        rng = np.random.default_rng(0)
-        x = rng.random(kron10_csr.n_vertices) < 0.2
-        got = d.spmv_or_and(x)
-        mat = kron10_csr.to_scipy()
-        want = np.asarray((mat @ x.astype(np.int64))).ravel() > 0
-        assert np.array_equal(got, want)
-
-    def test_min_plus_matches_dense(self, sparse_csr):
-        d = DCSRMatrix.from_csr(sparse_csr)
-        x = np.array([10.0, 1.0, 0.5, 2.0, 0.25])
-        got = d.spmv_min_plus(x)
-        assert got[0] == pytest.approx(min(1.0 + 1.0, 2.0 + 0.25))
-        assert got[3] == pytest.approx(3.0 + 0.5)
-        assert np.isinf(got[1]) and np.isinf(got[2]) and np.isinf(got[4])
-
-    def test_min_plus_pattern_only_is_min_gather(self):
-        csr = CSRGraph.from_arrays(np.array([0, 0]), np.array([1, 2]), 3)
-        d = DCSRMatrix.from_csr(csr)
-        got = d.spmv_min_plus(np.array([9.0, 5.0, 3.0]))
-        assert got[0] == 3.0
-
     def test_plus_times_matches_dense(self, kron10_csr):
         d = DCSRMatrix.from_csr(kron10_csr)
         rng = np.random.default_rng(1)
@@ -94,8 +71,6 @@ class TestSemiringSpMV:
         d = DCSRMatrix(n=3, row_ids=np.array([], dtype=np.int64),
                        row_ptr=np.array([0]),
                        col_idx=np.array([], dtype=np.int64))
-        assert not d.spmv_or_and(np.ones(3, dtype=bool)).any()
-        assert np.isinf(d.spmv_min_plus(np.zeros(3))).all()
         assert not d.spmv_plus_times(np.ones(3)).any()
 
 

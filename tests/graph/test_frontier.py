@@ -657,22 +657,6 @@ def test_dcsr_row_sources_memoized():
     assert np.array_equal(clone.row_sources(), r1)
 
 
-def test_dcsr_col_nnz_memoized_and_exact():
-    csr = CSRGraph.from_arrays(np.array([0, 0, 2, 2]),
-                               np.array([1, 2, 0, 2]), 4)
-    d = DCSRMatrix.from_csr(csr)
-    c1 = d.col_nnz()
-    assert c1 is d.col_nnz()
-    assert not c1.flags.writeable
-    assert c1.tolist() == [1, 1, 2, 0]
-    mask = np.array([True, False, True, False])
-    assert c1[mask].sum() == mask[d.col_idx].sum()
-    assert "col_nnz" not in "".join(d.to_arrays_map())
-    clone = pickle.loads(pickle.dumps(d))
-    assert "_col_nnz" not in clone.__dict__
-    assert np.array_equal(clone.col_nnz(), c1)
-
-
 def test_dcsr_csr_view_shares_arrays_and_is_dropped_from_pickle():
     csr = CSRGraph.from_arrays(np.array([0, 0, 3, 3]),
                                np.array([1, 3, 0, 3]), 5,

@@ -1,4 +1,5 @@
-"""Every system SSSP and GraphMat's BFS, pinned before the push/pull switch.
+"""Every system SSSP and the GraphBIG / GraphMat BFS, pinned before the
+push/pull switch and before one BFS and one Bellman-Ford body served them.
 
 The digests in ``sssp_goldens.json`` were pinned at commit fc6c008, the
 last one whose dense relaxation rounds expanded every arc with
@@ -9,6 +10,12 @@ must change wall-clock only, so each digest covers, over every root of
 the dataset, the output bytes (``dist``, or GraphMat BFS's ``parent`` and
 ``level``), the iteration count, the ``WorkProfile`` arrays and
 ``serial_units``, the simulated ``time_s`` and the stats counters.
+
+GraphBIG's BFS and the reference :func:`~repro.algorithms.bfs.bfs_parents`
+were added at commit fef6672, the last one where GraphBIG and GraphMat
+each typed their own BFS level loop and Bellman-Ford loop, before both
+moved onto the bodies in :mod:`repro.algorithms`; the reference BFS is
+pinned as its ``parent`` and ``level`` bytes over every root.
 
 Beside the two generated datasets (undirected ``kron10``, directed
 ``patents_small``) sit two hand-built multigraphs for the corners a
@@ -25,7 +32,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.algorithms.bfs import bfs_parents
 from repro.datasets.homogenize import homogenize
+from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.systems import create_system
 
@@ -44,7 +53,7 @@ UNDIRECTED7 = ([0, 0, 1, 2, 1, 3, 4, 5, 2],
 
 #: (system, algorithm) pairs the goldens cover.
 RUNS = [("gap", "sssp"), ("graphbig", "sssp"), ("graphmat", "sssp"),
-        ("powergraph", "sssp"), ("graphmat", "bfs")]
+        ("powergraph", "sssp"), ("graphmat", "bfs"), ("graphbig", "bfs")]
 
 GOLDENS = json.loads((Path(__file__).parent / "sssp_goldens.json")
                      .read_text())
@@ -92,6 +101,25 @@ def test_run_pinned(graph, system, algorithm, datasets):
     dataset, roots = datasets[graph]
     assert run_digest(system, algorithm, dataset, roots) == \
         GOLDENS[f"{graph}/{system}/{algorithm}"]
+
+
+def reference_bfs_digest(dataset, roots) -> str:
+    """sha256 over the reference BFS's ``parent`` and ``level`` bytes."""
+    csr = CSRGraph.from_edge_list(dataset.load_edges(),
+                                  symmetrize=not dataset.directed)
+    h = hashlib.sha256()
+    for root in roots:
+        for a in bfs_parents(csr, int(root)):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "graph", ["kron10", "patents_small", "directed9", "undirected7"])
+def test_reference_bfs_pinned(graph, datasets):
+    dataset, roots = datasets[graph]
+    assert reference_bfs_digest(dataset, roots) == \
+        GOLDENS[f"{graph}/reference/bfs"]
 
 
 def test_multigraphs_reach_the_system_intact(datasets):

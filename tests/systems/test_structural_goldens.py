@@ -11,10 +11,13 @@ the iteration count, the ``WorkProfile`` arrays and ``serial_units``,
 the simulated ``time_s`` and the stats counters of one
 ``(graph, system, algorithm, params)`` cell.
 
-Every provided cell of {kcore, mis, cc, wcc, lcc} x {gap, graphbig,
-graphmat, powergraph} is pinned -- the ones that kept their own
-algorithm (GraphMat's SpMV kernels, the hash-min and GAS WCCs) too, so
-these prove they did not move.  Beside the two generated datasets
+Every provided cell of {kcore, mis, cc, wcc, lcc, cdlp} x {gap,
+graphbig, graphmat, powergraph} is pinned -- the ones that kept their
+own algorithm (GraphMat's SpMV kernels, the hash-min and GAS WCCs) too,
+so these prove they did not move.  The CDLP cells and the reference
+:func:`~repro.algorithms.cdlp.cdlp` were added at commit fef6672, before
+GraphMat's k-core, MIS and WCC and GraphBIG's WCC moved onto the shared
+bodies and the four CDLP loops became one.  Beside the two generated datasets
 (undirected ``kron10``, directed ``patents_small``) sit a hand-built
 directed multigraph and an edgeless graph, for the corners a generated
 graph may not reach.
@@ -28,7 +31,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.algorithms.cdlp import cdlp
 from repro.datasets.homogenize import homogenize
+from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.systems import create_system
 from repro.systems.base import LoadedGraph
@@ -42,7 +47,7 @@ MULTI10 = ([0, 0, 1, 1, 2, 2, 2, 0, 1, 3, 4, 5, 3, 4, 5, 6, 7, 7, 8, 8],
 EDGELESS_N = 5
 
 SYSTEMS = ("gap", "graphbig", "graphmat", "powergraph")
-ALGORITHMS = ("kcore", "mis", "cc", "wcc", "lcc")
+ALGORITHMS = ("kcore", "mis", "cc", "wcc", "lcc", "cdlp")
 
 #: (system, algorithm, params) cells: every provided pair at its
 #: defaults, plus the knobs the shared bodies resolve themselves.
@@ -50,6 +55,8 @@ RUNS = [(s, a, {}) for s in SYSTEMS for a in ALGORITHMS
         if a in create_system(s).provides]
 RUNS += [(s, "mis", {"seed": 5}) for s in SYSTEMS]
 RUNS += [("gap", "cc", {"neighbor_rounds": 1})]
+RUNS += [(s, "cdlp", {"iterations": 3}) for s in SYSTEMS
+         if "cdlp" in create_system(s).provides]
 
 GRAPHS = ("kron10", "patents_small", "multi10", "edgeless")
 
@@ -118,6 +125,19 @@ def run_digest(system: str, algorithm: str, params: dict,
 def test_run_pinned(graph, system, algorithm, params, loaded):
     assert run_digest(system, algorithm, params, loaded[graph, system]) == \
         GOLDENS[cell_key(graph, system, algorithm, params)]
+
+
+@pytest.mark.parametrize("iterations", [10, 3])
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_reference_cdlp_pinned(graph, iterations, loaded):
+    """The reference CDLP over the arcs GraphBIG stores (its CSR is the
+    reference view: symmetrized on undirected input)."""
+    out = loaded[graph, "graphbig"].data.out
+    csr = CSRGraph(row_ptr=out.row_ptr, col_idx=out.col_idx)
+    labels = cdlp(csr, iterations)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == \
+        GOLDENS[cell_key(graph, "reference", "cdlp",
+                         {"iterations": iterations})]
 
 
 def test_multigraph_reaches_the_system_intact(loaded):
