@@ -25,8 +25,8 @@ def test_ablation_partitions(benchmark, kron_dataset_bench):
             loaded = system.load(kron_dataset_bench)
             res = system.run(loaded, "sssp",
                              root=int(kron_dataset_bench.roots[0]))
-            cut = loaded.data.cut
-            rows[k] = (cut.replication_factor, cut.mirrors(), res.time_s)
+            rows[k] = (loaded.data.engine.replication_factor,
+                       loaded.data.mirrors, res.time_s)
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

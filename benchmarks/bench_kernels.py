@@ -52,8 +52,8 @@ from repro.systems.graph500.bfs import bfs_bitmap
 from repro.systems.graphbig.kernels import (PROPERTY_ACCESS_COST,
                                             bfs_queue, sssp_bellman_ford)
 from repro.systems.powergraph.gas import GasEngine
-from repro.systems.powergraph.partition import random_vertex_cut
 from repro.systems.powergraph.programs import run_sssp
+from repro.systems.powergraph.system import random_ingress
 
 SPEEDUP_FLOOR = 2.0
 #: The ISSUE floor applies at Kronecker scale 16+.
@@ -406,7 +406,7 @@ class _RefGasEngine(GasEngine):
                                 active=initially_active.copy(),
                                 superstep=0)
         profile = WorkProfile()
-        rep = max(self.cut.replication_factor, 1.0)
+        rep = max(self.replication_factor, 1.0)
         out_deg = self.out.out_degrees()
         max_deg = float(out_deg.max()) if n else 0.0
         gathered_edges = 0
@@ -444,7 +444,7 @@ class _RefGasEngine(GasEngine):
             "supersteps": state.superstep,
             "gathered_edges": gathered_edges,
             "scattered_edges": scattered_edges,
-            "replication_factor": self.cut.replication_factor,
+            "replication_factor": self.replication_factor,
         }
         return state.data, state.superstep, profile, stats
 
@@ -604,10 +604,10 @@ def test_kernel_gate(benchmark):
                                weights=sym.weights)
     inn = CSRGraph.from_arrays(sym.dst, sym.src, sym.n_vertices,
                                weights=sym.weights)
-    cut = random_vertex_cut(sym.src, sym.dst, sym.n_vertices, 4)
+    rep, _ = random_ingress(sym.src, sym.dst, sym.n_vertices, 4)
     root = int(roots[0])
-    engine = GasEngine(inn, out, cut)
-    ref_engine = _RefGasEngine(inn, out, cut)
+    engine = GasEngine(inn, out, rep)
+    ref_engine = _RefGasEngine(inn, out, rep)
     gd, git, gprof, gst = run_sssp(engine, root)
     rd, rit, rprof, rst = _ref_run_sssp(ref_engine, root)
     assert git == rit

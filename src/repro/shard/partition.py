@@ -16,9 +16,12 @@ counts via the in-degree prefix sum, GAP's trick for skewed Kronecker
 graphs).  ``vertex_cut`` is PowerGraph's greedy heuristic (Gonzalez et
 al., OSDI'12): edges are placed one chunk at a time on the least-loaded
 shard that already hosts a replica of an endpoint, which bounds the
-replication factor on power-law graphs.  The paper-adjacent science
-(Ammar & Özsu: partitioning strategy *is* the cost model of distributed
-graph processing) is priced in :mod:`repro.machine.comm`.
+replication factor on power-law graphs.  :func:`replica_counts` is the
+one replica census: the block strategies and PowerGraph's random
+ingress (``repro.systems.powergraph``) both count with it.  The
+paper-adjacent science (Ammar & Özsu: partitioning strategy *is* the
+cost model of distributed graph processing) is priced in
+:mod:`repro.machine.comm`.
 
 Every strategy is exact: each vertex has exactly one owner, each arc
 exactly one executing shard, and the per-shard CSR slices reassemble
@@ -38,8 +41,8 @@ from repro.graph.csr import CSRGraph
 __all__ = ["ShardPartition", "ShardSlice", "partition_graph",
            "contiguous_blocks", "balanced_edge_blocks",
            "greedy_vertex_cut", "shard_out_slice", "shard_in_slice",
-           "reassemble_out_slices", "PARTITION_STRATEGIES",
-           "VERTEX_CUT_CHUNK"]
+           "reassemble_out_slices", "replica_counts",
+           "PARTITION_STRATEGIES", "VERTEX_CUT_CHUNK"]
 
 PARTITION_STRATEGIES = ("blocks", "edge_blocks", "vertex_cut")
 
@@ -103,6 +106,17 @@ def _validate(csr: CSRGraph, n_shards: int) -> None:
         raise ConfigError("cannot partition an empty graph")
 
 
+def replica_counts(src: np.ndarray, dst: np.ndarray, part: np.ndarray,
+                   n_vertices: int, n_parts: int) -> np.ndarray:
+    """Parts hosting each vertex, when arc ``src[e] -> dst[e]`` is
+    placed on part ``part[e]``: a vertex is replicated onto every part
+    that holds one of its arcs, so this counts its distinct parts (0 for
+    a vertex with no arc)."""
+    pairs = np.unique(np.concatenate([src * np.int64(n_parts) + part,
+                                      dst * np.int64(n_parts) + part]))
+    return np.bincount(pairs // n_parts, minlength=n_vertices)
+
+
 def _owner_from_bounds(bounds: np.ndarray, n_shards: int) -> np.ndarray:
     return np.repeat(np.arange(n_shards, dtype=np.int64),
                      np.diff(bounds))
@@ -116,15 +130,11 @@ def _finish_blocks(csr: CSRGraph, strategy: str, n_shards: int,
     owner = _owner_from_bounds(bounds, n_shards)
     edge_shard = owner[csr.col_idx]
     cut = int(np.count_nonzero(owner[csr.source_ids()] != edge_shard))
-    # A vertex is replicated onto every shard that executes one of its
-    # arcs; block interiors stay single-homed.
-    touched = np.zeros((csr.n_vertices,), dtype=np.int64)
-    if csr.n_edges:
-        pair_src = csr.source_ids() * np.int64(n_shards) + edge_shard
-        pair_dst = csr.col_idx * np.int64(n_shards) + edge_shard
-        pairs = np.unique(np.concatenate([pair_src, pair_dst]))
-        np.add.at(touched, pairs // n_shards, 1)
-    replicas = np.maximum(touched, 1)
+    # Block interiors stay single-homed; a vertex with no arc still has
+    # its master.
+    replicas = np.maximum(replica_counts(csr.source_ids(), csr.col_idx,
+                                         edge_shard, csr.n_vertices,
+                                         n_shards), 1)
     return ShardPartition(
         strategy=strategy, n_shards=n_shards,
         n_vertices=csr.n_vertices, n_edges=csr.n_edges,

@@ -303,27 +303,39 @@ class GraphSystem(ABC):
             root: int | None = None, **params: Any) -> KernelResult:
         """Execute one kernel and price it."""
         self.require(algorithm)
-        if algorithm in ("bfs", "sssp"):
-            if root is None:
-                raise SystemCapabilityError(f"{algorithm} requires a root")
-            if not 0 <= root < loaded.n_vertices:
-                raise SystemCapabilityError(
-                    f"{algorithm} root must be in [0, "
-                    f"{loaded.n_vertices}), got {root}")
         method = getattr(self, f"_run_{algorithm}")
+        if algorithm not in ("bfs", "sssp"):
+            return self._execute(loaded, algorithm, root,
+                                 lambda: method(loaded, **params))
+        self._check_root(algorithm, root, loaded)
+        return self._execute(loaded, algorithm, root,
+                             lambda: method(loaded, int(root), **params))
+
+    @staticmethod
+    def _check_root(algorithm: str, root: int | None,
+                    loaded: LoadedGraph) -> None:
+        if root is None:
+            raise SystemCapabilityError(f"{algorithm} requires a root")
+        if not 0 <= root < loaded.n_vertices:
+            raise SystemCapabilityError(
+                f"{algorithm} root must be in [0, "
+                f"{loaded.n_vertices}), got {root}")
+
+    def _execute(self, loaded: LoadedGraph, algorithm: str,
+                 root: int | None, kernel, cost_as: str | None = None
+                 ) -> KernelResult:
+        """Run ``kernel()`` -- ``(output, profile, iterations,
+        counters)`` -- under its exec span, price the profile with the
+        cost parameters of ``cost_as`` (default ``algorithm``), and
+        drain the frontier counters it left."""
         with self.tracer.span(f"exec:{self.name}/{algorithm}",
                               category="exec", system=self.name,
                               algorithm=algorithm, root=root,
                               n_threads=self.n_threads) as sp:
-            if algorithm in ("bfs", "sssp"):
-                output, profile, iterations, counters = method(
-                    loaded, int(root), **params)
-            else:
-                output, profile, iterations, counters = method(
-                    loaded, **params)
+            output, profile, iterations, counters = kernel()
             sim = self.thread_model.simulate(
                 profile,
-                calibration.cost_params(self.name, algorithm,
+                calibration.cost_params(self.name, cost_as or algorithm,
                                         self.machine),
                 self.n_threads)
             sp.set(time_s=sim.time_s, iterations=iterations)

@@ -9,8 +9,9 @@ the one body of its algorithm in :mod:`repro.algorithms` (BFS,
 Bellman-Ford, hash-min WCC, CDLP, LCC, k-core, MIS, Shiloach-Vishkin);
 what is GraphBIG's about them is the pricing, with every vertex visit
 paying :data:`PROPERTY_ACCESS_COST`.  The property graph keeps in-edge
-lists as well as out-edge lists: the in-arcs a BFS or WCC pull reads
-are ``pg.out.transposed()``, built on first use and memoized.
+lists as well as out-edge lists: the in-arcs a BFS, Bellman-Ford or
+WCC pull reads are ``pg.out`` itself on undirected input (symmetrized)
+and otherwise ``pg.out.transposed()``, built on first use and memoized.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = ["bfs_queue", "sssp_bellman_ford", "pagerank_jacobi",
 PROPERTY_ACCESS_COST = 16.0
 
 
-def bfs_queue(pg, root: int):
+def bfs_queue(pg, root: int, symmetric: bool = False):
     """Task-queue BFS, priced as plain top-down: no bitmap, no direction
     switch.
 
@@ -53,8 +54,10 @@ def bfs_queue(pg, root: int):
     every out-arc of the queue, which is what the calibration's high
     per-edge constant prices, whichever direction the shared level loop
     (:func:`~repro.algorithms.bfs.bfs_rounds`) computed the level in.
+    ``symmetric`` as for :func:`sssp_bellman_ford`.
     """
-    parent, level, rounds = bfs_rounds(pg.out, None, root)
+    parent, level, rounds = bfs_rounds(
+        pg.out, pg.out if symmetric else None, root)
     profile = WorkProfile()
     max_deg = float(pg.out.out_degrees().max()) if pg.n else 0.0
     for queued, arcs in rounds:
@@ -122,12 +125,13 @@ def pagerank_jacobi(pg, damping: float, epsilon: float,
     return rank, iterations, profile
 
 
-def wcc_hashmin(pg):
+def wcc_hashmin(pg, symmetric: bool = False):
     """HashMin label propagation along every arc both ways
     (:func:`~repro.algorithms.wcc.hashmin_rounds` over the out- and
-    in-edge lists); a superstep visits each arc once per direction."""
+    in-edge lists, one pull when ``symmetric`` makes them the same
+    rows); a superstep visits each arc once per direction."""
     n = pg.n
-    labels, rounds = hashmin_rounds(pg.out, None)
+    labels, rounds = hashmin_rounds(pg.out, pg.out if symmetric else None)
     profile = WorkProfile()
     m = 2 * pg.out.n_edges
     for _ in rounds:

@@ -89,7 +89,8 @@ class GraphBigSystem(GraphSystem):
 
     # -- kernels -------------------------------------------------------
     def _run_bfs(self, loaded, root: int):
-        parent, level, profile, stats = kernels.bfs_queue(loaded.data, root)
+        parent, level, profile, stats = kernels.bfs_queue(
+            loaded.data, root, symmetric=not loaded.directed)
         loaded.data.properties["level"] = level
         return ({"parent": parent, "level": level}, profile, None,
                 {"depth": float(stats["depth"])})
@@ -111,7 +112,8 @@ class GraphBigSystem(GraphSystem):
         return ({"rank": rank}, profile, iterations, {})
 
     def _run_wcc(self, loaded):
-        labels, rounds, profile = kernels.wcc_hashmin(loaded.data)
+        labels, rounds, profile = kernels.wcc_hashmin(
+            loaded.data, symmetric=not loaded.directed)
         return ({"labels": labels}, profile, rounds, {})
 
     def _run_cdlp(self, loaded, iterations: int = 10):

@@ -8,12 +8,19 @@ fibers.  PowerGraph uses a novel storage scheme on top of CSR."
 
 Behavioural fidelity points:
 
-* the gather-apply-scatter (GAS) vertex-program abstraction executed by
-  a synchronous engine over a random *vertex-cut* edge partitioning,
-  with master/mirror replication whose synchronization cost is charged
-  per superstep -- the fixed overhead that makes PowerGraph slowest on
+* the gather-apply-scatter (GAS) abstraction executed by a synchronous
+  engine over a random *vertex-cut* edge partitioning, with
+  master/mirror replication whose synchronization cost is charged per
+  superstep -- the fixed overhead that makes PowerGraph slowest on
   small graphs (Figs 3-4) yet lets it handle dota-league's high-degree
-  vertices gracefully (Sec. IV-C);
+  vertices gracefully (Sec. IV-C).  Ingest places each arc on a random
+  partition, counts replicas with
+  :func:`repro.shard.partition.replica_counts`, and keeps the two
+  numbers it prices: the replication factor and the mirror count;
+* SSSP, WCC and the BFS below are min-programs, each named by what an
+  arc adds (its weight, nothing, one hop respectively); on undirected
+  input WCC runs on the same engine as SSSP, whose arcs are already
+  symmetrized;
 * **no BFS reference implementation** in its toolkits (Figs 2 and 8
   omit it); Graphalytics drives PowerGraph BFS through a
   distance-propagation GAS program, exposed here only via

@@ -1,9 +1,14 @@
 """The synchronous gather-apply-scatter engine.
 
-A :class:`VertexProgram` declares its three phases; the engine runs
-supersteps over the signalled vertex set until quiescence (no signals)
-or an iteration cap.  Work is *priced* per superstep as the toolkit
-performs it -- the Table/Fig numbers rest on these counts:
+Every program the engines run is a *min-program*: gather takes the
+minimum, over a vertex's in-arcs ``s -> t``, of ``value[s]`` plus what
+the arc adds -- its weight for SSSP, 1 for BFS hops, 0 for WCC -- and
+apply keeps the smaller of that and the vertex's own value.  So a
+program is named by what an arc adds (``adds``; ``None`` for the arc's
+weight).  The engine runs supersteps over the signalled vertex set until
+quiescence (no signals) or an iteration cap.  Work is *priced* per
+superstep as the toolkit performs it -- the Table/Fig numbers rest on
+these counts:
 
 * gather: one unit per in-edge of a signalled vertex (a full gather);
 * apply: one unit per signalled vertex;
@@ -21,11 +26,11 @@ out-neighbours' accumulators.  Both are one
 :func:`~repro.graph.frontier.relax_round`, which pushes along the
 out-CSR or pulls over the in-CSR by the share of arcs it covers.  A
 gather is then a read of ``acc``, and the scatter's round also names
-the next superstep's signalled set.  That is exact for the programs the engine
-accepts -- ``reduce="min"`` with an apply that never raises a value --
-because the term of an unchanged source is already in the accumulator,
-the new term of a changed one is no larger than the one it replaces,
-and ``min`` over NaN-free floats does not depend on order.
+the next superstep's signalled set.  That is exact for min-programs,
+whose apply never raises a value, because the term of an unchanged
+source is already in the accumulator, the new term of a changed one is
+no larger than the one it replaces, and ``min`` over NaN-free floats
+does not depend on order.
 
 The fiber scheduler's per-superstep latency is folded into the barrier
 cost of the thread model (PowerGraph's calibrated ``barrier_s`` is the
@@ -34,8 +39,7 @@ largest of the five systems).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import heapq
 
 import numpy as np
 
@@ -43,107 +47,77 @@ from repro.graph.csr import CSRGraph
 from repro.graph.frontier import relax_round
 from repro.graph.scratch import scratch_for
 from repro.machine.threads import WorkProfile
-from repro.systems.powergraph.partition import VertexCut
 
-__all__ = ["VertexProgram", "GasEngine", "AsyncGasEngine", "GasState"]
-
-
-@dataclass
-class GasState:
-    """Mutable engine state handed to the program's phases."""
-
-    data: np.ndarray              # per-vertex value(s)
-    superstep: int = 0
-
-
-@dataclass
-class VertexProgram:
-    """One GAS algorithm.
-
-    gather:
-        ``gather(state, weights) -> (values, lengths)`` -- what an arc
-        ``s -> t`` contributes to ``t`` is ``values[s] + lengths[arc]``,
-        or ``values[s]`` itself when ``lengths`` is ``None``.
-        ``weights`` are the per-arc weights of the CSR being walked
-        (``None`` when it has none); ``lengths`` is that array or
-        ``None``.
-    reduce:
-        how contributions combine per vertex; the engines run ``"min"``
-        only.
-    apply:
-        ``apply(state, vertex_ids, gathered) -> new_values`` for the
-        signalled vertices (vertices with no in-edges get the
-        identity).  Must not raise a value: the accumulator cache keeps
-        every term a source has ever offered.
-
-    Every change scatters (PowerGraph's delta-style programs): a vertex
-    signals its out-neighbours whenever apply moved its value.
-    """
-
-    name: str
-    gather: Callable
-    reduce: str
-    apply: Callable
-    identity: float = 0.0
+__all__ = ["GasEngine", "AsyncGasEngine"]
 
 
 class GasEngine:
-    """Synchronous engine over a vertex-cut partitioned graph."""
+    """Synchronous engine over a vertex-cut partitioned graph.
 
-    def __init__(self, inn: CSRGraph, out: CSRGraph, cut: VertexCut):
+    ``replication_factor`` is the cut's mean replicas per present
+    vertex, which prices the mirror sync.
+    """
+
+    def __init__(self, inn: CSRGraph, out: CSRGraph,
+                 replication_factor: float):
         self.inn = inn
         self.out = out
-        self.cut = cut
+        self.replication_factor = replication_factor
 
     def _scratch(self):
         """Kernel scratch keyed on the engine (which owns both CSRs)."""
         return scratch_for(self, self.inn.n_vertices,
                            max(self.inn.n_edges, self.out.n_edges))
 
+    def _stats(self, supersteps: int, gathered: int, scattered: int
+               ) -> dict:
+        return {"supersteps": supersteps, "gathered_edges": gathered,
+                "scattered_edges": scattered,
+                "replication_factor": self.replication_factor}
+
     # ------------------------------------------------------------------
-    def _post(self, program: VertexProgram, state: GasState,
-              acc: np.ndarray, members: np.ndarray | None = None,
+    def _post(self, data: np.ndarray, adds: float | None, acc: np.ndarray,
+              members: np.ndarray | None = None,
               touched: np.ndarray | None = None) -> int:
         """Post the terms of ``members`` along their out-arcs into
         ``acc``; returns the out-arcs examined.  By default every vertex
         with a finite term posts -- the full gather of every in-edge,
         since an infinite term lowers no accumulator."""
-        values, lengths = program.gather(state, self.out.weights)
+        values = data + adds if adds else data
         if members is None:
             members = np.flatnonzero(values < np.inf)
         _, examined = relax_round(self.out, self.inn, members, values, acc,
-                                  self._scratch(),
-                                  weighted=lengths is not None,
+                                  self._scratch(), weighted=adds is None,
                                   touched=touched)
         return examined
 
-    def run(self, program: VertexProgram, initial: np.ndarray,
-            initially_active: np.ndarray, max_supersteps: int = 10_000,
+    def run(self, initial: np.ndarray, initially_active: np.ndarray,
+            adds: float | None = None, max_supersteps: int = 10_000,
             ) -> tuple[np.ndarray, int, WorkProfile, dict]:
-        """Run to quiescence; return (data, supersteps, profile, stats)."""
-        if program.reduce != "min":
-            raise ValueError("the GAS engines support min-programs only")
+        """Run the min-program whose arcs add ``adds`` (``None``: their
+        weight) to quiescence; return (data, supersteps, profile,
+        stats)."""
         n = self.inn.n_vertices
-        out = self.out
         scratch = self._scratch()
-        state = GasState(data=initial.copy())
+        data = initial.copy()
+        superstep = 0
         profile = WorkProfile()
-        rep = max(self.cut.replication_factor, 1.0)
+        rep = max(self.replication_factor, 1.0)
         in_deg = self.inn.out_degrees()
-        out_deg = out.out_degrees()
+        out_deg = self.out.out_degrees()
         max_deg = float(out_deg.max()) if n else 0.0
         gathered_edges = 0
         scattered_edges = 0
 
         # The accumulators' starting point: a full gather.
-        acc = np.full(n, program.identity, dtype=np.float64)
-        self._post(program, state, acc)
+        acc = np.full(n, np.inf)
+        self._post(data, adds, acc)
         signalled = scratch.mask("signal")
         # Who gathers: the initially signalled set on the first
         # superstep, then whoever the last scatter reached.
         targets = changed = np.flatnonzero(initially_active)
-        while changed.size and state.superstep < max_supersteps:
-            state.superstep += 1
+        while changed.size and superstep < max_supersteps:
+            superstep += 1
             if targets.size == 0:
                 # The last changed set had no out-arcs: the superstep
                 # that finds nobody signalled still counts.
@@ -151,10 +125,10 @@ class GasEngine:
             g_edges = int(in_deg[targets].sum())
             gathered_edges += g_edges
 
-            old_vals = state.data[targets]
-            new_vals = program.apply(state, targets, acc[targets])
-            state.data[targets] = new_vals
-            if state.superstep == 1:
+            old_vals = data[targets]
+            new_vals = np.minimum(old_vals, acc[targets])
+            data[targets] = new_vals
+            if superstep == 1:
                 # Initially signaled vertices always scatter once, even
                 # when apply leaves their value unchanged (the root of an
                 # SSSP must announce its zero distance).
@@ -165,8 +139,7 @@ class GasEngine:
             # Scatter: post each changed vertex's new term to its
             # out-neighbours' accumulators; everyone reached is
             # signalled, improved or not.
-            s_edges = self._post(program, state, acc, changed,
-                                 touched=signalled)
+            s_edges = self._post(data, adds, acc, changed, touched=signalled)
             scattered_edges += s_edges
             mirror_units = rep * targets.size
             units = g_edges + s_edges + targets.size + mirror_units
@@ -178,13 +151,8 @@ class GasEngine:
             targets = np.flatnonzero(signalled)
             signalled[targets] = False
 
-        stats = {
-            "supersteps": state.superstep,
-            "gathered_edges": gathered_edges,
-            "scattered_edges": scattered_edges,
-            "replication_factor": self.cut.replication_factor,
-        }
-        return state.data, state.superstep, profile, stats
+        return (data, superstep, profile,
+                self._stats(superstep, gathered_edges, scattered_edges))
 
 
 class AsyncGasEngine(GasEngine):
@@ -199,28 +167,19 @@ class AsyncGasEngine(GasEngine):
     that the cost model charges through a higher per-unit price (the
     lock/queue overhead is folded into the mirror-sync term, scaled by
     :data:`ASYNC_OVERHEAD`).
-
-    Only ``reduce="min"`` programs are supported (PageRank runs
-    synchronously in the paper's homogenized setup anyway).
     """
 
     #: Extra work-units charged per processed vertex for queue + lock
     #: traffic relative to the synchronous engine's barrier amortization.
     ASYNC_OVERHEAD = 4.0
 
-    def run(self, program: VertexProgram, initial: np.ndarray,
-            initially_active: np.ndarray, max_supersteps: int = 10_000,
+    def run(self, initial: np.ndarray, initially_active: np.ndarray,
+            adds: float | None = None, max_supersteps: int = 10_000,
             ) -> tuple[np.ndarray, int, WorkProfile, dict]:
-        if program.reduce != "min":
-            raise ValueError("the GAS engines support min-programs only")
-        import heapq
-
-        n = self.inn.n_vertices
         data = initial.copy()
         out = self.out
-        rep = max(self.cut.replication_factor, 1.0)
+        rep = max(self.replication_factor, 1.0)
         profile = WorkProfile()
-        gathered_edges = 0
         scattered_edges = 0
         processed = 0
 
@@ -241,11 +200,10 @@ class AsyncGasEngine(GasEngine):
             lo, hi = out.row_ptr[v], out.row_ptr[v + 1]
             nbrs = out.col_idx[lo:hi]
             scattered_edges += int(hi - lo)
-            if program.name == "sssp":
+            if adds is None:
                 cand = val + out.weights[lo:hi]
-            else:  # min-label propagation (wcc, bfs-hops uses +1)
-                step = 1.0 if program.name == "bfs-hops" else 0.0
-                cand = np.full(nbrs.size, val + step)
+            else:
+                cand = np.full(nbrs.size, val + adds)
             better = cand < data[nbrs]
             for w, c in zip(nbrs[better], cand[better]):
                 # Re-check per assignment: parallel arcs to the same
@@ -266,11 +224,5 @@ class AsyncGasEngine(GasEngine):
         if batch_units:
             profile.add_round(units=batch_units,
                               memory_bytes=24.0 * batch_edges, skew=0.1)
-        gathered_edges = scattered_edges
-        stats = {
-            "supersteps": processed,
-            "gathered_edges": gathered_edges,
-            "scattered_edges": scattered_edges,
-            "replication_factor": self.cut.replication_factor,
-        }
-        return data, processed, profile, stats
+        return (data, processed, profile,
+                self._stats(processed, scattered_edges, scattered_edges))

@@ -5,7 +5,9 @@ propagation, and (undirected) triangle counting / clustering -- but
 **not BFS** (Sec. III-C).  The distance-propagation program used by the
 Graphalytics PowerGraph driver to emulate BFS lives here too, under its
 own name, so the capability hole in PowerGraph itself stays visible.
-CDLP, LCC, k-core and MIS run the one body of each in
+SSSP, that BFS and WCC are min-programs on the GAS engine, each named
+by what an arc adds (:mod:`repro.systems.powergraph.gas`).  CDLP, LCC,
+k-core and MIS run the one body of each in
 :mod:`repro.algorithms`, priced as supersteps whose vertex term is
 weighted by the vertex cut's replication factor.
 """
@@ -23,60 +25,40 @@ from repro.algorithms.sssp import check_sssp_weights
 from repro.graph.frontier import arc_sum_operator
 from repro.graph.simple import simple_undirected_view
 from repro.machine.threads import WorkProfile
-from repro.systems.powergraph.gas import GasEngine, VertexProgram
+from repro.systems.powergraph.gas import GasEngine
 
-__all__ = ["sssp_program", "pagerank_gas", "wcc_program", "cdlp_gas",
-           "lcc_gas", "bfs_hop_program", "kcore_gas", "mis_gas"]
+__all__ = ["run_sssp", "run_bfs_hops", "pagerank_gas", "run_wcc",
+           "cdlp_gas", "lcc_gas", "kcore_gas", "mis_gas"]
+
+
+def _from_root(engine: GasEngine, root: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Initial values and signals of a rooted min-program: 0 at the
+    signalled root, ``inf`` elsewhere."""
+    n = engine.inn.n_vertices
+    data = np.full(n, np.inf)
+    data[root] = 0.0
+    active = np.zeros(n, dtype=bool)
+    active[root] = True
+    return data, active
 
 
 # ----------------------------------------------------------------------
-# SSSP (toolkit: graph_analytics/sssp.cpp)
+# SSSP (toolkit: graph_analytics/sssp.cpp): an arc adds its weight.
 # ----------------------------------------------------------------------
-def sssp_program() -> VertexProgram:
-    def gather(state, weights):
-        return state.data, weights
-
-    def apply(state, vertices, gathered):
-        return np.minimum(state.data[vertices], gathered)
-
-    return VertexProgram(name="sssp", gather=gather, reduce="min",
-                         apply=apply, identity=np.inf)
-
-
 def run_sssp(engine: GasEngine, root: int
              ) -> tuple[np.ndarray, int, WorkProfile, dict]:
     check_sssp_weights(engine.out.weights)
-    n = engine.inn.n_vertices
-    dist = np.full(n, np.inf)
-    dist[root] = 0.0
-    active = np.zeros(n, dtype=bool)
-    active[root] = True
-    return engine.run(sssp_program(), dist, active)
+    return engine.run(*_from_root(engine, root))
 
 
 # ----------------------------------------------------------------------
 # BFS via hop distances (the *Graphalytics driver's* program, not a
-# PowerGraph toolkit member).
+# PowerGraph toolkit member): an arc adds one hop.
 # ----------------------------------------------------------------------
-def bfs_hop_program() -> VertexProgram:
-    def gather(state, weights):
-        return state.data + 1.0, None
-
-    def apply(state, vertices, gathered):
-        return np.minimum(state.data[vertices], gathered)
-
-    return VertexProgram(name="bfs-hops", gather=gather, reduce="min",
-                         apply=apply, identity=np.inf)
-
-
 def run_bfs_hops(engine: GasEngine, root: int
                  ) -> tuple[np.ndarray, int, WorkProfile, dict]:
-    n = engine.inn.n_vertices
-    hops = np.full(n, np.inf)
-    hops[root] = 0.0
-    active = np.zeros(n, dtype=bool)
-    active[root] = True
-    return engine.run(bfs_hop_program(), hops, active)
+    return engine.run(*_from_root(engine, root), adds=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +89,7 @@ def pagerank_gas(engine: GasEngine, damping: float = 0.85,
     base = (1.0 - damping) / n
     profile = WorkProfile()
     nnz = inn.n_edges
-    rep = max(engine.cut.replication_factor, 1.0)
+    rep = max(engine.replication_factor, 1.0)
     arcs = arc_sum_operator(inn.row_ptr, inn.col_idx, n)
 
     iterations = 0
@@ -127,32 +109,21 @@ def pagerank_gas(engine: GasEngine, damping: float = 0.85,
     iterations += 1
     profile.add_round(units=n + rep * n, memory_bytes=16.0 * rep * n,
                       skew=0.05)
-    stats = {"replication_factor": engine.cut.replication_factor}
+    stats = {"replication_factor": engine.replication_factor}
     return rank, iterations, profile, stats
 
 
 # ----------------------------------------------------------------------
-# Connected components (toolkit: graph_analytics/connected_component.cpp)
+# Connected components (toolkit: graph_analytics/connected_component.cpp):
+# an arc adds nothing to the label it carries.
 # ----------------------------------------------------------------------
-def wcc_program() -> VertexProgram:
-    def gather(state, weights):
-        return state.data, None
-
-    def apply(state, vertices, gathered):
-        return np.minimum(state.data[vertices], gathered)
-
-    return VertexProgram(name="wcc", gather=gather, reduce="min",
-                         apply=apply, identity=np.inf)
-
-
 def run_wcc(engine_sym: GasEngine
             ) -> tuple[np.ndarray, int, WorkProfile, dict]:
     """Label min-propagation over the symmetrized engine."""
     n = engine_sym.inn.n_vertices
     labels = np.arange(n, dtype=np.float64)
     active = np.ones(n, dtype=bool)
-    data, steps, profile, stats = engine_sym.run(wcc_program(), labels,
-                                                 active)
+    data, steps, profile, stats = engine_sym.run(labels, active, adds=0.0)
     return data.astype(np.int64), steps, profile, stats
 
 
@@ -169,12 +140,12 @@ def cdlp_gas(engine: GasEngine, iterations: int = 10
     labels = propagate_labels(inn.col_idx, inn.source_ids(), n, iterations)
     profile = WorkProfile()
     nnz = inn.n_edges
-    rep = max(engine.cut.replication_factor, 1.0)
+    rep = max(engine.replication_factor, 1.0)
     for _ in range(iterations):
         profile.add_round(units=nnz + n + rep * n,
                           memory_bytes=40.0 * nnz, skew=0.08)
     return labels, iterations, profile, {
-        "replication_factor": engine.cut.replication_factor}
+        "replication_factor": engine.replication_factor}
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +157,7 @@ def lcc_gas(engine: GasEngine, batch_rows: int | None = None
     lcc, wedges, blocks = clustering_blocks(
         inn.col_idx, inn.source_ids(), inn.n_vertices, batch_rows)
     profile = WorkProfile()
-    rep = max(engine.cut.replication_factor, 1.0)
+    rep = max(engine.replication_factor, 1.0)
     for lo, hi in blocks:
         units = float(wedges[lo:hi].sum()) + rep * (hi - lo)
         profile.add_round(units=units, memory_bytes=8.0 * units, skew=0.3)
@@ -199,7 +170,7 @@ def _simplify(engine: GasEngine):
     inn = engine.inn
     n = inn.n_vertices
     view = simple_undirected_view(inn.col_idx, inn.source_ids(), n)
-    rep = max(engine.cut.replication_factor, 1.0)
+    rep = max(engine.replication_factor, 1.0)
     profile = WorkProfile()
     profile.add_round(units=inn.n_edges + rep * n,
                       memory_bytes=16.0 * inn.n_edges, skew=0.05)
@@ -219,7 +190,7 @@ def kcore_gas(engine: GasEngine
         profile.add_round(units=arcs + rep * peeled,
                           memory_bytes=24.0 * arcs, skew=0.1)
     return core, len(rounds), profile, {
-        "replication_factor": engine.cut.replication_factor}
+        "replication_factor": engine.replication_factor}
 
 
 # ----------------------------------------------------------------------
@@ -236,4 +207,4 @@ def mis_gas(engine: GasEngine, seed: int | None = None
             units=view.nnz + winner_arcs + rep * undecided,
             memory_bytes=24.0 * (view.nnz + winner_arcs), skew=0.1)
     return in_set, len(rounds), profile, {
-        "replication_factor": engine.cut.replication_factor}
+        "replication_factor": engine.replication_factor}

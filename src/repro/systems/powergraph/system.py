@@ -12,22 +12,43 @@ from repro.errors import SystemCapabilityError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.machine.threads import WorkProfile
-from repro.systems import calibration
 from repro.systems.base import GraphSystem, KernelResult
 from repro.systems.powergraph import programs
-from repro.systems.powergraph.gas import GasEngine
-from repro.systems.powergraph.partition import VertexCut, random_vertex_cut
+from repro.systems.powergraph.gas import AsyncGasEngine, GasEngine
 
-__all__ = ["PowerGraphSystem", "PowerGraphData"]
+__all__ = ["PowerGraphSystem", "PowerGraphData", "random_ingress"]
+
+
+def random_ingress(src: np.ndarray, dst: np.ndarray, n_vertices: int,
+                   n_partitions: int) -> tuple[float, int]:
+    """PowerGraph's default ``random`` ingress: each arc lands on a
+    uniformly random partition, and every partition holding an arc of a
+    vertex hosts a replica of it (one master plus mirrors).
+
+    Returns the two numbers the system prices: the replication factor
+    (mean replicas over vertices with an arc; 0.0 with none) and the
+    mirror count (replicas beyond each master).
+    """
+    from repro.shard.partition import replica_counts
+
+    part = np.random.default_rng(7).integers(0, n_partitions, size=src.size,
+                                             dtype=np.int64)
+    replicas = replica_counts(src, dst, part, n_vertices, n_partitions)
+    present = replicas[replicas > 0]
+    if not present.size:
+        return 0.0, 0
+    return float(present.mean()), int((present - 1).sum())
 
 
 @dataclass
 class PowerGraphData:
-    """Partitioned graph: directed engine + symmetrized engine (WCC)."""
+    """Partitioned graph: directed engine + symmetrized engine (WCC),
+    one and the same on undirected input."""
 
     engine: GasEngine
     engine_sym: GasEngine
-    cut: VertexCut
+    #: Replicas beyond each master, what ingest paid for.
+    mirrors: int
     n: int
 
     @property
@@ -35,13 +56,9 @@ class PowerGraphData:
         return self.engine.out.n_edges
 
     def nbytes(self) -> int:
-        """Both engines' CSR pairs plus the cut's mirror tables."""
-        total = 0
-        for eng in (self.engine, self.engine_sym):
-            total += eng.inn.nbytes() + eng.out.nbytes()
-        total += (self.cut.edge_partition.nbytes
-                  + self.cut.replicas.nbytes + self.cut.master.nbytes)
-        return total
+        """Each distinct engine's CSR pair (a shared one counts once)."""
+        return sum(e.inn.nbytes() + e.out.nbytes()
+                   for e in {self.engine, self.engine_sym})
 
 
 class PowerGraphSystem(GraphSystem):
@@ -64,8 +81,12 @@ class PowerGraphSystem(GraphSystem):
         # GAS programs model their own partitioned execution already.
         super().__init__(machine=machine, n_threads=n_threads,
                          shards=shards, shard_strategy=shard_strategy)
+        if n_partitions is not None and n_partitions < 1:
+            raise SystemCapabilityError(
+                f"n_partitions must be >= 1, got {n_partitions}")
         #: One partition per fiber-hosting thread by default.
-        self.n_partitions = n_partitions or max(n_threads, 2)
+        self.n_partitions = (max(n_threads, 2) if n_partitions is None
+                             else int(n_partitions))
         if engine not in ("sync", "async"):
             raise SystemCapabilityError(
                 "engine must be 'sync' or 'async'")
@@ -84,31 +105,33 @@ class PowerGraphSystem(GraphSystem):
         profile = WorkProfile()
         el = edges if dataset.directed else edges.symmetrized()
         m = el.n_edges
-        cut = random_vertex_cut(el.src, el.dst, el.n_vertices,
-                                self.n_partitions)
+        replication, mirrors = random_ingress(el.src, el.dst, el.n_vertices,
+                                              self.n_partitions)
         # Ingest: edge placement, mirror table construction, local CSR
         # finalization -- charged per edge plus per replica.
-        profile.add_round(units=m + cut.mirrors(),
-                          memory_bytes=40.0 * m, skew=0.05)
+        profile.add_round(units=m + mirrors, memory_bytes=40.0 * m,
+                          skew=0.05)
         inn = CSRGraph.from_arrays(el.dst, el.src, el.n_vertices,
                                    weights=el.weights)
         out = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices,
                                    weights=el.weights)
         profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
+        arrays = {**inn.to_arrays_map("inn_"), **out.to_arrays_map("out_")}
 
+        # WCC's symmetrized pair: undirected input already is one (WCC
+        # reads no weights), but the round is priced either way --
+        # construction is a paper measurement.
         sym = el.symmetrized() if dataset.directed else el
-        inn_s = CSRGraph.from_arrays(sym.dst, sym.src, sym.n_vertices)
-        out_s = CSRGraph.from_arrays(sym.src, sym.dst, sym.n_vertices)
+        if dataset.directed:
+            arrays.update(
+                **CSRGraph.from_arrays(sym.dst, sym.src, sym.n_vertices
+                                       ).to_arrays_map("inns_"),
+                **CSRGraph.from_arrays(sym.src, sym.dst, sym.n_vertices
+                                       ).to_arrays_map("outs_"))
         profile.add_round(units=sym.n_edges, memory_bytes=16.0 * sym.n_edges,
                           skew=0.05)
-        arrays = {"cut_edge_partition": cut.edge_partition,
-                  "cut_replicas": cut.replicas,
-                  "cut_master": cut.master,
-                  **inn.to_arrays_map("inn_"),
-                  **out.to_arrays_map("out_"),
-                  **inn_s.to_arrays_map("inns_"),
-                  **out_s.to_arrays_map("outs_")}
-        meta = {"n": el.n_vertices, "n_partitions": cut.n_partitions}
+        meta = {"n": el.n_vertices, "replication_factor": replication,
+                "mirrors": mirrors}
         return arrays, meta, profile
 
     def _n_arcs(self, data: PowerGraphData) -> int:
@@ -122,24 +145,21 @@ class PowerGraphSystem(GraphSystem):
                 "engine": self.engine_kind}
 
     def _assemble(self, arrays, meta) -> PowerGraphData:
-        from repro.systems.powergraph.gas import AsyncGasEngine
-
-        n = int(meta["n"])
-        cut = VertexCut(n_vertices=n,
-                        n_partitions=int(meta["n_partitions"]),
-                        edge_partition=arrays["cut_edge_partition"],
-                        replicas=arrays["cut_replicas"],
-                        master=arrays["cut_master"])
         engine_cls = (AsyncGasEngine if self.engine_kind == "async"
                       else GasEngine)
+        replication = float(meta["replication_factor"])
+
+        def engine(inn: str, out: str) -> GasEngine:
+            return engine_cls(CSRGraph.from_arrays_map(arrays, inn),
+                              CSRGraph.from_arrays_map(arrays, out),
+                              replication)
+
+        directed = engine("inn_", "out_")
         return PowerGraphData(
-            engine=engine_cls(CSRGraph.from_arrays_map(arrays, "inn_"),
-                              CSRGraph.from_arrays_map(arrays, "out_"),
-                              cut),
-            engine_sym=engine_cls(
-                CSRGraph.from_arrays_map(arrays, "inns_"),
-                CSRGraph.from_arrays_map(arrays, "outs_"), cut),
-            cut=cut, n=n)
+            engine=directed,
+            engine_sym=(engine("inns_", "outs_")
+                        if "inns_row_ptr" in arrays else directed),
+            mirrors=int(meta["mirrors"]), n=int(meta["n"]))
 
     # -- kernels -------------------------------------------------------
     def _run_sssp(self, loaded, root: int):
@@ -199,17 +219,15 @@ class PowerGraphSystem(GraphSystem):
         if program != "bfs-hops":
             raise SystemCapabilityError(
                 f"unknown toolkit extension {program!r}")
-        if root is None:
-            raise SystemCapabilityError("bfs-hops requires a root")
+        self._check_root(program, root, loaded)
+        # Priced as the SSSP toolkit program it is a variant of.
+        return self._execute(loaded, "bfs", root,
+                             lambda: self._bfs_hops(loaded, int(root)),
+                             cost_as="sssp")
+
+    def _bfs_hops(self, loaded, root: int):
         hops, steps, profile, stats = programs.run_bfs_hops(
-            loaded.data.engine, int(root))
+            loaded.data.engine, root)
         level = np.where(np.isfinite(hops), hops, -1).astype(np.int64)
-        sim = self.thread_model.simulate(
-            profile, calibration.cost_params(self.name, "sssp",
-                                             self.machine),
-            self.n_threads)
-        return KernelResult(
-            system=self.name, algorithm="bfs", time_s=sim.time_s, sim=sim,
-            profile=profile, output={"level": level}, root=root,
-            iterations=steps,
-            counters={"replication_factor": stats["replication_factor"]})
+        return ({"level": level}, profile, steps,
+                {"replication_factor": stats["replication_factor"]})

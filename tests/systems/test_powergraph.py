@@ -8,58 +8,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import sssp_dijkstra
+from repro.errors import SystemCapabilityError
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import dedup_ids, gather_slots
+from repro.graph.scratch import COUNTERS
 from repro.machine.threads import WorkProfile
+from repro.shard.partition import replica_counts
 from repro.systems import create_system
 from repro.systems.powergraph import programs
-from repro.systems.powergraph.gas import GasEngine, VertexProgram
-from repro.systems.powergraph.partition import random_vertex_cut
+from repro.systems.powergraph.gas import GasEngine
+from repro.systems.powergraph.system import random_ingress
+
+
+def _placement(m, n_partitions):
+    """The random ingress's arc placement."""
+    return np.random.default_rng(7).integers(0, n_partitions, size=m,
+                                             dtype=np.int64)
 
 
 class TestVertexCut:
     def test_every_edge_assigned(self, kron10):
-        cut = random_vertex_cut(kron10.src, kron10.dst,
-                                kron10.n_vertices, 16)
-        assert cut.edge_partition.size == kron10.n_edges
-        assert cut.edge_partition.min() >= 0
-        assert cut.edge_partition.max() < 16
+        """Each arc's partition hosts both its endpoints, and nothing
+        else hosts a vertex."""
+        part = _placement(kron10.n_edges, 16)
+        replicas = replica_counts(kron10.src, kron10.dst, part,
+                                  kron10.n_vertices, 16)
+        hosted = np.zeros((kron10.n_vertices, 16), dtype=bool)
+        hosted[kron10.src, part] = True
+        hosted[kron10.dst, part] = True
+        assert np.array_equal(replicas, hosted.sum(axis=1))
 
     def test_replication_factor_bounds(self, kron10):
-        cut = random_vertex_cut(kron10.src, kron10.dst,
-                                kron10.n_vertices, 16)
-        assert 1.0 <= cut.replication_factor <= 16.0
+        rep, mirrors = random_ingress(kron10.src, kron10.dst,
+                                      kron10.n_vertices, 16)
+        assert 1.0 <= rep <= 16.0
+        assert mirrors > 0
 
     def test_high_degree_vertices_replicate_more(self, kron10):
         """The property behind PowerGraph's dense-graph advantage
         (Sec. IV-C): hubs spread over many partitions."""
-        cut = random_vertex_cut(kron10.src, kron10.dst,
-                                kron10.n_vertices, 16)
+        replicas = replica_counts(kron10.src, kron10.dst,
+                                  _placement(kron10.n_edges, 16),
+                                  kron10.n_vertices, 16)
         deg = kron10.degrees()
         hubs = deg >= np.percentile(deg[deg > 0], 95)
         leaves = (deg > 0) & (deg <= 2)
-        assert cut.replicas[hubs].mean() > cut.replicas[leaves].mean()
-
-    def test_master_is_a_hosting_partition(self, kron10):
-        cut = random_vertex_cut(kron10.src, kron10.dst,
-                                kron10.n_vertices, 8)
-        present = cut.replicas > 0
-        assert np.all(cut.master[present] >= 0)
-        assert np.all(cut.master[~present] == -1)
+        assert replicas[hubs].mean() > replicas[leaves].mean()
 
     def test_deterministic(self, kron10):
-        a = random_vertex_cut(kron10.src, kron10.dst,
-                              kron10.n_vertices, 8, seed=3)
-        b = random_vertex_cut(kron10.src, kron10.dst,
-                              kron10.n_vertices, 8, seed=3)
-        assert np.array_equal(a.edge_partition, b.edge_partition)
+        a = random_ingress(kron10.src, kron10.dst, kron10.n_vertices, 8)
+        b = random_ingress(kron10.src, kron10.dst, kron10.n_vertices, 8)
+        assert a == b
 
-    def test_partition_count_validated(self, kron10):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            random_vertex_cut(kron10.src, kron10.dst,
-                              kron10.n_vertices, 0)
+    def test_partition_count_validated(self):
+        """Below one partition is refused at construction, like a bad
+        ``engine``; ``None`` is the one-per-thread default."""
+        for bad in (0, -1):
+            with pytest.raises(SystemCapabilityError):
+                create_system("powergraph", n_partitions=bad)
+        assert create_system("powergraph", n_threads=8).n_partitions == 8
+        assert create_system("powergraph", n_threads=1).n_partitions == 2
 
 
 class TestGasEngine:
@@ -77,37 +85,9 @@ class TestGasEngine:
         w = np.array([1.0, 1.0])
         inn = CSRGraph.from_arrays(dst, src, 3, weights=w)
         out = CSRGraph.from_arrays(src, dst, 3, weights=w)
-        cut = random_vertex_cut(src, dst, 3, 2)
-        engine = GasEngine(inn, out, cut)
+        engine = GasEngine(inn, out, random_ingress(src, dst, 3, 2)[0])
         dist, _, _, _ = programs.run_sssp(engine, 0)
         assert dist.tolist() == [0.0, 1.0, 2.0]
-
-    def test_unknown_reduce_rejected(self):
-        src = np.array([0])
-        dst = np.array([1])
-        inn = CSRGraph.from_arrays(dst, src, 2)
-        out = CSRGraph.from_arrays(src, dst, 2)
-        cut = random_vertex_cut(src, dst, 2, 2)
-        engine = GasEngine(inn, out, cut)
-        prog = VertexProgram(name="bad", gather=lambda *a: a[1] * 0.0,
-                             reduce="median", apply=lambda s, v, g: g)
-        with pytest.raises(ValueError):
-            engine.run(prog, np.zeros(2), np.ones(2, dtype=bool))
-
-    @pytest.mark.parametrize("reduce", ["median", "sum"])
-    def test_unknown_reduce_rejected_without_in_edges(self, reduce):
-        """Regression: the check sat behind the first gather, so a bad
-        program whose first targets had no in-edges (here only vertex 0
-        is signalled, and nothing points at it) ran to quiescence."""
-        src = np.array([0])
-        dst = np.array([1])
-        engine = GasEngine(CSRGraph.from_arrays(dst, src, 2),
-                           CSRGraph.from_arrays(src, dst, 2),
-                           random_vertex_cut(src, dst, 2, 2))
-        prog = VertexProgram(name="bad", gather=lambda *a: a[1] * 0.0,
-                             reduce=reduce, apply=lambda s, v, g: g)
-        with pytest.raises(ValueError):
-            engine.run(prog, np.zeros(2), np.array([True, False]))
 
     def test_mirror_sync_charged(self, kron10_dataset):
         """Per-superstep work includes replication traffic."""
@@ -154,7 +134,7 @@ class FullGatherEngine(GasEngine):
                                 active=initially_active.copy(),
                                 superstep=0)
         profile = WorkProfile()
-        rep = max(self.cut.replication_factor, 1.0)
+        rep = max(self.replication_factor, 1.0)
         out_deg = self.out.out_degrees()
         max_deg = float(out_deg.max()) if n else 0.0
         gathered_edges = 0
@@ -197,7 +177,7 @@ class FullGatherEngine(GasEngine):
             "supersteps": state.superstep,
             "gathered_edges": gathered_edges,
             "scattered_edges": scattered_edges,
-            "replication_factor": self.cut.replication_factor,
+            "replication_factor": self.replication_factor,
         }
         return state.data, state.superstep, profile, stats
 
@@ -263,10 +243,10 @@ def gas_cases(draw):
 
 
 def _engines(n, src, dst, w):
-    cut = random_vertex_cut(src, dst, n, 4)
+    rep, _ = random_ingress(src, dst, n, 4)
     inn = CSRGraph.from_arrays(dst, src, n, weights=w)
     out = CSRGraph.from_arrays(src, dst, n, weights=w)
-    return GasEngine(inn, out, cut), FullGatherEngine(inn, out, cut)
+    return GasEngine(inn, out, rep), FullGatherEngine(inn, out, rep)
 
 
 def _assert_same_run(got, want):
@@ -302,13 +282,13 @@ class TestAccumulatorCache:
         n, src, dst, _, _ = case
         if symmetrize:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        cut = random_vertex_cut(src, dst, n, 4)
+        rep, _ = random_ingress(src, dst, n, 4)
         inn = CSRGraph.from_arrays(dst, src, n)
         out = CSRGraph.from_arrays(src, dst, n)
         data, steps, profile, stats = programs.run_wcc(
-            GasEngine(inn, out, cut))
+            GasEngine(inn, out, rep))
         w_data, *rest = _full_gather_run(
-            FullGatherEngine(inn, out, cut), "wcc", None)
+            FullGatherEngine(inn, out, rep), "wcc", None)
         _assert_same_run((data, steps, profile, stats),
                          (w_data.astype(np.int64), *rest))
 
@@ -330,8 +310,7 @@ class TestAccumulatorCache:
         dist[0] = 0.0
         active = np.zeros(10, dtype=bool)
         active[0] = True
-        got = engine.run(programs.sssp_program(), dist, active,
-                         max_supersteps=4)
+        got = engine.run(dist, active, max_supersteps=4)
         want = reference.run(
             SimpleNamespace(gather=PER_EDGE_GATHER["sssp"],
                             apply=_min_apply, tolerance=0.0,
@@ -344,7 +323,8 @@ class TestAccumulatorCache:
         s = create_system("powergraph")
         loaded = s.load(kron10_dataset)
         engine = loaded.data.engine
-        reference = FullGatherEngine(engine.inn, engine.out, engine.cut)
+        reference = FullGatherEngine(engine.inn, engine.out,
+                                     engine.replication_factor)
         for root in kron10_dataset.roots[:4]:
             for name in ("sssp", "bfs-hops"):
                 _assert_same_run(
@@ -415,22 +395,37 @@ class TestAsyncEngine:
         assert np.array_equal(res.output["level"],
                               bfs_levels(kron10_csr, root))
 
-    def test_async_rejects_non_min_programs(self, kron10_dataset):
-        from repro.systems.powergraph.gas import (
-            AsyncGasEngine,
-            VertexProgram,
-        )
-
-        asy = create_system("powergraph", engine="async")
-        loaded = asy.load(kron10_dataset)
-        prog = VertexProgram(name="sum", gather=lambda *a: a[1],
-                             reduce="sum", apply=lambda s, v, g: g)
-        with pytest.raises(ValueError):
-            loaded.data.engine.run(prog, np.zeros(loaded.n_vertices),
-                                   np.ones(loaded.n_vertices, bool))
-
     def test_unknown_engine_rejected(self):
-        from repro.errors import SystemCapabilityError
-
         with pytest.raises(SystemCapabilityError):
             create_system("powergraph", engine="fiber")
+
+
+class TestStructure:
+    def test_undirected_input_shares_one_engine(self, kron10_dataset,
+                                                patents_dataset):
+        """WCC's symmetrized engine is the directed one on undirected
+        input, and ``nbytes`` counts it once."""
+        s = create_system("powergraph")
+        und = s.load(kron10_dataset).data
+        assert und.engine_sym is und.engine
+        assert und.nbytes() == und.engine.inn.nbytes() + \
+            und.engine.out.nbytes()
+        directed = s.load(patents_dataset).data
+        assert directed.engine_sym is not directed.engine
+        assert directed.engine_sym.out.weights is None
+
+    def test_toolkit_extension_drains_its_counters(self, kron10_dataset):
+        """The bfs-hops driver leaves no frontier counters for the next
+        run of any system to absorb."""
+        s = create_system("powergraph")
+        loaded = s.load(kron10_dataset)
+        s.run_toolkit_extension(loaded, "bfs-hops",
+                                root=int(kron10_dataset.roots[0]))
+        assert COUNTERS["gather_edges"] == 0.0
+
+    def test_toolkit_extension_checks_its_root(self, kron10_dataset):
+        s = create_system("powergraph")
+        loaded = s.load(kron10_dataset)
+        for root in (None, -1, loaded.n_vertices):
+            with pytest.raises(SystemCapabilityError):
+                s.run_toolkit_extension(loaded, "bfs-hops", root=root)

@@ -17,6 +17,14 @@ each typed their own BFS level loop and Bellman-Ford loop, before both
 moved onto the bodies in :mod:`repro.algorithms`; the reference BFS is
 pinned as its ``parent`` and ``level`` bytes over every root.
 
+The PowerGraph cells ``RUNS`` leaves out -- the Graphalytics driver's
+``bfs-hops`` program on both engines, and the async engine's SSSP and
+WCC -- and its ingest (the load's ``read_s``, which prices ``m +
+mirrors``, and the replication factor a run reports, at several
+partition counts) were added at commit 8765a1f, the last one with
+PowerGraph's own partitioner module, vertex-cut arrays and
+``VertexProgram`` objects.
+
 Beside the two generated datasets (undirected ``kron10``, directed
 ``patents_small``) sit two hand-built multigraphs for the corners a
 generated graph may not reach: parallel arcs of different weights, a
@@ -74,22 +82,26 @@ def datasets(kron10_dataset, patents_dataset, tmp_path_factory):
     return out
 
 
+def _hash_result(h, res) -> None:
+    """Feed one run's outputs, profile, time and stats to ``h``."""
+    for key in sorted(res.output):
+        h.update(key.encode())
+        h.update(np.ascontiguousarray(res.output[key]).tobytes())
+    h.update(repr(res.iterations).encode())
+    for _, a in sorted(res.profile.to_arrays().items()):
+        h.update(a.tobytes())
+    h.update(repr(res.profile.serial_units).encode())
+    h.update(repr(res.time_s).encode())
+    h.update(repr(sorted(res.counters.items())).encode())
+
+
 def run_digest(system: str, algorithm: str, dataset, roots) -> str:
     """sha256 over every root's outputs, profile, time and stats."""
     s = create_system(system)
     loaded = s.load(dataset)
     h = hashlib.sha256()
     for root in roots:
-        res = s.run(loaded, algorithm, root=int(root))
-        for key in sorted(res.output):
-            h.update(key.encode())
-            h.update(np.ascontiguousarray(res.output[key]).tobytes())
-        h.update(repr(res.iterations).encode())
-        for _, a in sorted(res.profile.to_arrays().items()):
-            h.update(a.tobytes())
-        h.update(repr(res.profile.serial_units).encode())
-        h.update(repr(res.time_s).encode())
-        h.update(repr(sorted(res.counters.items())).encode())
+        _hash_result(h, s.run(loaded, algorithm, root=int(root)))
     return h.hexdigest()
 
 
@@ -101,6 +113,57 @@ def test_run_pinned(graph, system, algorithm, datasets):
     dataset, roots = datasets[graph]
     assert run_digest(system, algorithm, dataset, roots) == \
         GOLDENS[f"{graph}/{system}/{algorithm}"]
+
+
+#: (engine, program) PowerGraph cells beyond ``RUNS``.
+POWERGRAPH_RUNS = [("sync", "bfs-hops"), ("async", "bfs-hops"),
+                   ("async", "sssp"), ("async", "wcc")]
+#: Partition counts whose ingest is pinned; ``None`` is the default.
+PARTITIONS = (None, 2, 4, 8, 16, 32, 64)
+
+
+def powergraph_digest(engine: str, program: str, dataset, roots) -> str:
+    """:func:`run_digest` for one PowerGraph engine; ``bfs-hops`` goes
+    through the Graphalytics driver's entry point, WCC runs once."""
+    s = create_system("powergraph", engine=engine)
+    loaded = s.load(dataset)
+    h = hashlib.sha256()
+    if program == "wcc":
+        _hash_result(h, s.run(loaded, "wcc"))
+        return h.hexdigest()
+    run = s.run_toolkit_extension if program == "bfs-hops" else s.run
+    for root in roots:
+        _hash_result(h, run(loaded, program, root=int(root)))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("engine,program", POWERGRAPH_RUNS,
+                         ids=[f"{e}-{p}" for e, p in POWERGRAPH_RUNS])
+@pytest.mark.parametrize(
+    "graph", ["kron10", "patents_small", "directed9", "undirected7"])
+def test_powergraph_run_pinned(graph, engine, program, datasets):
+    dataset, roots = datasets[graph]
+    assert powergraph_digest(engine, program, dataset, roots) == \
+        GOLDENS[f"{graph}/powergraph-{engine}/{program}"]
+
+
+def powergraph_ingest_digest(dataset) -> str:
+    """sha256 over, per partition count, the load's ``read_s`` and the
+    replication factor a WCC run reports."""
+    h = hashlib.sha256()
+    for parts in PARTITIONS:
+        s = create_system("powergraph", n_partitions=parts)
+        loaded = s.load(dataset)
+        rep = s.run(loaded, "wcc").counters["replication_factor"]
+        h.update(repr((parts, loaded.read_s, rep)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "graph", ["kron10", "patents_small", "directed9", "undirected7"])
+def test_powergraph_ingest_pinned(graph, datasets):
+    assert powergraph_ingest_digest(datasets[graph][0]) == \
+        GOLDENS[f"{graph}/powergraph/ingest"]
 
 
 def reference_bfs_digest(dataset, roots) -> str:
