@@ -495,9 +495,8 @@ def _assert_push_sides_identical(csr, root, checks):
     while active.size:
         rounds += 1
         dsts, cand = _push_sparse(csr, csr.weights, active, dist, dist,
-                                  scratch, None)
-        d_dsts, d_cand = _push_dense(csr, csr.weights, active, dist, dist,
-                                     None)
+                                  scratch)
+        d_dsts, d_cand = _push_dense(csr, csr.weights, active, dist, dist)
         assert np.array_equal(dsts, d_dsts) and np.array_equal(
             cand, d_cand), f"push_candidates[{root}]: sides diverged"
         if dsts.size == 0:

@@ -81,7 +81,7 @@ class CSRGraph:
 
     #: Derived-structure caches (set lazily via ``object.__setattr__``;
     #: not dataclass fields, dropped from pickles).
-    _MEMO_ATTRS = ("_source_ids", "_transposed")
+    _MEMO_ATTRS = ("_source_ids", "_transposed", "_weight_split")
 
     # ------------------------------------------------------------------
     # Constructors
@@ -236,6 +236,34 @@ class CSRGraph:
                 weights=None if self.weights is None else csc.data)
             object.__setattr__(self, "_transposed", cached)
         return cached
+
+    def weight_split(self, delta: float) -> tuple["CSRGraph", "CSRGraph"]:
+        """``(light, heavy)``: the arcs with ``weight < delta`` and the
+        rest, each a CSR over the same vertices in the original arc order
+        -- delta-stepping's two relaxation sets.
+
+        Memoized for one ``delta`` at a time (a new one replaces it).
+        Filtering keeps arc order, so it commutes with the stable
+        :meth:`transposed`: the parts of the transpose are the
+        transposes of the parts.  A part of a symmetrized multigraph is
+        symmetrized too, since both directions of an edge weigh the same.
+        """
+        cached = self.__dict__.get("_weight_split")
+        if cached is None or cached[0] != delta:
+            if self.weights is None:
+                raise GraphFormatError("graph is unweighted")
+            light = self.weights < delta
+            heavy = ~light
+            before = np.zeros(self.n_edges + 1, dtype=np.int64)
+            np.cumsum(light, out=before[1:])
+            light_ptr = before[self.row_ptr]
+            cached = (delta,
+                      (CSRGraph(light_ptr, self.col_idx[light],
+                                self.weights[light]),
+                       CSRGraph(self.row_ptr - light_ptr,
+                                self.col_idx[heavy], self.weights[heavy])))
+            object.__setattr__(self, "_weight_split", cached)
+        return cached[1]
 
     def source_ids(self) -> np.ndarray:
         """Expand ``row_ptr`` back into a per-arc source array.

@@ -62,7 +62,8 @@ from repro.graph.csr import CSRGraph
 from repro.graph.scratch import COUNTERS, KernelScratch
 
 __all__ = ["GatherSlots", "gather_slots", "first_parent_candidates",
-           "claim_first_parent", "first_hit_scan", "push_candidates",
+           "claim_first_parent", "first_hit_scan", "out_arc_count",
+           "push_candidates",
            "segment_min_scatter", "pull_min", "relax_round",
            "arc_sum_operator", "dedup_ids", "BucketQueue",
            "resolve_batch_rows"]
@@ -235,21 +236,26 @@ def first_hit_scan(row_ptr: np.ndarray, col_idx: np.ndarray,
     return found, parents, int(examined.sum())
 
 
+def out_arc_count(row_ptr: np.ndarray, members: np.ndarray) -> int:
+    """The out-degree sum of ``members``: the arc count a relaxation
+    round over them prices."""
+    return int((row_ptr[members + 1] - row_ptr[members]).sum())
+
+
 def push_candidates(csr: CSRGraph, lengths: np.ndarray | None,
                     members: np.ndarray, values: np.ndarray,
-                    dist: np.ndarray, scratch: KernelScratch,
-                    keep: np.ndarray | None = None
+                    dist: np.ndarray, scratch: KernelScratch
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """Out-arcs of ``members`` whose candidate beats ``dist`` at the
-    far end: the push half of every relaxation round.
+    far end: the push half of a relaxation round that must not write
+    ``dist`` (the shard op, streaming repair).
 
     The candidate of arc ``s -> d`` is ``values[s] + lengths[arc]``
     (``values[s]`` itself when ``lengths`` is ``None``).  Returns
     ``(dsts, cand, examined)``: destination and candidate of every arc
     with ``cand < dist[dst]``, in CSR order, and the out-degree sum of
     ``members`` -- the count the work profiles price, whatever the
-    filters drop.  ``members`` are sorted unique ids; ``keep`` is an
-    optional per-arc mask (delta-stepping's light or heavy arcs).
+    filter drops.  ``members`` are sorted unique ids.
 
     Two ways to the same arrays.  *Sparse*: :func:`gather_slots`, then
     one gather each of ``col_idx`` and ``lengths``; source values are
@@ -266,43 +272,38 @@ def push_candidates(csr: CSRGraph, lengths: np.ndarray | None,
     Kronecker scale 13 / 16, each side forced in turn, best of 3): the
     dense side costs a flat 1.0-1.5 ms / 7-9 ms whatever the share, the
     sparse side grows linearly to 3.5-4.5 ms / 27-35 ms at a full
-    sweep.  They cross at a share of 0.20-0.25 for delta-stepping
-    (``keep`` makes the sparse side gather twice) and 0.30-0.35 for
-    Bellman-Ford; 0.3 sits between them.
+    sweep.  They cross at a share of 0.30-0.35 for Bellman-Ford's
+    unmasked rounds, the kind the shard op runs over a light or heavy
+    part; 0.3 is the low end.
     """
-    examined = int((csr.row_ptr[members + 1] - csr.row_ptr[members]).sum())
+    examined = out_arc_count(csr.row_ptr, members)
     if examined < _DENSE_SHARE * csr.n_edges:
         dsts, cand = _push_sparse(csr, lengths, members, values, dist,
-                                  scratch, keep)
+                                  scratch)
     else:
         # The sparse side's arcs are counted by ``gather_slots``.
         COUNTERS["gather_edges"] += float(examined)
-        dsts, cand = _push_dense(csr, lengths, members, values, dist, keep)
+        dsts, cand = _push_dense(csr, lengths, members, values, dist)
     return dsts, cand, examined
 
 
-def _push_sparse(csr, lengths, members, values, dist, scratch, keep,
+def _push_sparse(csr, lengths, members, values, dist, scratch,
                  touched=None):
     """:func:`push_candidates`' sparse side; ``touched``, when given, is
-    a ``bool[n]`` set at every destination a kept arc of a member
-    reaches, improved or not (:func:`relax_round`'s signalled set)."""
+    a ``bool[n]`` set at every destination an arc of a member reaches,
+    improved or not (:func:`relax_round`'s signalled set)."""
     gs = gather_slots(csr.row_ptr, members, scratch)
-    slots = gs.slots
     cand = np.repeat(values[members], gs.counts)
-    if keep is not None:
-        kept = keep[slots]
-        slots = slots[kept]
-        cand = cand[kept]
-    dsts = csr.col_idx[slots]
+    dsts = csr.col_idx[gs.slots]
     if lengths is not None:
-        cand += lengths[slots]
+        cand += lengths[gs.slots]
     if touched is not None:
         touched[dsts] = True
     better = cand < dist[dsts]
     return dsts[better], cand[better]
 
 
-def _push_dense(csr, lengths, members, values, dist, keep):
+def _push_dense(csr, lengths, members, values, dist):
     src_val = np.full(csr.n_vertices, np.inf)
     src_val[members] = values[members]
     cand = np.repeat(src_val, csr.out_degrees())
@@ -310,8 +311,6 @@ def _push_dense(csr, lengths, members, values, dist, keep):
         cand += lengths
     dsts = csr.col_idx
     better = cand < dist[dsts]
-    if keep is not None:
-        better &= keep
     return dsts[better], cand[better]
 
 
@@ -389,6 +388,8 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
     They cross at a share of 0.22-0.30 for GraphBIG's Bellman-Ford and
     GraphMat's SSSP and 0.25-0.35 for the GAS scatter; GraphMat BFS's
     levels, which switch on the same share, cross at about 0.2-0.3.
+    GAP's delta-stepping over a light or heavy part runs a whole pass
+    within 5 % / 9 % of its best at any share from 0.1 to 0.5.
     0.3 sits among them: the worst mis-pick is Bellman-Ford at shares
     of 0.25-0.3 at scale 16, about 2 ms a round, hit by fewer than one
     round per root.
@@ -398,11 +399,10 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
     exactly when the row's minimum is finite.  Otherwise a member mask
     is reduced over the in-arcs as well.
     """
-    examined = int((out.row_ptr[members + 1] - out.row_ptr[members]).sum())
+    examined = out_arc_count(out.row_ptr, members)
     if examined < PULL_SHARE * out.n_edges:
         dsts, cand = _push_sparse(out, out.weights if weighted else None,
-                                  members, values, dist, scratch, None,
-                                  touched)
+                                  members, values, dist, scratch, touched)
         return segment_min_scatter(dist, dsts, cand, scratch), examined
     # The push side's arcs are counted by ``gather_slots``.
     COUNTERS["gather_edges"] += float(examined)

@@ -26,14 +26,15 @@ from repro.graph.frontier import (
     claim_first_parent,
     first_hit_scan,
     gather_slots,
-    push_candidates,
-    segment_min_scatter,
+    out_arc_count,
+    relax_round,
 )
 from repro.graph.scratch import KernelScratch
 
 __all__ = ["SweepExecutor", "LocalSweeps", "RELAX_LIGHT", "RELAX_HEAVY"]
 
-#: ``relax`` modes: arcs lighter than delta, or all the others.
+#: ``relax`` modes: arcs lighter than delta, or all the others (each
+#: the index of its part in :meth:`CSRGraph.weight_split`'s pair).
 RELAX_LIGHT = 0
 RELAX_HEAVY = 1
 
@@ -61,7 +62,8 @@ class SweepExecutor(Protocol):
     def relax(self, members: np.ndarray, mode: int
               ) -> tuple[np.ndarray, int]:
         """Relax the light or heavy out-arcs of ``members``; returns the
-        vertices whose distance dropped and the arcs gathered."""
+        vertices whose distance dropped and the members' out-arc count,
+        light and heavy alike (what the profiles price)."""
 
     def begin_pagerank(self, rank: np.ndarray) -> np.ndarray:
         """Start a power iteration from ``rank`` (not modified); returns
@@ -74,10 +76,14 @@ class SweepExecutor(Protocol):
 
 
 class LocalSweeps:
-    """The serial step bodies over one graph's CSR (``inn`` only for
-    ``bottom_up``, ``None`` for ``out.transposed()``, built on the first
-    call and memoized on ``out``; ``scratch`` for everything but
-    PageRank)."""
+    """The serial step bodies over one graph's CSR.
+
+    ``inn`` is the in-arc CSR of the same multigraph -- ``out`` itself
+    for a symmetrized one -- read by ``bottom_up`` and by the pulls of
+    ``relax``; ``None`` stands for ``out.transposed()``, built on the
+    first call and memoized on ``out``.  ``scratch`` serves everything
+    but PageRank.
+    """
 
     def __init__(self, out: CSRGraph, inn: CSRGraph | None = None,
                  scratch: KernelScratch | None = None):
@@ -85,7 +91,11 @@ class LocalSweeps:
         self.inn = inn
         self.scratch = scratch
         self.n = out.n_vertices
-        self._delta = None
+
+    def _in_arcs(self) -> CSRGraph:
+        if self.inn is None:
+            self.inn = self.out.transposed()
+        return self.inn
 
     # -- BFS -----------------------------------------------------------
     def begin_bfs(self, root: int) -> None:
@@ -106,14 +116,12 @@ class LocalSweeps:
         return new_v, gs.total
 
     def bottom_up(self, frontier, parent):
-        if self.inn is None:
-            self.inn = self.out.transposed()
+        inn = self._in_arcs()
         cand = np.flatnonzero(~self.visited)
         in_frontier = self.scratch.mask("frontier")
         in_frontier[frontier] = True
         found, parents, examined = first_hit_scan(
-            self.inn.row_ptr, self.inn.col_idx, cand, in_frontier,
-            self.scratch)
+            inn.row_ptr, inn.col_idx, cand, in_frontier, self.scratch)
         in_frontier[frontier] = False
         new_v = cand[found]
         parent[new_v] = parents
@@ -128,22 +136,20 @@ class LocalSweeps:
         return self.dist
 
     def set_delta(self, delta: float) -> None:
-        """Split the arcs into light and heavy; kept while ``delta``
-        repeats, for an executor that outlives one kernel (the shard
-        engine's, and each shard's over its slice)."""
-        if delta != self._delta:
-            light = self.out.weights < delta
-            self.keep = {RELAX_LIGHT: light, RELAX_HEAVY: ~light}
-            self._delta = delta
+        """Take the light and heavy parts of the out-arcs (pushed along)
+        and of the in-arcs (pulled over), indexed by ``relax`` mode.
+        Each CSR memoizes its split while ``delta`` repeats, so only the
+        first kernel at a delta pays for it."""
+        self.out_parts = self.out.weight_split(delta)
+        self.in_parts = self._in_arcs().weight_split(delta)
 
     def relax(self, members, mode):
-        dist = self.dist
-        dsts, cand, examined = push_candidates(
-            self.out, self.out.weights, members, dist, dist, self.scratch,
-            keep=self.keep[mode])
-        if dsts.size == 0:
-            return np.empty(0, dtype=np.int64), examined
-        return segment_min_scatter(dist, dsts, cand, self.scratch), examined
+        # Priced on every out-arc of the members, light and heavy alike.
+        examined = out_arc_count(self.out.row_ptr, members)
+        improved, _ = relax_round(self.out_parts[mode], self.in_parts[mode],
+                                  members, self.dist, self.dist,
+                                  self.scratch)
+        return improved, examined
 
     # -- PageRank ------------------------------------------------------
     def begin_pagerank(self, rank):

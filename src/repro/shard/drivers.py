@@ -5,7 +5,8 @@ their sweep executor, under the names the benchmark's span boundary
 
 There is no sharded control flow here or anywhere else: each function
 is the serial kernel, called with the engine.  The module goes away
-once a benchmark-only PR re-points that boundary (ROADMAP item 2).
+once a benchmark-only change re-points that boundary (ROADMAP item
+1(b)).
 """
 
 from __future__ import annotations

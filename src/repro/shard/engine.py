@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.errors import ConfigError, ShardError
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import dedup_ids
+from repro.graph.frontier import dedup_ids, out_arc_count
 from repro.graph.scratch import KernelScratch
 from repro.graph.sweeps import LocalSweeps
 from repro.parallel.scheduler import _mp_context, resolve_jobs
@@ -202,8 +202,9 @@ class ShardEngine:
     out:
         The graph's out-CSR (push direction).
     inn:
-        Optional in-CSR (pull direction).  Required for bottom-up BFS
-        and PageRank; ``None`` builds a push-only engine (Graph500).
+        Optional in-CSR (pull direction), ``out`` itself for a
+        symmetrized graph.  Required for bottom-up BFS and PageRank;
+        ``None`` builds a push-only engine (Graph500).
     n_shards, strategy:
         Partitioning (see :mod:`repro.shard.partition`).
     inline:
@@ -428,8 +429,7 @@ class ShardEngine:
                      members: np.ndarray) -> bool:
         """Whether the round over ``members``' rows is too small to be
         worth a superstep (see :data:`_INLINE_ARCS`)."""
-        arcs = int((row_ptr[members + 1] - row_ptr[members]).sum())
-        if arcs >= _INLINE_ARCS:
+        if out_arc_count(row_ptr, members) >= _INLINE_ARCS:
             return False
         self.local_rounds += 1
         return True

@@ -35,11 +35,11 @@ from repro.graph.frontier import (
     first_hit_scan,
     first_parent_candidates,
     gather_slots,
+    out_arc_count,
     push_candidates,
     segment_min_scatter,
 )
 from repro.graph.scratch import KernelScratch
-from repro.graph.sweeps import LocalSweeps
 
 __all__ = ["ShardContext", "OP_SHUTDOWN", "OP_TD", "OP_BU", "OP_RELAX",
            "OP_PR", "run_op"]
@@ -109,8 +109,6 @@ class ShardContext:
         n_edges = max(out_col_idx.size,
                       in_col_idx.size if in_col_idx is not None else 0)
         self.scratch = KernelScratch(self.n, n_edges)
-        #: The slice's light / heavy arc masks, kept per delta.
-        self.sweeps = LocalSweeps(self.out, scratch=self.scratch)
         #: Best candidate per destination within one relax round; all
         #: ``+inf`` between rounds.
         self.best = np.full(self.n, np.inf)
@@ -153,16 +151,18 @@ def op_bu(ctx: ShardContext) -> None:
 
 
 def op_relax(ctx: ShardContext) -> None:
-    """One relaxation round over this shard's light or heavy arcs of
-    the broadcast members; per-destination minimum of the candidates
-    that beat the pre-round distance."""
+    """One relaxation round over the light or heavy part of this
+    shard's slice (split once per delta, memoized on the slice) for the
+    broadcast members; per-destination minimum of the candidates that
+    beat the pre-round distance.  The count is over the whole slice,
+    light and heavy, as the serial round prices it."""
     members = ctx.frontier[:int(ctx.ctrl_i[CTRL_FRONT_LEN])]
-    ctx.sweeps.set_delta(float(ctx.ctrl_f[CTRL_DELTA]))
-    dsts, cand, examined = push_candidates(
-        ctx.out, ctx.out.weights, members, ctx.vec, ctx.vec, ctx.scratch,
-        keep=ctx.sweeps.keep[int(ctx.ctrl_i[CTRL_MODE])])
+    part = ctx.out.weight_split(float(ctx.ctrl_f[CTRL_DELTA]))[
+        int(ctx.ctrl_i[CTRL_MODE])]
+    dsts, cand, _ = push_candidates(part, part.weights, members, ctx.vec,
+                                    ctx.vec, ctx.scratch)
     ids = segment_min_scatter(ctx.best, dsts, cand, ctx.scratch)
-    ctx.emit(ids, ctx.best[ids], examined)
+    ctx.emit(ids, ctx.best[ids], out_arc_count(ctx.out.row_ptr, members))
     ctx.best[ids] = np.inf
 
 

@@ -27,6 +27,13 @@ class GapGraph:
     def n_arcs(self) -> int:
         return self.out.n_edges
 
+    @property
+    def in_arcs(self) -> CSRGraph:
+        """The CSR a pull reads: ``inn``, or on undirected input ``out``
+        itself -- symmetrized, so each row holds the same sorted
+        neighbours and (neighbour, weight) multiset either way."""
+        return self.inn if self.directed else self.out
+
     def out_degree(self) -> np.ndarray:
         return self.out.out_degrees()
 

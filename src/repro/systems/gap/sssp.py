@@ -7,11 +7,19 @@ the bucket drains.  The paper lists delta among the tunables EPG* leaves
 at defaults (Sec. V); for the uniform (0,1] weights of the homogenized
 datasets we default to 0.25.
 
-One relaxation round gathers every out-edge of the current bucket and
-takes the per-destination minimum; the count of those gathered edges is
-exactly the work the cost model prices.  The rounds go through a
-:class:`~repro.graph.sweeps.SweepExecutor` (in-process by default, the
-shard engine when sharded); the bucket logic below is the only copy.
+Light and heavy edges are two relaxation sets, as the GAP Benchmark
+Suite defines them, and are stored that way: each CSR is split once per
+``(graph, delta)`` into a light and a heavy CSR
+(:meth:`~repro.graph.csr.CSRGraph.weight_split`, memoized on the graph),
+and a relaxation round is one :func:`~repro.graph.frontier.relax_round`
+over the part -- a push along its out-arcs on sparse rounds, a pull
+over its in-arcs on dense ones (the part of ``inn``, or the out-part
+itself on undirected input).  No round reads an arc of the other set.
+Each round is still priced on every out-arc of its members, light and
+heavy, so the profile is the one the gather-everything kernel priced.
+The rounds go through a :class:`~repro.graph.sweeps.SweepExecutor`
+(in-process by default, the shard engine when sharded); the bucket
+logic below is the only copy.
 
 Bucket membership is tracked lazily (the shared
 :class:`~repro.graph.frontier.BucketQueue`): vertices are pushed onto
@@ -43,6 +51,14 @@ __all__ = ["delta_stepping", "DEFAULT_DELTA"]
 
 DEFAULT_DELTA = 0.25
 
+#: Bucket keys are clamped here, as floats, before the int64 cast: past
+#: 2**63 the cast wraps.  The headroom keeps ``current + 1`` exact.
+_MAX_BUCKET = float(2 ** 62)
+
+
+def _buckets(dist: np.ndarray, delta: float) -> np.ndarray:
+    return np.minimum(dist / delta, _MAX_BUCKET).astype(np.int64)
+
 
 def delta_stepping(graph: GapGraph, root: int,
                    delta: float = DEFAULT_DELTA,
@@ -52,12 +68,13 @@ def delta_stepping(graph: GapGraph, root: int,
     out = graph.out
     if out.weights is None:
         raise SystemCapabilityError("GAP SSSP needs a weighted graph")
-    if delta <= 0:
-        raise SystemCapabilityError("delta must be positive")
+    if not delta > 0:  # NaN included
+        raise SystemCapabilityError(f"delta must be positive, got {delta}")
     check_sssp_weights(out.weights)
     n = graph.n
     if sweeps is None:
-        sweeps = LocalSweeps(out, None, scratch_for(graph, n, out.n_edges))
+        sweeps = LocalSweeps(out, graph.in_arcs,
+                             scratch_for(graph, n, out.n_edges))
     dist = sweeps.begin_sssp(root, delta)
     profile = WorkProfile()
     max_deg = float(out.out_degrees().max()) if n else 0.0
@@ -87,13 +104,13 @@ def delta_stepping(graph: GapGraph, root: int,
             settled_this_bucket.append(members)
             bucket[members] = -2  # settled (tentatively)
             if improved.size:
-                new_bucket = np.minimum(
-                    (dist[improved] / delta).astype(np.int64),
-                    np.iinfo(np.int64).max)
+                # Non-negative weights keep new_bucket >= current up to
+                # the clamp, and the maximum past it, so everything not
+                # staying belongs to a later bucket.
+                new_bucket = np.maximum(_buckets(dist[improved], delta),
+                                        current)
                 stay = new_bucket == current
                 bucket[improved] = new_bucket
-                # Non-negative weights guarantee new_bucket >= current,
-                # so everything not staying belongs to a later bucket.
                 ahead = ~stay
                 if ahead.any():
                     queue.push(improved[ahead], new_bucket[ahead])
@@ -109,9 +126,8 @@ def delta_stepping(graph: GapGraph, root: int,
         profile.add_round(units=examined + settled.size,
                           memory_bytes=20.0 * examined, skew=skew)
         if improved.size:
-            nb = (dist[improved] / delta).astype(np.int64)
             # Never reopen below the current bucket (weights >= 0).
-            nb = np.maximum(nb, current + 1)
+            nb = np.maximum(_buckets(dist[improved], delta), current + 1)
             bucket[improved] = nb
             queue.push(improved, nb)
 

@@ -114,7 +114,7 @@ class GapSystem(GraphSystem):
             from repro.shard.drivers import shard_dobfs
 
             engine = self._shard_engine(loaded, loaded.data.out,
-                                        loaded.data.inn)
+                                        loaded.data.in_arcs)
             parent, level, profile, stats = shard_dobfs(
                 loaded.data, root, engine, alpha=alpha, beta=beta)
             self._note_shard_exchange("bfs", engine)
@@ -130,7 +130,7 @@ class GapSystem(GraphSystem):
             from repro.shard.drivers import shard_delta_stepping
 
             engine = self._shard_engine(loaded, loaded.data.out,
-                                        loaded.data.inn)
+                                        loaded.data.in_arcs)
             dist, profile, stats = shard_delta_stepping(
                 loaded.data, root, engine, delta=delta)
             self._note_shard_exchange("sssp", engine)

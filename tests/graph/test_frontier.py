@@ -63,14 +63,11 @@ def ref_claim(nbrs, srcs, visited, parent):
     return new_v
 
 
-def ref_push(csr, lengths, members, values, dist, keep):
+def ref_push(csr, lengths, members, values, dist):
     """The relaxation kernels' expansion as it stood before
     ``push_candidates``: slot vector, three gathers per arc, filter."""
     slots, counts = ref_gather(csr.row_ptr, members)
     srcs = np.repeat(members, counts)
-    if keep is not None:
-        kept = keep[slots]
-        slots, srcs = slots[kept], srcs[kept]
     dsts = csr.col_idx[slots]
     cand = values[srcs]
     if lengths is not None:
@@ -242,8 +239,8 @@ def test_claim_mask_path_dense_graph():
 @st.composite
 def push_cases(draw):
     """A CSR (zero-weight arcs, parallel arcs, self-loops), sorted
-    members (some without out-arcs), per-vertex values and distances
-    with ``inf`` entries, and a per-arc mask."""
+    members (some without out-arcs), and per-vertex values and
+    distances with ``inf`` entries."""
     weighted = draw(st.booleans())
     csr, members = draw(graph_and_frontier(weighted=weighted))
     n, m = csr.n_vertices, csr.n_edges
@@ -258,33 +255,29 @@ def push_cases(draw):
         values = dist
     else:
         values = np.array(draw(st.lists(maybe_inf, min_size=n, max_size=n)))
-    keep = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)),
-                    dtype=bool)
-    return csr, lengths, members, values, dist, keep
+    return csr, lengths, members, values, dist
 
 
-@given(push_cases(), st.booleans())
+@given(push_cases())
 @settings(max_examples=200, deadline=None)
-def test_push_candidates_sides_match_reference(case, use_keep):
-    csr, lengths, members, values, dist, keep = case
-    keep = keep if use_keep else None
+def test_push_candidates_sides_match_reference(case):
+    csr, lengths, members, values, dist = case
     n = csr.n_vertices
     scratch = KernelScratch(n, csr.n_edges)
     _, want_d, want_c, want_examined = ref_push(
-        csr, lengths, members, values, dist, keep)
+        csr, lengths, members, values, dist)
 
     for side in ("sparse", "dense", None):
         before = dist.copy()
         if side is None:
             dsts, cand, examined = push_candidates(
-                csr, lengths, members, values, dist, scratch, keep=keep)
+                csr, lengths, members, values, dist, scratch)
             assert examined == want_examined
         elif side == "sparse":
             dsts, cand = _push_sparse(csr, lengths, members, values, dist,
-                                      scratch, keep)
+                                      scratch)
         else:
-            dsts, cand = _push_dense(csr, lengths, members, values, dist,
-                                     keep)
+            dsts, cand = _push_dense(csr, lengths, members, values, dist)
         assert dsts.dtype == np.int64 and cand.dtype == np.float64
         assert np.array_equal(dsts, want_d)
         assert cand.tobytes() == want_c.tobytes()
@@ -321,8 +314,8 @@ def test_push_candidates_empty_members_and_empty_graph():
     scratch = KernelScratch(2, 2)
     dist = np.zeros(2)
     for dsts, cand in (
-            _push_sparse(csr, None, none, dist, dist, scratch, None),
-            _push_dense(csr, None, none, dist, dist, None)):
+            _push_sparse(csr, None, none, dist, dist, scratch),
+            _push_dense(csr, None, none, dist, dist)):
         assert dsts.size == 0 and cand.size == 0
     empty = CSRGraph.from_arrays(none, none, 3)
     dsts, cand, examined = push_candidates(

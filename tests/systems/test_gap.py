@@ -75,6 +75,33 @@ class TestDeltaStepping:
         with pytest.raises(SystemCapabilityError):
             delta_stepping(gap_graph, 0, delta=0.0)
 
+    def test_rejects_nan_delta(self, gap_graph):
+        """NaN slips past ``delta <= 0`` and would bucket every vertex
+        by a NaN cast to int64; it is refused like zero."""
+        from repro.errors import SystemCapabilityError
+
+        with pytest.raises(SystemCapabilityError, match="delta"):
+            delta_stepping(gap_graph, 0, delta=float("nan"))
+
+    def test_tiny_delta_clamps_bucket_keys_before_the_cast(self):
+        """At delta = 1e-300 ``dist / delta`` is far past int64: the key
+        is clamped as a float, so no cast overflows (which warns and
+        wraps keys negative) and the distances are Dijkstra's."""
+        import warnings
+
+        from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
+        from repro.graph.csr import CSRGraph
+
+        el = generate_kronecker(KroneckerSpec(scale=8, weighted=True))
+        g, _ = build_gap_graph(el, directed=False)
+        csr = CSRGraph.from_edge_list(el, symmetrize=True)
+        for root in np.argsort(csr.out_degrees())[-3:]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, _, stats = delta_stepping(g, int(root), delta=1e-300)
+            assert stats["delta"] == 1e-300
+            assert got.tobytes() == sssp_dijkstra(csr, int(root)).tobytes()
+
     def test_unweighted_graph_rejected(self, kron10):
         from repro.errors import SystemCapabilityError
 

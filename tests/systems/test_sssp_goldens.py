@@ -25,6 +25,11 @@ partition counts) were added at commit 8765a1f, the last one with
 PowerGraph's own partitioner module, vertex-cut arrays and
 ``VertexProgram`` objects.
 
+GAP's delta-stepping at two more bucket widths, and at the default one
+on two shards under every partition strategy, were added at commit
+703aad4, the last one whose relaxation rounds gathered every out-arc of
+a bucket and dropped the light or heavy ones through a per-arc mask.
+
 Beside the two generated datasets (undirected ``kron10``, directed
 ``patents_small``) sit two hand-built multigraphs for the corners a
 generated graph may not reach: parallel arcs of different weights, a
@@ -44,6 +49,8 @@ from repro.algorithms.bfs import bfs_parents
 from repro.datasets.homogenize import homogenize
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
+import repro.shard.engine as engine_mod
+from repro.shard.partition import PARTITION_STRATEGIES
 from repro.systems import create_system
 
 #: 9 vertices, directed: parallel 0->1 at 0.7 and 0.2, self-loop 3->3,
@@ -95,13 +102,17 @@ def _hash_result(h, res) -> None:
     h.update(repr(sorted(res.counters.items())).encode())
 
 
-def run_digest(system: str, algorithm: str, dataset, roots) -> str:
-    """sha256 over every root's outputs, profile, time and stats."""
-    s = create_system(system)
+def run_digest(system: str, algorithm: str, dataset, roots,
+               options=None, params=None) -> str:
+    """sha256 over every root's outputs, profile, time and stats;
+    ``options`` go to the system, ``params`` to each run."""
+    s = create_system(system, **(options or {}))
     loaded = s.load(dataset)
     h = hashlib.sha256()
     for root in roots:
-        _hash_result(h, s.run(loaded, algorithm, root=int(root)))
+        _hash_result(h, s.run(loaded, algorithm, root=int(root),
+                              **(params or {})))
+    loaded.close()
     return h.hexdigest()
 
 
@@ -113,6 +124,29 @@ def test_run_pinned(graph, system, algorithm, datasets):
     dataset, roots = datasets[graph]
     assert run_digest(system, algorithm, dataset, roots) == \
         GOLDENS[f"{graph}/{system}/{algorithm}"]
+
+
+#: GAP SSSP cells beyond ``RUNS``: ``(system options, run params)``.
+GAP_SSSP_RUNS = {
+    "delta0.05": ({}, {"delta": 0.05}),
+    "delta1.0": ({}, {"delta": 1.0}),
+    **{f"shards2-{strategy}": ({"shards": 2, "shard_strategy": strategy},
+                               {})
+       for strategy in PARTITION_STRATEGIES},
+}
+
+
+@pytest.mark.parametrize("cell", sorted(GAP_SSSP_RUNS))
+@pytest.mark.parametrize(
+    "graph", ["kron10", "patents_small", "directed9", "undirected7"])
+def test_gap_sssp_pinned(graph, cell, datasets, monkeypatch):
+    # Every round crosses to the shards: left to itself the engine
+    # would serve graphs this small in the parent.
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+    dataset, roots = datasets[graph]
+    options, params = GAP_SSSP_RUNS[cell]
+    assert run_digest("gap", "sssp", dataset, roots, options, params) == \
+        GOLDENS[f"{graph}/gap-{cell}/sssp"]
 
 
 #: (engine, program) PowerGraph cells beyond ``RUNS``.
