@@ -3,8 +3,7 @@
 Runs the same PageRank workload on dota-league through both harnesses
 and shows the timing inconsistency the paper exposes: Graphalytics'
 GraphMat number silently includes reading the input file and building
-the matrix, while its GraphBIG number does not.  The Granula-style
-operation tree then recovers the hidden phase split.
+the matrix, while its GraphBIG number does not.
 
 Usage::
 
@@ -16,7 +15,6 @@ import tempfile
 from repro.datasets.homogenize import homogenize
 from repro.datasets.realworld import dota_league
 from repro.graphalytics import GraphalyticsHarness, render_table
-from repro.graphalytics.granula import standard_job_model
 from repro.systems import create_system
 
 
@@ -47,11 +45,6 @@ def main() -> None:
           f"{ratio:.1f}x faster than reported")
     print(f"  GraphBIG's cell ({gb.reported_s:.4g} s) already excludes "
           "its file read -- an apples-to-oranges table.")
-
-    print("\nGranula-style operation tree for the GraphMat cell:")
-    model = standard_job_model("GraphMat-PageRank-Job")
-    model.attach(gm)
-    print(model.report())
 
     print("\nWhat EPG* measures for the same execution "
           "(phases separated):")

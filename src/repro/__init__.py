@@ -8,7 +8,6 @@ Top-level convenience exports; see the subpackages for the full API:
 * :mod:`repro.algorithms` -- reference kernels (correctness oracles)
 * :mod:`repro.machine` / :mod:`repro.power` -- the simulated platform
 * :mod:`repro.graphalytics` -- the comparator (flaw included)
-* :mod:`repro.graphblas` -- kernel building blocks (Sec. V)
 * :mod:`repro.viz` -- SVG figure rendering
 """
 

@@ -27,7 +27,6 @@ degrade to error panels), and **no path from URLs to the filesystem**
 from __future__ import annotations
 
 import json
-import signal
 import threading
 import time
 import urllib.parse
@@ -40,7 +39,8 @@ from repro.dashboard.follower import EventFollower
 from repro.dashboard.runs import RunInfo, discover_runs
 from repro.dashboard.service_poll import ServicePoller
 from repro.errors import DashboardError
-from repro.httputil import FrontEndServer, write_response
+from repro.httputil import (FrontEndServer, bind, serve_until_stopped,
+                            write_response)
 from repro.logging_util import get_logger
 from repro.observability.timeline import render_svg, span_tree
 
@@ -171,6 +171,7 @@ class DashboardServer:
             config.serve_url, history=config.history
         ) if config.serve_url else None
         self._server: FrontEndServer | None = None
+        self._stop = threading.Event()
 
     # ------------------------------------------------------------------
     # State (all reads under the lock: ThreadingHTTPServer handles
@@ -263,18 +264,13 @@ class DashboardServer:
         return render_svg(events, max_depth=depth)
 
     # ------------------------------------------------------------------
-    # Lifecycle (mirrors QueryDaemon.serve_forever)
+    # Lifecycle
     # ------------------------------------------------------------------
     def serve_forever(self, *, install_signal_handlers: bool = True,
                       ready_event: threading.Event | None = None
                       ) -> int:
-        try:
-            self._server = FrontEndServer(
-                (self.config.host, self.config.port), _Handler)
-        except OSError as exc:
-            raise DashboardError(
-                f"cannot bind {self.config.host}:{self.config.port}: "
-                f"{exc}") from exc
+        self._server = bind(self.config.host, self.config.port, _Handler,
+                            DashboardError)
         self._server.dash = self            # type: ignore[attr-defined]
         self.port = self._server.server_address[1]
         self._log.info("dashboard on http://%s:%d/ (watching %s%s)",
@@ -282,24 +278,13 @@ class DashboardServer:
                        self.config.root or "-",
                        f", daemon {self.config.serve_url}"
                        if self.config.serve_url else "")
-        if install_signal_handlers:
-            def _stop(signum, frame):
-                self._log.info("signal %d: shutting down", signum)
-                threading.Thread(target=self.shutdown,
-                                 daemon=True).start()
-            signal.signal(signal.SIGTERM, _stop)
-            signal.signal(signal.SIGINT, _stop)
-        if ready_event is not None:
-            ready_event.set()
-        try:
-            self._server.serve_forever(poll_interval=0.1)
-        finally:
-            self._server.server_close()
-        return 0
+        return serve_until_stopped(
+            self._server, self._stop,
+            install_signal_handlers=install_signal_handlers,
+            ready_event=ready_event)
 
     def shutdown(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
+        self._stop.set()
 
 
 #: Every page and payload is a live view; nothing may be cached.

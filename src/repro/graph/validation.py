@@ -17,7 +17,6 @@ from repro.graph.csr import CSRGraph
 
 __all__ = [
     "validate_bfs_parents",
-    "validate_bfs_levels",
     "validate_sssp_distances",
     "validate_pagerank",
 ]
@@ -130,12 +129,6 @@ def validate_bfs_parents(graph: CSRGraph, root: int,
                     "graph edge spans more than one BFS level")
 
     return level
-
-
-def validate_bfs_levels(level: np.ndarray, reference_level: np.ndarray) -> None:
-    """BFS levels are unique given the graph; compare to a reference."""
-    if not np.array_equal(np.asarray(level), np.asarray(reference_level)):
-        raise ValidationError("BFS levels differ from the reference BFS")
 
 
 def validate_sssp_distances(dist: np.ndarray, reference: np.ndarray,

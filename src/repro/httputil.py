@@ -1,5 +1,5 @@
 """What the two stdlib HTTP front ends (``epg serve``, ``epg dash``)
-share: the listening server and the response writer.
+share: the listening server, its lifecycle and the response writer.
 
 Both are :mod:`http.server` defaults that cost a request far more than
 the work it asked for, found by attributing ``epg serve`` latency layer
@@ -17,9 +17,15 @@ by layer (``bench/README.md``):
 from __future__ import annotations
 
 import io
+import signal
+import threading
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-__all__ = ["FrontEndServer", "write_response"]
+from repro.logging_util import get_logger
+
+__all__ = ["FrontEndServer", "bind", "serve_until_stopped",
+           "write_response"]
 
 
 class FrontEndServer(ThreadingHTTPServer):
@@ -27,6 +33,53 @@ class FrontEndServer(ThreadingHTTPServer):
 
     request_queue_size = 128
     daemon_threads = True
+
+
+def bind(host: str, port: int, handler: type[BaseHTTPRequestHandler],
+         error: type[Exception]) -> FrontEndServer:
+    """Listen on ``host:port``; a refused bind raises *error*."""
+    try:
+        return FrontEndServer((host, port), handler)
+    except OSError as exc:
+        raise error(f"cannot bind {host}:{port}: {exc}") from exc
+
+
+def serve_until_stopped(server: FrontEndServer, stop: threading.Event, *,
+                        install_signal_handlers: bool = True,
+                        ready_event: threading.Event | None = None,
+                        on_stop: Callable[[], None] | None = None) -> int:
+    """Serve on a background thread until *stop* is set; return 0.
+
+    SIGTERM and SIGINT set *stop*.  *on_stop* runs while the server
+    still answers (the daemon drains there), then the server is shut
+    down and its socket closed.
+    """
+    if install_signal_handlers:
+        log = get_logger("repro.httputil")
+
+        def _on_signal(signum, frame):
+            log.info("signal %d: shutting down", signum)
+            # Set from another thread: the handler runs on the main
+            # thread, which may hold the event's lock inside wait().
+            threading.Thread(target=stop.set, daemon=True).start()
+
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(sig, _on_signal)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.1},
+                              name="epg-http", daemon=True)
+    thread.start()
+    if ready_event is not None:
+        ready_event.set()
+    try:
+        stop.wait()
+    finally:
+        if on_stop is not None:
+            on_stop()
+        server.shutdown()
+        thread.join(timeout=5.0)
+        server.server_close()
+    return 0
 
 
 def write_response(handler: BaseHTTPRequestHandler, status: int,

@@ -68,11 +68,6 @@ class ShardSimResult:
     transfer_s: float
     n_shards: int
 
-    @property
-    def comm_fraction(self) -> float:
-        """Share of the total spent exchanging rather than computing."""
-        return self.comm_s / self.time_s if self.time_s > 0 else 0.0
-
 
 def simulate_sharded(profile: WorkProfile, costs: CostParams,
                      n_shards: int, comm: CommProfile,

@@ -22,7 +22,6 @@ admitting, finish in-flight queries, persist ``served.json``, exit 0.
 from __future__ import annotations
 
 import json
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,7 +29,8 @@ from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 from repro.errors import ReproError, ServiceError
-from repro.httputil import FrontEndServer, write_response
+from repro.httputil import (FrontEndServer, bind, serve_until_stopped,
+                            write_response)
 from repro.logging_util import get_logger
 from repro.observability import Tracer
 from repro.resilience.faults import FaultInjector
@@ -383,39 +383,14 @@ class QueryDaemon:
                       ) -> int:
         """Start, serve until SIGTERM/SIGINT, drain, return 0."""
         self.start()
-        try:
-            self._server = FrontEndServer(
-                (self.config.host, self.config.port),
-                _make_handler(self))
-        except OSError as exc:
-            raise ServiceError(
-                f"cannot bind {self.config.host}:{self.config.port}: "
-                f"{exc}") from exc
-        if install_signal_handlers:
-            def _on_signal(signum, frame):
-                self.request_shutdown()
-
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                signal.signal(sig, _on_signal)
-        server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="epg-serve-http", daemon=True)
-        server_thread.start()
+        self._server = bind(self.config.host, self.config.port,
+                            _make_handler(self), ServiceError)
         self._log.info("listening on %s:%d", self.config.host,
                        self.config.port)
-        if ready_event is not None:
-            ready_event.set()
-        try:
-            while not self._shutdown.wait(0.2):
-                pass
-        finally:
-            self.draining = True  # refuse new queries immediately
-            self.drain()
-            self._server.shutdown()
-            server_thread.join(timeout=5.0)
-            self._server.server_close()
-        return 0
+        return serve_until_stopped(
+            self._server, self._shutdown,
+            install_signal_handlers=install_signal_handlers,
+            ready_event=ready_event, on_stop=self.drain)
 
 
 def _make_handler(daemon: QueryDaemon):

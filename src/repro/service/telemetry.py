@@ -68,10 +68,6 @@ class ServiceTelemetry:
         with self._lock:
             return self.tracer.metrics.to_prometheus()
 
-    def metrics_dict(self) -> dict:
-        with self._lock:
-            return self.tracer.metrics.to_dict()
-
     def counter_total(self, name: str) -> float:
         with self._lock:
             metric = self.tracer.metrics.get(name)

@@ -37,9 +37,6 @@ class GapGraph:
     def out_degree(self) -> np.ndarray:
         return self.out.out_degrees()
 
-    def in_degree(self) -> np.ndarray:
-        return self.inn.out_degrees()
-
     def nbytes(self) -> int:
         """Resident footprint: both CSR directions + degree caches."""
         return (self.out.nbytes() + self.inn.nbytes()

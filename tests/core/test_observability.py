@@ -16,7 +16,6 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.core.suite import run_paper_suite
 from repro.errors import TraceError
-from repro.graphalytics.granula import PerformanceModel
 from repro.observability import (
     EVENTS_NAME,
     MetricsRegistry,
@@ -64,7 +63,7 @@ def test_no_import_cycle_from_systems_side():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", "import repro.graphalytics.granula"],
+        [sys.executable, "-c", "import repro.graphalytics"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
@@ -446,29 +445,6 @@ class TestInstrumentation:
         t.close()
         (ev,) = span_events(read_events(tmp_path))
         assert ev["name"] == "homogenize" and ev["cat"] == "pipeline"
-
-
-# ----------------------------------------------------------------------
-# Granula auto-population
-# ----------------------------------------------------------------------
-class TestGranulaFromTrace:
-    def test_standard_model_fully_populated(self, tmp_path):
-        _, events = _run_traced(tmp_path)
-        model = PerformanceModel.from_trace(events, "gap", "bfs")
-        load = model.root.child("LoadGraph")
-        assert load.child("ReadFile").duration_s > 0
-        assert load.child("BuildStructure").duration_s > 0
-        kernel = model.root.child("ProcessGraph").child(
-            "ExecuteAlgorithm")
-        assert kernel.duration_s > 0
-        # Every node measured: the render shows no '?' placeholders.
-        assert "?" not in model.report()
-        assert model.root.total_s() > 0
-
-    def test_unknown_cell_raises(self, tmp_path):
-        _, events = _run_traced(tmp_path)
-        with pytest.raises(TraceError):
-            PerformanceModel.from_trace(events, "powergraph", "bfs")
 
 
 # ----------------------------------------------------------------------
