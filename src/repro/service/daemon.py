@@ -162,8 +162,8 @@ class QueryDaemon:
 
     def drain(self) -> None:
         """Graceful shutdown: refuse new work, finish what's admitted,
-        persist the manifest.  One-shot: ``draining`` may already be
-        set by the caller to slam the admission door early."""
+        persist the manifest.  One-shot; sets ``draining`` first so
+        new queries are refused immediately."""
         with self._drain_lock:
             if self._drained:
                 return
