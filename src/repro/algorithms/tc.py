@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import resolve_batch_rows
+from repro.graph.simple import simple_patterns
 
 __all__ = ["triangle_count"]
 
@@ -27,17 +28,7 @@ def triangle_count(graph: CSRGraph, batch_rows: int | None = None) -> int:
     """
     n = graph.n_vertices
     batch_rows = resolve_batch_rows(batch_rows, n)
-    src = graph.source_ids()
-    dst = graph.col_idx
-    keep = src != dst
-    und = sp.csr_matrix(
-        (np.ones(int(keep.sum()), dtype=np.int64),
-         (src[keep], dst[keep])), shape=(n, n))
-    und = und + und.T
-    und.data[:] = 1
-    und.sum_duplicates()
-    und.data[:] = 1
-    und = und.tocsr()
+    und = simple_patterns(graph.source_ids(), graph.col_idx, n)[1]
 
     # Degree-based total order: orient u -> v iff (deg, id) of u is
     # less than v's; every triangle has exactly one cyclic orientation

@@ -8,8 +8,8 @@ and each system stores its own representation -- so cross-system exact
 agreement (the differential-matrix contract) requires every
 implementation to reduce to the identical view first.  This module is
 that reduction, and :func:`simple_patterns` is the scipy
-canonicalization under it that the LCC body multiplies, packaged once
-so five systems cannot drift.
+canonicalization under it that the LCC body and triangle counting
+multiply, packaged once so five systems cannot drift.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ class SimpleView:
         slots = (np.repeat(starts - offsets, counts)
                  + np.arange(total, dtype=np.int64))
         return self.indices[slots]
-
-    def to_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) of every stored slot (both directions present)."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        return src, self.indices
 
 
 def simple_patterns(src: np.ndarray, dst: np.ndarray, n: int
