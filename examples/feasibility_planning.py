@@ -13,7 +13,7 @@ Usage::
 
 import sys
 
-from repro.core.feasibility import WorkloadSize, check_feasibility
+from repro.core.projection import WorkloadSize, check_feasibility
 from repro.machine.spec import MachineSpec, haswell_server
 from repro.systems import calibration
 

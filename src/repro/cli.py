@@ -17,6 +17,7 @@ comparator tables.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -41,11 +42,16 @@ from repro.errors import (
 )
 from repro.systems.registry import ALL_SYSTEM_NAMES, available_systems
 
-__all__ = ["main", "build_parser", "EXIT_CODES", "EXIT_INTERRUPTED"]
+__all__ = ["main", "build_parser", "EXIT_CODES", "EXIT_INTERRUPTED",
+           "EXIT_BROKEN_PIPE"]
 
 #: Exit code for an interrupted run (SIGINT *or* SIGTERM): the shell
 #: convention 128+SIGINT, documented as "resume with ``epg resume``".
 EXIT_INTERRUPTED = 130
+
+#: Exit code when the reader of stdout goes away (``epg ... | head``):
+#: the shell convention 128+SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 #: Commands whose interruption leaves a resumable checkpoint behind.
 _RESUMABLE_COMMANDS = frozenset({"reproduce", "resume", "run", "all",
@@ -465,7 +471,9 @@ def main(argv: list[str] | None = None) -> int:
     traceback; a suite that completes with quarantined cells exits 0
     with a degraded-completion warning.  SIGINT and SIGTERM both exit
     :data:`EXIT_INTERRUPTED` after the checkpoint has recorded every
-    completed cell, so the run can continue with ``epg resume``.
+    completed cell, so the run can continue with ``epg resume``.  A
+    reader that closes stdout early ends the command quietly with
+    :data:`EXIT_BROKEN_PIPE`.
     """
     args = build_parser().parse_args(argv)
 
@@ -479,7 +487,14 @@ def main(argv: list[str] | None = None) -> int:
         _install_termination_handler()
 
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit flush of
+        # what is still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except KeyboardInterrupt:
         output = getattr(args, "output", None)
         hint = (f"; checkpoint saved, continue with `epg resume {output}`"
@@ -545,7 +560,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "feasibility":
-        from repro.core.feasibility import WorkloadSize, check_feasibility
+        from repro.core.projection import WorkloadSize, check_feasibility
         from repro.systems import calibration
 
         size = WorkloadSize.kronecker(args.scale)

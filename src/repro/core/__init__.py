@@ -12,8 +12,12 @@ from repro.core.analysis import Analysis, BoxStats, EfficiencyTable, summarize
 from repro.core.api import run_comparison
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
-from repro.core.feasibility import WorkloadSize, check_feasibility
-from repro.core.projection import projected_scalability, projected_time
+from repro.core.projection import (
+    WorkloadSize,
+    check_feasibility,
+    project,
+    projected_scalability,
+)
 from repro.core.stats import compare_systems
 from repro.core.suite import run_paper_suite
 
@@ -28,7 +32,7 @@ __all__ = [
     "EfficiencyTable",
     "WorkloadSize",
     "check_feasibility",
-    "projected_time",
+    "project",
     "projected_scalability",
     "compare_systems",
 ]

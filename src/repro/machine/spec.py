@@ -28,9 +28,6 @@ class MachineSpec:
     #: Bandwidth one thread can draw by itself (GB/s).
     mem_bw_per_thread_gbs: float = 9.0
     ram_gb: int = 256
-    #: Sequential file-read throughput (MB/s) of the storage the datasets
-    #: live on; drives simulated file-read phases.
-    file_read_mbs: float = 450.0
     #: Idle ("sleep(10)") package power in watts.  Derived from Table III:
     #: sleeping-energy / time is 24.74 W for every system row.
     idle_pkg_watts: float = 24.74
@@ -61,11 +58,6 @@ class MachineSpec:
             raise ConfigError("n_threads must be >= 1")
         return min(self.mem_bw_gbs, n_threads * self.mem_bw_per_thread_gbs)
 
-    def file_read_seconds(self, n_bytes: int | float) -> float:
-        """Time to stream ``n_bytes`` from storage (text parsing included
-        in per-format rate adjustments done by callers)."""
-        return float(n_bytes) / (self.file_read_mbs * 1e6)
-
 
 def haswell_server() -> MachineSpec:
     """The paper's 72-thread research server (Sec. III-F)."""
@@ -91,7 +83,6 @@ def laptop() -> MachineSpec:
         mem_bw_gbs=30.0,
         mem_bw_per_thread_gbs=12.0,
         ram_gb=16,
-        file_read_mbs=1800.0,   # NVMe
         idle_pkg_watts=4.5,
         idle_dram_watts=1.2,
         max_pkg_watts=28.0,

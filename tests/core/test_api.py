@@ -5,8 +5,9 @@ import pytest
 from repro.core import run_comparison
 from repro.core.projection import (
     PAPER_SCALING_SCALE,
+    WorkloadSize,
+    project,
     projected_scalability,
-    projected_time,
 )
 from repro.errors import ConfigError
 
@@ -34,18 +35,35 @@ class TestProjection:
 
     def test_projected_time_matches_anchor_at_scale22(self):
         """Projection at scale 22 / 32 threads must land on Table III."""
-        got = projected_time("gap", "bfs", 22, 32)
+        got = project("gap", "bfs", WorkloadSize.kronecker(22), 32)
         # anchor + startup
         assert got == pytest.approx(0.01636 + 2e-5, rel=0.03)
 
     def test_projection_doubles_with_scale(self):
-        t22 = projected_time("graphmat", "bfs", 22, 32)
-        t23 = projected_time("graphmat", "bfs", 23, 32)
+        t22 = project("graphmat", "bfs", WorkloadSize.kronecker(22), 32)
+        t23 = project("graphmat", "bfs", WorkloadSize.kronecker(23), 32)
         assert t23 == pytest.approx(2 * t22, rel=0.02)
 
     def test_unknown_anchor(self):
         with pytest.raises(ConfigError):
-            projected_time("graph500", "pagerank", 22, 32)
+            project("graph500", "pagerank", WorkloadSize.kronecker(22), 32)
+
+    def test_graphbig_pagerank_at_scale22(self):
+        """docs/calibration.md quotes GraphBIG PageRank at ~47 s: one
+        run is 100 sweeps of the 0.47 s per-sweep anchor."""
+        got = project("graphbig", "pagerank", WorkloadSize.kronecker(22),
+                      32)
+        assert got == pytest.approx(47.0, rel=0.02)
+
+    @pytest.mark.parametrize("system", ["gap", "graphbig", "graphmat",
+                                        "powergraph"])
+    def test_scalability_prices_pagerank_over_100_sweeps(self, system):
+        from repro.systems import calibration
+
+        sweep = calibration._ANCHORS[system]["pagerank"].time_32t_s
+        tab = projected_scalability(system, "pagerank", scale=22,
+                                    thread_counts=(32,))
+        assert tab.mean_times[0] == pytest.approx(100 * sweep, rel=0.05)
 
     def test_scalability_table_shape(self):
         tab = projected_scalability("gap", thread_counts=(1, 2, 32))

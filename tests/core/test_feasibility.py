@@ -1,13 +1,14 @@
-"""Tests for the feasibility predictor (paper Sec. V)."""
+"""Tests for the feasibility predictor (paper Sec. V) in
+``repro.core.projection``."""
 
 import pytest
 
-from repro.core.feasibility import (
+from repro.core.projection import (
     FeasibilityVerdict,
     WorkloadSize,
     check_feasibility,
     estimate_memory_bytes,
-    estimate_runtime_s,
+    project,
 )
 from repro.errors import ConfigError
 from repro.machine.spec import MachineSpec, haswell_server
@@ -57,25 +58,24 @@ class TestMemory:
 class TestRuntime:
     def test_bfs_projection_matches_anchor(self):
         size = WorkloadSize.kronecker(22)
-        t = estimate_runtime_s("gap", "bfs", size, n_threads=32)
+        t = project("gap", "bfs", size, n_threads=32)
         assert t == pytest.approx(0.01636, rel=0.1)
 
     def test_lcc_dominates(self):
         """LCC projects as the slowest kernel (the Tables I-II shape)."""
         size = WorkloadSize.kronecker(18)
-        lcc = estimate_runtime_s("graphbig", "lcc", size)
+        lcc = project("graphbig", "lcc", size)
         for other in ("bfs", "sssp", "pagerank", "wcc", "cdlp"):
-            assert lcc > estimate_runtime_s("graphbig", other, size)
+            assert lcc > project("graphbig", other, size)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
-            estimate_runtime_s("graph500", "lcc",
-                               WorkloadSize.kronecker(10))
+            project("graph500", "lcc", WorkloadSize.kronecker(10))
 
     def test_threads_reduce_runtime(self):
         size = WorkloadSize.kronecker(20)
-        t1 = estimate_runtime_s("gap", "pagerank", size, n_threads=1)
-        t32 = estimate_runtime_s("gap", "pagerank", size, n_threads=32)
+        t1 = project("gap", "pagerank", size, n_threads=1)
+        t32 = project("gap", "pagerank", size, n_threads=32)
         assert t32 < t1
 
 

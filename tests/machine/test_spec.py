@@ -39,11 +39,6 @@ def test_bandwidth_rejects_zero_threads():
         haswell_server().bandwidth_gbs(0)
 
 
-def test_file_read_seconds():
-    m = haswell_server()
-    assert m.file_read_seconds(450e6) == pytest.approx(1.0)
-
-
 def test_invalid_spec():
     with pytest.raises(ConfigError):
         MachineSpec(sockets=0)

@@ -3,16 +3,27 @@ footprint formulas vs. the *actual* built structures.
 
 If `estimate_memory_bytes` drifts from what the systems really
 allocate, the "will it fit in RAM?" verdicts become fiction; this
-module pins the two together at bench scale (within 2x -- the model
-rounds auxiliary arrays, the structures carry Python overhead we
-ignore), and checks the orderings feasibility decisions rely on.
+module pins the two together within 2 % on kron10 at edge factors 16
+and 4 (two densities pin both the per-arc and the per-vertex
+coefficient), and checks the orderings feasibility decisions rely on.
 """
 
 import pytest
 
-from repro.core.feasibility import WorkloadSize, estimate_memory_bytes
+from repro.core.projection import WorkloadSize, estimate_memory_bytes
 from repro.systems import create_system
 from repro.systems.registry import ALL_SYSTEM_NAMES
+
+
+@pytest.fixture(scope="module")
+def kron10_ef4_dataset(tmp_path_factory):
+    from repro.datasets.homogenize import homogenize
+    from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
+
+    return homogenize(
+        generate_kronecker(KroneckerSpec(scale=10, edge_factor=4,
+                                         weighted=True)),
+        tmp_path_factory.mktemp("kron10-ef4"))
 
 
 @pytest.fixture(scope="module")
@@ -24,19 +35,22 @@ def loaded_all(kron10_dataset):
     return out
 
 
-@pytest.fixture(scope="module")
-def size(kron10_dataset):
+def _size(dataset) -> WorkloadSize:
     # The systems symmetrize the undirected tuple list: arcs = 2m.
-    return WorkloadSize(n_vertices=kron10_dataset.n_vertices,
-                        n_arcs=2 * kron10_dataset.n_edges)
+    return WorkloadSize(n_vertices=dataset.n_vertices,
+                        n_arcs=2 * dataset.n_edges)
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEM_NAMES)
-def test_estimate_within_2x_of_actual(name, loaded_all, size):
-    actual = loaded_all[name].data.nbytes()
-    estimate = estimate_memory_bytes(name, size)
-    assert estimate / actual < 2.0, (name, estimate, actual)
-    assert actual / estimate < 2.0, (name, estimate, actual)
+def test_estimate_within_2x_of_actual(name, loaded_all, kron10_dataset,
+                                      kron10_ef4_dataset):
+    sparse = create_system(name).load(kron10_ef4_dataset)
+    for loaded, dataset in ((loaded_all[name], kron10_dataset),
+                            (sparse, kron10_ef4_dataset)):
+        actual = loaded.data.nbytes()
+        estimate = estimate_memory_bytes(name, _size(dataset))
+        assert estimate == pytest.approx(actual, rel=0.02), (
+            name, dataset.n_edges, estimate, actual)
 
 
 def test_actual_footprint_ordering(loaded_all):

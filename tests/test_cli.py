@@ -1,10 +1,15 @@
 """Tests for the five-command CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
 
 
 def test_systems_command(capsys):
@@ -72,6 +77,24 @@ def test_feasibility_command(capsys):
     assert "kron-scale22" in out
     assert "NO (time)" in out      # LCC blows a 100 s budget
     assert "OK" in out
+
+
+def test_closed_stdout_exits_quietly():
+    """``epg feasibility | head -1``: a reader that goes away is not an
+    error, so no traceback reaches stderr and the exit code is
+    128+SIGPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "feasibility", "--scale",
+             "22"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == EXIT_BROKEN_PIPE == 141
 
 
 def test_viz_command(tmp_path, capsys):
