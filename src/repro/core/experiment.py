@@ -142,10 +142,7 @@ class Experiment:
         cells = [(cell_id(*cell), cell) for cell in self._cells()]
         with ExitStack() as stack:
             if pool is None:
-                pool = stack.enter_context(CellPool(
-                    self.config.jobs,
-                    shard_root=(self.tracer.directory / "workers"
-                                if self.tracer.enabled else None)))
+                pool = stack.enter_context(CellPool(self.config.jobs))
             stack.enter_context(
                 phase_timer("run", self._log, tracer=self.tracer))
             stack.enter_context(pool.sweep(self.tracer, self._prewarm))

@@ -31,7 +31,6 @@ final REPORT.md is byte-identical to an uninterrupted run's.
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 
 from repro.core.analysis import Analysis
@@ -122,15 +121,14 @@ def run_paper_suite(out_dir: str | Path, scale: int = 12,
     options = {k: manifest[k] for k in _CONFIG_OPTIONS}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shard_root = out_dir / "trace" / "workers"
+    # First, so a resume onto a corrupt event log stops before any work.
+    tracer = (Tracer(out_dir / "trace", resume=resume) if trace
+              else Tracer())
     if not resume:
         for sub in _SUBDIRS:
             SuiteCheckpoint.clear(out_dir / sub)
-        shutil.rmtree(shard_root, ignore_errors=True)
     atomic_write_json(out_dir / SUITE_MANIFEST, manifest)
-    tracer = (Tracer(out_dir / "trace", resume=resume) if trace
-              else Tracer())
-    pool = CellPool(jobs, shard_root=shard_root if trace else None)
+    pool = CellPool(jobs)
     try:
         with tracer.span("suite", category="suite", scale=scale,
                          n_roots=n_roots, seed=seed):

@@ -7,12 +7,16 @@ appends more.  :class:`EventFollower` turns that moving file into a
 stable accumulated event list under three invariants:
 
 * **Never block, never crash.**  A missing file, a torn final line,
-  or a malformed line yields an empty/partial poll, not an exception.
+  or a corrupt line yields an empty/partial poll, not an exception.
+  Lines are read by the log's one reader,
+  :func:`repro.observability.tracer.parse_events`: a corrupt complete
+  line -- one that ``epg trace`` and resume would reject -- is counted
+  in ``malformed`` and skipped.
 * **Never double-count.**  The follower's offset only ever advances
-  past *newline-terminated* lines, which is exactly the prefix
-  :meth:`repro.observability.tracer.Tracer._recover` preserves when a
-  resumed run truncates a torn tail -- so resume-append extends the
-  follower's view without replaying anything.
+  past *newline-terminated* lines, which is exactly the prefix the
+  reader parses and a resumed run keeps when it truncates a torn tail
+  -- so resume-append extends the follower's view without replaying
+  anything.
 * **Detect replacement.**  A fresh (non-resume) run unlinks and
   recreates the log.  A new inode or a file shorter than the offset
   is the obvious signature, but filesystems happily reuse inodes, so
@@ -28,8 +32,9 @@ writes, so attaching a dashboard to a run cannot perturb its bytes.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+
+from repro.observability.tracer import parse_events, sim_end
 
 __all__ = ["EventFollower"]
 
@@ -45,7 +50,7 @@ class EventFollower:
       just past a newline);
     * ``resets`` -- times the file was replaced or truncated below the
       offset (each reset clears ``events``);
-    * ``malformed`` -- complete lines that failed to parse (skipped);
+    * ``malformed`` -- corrupt complete lines (skipped);
     * ``pending_partial`` -- the last poll left a torn final line in
       the file (the in-flight-append signature).
     """
@@ -69,15 +74,10 @@ class EventFollower:
 
     def sim_end(self) -> float:
         """Simulated-time high-water mark of the accumulated events."""
-        end = 0.0
-        for ev in self.events:
-            t = ev.get("t1_sim", ev.get("t_sim"))
-            if isinstance(t, (int, float)):
-                end = max(end, float(t))
-        return end
+        return sim_end(self.events)
 
     def span_count(self) -> int:
-        return sum(1 for ev in self.events if ev.get("type") == "span")
+        return sum(1 for ev in self.events if ev["type"] == "span")
 
     # ------------------------------------------------------------------
     def _reset(self) -> None:
@@ -128,33 +128,16 @@ class EventFollower:
         # last line stays in the file for the next poll (by which time
         # the writer has finished it -- or a resume truncated it away,
         # which is equally fine because we never advanced past it).
-        cut = chunk.rfind(b"\n")
-        self.pending_partial = cut != len(chunk) - 1
-        if cut < 0:
+        fresh, bad, end = parse_events(chunk)
+        self.pending_partial = end < len(chunk)
+        if end == 0:
             return []
-        complete = chunk[:cut + 1]
         if self.offset == 0:
             # Fingerprint the whole first line: the tracer's meta line
             # sorts its keys, so the run-distinguishing ``wall_unix``
             # is its *last* field -- a fixed-size prefix would miss it.
-            self._prefix = complete[:complete.index(b"\n") + 1]
-        self.offset += cut + 1
-
-        fresh: list[dict] = []
-        for raw in complete.split(b"\n"):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                ev = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                # A newline-terminated line that does not parse will
-                # never become valid; count it and move on.
-                self.malformed += 1
-                continue
-            if isinstance(ev, dict) and "type" in ev:
-                fresh.append(ev)
-            else:
-                self.malformed += 1
+            self._prefix = chunk[:chunk.index(b"\n") + 1]
+        self.offset += end
+        self.malformed += len(bad)
         self.events.extend(fresh)
         return fresh

@@ -100,24 +100,20 @@ class _RunState:
             self.history = []
             self._snap_offset = -1
         for ev in fresh:
-            kind = ev.get("type")
-            name = ev.get("name")
-            if not isinstance(name, str):
-                continue
+            kind = ev["type"]
             if kind == "counter":
                 entry = self.totals.setdefault(
-                    name, {"kind": "counter", "value": 0.0})
-                entry["value"] += float(ev.get("inc", 1.0))
+                    ev["name"], {"kind": "counter", "value": 0.0})
+                entry["value"] += ev["inc"]
             elif kind == "observe":
                 entry = self.totals.setdefault(
-                    name, {"kind": "histogram", "value": 0.0,
-                           "count": 0})
-                entry["value"] += float(ev.get("value", 0.0))
+                    ev["name"], {"kind": "histogram", "value": 0.0,
+                                 "count": 0})
+                entry["value"] += ev["value"]
                 entry["count"] += 1
             elif kind == "gauge":
-                self.totals[name] = {"kind": "gauge",
-                                     "value": float(ev.get("value",
-                                                           0.0))}
+                self.totals[ev["name"]] = {"kind": "gauge",
+                                           "value": float(ev["value"])}
 
     def sample_history(self) -> None:
         """Append a metric snapshot if the log advanced since the

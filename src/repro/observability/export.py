@@ -5,15 +5,17 @@ Everything here operates on the ``events.jsonl`` a
 needed, so a finished (or crashed) run directory is always inspectable:
 
 * :func:`read_events` / :func:`tail_events` / :func:`validate_events`
-  -- load the log (tolerating, and reporting, the truncated final
-  line an in-flight append leaves) and check it against the span
-  schema (well-formed parent nesting, monotonic simulated
-  timestamps).
+  -- load the log through the one reader,
+  :func:`~repro.observability.tracer.parse_events` (tolerating, and
+  reporting, the torn final line an in-flight append leaves; raising
+  on any corrupt line), and check what spans one line at a time
+  cannot: unique ids, parent nesting, a monotonic simulated timeline.
 * :func:`chrome_trace` / :func:`write_chrome_trace` -- the Chrome
   trace-event format (``trace.json``), loadable in Perfetto or
   chrome://tracing, on the simulated timeline.
 * :func:`derive_metrics` -- replay counter/observe/gauge events into a
-  fresh :class:`~repro.observability.metrics.MetricsRegistry`; this is
+  fresh :class:`~repro.observability.metrics.MetricsRegistry`
+  (:meth:`~repro.observability.metrics.MetricsRegistry.apply`); this is
   what ``epg metrics <dir>`` renders, and it reproduces the snapshot
   the suite wrote at completion because both sides share bucket and
   help tables.
@@ -25,16 +27,13 @@ import json
 from pathlib import Path
 
 from repro.errors import TraceError
-from repro.observability.metrics import MetricsRegistry, buckets_for
-from repro.observability.tracer import EVENTS_NAME, SCHEMA_VERSION
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracer import (EVENTS_NAME, parse_events,
+                                        sim_stamp)
 
 __all__ = ["read_events", "tail_events", "validate_events",
            "span_events", "chrome_trace", "write_chrome_trace",
            "derive_metrics", "resolve_events_path"]
-
-#: Keys every span event must carry.
-_SPAN_KEYS = ("id", "parent", "name", "cat", "t0_wall", "t1_wall",
-              "t0_sim", "t1_sim", "attrs")
 
 
 def resolve_events_path(path: str | Path) -> Path:
@@ -50,41 +49,26 @@ def resolve_events_path(path: str | Path) -> Path:
 
 def tail_events(path: str | Path, *,
                 strict: bool = False) -> tuple[list[dict], bool]:
-    """Parse every event line; return ``(events, truncated_tail)``.
+    """Read every event; return ``(events, truncated_tail)``.
 
     A final line with no trailing newline is the *normal* state of a
     log being appended mid-run (and the signature a hard-killed writer
-    leaves): by default it is dropped and reported through the second
-    return value, so an in-flight or crashed run's log stays
-    inspectable.  ``strict=True`` keeps the old behavior and raises
-    :class:`TraceError` on any torn tail.  Malformed JSON on a
-    *complete* line is always an error — a line that made it to its
-    newline can never become valid later.
+    leaves): by default it is dropped, even if it happens to parse, and
+    reported through the second return value, so an in-flight or
+    crashed run's log stays inspectable.  ``strict=True`` raises
+    :class:`TraceError` on any torn tail instead.  A corrupt *complete*
+    line is always an error -- a line that made it to its newline can
+    never become valid later.
     """
     p = resolve_events_path(path)
-    lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
-    events: list[dict] = []
-    truncated = False
-    for i, raw in enumerate(lines, start=1):
-        torn = i == len(lines) and not raw.endswith("\n")
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            ev = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if torn:
-                if strict:
-                    raise TraceError(
-                        f"{p}:{i}: truncated final line (in-flight "
-                        "append or hard-killed writer)") from exc
-                truncated = True
-                break
-            raise TraceError(f"{p}:{i}: malformed JSON: {exc}") from exc
-        if not isinstance(ev, dict) or "type" not in ev:
-            raise TraceError(f"{p}:{i}: event is not an object "
-                             "with a 'type' field")
-        events.append(ev)
+    raw = p.read_bytes()
+    events, bad, end = parse_events(raw)
+    if bad:
+        raise TraceError(f"{p}:{bad[0]}")
+    truncated = end < len(raw)
+    if truncated and strict:
+        raise TraceError(f"{p}: truncated final line (in-flight append "
+                         "or hard-killed writer)")
     if not events:
         raise TraceError(f"{p}: empty event log")
     return events, truncated
@@ -96,37 +80,30 @@ def read_events(path: str | Path, *, strict: bool = False) -> list[dict]:
 
 
 def span_events(events: list[dict]) -> list[dict]:
-    return [ev for ev in events if ev.get("type") == "span"]
+    return [ev for ev in events if ev["type"] == "span"]
 
 
 def validate_events(events: list[dict], *,
                     truncated_tail: bool = False) -> dict:
     """Check the span schema; return summary stats or raise TraceError.
 
-    Validates: schema version, per-span key completeness, unique span
-    ids, span intervals with ``t1 >= t0`` on both clocks, children
-    contained in their parent's simulated interval, and a monotonic
-    simulated timeline across the event stream as written.  Spans are
-    emitted at close, so a parent legally appears *after* its children
-    — and a hard-killed run legally loses still-open ancestors
-    entirely; such orphaned spans are counted, not rejected.  The same
-    tolerance extends to a truncated final line (the normal state of a
-    log being appended mid-run): pass the flag :func:`tail_events`
-    returned and it is *reported* in the summary, never rejected —
-    callers that want the old hard-fail behavior read with
-    ``strict=True`` instead.
+    Every event already passed the reader's per-line checks (fields,
+    types, schema version); this checks what needs more than one line
+    or the meaning of the numbers: unique span ids, span intervals with
+    ``t1 >= t0`` on both clocks, children contained in their parent's
+    simulated interval, and a monotonic simulated timeline across the
+    event stream as written.  Spans are emitted at close, so a parent
+    legally appears *after* its children -- and a hard-killed run
+    legally loses still-open ancestors entirely; such orphaned spans
+    are counted, not rejected.  The same tolerance extends to a
+    truncated final line (the normal state of a log being appended
+    mid-run): pass the flag :func:`tail_events` returned and it is
+    *reported* in the summary, never rejected -- callers that want the
+    hard-fail behavior read with ``strict=True`` instead.
     """
     spans = span_events(events)
     by_id: dict[int, dict] = {}
-    for ev in events:
-        if ev.get("type") == "meta":
-            version = ev.get("version")
-            if version != SCHEMA_VERSION:
-                raise TraceError(f"unsupported schema version {version!r}")
     for ev in spans:
-        for key in _SPAN_KEYS:
-            if key not in ev:
-                raise TraceError(f"span missing key {key!r}: {ev}")
         sid = ev["id"]
         if sid in by_id:
             raise TraceError(f"duplicate span id {sid}")
@@ -159,15 +136,14 @@ def validate_events(events: list[dict], *,
                 f"span {ev['id']} ({ev['name']}) escapes its parent "
                 f"{parent} ({pev['name']}) on the simulated timeline")
     # Monotonic simulated close times, in emission order.  Spans close
-    # LIFO, so each emitted t1_sim is the tracer's high-water mark.
+    # LIFO, so each emitted stamp is the tracer's high-water mark.
     last = 0.0
     for ev in events:
-        t = ev.get("t1_sim", ev.get("t_sim"))
-        if isinstance(t, (int, float)):
-            if t < last - 1e-9:
-                raise TraceError(
-                    f"simulated timeline went backwards: {t} after {last}")
-            last = max(last, float(t))
+        t = sim_stamp(ev)
+        if t < last - 1e-9:
+            raise TraceError(
+                f"simulated timeline went backwards: {t} after {last}")
+        last = max(last, t)
     return {"events": len(events), "spans": len(spans), "roots": roots,
             "orphans": orphans, "sim_end_s": last,
             "truncated_tail": truncated_tail,
@@ -188,7 +164,7 @@ def chrome_trace(events: list[dict]) -> dict:
          "args": {"name": "harness"}},
     ]
     for ev in span_events(events):
-        args = dict(ev.get("attrs") or {})
+        args = dict(ev["attrs"])
         args["wall_s"] = round(ev["t1_wall"] - ev["t0_wall"], 9)
         trace_events.append({
             "ph": "X", "pid": 1, "tid": 1,
@@ -199,13 +175,13 @@ def chrome_trace(events: list[dict]) -> dict:
         })
     totals: dict[str, float] = {}
     for ev in events:
-        if ev.get("type") != "counter":
+        if ev["type"] != "counter":
             continue
         name = ev["name"]
-        totals[name] = totals.get(name, 0.0) + float(ev.get("inc", 1.0))
+        totals[name] = totals.get(name, 0.0) + ev["inc"]
         trace_events.append({
             "ph": "C", "pid": 1, "name": name,
-            "ts": float(ev.get("t_sim", 0.0)) * 1e6,
+            "ts": ev["t_sim"] * 1e6,
             "args": {"value": totals[name]},
         })
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
@@ -220,19 +196,17 @@ def write_chrome_trace(events: list[dict], out_path: str | Path) -> Path:
 
 
 def derive_metrics(events: list[dict]) -> MetricsRegistry:
-    """Replay metric events into a fresh registry."""
+    """Replay metric events into a fresh registry.
+
+    A log that reuses one metric name across kinds, or decrements a
+    counter, has no registry; that is a :class:`TraceError`.
+    """
     reg = MetricsRegistry()
     for ev in events:
-        kind = ev.get("type")
-        if kind not in ("counter", "observe", "gauge"):
-            continue
-        name = ev["name"]
-        labels = ev.get("labels") or {}
-        if kind == "counter":
-            reg.counter(name).inc(float(ev.get("inc", 1.0)), **labels)
-        elif kind == "observe":
-            reg.histogram(name, buckets=buckets_for(name)).observe(
-                float(ev["value"]), **labels)
-        else:
-            reg.gauge(name).set(float(ev["value"]), **labels)
+        try:
+            reg.apply(ev)
+        except ValueError as exc:
+            raise TraceError(
+                f"cannot replay {ev['type']} {ev['name']!r}: {exc}"
+            ) from exc
     return reg

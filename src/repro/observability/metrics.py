@@ -9,8 +9,10 @@ quarantines, checkpoint and kernel-cache hits), gauges, and histograms
 Prometheus text exposition format or as a JSON snapshot.
 
 Every metric update the :class:`~repro.observability.tracer.Tracer`
-makes is *also* appended to the run's event log, so a registry can be
-reconstructed from ``events.jsonl`` alone
+makes is an event, appended to the run's event log and applied to the
+live registry by :meth:`MetricsRegistry.apply` -- the one place an event
+becomes a registry update.  So a registry can be reconstructed from
+``events.jsonl`` alone
 (:func:`repro.observability.export.derive_metrics`) -- which is what
 ``epg metrics <dir>`` does, and why its output matches the snapshot the
 suite wrote at completion.
@@ -137,7 +139,7 @@ class Counter:
         self.help = help_ or METRIC_HELP.get(name, "")
         self.samples: dict[tuple, float] = {}
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
+    def inc(self, amount: float = 1.0, /, **labels) -> None:
         if amount < 0:
             raise ValueError(f"{self.name}: counters only go up")
         key = _label_key(labels)
@@ -161,7 +163,7 @@ class Gauge:
         self.help = help_ or METRIC_HELP.get(name, "")
         self.samples: dict[tuple, float] = {}
 
-    def set(self, value: float, **labels) -> None:
+    def set(self, value: float, /, **labels) -> None:
         self.samples[_label_key(labels)] = float(value)
 
     def value(self, **labels) -> float:
@@ -181,7 +183,7 @@ class Histogram:
         #: label key -> [per-bucket counts..., sum, count]
         self.samples: dict[tuple, list] = {}
 
-    def observe(self, value: float, **labels) -> None:
+    def observe(self, value: float, /, **labels) -> None:
         key = _label_key(labels)
         if key not in self.samples:
             self.samples[key] = [[0] * len(self.buckets), 0.0, 0]
@@ -227,6 +229,19 @@ class MetricsRegistry:
 
     def get(self, name: str):
         return self._metrics.get(name)
+
+    def apply(self, event: dict) -> None:
+        """Apply one ``counter`` / ``observe`` / ``gauge`` event (see
+        :class:`~repro.observability.tracer.Tracer`); other event types
+        carry no metric and are ignored."""
+        kind = event["type"]
+        if kind == "counter":
+            self.counter(event["name"]).inc(event["inc"], **event["labels"])
+        elif kind == "observe":
+            self.histogram(event["name"]).observe(event["value"],
+                                                  **event["labels"])
+        elif kind == "gauge":
+            self.gauge(event["name"]).set(event["value"], **event["labels"])
 
     def names(self) -> list[str]:
         return sorted(self._metrics)

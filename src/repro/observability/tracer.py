@@ -9,7 +9,9 @@ with a wall-clock interval, a simulated-clock interval, and free-form
 attributes (system, algorithm, root, retry index, failure reason,
 simulated RAPL energy).  Closed spans are appended as single JSON lines
 to ``<run>/trace/events.jsonl`` -- append-only, so checkpoint-resume
-extends the same timeline instead of clobbering it.
+extends the same timeline instead of clobbering it.  The log has one
+reader, :func:`parse_events`, which every consumer (exporters, resume,
+the dashboard's follower) goes through.
 
 Design points:
 
@@ -29,18 +31,93 @@ Design points:
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
-from repro.observability.metrics import MetricsRegistry, buckets_for
+from repro.errors import TraceError
+from repro.observability.metrics import MetricsRegistry
 
-__all__ = ["Span", "Tracer", "EVENTS_NAME", "SCHEMA_VERSION"]
+__all__ = ["Span", "Tracer", "EVENTS_NAME", "SCHEMA_VERSION",
+           "parse_events", "sim_end", "sim_stamp"]
 
 #: Event-log filename inside the tracer directory.
 EVENTS_NAME = "events.jsonl"
 
 #: Version stamped into every ``meta`` event; bump on schema changes.
 SCHEMA_VERSION = 1
+
+_NUM = (int, float)
+_MISSING = object()
+
+#: Per event type, the fields the log's consumers read and their types.
+_SCHEMA = {
+    "span": {"id": int, "parent": (int, type(None)), "name": str,
+             "cat": str, "t0_wall": _NUM, "t1_wall": _NUM,
+             "t0_sim": _NUM, "t1_sim": _NUM, "attrs": dict},
+    "counter": {"name": str, "labels": dict, "inc": _NUM, "t_sim": _NUM},
+    "observe": {"name": str, "labels": dict, "value": _NUM,
+                "t_sim": _NUM},
+    "gauge": {"name": str, "labels": dict, "value": _NUM, "t_sim": _NUM},
+    "meta": {"version": int, "t_sim": _NUM},
+}
+
+
+def _problem(ev) -> str | None:
+    """Why ``ev`` is not an event the tracer writes (None if it is)."""
+    if not isinstance(ev, dict):
+        return "event is not an object"
+    kind = ev.get("type")
+    if not isinstance(kind, str) or kind not in _SCHEMA:
+        return f"unknown event type {kind!r}"
+    for key, types in _SCHEMA[kind].items():
+        if not isinstance(ev.get(key, _MISSING), types):
+            return f"{kind} field {key!r} missing or mistyped"
+    if kind == "meta" and ev["version"] != SCHEMA_VERSION:
+        return f"unsupported schema version {ev['version']!r}"
+    return None
+
+
+def parse_events(data: bytes) -> tuple[list[dict], list[str], int]:
+    """Read an event log's bytes; return ``(events, bad, end)``.
+
+    Only the newline-terminated prefix ``data[:end]`` is read: whatever
+    follows the last newline is the torn tail an in-flight append or a
+    hard-killed writer leaves.  Each complete line must be UTF-8 JSON
+    matching its type's fields in ``_SCHEMA`` (a ``meta`` line also
+    this :data:`SCHEMA_VERSION`); blank lines are skipped, and every
+    other line lands in ``bad`` as ``"<line number>: <reason>"``.  A
+    complete line never becomes valid later, so callers share one
+    policy: batch readers and resume raise :class:`TraceError` on the
+    first bad line, and the live follower counts them.
+    """
+    end = data.rfind(b"\n") + 1
+    events: list[dict] = []
+    bad: list[str] = []
+    for lineno, raw in enumerate(data[:end].split(b"\n")[:-1], start=1):
+        if not raw.strip():
+            continue
+        try:
+            ev = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            bad.append(f"{lineno}: malformed JSON: {exc}")
+            continue
+        problem = _problem(ev)
+        if problem is None:
+            events.append(ev)
+        else:
+            bad.append(f"{lineno}: {problem}")
+    return events, bad, end
+
+
+def sim_stamp(ev: dict) -> float:
+    """An event's simulated stamp: a span's close, any other's ``t_sim``."""
+    return float(ev["t1_sim"] if ev["type"] == "span" else ev["t_sim"])
+
+
+def sim_end(events: list[dict]) -> float:
+    """Simulated-time high-water mark of ``events`` (zero for none)."""
+    return max([0.0, *map(sim_stamp, events)])
 
 
 class Span:
@@ -120,6 +197,14 @@ class Tracer:
     log, so the appended timeline stays globally monotonic.
     """
 
+    @classmethod
+    def capture_only(cls) -> "Tracer":
+        """An enabled tracer with no log of its own, for a pool worker:
+        the events of the cells it runs live only in their captures."""
+        tracer = cls()
+        tracer._fh = open(os.devnull, "w", encoding="utf-8")
+        return tracer
+
     def __init__(self, directory: str | Path | None = None, *,
                  resume: bool = False):
         self.metrics = MetricsRegistry()
@@ -128,8 +213,7 @@ class Tracer:
         self._fh = None
         self._next_id = 1
         self._capture: list[dict] | None = None
-        self._divert = False
-        self._capture_prior: tuple[float, int] | None = None
+        self._capture_prior = (0.0, 1)
         self._t0 = time.perf_counter()
         self.directory = Path(directory) if directory is not None else None
         if self.directory is None:
@@ -163,38 +247,28 @@ class Tracer:
     def _recover(self, path: Path) -> bool:
         """Recover sim high-water mark + next id from an existing log.
 
-        A hard-killed writer can leave a torn partial line at the tail
-        (no trailing newline); it is truncated away so the first
-        appended event does not concatenate onto it.
+        A corrupt line raises :class:`TraceError` before the log is
+        touched: appending to a log its readers reject would only fail
+        later, at export.  A hard-killed writer's torn tail is
+        truncated away so the first appended event does not
+        concatenate onto it.
         """
         raw = path.read_bytes()
-        if raw and not raw.endswith(b"\n"):
+        events, bad, end = parse_events(raw)
+        if bad:
+            raise TraceError(f"{path}:{bad[0]}; not resuming onto it")
+        if end < len(raw):
             with path.open("r+b") as fh:
-                fh.truncate(raw.rfind(b"\n") + 1)
-        found = False
-        with path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    ev = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                found = True
-                t = ev.get("t1_sim", ev.get("t_sim"))
-                if isinstance(t, (int, float)):
-                    self.sim_now = max(self.sim_now, float(t))
-                if ev.get("type") == "span":
-                    self._next_id = max(self._next_id,
-                                        int(ev.get("id", 0)) + 1)
-        return found
+                fh.truncate(end)
+        self.sim_now = sim_end(events)
+        self._next_id = 1 + max((ev["id"] for ev in events
+                                 if ev["type"] == "span"), default=0)
+        return bool(events)
 
     def _write(self, event: dict) -> None:
         if self._capture is not None:
             self._capture.append(event)
-            if self._divert:
-                return
+            return
         self._fh.write(json.dumps(event, sort_keys=True, default=str)
                        + "\n")
 
@@ -261,53 +335,38 @@ class Tracer:
     # ------------------------------------------------------------------
     # Cross-process capture + merge (repro.parallel)
     # ------------------------------------------------------------------
-    def begin_capture(self, *, reset_sim: bool = False,
-                      divert: bool = False) -> None:
-        """Start buffering emitted events as a cell-relative group.
+    def begin_capture(self) -> None:
+        """Start diverting emitted events into a cell-relative group.
 
-        The worker side of process-parallel execution wraps each cell
-        in ``begin_capture(reset_sim=True)`` / :meth:`take_capture`:
-        the captured group travels back to the parent in the task
-        result, where :meth:`ingest_cell_events` splices it onto the
-        parent's global timeline.  ``reset_sim=True`` rewinds this
-        tracer's simulated clock to zero first, so every captured
-        group is cell-relative (the worker's shard file on disk is
-        therefore a sequence of cell-relative timelines, not one
-        global one).
-
-        ``divert=True`` is the *serial* flavour: buffered events are
-        kept out of the file and the live metrics registry, and the
-        simulated clock and span-id counter are restored by
-        :meth:`take_capture`, so the caller can ingest the group
-        through exactly the same splice as a parallel run.  Routing
-        both execution modes through one splice is what makes the two
-        timelines bit-identical: every cell stamp is computed
-        cell-locally and shifted by one addition, in the same order,
-        regardless of which process ran the cell.
+        Every cell runs between ``begin_capture()`` and
+        :meth:`take_capture`, on the parent's tracer (one job) or on a
+        pool worker's :meth:`capture_only` tracer.  The simulated clock
+        restarts at zero, events are buffered instead of written, and
+        metric updates wait for the replay, so the caller splices the
+        group on through :meth:`ingest_cell_events` whichever process
+        ran the cell.  Routing both execution modes through one splice
+        is what makes the two timelines bit-identical: every cell stamp
+        is computed cell-locally and shifted by one addition, in the
+        same order, regardless of which process ran the cell.
         """
         if self._fh is None:
             return
         self._capture = []
-        self._divert = divert
-        if divert:
-            self._capture_prior = (self.sim_now, self._next_id)
-        if reset_sim:
-            self.sim_now = 0.0
+        self._capture_prior = (self.sim_now, self._next_id)
+        self.sim_now = 0.0
 
     def take_capture(self) -> list[dict]:
         """Stop capturing; return the buffered event group.
 
-        A diverting capture also restores the simulated clock and the
-        span-id counter to their pre-capture values, leaving the
-        tracer exactly as if the cell had not run yet -- the follow-up
-        :meth:`ingest_cell_events` re-applies the group.
+        The simulated clock and the span-id counter go back to their
+        pre-capture values, leaving the tracer exactly as if the cell
+        had not run yet -- the follow-up :meth:`ingest_cell_events`
+        re-applies the group.
         """
-        events = self._capture or []
-        self._capture = None
-        if self._divert:
-            self.sim_now, self._next_id = self._capture_prior
-            self._capture_prior = None
-            self._divert = False
+        if self._capture is None:
+            return []
+        events, self._capture = self._capture, None
+        self.sim_now, self._next_id = self._capture_prior
         return events
 
     def ingest_cell_events(self, events: list[dict],
@@ -321,10 +380,10 @@ class Tracer:
         a serially-executed cell would nest), all simulated timestamps
         are shifted by the current simulated high-water mark, and
         metric events are replayed into the live registry.  Because
-        captured groups are cell-relative (``begin_capture(reset_sim=
-        True)``) the shifted timestamps are bit-identical to the ones a
-        serial run would have recorded, which is what keeps a traced
-        ``--jobs N`` report byte-identical to ``--jobs 1``.
+        captured groups are cell-relative (:meth:`begin_capture`) the
+        shifted timestamps are bit-identical to the ones a serial run
+        would have recorded, which is what keeps a traced ``--jobs N``
+        report byte-identical to ``--jobs 1``.
         """
         if self._fh is None or not events:
             return
@@ -339,28 +398,16 @@ class Tracer:
         end = base
         for ev in events:
             ev = dict(ev)
-            kind = ev.get("type")
-            if kind == "span":
+            if ev["type"] == "span":
                 ev["id"] = idmap[ev["id"]]
-                old_parent = ev.get("parent")
-                ev["parent"] = idmap.get(old_parent, parent_id)
+                ev["parent"] = idmap.get(ev["parent"], parent_id)
                 ev["t0_sim"] = ev["t0_sim"] + base
                 ev["t1_sim"] = ev["t1_sim"] + base
                 end = max(end, ev["t1_sim"])
-            elif "t_sim" in ev:
+            else:
                 ev["t_sim"] = ev["t_sim"] + base
                 end = max(end, ev["t_sim"])
-            labels = ev.get("labels") or {}
-            if kind == "counter":
-                self.metrics.counter(ev["name"]).inc(
-                    float(ev.get("inc", 1.0)), **labels)
-            elif kind == "observe":
-                self.metrics.histogram(
-                    ev["name"], buckets=buckets_for(ev["name"])).observe(
-                    float(ev["value"]), **labels)
-            elif kind == "gauge":
-                self.metrics.gauge(ev["name"]).set(
-                    float(ev["value"]), **labels)
+            self.metrics.apply(ev)
             self._write(ev)
         self.sim_seek(end)
         self._fh.flush()
@@ -404,45 +451,34 @@ class Tracer:
         hits/misses): keeping them out of ``events.jsonl`` is what lets
         a warm-cache trace stay byte-identical to a cold one.  Such
         events are never replayed by an ingest, so they update the
-        registry even during a diverting capture.
+        registry even during a capture.
         """
         if self._fh is None:
             return
-        if not log:
-            self.metrics.counter(name).inc(inc, **labels)
-            return
-        if not self._divert:
-            # A diverting capture defers registry updates to the
-            # ingest replay, so each cell's metrics count exactly once.
-            self.metrics.counter(name).inc(inc, **labels)
-        self._write({"type": "counter", "name": name, "labels": labels,
-                     "inc": inc, "t_sim": self.sim_now})
+        self._metric({"type": "counter", "name": name, "labels": labels,
+                      "inc": inc, "t_sim": self.sim_now}, log)
 
     def observe(self, name: str, value: float, *, log: bool = True,
                 **labels) -> None:
         if self._fh is None:
             return
-        if not log:
-            self.metrics.histogram(
-                name, buckets=buckets_for(name)).observe(value, **labels)
-            return
-        if not self._divert:
-            self.metrics.histogram(
-                name, buckets=buckets_for(name)).observe(value, **labels)
-        self._write({"type": "observe", "name": name, "labels": labels,
-                     "value": float(value), "t_sim": self.sim_now})
+        self._metric({"type": "observe", "name": name, "labels": labels,
+                      "value": float(value), "t_sim": self.sim_now}, log)
 
     def gauge(self, name: str, value: float, *, log: bool = True,
               **labels) -> None:
         if self._fh is None:
             return
-        if not log:
-            self.metrics.gauge(name).set(value, **labels)
-            return
-        if not self._divert:
-            self.metrics.gauge(name).set(value, **labels)
-        self._write({"type": "gauge", "name": name, "labels": labels,
-                     "value": float(value), "t_sim": self.sim_now})
+        self._metric({"type": "gauge", "name": name, "labels": labels,
+                      "value": float(value), "t_sim": self.sim_now}, log)
+
+    def _metric(self, event: dict, log: bool) -> None:
+        # A capture defers logged updates to the ingest replay, so each
+        # cell's metrics count exactly once.
+        if not log or self._capture is None:
+            self.metrics.apply(event)
+        if log:
+            self._write(event)
 
     # ------------------------------------------------------------------
     def flush(self) -> None:

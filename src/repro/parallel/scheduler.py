@@ -29,7 +29,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, closing, contextmanager
-from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.parallel.worker import (
@@ -62,29 +61,21 @@ def _mp_context():
 class CellPool:
     """The executor for a suite's cells, shared across its experiments.
 
-    ``shard_root`` (set when the run is traced) is where each worker
-    opens its debug event shard; ``None`` gives workers a disabled
-    tracer, so untraced parallel runs pay no event-capture cost.
+    Pool workers write no files of their own: each cell's trace events
+    come back in its task result (see :mod:`repro.parallel.worker`).
     """
 
-    def __init__(self, jobs: int, shard_root: str | Path | None = None):
+    def __init__(self, jobs: int):
         self.jobs = resolve_jobs(jobs)
-        self.shard_root = (Path(shard_root) if shard_root is not None
-                           else None)
         self._processes: ProcessPoolExecutor | None = None
         #: The executor of the sweep in progress (see :meth:`sweep`).
         self._executor = None
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._processes is None:
-            if self.shard_root is not None:
-                self.shard_root.mkdir(parents=True, exist_ok=True)
             self._processes = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=_mp_context(),
-                initializer=init_worker,
-                initargs=(str(self.shard_root)
-                          if self.shard_root is not None else None,))
+                max_workers=self.jobs, mp_context=_mp_context(),
+                initializer=init_worker)
         return self._processes
 
     # ------------------------------------------------------------------
@@ -99,7 +90,7 @@ class CellPool:
         with ExitStack() as stack:
             if self.jobs == 1:
                 self._executor = stack.enter_context(
-                    closing(CellWorker(tracer, divert=True)))
+                    closing(CellWorker(tracer)))
             else:
                 if prewarm is not None:
                     prewarm()

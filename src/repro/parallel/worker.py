@@ -7,10 +7,12 @@ configuration, and the resident Graphalytics harnesses.  The
 supervisors hold the worker's :class:`~repro.core.runner.Runner`, whose
 loaded-graph cache means a worker deserializes each (system, threads)
 CSR once, not once per cell.  A pool worker process owns one for its
-lifetime (:func:`init_worker`), capturing on its own shard tracer; a
+lifetime (:func:`init_worker`), capturing on a tracer with no log of
+its own (:meth:`~repro.observability.tracer.Tracer.capture_only`); a
 one-job :class:`~repro.parallel.CellPool` makes one per sweep *its
 executor* (:meth:`CellWorker.submit`), capturing on the experiment's
-tracer in divert mode -- the only difference between the two.
+tracer -- the only difference between the two.  Either way a cell's
+events are held in memory and written once, by the parent.
 
 When the run names a ``--cache-dir``, the parent prewarms every graph
 structure into the on-disk artifact cache before a multi-process
@@ -32,9 +34,7 @@ runs a cell never changes its result.
 
 from __future__ import annotations
 
-import os
 from functools import partial
-from pathlib import Path
 from types import SimpleNamespace
 
 from repro.observability import Tracer
@@ -46,10 +46,8 @@ __all__ = ["CellWorker", "init_worker", "run_cell_task",
 class CellWorker:
     """Runs cell tasks; owns the state consecutive tasks share."""
 
-    def __init__(self, tracer=None, *, divert: bool = False):
+    def __init__(self, tracer=None):
         self.tracer = tracer if tracer is not None else Tracer()
-        #: Capture without writing: ``tracer`` is the parent's own.
-        self.divert = divert
         self._supervisors: dict = {}
         self._harnesses: dict = {}
 
@@ -78,7 +76,7 @@ class CellWorker:
         """Run one supervised cell; return (outcome, captured events).
         Stamps are cell-local and shifted once at ingest: bit-identical
         whoever ran the cell; an interrupted cell's events never land."""
-        self.tracer.begin_capture(reset_sim=True, divert=self.divert)
+        self.tracer.begin_capture()
         try:
             outcome = self._supervisor(config, dataset).run_cell(
                 system, algorithm, n_threads)
@@ -113,14 +111,12 @@ class CellWorker:
 _WORKER = CellWorker()
 
 
-def init_worker(shard_root: str | None) -> None:
-    """Pool initializer: open this worker's trace shard (if tracing).
+def init_worker() -> None:
+    """Pool initializer: this process's worker, capturing in memory.
 
-    The shard at ``<shard_root>/worker-<pid>/events.jsonl`` is a
-    durability/debug artifact: a sequence of *cell-relative* timelines
-    (each capture resets the simulated clock), useful for inspecting a
-    crashed worker.  The authoritative events travel back to the
-    parent inside task results.
+    Every cell's events travel back to the parent inside its task
+    result, which splices them onto the one log; an untraced parent
+    drops them there.
     """
     import signal
 
@@ -135,8 +131,7 @@ def init_worker(shard_root: str | None) -> None:
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
 
-    _WORKER = CellWorker(Tracer(Path(shard_root) / f"worker-{os.getpid()}")
-                         if shard_root else None)
+    _WORKER = CellWorker(Tracer.capture_only())
 
 
 def run_cell_task(config, dataset, system: str, algorithm: str,

@@ -8,6 +8,7 @@ the event log match what the live registry saw.
 """
 
 import json
+import os
 
 import pytest
 
@@ -30,6 +31,15 @@ from repro.observability import (
 )
 
 pytestmark = pytest.mark.faulty
+
+#: A span whose wall clock and a counter whose increment are strings:
+#: complete lines every reader must treat as corrupt.
+MISTYPED_LINES = (
+    '{"type": "span", "id": 90, "parent": null, "name": "bad", '
+    '"cat": "cell", "t0_wall": 0.0, "t1_wall": "x", "t0_sim": 1.0, '
+    '"t1_sim": 1.0, "attrs": {}}\n'
+    '{"type": "counter", "name": "epg_cells_total", "labels": {}, '
+    '"inc": "q", "t_sim": 1.0}\n')
 
 
 def _config(tmp_path, **kwargs):
@@ -289,6 +299,51 @@ class TestExport:
         assert all(ev.get("type") in ("meta", "span") for ev in events)
         assert validate_events(events)["spans"] == 2
 
+    @pytest.mark.parametrize("bad", [
+        "{not json}", "[1,2]", '{"type":"span","id":"x"}'])
+    def test_resume_refuses_corrupt_log_untouched(self, tmp_path, bad):
+        # Resume reads the log as `epg trace` does: a corrupt complete
+        # line is an error before anything is truncated or appended.
+        t = Tracer(tmp_path)
+        with t.span("work", category="cell"):
+            t.advance_sim(1.0)
+        t.close()
+        log = tmp_path / EVENTS_NAME
+        meta, span = log.read_text(encoding="utf-8").splitlines(True)
+        log.write_text(meta + bad + "\n" + span + '{"type": "spa',
+                       encoding="utf-8")
+        before = log.read_bytes()
+        with pytest.raises(TraceError):
+            Tracer(tmp_path, resume=True)
+        assert log.read_bytes() == before
+
+    def test_tail_events_drops_parseable_unterminated_line(self, tmp_path):
+        from repro.observability import tail_events
+
+        (tmp_path / EVENTS_NAME).write_text(
+            '{"type": "meta", "version": 1, "resumed": false, '
+            '"t_sim": 0.0, "wall_unix": 0.0}\n'
+            '{"type": "counter", "name": "c", "labels": {}, "inc": 1.0, '
+            '"t_sim": 0.0}', encoding="utf-8")
+        events, truncated = tail_events(tmp_path / EVENTS_NAME)
+        assert truncated
+        assert [ev["type"] for ev in events] == ["meta"]
+
+    def test_metric_replay_errors_are_trace_errors(self):
+        def metric(kind, name, labels=None, **field):
+            return {"type": kind, "name": name, "labels": labels or {},
+                    "t_sim": 0.0, **field}
+
+        # A label may share a name with the update's own argument.
+        reg = derive_metrics([metric("gauge", "g", {"value": "v"},
+                                     value=2.0)])
+        assert reg.get("g").value(value="v") == 2.0
+        for events in ([metric("counter", "c", inc=-1.0)],
+                       [metric("counter", "m", inc=1.0),
+                        metric("gauge", "m", value=1.0)]):
+            with pytest.raises(TraceError, match="cannot replay"):
+                derive_metrics(events)
+
     def test_chrome_trace_shape(self, tmp_path):
         t = Tracer(tmp_path)
         with t.span("work", category="cell"):
@@ -495,6 +550,33 @@ class TestSuiteAndCli:
         rc = main(["metrics", str(tmp_path)])
         assert rc == 12      # TraceError exit code
         assert "TraceError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["trace"], ["trace", "--validate"], ["trace", "--chrome"],
+        ["metrics"]], ids=["trace", "validate", "chrome", "metrics"])
+    def test_mistyped_fields_exit_cleanly(self, tmp_path, argv):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        t = Tracer(tmp_path / "trace")
+        with t.span("work", category="cell"):
+            t.advance_sim(1.0)
+        t.close()
+        with (tmp_path / "trace" / EVENTS_NAME).open(
+                "a", encoding="utf-8") as fh:
+            fh.write(MISTYPED_LINES)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", argv[0], str(tmp_path),
+             *argv[1:]],
+            capture_output=True, text=True,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(repro.__file__).parents[1])})
+        assert proc.returncode == 12, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "TraceError" in proc.stderr
 
     def test_timeline_renderers(self, tmp_path):
         _, events = _run_traced(tmp_path)

@@ -184,6 +184,8 @@ def test_jobs_do_not_change_any_bytes(tmp_path_factory):
     r4 = run_paper_suite(parallel, jobs=4, trace=True, **PARAMS)
 
     assert r4.read_bytes() == r1.read_bytes()
+    # Workers write nothing of their own: the one log is the parent's.
+    assert not (parallel / "trace" / "workers").exists()
 
     # Provenance covers config, machine, and the results.csv digest.
     # Only the embedded output_dir path may differ between the runs.

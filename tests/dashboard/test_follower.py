@@ -38,7 +38,9 @@ def test_tail_follow_across_appends(tmp_path):
 
 def test_crash_mid_write_leaves_partial_pending(tmp_path):
     log = tmp_path / "events.jsonl"
-    log.write_text(_line(1) + '{"type": "span", "id": 2, "t0')
+    line2 = _line(2)
+    cut = line2.index('"t0') + 3
+    log.write_text(_line(1) + line2[:cut])
     f = EventFollower(log)
     assert [ev["id"] for ev in f.poll()] == [1]
     assert f.pending_partial
@@ -47,7 +49,7 @@ def test_crash_mid_write_leaves_partial_pending(tmp_path):
 
     # The writer finishes the line: the next poll picks up exactly it.
     with log.open("a") as fh:
-        fh.write('_sim": 0.0}\n')
+        fh.write(line2[cut:])
     polled = f.poll()
     assert len(polled) == 1 and polled[0]["id"] == 2
     assert not f.pending_partial

@@ -131,6 +131,36 @@ def test_every_route_serves_while_run_in_flight(tmp_path):
         assert len(data["history"]) == 1
 
 
+def test_mistyped_lines_are_counted_not_served(tmp_path):
+    """A string where a number belongs is a corrupt line: the follower
+    counts it, and the run's panels keep answering."""
+    from repro.dashboard.server import _RunState
+
+    run = make_run(tmp_path)
+    log = run / "trace" / "events.jsonl"
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write(
+            '{"type": "span", "id": 90, "parent": null, "name": "bad", '
+            '"cat": "cell", "t0_wall": 0.0, "t1_wall": "x", '
+            '"t0_sim": 1.5, "t1_sim": 1.5, "attrs": {}}\n'
+            '{"type": "counter", "name": "epg_cells_total", '
+            '"labels": {}, "inc": "q", "t_sim": 1.5}\n')
+    state = _RunState(log, history_limit=8)
+    state.poll()
+    assert state.follower.malformed == 2
+    assert state.totals["epg_cells_total"]["value"] == 1.0
+    with running_dash(root=tmp_path) as base:
+        for route in ("spans", "metrics"):
+            for _ in range(2):          # and on every later poll
+                status, body = get(f"{base}/api/run/run1/{route}")
+                assert status == 200, (route, body)
+        assert json.loads(body)["totals"]["epg_cells_total"][
+            "value"] == 1.0
+        status, body = get(f"{base}/api/run/run1/spans")
+        data = json.loads(body)
+        assert data["malformed"] == 2 and data["span_count"] == 2
+
+
 def test_unknown_run_and_traversal_are_404(tmp_path):
     make_run(tmp_path)
     with running_dash(root=tmp_path) as base:
