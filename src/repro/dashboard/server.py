@@ -38,7 +38,7 @@ from repro.dashboard import pages
 from repro.dashboard.follower import EventFollower
 from repro.dashboard.runs import RunInfo, discover_runs
 from repro.dashboard.service_poll import ServicePoller
-from repro.errors import DashboardError
+from repro.errors import DashboardError, TraceError
 from repro.httputil import (FrontEndServer, bind, serve_until_stopped,
                             write_response)
 from repro.logging_util import get_logger
@@ -48,6 +48,10 @@ __all__ = ["DashConfig", "DashboardServer"]
 
 #: Rows in the per-run "slowest spans" table.
 _SLOWEST_N = 10
+
+#: The metric kind each event type feeds in a run's totals.
+_METRIC_KIND = {"counter": "counter", "observe": "histogram",
+                "gauge": "gauge"}
 
 
 @dataclass
@@ -100,18 +104,27 @@ class _RunState:
             self.history = []
             self._snap_offset = -1
         for ev in fresh:
-            kind = ev["type"]
+            kind = _METRIC_KIND.get(ev["type"])
+            if kind is None:
+                continue
+            entry = self.totals.get(ev["name"])
+            if entry is not None and entry["kind"] != kind:
+                # One name logged as two kinds has no registry
+                # (derive_metrics rejects it): count the event as
+                # corrupt and keep serving what came first.
+                self.follower.malformed += 1
+                continue
             if kind == "counter":
                 entry = self.totals.setdefault(
                     ev["name"], {"kind": "counter", "value": 0.0})
                 entry["value"] += ev["inc"]
-            elif kind == "observe":
+            elif kind == "histogram":
                 entry = self.totals.setdefault(
                     ev["name"], {"kind": "histogram", "value": 0.0,
                                  "count": 0})
                 entry["value"] += ev["value"]
                 entry["count"] += 1
-            elif kind == "gauge":
+            else:
                 self.totals[ev["name"]] = {"kind": "gauge",
                                            "value": float(ev["value"])}
 
@@ -321,11 +334,14 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             self._route(parts, query)
         except Exception as exc:    # last resort: a panel, not a crash
-            self.dash._log.warning("request %s failed: %s",
-                                   self.path, exc)
+            status = 422                # the run's log is corrupt
+            if not isinstance(exc, TraceError):
+                status = 500
+                self.dash._log.warning("request %s failed: %s",
+                                       self.path, exc)
             try:
                 self._json({"error": f"{type(exc).__name__}: {exc}"},
-                           500)
+                           status)
             except Exception:
                 pass
 

@@ -32,7 +32,7 @@ from repro.observability.tracer import (EVENTS_NAME, parse_events,
                                         sim_stamp)
 
 __all__ = ["read_events", "tail_events", "validate_events",
-           "span_events", "chrome_trace", "write_chrome_trace",
+           "span_events", "spans_by_id", "chrome_trace", "write_chrome_trace",
            "derive_metrics", "resolve_events_path"]
 
 
@@ -83,6 +83,22 @@ def span_events(events: list[dict]) -> list[dict]:
     return [ev for ev in events if ev["type"] == "span"]
 
 
+def spans_by_id(spans: list[dict]) -> dict[int, dict]:
+    """Index spans by id; a duplicated id is a :class:`TraceError`.
+
+    Every span tree is built on this: with unique ids each span has one
+    parent, so no walk down from the roots can revisit a span.  A
+    duplicated id gives a span two parents and can close a cycle.
+    """
+    by_id: dict[int, dict] = {}
+    for ev in spans:
+        sid = ev["id"]
+        if sid in by_id:
+            raise TraceError(f"duplicate span id {sid}")
+        by_id[sid] = ev
+    return by_id
+
+
 def validate_events(events: list[dict], *,
                     truncated_tail: bool = False) -> dict:
     """Check the span schema; return summary stats or raise TraceError.
@@ -102,12 +118,8 @@ def validate_events(events: list[dict], *,
     hard-fail behavior read with ``strict=True`` instead.
     """
     spans = span_events(events)
-    by_id: dict[int, dict] = {}
-    for ev in spans:
-        sid = ev["id"]
-        if sid in by_id:
-            raise TraceError(f"duplicate span id {sid}")
-        by_id[sid] = ev
+    by_id = spans_by_id(spans)
+    for sid, ev in by_id.items():
         if ev["t1_sim"] < ev["t0_sim"]:
             raise TraceError(
                 f"span {sid} ({ev['name']}): t1_sim < t0_sim")

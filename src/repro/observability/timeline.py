@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.observability.export import span_events
+from repro.observability.export import span_events, spans_by_id
 
 __all__ = ["span_tree", "render_text", "render_svg", "slowest_spans"]
 
@@ -29,12 +29,16 @@ _CATEGORY_FILL = {
 
 
 def span_tree(events: list[dict]) -> tuple[list[dict], dict]:
-    """Return (root spans, id -> children) in simulated-time order."""
+    """Return (root spans, id -> children) in simulated-time order.
+
+    Raises :class:`~repro.errors.TraceError` on a duplicated span id,
+    the one defect that could make a walk of the tree loop.
+    """
     spans = sorted(span_events(events),
                    key=lambda ev: (ev["t0_sim"], ev["id"]))
     children: dict[int, list[dict]] = {}
     roots: list[dict] = []
-    ids = {ev["id"] for ev in spans}
+    ids = spans_by_id(spans)
     for ev in spans:
         parent = ev["parent"]
         if parent is None or parent not in ids:

@@ -17,7 +17,8 @@ Layers:
   :mod:`multiprocessing.shared_memory` (the artifact cache's
   memmap-bundle idiom, re-targeted at shared segments);
 * :mod:`repro.shard.ops` -- the per-shard superstep bodies, shared
-  verbatim between worker processes and the inline fallback;
+  verbatim between worker processes, the parent's own shard 0 and the
+  inline fallback;
 * :mod:`repro.shard.engine` -- the persistent worker pool, semaphore
   protocol, and preallocated delta rings; implements
   :class:`repro.graph.sweeps.SweepExecutor`, so the serial control

@@ -11,12 +11,13 @@ One :class:`ShardEngine` owns a partitioned copy of a single graph:
   preallocated ``(ids, values, header)`` delta ring per shard.
 
 Execution is parent-driven bulk-synchronous supersteps: the parent
-writes the op code and round inputs, posts one ``go`` token per worker,
-collects one ``done`` token per worker, then merges the per-shard rings
-with *exact* reductions (integer/float minima applied ring by ring
-with one gather-scatter each, disjoint scatters; nothing sorts).  A
-round that would gather fewer than :data:`_INLINE_ARCS` arcs does not
-cross at all: the engine runs it on a
+writes the op code and round inputs, posts one ``go`` token to each of
+the ``N - 1`` workers, runs shard 0's op itself on the same arena
+arrays, collects one ``done`` token per worker, then merges the
+per-shard rings with *exact* reductions (integer/float minima applied
+ring by ring with one gather-scatter each, disjoint scatters; nothing
+sorts).  A round that would gather fewer than :data:`_INLINE_ARCS`
+arcs does not cross at all: the engine runs it on a
 :class:`~repro.graph.sweeps.LocalSweeps` it keeps over the whole graph,
 bound to the same round state.
 
@@ -27,14 +28,16 @@ no state a dead process can leave locked.  Workers are forked once
 (:func:`repro.parallel.scheduler`'s context -- the same fork preference
 as the suite's cell pool) and live until :meth:`ShardEngine.close`.
 
-Failure discipline: a worker exception lands in its ring header and the
-superstep completes normally (the parent raises
-:class:`~repro.errors.ShardError` after collecting the round, keeping
-the pool alive); a worker *death* (crash, SIGKILL) stalls the token
-collection, which the parent detects within its polling slice and
-converts into the same ``ShardError`` after tearing down workers and
-unlinking both arenas -- an aborted run leaves nothing in
-``/dev/shm``.
+Failure discipline: an op exception -- in a worker or in the parent's
+own shard 0 -- lands in that shard's ring header and the superstep
+completes normally (the parent raises :class:`~repro.errors.ShardError`
+after collecting every token, keeping the pool alive); a worker
+*death* (crash, SIGKILL) stalls the token collection, which the parent
+detects within its polling slice and converts into the same
+``ShardError`` after tearing down workers and unlinking both arenas --
+an aborted run leaves nothing in ``/dev/shm``.  Anything else that
+escapes while tokens are outstanding (``KeyboardInterrupt``) closes the
+engine first, so no stale ``done`` token outlives the round.
 
 When ``n_shards == 1`` -- or when process fan-out is unavailable
 (daemonic parent, e.g. a suite cell worker) -- the engine runs the very
@@ -152,11 +155,12 @@ def _build_context(shard: int, n: int, arrays, weighted: bool,
 def _worker_main(shard: int, n: int, static_spec, dyn_spec,
                  go, done, weighted: bool, has_in: bool,
                  owner_pid: int) -> None:
-    """Worker loop: attach arenas, then serve supersteps until told to
-    shut down.  Each round is one ``go`` token in, one ``done`` token
-    out -- plain semaphores, nothing a SIGKILLed sibling can leave
-    locked (an ``mp.Barrier`` hides a condition lock that dies with
-    its holder and deadlocks everyone else).  Op exceptions are already
+    """Worker loop for shard ``shard`` (1..N-1; the parent computes
+    shard 0): attach arenas, then serve supersteps until told to shut
+    down.  Each round is one ``go`` token in, one ``done`` token out --
+    plain semaphores, nothing a SIGKILLed sibling can leave locked (an
+    ``mp.Barrier`` hides a condition lock that dies with its holder
+    and deadlocks everyone else).  Op exceptions are already
     recorded in the ring header by :func:`~repro.shard.ops.run_op`; the
     loop swallows them so the worker always posts its token.
 
@@ -196,6 +200,10 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
 
 class ShardEngine:
     """Persistent sharded executor for one graph.
+
+    A process-backed engine forks ``n_shards - 1`` workers, named
+    ``epg-shard-1`` onwards, and computes shard 0 in the calling
+    process, so a superstep has no more runnable tasks than shards.
 
     Parameters
     ----------
@@ -258,19 +266,21 @@ class ShardEngine:
             arrays = dict(self._static_arena.arrays)
             arrays.update(self._dyn_arena.arrays)
             self._arrays = arrays
-            self._contexts = []
+            #: The parent is shard 0; workers serve shards 1..N-1.
+            self._contexts = [_build_context(0, self.n, arrays,
+                                             self.weighted, self.has_in)]
             ctx = _mp_context()
             #: One release per worker per superstep; per-worker so a
             #: token can never be stolen by a sibling.
-            self._go = [ctx.Semaphore(0) for _ in range(self.n_shards)]
+            self._go = [ctx.Semaphore(0) for _ in range(1, self.n_shards)]
             #: One completion token per worker per superstep.
             self._done = ctx.Semaphore(0)
             try:
-                for k in range(self.n_shards):
+                for k, go in enumerate(self._go, start=1):
                     proc = ctx.Process(
                         target=_worker_main,
                         args=(k, self.n, self._static_arena.spec,
-                              self._dyn_arena.spec, self._go[k],
+                              self._dyn_arena.spec, go,
                               self._done, self.weighted,
                               self.has_in, os.getpid()),
                         daemon=True,
@@ -362,44 +372,29 @@ class ShardEngine:
         ctrl_i[ops.CTRL_OP] = op
 
         if self.inline:
-            for ctx in self._contexts:
-                try:
-                    ops.run_op(ctx, op)
-                except Exception:
-                    pass
+            self._run_contexts(op)
         else:
             for sem in self._go:
                 sem.release()
-            deadline = time.monotonic() + self.step_timeout_s
-            pending = self.n_shards
-            while pending:
-                # Short slices so worker deaths surface promptly; a
-                # plain semaphore acquire cannot deadlock on a lock a
-                # SIGKILLed worker took with it.
-                if self._done.acquire(True, 0.05):
-                    pending -= 1
-                    continue
-                dead = [p.name for p in self._workers
-                        if not p.is_alive()]
-                if dead or time.monotonic() > deadline:
-                    self.close()
-                    raise ShardError(
-                        "sharded superstep stalled"
-                        + (f" (dead workers: {', '.join(dead)})"
-                           if dead else
-                           f" (timeout after {self.step_timeout_s}s)"))
+            try:
+                self._run_contexts(op)
+                self._collect_tokens()
+            except BaseException:
+                # Tokens are outstanding: a later round would collect
+                # this one's, so the engine cannot be reused.
+                self.close()
+                raise
 
         results = []
         exchanged = k * 8 * self.n_shards  # broadcast frontier
         for s in range(self.n_shards):
             hdr = a[f"r{s}_hdr"]
             if hdr[ops.HDR_ERROR]:
-                # The worker is fine (it posted its token); only the
-                # op failed.  Keep the pool alive -- the next kernel
-                # reinitializes all round state, and run_op clears the
-                # flag on entry.
-                raise ShardError(f"shard {s} op {op} failed "
-                                 "(see worker stderr)")
+                # The shard's process is fine (a worker posted its
+                # token); only the op failed.  Keep the pool alive --
+                # the next kernel reinitializes all round state, and
+                # run_op clears the flag on entry.
+                raise ShardError(f"shard {s} op {op} failed")
             count = int(hdr[ops.HDR_COUNT])
             results.append((a[f"r{s}_ids"][:count],
                             a[f"r{s}_val"][:count],
@@ -408,6 +403,35 @@ class ShardEngine:
         self.rounds += 1
         self.bytes_exchanged += exchanged
         return results
+
+    def _run_contexts(self, op: int) -> None:
+        """Run ``op`` on the shards this process computes: all of them
+        inline, shard 0 beside the workers.  A failure is already in
+        the shard's ring header, raised once the round is collected."""
+        for ctx in self._contexts:
+            try:
+                ops.run_op(ctx, op)
+            except Exception:
+                pass
+
+    def _collect_tokens(self) -> None:
+        """Wait for one ``done`` token per worker."""
+        deadline = time.monotonic() + self.step_timeout_s
+        pending = len(self._workers)
+        while pending:
+            # Short slices so worker deaths surface promptly; a plain
+            # semaphore acquire cannot deadlock on a lock a SIGKILLed
+            # worker took with it.
+            if self._done.acquire(True, 0.05):
+                pending -= 1
+                continue
+            dead = [p.name for p in self._workers if not p.is_alive()]
+            if dead or time.monotonic() > deadline:
+                self.close()
+                raise ShardError(
+                    "sharded superstep stalled"
+                    + (f" (dead workers: {', '.join(dead)})" if dead else
+                       f" (timeout after {self.step_timeout_s}s)"))
 
     def _merge_min(self, rings, best: np.ndarray) -> np.ndarray:
         """``best[id] = min(best[id], value)`` over every ring (ids are

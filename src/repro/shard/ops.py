@@ -3,9 +3,10 @@
 One :class:`ShardContext` per shard bundles that shard's CSR slices,
 the shared round state (rank/distance vector, visited/frontier bitmaps,
 broadcast buffer), and its preallocated delta ring.  The four op
-functions below are the *entire* worker-side compute: the engine's
-worker loop and its inline fallback both dispatch to these, so the
-process-backed and in-process paths are the same code by construction.
+functions below are the *entire* per-shard compute: the engine's
+worker loop, the parent's own shard 0 and the inline fallback all
+dispatch to these, so the process-backed and in-process paths are the
+same code by construction.
 They are the step bodies of :class:`repro.graph.sweeps.LocalSweeps`
 applied to a slice: the same :mod:`repro.graph.frontier` primitives
 (:func:`~repro.graph.frontier.first_parent_candidates`,

@@ -9,20 +9,31 @@ raises nothing else -- leaving the file as it was, or appending to a
 log the batch readers accept -- and the follower never raises at all.
 """
 
+import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
+import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.dashboard import EventFollower
 from repro.errors import TraceError
 from repro.observability import (
     EVENTS_NAME,
+    SCHEMA_VERSION,
     Tracer,
     chrome_trace,
     derive_metrics,
     read_events,
+    render_text,
     validate_events,
 )
 
@@ -95,7 +106,7 @@ def test_batch_reader_returns_or_raises_trace_error(data):
             return
         # What the reader passes, the exporters take without crashing.
         chrome_trace(events)
-        for check in (validate_events, derive_metrics):
+        for check in (validate_events, derive_metrics, render_text):
             try:
                 check(events)
             except TraceError:
@@ -127,3 +138,80 @@ def test_resume_raises_only_trace_error_and_leaves_log(data):
             assert path.read_bytes() == data
         else:
             read_events(path)   # what resume accepts, `epg trace` reads
+
+
+# ----------------------------------------------------------------------
+# A duplicated span id: every line parses, the tree has a cycle
+# ----------------------------------------------------------------------
+def _span(sid: int, parent: int | None) -> dict:
+    return {"type": "span", "id": sid, "parent": parent, "name": f"s{sid}",
+            "cat": "cell", "t0_wall": 0.0, "t1_wall": 1.0, "t0_sim": 0.0,
+            "t1_sim": 1.0, "attrs": {}}
+
+
+def _cyclic_run(root: Path) -> Path:
+    """A run whose log passes the reader but names span id 1 twice:
+    ``{1, null}``, ``{2, parent 1}``, ``{1, parent 2}``."""
+    events = [{"type": "meta", "version": SCHEMA_VERSION, "t_sim": 0.0},
+              _span(1, None), _span(2, 1), _span(1, 2)]
+    trace = root / "run1" / "trace"
+    trace.mkdir(parents=True)
+    (trace / EVENTS_NAME).write_text(
+        "".join(json.dumps(ev) + "\n" for ev in events), encoding="utf-8")
+    return root / "run1"
+
+
+def _cap_memory() -> None:
+    """Keep a looping child from taking the machine's memory with it."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+#: ``epg`` in a memory-capped child, for ``subprocess.run`` / ``Popen``.
+_EPG = [sys.executable, "-m", "repro.cli"]
+_CHILD = dict(env=dict(os.environ,
+                       PYTHONPATH=str(Path(repro.__file__).parents[1])),
+              preexec_fn=_cap_memory)
+
+
+def _get(url: str) -> tuple[int, bytes]:
+    try:
+        with urllib.request.urlopen(url, timeout=20) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
+
+
+def test_trace_rejects_duplicated_span_id(tmp_path):
+    run = _cyclic_run(tmp_path)
+    proc = subprocess.run([*_EPG, "trace", str(run)], capture_output=True,
+                          text=True, timeout=60, **_CHILD)
+    assert proc.returncode == 12, proc.stderr
+    assert "duplicate span id 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_dashboard_spans_reject_duplicated_span_id(tmp_path):
+    """The spans endpoint walks the tree under the server lock; a cycle
+    there used to wedge every later request."""
+    _cyclic_run(tmp_path)
+    log = tmp_path / "stderr.txt"
+    with open(log, "w") as stderr:
+        proc = subprocess.Popen(
+            [*_EPG, "-v", "dash", str(tmp_path), "--port", "0"],
+            stdout=subprocess.DEVNULL, stderr=stderr, **_CHILD)
+    try:
+        deadline = time.monotonic() + 30
+        while not (m := re.search(r"dashboard on (http://[^/\s]+)/",
+                                  log.read_text())):
+            assert proc.poll() is None and time.monotonic() < deadline, \
+                log.read_text()
+            time.sleep(0.05)
+        typed = json.dumps({"error": "TraceError: duplicate span id 1"})
+        for route in ("api/run/run1/spans", "run/run1/timeline.svg",
+                      "api/run/run1/spans"):
+            assert _get(f"{m.group(1)}/{route}") == (422, typed.encode())
+        assert _get(f"{m.group(1)}/healthz")[0] == 200
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)

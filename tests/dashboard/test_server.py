@@ -161,6 +161,35 @@ def test_mistyped_lines_are_counted_not_served(tmp_path):
         assert data["malformed"] == 2 and data["span_count"] == 2
 
 
+@pytest.mark.parametrize("first", ["counter", "gauge"])
+def test_name_reused_as_observe_is_counted_not_served(tmp_path, first):
+    """One metric name logged first as a counter (or gauge) and then as
+    an observe has no registry: the clashing event is counted as
+    malformed and the panel keeps serving the first kind."""
+    from repro.dashboard.server import _RunState
+
+    run = make_run(tmp_path)
+    log = run / "trace" / "events.jsonl"
+    field = "inc" if first == "counter" else "value"
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"type": first, "name": "epg_clash",
+                             "labels": {}, field: 3, "t_sim": 1.5}) + "\n")
+        fh.write(json.dumps({"type": "observe", "name": "epg_clash",
+                             "labels": {}, "value": 0.5,
+                             "t_sim": 1.5}) + "\n")
+    state = _RunState(log, history_limit=8)
+    state.poll()
+    assert state.follower.malformed == 1
+    assert state.totals["epg_clash"] == {"kind": first, "value": 3.0}
+    with running_dash(root=tmp_path) as base:
+        status, body = get(f"{base}/api/run/run1/metrics")
+        assert status == 200, body
+        assert json.loads(body)["totals"]["epg_clash"]["kind"] == first
+        status, body = get(f"{base}/api/run/run1/spans")
+        assert status == 200, body
+        assert json.loads(body)["malformed"] == 1
+
+
 def test_unknown_run_and_traversal_are_404(tmp_path):
     make_run(tmp_path)
     with running_dash(root=tmp_path) as base:

@@ -519,7 +519,7 @@ class TestResidentGraphManager:
         mgr.add_graph("kron:6")
         with mgr.lease("kron6", "gap", 2) as (system, loaded):
             system.run(loaded, "bfs", root=0)
-            assert len(shard_children()) == 2 and os.listdir("/dev/shm")
+            assert len(shard_children()) == 1 and os.listdir("/dev/shm")
         with mgr.lease("kron6", "gap", 4):
             assert set(mgr._residents) == {("kron6", "gap", 4)}
             assert shard_children() == [] and os.listdir("/dev/shm") == []

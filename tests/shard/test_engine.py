@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.algorithms.pagerank import pagerank
 from repro.errors import ConfigError, ShardError
 from repro.graph.csr import CSRGraph
 from repro.parallel.scheduler import resolve_jobs
@@ -25,6 +26,11 @@ import repro.shard.engine as engine_mod
 from repro.shard import ops
 from repro.shard.engine import ShardEngine, resolve_shards
 from repro.shard.shm import ArenaSpec, ShmArena
+from repro.systems.gap.bfs import dobfs
+from repro.systems.gap.graph import GapGraph
+from repro.systems.gap.sssp import delta_stepping
+from repro.systems.graph500.bfs import bfs_bitmap
+from tests.graph.test_sweeps import _same
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -94,7 +100,7 @@ def test_process_pool_spawns_and_closes():
     out, inn = _graph()
     engine = ShardEngine(out, inn, n_shards=2, inline=False)
     assert not engine.inline
-    assert len(engine._workers) == 2
+    assert len(engine._workers) == 1  # the parent computes shard 0
     assert all(p.is_alive() for p in engine._workers)
     engine.close()
     assert not engine._workers
@@ -166,7 +172,7 @@ def test_sigkilled_worker_raises_shard_error_cleanly():
             engine.top_down(np.array([0], dtype=np.int64),
                             np.full(n, -1, dtype=np.int64))
         except ShardError as exc:
-            assert "epg-shard-0" in str(exc), exc
+            assert "epg-shard-1" in str(exc), exc
             print("SHARD_ERROR_OK")
         assert os.listdir("/dev/shm") == []
         print("SHM_CLEAN")
@@ -282,7 +288,7 @@ def test_orphaned_workers_self_reap():
                              stdout=subprocess.PIPE, text=True)
     try:
         pids = [int(p) for p in owner.stdout.readline().split()]
-        assert len(pids) == 2
+        assert len(pids) == 1
         os.kill(owner.pid, signal.SIGKILL)
         owner.wait(timeout=30)
         deadline = time.monotonic() + 30
@@ -367,7 +373,7 @@ def test_worker_death_during_local_rounds_is_reported(report, monkeypatch):
                          step_timeout_s=5.0)
     try:
         engine.begin_bfs(0)
-        victim = engine._workers[1]
+        victim = engine._workers[0]
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=10)
         assert not victim.is_alive()
@@ -381,4 +387,83 @@ def test_worker_death_during_local_rounds_is_reported(report, monkeypatch):
             assert engine.closed
     finally:
         engine.close()
+    assert os.listdir("/dev/shm") == []
+
+
+# ----------------------------------------------------------------------
+# The parent computes shard 0
+# ----------------------------------------------------------------------
+def _gap_graph():
+    out, inn = _graph()
+    return GapGraph(out=out, inn=inn, n=out.n_vertices, directed=True)
+
+
+def test_parent_shard_exception_drains_the_round(monkeypatch):
+    """An op failing in the parent's own shard 0 is raised as the usual
+    ShardError only after the worker's token is collected: no stale
+    ``done`` token is left for the next round, which matches serial."""
+    real = ops._OPS[ops.OP_TD]
+    armed = [True]
+
+    def fail_once_in_parent(ctx):
+        if ctx.shard == 0 and armed:
+            armed.clear()
+            raise RuntimeError("injected")
+        real(ctx)
+
+    monkeypatch.setitem(ops._OPS, ops.OP_TD, fail_once_in_parent)
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+    g = _gap_graph()
+    parent = np.full(g.n, -1, dtype=np.int64)
+    with ShardEngine(g.out, g.inn, n_shards=2, inline=False) as engine:
+        with pytest.raises(ShardError, match="shard 0 "):
+            engine.top_down(np.array([0], dtype=np.int64), parent)
+        assert not engine.closed
+        # The worker's token for the failed round was consumed.
+        assert not engine._done.acquire(True, 0.5)
+        assert _same(bfs_bitmap(g.out, 3, engine), bfs_bitmap(g.out, 3))
+        assert engine.rounds > 0
+
+
+def test_interrupt_in_parent_shard_closes_engine(monkeypatch):
+    """A BaseException from the parent's op leaves a worker token
+    outstanding, so the engine closes before it propagates."""
+    real = ops._OPS[ops.OP_TD]
+
+    def interrupt_in_parent(ctx):
+        if ctx.shard == 0:
+            raise KeyboardInterrupt
+        real(ctx)
+
+    monkeypatch.setitem(ops._OPS, ops.OP_TD, interrupt_in_parent)
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+    out, inn = _graph()
+    parent = np.full(out.n_vertices, -1, dtype=np.int64)
+    frontier = np.array([0], dtype=np.int64)
+    engine = ShardEngine(out, inn, n_shards=2, inline=False)
+    worker = engine._workers[0]
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            engine.top_down(frontier, parent)
+        assert engine.closed
+        assert not worker.is_alive()
+        assert os.listdir("/dev/shm") == []
+        with pytest.raises(ShardError, match="engine is closed"):
+            engine.top_down(frontier, parent)
+    finally:
+        engine.close()
+
+
+def test_three_shards_fork_two_workers_and_match_serial(monkeypatch):
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+    g = _gap_graph()
+    with ShardEngine(g.out, g.inn, n_shards=3, inline=False) as engine:
+        assert [p.name for p in engine._workers] == ["epg-shard-1",
+                                                     "epg-shard-2"]
+        assert _same(dobfs(g, 0, 15.0, 18.0, engine),
+                     dobfs(g, 0, 15.0, 18.0))
+        assert _same(delta_stepping(g, 0, 0.25, engine),
+                     delta_stepping(g, 0, 0.25))
+        assert _same(pagerank(g.out, sweeps=engine), pagerank(g.out))
+        assert engine.rounds > 0 and engine.local_rounds == 0
     assert os.listdir("/dev/shm") == []
