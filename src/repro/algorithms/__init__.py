@@ -20,7 +20,7 @@ with the bodies (networkx, scipy union-find, the full-rescan peel, the
 sequential greedy MIS, the push-only BFS and whole-array hash-min).
 """
 
-from repro.algorithms.bfs import bfs_levels, bfs_parents
+from repro.algorithms.bfs import bfs_parents
 from repro.algorithms.cc import afforest
 from repro.algorithms.cdlp import cdlp
 from repro.algorithms.incremental import (
@@ -32,7 +32,6 @@ from repro.algorithms.incremental import (
     pagerank_warm,
 )
 from repro.algorithms.kcore import core_numbers, core_numbers_naive
-from repro.algorithms.lcc import local_clustering
 from repro.algorithms.mis import maximal_independent_set, mis_priorities
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import sssp_dijkstra
@@ -41,12 +40,10 @@ from repro.algorithms.wcc import weakly_connected_components
 
 __all__ = [
     "bfs_parents",
-    "bfs_levels",
     "sssp_dijkstra",
     "pagerank",
     "weakly_connected_components",
     "cdlp",
-    "local_clustering",
     "triangle_count",
     "core_numbers",
     "core_numbers_naive",

@@ -20,7 +20,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.frontier import dedup_ids, gather_slots
 from repro.graph.scratch import scratch_for
 
-__all__ = ["betweenness_centrality", "brandes_single_source"]
+__all__ = ["brandes_single_source"]
 
 
 def brandes_single_source(graph: CSRGraph, source: int
@@ -89,26 +89,3 @@ def brandes_single_source(graph: CSRGraph, source: int
         delta[source] += float(
             ((sigma[source] / sigma[succ]) * (1.0 + delta[succ])).sum())
     return delta, sigma, level
-
-
-def betweenness_centrality(graph: CSRGraph,
-                           sources: np.ndarray | None = None,
-                           normalize: bool = True) -> np.ndarray:
-    """Approximate BC from a set of source vertices (GAP's ``bc -i``).
-
-    With ``sources=None``, all vertices are swept (exact BC).  The
-    returned scores exclude endpoint contributions, matching both GAP
-    and networkx conventions; ``normalize`` rescales by the number of
-    sources over n so sampled runs estimate the exact values.
-    """
-    n = graph.n_vertices
-    if sources is None:
-        sources = np.arange(n, dtype=np.int64)
-    scores = np.zeros(n, dtype=np.float64)
-    for s in np.asarray(sources, dtype=np.int64):
-        delta, _, _ = brandes_single_source(graph, int(s))
-        delta[s] = 0.0
-        scores += delta
-    if normalize and len(sources):
-        scores *= n / float(len(sources))
-    return scores

@@ -22,7 +22,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.scratch import scratch_for
 from repro.graph.sweeps import LocalSweeps
 
-__all__ = ["bfs_rounds", "bfs_parents", "bfs_levels"]
+__all__ = ["bfs_rounds", "bfs_parents"]
 
 
 def bfs_rounds(out: CSRGraph, inn: CSRGraph | None, root: int
@@ -68,7 +68,3 @@ def bfs_parents(graph: CSRGraph, root: int) -> tuple[np.ndarray, np.ndarray]:
     return bfs_rounds(graph, None, root)[:2]
 
 
-def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:
-    """Levels only (cheaper to compare across systems: levels are unique
-    for a given graph and root, while parent trees are not)."""
-    return bfs_parents(graph, root)[1]

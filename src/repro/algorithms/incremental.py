@@ -30,13 +30,13 @@ scratch.  The contracts, enforced by ``benchmarks/bench_stream.py``:
 Deletion repair is Ramalingam-Reps style: arcs whose removal cuts a
 shortest-path-tree link orphan the cut vertex's whole tree subtree;
 orphans are unsettled and re-settled -- together with insertion-improved
-vertices -- by a pass over the affected region only: level by level off
-the shared :class:`~repro.graph.frontier.BucketQueue` for unit-weight
-BFS, by frontier rounds of the cold kernels' own relaxation
+vertices -- by frontier rounds of the cold kernels' own relaxation
 (:func:`~repro.graph.frontier.push_candidates` +
-:func:`~repro.graph.frontier.segment_min_scatter`) for float SSSP, whose
-fixed point is the same whatever the order.  Vertices outside the
-affected region keep their answer: a non-orphan's parent chain is
+:func:`~repro.graph.frontier.segment_min_scatter`) over the affected
+region only, whose fixed point is the same whatever the order.  BFS is
+that one repair over unit arc lengths: its hop counts are ``float64``
+during the repair, exact far past any vertex count.  Vertices outside
+the affected region keep their answer: a non-orphan's parent chain is
 intact, so its distance cannot increase, and any decrease must travel
 through an inserted arc or a repaired vertex, both of which seed or
 relax the frontier.
@@ -60,7 +60,6 @@ from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import AppliedBatch
 from repro.graph.frontier import (
-    BucketQueue,
     dedup_ids,
     gather_slots,
     push_candidates,
@@ -69,13 +68,7 @@ from repro.graph.frontier import (
 from repro.graph.scratch import scratch_for
 
 __all__ = ["IncrementalBFS", "IncrementalSSSP", "IncrementalPageRank",
-           "RepairStats", "pagerank_warm", "pagerank_l1_bound",
-           "INF_LEVEL"]
-
-#: Unreached sentinel for integer levels during repair.  Deliberately
-#: ``2**62`` and not ``iinfo.max``: relaxation computes ``level + 1``,
-#: which must not wrap.
-INF_LEVEL = np.int64(1) << 62
+           "RepairStats", "pagerank_warm", "pagerank_l1_bound"]
 
 
 @dataclass(frozen=True)
@@ -131,10 +124,9 @@ def _segmented_min(values: np.ndarray, offsets: np.ndarray,
 
 
 def _cut_and_orphan(graph: CSRGraph, applied: AppliedBatch,
-                    parent: np.ndarray, root: int, dist: np.ndarray,
-                    unreached):
+                    parent: np.ndarray, root: int, dist: np.ndarray):
     """Steps 1-2 of a repair: find the vertices whose tree arc the batch
-    removed and set their whole tree subtrees to ``unreached``.
+    removed and set their whole tree subtrees unreached (``inf``).
 
     Returns ``(cut, orphans, rev, scratch, rscratch)``: the transpose
     and the two scratch arenas are what the rest of the repair gathers
@@ -147,7 +139,7 @@ def _cut_and_orphan(graph: CSRGraph, applied: AppliedBatch,
     scratch = scratch_for(graph, n, graph.n_edges)
     rscratch = scratch_for(rev, n, rev.n_edges)
     orphans = _tree_descendants(graph, parent, cut, scratch)
-    dist[orphans] = unreached
+    dist[orphans] = np.inf
     return cut, orphans, rev, scratch, rscratch
 
 
@@ -191,12 +183,81 @@ def _recompute_parents(rev: CSRGraph, rscratch, parent: np.ndarray,
     parent[fin] = mins
 
 
-class IncrementalBFS:
+class _PathRepair:
+    """The one repair both path kernels run, over ``dist`` (``float64``,
+    ``inf`` unreached) and ``parent`` (the minimum-id supporter of every
+    finite non-root vertex, ``-1`` unreached, ``parent[root] == root``).
+
+    A subclass names its arc lengths through :meth:`_lengths`.
+    """
+
+    def _lengths(self, csr: CSRGraph) -> np.ndarray:
+        raise NotImplementedError
+
+    def _supports(self, csr, u, v, slots):
+        """Exact float equality: both sides are the same double sums."""
+        return self.dist[u] + self._lengths(csr)[slots] == self.dist[v]
+
+    def _repair(self, graph: CSRGraph, applied: AppliedBatch,
+                inserted_lengths: np.ndarray) -> RepairStats:
+        dist, parent = self.dist, self.parent
+        cut, orphans, rev, scratch, rscratch = _cut_and_orphan(
+            graph, applied, parent, self.root, dist)
+
+        # Seeds: each orphan's best still-settled in-neighbor, then
+        # every inserted arc that improves its target.
+        seeds = []
+        gs = gather_slots(rev.row_ptr, orphans, rscratch)
+        if gs.total:
+            cand = (dist[rev.col_idx[gs.slots]]
+                    + self._lengths(rev)[gs.slots])
+            mins, nonempty = _segmented_min(cand, gs.offsets, gs.counts)
+            finite = np.isfinite(mins)
+            seeds.append(segment_min_scatter(
+                dist, orphans[nonempty][finite], mins[finite], scratch))
+        cand = dist[applied.inserted_src] + inserted_lengths
+        better = cand < dist[applied.inserted_dst]
+        seeds.append(segment_min_scatter(
+            dist, applied.inserted_dst[better], cand[better], scratch))
+
+        # Relaxation rounds over the affected region: the round the
+        # cold kernels run (``LocalSweeps.relax``).  The order is
+        # immaterial for the final floats (see the module docstring);
+        # strict ``<`` and non-negative lengths end it.
+        n = dist.size
+        lengths = self._lengths(graph)
+        rounds = [dedup_ids(np.concatenate(seeds), n, scratch)]
+        while rounds[-1].size:
+            dsts, cand, _ = push_candidates(graph, lengths, rounds[-1],
+                                            dist, dist, scratch)
+            rounds.append(segment_min_scatter(dist, dsts, cand, scratch))
+
+        # Re-settled = distance dropped, however many times: what a
+        # monotone Dijkstra pass over the region settles exactly once.
+        touched = dedup_ids(np.concatenate(rounds), n, scratch)
+        moved = np.unique(np.concatenate([orphans, touched]))
+        verts = _moved_witnesses(graph, scratch, moved,
+                                 np.isfinite(dist[moved]), self._supports,
+                                 applied, self.root)
+        _recompute_parents(rev, rscratch, parent, verts,
+                           np.isfinite(dist[verts]), self._supports,
+                           type(self).__name__)
+
+        self.graph = graph
+        return RepairStats(n_cut=int(cut.size),
+                           n_orphaned=int(orphans.size),
+                           n_resettled=int(touched.size))
+
+
+class IncrementalBFS(_PathRepair):
     """Dynamic BFS repair; state bit-identical to :func:`bfs_parents`.
 
     Attributes ``parent`` and ``level`` always equal the from-scratch
     arrays for the current snapshot (``-1`` marks unreached,
-    ``parent[root] == root``).
+    ``parent[root] == root``).  An update repairs hop counts as
+    distances over unit arc lengths, read back from ``level``; the
+    minimum-id supporter one level up is the claim-first-parent winner
+    of the reference BFS.
     """
 
     def __init__(self, graph: CSRGraph, root: int):
@@ -204,68 +265,22 @@ class IncrementalBFS:
         self.parent, self.level = bfs_parents(graph, self.root)
         self.graph = graph
 
+    def _lengths(self, csr: CSRGraph) -> np.ndarray:
+        return np.broadcast_to(1.0, (csr.n_edges,))
+
     def update(self, graph: CSRGraph,
                applied: AppliedBatch) -> RepairStats:
         """Repair across one applied batch; ``graph`` is the post-batch
         snapshot."""
-        parent, level = self.parent, self.level
-        dist = np.where(level >= 0, level, INF_LEVEL)
-        cut, orphans, rev, scratch, rscratch = _cut_and_orphan(
-            graph, applied, parent, self.root, dist, INF_LEVEL)
-
-        bq = BucketQueue()
-        moved_parts = [orphans]
-
-        def offer(vs: np.ndarray, cand: np.ndarray) -> None:
-            ok = cand < dist[vs]
-            if ok.any():
-                uv = segment_min_scatter(dist, vs[ok], cand[ok], scratch)
-                moved_parts.append(uv)
-                bq.push(uv, dist[uv])
-
-        # 3a. Seed orphans from their still-settled in-neighbors.
-        gs = gather_slots(rev.row_ptr, orphans, rscratch)
-        if gs.total:
-            mins, nonempty = _segmented_min(dist[rev.col_idx[gs.slots]],
-                                            gs.offsets, gs.counts)
-            offer(orphans[nonempty], mins + 1)
-        # 3b. Seed insertion improvements.
-        offer(applied.inserted_dst, dist[applied.inserted_src] + 1)
-
-        # 4. Monotone re-settle over the affected region only.
-        n_resettled = 0
-        while True:
-            popped = bq.pop(dist)
-            if popped is None:
-                break
-            k, members = popped
-            n_resettled += members.size
-            gs = gather_slots(graph.row_ptr, members, scratch)
-            if gs.total:
-                nbrs = graph.col_idx[gs.slots]
-                offer(nbrs, np.full(nbrs.size, k + 1, dtype=np.int64))
-
-        # 5. ``parent[v] = min{u in in(v): level[u] == level[v] - 1}``
-        #    -- the claim-first-parent winner of the reference BFS --
-        #    wherever that set may have moved.
-        def one_level_up(csr, u, v, slots):
-            return dist[u] + 1 == dist[v]
-
-        moved = np.unique(np.concatenate(moved_parts))
-        verts = _moved_witnesses(graph, scratch, moved,
-                                 dist[moved] < INF_LEVEL, one_level_up,
-                                 applied, self.root)
-        _recompute_parents(rev, rscratch, parent, verts,
-                           dist[verts] < INF_LEVEL, one_level_up, "BFS")
-
-        self.level = np.where(dist < INF_LEVEL, dist, -1)
-        self.graph = graph
-        return RepairStats(n_cut=int(cut.size),
-                           n_orphaned=int(orphans.size),
-                           n_resettled=int(n_resettled))
+        self.dist = np.where(self.level >= 0, self.level, np.inf)
+        stats = self._repair(graph, applied,
+                             np.ones(applied.inserted_dst.size))
+        finite = np.isfinite(self.dist)
+        self.level = np.where(finite, self.dist, -1).astype(np.int64)
+        return stats
 
 
-class IncrementalSSSP:
+class IncrementalSSSP(_PathRepair):
     """Dynamic SSSP repair; ``dist`` bit-identical to
     :func:`sssp_dijkstra` on the current snapshot.
 
@@ -293,62 +308,17 @@ class IncrementalSSSP:
             self._supports, "SSSP")
         self.graph = graph
 
-    def _supports(self, csr, u, v, slots):
-        """Exact float equality: both sides are the same double sums."""
-        return self.dist[u] + csr.weights[slots] == self.dist[v]
+    def _lengths(self, csr: CSRGraph) -> np.ndarray:
+        return csr.weights
 
     def update(self, graph: CSRGraph,
                applied: AppliedBatch) -> RepairStats:
         # NaN fails ``>=`` too.  Checked before any state is touched:
-        # the relaxation rounds below only terminate on ``w >= 0``.
+        # the relaxation rounds only terminate on ``w >= 0``.
         if not (applied.inserted_weights >= 0).all():
             raise ValidationError(
                 "incremental SSSP requires non-negative weights")
-        dist, parent = self.dist, self.parent
-        cut, orphans, rev, scratch, rscratch = _cut_and_orphan(
-            graph, applied, parent, self.root, dist, np.inf)
-
-        # Seeds: each orphan's best still-settled in-neighbor, then
-        # every inserted arc that improves its target.
-        seeds = []
-        gs = gather_slots(rev.row_ptr, orphans, rscratch)
-        if gs.total:
-            cand = dist[rev.col_idx[gs.slots]] + rev.weights[gs.slots]
-            mins, nonempty = _segmented_min(cand, gs.offsets, gs.counts)
-            finite = np.isfinite(mins)
-            seeds.append(segment_min_scatter(
-                dist, orphans[nonempty][finite], mins[finite], scratch))
-        cand = dist[applied.inserted_src] + applied.inserted_weights
-        better = cand < dist[applied.inserted_dst]
-        seeds.append(segment_min_scatter(
-            dist, applied.inserted_dst[better], cand[better], scratch))
-
-        # Relaxation rounds over the affected region: the round the
-        # cold kernels run (``LocalSweeps.relax``).  The order is
-        # immaterial for the final floats (see the module docstring);
-        # strict ``<`` and ``w >= 0`` end it.
-        n = dist.size
-        rounds = [dedup_ids(np.concatenate(seeds), n, scratch)]
-        while rounds[-1].size:
-            dsts, cand, _ = push_candidates(graph, graph.weights,
-                                            rounds[-1], dist, dist, scratch)
-            rounds.append(segment_min_scatter(dist, dsts, cand, scratch))
-
-        # Re-settled = distance dropped, however many times: what a
-        # monotone Dijkstra pass over the region settles exactly once.
-        touched = dedup_ids(np.concatenate(rounds), n, scratch)
-        moved = np.unique(np.concatenate([orphans, touched]))
-        verts = _moved_witnesses(graph, scratch, moved,
-                                 np.isfinite(dist[moved]), self._supports,
-                                 applied, self.root)
-        _recompute_parents(rev, rscratch, parent, verts,
-                           np.isfinite(dist[verts]), self._supports,
-                           "SSSP")
-
-        self.graph = graph
-        return RepairStats(n_cut=int(cut.size),
-                           n_orphaned=int(orphans.size),
-                           n_resettled=int(touched.size))
+        return self._repair(graph, applied, applied.inserted_weights)
 
 
 def pagerank_warm(graph: CSRGraph, rank0: np.ndarray,

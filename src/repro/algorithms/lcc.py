@@ -37,11 +37,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.csr import CSRGraph
 from repro.graph.frontier import resolve_batch_rows
 from repro.graph.simple import simple_patterns
 
-__all__ = ["local_clustering", "clustering_blocks"]
+__all__ = ["clustering_blocks"]
 
 #: A row block runs on dense BLAS once at least this share of its
 #: ``rows x n`` entries are neighbors.  Measured per
@@ -110,8 +109,3 @@ def _dense_arc_counts(rows: sp.csr_matrix, a_dense: np.ndarray
     return prod.sum(axis=1, dtype=np.float64)
 
 
-def local_clustering(graph: CSRGraph,
-                     batch_rows: int | None = None) -> np.ndarray:
-    """LCC per vertex (0.0 for vertices with fewer than 2 neighbors)."""
-    return clustering_blocks(graph.source_ids(), graph.col_idx,
-                             graph.n_vertices, batch_rows)[0]

@@ -640,8 +640,6 @@ def _dispatch(args) -> int:
         return 1
 
     if args.command == "traces":
-        import numpy as np
-
         from repro.power.wattprof import PowerTrace
 
         tdir = args.output / "traces"
@@ -651,14 +649,8 @@ def _dispatch(args) -> int:
                   "capture_power_traces=True)")
             return 1
         for csv in csvs:
-            body = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
-            ts = body[:, 0]
-            hz = (1.0 / float(np.median(np.diff(ts)))
-                  if ts.size > 1 else 1000.0)
-            trace = PowerTrace(timestamps_s=ts, pkg_watts=body[:, 1],
-                               dram_watts=body[:, 2], sample_hz=hz)
             svg = csv.with_suffix(".svg")
-            trace.to_svg(svg, title=csv.stem)
+            PowerTrace.from_csv(csv).to_svg(svg, title=csv.stem)
             print(svg)
         return 0
 

@@ -9,7 +9,7 @@ PageRank, threads = 32, Kronecker edge factor 16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.errors import ConfigError
@@ -144,19 +144,6 @@ class ExperimentConfig:
         return self.cache_dir is not None
 
     # ------------------------------------------------------------------
-    @property
-    def dataset_label(self) -> str:
-        if self.dataset == "kronecker":
-            return f"kron-scale{self.scale}"
-        if self.dataset == "snap-file":
-            return Path(self.snap_path).stem
-        return {"cit-patents": "cit-Patents",
-                "dota-league": "dota-league"}[self.dataset]
-
-    def with_(self, **kwargs) -> "ExperimentConfig":
-        """Functional update (frozen dataclass convenience)."""
-        return replace(self, **kwargs)
-
     def to_dict(self) -> dict:
         """Everything that decides results, JSON-ready, in field order
         (the machine is recorded by :mod:`repro.core.provenance`)."""

@@ -220,7 +220,13 @@ class Experiment:
 
     @staticmethod
     def load_csv(path: str | Path) -> list[Record]:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(
+                f"{path}: not an EPG results CSV (not UTF-8)") from None
         if not lines or lines[0] != Record.csv_header():
             raise ConfigError(f"{path}: not an EPG results CSV")
         return [Record.from_csv_row(row) for row in lines[1:] if row]

@@ -64,6 +64,8 @@ class WorkloadSize:
 
     @staticmethod
     def kronecker(scale: int) -> "WorkloadSize":
+        if scale < 1:
+            raise ConfigError(f"Kronecker scale must be >= 1, got {scale}")
         n = 1 << scale
         arcs = 2 * 16 * n
         # Scale the calibrated scale-22 wedge estimate by arcs^~1.16

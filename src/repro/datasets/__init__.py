@@ -24,7 +24,7 @@ from repro.datasets.realworld import (
     cit_patents,
     dota_league,
 )
-from repro.datasets.snap import read_snap, write_snap
+from repro.datasets.snap import read_snap
 
 __all__ = [
     "KroneckerSpec",
@@ -35,5 +35,4 @@ __all__ = [
     "CIT_PATENTS_FULL",
     "DOTA_LEAGUE_FULL",
     "read_snap",
-    "write_snap",
 ]

@@ -20,11 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.datasets.formats import write_edge_rows
 from repro.errors import GraphFormatError
 from repro.graph.edgelist import EdgeList
 
-__all__ = ["read_snap", "write_snap", "sniff_snap"]
+__all__ = ["read_snap", "sniff_snap"]
 
 
 def sniff_snap(path: str | Path, max_lines: int = 50) -> dict:
@@ -94,18 +93,3 @@ def read_snap(path: str | Path, directed: bool = True,
     return EdgeList(src, dst, int(ids.size), weights=weights,
                     directed=directed, name=name or path.stem)
 
-
-def write_snap(edges: EdgeList, path: str | Path,
-               comments: tuple[str, ...] = ()) -> Path:
-    """Write an :class:`EdgeList` as a SNAP-format text file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = [f"# {c}" for c in (
-        f"Nodes: {edges.n_vertices} Edges: {edges.n_edges}",
-        "Directed" if edges.directed else "Undirected",
-        *comments,
-    )]
-    with path.open("wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("utf-8"))
-        write_edge_rows(fh, edges, "\t")
-    return path

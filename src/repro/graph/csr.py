@@ -190,17 +190,9 @@ class CSRGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.row_ptr)
 
-    def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.col_idx, minlength=self.n_vertices)
-
     def neighbors(self, v: int) -> np.ndarray:
         """View (not copy) of ``v``'s neighbor list."""
         return self.col_idx[self.row_ptr[v]:self.row_ptr[v + 1]]
-
-    def edge_weights(self, v: int) -> np.ndarray:
-        if self.weights is None:
-            raise GraphFormatError("graph is unweighted")
-        return self.weights[self.row_ptr[v]:self.row_ptr[v + 1]]
 
     def nbytes(self) -> int:
         total = self.row_ptr.nbytes + self.col_idx.nbytes
@@ -283,29 +275,6 @@ class CSRGraph:
 
     def to_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.source_ids(), self.col_idx.copy()
-
-    def to_scipy(self):
-        """Export as ``scipy.sparse.csr_matrix`` (weights default to 1).
-
-        Indices stay ``int64``: the old ``int32`` cast silently wrapped
-        column ids past 2^31, corrupting the matrix on graphs with more
-        than ~2.1e9 vertices or arcs instead of failing.  scipy picks a
-        safe index dtype itself (downcasting only when the values fit);
-        ``copy=True`` keeps the export from aliasing -- and its callers
-        from mutating -- the graph's own arrays.
-        """
-        import scipy.sparse as sp
-
-        data = (self.weights if self.weights is not None
-                else np.ones(self.n_edges, dtype=np.float64))
-        n = self.n_vertices
-        return sp.csr_matrix(
-            (data, self.col_idx, self.row_ptr), shape=(n, n), copy=True)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return bool(i < nbrs.size and nbrs[i] == v)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -4,8 +4,7 @@ The paper evaluates every system on *static* snapshots; streaming
 evaluations (Ammar & Özsu, PAPERS.md) show mutation-under-query is
 where implementations actually diverge.  This module is the ingest
 side of that scenario family: :class:`MutationBatch` (edge inserts +
-deletes), :class:`DynamicGraph` (the mutable adjacency), and
-:class:`MutationLog` (an append-only batch sequence with replay).
+deletes) and :class:`DynamicGraph` (the mutable adjacency).
 
 Representation.  A dynamic graph is a *simple* directed graph -- a set
 of distinct ``(src, dst)`` arcs with an optional weight each -- stored
@@ -47,8 +46,7 @@ from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 
-__all__ = ["MutationBatch", "AppliedBatch", "DynamicGraph",
-           "MutationLog"]
+__all__ = ["MutationBatch", "AppliedBatch", "DynamicGraph"]
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_W = np.empty(0, dtype=np.float64)
@@ -199,13 +197,6 @@ class DynamicGraph:
     def n_arcs(self) -> int:
         return int(self._keys.size)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        key = np.int64(u) * self.n + v
-        i = np.searchsorted(self._keys, key)
-        return bool(i < self._keys.size and self._keys[i] == key)
-
     def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Decode the live arc set as ``(src, dst, weights)`` sorted by
         ``(src, dst)``."""
@@ -344,29 +335,3 @@ class DynamicGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DynamicGraph(n={self.n}, arcs={self.n_arcs}, "
                 f"weighted={self.weighted})")
-
-
-class MutationLog:
-    """Append-only sequence of batches; the replayable stream artifact."""
-
-    __slots__ = ("_batches",)
-
-    def __init__(self, batches=()):
-        self._batches: list[MutationBatch] = list(batches)
-
-    def append(self, batch: MutationBatch) -> None:
-        self._batches.append(batch)
-
-    def __len__(self) -> int:
-        return len(self._batches)
-
-    def __iter__(self):
-        return iter(self._batches)
-
-    def __getitem__(self, i: int) -> MutationBatch:
-        return self._batches[i]
-
-    def replay(self, graph: DynamicGraph):
-        """Apply every batch in order, yielding ``(batch, applied)``."""
-        for batch in self._batches:
-            yield batch, graph.apply(batch)

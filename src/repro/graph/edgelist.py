@@ -132,41 +132,6 @@ class EdgeList:
             weights=weights, directed=self.directed, name=self.name,
         )
 
-    def without_self_loops(self) -> "EdgeList":
-        keep = self.src != self.dst
-        weights = self.weights[keep] if self.weights is not None else None
-        return EdgeList(
-            self.src[keep], self.dst[keep], self.n_vertices,
-            weights=weights, directed=self.directed, name=self.name,
-        )
-
-    def permuted(self, perm: np.ndarray) -> "EdgeList":
-        """Relabel vertices by ``perm`` (old id ``v`` becomes ``perm[v]``).
-
-        The Graph500 generator applies a random vertex permutation so
-        that locality cannot be exploited by construction order.
-        """
-        perm = np.asarray(perm, dtype=np.int64)
-        if perm.shape != (self.n_vertices,):
-            raise GraphFormatError("permutation length must equal n_vertices")
-        check = np.zeros(self.n_vertices, dtype=bool)
-        check[perm] = True
-        if not check.all():
-            raise GraphFormatError("perm is not a permutation of vertex ids")
-        return EdgeList(
-            perm[self.src], perm[self.dst], self.n_vertices,
-            weights=self.weights, directed=self.directed, name=self.name,
-        )
-
-    def with_unit_weights(self) -> "EdgeList":
-        """Attach weight 1.0 to every edge (EPG* homogenization rule for
-        running SSSP on unweighted datasets)."""
-        return EdgeList(
-            self.src, self.dst, self.n_vertices,
-            weights=np.ones(self.n_edges, dtype=np.float64),
-            directed=self.directed, name=self.name,
-        )
-
     def with_random_weights(self, seed: int, low: float = 0.0,
                             high: float = 1.0) -> "EdgeList":
         """Attach uniform ``(low, high]`` random weights, as the

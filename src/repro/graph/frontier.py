@@ -487,8 +487,8 @@ class BucketQueue:
     """Lazy monotone bucket queue: pending id lists + a min-heap of keys.
 
     Generalized out of GAP's delta-stepping (where it replaced the
-    ``O(n)`` ``np.flatnonzero(bucket == current)`` scan per bucket);
-    ``IncrementalBFS`` drives it too.  The caller-owned ``key`` array stays
+    ``O(n)`` ``np.flatnonzero(bucket == current)`` scan per bucket).
+    The caller-owned ``key`` array stays
     the source of truth; *decrease-key* (and increase-key) is simply a
     fresh :meth:`push` with the new key -- entries that went stale
     between push and pop are filtered by ``key[v] == k`` on pop.

@@ -19,13 +19,7 @@ replaces that machine with a deterministic model:
 Kernels always compute *real* results; only the clock is simulated.
 """
 
-from repro.machine.comm import (
-    CommCostParams,
-    CommProfile,
-    ShardSimResult,
-    simulate_sharded,
-)
-from repro.machine.spec import MachineSpec, haswell_server, laptop
+from repro.machine.spec import MachineSpec, haswell_server
 from repro.machine.threads import (
     CostParams,
     SimResult,
@@ -38,15 +32,10 @@ from repro.machine.variance import VarianceModel
 __all__ = [
     "MachineSpec",
     "haswell_server",
-    "laptop",
     "CostParams",
     "WorkProfile",
     "WorkRound",
     "SimResult",
     "ThreadModel",
     "VarianceModel",
-    "CommCostParams",
-    "CommProfile",
-    "ShardSimResult",
-    "simulate_sharded",
 ]

@@ -31,10 +31,6 @@ class PowerSegment:
     def duration(self) -> float:
         return self.t1 - self.t0
 
-    def energy_j(self) -> tuple[float, float]:
-        return (self.pkg_watts * self.duration,
-                self.dram_watts * self.duration)
-
 
 @dataclass
 class SimulatedClock:

@@ -62,29 +62,3 @@ class MachineSpec:
 def haswell_server() -> MachineSpec:
     """The paper's 72-thread research server (Sec. III-F)."""
     return MachineSpec()
-
-
-def laptop() -> MachineSpec:
-    """A modest 4-core/8-thread mobile part.
-
-    The paper's closing argument: "increasing hardware heterogeneity
-    demands performance analysis be easily repeatable on the target
-    architecture."  Passing ``machine=laptop()`` to an
-    :class:`~repro.core.config.ExperimentConfig` reprices every
-    experiment for this box -- lower core count, single memory channel
-    pair, tighter power envelope -- without touching anything else.
-    """
-    return MachineSpec(
-        name="laptop-4c8t",
-        sockets=1,
-        cores_per_socket=4,
-        smt=2,
-        base_ghz=2.8,
-        mem_bw_gbs=30.0,
-        mem_bw_per_thread_gbs=12.0,
-        ram_gb=16,
-        idle_pkg_watts=4.5,
-        idle_dram_watts=1.2,
-        max_pkg_watts=28.0,
-        max_dram_watts=4.0,
-    )

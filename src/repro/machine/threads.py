@@ -74,10 +74,6 @@ class WorkProfile:
         self.rounds.append(WorkRound(units, memory_bytes, skew))
 
     @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
-
-    @property
     def total_units(self) -> float:
         return self.serial_units + sum(r.units for r in self.rounds)
 

@@ -49,15 +49,6 @@ class PowerTrace:
         return float(self.timestamps_s[-1] - self.timestamps_s[0]
                      + 1.0 / self.sample_hz)
 
-    def energy_j(self) -> tuple[float, float]:
-        """Riemann-sum energy over the trace (package, DRAM)."""
-        dt = 1.0 / self.sample_hz
-        return (float(self.pkg_watts.sum() * dt),
-                float(self.dram_watts.sum() * dt))
-
-    def peak_pkg_watts(self) -> float:
-        return float(self.pkg_watts.max()) if self.pkg_watts.size else 0.0
-
     def to_csv(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -67,6 +58,33 @@ class PowerTrace:
         np.savetxt(path, cols, fmt="%.6f", delimiter=",",
                    header=header, comments="")
         return path
+
+    @classmethod
+    def from_csv(cls, path: str | Path) -> "PowerTrace":
+        """Read a trace :meth:`to_csv` wrote.  The rate is the median
+        sample spacing (1 kHz for a one-sample trace)."""
+        path = Path(path)
+        try:
+            rows = [row for row in
+                    path.read_text(encoding="utf-8").splitlines()[1:]
+                    if row.strip()]
+            if not rows:
+                raise ValueError("no samples")
+            body = np.loadtxt(rows, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise PowerMeasurementError(
+                f"{path}: not a power trace CSV ({exc})") from None
+        if body.shape[1] != 3:
+            raise PowerMeasurementError(
+                f"{path}: not a power trace CSV (want t_s,pkg_w,dram_w)")
+        ts = body[:, 0]
+        spacing = float(np.median(np.diff(ts))) if ts.size > 1 else 1e-3
+        if not spacing > 0:
+            raise PowerMeasurementError(
+                f"{path}: not a power trace CSV (timestamps do not "
+                f"increase)")
+        return cls(timestamps_s=ts, pkg_watts=body[:, 1],
+                   dram_watts=body[:, 2], sample_hz=1.0 / spacing)
 
     def to_svg(self, path: str | Path, title: str = "Power trace"
                ) -> Path:

@@ -40,15 +40,13 @@ from repro.resilience.supervisor import (
     CellOutcome,
     CellSupervisor,
     cell_id,
-    drain_requested,
     request_drain,
-    reset_drain,
 )
 
 __all__ = [
     "AttemptRecord", "CellOutcome", "CellSupervisor", "CHECKPOINT_NAME",
     "DEFAULT_CELL_TIMEOUT_S", "FAULT_KINDS", "Fault", "FaultInjector",
     "FaultRule", "InjectedCrashError", "RetryPolicy", "SuiteCheckpoint",
-    "cell_id", "config_digest", "corrupt_log", "drain_requested",
-    "parse_fault_spec", "request_drain", "reset_drain",
+    "cell_id", "config_digest", "corrupt_log", "parse_fault_spec",
+    "request_drain",
 ]

@@ -21,7 +21,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.errors import CellQuarantinedError, CheckpointError
+from repro.errors import CheckpointError
 from repro.ioutil import atomic_write_json
 from repro.logging_util import get_logger
 from repro.resilience.supervisor import CellOutcome
@@ -109,24 +109,6 @@ class SuiteCheckpoint:
 
     def quarantined(self) -> list[CellOutcome]:
         return [o for o in self.cells.values() if o.status == "quarantined"]
-
-    def log_path_for(self, cell: str) -> Path:
-        """Absolute log path of a completed cell.
-
-        Raises :class:`CellQuarantinedError` for quarantined cells and
-        :class:`CheckpointError` for unknown/unsupported ones.
-        """
-        outcome = self.cells.get(cell)
-        if outcome is None:
-            raise CheckpointError(f"{self.path}: no outcome for {cell}")
-        if outcome.status == "quarantined":
-            raise CellQuarantinedError(
-                f"{cell}: quarantined after "
-                f"{len(outcome.attempts)} attempt(s)")
-        if outcome.log is None:
-            raise CheckpointError(f"{cell}: no log recorded "
-                                  f"(status {outcome.status})")
-        return self.directory / outcome.log
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -26,7 +26,7 @@ from repro.resilience.faults import FaultInjector, InjectedCrashError
 from repro.resilience.retry import AttemptRecord, RetryPolicy
 
 __all__ = ["CellOutcome", "CellSupervisor", "cell_id",
-           "request_drain", "drain_requested", "reset_drain"]
+           "request_drain"]
 
 #: Process-wide drain flag: set when the process has been asked to shut
 #: down gracefully (SIGTERM, service drain).  A draining supervisor
@@ -39,15 +39,6 @@ _DRAIN = threading.Event()
 def request_drain() -> None:
     """Ask every supervisor in this process to stop scheduling retries."""
     _DRAIN.set()
-
-
-def drain_requested() -> bool:
-    return _DRAIN.is_set()
-
-
-def reset_drain() -> None:
-    """Clear the process-wide drain flag (tests, daemon restart)."""
-    _DRAIN.clear()
 
 
 def cell_id(system: str, algorithm: str, n_threads: int) -> str:

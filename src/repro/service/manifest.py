@@ -64,10 +64,6 @@ class ServedManifest:
         self.graphs[entry.name] = entry
         self.save()
 
-    def forget(self, name: str) -> None:
-        if self.graphs.pop(name, None) is not None:
-            self.save()
-
     def save(self) -> None:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         atomic_write_json(self.path, {

@@ -68,11 +68,6 @@ class ServiceTelemetry:
         with self._lock:
             return self.tracer.metrics.to_prometheus()
 
-    def counter_total(self, name: str) -> float:
-        with self._lock:
-            metric = self.tracer.metrics.get(name)
-            return metric.total() if metric is not None else 0.0
-
     def close(self) -> None:
         with self._lock:
             self.tracer.close()

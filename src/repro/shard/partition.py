@@ -18,10 +18,7 @@ al., OSDI'12): edges are placed one chunk at a time on the least-loaded
 shard that already hosts a replica of an endpoint, which bounds the
 replication factor on power-law graphs.  :func:`replica_counts` is the
 one replica census: the block strategies and PowerGraph's random
-ingress (``repro.systems.powergraph``) both count with it.  The
-paper-adjacent science (Ammar & Özsu: partitioning strategy *is* the
-cost model of distributed graph processing) is priced in
-:mod:`repro.machine.comm`.
+ingress (``repro.systems.powergraph``) both count with it.
 
 Every strategy is exact: each vertex has exactly one owner, each arc
 exactly one executing shard, and the per-shard CSR slices reassemble
@@ -41,7 +38,7 @@ from repro.graph.csr import CSRGraph
 __all__ = ["ShardPartition", "ShardSlice", "partition_graph",
            "contiguous_blocks", "balanced_edge_blocks",
            "greedy_vertex_cut", "shard_out_slice", "shard_in_slice",
-           "reassemble_out_slices", "replica_counts",
+           "replica_counts",
            "PARTITION_STRATEGIES", "VERTEX_CUT_CHUNK"]
 
 PARTITION_STRATEGIES = ("blocks", "edge_blocks", "vertex_cut")
@@ -70,14 +67,6 @@ class ShardPartition:
     #: Mean number of shards hosting a replica of each vertex (>= 1.0;
     #: exactly 1.0 for the block strategies' interior vertices).
     replication_factor: float
-
-    def shard_vertices(self, shard: int) -> np.ndarray:
-        """Sorted ids of the vertices mastered by ``shard``."""
-        return np.flatnonzero(self.owner == shard)
-
-    def edge_balance(self) -> np.ndarray:
-        """Arcs executed per shard."""
-        return np.bincount(self.edge_shard, minlength=self.n_shards)
 
 
 @dataclass(frozen=True)
@@ -288,21 +277,3 @@ def shard_in_slice(inn: CSRGraph, part: ShardPartition, shard: int
     weights = (inn.weights[slots] if inn.weights is not None else None)
     return owned, ShardSlice(row_ptr=row_ptr, col_idx=inn.col_idx[slots],
                              weights=weights, slot_map=slots)
-
-
-def reassemble_out_slices(slices: list[ShardSlice], csr: CSRGraph
-                          ) -> CSRGraph:
-    """Scatter shard slices back into one CSR (the identity proof).
-
-    Used by the property tests: the result must compare byte-identical
-    to the input graph for every strategy and shard count.
-    """
-    col_idx = np.empty(csr.n_edges, dtype=np.int64)
-    weights = (np.empty(csr.n_edges) if csr.weights is not None
-               else None)
-    for sl in slices:
-        col_idx[sl.slot_map] = sl.col_idx
-        if weights is not None:
-            weights[sl.slot_map] = sl.weights
-    return CSRGraph(row_ptr=csr.row_ptr.copy(), col_idx=col_idx,
-                    weights=weights)

@@ -6,7 +6,7 @@ affects performance depending on graph structure ... We plan to add
 some level of heuristic parameter tuning as performed in [Beamer'12] to
 the next iteration of our framework."  This module is that next
 iteration: degree-distribution heuristics that pick alpha/beta/delta per
-graph, plus a small empirical sweep utility.
+graph.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.systems.gap.graph import GapGraph
 
-__all__ = ["TunedParameters", "heuristic_parameters", "sweep_alpha_beta"]
+__all__ = ["TunedParameters", "heuristic_parameters"]
 
 
 @dataclass(frozen=True)
@@ -68,19 +68,3 @@ def heuristic_parameters(graph: GapGraph) -> TunedParameters:
     return TunedParameters(alpha=alpha, beta=beta, delta=delta,
                            rationale=rationale)
 
-
-def sweep_alpha_beta(system, loaded, root: int,
-                     alphas=(1.0, 4.0, 15.0, 60.0),
-                     betas=(4.0, 18.0, 64.0)) -> dict:
-    """Empirically sweep (alpha, beta); return simulated times per pair.
-
-    ``system`` must be a :class:`~repro.systems.gap.system.GapSystem`;
-    the sweep runs the real kernel for each setting, so the returned
-    times reflect the actual examined-edge differences.
-    """
-    results: dict[tuple[float, float], float] = {}
-    for a in alphas:
-        for b in betas:
-            res = system.run(loaded, "bfs", root=root, alpha=a, beta=b)
-            results[(a, b)] = res.time_s
-    return results

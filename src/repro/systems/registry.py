@@ -3,8 +3,9 @@
 The paper's install phase checks out stable forks of each package; here
 "installation" is registering a factory.  The registry doubles as the
 extension point Sec. V gestures at (adding frameworks to a package
-manager): third-party systems register with :func:`register_system` and
-immediately participate in every experiment.
+manager): a new system is a :class:`GraphSystem` subclass named in
+:data:`ALL_SYSTEM_NAMES` and in :func:`_ensure_builtin`, and then
+participates in every experiment.
 """
 
 from __future__ import annotations
@@ -14,32 +15,14 @@ from typing import Callable
 from repro.errors import ConfigError
 from repro.systems.base import GraphSystem
 
-__all__ = ["ALL_SYSTEM_NAMES", "available_systems", "create_system",
-           "register_system", "unregister_system"]
+__all__ = ["ALL_SYSTEM_NAMES", "available_systems", "create_system"]
 
 _FACTORIES: dict[str, Callable[..., GraphSystem]] = {}
 
 
-def register_system(name: str, factory: Callable[..., GraphSystem],
-                    replace: bool = False) -> None:
-    """Register a system factory under ``name``."""
-    if name in _FACTORIES and not replace:
-        raise ConfigError(f"system {name!r} already registered")
-    _FACTORIES[name] = factory
-
-
-def unregister_system(name: str) -> None:
-    """Remove a previously registered system (built-ins included --
-    they re-register lazily on the next lookup)."""
-    try:
-        del _FACTORIES[name]
-    except KeyError:
-        raise ConfigError(f"system {name!r} is not registered") from None
-
-
 def _ensure_builtin() -> None:
-    """(Re-)register any missing built-in; an unregistered or replaced
-    built-in name heals on the next lookup."""
+    """Register every built-in on the first lookup (imported lazily, so
+    importing the registry does not import five systems)."""
     if all(name in _FACTORIES for name in ALL_SYSTEM_NAMES):
         return
     from repro.systems.gap import GapSystem

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.algorithms.bc import betweenness_centrality
+from repro.algorithms.bc import brandes_single_source
 from repro.algorithms.tc import triangle_count
 from repro.graph.csr import CSRGraph
 
@@ -25,6 +25,23 @@ def random_graph():
     dst = rng.integers(0, n, m)
     keep = src != dst
     return _simple_sym(src[keep], dst[keep], n)
+
+
+def betweenness_centrality(graph, sources=None, normalize=True):
+    """BC summed over Brandes sweeps from ``sources`` (all vertices when
+    None), endpoints excluded; ``normalize`` rescales by n over the
+    number of sources so a sample estimates the exact values."""
+    n = graph.n_vertices
+    if sources is None:
+        sources = np.arange(n, dtype=np.int64)
+    scores = np.zeros(n, dtype=np.float64)
+    for s in np.asarray(sources, dtype=np.int64):
+        delta, _, _ = brandes_single_source(graph, int(s))
+        delta[s] = 0.0
+        scores += delta
+    if normalize and len(sources):
+        scores *= n / float(len(sources))
+    return scores
 
 
 def _nx_graph(csr):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.bfs import bfs_levels, bfs_parents, bfs_rounds
+from repro.algorithms.bfs import bfs_parents, bfs_rounds
 from repro.graph import frontier as fr
 from repro.graph.csr import CSRGraph
 from repro.graph.validation import validate_bfs_parents
@@ -24,7 +24,7 @@ def _nx_digraph(csr):
 
 def test_levels_match_networkx(kron10_csr):
     root = 3
-    level = bfs_levels(kron10_csr, root)
+    level = bfs_parents(kron10_csr, root)[1]
     want = nx.single_source_shortest_path_length(_nx_digraph(kron10_csr),
                                                  root)
     for v in range(kron10_csr.n_vertices):

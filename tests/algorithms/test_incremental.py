@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms.bfs import bfs_parents
 from repro.algorithms.incremental import (
-    INF_LEVEL,
     IncrementalBFS,
     IncrementalPageRank,
     IncrementalSSSP,
@@ -304,6 +303,11 @@ class TestIncrementalPageRank:
 # ----------------------------------------------------------------------
 # The loop the frontier rounds replaced, as the oracle
 # ----------------------------------------------------------------------
+#: Unreached sentinel for integer levels.  ``2**62`` and not
+#: ``iinfo.max``: relaxation computes ``level + 1``, which must not wrap.
+INF_LEVEL = np.int64(1) << 62
+
+
 def _unreached(dist):
     return np.inf if dist.dtype.kind == "f" else INF_LEVEL
 

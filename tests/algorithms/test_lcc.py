@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.algorithms.lcc as lcc
-from repro.algorithms.lcc import clustering_blocks, local_clustering
+from repro.algorithms.lcc import clustering_blocks
 from repro.datasets.realworld import cit_patents, dota_league
 from repro.graph.csr import CSRGraph
 from repro.graph.simple import simple_patterns
@@ -17,6 +17,12 @@ def _sym_csr(src, dst, n):
     s = np.concatenate([src, dst])
     d = np.concatenate([dst, src])
     return CSRGraph.from_arrays(s, d, n)
+
+
+def local_clustering(csr, batch_rows=None):
+    """LCC per vertex of ``csr`` (0.0 below two neighbours)."""
+    return clustering_blocks(csr.source_ids(), csr.col_idx,
+                             csr.n_vertices, batch_rows)[0]
 
 
 def _wedge_total(csr):

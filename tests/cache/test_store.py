@@ -1,5 +1,7 @@
 """Tests for the content-addressed artifact store itself."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,6 @@ class TestMaintenance:
 
         off = ExperimentConfig(output_dir=tmp_path / "o")
         assert ArtifactCache.from_config(off) is None
-        on = off.with_(cache_dir=tmp_path / "c")
+        on = dataclasses.replace(off, cache_dir=tmp_path / "c")
         cache = ArtifactCache.from_config(on)
         assert cache is not None and cache.root == tmp_path / "c"

@@ -1,7 +1,5 @@
 """Tests for ExperimentConfig validation."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.core.config import ExperimentConfig
@@ -18,15 +16,6 @@ def test_defaults_mirror_paper(tmp_path):
     assert cfg.epsilon == pytest.approx(6e-8)  # Sec. IV-A
     assert cfg.thread_counts == (32,)
     assert cfg.machine.n_threads == 72
-
-
-def test_dataset_label(tmp_path):
-    assert _cfg(tmp_path, scale=22).dataset_label == "kron-scale22"
-    assert _cfg(tmp_path, dataset="dota-league").dataset_label == \
-        "dota-league"
-    assert _cfg(tmp_path, dataset="snap-file",
-                snap_path=Path("/x/web-Google.txt")).dataset_label == \
-        "web-Google"
 
 
 def test_rejects_unknown_dataset(tmp_path):
@@ -68,12 +57,6 @@ def test_rejects_bad_scale(tmp_path):
 def test_rejects_bad_epsilon(tmp_path):
     with pytest.raises(ConfigError):
         _cfg(tmp_path, epsilon=0.0)
-
-
-def test_with_updates(tmp_path):
-    cfg = _cfg(tmp_path).with_(scale=10)
-    assert cfg.scale == 10
-    assert cfg.output_dir == tmp_path
 
 
 def test_to_dict_roundtrips_fields(tmp_path):

@@ -9,7 +9,9 @@ permanent failures, checkpoints make interruption cheap, and the log
 parser salvages what is salvageable.
 """
 
+import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -20,7 +22,6 @@ from repro.core.logs import LogWriter, parse_all_logs, parse_log
 from repro.core.runner import Runner
 from repro.core.suite import resume_paper_suite, run_paper_suite
 from repro.errors import (
-    CellQuarantinedError,
     CheckpointError,
     ConfigError,
     LogParseError,
@@ -31,6 +32,8 @@ from repro.resilience import (
     RetryPolicy,
     SuiteCheckpoint,
     parse_fault_spec,
+    request_drain,
+    supervisor,
 )
 
 pytestmark = pytest.mark.faulty
@@ -132,8 +135,7 @@ class TestRetryAndQuarantine:
         # PowerGraph-without-BFS.
         assert {r.system for r in analysis.records} == {"graph500"}
         ck = SuiteCheckpoint.load_or_create(tmp_path, cfg)
-        with pytest.raises(CellQuarantinedError):
-            ck.log_path_for("gap/bfs/t32")
+        assert ck.get("gap/bfs/t32").status == "quarantined"
 
     def test_hang_records_timeout_at_deadline(self, tmp_path):
         cfg = _config(tmp_path, fault_spec="gap/bfs/t32:hang",
@@ -169,13 +171,17 @@ class TestRetryAndQuarantine:
 class TestDrainQuarantine:
     """A cell that fails while the process is draining must quarantine
     immediately -- and exactly once -- instead of burning retries the
-    process no longer has."""
+    process no longer has.  Each test drains a fresh process-wide flag
+    that monkeypatch puts back afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_drain_flag(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "_DRAIN", threading.Event())
 
     def test_drain_mid_retry_quarantines_exactly_once(
             self, tmp_path, monkeypatch):
         from repro.core.report import format_failures_section
         from repro.observability import Tracer
-        from repro.resilience import request_drain, reset_drain
 
         cfg = _config(tmp_path, fault_spec="gap/bfs/t32:crash",
                       max_retries=3)
@@ -191,10 +197,7 @@ class TestDrainQuarantine:
             return real(self, system, algorithm, n_threads, **kw)
 
         monkeypatch.setattr(Runner, "run_system_algorithm", run_and_drain)
-        try:
-            exp.run_all()
-        finally:
-            reset_drain()
+        exp.run_all()
 
         (oc,) = exp.quarantined
         assert oc.cell == "gap/bfs/t32"
@@ -216,16 +219,11 @@ class TestDrainQuarantine:
                 if e.status == "quarantined"] == ["gap/bfs/t32"]
 
     def test_predrained_supervisor_spends_single_attempt(self, tmp_path):
-        from repro.resilience import request_drain, reset_drain
-
         cfg = _config(tmp_path, fault_spec="gap/bfs/t32:crash:2",
                       max_retries=3)
         exp = Experiment(cfg)
         request_drain()
-        try:
-            exp.run_all()
-        finally:
-            reset_drain()
+        exp.run_all()
         # Without drain this cell recovers on attempt 3
         # (test_retry_then_succeed); draining forfeits the retries.
         (oc,) = exp.quarantined
@@ -258,7 +256,7 @@ class TestCheckpointResume:
     def test_config_change_resets_checkpoint(self, tmp_path):
         cfg = _config(tmp_path)
         Experiment(cfg).run_all()
-        cfg2 = cfg.with_(algorithms=("bfs", "sssp"))
+        cfg2 = dataclasses.replace(cfg, algorithms=("bfs", "sssp"))
         exp = Experiment(cfg2)
         exp.run_all()
         cells = {o.cell for o in exp.cell_outcomes}

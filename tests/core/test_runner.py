@@ -1,5 +1,7 @@
 """Unit tests for the run-phase executor."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import ExperimentConfig
@@ -77,7 +79,7 @@ def test_power_disabled(tmp_path):
 def test_trial_jitter_varies_but_kernel_output_cached(runner):
     """Multiple trials re-jitter the priced time without rerunning the
     kernel; values must differ across trials of the same root."""
-    cfg = runner.config.with_(n_trials=3, n_roots=2)
+    cfg = dataclasses.replace(runner.config, n_trials=3, n_roots=2)
     r2 = Runner(cfg, runner.dataset)
     path = r2.run_system_algorithm("gap", "sssp", 32)
     records = parse_log(path)
@@ -143,17 +145,15 @@ class TestOutputValidation:
             for algo in cfg.algorithms:
                 r.run_system_algorithm(sysname, algo, 32)  # no raise
 
-    def test_validation_catches_cheating_system(self, tmp_path):
+    def test_validation_catches_cheating_system(self, tmp_path,
+                                                monkeypatch):
         """A system returning garbage must be rejected during the run
         phase (the Graph500 rule)."""
         import numpy as np
 
         from repro.errors import ValidationError
+        from repro.systems import registry
         from repro.systems.gap import GapSystem
-        from repro.systems.registry import (
-            register_system,
-            unregister_system,
-        )
 
         class CheatingGap(GapSystem):
             name = "gap"  # masquerade in the registry lookup
@@ -170,13 +170,10 @@ class TestOutputValidation:
         exp = Experiment(cfg)
         exp.setup()
         dataset = exp.homogenize()
-        register_system("gap", CheatingGap, replace=True)
-        try:
-            with pytest.raises(ValidationError):
-                Runner(cfg, dataset).run_system_algorithm(
-                    "gap", "sssp", 32)
-        finally:
-            unregister_system("gap")  # built-ins re-register lazily
+        registry.available_systems()  # register the built-ins first
+        monkeypatch.setitem(registry._FACTORIES, "gap", CheatingGap)
+        with pytest.raises(ValidationError):
+            Runner(cfg, dataset).run_system_algorithm("gap", "sssp", 32)
 
 
 class TestThreadSweepBuildsOnce:

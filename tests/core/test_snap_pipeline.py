@@ -10,8 +10,8 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
-from repro.datasets.snap import write_snap
 from repro.graph.edgelist import EdgeList
+from tests.datasets.test_snap import write_snap
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +34,6 @@ def snap_analysis(snap_file, tmp_path_factory):
         dataset="snap-file", snap_path=snap_file, n_roots=4,
         algorithms=("bfs", "sssp", "pagerank"))
     return Experiment(cfg).run_all()
-
-
-def test_dataset_label_from_filename(snap_file, tmp_path):
-    cfg = ExperimentConfig(output_dir=tmp_path, dataset="snap-file",
-                           snap_path=snap_file)
-    assert cfg.dataset_label == "user-graph"
 
 
 def test_all_capable_systems_ran(snap_analysis):

@@ -21,9 +21,9 @@ from repro.datasets import formats
 from repro.datasets.homogenize import _WRITER_KEYS, homogenize
 from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
 from repro.datasets.realworld import cit_patents
-from repro.datasets.snap import write_snap
 from repro.errors import DatasetError
 from repro.graph.edgelist import EdgeList
+from tests.datasets.test_snap import write_snap
 
 # 1e300 does not fit GraphMat's float32 record; the .mtxbin stores inf.
 pytestmark = pytest.mark.filterwarnings(

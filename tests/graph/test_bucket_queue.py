@@ -1,7 +1,6 @@
 """Property-based tests for the lazy monotone :class:`BucketQueue`.
 
-The queue was generalized out of GAP's delta-stepping and also drives
-``IncrementalBFS``; its contract is that a pop yields *exactly* the
+The queue was generalized out of GAP's delta-stepping; its contract is that a pop yields *exactly* the
 sorted-unique member set a full ``np.flatnonzero(key == k)`` scan of the
 lowest occupied bucket would have produced, with stale entries (pushed
 under a key that has since changed) skipped lazily.  The reference model

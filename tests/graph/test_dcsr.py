@@ -6,6 +6,7 @@ import pytest
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
+from tests.graph.test_properties import to_scipy
 
 
 @pytest.fixture
@@ -57,7 +58,7 @@ class TestSemiringSpMV:
         rng = np.random.default_rng(1)
         x = rng.random(kron10_csr.n_vertices)
         got = d.spmv_plus_times(x)
-        want = np.asarray(kron10_csr.to_scipy() @ x).ravel()
+        want = np.asarray(to_scipy(kron10_csr) @ x).ravel()
         assert np.allclose(got, want)
 
     def test_plus_times_pattern_only_ignores_values(self, sparse_csr):

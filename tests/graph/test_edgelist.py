@@ -82,27 +82,6 @@ class TestTransformations:
         de = el.deduplicated()
         assert de.weights.tolist() == [3.0]
 
-    def test_without_self_loops(self):
-        el = _el([0, 1], [0, 2], 3)
-        assert el.without_self_loops().n_edges == 1
-
-    def test_permuted_roundtrip(self):
-        el = _el([0, 1, 2], [1, 2, 0], 3)
-        perm = np.array([2, 0, 1])
-        inv = np.argsort(perm)
-        back = el.permuted(perm).permuted(inv)
-        assert np.array_equal(back.src, el.src)
-        assert np.array_equal(back.dst, el.dst)
-
-    def test_permuted_rejects_non_permutation(self):
-        el = _el([0], [1], 3)
-        with pytest.raises(GraphFormatError):
-            el.permuted(np.array([0, 0, 1]))
-
-    def test_unit_weights(self):
-        el = _el([0, 1], [1, 2], 3)
-        assert el.with_unit_weights().weights.tolist() == [1.0, 1.0]
-
     def test_random_weights_deterministic(self):
         el = _el([0, 1], [1, 2], 3)
         a = el.with_random_weights(seed=1)

@@ -665,28 +665,3 @@ def test_dcsr_csr_view_shares_arrays_and_is_dropped_from_pickle():
     assert np.array_equal(clone.csr_view().row_ptr, view.row_ptr)
     assert np.array_equal(clone.csr_view().transposed().col_idx,
                           out.col_idx)
-
-
-def test_to_scipy_no_unconditional_int32_cast():
-    """Regression for the silent ``astype(int32)`` wrap: the export must
-    hand scipy the int64 arrays and let it pick a safe index dtype, and
-    the exported matrix must not alias the graph's arrays."""
-    import inspect
-
-    import scipy.sparse as sp
-
-    assert "astype" not in inspect.getsource(CSRGraph.to_scipy)
-
-    csr = CSRGraph.from_arrays(np.array([0, 1, 1]), np.array([1, 0, 2]), 3,
-                               weights=np.array([0.5, 1.5, 2.5]))
-    mat = csr.to_scipy()
-    assert isinstance(mat, sp.csr_matrix)
-    dense = mat.toarray()
-    want = np.zeros((3, 3))
-    want[0, 1], want[1, 0], want[1, 2] = 0.5, 1.5, 2.5
-    assert np.array_equal(dense, want)
-    # Mutating the export must not corrupt the graph.
-    mat.data[:] = 0.0
-    mat.indices[:] = 0
-    assert np.array_equal(csr.col_idx, [1, 0, 2])
-    assert np.array_equal(csr.weights, [0.5, 1.5, 2.5])

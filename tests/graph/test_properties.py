@@ -1,12 +1,21 @@
 """Property-based tests of the core graph structures (hypothesis)."""
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
 from repro.graph.edgelist import EdgeList
+
+
+def to_scipy(csr):
+    """``csr`` as a ``scipy.sparse.csr_matrix``, weights defaulting to 1."""
+    data = (csr.weights if csr.weights is not None
+            else np.ones(csr.n_edges, dtype=np.float64))
+    n = csr.n_vertices
+    return sp.csr_matrix((data, csr.col_idx, csr.row_ptr), shape=(n, n))
 
 
 @st.composite
@@ -72,7 +81,7 @@ def test_dcsr_spmv_agrees_with_scipy(el):
     x = np.linspace(0.5, 2.0, csr.n_vertices)
     got = d.spmv_plus_times(x)
     # scipy sums duplicates, matching plus-times semantics.
-    want = np.asarray(csr.to_scipy() @ x).ravel()
+    want = np.asarray(to_scipy(csr) @ x).ravel()
     assert np.allclose(got, want)
 
 
@@ -81,7 +90,8 @@ def test_dcsr_spmv_agrees_with_scipy(el):
 def test_symmetrized_degree_identity(el):
     sym = el.symmetrized()
     csr = CSRGraph.from_edge_list(sym)
-    assert np.array_equal(csr.out_degrees(), csr.in_degrees())
+    assert np.array_equal(csr.out_degrees(),
+                          np.bincount(csr.col_idx, minlength=csr.n_vertices))
 
 
 @given(edge_lists())
@@ -100,7 +110,8 @@ def test_transpose_preserves_multiset(el):
 def test_permutation_preserves_structure(el, seed):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(el.n_vertices).astype(np.int64)
-    p = el.permuted(perm)
+    p = EdgeList(perm[el.src], perm[el.dst], el.n_vertices,
+                 weights=el.weights, directed=el.directed)
     assert p.n_edges == el.n_edges
     assert np.array_equal(
         np.sort(p.degrees()), np.sort(el.degrees()))

@@ -51,7 +51,7 @@ def test_gap_priced_at_idle(clock):
 
 def test_segment_energy(clock):
     seg = clock.advance(0.5, 80.0, 16.0)
-    pkg, dram = seg.energy_j()
+    pkg, dram = clock.energy_between(seg.t0, seg.t1)
     assert pkg == pytest.approx(40.0)
     assert dram == pytest.approx(8.0)
 

@@ -11,7 +11,26 @@ import pytest
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.errors import ConfigError
-from repro.machine import haswell_server, laptop
+from repro.machine import MachineSpec, haswell_server
+
+
+def laptop() -> MachineSpec:
+    """A modest 4-core/8-thread mobile part: lower core count, one
+    memory channel pair, a tighter power envelope."""
+    return MachineSpec(
+        name="laptop-4c8t",
+        sockets=1,
+        cores_per_socket=4,
+        smt=2,
+        base_ghz=2.8,
+        mem_bw_gbs=30.0,
+        mem_bw_per_thread_gbs=12.0,
+        ram_gb=16,
+        idle_pkg_watts=4.5,
+        idle_dram_watts=1.2,
+        max_pkg_watts=28.0,
+        max_dram_watts=4.0,
+    )
 
 
 def test_laptop_spec_sane():

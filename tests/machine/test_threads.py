@@ -40,7 +40,7 @@ class TestWorkProfile:
         p.add_round(50)
         p.serial_units = 10
         assert p.total_units == 160
-        assert p.n_rounds == 2
+        assert len(p.rounds) == 2
         assert p.total_bytes == 800
 
     def test_negative_rejected(self):
@@ -53,7 +53,7 @@ class TestWorkProfile:
     def test_merge(self):
         a = _profile(rounds=2)
         b = _profile(rounds=3)
-        assert a.merged(b).n_rounds == 5
+        assert len(a.merged(b).rounds) == 5
 
 
 class TestCostParams:

@@ -440,12 +440,6 @@ class TestManifest:
         with pytest.raises(ServiceError):
             ServedManifest.load(tmp_path)
 
-    def test_forget_removes_and_saves(self, tmp_path):
-        m = ServedManifest(tmp_path)
-        m.record(self.entry())
-        m.forget("kron6")
-        assert ServedManifest.load(tmp_path).graphs == {}
-
 
 class TestGraphSpec:
     @pytest.mark.parametrize("text,name,dataset", [

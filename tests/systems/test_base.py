@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SystemCapabilityError
 from repro.systems import available_systems, create_system
-from repro.systems.registry import ALL_SYSTEM_NAMES, register_system
+from repro.systems.registry import ALL_SYSTEM_NAMES
 
 
 class TestRegistry:
@@ -16,27 +16,6 @@ class TestRegistry:
 
         with pytest.raises(ConfigError):
             create_system("pregel")
-
-    def test_register_custom(self):
-        from repro.systems.gap import GapSystem
-        from repro.systems.registry import unregister_system
-
-        class MySystem(GapSystem):
-            name = "mysystem-test"
-
-        register_system("mysystem-test", MySystem, replace=True)
-        try:
-            assert "mysystem-test" in available_systems()
-            assert isinstance(create_system("mysystem-test"), MySystem)
-        finally:
-            unregister_system("mysystem-test")
-        assert "mysystem-test" not in available_systems()
-
-    def test_register_duplicate_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            register_system("gap", lambda: None)
 
 
 class TestCapabilities:

@@ -5,14 +5,14 @@ empty ``range`` -- the kernels returned all-zero clustering / triangle
 counts instead of failing -- and a width past ``n`` silently clamped.
 Both are configuration errors now (:func:`resolve_batch_rows`), across
 every batched kernel: the reference ``triangle_count`` and
-``local_clustering``, GraphBIG's ``lcc_wedges``, GraphMat's
+``clustering_blocks``, GraphBIG's ``lcc_wedges``, GraphMat's
 ``lcc_spmv``, and PowerGraph's ``lcc_gas``.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms.lcc import local_clustering
+from repro.algorithms.lcc import clustering_blocks
 from repro.algorithms.tc import triangle_count
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
@@ -28,6 +28,11 @@ def small_csr():
 
 
 BAD_WIDTHS = (0, -1, -2048)
+
+
+def local_clustering(csr, batch_rows=None):
+    return clustering_blocks(csr.source_ids(), csr.col_idx,
+                             csr.n_vertices, batch_rows)[0]
 
 
 def test_resolve_batch_rows_contract():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
-    bfs_levels,
+    bfs_parents,
     cdlp,
     pagerank,
     sssp_dijkstra,
@@ -48,7 +48,7 @@ def refs(kron10_csr, kron10_dataset):
     roots = [int(r) for r in kron10_dataset.roots[:4]]
     return {
         "roots": roots,
-        "levels": {r: bfs_levels(kron10_csr, r) for r in roots},
+        "levels": {r: bfs_parents(kron10_csr, r)[1] for r in roots},
         "dists": {r: sssp_dijkstra(kron10_csr, r) for r in roots},
         "rank": pagerank(kron10_csr)[0],
         "wcc": weakly_connected_components(kron10_csr),
@@ -121,7 +121,7 @@ class TestRealWorldCrossValidation:
                                      patents_small):
         csr = CSRGraph.from_edge_list(patents_small)
         root = int(patents_dataset.roots[0])
-        ref = bfs_levels(csr, root)
+        ref = bfs_parents(csr, root)[1]
         s = create_system(name)
         loaded = s.load(patents_dataset)
         res = s.run(loaded, "bfs", root=root)

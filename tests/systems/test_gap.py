@@ -4,7 +4,7 @@ Gauss-Seidel PageRank, serialized graphs."""
 import numpy as np
 import pytest
 
-from repro.algorithms import bfs_levels, pagerank, sssp_dijkstra
+from repro.algorithms import bfs_parents, pagerank, sssp_dijkstra
 from repro.systems import create_system
 from repro.systems.gap.bfs import dobfs
 from repro.systems.gap.graph import build_gap_graph
@@ -36,14 +36,14 @@ class TestDirectionOptimizingBfs:
         assert p_do.total_units < p_td.total_units
 
     def test_levels_independent_of_direction(self, gap_graph, kron10_csr):
-        ref = bfs_levels(kron10_csr, 5)
+        ref = bfs_parents(kron10_csr, 5)[1]
         for alpha in (1e-9, 15.0, 1e9):
             _, level, _, _ = dobfs(gap_graph, 5, alpha=alpha)
             assert np.array_equal(level, ref)
 
     def test_records_one_round_per_level(self, gap_graph):
         _, level, profile, stats = dobfs(gap_graph, 0)
-        assert profile.n_rounds == stats["depth"]
+        assert len(profile.rounds) == stats["depth"]
         # The last round may discover nothing (termination probe).
         assert level.max() in (stats["depth"], stats["depth"] - 1)
 

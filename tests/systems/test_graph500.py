@@ -1,9 +1,8 @@
-"""Graph500-specific behaviour: Benchmark 1 protocol, bitmap BFS."""
+"""Graph500-specific behaviour: the bitmap BFS."""
 
 import numpy as np
-import pytest
 
-from repro.algorithms import bfs_levels
+from repro.algorithms import bfs_parents
 from repro.graph.csr import CSRGraph
 from repro.systems import create_system
 from repro.systems.graph500.bfs import bfs_bitmap
@@ -13,7 +12,7 @@ class TestBitmapBfs:
     def test_levels_match_reference(self, kron10_csr):
         for root in (0, 7, 100):
             _, level, _, _ = bfs_bitmap(kron10_csr, root)
-            assert np.array_equal(level, bfs_levels(kron10_csr, root))
+            assert np.array_equal(level, bfs_parents(kron10_csr, root)[1])
 
     def test_examines_every_frontier_edge(self, kron10_csr):
         """Top-down without direction optimization: examined edges ==
@@ -36,37 +35,6 @@ class TestBitmapBfs:
         _, _, p_gap, _ = dobfs(g, 0)
         _, _, p_500, _ = bfs_bitmap(kron10_csr, 0)
         assert p_500.total_units > p_gap.total_units
-
-
-class TestBenchmark1:
-    @pytest.fixture(scope="class")
-    def bench(self, kron10_dataset):
-        s = create_system("graph500", n_threads=32)
-        loaded = s.load(kron10_dataset)
-        return s.run_benchmark1(loaded, kron10_dataset.roots[:8])
-
-    def test_one_construction_many_searches(self, bench):
-        result, runs = bench
-        assert len(result.bfs_times_s) == 8
-        assert result.construction_s > 0
-
-    def test_summary_statistics(self, bench):
-        result, _ = bench
-        assert result.min_time <= result.mean_time <= result.max_time
-
-    def test_teps_positive_and_sane(self, bench):
-        result, _ = bench
-        teps = result.harmonic_mean_teps
-        assert teps > 0
-        # TEPS cannot exceed edges/min_time.
-        assert teps <= max(result.edges_traversed) / result.min_time * 1.01
-
-    def test_harmonic_mean_definition(self, bench):
-        result, _ = bench
-        inv = [t / e for t, e in zip(result.bfs_times_s,
-                                     result.edges_traversed)]
-        assert result.harmonic_mean_teps == pytest.approx(
-            1.0 / np.mean(inv))
 
 
 def test_only_bfs_supported(kron10_dataset):

@@ -79,6 +79,13 @@ def test_feasibility_command(capsys):
     assert "OK" in out
 
 
+@pytest.mark.parametrize("scale", ["0", "-3"])
+def test_feasibility_rejects_a_scale_below_one(capsys, scale):
+    assert main(["feasibility", "--scale", scale]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("epg: ConfigError: ") and err.count("\n") == 1
+
+
 def test_closed_stdout_exits_quietly():
     """``epg feasibility | head -1``: a reader that goes away is not an
     error, so no traceback reaches stderr and the exit code is
@@ -134,6 +141,40 @@ def test_traces_command(tmp_path, capsys):
 
 def test_traces_command_without_traces(tmp_path, capsys):
     assert main(["traces", "--output", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("body", [
+    b"t_s,pkg_w,dram_w\n",
+    b"t_s,pkg_w,dram_w\n0.0,80.0,16.0\n0.001,80.0\n",
+    b"t_s,pkg_w,dram_w\n0.0,eighty,16.0\n",
+    b"t_s,pkg_w,dram_w\n0.0,80.0,16.0\n0.0,80.0,16.0\n",
+], ids=["header-only", "short-row", "non-numeric", "repeated-timestamp"])
+def test_traces_command_rejects_a_malformed_trace(tmp_path, capsys, body):
+    (tmp_path / "traces").mkdir()
+    (tmp_path / "traces" / "bad.csv").write_bytes(body)
+    assert main(["traces", "--output", str(tmp_path)]) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("epg: PowerMeasurementError: ")
+    assert err.count("\n") == 1 and "bad.csv" in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("compare", ["--algorithm", "bfs", "--pair", "gap", "graphbig"]),
+    ("viz", []),
+    ("analyze", []),
+])
+@pytest.mark.parametrize("damage", ["missing", "directory", "not-utf8"])
+def test_unreadable_results_csv_is_a_config_error(tmp_path, capsys,
+                                                  command, extra, damage):
+    csv = tmp_path / "results.csv"
+    if damage == "directory":
+        csv.mkdir()
+    elif damage == "not-utf8":
+        csv.write_bytes(b"system,\xff\xfe\n")
+    assert main([command, "--output", str(tmp_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("epg: ConfigError: ")
+    assert err.count("\n") == 1
 
 
 def test_verify_command(tmp_path, capsys):
