@@ -23,40 +23,35 @@ def propagate_labels_once(src: np.ndarray, dst: np.ndarray,
                           labels: np.ndarray, n: int) -> np.ndarray:
     """One synchronous round: mode of neighbor labels, min-label ties.
 
-    Vectorized: sort (vertex, label) pairs, run-length encode to get per
-    (vertex, label) frequencies, then take the per-vertex maximum of
-    ``count * n + (n - 1 - label)`` -- highest count, ties to the
-    smallest label -- with one ``maximum.reduceat``.  Labels are vertex
-    ids (``< n``), which is what lets both steps pack into one int64.
+    Vectorized: sort the packed ``vertex * b + label`` keys, run-length
+    encode them to get per (vertex, label) frequencies, split only the
+    run heads back with ``divmod``, then take the per-vertex maximum of
+    ``count * b + (b - 1 - label)`` -- highest count, ties to the
+    smallest label -- with one ``maximum.reduceat``.  The base ``b``
+    exceeds every vertex id and label, which is what lets both steps
+    pack into one int64.
     """
     if src.size == 0:
         return labels.copy()
-    if int(n) * max(int(n), src.size) >= 2 ** 62:  # pragma: no cover
-        raise ValueError(f"CDLP keys do not pack into int64 at n = {n}")
-    v = dst
-    lab = labels[src]
-    # Equal (v, label) keys are interchangeable, so the sort need not be
-    # stable.  (Sorting the key values and splitting them back with
-    # ``divmod`` was slower than this gather: 64-bit integer division.)
-    order = np.argsort(v * np.int64(n) + lab)
-    v_s = v[order]
-    lab_s = lab[order]
+    b = max(int(n), int(labels.max()) + 1)
+    if b * max(b, src.size + 1) >= 2 ** 62:  # pragma: no cover
+        raise ValueError(f"CDLP keys do not pack into int64 at base {b}")
+    keys = np.sort(dst * np.int64(b) + labels[src])
     # Run starts of equal (v, label) pairs.
-    new_pair = np.ones(v_s.size, dtype=bool)
-    new_pair[1:] = (v_s[1:] != v_s[:-1]) | (lab_s[1:] != lab_s[:-1])
+    new_pair = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new_pair[1:])
     starts = np.flatnonzero(new_pair)
-    counts = np.diff(np.append(starts, v_s.size))
-    pair_v = v_s[starts]
-    pair_lab = lab_s[starts]
+    counts = np.diff(np.append(starts, keys.size))
+    pair_v, pair_lab = np.divmod(keys[starts], b)
     # Pairs are grouped by vertex already: reduce each group to its best
     # (count, reversed label) and read the label back out of the winner.
     new_v = np.ones(pair_v.size, dtype=bool)
-    new_v[1:] = pair_v[1:] != pair_v[:-1]
+    np.not_equal(pair_v[1:], pair_v[:-1], out=new_v[1:])
     group_starts = np.flatnonzero(new_v)
-    best = np.maximum.reduceat(counts * n + (n - 1 - pair_lab),
+    best = np.maximum.reduceat(counts * b + (b - 1 - pair_lab),
                                group_starts)
     out = labels.copy()
-    out[pair_v[group_starts]] = n - 1 - best % n
+    out[pair_v[group_starts]] = b - 1 - best % b
     return out
 
 

@@ -23,7 +23,7 @@ __all__ = ["CACHE_SCHEMA_VERSION", "digest_json", "edgelist_digest",
 
 #: Bump whenever the on-disk layout of any cached artifact changes;
 #: part of every key, so stale-format entries simply stop matching.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 
 def _hasher():
@@ -87,8 +87,9 @@ def input_digest(path: Path) -> str:
 def loaded_graph_key(system, dataset) -> str:
     """Key for one system's built graph structure.
 
-    Covers the input file's bytes, the dataset's shape metadata, the
-    system name, and the system's build-affecting knobs
+    Covers the bytes of the priced input file (``input_key``) and of
+    the file the build reads (``read_key``), the dataset's shape
+    metadata, the system name, and the system's build-affecting knobs
     (:meth:`GraphSystem._cache_token` -- e.g. PowerGraph's partition
     count, GAP's weight dtype).  Thread count is deliberately absent:
     the built arrays are thread-invariant, only their *pricing* depends
@@ -97,7 +98,8 @@ def loaded_graph_key(system, dataset) -> str:
     return digest_json({
         "kind": "graph", "v": CACHE_SCHEMA_VERSION,
         "system": system.name,
-        "input": input_digest(dataset.path(system.input_key)),
+        "inputs": {key: input_digest(dataset.path(key))
+                   for key in {system.input_key, system.read_key}},
         "dataset": {"name": dataset.name,
                     "n_vertices": int(dataset.n_vertices),
                     "directed": bool(dataset.directed),

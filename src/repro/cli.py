@@ -25,7 +25,6 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.errors import (
     CacheError,
-    CellQuarantinedError,
     CellTimeoutError,
     CheckpointError,
     ConfigError,
@@ -69,7 +68,8 @@ EXIT_CODES: dict[type, int] = {
     ValidationError: 6,
     PowerMeasurementError: 7,
     CellTimeoutError: 8,
-    CellQuarantinedError: 9,
+    # 9 is retired (it named an error nothing raised); kept unused so
+    # the codes after it never move.
     CheckpointError: 10,
     GraphFormatError: 11,
     TraceError: 12,

@@ -14,10 +14,19 @@ GraphMat       ``.mtxbin`` -- binary 1-based (src, dst, weight) triples
 PowerGraph     ``.tsv`` -- whitespace edge list (snap loader)
 plain          ``.el`` / ``.wel`` -- text edge list
 =============  ==================================================
+
+Only the binary formats have readers.  A system's load is priced from
+its own file's byte count, but what it builds from is the one lossless
+binary copy of the edges, the ``.g500`` dump (see
+:meth:`repro.datasets.homogenize.HomogenizedDataset.load_edges`), so no
+text is parsed at run time.  Every reader checks the header against
+the bytes: a short body or bytes after the last record is a
+:class:`~repro.errors.GraphFormatError`.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -27,17 +36,51 @@ from repro.errors import GraphFormatError
 from repro.graph.edgelist import EdgeList
 
 __all__ = [
-    "write_el", "read_el",
+    "write_el",
     "write_sg", "read_sg",
     "write_g500", "read_g500",
-    "write_graphbig_csv", "read_graphbig_csv",
+    "write_graphbig_csv",
     "write_graphmat_bin", "read_graphmat_bin",
-    "write_powergraph_tsv", "read_powergraph_tsv",
+    "write_powergraph_tsv",
 ]
 
 _SG_MAGIC = b"GAPBSSG1"
 _G500_MAGIC = b"GRPH500E"
 _GMAT_MAGIC = b"GMATBIN1"
+#: ``(n_vertices, n_edges, weighted)``, after every binary format's magic.
+_HEADER = struct.Struct("<qq?")
+_GMAT_RECORD = np.dtype([("src", "<i4"), ("dst", "<i4"), ("val", "<f4")])
+
+
+def _read_blocks(path: str | Path, magic: bytes, what: str, layout
+                 ) -> tuple[int, bool, list[np.ndarray]]:
+    """Read a binary file: ``magic``, the header, then the arrays
+    ``layout(n, m, weighted)`` lists as ``(dtype, count)`` pairs.
+
+    Returns ``(n, weighted, arrays)``.  The body's size is checked
+    against the file's before anything is read, so a short body or a
+    byte after the last record raises :class:`GraphFormatError`.
+    """
+    path = Path(path)
+    with path.open("rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise GraphFormatError(f"{path}: not a {what}")
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise GraphFormatError(f"{path}: truncated {what} header")
+        n, m, weighted = _HEADER.unpack(header)
+        if n < 0 or m < 0:
+            raise GraphFormatError(f"{path}: corrupt {what} header")
+        blocks = layout(n, m, weighted)
+        extra = (os.fstat(fh.fileno()).st_size - fh.tell()
+                 - sum(np.dtype(dt).itemsize * k for dt, k in blocks))
+        if extra < 0:
+            raise GraphFormatError(f"{path}: truncated {what} body")
+        if extra > 0:
+            raise GraphFormatError(
+                f"{path}: {extra} bytes after the last {what} record")
+        return n, weighted, [np.fromfile(fh, dtype=dt, count=k)
+                             for dt, k in blocks]
 
 
 # ----------------------------------------------------------------------
@@ -97,21 +140,6 @@ def write_el(edges: EdgeList, path: str | Path) -> Path:
     return path
 
 
-def read_el(path: str | Path, n_vertices: int | None = None,
-            directed: bool = True, name: str = "graph") -> EdgeList:
-    arr = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    if arr.size == 0:
-        return EdgeList(np.zeros(0, np.int64), np.zeros(0, np.int64),
-                        n_vertices or 0, directed=directed, name=name)
-    src = arr[:, 0].astype(np.int64)
-    dst = arr[:, 1].astype(np.int64)
-    weights = arr[:, 2].copy() if arr.shape[1] >= 3 else None
-    n = n_vertices if n_vertices is not None else int(
-        max(src.max(), dst.max())) + 1
-    return EdgeList(src, dst, n, weights=weights, directed=directed,
-                    name=name)
-
-
 # ----------------------------------------------------------------------
 # GAP serialized graph (.sg/.wsg): header + row_ptr + col_idx (+ weights).
 # ----------------------------------------------------------------------
@@ -129,8 +157,7 @@ def write_sg(edges: EdgeList, path: str | Path,
     csr = CSRGraph.from_edge_list(edges, symmetrize=symmetrize)
     with path.open("wb") as fh:
         fh.write(_SG_MAGIC)
-        fh.write(struct.pack(
-            "<qq?", csr.n_vertices, csr.n_edges, csr.weighted))
+        fh.write(_HEADER.pack(csr.n_vertices, csr.n_edges, csr.weighted))
         fh.write(csr.row_ptr.tobytes())
         fh.write(csr.col_idx.tobytes())
         if csr.weighted:
@@ -142,31 +169,12 @@ def read_sg(path: str | Path):
     """Load a ``.sg`` file back into a :class:`CSRGraph`."""
     from repro.graph.csr import CSRGraph
 
-    path = Path(path)
-    with path.open("rb") as fh:
-        magic = fh.read(len(_SG_MAGIC))
-        if magic != _SG_MAGIC:
-            raise GraphFormatError(f"{path}: not a GAP .sg file")
-        header = fh.read(17)
-        if len(header) != 17:
-            raise GraphFormatError(f"{path}: truncated .sg header")
-        n, m, weighted = struct.unpack("<qq?", header)
-        if n < 0 or m < 0:
-            raise GraphFormatError(f"{path}: corrupt .sg header")
-        rp_raw = fh.read(8 * (n + 1))
-        ci_raw = fh.read(8 * m)
-        if len(rp_raw) != 8 * (n + 1) or len(ci_raw) != 8 * m:
-            raise GraphFormatError(f"{path}: truncated .sg body")
-        row_ptr = np.frombuffer(rp_raw, dtype=np.int64)
-        col_idx = np.frombuffer(ci_raw, dtype=np.int64)
-        weights = None
-        if weighted:
-            w_raw = fh.read(8 * m)
-            if len(w_raw) != 8 * m:
-                raise GraphFormatError(f"{path}: truncated .sg weights")
-            weights = np.frombuffer(w_raw, dtype=np.float64)
-    return CSRGraph(row_ptr=row_ptr.copy(), col_idx=col_idx.copy(),
-                    weights=None if weights is None else weights.copy())
+    _, _, (row_ptr, col_idx, *weights) = _read_blocks(
+        path, _SG_MAGIC, "GAP .sg file",
+        lambda n, m, weighted: [(np.int64, n + 1), (np.int64, m)]
+        + ([(np.float64, m)] if weighted else []))
+    return CSRGraph(row_ptr=row_ptr, col_idx=col_idx,
+                    weights=weights[0] if weights else None)
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +187,8 @@ def write_g500(edges: EdgeList, path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write(_G500_MAGIC)
-        fh.write(struct.pack("<qq?", edges.n_vertices, edges.n_edges,
-                             edges.weighted))
+        fh.write(_HEADER.pack(edges.n_vertices, edges.n_edges,
+                              edges.weighted))
         pairs = np.empty(2 * edges.n_edges, dtype=np.int64)
         pairs[0::2] = edges.src
         pairs[1::2] = edges.dst
@@ -191,28 +199,15 @@ def write_g500(edges: EdgeList, path: str | Path) -> Path:
 
 
 def read_g500(path: str | Path, name: str = "graph") -> EdgeList:
-    path = Path(path)
-    with path.open("rb") as fh:
-        if fh.read(len(_G500_MAGIC)) != _G500_MAGIC:
-            raise GraphFormatError(f"{path}: not a Graph500 edge dump")
-        header = fh.read(17)
-        if len(header) != 17:
-            raise GraphFormatError(f"{path}: truncated header")
-        n, m, weighted = struct.unpack("<qq?", header)
-        if n < 0 or m < 0:
-            raise GraphFormatError(f"{path}: corrupt header")
-        raw = fh.read(16 * m)
-        if len(raw) != 16 * m:
-            raise GraphFormatError(f"{path}: truncated edge tuples")
-        pairs = np.frombuffer(raw, dtype=np.int64)
-        weights = None
-        if weighted:
-            w_raw = fh.read(8 * m)
-            if len(w_raw) != 8 * m:
-                raise GraphFormatError(f"{path}: truncated weights")
-            weights = np.frombuffer(w_raw, dtype=np.float64).copy()
-    return EdgeList(pairs[0::2].copy(), pairs[1::2].copy(), n,
-                    weights=weights, directed=False, name=name)
+    """Load a ``.g500`` dump: the edges in their written order, with
+    the header's vertex count (undirected, as the generator's)."""
+    n, _, (pairs, *weights) = _read_blocks(
+        path, _G500_MAGIC, "Graph500 edge dump",
+        lambda n, m, weighted: [(np.int64, 2 * m)]
+        + ([(np.float64, m)] if weighted else []))
+    return EdgeList(pairs[0::2], pairs[1::2], n,
+                    weights=weights[0] if weights else None,
+                    directed=False, name=name)
 
 
 # ----------------------------------------------------------------------
@@ -233,25 +228,6 @@ def write_graphbig_csv(edges: EdgeList, directory: str | Path,
     return directory
 
 
-def read_graphbig_csv(directory: str | Path, directed: bool = True,
-                      name: str = "graph") -> EdgeList:
-    directory = Path(directory)
-    vpath = directory / "vertex.csv"
-    epath = directory / "edge.csv"
-    if not vpath.exists() or not epath.exists():
-        raise GraphFormatError(f"{directory}: missing GraphBIG CSV pair")
-    with vpath.open("rb") as fh:
-        n = sum(1 for _ in fh) - 1
-    arr = np.loadtxt(epath, dtype=np.float64, delimiter=",",
-                     skiprows=1, ndmin=2)
-    if arr.size == 0:
-        return EdgeList(np.zeros(0, np.int64), np.zeros(0, np.int64), n,
-                        directed=directed, name=name)
-    weights = arr[:, 2].copy() if arr.shape[1] >= 3 else None
-    return EdgeList(arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64),
-                    n, weights=weights, directed=directed, name=name)
-
-
 # ----------------------------------------------------------------------
 # GraphMat binary matrix (.mtxbin): 1-based int32 endpoints + f32 weight.
 # ----------------------------------------------------------------------
@@ -261,34 +237,22 @@ def write_graphmat_bin(edges: EdgeList, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     m = edges.n_edges
-    rec = np.zeros(m, dtype=[("src", "<i4"), ("dst", "<i4"), ("val", "<f4")])
+    rec = np.zeros(m, dtype=_GMAT_RECORD)
     rec["src"] = edges.src + 1
     rec["dst"] = edges.dst + 1
     rec["val"] = edges.weights if edges.weighted else 1.0
     with path.open("wb") as fh:
         fh.write(_GMAT_MAGIC)
-        fh.write(struct.pack("<qq?", edges.n_vertices, m, edges.weighted))
+        fh.write(_HEADER.pack(edges.n_vertices, m, edges.weighted))
         fh.write(rec.tobytes())
     return path
 
 
 def read_graphmat_bin(path: str | Path, directed: bool = True,
                       name: str = "graph") -> EdgeList:
-    path = Path(path)
-    with path.open("rb") as fh:
-        if fh.read(len(_GMAT_MAGIC)) != _GMAT_MAGIC:
-            raise GraphFormatError(f"{path}: not a GraphMat binary matrix")
-        header = fh.read(17)
-        if len(header) != 17:
-            raise GraphFormatError(f"{path}: truncated header")
-        n, m, weighted = struct.unpack("<qq?", header)
-        if n < 0 or m < 0:
-            raise GraphFormatError(f"{path}: corrupt header")
-        raw = fh.read(12 * m)
-        if len(raw) != 12 * m:
-            raise GraphFormatError(f"{path}: truncated records")
-        rec = np.frombuffer(
-            raw, dtype=[("src", "<i4"), ("dst", "<i4"), ("val", "<f4")])
+    n, weighted, (rec,) = _read_blocks(
+        path, _GMAT_MAGIC, "GraphMat binary matrix",
+        lambda n, m, weighted: [(_GMAT_RECORD, m)])
     src = rec["src"].astype(np.int64) - 1
     dst = rec["dst"].astype(np.int64) - 1
     weights = rec["val"].astype(np.float64) if weighted else None
@@ -308,9 +272,3 @@ def write_powergraph_tsv(edges: EdgeList, path: str | Path,
     with path.open("wb") as fh:
         write_edge_rows(fh, edges, "\t", from_el)
     return path
-
-
-def read_powergraph_tsv(path: str | Path, n_vertices: int | None = None,
-                        directed: bool = True,
-                        name: str = "graph") -> EdgeList:
-    return read_el(path, n_vertices=n_vertices, directed=directed, name=name)

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import formats
-from repro.errors import DatasetError
+from repro.errors import DatasetError, GraphFormatError
 from repro.graph.edgelist import EdgeList
 
 __all__ = ["HomogenizedDataset", "homogenize", "load_manifest",
@@ -95,10 +95,17 @@ class HomogenizedDataset:
                 f"have {sorted(self.files)}") from None
 
     def load_edges(self) -> EdgeList:
-        """Reload the canonical (possibly weighted) edge list."""
-        key = "wel" if self.weighted else "el"
-        el = formats.read_el(self.path(key), n_vertices=self.n_vertices,
-                             directed=self.directed, name=self.name)
+        """The weighted edges every system runs on, read from the
+        ``.g500`` dump: the ``.wel`` rows in their order, bit-exact, so
+        no text is parsed.  A header that disagrees with the manifest is
+        a :class:`~repro.errors.GraphFormatError`."""
+        path = self.path("g500")
+        el = formats.read_g500(path, name=self.name)
+        if (el.n_vertices, el.n_edges) != (self.n_vertices, self.n_edges):
+            raise GraphFormatError(
+                f"{path}: header says n={el.n_vertices} m={el.n_edges}, "
+                f"manifest n={self.n_vertices} m={self.n_edges}")
+        el.directed = self.directed
         return el
 
 

@@ -72,15 +72,6 @@ class CellTimeoutError(ReproError):
     """
 
 
-class CellQuarantinedError(ReproError):
-    """A cell exhausted its retry budget and was set aside.
-
-    Raised only when a caller explicitly asks for a quarantined cell's
-    results; the pipeline itself records the quarantine and continues,
-    the way the paper tolerates PowerGraph shipping no BFS.
-    """
-
-
 class CheckpointError(ReproError):
     """A checkpoint manifest or suite manifest is missing or corrupt."""
 

@@ -100,10 +100,12 @@ def replica_counts(src: np.ndarray, dst: np.ndarray, part: np.ndarray,
     """Parts hosting each vertex, when arc ``src[e] -> dst[e]`` is
     placed on part ``part[e]``: a vertex is replicated onto every part
     that holds one of its arcs, so this counts its distinct parts (0 for
-    a vertex with no arc)."""
-    pairs = np.unique(np.concatenate([src * np.int64(n_parts) + part,
-                                      dst * np.int64(n_parts) + part]))
-    return np.bincount(pairs // n_parts, minlength=n_vertices)
+    a vertex with no arc).  Counted on an ``n_vertices x n_parts``
+    table of flags (``n * P`` bytes), so nothing is sorted."""
+    hosts = np.zeros((n_vertices, n_parts), dtype=bool)
+    hosts[src, part] = True
+    hosts[dst, part] = True
+    return np.count_nonzero(hosts, axis=1)
 
 
 def _owner_from_bounds(bounds: np.ndarray, n_shards: int) -> np.ndarray:

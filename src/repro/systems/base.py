@@ -96,8 +96,11 @@ class GraphSystem(ABC):
     #: False when the system reads the file and builds the structure in
     #: one pass, making construction time unmeasurable (Sec. III-B).
     separable_construction: ClassVar[bool]
-    #: Key of the homogenized input file this system reads.
+    #: Key of the homogenized native file whose bytes price the read.
     input_key: ClassVar[str]
+    #: Key of the homogenized file :meth:`_read_input` builds from: the
+    #: binary ``.g500`` dump unless a system parses its own binary file.
+    read_key: ClassVar[str] = "g500"
     #: True for the Graph500, which only processes the synthetic graphs
     #: its own generator produces.
     kronecker_only: ClassVar[bool] = False
@@ -183,10 +186,12 @@ class GraphSystem(ABC):
              cache=None, built: dict | None = None) -> LoadedGraph:
         """Ingest a homogenized dataset.
 
-        Reads this system's native file (real I/O), builds the internal
-        structure (real work), and prices both phases.  Systems with
-        fused read+build report ``build_s=None`` and fold the
-        construction cost into ``read_s`` (their "load" time).
+        Prices the read from the byte count of this system's native
+        file (``input_key``), builds the internal structure (real work)
+        from the edges :meth:`_read_input` returns, and prices the
+        build.  Systems with fused read+build report ``build_s=None``
+        and fold the construction cost into ``read_s`` (their "load"
+        time).
 
         ``built`` is an optional dict the caller owns for one dataset:
         the real half of a load (structure + build profile) is kept in
@@ -237,7 +242,8 @@ class GraphSystem(ABC):
 
         Layer 2 of the artifact cache: the built structure's arrays and
         the recorded build profile round-trip through one ``.npy``
-        bundle keyed by input bytes + system + build knobs.  A corrupt
+        bundle keyed by the bytes of the priced file and of the file
+        the build reads, + system + build knobs.  A corrupt
         or stale entry falls back to a fresh build (and is evicted).
         """
         key = None
@@ -277,9 +283,15 @@ class GraphSystem(ABC):
         material)."""
         return {}
 
-    @abstractmethod
     def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
-        """Actually read this system's native file."""
+        """The edges the build starts from, read from ``read_key``.
+
+        The native file is priced, not parsed: by default this is the
+        binary ``.g500`` dump of the same rows every text format holds
+        (:meth:`HomogenizedDataset.load_edges`).  A system whose native
+        file is itself binary (GraphMat, Graph500, GAP's ``.wsg``)
+        overrides this to read it."""
+        return dataset.load_edges()
 
     @abstractmethod
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset

@@ -37,8 +37,9 @@ class GapSystem(GraphSystem):
     provides = frozenset({"bfs", "sssp", "pagerank", "wcc", "bc", "tc",
                           "kcore", "mis", "cc"})
     separable_construction = True
-    #: EPG* feeds GAP the weighted text edge list; the ``.sg``
-    #: serialized form is available through ``use_serialized=True``.
+    #: EPG* feeds GAP the weighted text edge list (priced by size,
+    #: built from the ``.g500`` dump); the ``.wsg`` serialized form is
+    #: read as such through ``use_serialized=True``.
     input_key = "wel"
 
     def __init__(self, machine=None, n_threads: int = 32,
@@ -49,7 +50,7 @@ class GapSystem(GraphSystem):
                          shards=shards, shard_strategy=shard_strategy)
         self.use_serialized = use_serialized
         if use_serialized:
-            self.input_key = "wsg"
+            self.input_key = self.read_key = "wsg"
         if weight_dtype not in ("float64", "int32"):
             raise SystemCapabilityError(
                 "weight_dtype must be 'float64' or 'int32'")
@@ -61,15 +62,12 @@ class GapSystem(GraphSystem):
 
     # -- loading -------------------------------------------------------
     def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
-        if self.use_serialized:
-            csr = formats.read_sg(dataset.path("wsg"))
-            src, dst = csr.to_edge_arrays()
-            return EdgeList(src, dst, csr.n_vertices, weights=csr.weights,
-                            directed=True, name=dataset.name)
-        return formats.read_el(dataset.path("wel"),
-                               n_vertices=dataset.n_vertices,
-                               directed=dataset.directed,
-                               name=dataset.name)
+        if not self.use_serialized:
+            return super()._read_input(dataset)
+        csr = formats.read_sg(dataset.path(self.read_key))
+        src, dst = csr.to_edge_arrays()
+        return EdgeList(src, dst, csr.n_vertices, weights=csr.weights,
+                        directed=True, name=dataset.name)
 
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
         if self.weight_dtype == "int32" and edges.weights is not None:

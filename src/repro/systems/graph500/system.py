@@ -24,7 +24,8 @@ class Graph500System(GraphSystem):
 
     # -- loading -------------------------------------------------------
     def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
-        return formats.read_g500(dataset.path("g500"), name=dataset.name)
+        return formats.read_g500(dataset.path(self.read_key),
+                                 name=dataset.name)
 
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
         profile = WorkProfile()

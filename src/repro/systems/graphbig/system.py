@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datasets import formats
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
@@ -53,11 +52,6 @@ class GraphBigSystem(GraphSystem):
         return "csv"
 
     # -- loading -------------------------------------------------------
-    def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
-        return formats.read_graphbig_csv(
-            dataset.path("graphbig"), directed=dataset.directed,
-            name=dataset.name)
-
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
         profile = WorkProfile()
         el = edges if dataset.directed else edges.symmetrized()

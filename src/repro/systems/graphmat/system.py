@@ -89,11 +89,12 @@ class GraphMatSystem(GraphSystem):
                           "kcore", "mis"})
     separable_construction = True
     input_key = "mtxbin"
+    read_key = "mtxbin"
 
     # -- loading -------------------------------------------------------
     def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
         return formats.read_graphmat_bin(
-            dataset.path("mtxbin"), directed=dataset.directed,
+            dataset.path(self.read_key), directed=dataset.directed,
             name=dataset.name)
 
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datasets import formats
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.errors import SystemCapabilityError
 from repro.graph.csr import CSRGraph
@@ -96,11 +95,6 @@ class PowerGraphSystem(GraphSystem):
         self.engine_kind = engine
 
     # -- loading -------------------------------------------------------
-    def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
-        return formats.read_powergraph_tsv(
-            dataset.path("tsv"), n_vertices=dataset.n_vertices,
-            directed=dataset.directed, name=dataset.name)
-
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
         profile = WorkProfile()
         el = edges if dataset.directed else edges.symmetrized()

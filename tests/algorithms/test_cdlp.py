@@ -1,5 +1,7 @@
 """Tests for community detection by label propagation."""
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,18 +112,62 @@ def _propagate_labels_once_lexsort(src, dst, labels, n):
     return out
 
 
+def _propagate_labels_once_argsort(src, dst, labels, n):
+    """The round as it was before it sorted the key values themselves,
+    verbatim: argsort the keys, then gather both columns through the
+    order.  Valid for labels below ``n`` only (its packing base)."""
+    if src.size == 0:
+        return labels.copy()
+    if int(n) * max(int(n), src.size) >= 2 ** 62:  # pragma: no cover
+        raise ValueError(f"CDLP keys do not pack into int64 at n = {n}")
+    v = dst
+    lab = labels[src]
+    order = np.argsort(v * np.int64(n) + lab)
+    v_s = v[order]
+    lab_s = lab[order]
+    new_pair = np.ones(v_s.size, dtype=bool)
+    new_pair[1:] = (v_s[1:] != v_s[:-1]) | (lab_s[1:] != lab_s[:-1])
+    starts = np.flatnonzero(new_pair)
+    counts = np.diff(np.append(starts, v_s.size))
+    pair_v = v_s[starts]
+    pair_lab = lab_s[starts]
+    new_v = np.ones(pair_v.size, dtype=bool)
+    new_v[1:] = pair_v[1:] != pair_v[:-1]
+    group_starts = np.flatnonzero(new_v)
+    best = np.maximum.reduceat(counts * n + (n - 1 - pair_lab),
+                               group_starts)
+    out = labels.copy()
+    out[pair_v[group_starts]] = n - 1 - best % n
+    return out
+
+
+def _propagate_labels_once_counter(src, dst, labels):
+    """The specification, one vertex at a time: the most frequent label
+    over a vertex's in-arcs, ties to the smallest; any label values."""
+    heard = {}
+    for s, d in zip(src.tolist(), dst.tolist()):
+        heard.setdefault(d, Counter())[int(labels[s])] += 1
+    out = labels.copy()
+    for v, counts in heard.items():
+        out[v] = min(counts, key=lambda lab: (-counts[lab], lab))
+    return out
+
+
 @st.composite
-def _labelled_multigraphs(draw):
+def _labelled_multigraphs(draw, label_hi=None):
     """Arc arrays with parallel arcs, self-loops and isolated vertices,
     plus a starting labelling that is *not* the identity (many vertices
-    share a label, so counts above 1 and count ties are the norm)."""
+    share a label, so counts above 1 and count ties are the norm).
+    Labels stay below ``n`` unless ``label_hi`` (a multiple of ``n``)
+    lets them reach past it."""
     n = draw(st.integers(1, 14))
     ids = st.integers(0, n - 1)
     m = draw(st.integers(0, 60))
     src = draw(st.lists(ids, min_size=m, max_size=m))
     dst = draw(st.lists(ids, min_size=m, max_size=m))
-    labels = draw(st.lists(st.integers(0, draw(ids)), min_size=n,
-                           max_size=n))
+    top = draw(ids) if label_hi is None else draw(
+        st.integers(0, label_hi * n))
+    labels = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
             np.array(labels, dtype=np.int64), n)
 
@@ -147,3 +193,30 @@ def test_ten_rounds_equal_the_lexsort_rounds_on_kron10(kron10_csr):
     for _ in range(10):
         want = _propagate_labels_once_lexsort(src, dst, want, n)
     assert np.array_equal(cdlp(kron10_csr, 10), want)
+
+
+@given(_labelled_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_round_equals_the_argsort_round(case):
+    src, dst, labels, n = case
+    for _ in range(3):
+        want = _propagate_labels_once_argsort(src, dst, labels, n)
+        got = propagate_labels_once(src, dst, labels, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        labels = got
+
+
+@given(_labelled_multigraphs(label_hi=4))
+@settings(max_examples=300, deadline=None)
+def test_round_equals_the_specification_for_labels_past_n(case):
+    """Labels at or above ``n`` (the packing base must grow to hold
+    them) on multigraphs with self-loops and isolated vertices."""
+    src, dst, labels, n = case
+    before = labels.copy()
+    for _ in range(3):
+        want = _propagate_labels_once_counter(src, dst, labels)
+        got = propagate_labels_once(src, dst, labels, n)
+        assert np.array_equal(got, want)
+        labels = got
+    assert np.array_equal(before, case[2])  # input never written

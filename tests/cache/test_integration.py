@@ -14,7 +14,10 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.cache.keys import loaded_graph_key
 from repro.cache.prewarm import prewarm_loaded_graphs
+from repro.datasets import formats
+from repro.datasets.homogenize import homogenize
 from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
+from repro.graph.edgelist import EdgeList
 from repro.systems import create_system
 
 ALL_FIVE = ("gap", "graph500", "graphbig", "graphmat", "powergraph")
@@ -104,6 +107,21 @@ def test_loaded_graph_key_is_thread_invariant(kron10_dataset, tmp_path):
     assert warm.read_s == cold.read_s
 
 
+@pytest.mark.parametrize("name", ["gap", "graphbig", "powergraph"])
+def test_graph_key_covers_the_dump_the_build_reads(name, kron10,
+                                                   tmp_path):
+    """These three price their text file but build from the ``.g500``
+    dump: new weights in the dump alone must change the key."""
+    dataset = homogenize(kron10, tmp_path / "h", n_roots=4)
+    system = create_system(name)
+    before = loaded_graph_key(system, dataset)
+    edges = dataset.load_edges()
+    formats.write_g500(EdgeList(edges.src, edges.dst, edges.n_vertices,
+                                weights=edges.weights + 1.0),
+                       dataset.path("g500"))
+    assert loaded_graph_key(system, dataset) != before
+
+
 def test_corrupt_graph_entry_evicted_and_rebuilt(kron10_dataset,
                                                  tmp_path, caplog):
     cache = ArtifactCache(tmp_path / "cache")
@@ -152,8 +170,6 @@ def test_kronecker_generation_hits_cache(tmp_path):
 
 def test_homogenize_restore_is_byte_identical(tmp_path):
     import hashlib
-
-    from repro.datasets.homogenize import homogenize
 
     def tree(root):
         return {p.relative_to(root).as_posix():

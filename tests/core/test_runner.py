@@ -132,8 +132,13 @@ def test_traces_off_by_default(tmp_path):
 
 
 class TestOutputValidation:
-    def test_validation_passes_on_honest_systems(self, tmp_path):
-        cfg = ExperimentConfig(output_dir=tmp_path, scale=8, n_roots=2,
+    @pytest.mark.parametrize("dataset", ["kronecker", "cit-patents"])
+    def test_validation_passes_on_honest_systems(self, tmp_path, dataset):
+        """On an unweighted dataset too: the oracle is built from the
+        same weighted edges the systems run on."""
+        cfg = ExperimentConfig(output_dir=tmp_path, dataset=dataset,
+                               scale=8, realworld_factor=1.0 / 1024.0,
+                               n_roots=2,
                                systems=("gap", "graph500", "graphmat"),
                                algorithms=("bfs", "sssp", "pagerank"),
                                validate_outputs=True)

@@ -23,6 +23,7 @@ from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
 from repro.datasets.realworld import cit_patents
 from repro.errors import DatasetError
 from repro.graph.edgelist import EdgeList
+from tests.datasets import text_formats
 from tests.datasets.test_snap import write_snap
 
 # 1e300 does not fit GraphMat's float32 record; the .mtxbin stores inf.
@@ -210,7 +211,7 @@ def test_standalone_writers_equal_homogenize_derived_files(case, tmp_path):
     derives from the ``.wel``."""
     edges = _cases()[case]
     ds = homogenize(edges, tmp_path / "h", n_roots=4)
-    weighted = formats.read_el(ds.path("wel"), n_vertices=ds.n_vertices)
+    weighted = text_formats.read_el(ds.path("wel"), n_vertices=ds.n_vertices)
     tsv = formats.write_powergraph_tsv(weighted, tmp_path / "s" / "g.tsv")
     big = formats.write_graphbig_csv(weighted, tmp_path / "s" / "graphbig")
     assert tsv.read_bytes() == ds.path("tsv").read_bytes()

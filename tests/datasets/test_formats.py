@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets import formats
 from repro.errors import GraphFormatError
+from tests.datasets import text_formats
 
 
 def _assert_same_edges(a, b, check_weights=True, f32=False):
@@ -22,20 +23,20 @@ def _assert_same_edges(a, b, check_weights=True, f32=False):
 def test_el_roundtrip(tmp_path, kron10):
     weighted = kron10  # kron10 fixture is weighted
     p = formats.write_el(weighted, tmp_path / "g.wel")
-    back = formats.read_el(p, n_vertices=weighted.n_vertices)
+    back = text_formats.read_el(p, n_vertices=weighted.n_vertices)
     _assert_same_edges(weighted, back)
 
 
 def test_el_unweighted(tmp_path, patents_small):
     p = formats.write_el(patents_small, tmp_path / "g.el")
-    back = formats.read_el(p, n_vertices=patents_small.n_vertices)
+    back = text_formats.read_el(p, n_vertices=patents_small.n_vertices)
     _assert_same_edges(patents_small, back)
     assert not back.weighted
 
 
 def test_el_infers_vertex_count(tmp_path, tiny_edges):
     p = formats.write_el(tiny_edges, tmp_path / "t.el")
-    back = formats.read_el(p)  # no n_vertices: max id + 1 = 5
+    back = text_formats.read_el(p)  # no n_vertices: max id + 1 = 5
     assert back.n_vertices == 5
 
 
@@ -73,7 +74,7 @@ def test_g500_magic_check(tmp_path):
 
 def test_graphbig_csv_roundtrip(tmp_path, kron10, recwarn):
     d = formats.write_graphbig_csv(kron10, tmp_path / "gbig")
-    back = formats.read_graphbig_csv(d, directed=False)
+    back = text_formats.read_graphbig_csv(d, directed=False)
     _assert_same_edges(kron10, back)
     assert (d / "vertex.csv").exists()
     assert (d / "edge.csv").exists()
@@ -84,7 +85,7 @@ def test_graphbig_csv_roundtrip(tmp_path, kron10, recwarn):
 
 def test_graphbig_missing_files(tmp_path):
     with pytest.raises(GraphFormatError):
-        formats.read_graphbig_csv(tmp_path / "nope")
+        text_formats.read_graphbig_csv(tmp_path / "nope")
 
 
 def test_graphmat_bin_roundtrip(tmp_path, kron10):
@@ -114,7 +115,8 @@ def test_graphmat_magic_check(tmp_path):
 
 def test_powergraph_tsv_roundtrip(tmp_path, dota_small):
     p = formats.write_powergraph_tsv(dota_small, tmp_path / "g.tsv")
-    back = formats.read_powergraph_tsv(p, n_vertices=dota_small.n_vertices)
+    back = text_formats.read_powergraph_tsv(
+        p, n_vertices=dota_small.n_vertices)
     _assert_same_edges(dota_small, back)
 
 

@@ -14,6 +14,7 @@ from repro.datasets.homogenize import (
 )
 from repro.errors import DatasetError
 from repro.graph.edgelist import EdgeList
+from tests.datasets import text_formats
 
 
 class TestRootSelection:
@@ -78,13 +79,13 @@ class TestHomogenize:
         """SSSP on unweighted datasets uses generated uniform weights
         (the Graph500 convention) -- unlike Graphalytics' N/A."""
         h = homogenize(patents_small, tmp_path)
-        wel = formats.read_el(h.path("wel"), n_vertices=h.n_vertices)
+        wel = text_formats.read_el(h.path("wel"), n_vertices=h.n_vertices)
         assert wel.weighted
         assert np.all((wel.weights >= 0) & (wel.weights < 1))
 
     def test_weighted_input_weights_preserved(self, dota_small, tmp_path):
         h = homogenize(dota_small, tmp_path)
-        wel = formats.read_el(h.path("wel"), n_vertices=h.n_vertices)
+        wel = text_formats.read_el(h.path("wel"), n_vertices=h.n_vertices)
         assert np.array_equal(np.sort(wel.weights),
                               np.sort(dota_small.weights))
 
@@ -95,12 +96,12 @@ class TestHomogenize:
     def test_all_systems_see_identical_edges(self, kron10_dataset):
         """The point of homogenization: every format holds the same
         (weighted) edge multiset."""
-        wel = formats.read_el(kron10_dataset.path("wel"),
+        wel = text_formats.read_el(kron10_dataset.path("wel"),
                               n_vertices=kron10_dataset.n_vertices)
         gm = formats.read_graphmat_bin(kron10_dataset.path("mtxbin"))
         g5 = formats.read_g500(kron10_dataset.path("g500"))
-        gb = formats.read_graphbig_csv(kron10_dataset.path("graphbig"))
-        tsv = formats.read_el(kron10_dataset.path("tsv"),
+        gb = text_formats.read_graphbig_csv(kron10_dataset.path("graphbig"))
+        tsv = text_formats.read_el(kron10_dataset.path("tsv"),
                               n_vertices=kron10_dataset.n_vertices)
         base = sorted(zip(wel.src.tolist(), wel.dst.tolist()))
         for other in (gm, g5, gb, tsv):
