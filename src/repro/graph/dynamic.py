@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _arc_order
 from repro.graph.edgelist import EdgeList
 
 __all__ = ["MutationBatch", "AppliedBatch", "DynamicGraph"]
@@ -265,7 +265,7 @@ class DynamicGraph:
         changed_keys = _EMPTY_IDS
         if batch.n_inserts:
             ikeys = batch.insert_src * np.int64(n) + batch.insert_dst
-            order = np.argsort(ikeys, kind="stable")
+            order = _arc_order(batch.insert_src, batch.insert_dst, n)
             sk = ikeys[order]
             last = np.ones(sk.size, dtype=bool)
             last[:-1] = sk[1:] != sk[:-1]
@@ -283,7 +283,8 @@ class DynamicGraph:
                 diff = old != new
                 changed_keys = ins_keys[present][diff]
                 if changed_keys.size:
-                    w = w.copy()           # copy-on-write for snapshots
+                    if w is self._w:       # no delete copied it yet
+                        w = w.copy()       # copy-on-write for snapshots
                     w[pos[present][diff]] = new[diff]
             fresh = ~present
             if fresh.any():

@@ -101,6 +101,8 @@ class StreamReplay:
             raise ConfigError(
                 f"unknown stream algorithms {unknown}; "
                 f"choose from {list(ALGORITHMS)}")
+        if len(set(algorithms)) != len(algorithms):
+            raise ConfigError(f"repeated stream algorithm in {algorithms}")
         if not algorithms:
             raise ConfigError("stream replay needs at least one algorithm")
         if "sssp" in algorithms and not scenario.spec.weighted:

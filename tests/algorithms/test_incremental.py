@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import incremental
 from repro.algorithms.bfs import bfs_parents
 from repro.algorithms.incremental import (
     IncrementalBFS,
@@ -298,6 +299,96 @@ class TestIncrementalPageRank:
     def test_bound_formula(self):
         assert pagerank_l1_bound(0.85, 6e-8) == pytest.approx(
             2 * 6e-8 * 0.85 / 0.15)
+
+
+# ----------------------------------------------------------------------
+# The parent rule: a held vertex keeps its old parent as a witness, so
+# its new parent is the minimum of that and the witnesses it gained
+# ----------------------------------------------------------------------
+def _path_kernel(kind, arcs, w):
+    """A kernel rooted at 0 over ``arcs`` (weights ``w`` for SSSP)."""
+    g = DynamicGraph(1 + max(max(e) for e in arcs), weighted=kind == "sssp")
+    g.apply(_batch(ins=arcs, w=w if kind == "sssp" else None))
+    k = (IncrementalSSSP if kind == "sssp" else IncrementalBFS)(
+        g.snapshot(), 0)
+    return g, k
+
+
+def _update(kind, g, k, ins, w):
+    """Apply one insert batch, repair, and check against the oracles."""
+    applied = g.apply(_batch(ins=ins, w=w if kind == "sssp" else None))
+    snap = g.snapshot()
+    k.update(snap, applied)
+    if kind == "sssp":
+        assert_sssp_matches(k, snap, 0)
+        assert k.parent.tobytes() == _min_witness_parents(
+            snap, 0, k.dist, snap.weights).tobytes()
+    else:
+        assert_bfs_matches(k, snap, 0)
+
+
+def _dist(kind, k):
+    return k.dist.copy() if kind == "sssp" else k.level.copy()
+
+
+@pytest.mark.parametrize("kind", ["bfs", "sssp"])
+def test_held_vertex_gains_witness_through_inserted_arc(kind):
+    # 0 -> 3 -> 4 and 0 -> 1: the new arc 1 -> 4 ties 4's distance
+    # from a vertex the batch does not move, so 4 holds and takes 1.
+    g, k = _path_kernel(kind, [(0, 3), (3, 4), (0, 1)], [1.0, 1.0, 1.0])
+    assert k.parent[4] == 3
+    before = _dist(kind, k)
+    _update(kind, g, k, ins=[(1, 4)], w=[1.0])
+    assert (_dist(kind, k) == before).all() and k.parent[4] == 1
+
+
+@pytest.mark.parametrize("kind", ["bfs", "sssp"])
+def test_held_vertex_gains_witness_through_dropped_vertex(kind):
+    # 1 sits three hops out (0 -> 5 -> 6 -> 1) with an arc 1 -> 7; 7
+    # is two hops out through 3.  Inserting 0 -> 1 drops 1 to one hop,
+    # which ties 7's distance: 7 holds and its parent becomes 1.
+    g, k = _path_kernel(kind, [(0, 5), (5, 6), (6, 1), (1, 7), (0, 3),
+                               (3, 7)], [1.0] * 6)
+    assert k.parent[7] == 3
+    before = _dist(kind, k)
+    _update(kind, g, k, ins=[(0, 1)], w=[1.0])
+    assert _dist(kind, k)[1] < before[1]
+    assert _dist(kind, k)[7] == before[7] and k.parent[7] == 1
+
+
+@pytest.mark.parametrize("via", ["overwrite", "new arc"])
+def test_held_vertex_keeps_a_parent_whose_distance_dropped(via):
+    # fl(d + 2**53) absorbs d's drop: 1 gets closer, 2 does not move,
+    # and 1 still supports 2.  Overwriting 0 -> 1 cuts and re-settles
+    # 1's subtree; the new arc 0 -> 3 -> 1 drops 1 with 2 held.
+    g, k = _path_kernel("sssp", [(0, 1), (1, 2), (0, 3)],
+                        [1.0, 2.0 ** 53, 0.25])
+    d2 = k.dist[2]
+    ins = [(0, 1)] if via == "overwrite" else [(3, 1)]
+    _update("sssp", g, k, ins=ins, w=[0.5] if via == "overwrite" else [0.25])
+    assert k.dist[1] == 0.5 and k.dist[2] == d2 and k.parent[2] == 1
+
+
+@pytest.mark.parametrize("kind", ["bfs", "sssp"])
+def test_non_improving_insert_into_hub_skips_its_in_arcs(kind, monkeypatch):
+    # A hub with 200 in-arcs gains a 201st that improves nothing: the
+    # repair must not rescan the hub's in-arcs to settle its parent.
+    hub = 200
+    arcs = [(0, v) for v in range(1, hub)] + [(v, hub) for v in range(hub)]
+    arcs.append((0, hub + 1))
+    g, k = _path_kernel(kind, arcs, [1.0] * len(arcs))
+    gathered = []
+    real = incremental.gather_slots
+
+    def counting(row_ptr, frontier, scratch):
+        gs = real(row_ptr, frontier, scratch)
+        gathered.append(gs.total)
+        return gs
+
+    monkeypatch.setattr(incremental, "gather_slots", counting)
+    _update(kind, g, k, ins=[(hub + 1, hub)], w=[1.0])
+    assert k.parent[hub] == 0
+    assert sum(gathered) < hub
 
 
 # ----------------------------------------------------------------------

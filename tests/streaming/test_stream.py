@@ -104,6 +104,13 @@ class TestReplay:
         with pytest.raises(ConfigError, match="unknown"):
             StreamReplay(small_scenario, algorithms=("bfs", "nope"))
 
+    def test_repeated_algorithm_rejected(self, small_scenario):
+        # One kernel per name: a repeat would repair every batch twice
+        # and report the second repair's counters.
+        for algorithms in (("bfs", "bfs"), ("pagerank", "sssp", "pagerank")):
+            with pytest.raises(ConfigError, match="repeated"):
+                StreamReplay(small_scenario, algorithms=algorithms)
+
     def test_empty_algorithms_rejected(self, small_scenario):
         with pytest.raises(ConfigError, match="at least one"):
             StreamReplay(small_scenario, algorithms=())
