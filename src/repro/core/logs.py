@@ -5,11 +5,11 @@ system prints its own idiosyncratic lines, and the harness's AWK/Bash
 parsers turn them into CSV.  This module is both halves in one place so
 writer and parser can never drift apart:
 
-* :func:`open_log` / :class:`LogWriter` -- emit each system's native
-  lines (formats documented per method, modeled on the real packages;
-  the GraphMat block reproduces the Table I excerpt verbatim);
-* :func:`parse_log` -- regex the lines back into
-  :class:`~repro.core.records.Record` rows.
+* ``_DIALECTS`` -- per system, the format strings of the lines one
+  execution prints;
+* :class:`LogWriter` -- format those lines;
+* :func:`parse_log` -- match the same strings, compiled to patterns,
+  back into :class:`~repro.core.records.Record` rows.
 
 Every log starts with one harness-written header line (the shell
 wrapper's ``echo``), carrying the run coordinates that the native lines
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from string import Formatter
 
 from repro.core.records import Record
 from repro.errors import LogParseError
@@ -32,7 +33,126 @@ _POWER_RE = re.compile(
     r"^(PACKAGE|DRAM)_ENERGY:PACKAGE0 (\d+) nJ ([0-9.eE+-]+) s"
     r"(?: root=(-?\d+) trial=(\d+))?\s*$")
 
-_FLOAT = r"([0-9.eE+-]+)"
+#: Fields that become records; every other field is printed, never read.
+_METRICS = frozenset({"read", "build", "load", "time", "iterations",
+                      "teps"})
+#: Fields that set the root/trial the following lines are charged to.
+_COORDINATES = ("root", "trial")
+#: Metrics that describe the whole execution, whichever root came last.
+_RUN_LEVEL = frozenset({"teps"})
+#: No two adjacent quantifiers can trade characters in these, so a
+#: hostile line that almost matches costs linear time, not quadratic.
+_FIELD_PATTERNS = {
+    "metric": r"([-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)",
+    "coordinate": r"(-?\d+)",
+    "text": r"\S+(?: \S+)*",
+}
+
+
+class _Dialect:
+    """The lines one execution of a system prints, in order.
+
+    Each line is a format string.  :meth:`LogWriter.native` formats the
+    lines whose fields it is given; :func:`parse_log` matches the same
+    strings compiled to patterns, so writer and parser cannot drift.
+    ``names`` spells the header's algorithm in the system's own words
+    (the ``{name}`` field): a line naming an algorithm the system has
+    no word for is not printed.
+    """
+
+    def __init__(self, *lines: str, names: dict[str, str] | None = None):
+        self.names = names or {}
+        self.lines = [(fmt, [f for _, f, _, _ in Formatter().parse(fmt)
+                             if f]) for fmt in lines]
+        #: The lines that make or place a record, as one alternation
+        #: with a group per line.  ``slots`` maps that group's number
+        #: to the ``Match.groups()`` positions of its ``root`` and
+        #: ``trial`` (or ``None``) and of each metric.
+        alternatives, self.slots, group = [], {}, 1
+        for fmt, fields in self.lines:
+            captured = [f for f in fields
+                        if f in _METRICS or f in _COORDINATES]
+            if not captured:
+                continue
+            at = {f: group + i for i, f in enumerate(captured)}
+            self.slots[group] = (at.get("root"), at.get("trial"),
+                                 [(at[f], f) for f in captured
+                                  if f in _METRICS])
+            alternatives.append(f"({_pattern(fmt)})")
+            group += 1 + len(captured)
+        self.pattern = re.compile("|".join(alternatives))
+        printed = {f for _, fields in self.lines for f in fields}
+        # A "load" that includes the "read" and no "build" line of its
+        # own: construction is the difference (GraphMat, Sec. II).
+        self.derives_build = ({"read", "load"} <= printed
+                              and "build" not in printed)
+
+
+def _pattern(fmt: str) -> str:
+    """``fmt`` as an anchored pattern: each run of spaces matches any
+    run of whitespace, metrics and coordinates are captured, and other
+    fields are matched and dropped."""
+    parts = ["^"]
+    for literal, field, _, _ in Formatter().parse(fmt):
+        parts.append(r"\s+".join(re.escape(word)
+                                  for word in re.split(" +", literal)))
+        if field in _METRICS:
+            parts.append(_FIELD_PATTERNS["metric"])
+        elif field in _COORDINATES:
+            parts.append(_FIELD_PATTERNS["coordinate"])
+        elif field:
+            parts.append(_FIELD_PATTERNS["text"])
+    return "".join(parts) + "$"
+
+
+#: What each system prints, modeled on the real packages; GraphMat's
+#: block reproduces the Table I excerpt verbatim.
+_DIALECTS = {
+    "gap": _Dialect(
+        "Read Time:           {read:.5f}",
+        "Build Time:          {build:.5f}",
+        "Root: {root} Trial: {trial} Trial Time:      {time:.6e}",
+        # GAP reports sweeps for PageRank only.
+        "{name} iterations: {iterations}",
+        names={"pagerank": "PageRank"}),
+    # The Graph500 runs every search in one execution: the bfs index
+    # is the trial, construction and TEPS are the execution's own.
+    "graph500": _Dialect(
+        "SCALE: {scale}",
+        "edgefactor: {edgefactor}",
+        "NBFS: {nbfs}",
+        "construction_time: {build:.6e}",
+        "bfs {trial:3d} root {root} time: {time:.6e}",
+        "min_time: {min:.6e}",
+        "mean_time: {mean:.6e}",
+        "max_time: {max:.6e}",
+        "harmonic_mean_TEPS: {teps:.6e}"),
+    "graphbig": _Dialect(
+        "==GraphBIG==",
+        "== load time: {load:.5f} sec",
+        "== root: {root} trial: {trial}",
+        "== time: {time:.6e} sec",
+        "== iterations: {iterations}"),
+    "graphmat": _Dialect(
+        "root: {root} trial: {trial}",
+        "Finished file read of {dataset}. time: {read:.6g}",
+        "load graph: {load:.6g} sec",
+        "initialize engine: {init:.6g} sec",
+        "run algorithm 1 (count degree): {degree:.6g} sec",
+        "run algorithm 2 (compute {name}): {time:.6g} sec",
+        "completed {iterations} iterations",
+        "print output: {print:.6g} sec",
+        "deinitialize engine: {deinit:.6g} sec",
+        names={"bfs": "BFS", "sssp": "SSSP", "pagerank": "PageRank",
+               "wcc": "Connected Components", "cdlp": "Label Propagation",
+               "lcc": "Triangle Counting", "kcore": "KCore",
+               "mis": "MIS"}),
+    "powergraph": _Dialect(
+        "INFO:  Loading graph. Finished in {load:.5f} seconds",
+        "INFO:  root: {root} trial: {trial}",
+        "INFO:  Finished Running engine in {time:.6e} seconds.",
+        "INFO:  engine iterations: {iterations}"),
+}
 
 
 class LogWriter:
@@ -49,83 +169,16 @@ class LogWriter:
             f"algorithm={algorithm}"
         ]
 
-    # ------------------------------------------------------------------
-    # Native emitters, one per system.
-    # ------------------------------------------------------------------
-    def gap_load(self, read_s: float, build_s: float) -> None:
-        self.lines.append(f"Read Time:           {read_s:.5f}")
-        self.lines.append(f"Build Time:          {build_s:.5f}")
+    def native(self, **fields) -> None:
+        """Append the system's dialect lines whose fields are all given
+        and not ``None``, in dialect order."""
+        dialect = _DIALECTS[self.system]
+        fields.update(dataset=self.dataset,
+                      name=dialect.names.get(self.algorithm))
+        for fmt, needs in dialect.lines:
+            if all(fields.get(f) is not None for f in needs):
+                self.lines.append(fmt.format(**fields))
 
-    def gap_trial(self, root: int, trial: int, time_s: float,
-                  iterations: int | None = None) -> None:
-        self.lines.append(
-            f"Root: {root} Trial: {trial} Trial Time:      {time_s:.6e}")
-        if iterations is not None:
-            self.lines.append(f"PageRank iterations: {iterations}")
-
-    def graph500_header(self, scale: int, edgefactor: int,
-                        nbfs: int) -> None:
-        self.lines.append(f"SCALE: {scale}")
-        self.lines.append(f"edgefactor: {edgefactor}")
-        self.lines.append(f"NBFS: {nbfs}")
-
-    def graph500_construction(self, seconds: float) -> None:
-        self.lines.append(f"construction_time: {seconds:.6e}")
-
-    def graph500_bfs(self, index: int, root: int, time_s: float) -> None:
-        self.lines.append(f"bfs {index:3d} root {root} time: {time_s:.6e}")
-
-    def graph500_summary(self, min_s: float, mean_s: float, max_s: float,
-                         teps: float) -> None:
-        self.lines.append(f"min_time: {min_s:.6e}")
-        self.lines.append(f"mean_time: {mean_s:.6e}")
-        self.lines.append(f"max_time: {max_s:.6e}")
-        self.lines.append(f"harmonic_mean_TEPS: {teps:.6e}")
-
-    def graphbig_load(self, load_s: float) -> None:
-        self.lines.append("==GraphBIG==")
-        self.lines.append(f"== load time: {load_s:.5f} sec")
-
-    def graphbig_run(self, root: int, trial: int, time_s: float,
-                     iterations: int | None = None) -> None:
-        self.lines.append(f"== root: {root} trial: {trial}")
-        self.lines.append(f"== time: {time_s:.6e} sec")
-        if iterations is not None:
-            self.lines.append(f"== iterations: {iterations}")
-
-    def graphmat_block(self, root: int, trial: int, read_s: float,
-                       load_s: float, init_s: float, degree_s: float,
-                       algo_label: str, algo_s: float, print_s: float,
-                       deinit_s: float,
-                       iterations: int | None = None) -> None:
-        """The exact phase block of the Table I excerpt."""
-        self.lines.append(f"root: {root} trial: {trial}")
-        self.lines.append(
-            f"Finished file read of {self.dataset}. time: {read_s:.6g}")
-        self.lines.append(f"load graph: {load_s:.6g} sec")
-        self.lines.append(f"initialize engine: {init_s:.6g} sec")
-        self.lines.append(
-            f"run algorithm 1 (count degree): {degree_s:.6g} sec")
-        self.lines.append(
-            f"run algorithm 2 ({algo_label}): {algo_s:.6g} sec")
-        if iterations is not None:
-            self.lines.append(f"completed {iterations} iterations")
-        self.lines.append(f"print output: {print_s:.6g} sec")
-        self.lines.append(f"deinitialize engine: {deinit_s:.6g} sec")
-
-    def powergraph_load(self, load_s: float) -> None:
-        self.lines.append(
-            f"INFO:  Loading graph. Finished in {load_s:.5f} seconds")
-
-    def powergraph_run(self, root: int, trial: int, time_s: float,
-                       iterations: int | None = None) -> None:
-        self.lines.append(f"INFO:  root: {root} trial: {trial}")
-        self.lines.append(
-            f"INFO:  Finished Running engine in {time_s:.6e} seconds.")
-        if iterations is not None:
-            self.lines.append(f"INFO:  engine iterations: {iterations}")
-
-    # ------------------------------------------------------------------
     def power_lines(self, pkg_j: float, dram_j: float, duration_s: float,
                     root: int = -1, trial: int = 0) -> None:
         """The paper's power_rapl_print output, tagged by the wrapper."""
@@ -147,38 +200,6 @@ class LogWriter:
 # ----------------------------------------------------------------------
 # Parsing
 # ----------------------------------------------------------------------
-def _ctx_records(ctx: dict, metric: str, value: float, root: int = -1,
-                 trial: int = 0) -> Record:
-    return Record(system=ctx["system"], algorithm=ctx["algorithm"],
-                  dataset=ctx["dataset"], threads=ctx["threads"],
-                  metric=metric, value=value, root=root, trial=trial)
-
-
-_GAP_READ = re.compile(rf"^Read Time:\s+{_FLOAT}$")
-_GAP_BUILD = re.compile(rf"^Build Time:\s+{_FLOAT}$")
-_GAP_TRIAL = re.compile(
-    rf"^Root: (-?\d+) Trial: (\d+) Trial Time:\s+{_FLOAT}$")
-_GAP_ITER = re.compile(r"^PageRank iterations: (\d+)$")
-_G500_CONS = re.compile(rf"^construction_time: {_FLOAT}$")
-_G500_BFS = re.compile(rf"^bfs\s+(\d+) root (-?\d+) time: {_FLOAT}$")
-_G500_TEPS = re.compile(rf"^harmonic_mean_TEPS: {_FLOAT}$")
-_GBIG_LOAD = re.compile(rf"^== load time: {_FLOAT} sec$")
-_GBIG_ROOT = re.compile(r"^== root: (-?\d+) trial: (\d+)$")
-_GBIG_TIME = re.compile(rf"^== time: {_FLOAT} sec$")
-_GBIG_ITER = re.compile(r"^== iterations: (\d+)$")
-_GMAT_ROOT = re.compile(r"^root: (-?\d+) trial: (\d+)$")
-_GMAT_READ = re.compile(rf"^Finished file read of \S+ time: {_FLOAT}$")
-_GMAT_LOAD = re.compile(rf"^load graph: {_FLOAT} sec$")
-_GMAT_ALGO = re.compile(rf"^run algorithm 2 \([^)]*\): {_FLOAT} sec$")
-_GMAT_ITER = re.compile(r"^completed (\d+) iterations$")
-_PG_LOAD = re.compile(
-    rf"^INFO:  Loading graph\. Finished in {_FLOAT} seconds$")
-_PG_ROOT = re.compile(r"^INFO:  root: (-?\d+) trial: (\d+)$")
-_PG_TIME = re.compile(
-    rf"^INFO:  Finished Running engine in {_FLOAT} seconds\.$")
-_PG_ITER = re.compile(r"^INFO:  engine iterations: (\d+)$")
-
-
 def parse_log(path: str | Path) -> list[Record]:
     """Parse one native log file into records.
 
@@ -196,115 +217,50 @@ def parse_log(path: str | Path) -> list[Record]:
     if not m:
         raise LogParseError("missing epg header line", path=path,
                             line_no=1, line=lines[0])
-    ctx = {"system": m.group(1), "dataset": m.group(2),
-           "threads": int(m.group(3)), "algorithm": m.group(4)}
-    system = ctx["system"]
+    system, dataset = m.group(1), m.group(2)
+    threads, algorithm = int(m.group(3)), m.group(4)
+    dialect = _DIALECTS.get(system)
+    if dialect is None:
+        raise LogParseError(f"unknown system {system!r}", path=path,
+                            line_no=1, line=lines[0])
+
+    def record(metric: str, value: float, root: int,
+               trial: int) -> Record:
+        return Record(system, algorithm, dataset, threads, metric, value,
+                      root, trial)
+
     records: list[Record] = []
-    cur_root = -1
-    cur_trial = 0
-
-    for line_no, line in enumerate(lines[1:], start=2):
-        pw = _POWER_RE.match(line)
-        if pw:
-            kind, nj, dur = pw.group(1), int(pw.group(2)), float(pw.group(3))
-            r = int(pw.group(4)) if pw.group(4) is not None else cur_root
-            t = int(pw.group(5)) if pw.group(5) is not None else cur_trial
+    root, trial = -1, 0
+    for line in lines[1:]:
+        if (m := dialect.pattern.match(line)):
+            root_at, trial_at, metrics = dialect.slots[m.lastindex]
+            g = m.groups()
+            if root_at is not None:
+                root = int(g[root_at])
+            if trial_at is not None:
+                trial = int(g[trial_at])
+            for i, f in metrics:
+                records.append(record(f, float(g[i]), -1, 0)
+                               if f in _RUN_LEVEL else
+                               record(f, float(g[i]), root, trial))
+        elif (pw := _POWER_RE.match(line)):
+            nj, dur = int(pw.group(2)), float(pw.group(3))
+            r = root if pw.group(4) is None else int(pw.group(4))
+            t = trial if pw.group(5) is None else int(pw.group(5))
             joules = nj * 1e-9
-            metric_j = "pkg_joules" if kind == "PACKAGE" else "dram_joules"
-            metric_w = "pkg_watts" if kind == "PACKAGE" else "dram_watts"
-            records.append(_ctx_records(ctx, metric_j, joules, r, t))
+            prefix = "pkg" if pw.group(1) == "PACKAGE" else "dram"
+            records.append(record(f"{prefix}_joules", joules, r, t))
             if dur > 0:
-                records.append(_ctx_records(ctx, metric_w, joules / dur,
-                                            r, t))
-            continue
+                records.append(record(f"{prefix}_watts", joules / dur,
+                                      r, t))
 
-        if system == "gap":
-            if (m := _GAP_READ.match(line)):
-                records.append(_ctx_records(ctx, "read", float(m.group(1)),
-                                            cur_root, cur_trial))
-            elif (m := _GAP_BUILD.match(line)):
-                records.append(_ctx_records(ctx, "build", float(m.group(1)),
-                                            cur_root, cur_trial))
-            elif (m := _GAP_TRIAL.match(line)):
-                cur_root, cur_trial = int(m.group(1)), int(m.group(2))
-                records.append(_ctx_records(ctx, "time", float(m.group(3)),
-                                            cur_root, cur_trial))
-            elif (m := _GAP_ITER.match(line)):
-                records.append(_ctx_records(ctx, "iterations",
-                                            float(m.group(1)),
-                                            cur_root, cur_trial))
-        elif system == "graph500":
-            if (m := _G500_CONS.match(line)):
-                records.append(_ctx_records(ctx, "build", float(m.group(1))))
-            elif (m := _G500_BFS.match(line)):
-                cur_trial = int(m.group(1))
-                cur_root = int(m.group(2))
-                records.append(_ctx_records(ctx, "time", float(m.group(3)),
-                                            cur_root, cur_trial))
-            elif (m := _G500_TEPS.match(line)):
-                records.append(_ctx_records(ctx, "teps",
-                                            float(m.group(1))))
-        elif system == "graphbig":
-            if (m := _GBIG_LOAD.match(line)):
-                records.append(_ctx_records(ctx, "load", float(m.group(1)),
-                                            cur_root, cur_trial))
-            elif (m := _GBIG_ROOT.match(line)):
-                cur_root, cur_trial = int(m.group(1)), int(m.group(2))
-            elif (m := _GBIG_TIME.match(line)):
-                records.append(_ctx_records(ctx, "time", float(m.group(1)),
-                                            cur_root, cur_trial))
-            elif (m := _GBIG_ITER.match(line)):
-                records.append(_ctx_records(ctx, "iterations",
-                                            float(m.group(1)),
-                                            cur_root, cur_trial))
-        elif system == "graphmat":
-            if (m := _GMAT_ROOT.match(line)):
-                cur_root, cur_trial = int(m.group(1)), int(m.group(2))
-            elif (m := _GMAT_READ.match(line)):
-                records.append(_ctx_records(ctx, "read", float(m.group(1)),
-                                            cur_root, cur_trial))
-            elif (m := _GMAT_LOAD.match(line)):
-                # GraphMat's "load graph" includes the file read; EPG*
-                # records construction as the difference (Sec. II).
-                records.append(_ctx_records(ctx, "load", float(m.group(1)),
-                                            cur_root, cur_trial))
-            elif (m := _GMAT_ALGO.match(line)):
-                records.append(_ctx_records(ctx, "time", float(m.group(1)),
-                                            cur_root, cur_trial))
-            elif (m := _GMAT_ITER.match(line)):
-                records.append(_ctx_records(ctx, "iterations",
-                                            float(m.group(1)),
-                                            cur_root, cur_trial))
-        elif system == "powergraph":
-            if (m := _PG_LOAD.match(line)):
-                records.append(_ctx_records(ctx, "load", float(m.group(1)),
-                                            cur_root, cur_trial))
-            elif (m := _PG_ROOT.match(line)):
-                cur_root, cur_trial = int(m.group(1)), int(m.group(2))
-            elif (m := _PG_TIME.match(line)):
-                records.append(_ctx_records(ctx, "time", float(m.group(1)),
-                                            cur_root, cur_trial))
-            elif (m := _PG_ITER.match(line)):
-                records.append(_ctx_records(ctx, "iterations",
-                                            float(m.group(1)),
-                                            cur_root, cur_trial))
-        else:
-            raise LogParseError(f"unknown system {system!r}", path=path,
-                                line_no=line_no, line=line)
-
-    # Derive GraphMat construction = load - read, per root.
-    if system == "graphmat":
+    if dialect.derives_build:
         reads = {(r.root, r.trial): r.value for r in records
                  if r.metric == "read"}
-        builds = [
-            Record(system=r.system, algorithm=r.algorithm,
-                   dataset=r.dataset, threads=r.threads, metric="build",
-                   value=max(r.value - reads.get((r.root, r.trial), 0.0),
-                             0.0),
-                   root=r.root, trial=r.trial)
-            for r in records if r.metric == "load"
-        ]
-        records.extend(builds)
+        records += [
+            record("build", max(r.value - reads.get((r.root, r.trial), 0.0),
+                                0.0), r.root, r.trial)
+            for r in records if r.metric == "load"]
     return records
 
 

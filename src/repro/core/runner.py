@@ -300,8 +300,6 @@ class Runner:
         cfg = self.config
         scale = int(np.ceil(np.log2(max(loaded.n_vertices, 2))))
         roots = self.dataset.roots[:cfg.n_roots]
-        writer.graph500_header(scale=scale, edgefactor=16,
-                               nbfs=len(roots) * cfg.n_trials)
         build = self._jitter(loaded.build_s or 0.0, system, "bfs",
                              "build", -1, 0)
         with self.tracer.span("phase:read", category="phase",
@@ -310,7 +308,8 @@ class Runner:
         with self.tracer.span("phase:build", category="phase",
                               system=system.name, algorithm="bfs"):
             clock.advance(build)          # kernel 1 (timed)
-        writer.graph500_construction(build)
+        writer.native(scale=scale, edgefactor=16,
+                      nbfs=len(roots) * cfg.n_trials, build=build)
 
         pkg_w, dram_w = self._power_draw(system, "bfs", -1, 0)
         ps = power_rapl_init(clock)
@@ -336,7 +335,7 @@ class Runner:
                                       system=system.name, algorithm="bfs",
                                       root=root, trial=trial):
                     clock.advance(t, pkg_w, dram_w)
-                writer.graph500_bfs(index, root, t)
+                writer.native(trial=index, root=root, time=t)
                 times.append((t, kernel_cache[root]))
                 index += 1
         power_rapl_end(ps)
@@ -344,8 +343,8 @@ class Runner:
         edges = [r.counters.get("edges_examined", loaded.n_arcs)
                  for _, r in times]
         inv = [t / max(e, 1) for t, e in zip(ts, edges)]
-        writer.graph500_summary(min(ts), float(np.mean(ts)), max(ts),
-                                1.0 / float(np.mean(inv)))
+        writer.native(min=min(ts), mean=float(np.mean(ts)), max=max(ts),
+                      teps=1.0 / float(np.mean(inv)))
         if self.config.measure_power:
             writer.power_lines(ps.package_joules, ps.dram_joules,
                                ps.duration_s, root=-1, trial=0)
@@ -361,7 +360,7 @@ class Runner:
                 kwargs = {}
                 if algorithm in ("bfs", "sssp"):
                     kwargs["root"] = root
-                if algorithm == "pagerank" and system.name != "graphmat":
+                if algorithm == "pagerank":
                     kwargs["epsilon"] = self.config.epsilon
                 result = system.run(loaded, algorithm, **kwargs)
                 if self.config.validate_outputs:
@@ -408,51 +407,11 @@ class Runner:
                 ksp.set(energy_pkg_j=round(ps.package_joules, 6),
                         energy_dram_j=round(ps.dram_joules, 6))
 
-            self._emit_native(writer, system, loaded, algorithm, root,
-                              trial, read, build, t, result)
+            writer.native(read=read, build=build,
+                          load=read + (build or 0.0), root=root,
+                          trial=trial, time=t,
+                          iterations=result.iterations,
+                          **system.untimed_phases(loaded, build))
             if self.config.measure_power:
                 writer.power_lines(ps.package_joules, ps.dram_joules,
                                    ps.duration_s, root=root, trial=trial)
-
-    def _emit_native(self, writer: LogWriter, system: GraphSystem, loaded,
-                     algorithm: str, root: int, trial: int, read: float,
-                     build: float | None, t: float,
-                     result: KernelResult) -> None:
-        name = system.name
-        iterations = result.iterations
-        if name == "gap":
-            writer.gap_load(read, build or 0.0)
-            writer.gap_trial(root, trial, t, iterations=iterations
-                             if algorithm == "pagerank" else None)
-        elif name == "graphbig":
-            writer.graphbig_load(read)   # fused: read_s already has build
-            writer.graphbig_run(root, trial, t, iterations=iterations)
-        elif name == "graphmat":
-            writer.graphmat_block(
-                root=root, trial=trial, read_s=read,
-                load_s=read + (build or 0.0),
-                init_s=8.32e-5,
-                degree_s=0.05 * (build or 0.02),
-                algo_label=self._graphmat_label(algorithm),
-                algo_s=t,
-                print_s=loaded.n_vertices * 1.5e-8,
-                deinit_s=2.2e-4,
-                iterations=iterations)
-        elif name == "powergraph":
-            writer.powergraph_load(read)
-            writer.powergraph_run(root, trial, t, iterations=iterations)
-        else:  # pragma: no cover - defensive
-            raise SystemCapabilityError(f"no native emitter for {name}")
-
-    @staticmethod
-    def _graphmat_label(algorithm: str) -> str:
-        return {
-            "bfs": "compute BFS",
-            "sssp": "compute SSSP",
-            "pagerank": "compute PageRank",
-            "wcc": "compute Connected Components",
-            "cdlp": "compute Label Propagation",
-            "lcc": "compute Triangle Counting",
-            "kcore": "compute KCore",
-            "mis": "compute MIS",
-        }[algorithm]

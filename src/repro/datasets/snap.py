@@ -16,6 +16,7 @@ difference between seconds and minutes.
 from __future__ import annotations
 
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,12 @@ def read_snap(path: str | Path, directed: bool = True,
     Vertex ids may be arbitrary non-negative integers; they are compacted
     to ``[0, n)`` preserving numeric order (the same normalization the
     paper's homogenization step applies so every system sees identical
-    ids).
+    ids).  The dataset is named ``name`` or the file stem, with each
+    run of characters outside ``[A-Za-z0-9._+-]`` replaced by ``_``:
+    the name is a field of every log header and every CSV row.
     """
     path = Path(path)
+    name = re.sub(r"[^A-Za-z0-9._+-]+", "_", name or path.stem)
     sniff_snap(path)  # fail fast on a malformed header/column layout
     text = path.read_text(encoding="utf-8")
     # Strip comment lines, then bulk-parse.
@@ -68,7 +72,7 @@ def read_snap(path: str | Path, directed: bool = True,
                   if ln.strip() and not ln.lstrip().startswith("#")]
     if not data_lines:
         return EdgeList(np.zeros(0, np.int64), np.zeros(0, np.int64), 0,
-                        directed=directed, name=name or path.stem)
+                        directed=directed, name=name)
     buf = io.StringIO("\n".join(data_lines))
     try:
         arr = np.loadtxt(buf, dtype=np.float64, ndmin=2)
@@ -91,5 +95,5 @@ def read_snap(path: str | Path, directed: bool = True,
     src = np.searchsorted(ids, raw_src)
     dst = np.searchsorted(ids, raw_dst)
     return EdgeList(src, dst, int(ids.size), weights=weights,
-                    directed=directed, name=name or path.stem)
+                    directed=directed, name=name)
 

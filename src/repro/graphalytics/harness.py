@@ -175,9 +175,6 @@ class GraphalyticsHarness:
                                                 root=root)
         if algorithm == "pagerank":
             # Fixed iteration budget: epsilon=0 disables convergence.
-            if system.name == "graphmat":
-                return system.run(loaded, algorithm,
-                                  max_iterations=PAGERANK_ITERATIONS)
             return system.run(loaded, algorithm, epsilon=0.0,
                               max_iterations=PAGERANK_ITERATIONS)
         if algorithm == "cdlp":

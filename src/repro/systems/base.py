@@ -323,6 +323,13 @@ class GraphSystem(ABC):
         return self._execute(loaded, algorithm, root,
                              lambda: method(loaded, int(root), **params))
 
+    def untimed_phases(self, loaded: LoadedGraph,
+                       build_s: float | None) -> dict[str, float]:
+        """Seconds of the phases this system's native log prints beside
+        the read, build and kernel EPG* times, keyed by their
+        ``repro.core.logs`` field names: none by default."""
+        return {}
+
     @staticmethod
     def _check_root(algorithm: str, root: int | None,
                     loaded: LoadedGraph) -> None:

@@ -4,9 +4,9 @@ All kernels operate on the property-graph structure
 (:class:`~repro.systems.graphbig.system.PropertyGraph`) through
 per-vertex property arrays, in the bulk-synchronous vertex-centric style
 of the original benchmark suite: a task queue of active vertices, one
-"process vertex" sweep per superstep.  Every kernel but PageRank runs
-the one body of its algorithm in :mod:`repro.algorithms` (BFS,
-Bellman-Ford, hash-min WCC, CDLP, LCC, k-core, MIS, Shiloach-Vishkin);
+"process vertex" sweep per superstep.  Every kernel runs the one body
+of its algorithm in :mod:`repro.algorithms` (BFS, Bellman-Ford,
+PageRank, hash-min WCC, CDLP, LCC, k-core, MIS, Shiloach-Vishkin);
 what is GraphBIG's about them is the pricing, with every vertex visit
 paying :data:`PROPERTY_ACCESS_COST`.  The property graph keeps in-edge
 lists as well as out-edge lists: the in-arcs a BFS, Bellman-Ford or
@@ -16,18 +16,15 @@ and otherwise ``pg.out.transposed()``, built on first use and memoized.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms.bfs import bfs_rounds
 from repro.algorithms.cc import shiloach_vishkin
 from repro.algorithms.cdlp import propagate_labels
 from repro.algorithms.kcore import peel_cores
 from repro.algorithms.lcc import clustering_blocks
 from repro.algorithms.mis import luby_rounds, mis_priorities
-from repro.algorithms.pagerank import check_pagerank_params
+from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import bellman_ford_rounds
 from repro.algorithms.wcc import hashmin_rounds
-from repro.graph.frontier import arc_sum_operator
 from repro.graph.simple import simple_undirected_view
 from repro.machine.threads import WorkProfile
 
@@ -92,36 +89,21 @@ def sssp_bellman_ford(pg, root: int, symmetric: bool = False):
 
 def pagerank_jacobi(pg, damping: float, epsilon: float,
                     max_iterations: int):
-    """Pure Jacobi sweeps with the homogenized L1 stopping criterion.
+    """Pure Jacobi sweeps with the homogenized L1 stopping criterion:
+    the reference :func:`~repro.algorithms.pagerank.pagerank`, priced
+    one vertex-and-arc pass per sweep.
 
     Ranks are normalized (init ``1/n``); with the homogenized absolute
     L1 threshold this puts GraphBIG's sweep count between GAP's
     Gauss-Seidel (fewer) and GraphMat's no-change float32 criterion and
     PowerGraph's unnormalized toolkit (more) -- the Fig 4 spread.
     """
-    check_pagerank_params(damping, epsilon, max_iterations)
-    csr = pg.out
-    n = pg.n
-    out_deg = csr.out_degrees().astype(np.float64)
-    dangling = out_deg == 0
-    arcs = arc_sum_operator(csr.row_ptr, csr.col_idx, n, scatter=True)
-    # Dangling vertices own no arc; 1 only keeps 0/0 out of it.
-    divisor = np.maximum(out_deg, 1.0)
-    rank = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
+    rank, iterations = pagerank(pg.out, damping, epsilon, max_iterations)
     profile = WorkProfile()
-    m = csr.n_edges
-    iterations = max_iterations
-    for it in range(1, max_iterations + 1):
-        contrib = arcs @ (rank / divisor)
-        new_rank = base + damping * (contrib + rank[dangling].sum() / n)
-        delta = float(np.abs(new_rank - rank).sum())
-        rank = new_rank
-        profile.add_round(units=m + n, memory_bytes=24.0 * m + 24.0 * n,
-                          skew=0.05)
-        if delta < epsilon:
-            iterations = it
-            break
+    m = pg.out.n_edges
+    for _ in range(iterations):
+        profile.add_round(units=m + pg.n,
+                          memory_bytes=24.0 * m + 24.0 * pg.n, skew=0.05)
     return rank, iterations, profile
 
 

@@ -17,7 +17,7 @@ driver wraps the whole process -- the unfairness Sec. II dissects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,23 +28,10 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
 from repro.graph.edgelist import EdgeList
 from repro.machine.threads import WorkProfile
-from repro.systems import calibration
 from repro.systems.base import GraphSystem
 from repro.systems.graphmat import kernels
 
 __all__ = ["GraphMatSystem", "GraphMatMatrices"]
-
-#: Algorithm names as they appear in GraphMat's own log lines.
-_ALGO_LOG_NAMES = {
-    "bfs": "compute BFS",
-    "sssp": "compute SSSP",
-    "pagerank": "compute PageRank",
-    "wcc": "compute Connected Components",
-    "cdlp": "compute Label Propagation",
-    "lcc": "compute Triangle Counting",
-    "kcore": "compute KCore",
-    "mis": "compute MIS",
-}
 
 
 @dataclass
@@ -64,21 +51,6 @@ class GraphMatMatrices:
         """Both DCSR matrices plus the degree cache."""
         return (self.at.nbytes() + self.at_sym.nbytes()
                 + self.out_degrees.nbytes)
-
-
-@dataclass
-class GraphMatPhases:
-    """Per-run phase timings for the native log."""
-
-    file_read_s: float = 0.0
-    load_graph_s: float = 0.0
-    init_engine_s: float = 8.32e-5
-    count_degree_s: float = 0.0
-    run_algorithm_s: float = 0.0
-    print_output_s: float = 0.0
-    deinit_engine_s: float = 2.2e-4
-    algorithm_label: str = ""
-    extra: dict = field(default_factory=dict)
 
 
 class GraphMatSystem(GraphSystem):
@@ -130,13 +102,6 @@ class GraphMatSystem(GraphSystem):
             out_degrees=arrays["out_degrees"], n=n)
 
     # -- kernels -------------------------------------------------------
-    def _count_degree_profile(self, data: GraphMatMatrices) -> WorkProfile:
-        """GraphMat's "run algorithm 1": a degree-count SpMV pass."""
-        p = WorkProfile()
-        p.add_round(units=data.at.nnz + data.n,
-                    memory_bytes=8.0 * data.at.nnz, skew=0.05)
-        return p
-
     def _run_bfs(self, loaded, root: int):
         data = loaded.data
         parent, level, profile, stats = kernels.bfs_spmv(
@@ -183,19 +148,10 @@ class GraphMatSystem(GraphSystem):
                 {"set_size": float(in_set.sum())})
 
     # -- native phase view ---------------------------------------------
-    def phase_breakdown(self, loaded, result) -> GraphMatPhases:
-        """Assemble the native log phases for one kernel execution."""
-        count_sim = self.thread_model.simulate(
-            self._count_degree_profile(loaded.data),
-            calibration.cost_params(self.name, "pagerank", self.machine),
-            self.n_threads)
-        n = loaded.n_vertices
-        return GraphMatPhases(
-            file_read_s=loaded.read_s,
-            load_graph_s=(loaded.build_s or 0.0) + loaded.read_s,
-            count_degree_s=count_sim.time_s,
-            run_algorithm_s=result.time_s,
-            # Writing one text line per vertex.
-            print_output_s=n * 1.5e-8 * 32 / self.n_threads,
-            algorithm_label=_ALGO_LOG_NAMES[result.algorithm],
-        )
+    def untimed_phases(self, loaded, build_s):
+        """The phases around "run algorithm 2" that GraphMat's log
+        prints and EPG* does not time: a constant engine start and
+        stop, a degree count at a twentieth of the build, and one text
+        line per vertex."""
+        return {"init": 8.32e-5, "degree": 0.05 * build_s,
+                "print": loaded.n_vertices * 1.5e-8, "deinit": 2.2e-4}

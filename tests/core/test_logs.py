@@ -15,9 +15,8 @@ def _values(records, metric):
 class TestGapLog:
     def test_roundtrip(self, tmp_path):
         w = LogWriter("gap", "kron-scale10", 32, "bfs")
-        w.gap_load(0.12, 0.4)
-        w.gap_trial(5, 0, 0.01636)
-        w.gap_trial(9, 0, 0.0171)
+        w.native(read=0.12, build=0.4, root=5, trial=0, time=0.01636)
+        w.native(root=9, trial=0, time=0.0171)
         w.power_lines(1.184, 0.27, 0.01636, root=5, trial=0)
         path = w.write(tmp_path / "gap.log")
         records = parse_log(path)
@@ -29,14 +28,14 @@ class TestGapLog:
 
     def test_pagerank_iterations(self, tmp_path):
         w = LogWriter("gap", "d", 32, "pagerank")
-        w.gap_load(0.1, 0.2)
-        w.gap_trial(-1, 0, 0.075, iterations=22)
+        w.native(read=0.1, build=0.2, root=-1, trial=0, time=0.075,
+                 iterations=22)
         records = parse_log(w.write(tmp_path / "pr.log"))
         assert _values(records, "iterations") == [22.0]
 
     def test_power_watts_derived(self, tmp_path):
         w = LogWriter("gap", "d", 32, "bfs")
-        w.gap_trial(1, 0, 1.0)
+        w.native(root=1, trial=0, time=1.0)
         w.power_lines(pkg_j=72.38, dram_j=16.5, duration_s=1.0,
                       root=1, trial=0)
         records = parse_log(w.write(tmp_path / "p.log"))
@@ -49,11 +48,10 @@ class TestGapLog:
 class TestGraph500Log:
     def test_roundtrip(self, tmp_path):
         w = LogWriter("graph500", "kron-scale14", 32, "bfs")
-        w.graph500_header(14, 16, 2)
-        w.graph500_construction(3.3)
-        w.graph500_bfs(0, 7, 0.0188)
-        w.graph500_bfs(1, 9, 0.0190)
-        w.graph500_summary(0.0188, 0.0189, 0.0190, 1.0e9)
+        w.native(scale=14, edgefactor=16, nbfs=2, build=3.3)
+        w.native(trial=0, root=7, time=0.0188)
+        w.native(trial=1, root=9, time=0.0190)
+        w.native(min=0.0188, mean=0.0189, max=0.0190, teps=1.0e9)
         w.power_lines(100.0, 20.0, 0.6)
         records = parse_log(w.write(tmp_path / "g500.log"))
         assert _values(records, "build") == [3.3]
@@ -65,8 +63,7 @@ class TestGraph500Log:
 class TestGraphBigLog:
     def test_roundtrip(self, tmp_path):
         w = LogWriter("graphbig", "dota-league", 32, "pagerank")
-        w.graphbig_load(2.6)
-        w.graphbig_run(-1, 0, 4.7, iterations=10)
+        w.native(load=2.6, root=-1, trial=0, time=4.7, iterations=10)
         records = parse_log(w.write(tmp_path / "gbig.log"))
         assert _values(records, "load") == [2.6]
         assert _values(records, "time") == [4.7]
@@ -79,11 +76,10 @@ class TestGraphMatLog:
     def test_block_matches_table1_excerpt(self, tmp_path):
         """The exact phase lines of the Table I excerpt parse back."""
         w = LogWriter("graphmat", "dota-league", 32, "pagerank")
-        w.graphmat_block(
-            root=-1, trial=0, read_s=2.65211, load_s=5.91229,
-            init_s=8.32081e-05, degree_s=0.0555639,
-            algo_label="compute PageRank", algo_s=0.149445,
-            print_s=0.0641179, deinit_s=0.00022006)
+        w.native(
+            root=-1, trial=0, read=2.65211, load=5.91229,
+            init=8.32081e-05, degree=0.0555639, time=0.149445,
+            print=0.0641179, deinit=0.00022006)
         path = w.write(tmp_path / "gm.log")
         text = path.read_text()
         assert "Finished file read of dota-league. time: 2.65211" in text
@@ -101,8 +97,7 @@ class TestGraphMatLog:
 class TestPowerGraphLog:
     def test_roundtrip(self, tmp_path):
         w = LogWriter("powergraph", "d", 32, "sssp")
-        w.powergraph_load(20.0)
-        w.powergraph_run(3, 0, 8.9, iterations=15)
+        w.native(load=20.0, root=3, trial=0, time=8.9, iterations=15)
         records = parse_log(w.write(tmp_path / "pg.log"))
         assert _values(records, "load") == [20.0]
         assert _values(records, "time") == [8.9]
@@ -141,9 +136,9 @@ class TestParseErrors:
 def test_gap_roundtrip_property(tmp_path_factory, times, threads):
     """Writer -> parser is lossless for arbitrary trial times."""
     w = LogWriter("gap", "g", threads, "bfs")
-    w.gap_load(0.1, 0.2)
+    w.native(read=0.1, build=0.2)
     for i, t in enumerate(times):
-        w.gap_trial(i, 0, t)
+        w.native(root=i, trial=0, time=t)
     p = tmp_path_factory.mktemp("logs") / "g.log"
     records = parse_log(w.write(p))
     got = sorted(r.value for r in records if r.metric == "time")
@@ -155,10 +150,82 @@ def test_gap_roundtrip_property(tmp_path_factory, times, threads):
 def test_graph500_teps_parsed(tmp_path):
     """The spec-mandated harmonic-mean TEPS lands in the records."""
     w = LogWriter("graph500", "kron-scale14", 32, "bfs")
-    w.graph500_header(14, 16, 1)
-    w.graph500_construction(3.3)
-    w.graph500_bfs(0, 7, 0.0188)
-    w.graph500_summary(0.0188, 0.0188, 0.0188, 7.1e9)
+    w.native(scale=14, edgefactor=16, nbfs=1, build=3.3)
+    w.native(trial=0, root=7, time=0.0188)
+    w.native(min=0.0188, mean=0.0188, max=0.0188, teps=7.1e9)
     records = parse_log(w.write(tmp_path / "teps.log"))
     teps = [r.value for r in records if r.metric == "teps"]
     assert teps == [7.1e9]
+
+
+# ----------------------------------------------------------------------
+# Every dialect round-trips: what a system's writer prints, the parser
+# reads back as exactly these records.
+# ----------------------------------------------------------------------
+_seconds = st.floats(1e-7, 1e4, allow_nan=False)
+_executions = st.lists(
+    st.tuples(st.integers(-1, 10**6), st.integers(0, 99), _seconds,
+              _seconds, _seconds, st.integers(1, 1000)),
+    min_size=1, max_size=4, unique_by=lambda e: (e[0], e[1]))
+
+
+def _expected(system, algorithm, executions, teps):
+    """The records each system's log must yield, stated per system."""
+    want = []
+    at = (-1, 0)
+    for i, (root, trial, read, build, t, iters) in enumerate(executions):
+        load = read + build
+        if system == "gap":
+            want += [("read", f"{read:.5f}", *at),
+                     ("build", f"{build:.5f}", *at)]
+            at = (root, trial)
+            want.append(("time", f"{t:.6e}", *at))
+            if algorithm == "pagerank":
+                want.append(("iterations", f"{iters}", *at))
+        elif system in ("graphbig", "powergraph"):
+            want.append(("load", f"{load:.5f}", *at))
+            at = (root, trial)
+            want += [("time", f"{t:.6e}", *at),
+                     ("iterations", f"{iters}", *at)]
+        elif system == "graphmat":
+            at = (root, trial)
+            want += [("read", f"{read:.6g}", *at),
+                     ("load", f"{load:.6g}", *at),
+                     ("time", f"{t:.6g}", *at),
+                     ("iterations", f"{iters}", *at)]
+            want.append(("build", max(float(f"{load:.6g}")
+                                      - float(f"{read:.6g}"), 0.0), *at))
+        else:  # graph500: one execution, every search a numbered line
+            if i == 0:
+                want.append(("build", f"{build:.6e}", -1, 0))
+            want.append(("time", f"{t:.6e}", root, i))
+    if system == "graph500":
+        want.append(("teps", f"{teps:.6e}", -1, 0))
+    return sorted((m, float(v), r, t) for m, v, r, t in want)
+
+
+@given(system=st.sampled_from(
+           ["gap", "graph500", "graphbig", "graphmat", "powergraph"]),
+       algorithm=st.sampled_from(["bfs", "pagerank", "wcc"]),
+       executions=_executions, teps=_seconds)
+@settings(max_examples=150, deadline=None)
+def test_every_dialect_roundtrips(tmp_path_factory, system, algorithm,
+                                  executions, teps):
+    w = LogWriter(system, "g", 8, algorithm)
+    for i, (root, trial, read, build, t, iters) in enumerate(executions):
+        if system == "graph500":
+            if i == 0:
+                w.native(scale=10, edgefactor=16, nbfs=len(executions),
+                         build=build)
+            w.native(trial=i, root=root, time=t)
+        else:
+            w.native(read=read, build=build, load=read + build, root=root,
+                     trial=trial, time=t, iterations=iters, init=8.32e-5,
+                     degree=0.05 * build, print=1e-6, deinit=2.2e-4)
+    if system == "graph500":
+        w.native(min=teps, mean=teps, max=teps, teps=teps)
+    records = parse_log(w.write(tmp_path_factory.mktemp("d") / "x.log"))
+    got = sorted((r.metric, r.value, r.root, r.trial) for r in records)
+    assert got == _expected(system, algorithm, executions, teps)
+    assert all((r.system, r.dataset, r.threads, r.algorithm)
+               == (system, "g", 8, algorithm) for r in records)

@@ -338,9 +338,9 @@ class TestDegradedSuite:
 class TestLogSalvage:
     def _write_gap_log(self, directory, n=3):
         w = LogWriter("gap", "kron-scale8", 32, "bfs")
-        w.gap_load(0.1, 0.2)
+        w.native(read=0.1, build=0.2)
         for i in range(n):
-            w.gap_trial(i, 0, 0.01 * (i + 1))
+            w.native(root=i, trial=0, time=0.01 * (i + 1))
         return w.write(directory / "gap" / "bfs-t32.log")
 
     def test_salvages_around_headerless_file(self, tmp_path):

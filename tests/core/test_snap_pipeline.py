@@ -70,3 +70,24 @@ def test_cross_system_agreement_on_user_graph(snap_file, tmp_path):
         levels[name] = s.run(loaded, "bfs", root=root).output["level"]
     assert np.array_equal(levels["gap"], levels["graphbig"])
     assert np.array_equal(levels["gap"], levels["graphmat"])
+
+
+@pytest.mark.parametrize("stem, dataset", [("my graph", "my_graph"),
+                                           ("a,b", "a_b")])
+def test_file_name_the_logs_and_csv_cannot_carry(snap_file, tmp_path,
+                                                 stem, dataset):
+    """A space breaks the log header, a comma the CSV row: the dataset
+    is named after the stem with such runs replaced, and every phase
+    reads back what the run wrote."""
+    path = tmp_path / f"{stem}.txt"
+    path.write_bytes(snap_file.read_bytes())
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(
+        output_dir=out, dataset="snap-file", snap_path=path, n_roots=2,
+        systems=("gap", "graphmat"), algorithms=("bfs", "pagerank"))
+    exp = Experiment(cfg)
+    assert exp.run_all().datasets() == [dataset]
+    assert not exp.parse_problems
+    records = Experiment.load_csv(out / "results.csv")
+    assert {r.dataset for r in records} == {dataset}
+    assert {r.system for r in records} == {"gap", "graphmat"}

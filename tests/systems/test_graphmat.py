@@ -59,16 +59,23 @@ class TestPagerankCriterion:
 
 
 class TestPhases:
-    def test_phase_breakdown_matches_log_excerpt_shape(self, gmat,
-                                                       kron10_dataset):
+    def test_log_block_matches_excerpt_shape(self, gmat, tmp_path):
+        from repro.core.logs import LogWriter, parse_log
+
         s, loaded = gmat
         res = s.run(loaded, "pagerank")
-        phases = s.phase_breakdown(loaded, res)
+        phases = s.untimed_phases(loaded, loaded.build_s)
+        assert phases["init"] < 1e-3
+        assert phases["degree"] == pytest.approx(0.05 * loaded.build_s)
+        w = LogWriter("graphmat", "kron", 32, "pagerank")
+        w.native(read=loaded.read_s, load=loaded.read_s + loaded.build_s,
+                 time=res.time_s, **phases)
+        assert w.lines[5].startswith("run algorithm 2 (compute PageRank)")
+        records = {r.metric: r.value
+                   for r in parse_log(w.write(tmp_path / "gm.log"))}
         # "load graph" includes the file read (the Table I flaw source).
-        assert phases.load_graph_s >= phases.file_read_s
-        assert phases.run_algorithm_s == res.time_s
-        assert phases.init_engine_s < 1e-3
-        assert phases.algorithm_label == "compute PageRank"
+        assert records["load"] >= records["read"]
+        assert records["time"] == pytest.approx(res.time_s, rel=1e-5)
 
     def test_binary_read_faster_than_text(self, kron10_dataset):
         """The homogenizer writes GraphMat's binary format precisely so
