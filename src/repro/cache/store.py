@@ -159,6 +159,13 @@ class ArtifactCache:
         self._log.info("cache hit %s %s", meta.get("kind", kind), key)
         return entry
 
+    def discard(self, key: str, exc: Exception) -> None:
+        """Evict an entry that verified but could not be used (``exc``
+        is why), so the caller rebuilds it as on a miss."""
+        self._log.warning("cache entry %s unusable (%s: %s); rebuilding",
+                          key, type(exc).__name__, exc)
+        self._evict(self._entry_dir(key))
+
     def put(self, key: str, kind: str, build, meta: dict | None = None
             ) -> Path:
         """Publish an entry: ``build(tmp_dir)`` writes the payload

@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from repro.core.config import ExperimentConfig
+from repro.core.config import DATASET_KINDS, ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.errors import (
     CacheError,
@@ -156,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", type=Path, required=True,
                         help="experiment output directory")
         sp.add_argument("--dataset", default="kronecker",
-                        choices=("kronecker", "cit-patents", "dota-league",
-                                 "snap-file"))
+                        choices=DATASET_KINDS)
         sp.add_argument("--snap-path", type=Path, default=None)
         sp.add_argument("--scale", type=int, default=14,
                         help="Kronecker scale (2^scale vertices)")

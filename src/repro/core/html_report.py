@@ -9,6 +9,7 @@ Graphalytics' page shows, plus the distributions it cannot.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -46,10 +47,11 @@ def _box_table_html(title: str, boxes: dict[str, BoxStats]) -> str:
 
 def render_epg_html(analysis: Analysis, out_path: str | Path,
                     title: str = "easy-parallel-graph-* report",
-                    embed_figures: bool = True,
+                    figures: Iterable[Path] = (),
                     observability: str | None = None) -> Path:
     """Write one self-contained HTML report for an analysis.
 
+    ``figures`` are already-rendered SVG files to embed, in order.
     ``observability`` is an optional preformatted text block (the
     REPORT.md Observability section) appended when tracing was on.
     """
@@ -97,19 +99,12 @@ def render_epg_html(analysis: Analysis, out_path: str | Path,
                      "<tr><th>system</th><th>iterations</th></tr>"
                      + rows + "</table>")
 
-    if embed_figures:
-        from repro.viz import render_all_figures
-
-        figures = render_all_figures(
-            analysis, out_path.parent / "figures")
-        for fig, paths in sorted(figures.items()):
-            for p in paths:
-                svg = p.read_text(encoding="utf-8")
-                # Strip the XML prolog for inline embedding.
-                svg_body = svg[svg.index("<svg"):]
-                parts.append(f"<figure>{svg_body}"
-                             f"<figcaption>{escape(p.stem)}"
-                             "</figcaption></figure>")
+    for p in figures:
+        svg = p.read_text(encoding="utf-8")
+        # Strip the XML prolog for inline embedding.
+        svg_body = svg[svg.index("<svg"):]
+        parts.append(f"<figure>{svg_body}"
+                     f"<figcaption>{escape(p.stem)}</figcaption></figure>")
 
     if observability:
         parts.append("<h2>Observability</h2>"

@@ -38,7 +38,11 @@ from repro.power.papi import (
     power_rapl_start,
 )
 from repro.systems import create_system
-from repro.systems.base import GraphSystem, KernelResult
+from repro.systems.base import (
+    ROOTED_ALGORITHMS,
+    GraphSystem,
+    KernelResult,
+)
 
 __all__ = ["Runner"]
 
@@ -241,7 +245,7 @@ class Runner:
     def _roots_and_trials(self, algorithm: str) -> list[tuple[int, int]]:
         """(root, trial) pairs for one cell."""
         pairs: list[tuple[int, int]] = []
-        if algorithm in ("bfs", "sssp"):
+        if algorithm in ROOTED_ALGORITHMS:
             for trial in range(self.config.n_trials):
                 for root in self.dataset.roots[:self.config.n_roots]:
                     pairs.append((int(root), trial))
@@ -355,10 +359,10 @@ class Runner:
         """Fresh execution per root/trial for the other four systems."""
         kernel_cache: dict[int, KernelResult] = {}
         for root, trial in self._roots_and_trials(algorithm):
-            cache_key = root if algorithm in ("bfs", "sssp") else -1
+            cache_key = root if algorithm in ROOTED_ALGORITHMS else -1
             if cache_key not in kernel_cache:
                 kwargs = {}
-                if algorithm in ("bfs", "sssp"):
+                if algorithm in ROOTED_ALGORITHMS:
                     kwargs["root"] = root
                 if algorithm == "pagerank":
                     kwargs["epsilon"] = self.config.epsilon

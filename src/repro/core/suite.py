@@ -132,7 +132,7 @@ def run_paper_suite(out_dir: str | Path, scale: int = 12,
     try:
         with tracer.span("suite", category="suite", scale=scale,
                          n_roots=n_roots, seed=seed):
-            sections, kron = _suite_sections(
+            sections, kron, figures = _suite_sections(
                 out_dir, scale, n_roots, seed, render_svg, options,
                 tracer, pool)
         observability = None
@@ -144,8 +144,7 @@ def run_paper_suite(out_dir: str | Path, scale: int = 12,
 
         render_epg_html(kron, out_dir / "report.html",
                         title=f"EPG* report: kron-scale{scale}",
-                        embed_figures=render_svg,
-                        observability=observability)
+                        figures=figures, observability=observability)
     finally:
         pool.close()
         tracer.close()
@@ -180,8 +179,9 @@ def _export_trace(tracer: Tracer, want_svg: bool) -> str:
 def _suite_sections(out_dir: Path, scale: int, n_roots: int, seed: int,
                     render_svg: bool, options: dict,
                     tracer: Tracer, pool
-                    ) -> tuple[list[str], Analysis]:
-    """Run every experiment; return (REPORT sections, kron analysis)."""
+                    ) -> tuple[list[str], Analysis, list[Path]]:
+    """Run every experiment; return (REPORT sections, kron analysis,
+    the SVG figures written)."""
     sections: list[str] = [
         "# easy-parallel-graph-* full reproduction report",
         f"\nKronecker scale {scale}, {n_roots} roots, seed {seed}; "
@@ -370,19 +370,24 @@ def _suite_sections(out_dir: Path, scale: int, n_roots: int, seed: int,
     }))
 
     # --- figures + provenance -----------------------------------------
+    # Each figure once, from the experiment its REPORT section plots.
+    rendered: dict[str, list[Path]] = {}
     if render_svg:
         from repro.viz import render_all_figures
 
-        render_all_figures(kron, out_dir / "figures")
-        render_all_figures(merged, out_dir / "figures")
-        render_all_figures(scaling, out_dir / "figures")
+        for analysis, figs in ((kron, ("fig2", "fig3", "fig4", "fig9")),
+                               (merged, ("fig8",)),
+                               (scaling, ("fig5", "fig6"))):
+            rendered.update(render_all_figures(
+                analysis, out_dir / "figures", figs))
 
     from repro.core.provenance import capture
 
     for cfg in (kron_cfg, scaling_cfg):
         capture(cfg)
 
-    return sections, kron
+    return sections, kron, [p for fig in sorted(rendered)
+                            for p in rendered[fig]]
 
 
 def resume_paper_suite(out_dir: str | Path,

@@ -1,20 +1,22 @@
 """Dataset catalog: every workload the harness knows, with metadata.
 
-One registry mapping dataset names to their published statistics,
-generation entry points, and provenance notes -- the "datasets" face of
-the paper's Spack-packaging direction (Sec. V).  ``epg datasets``
-prints it.
+One registry mapping dataset names to their published statistics and
+provenance notes -- the "datasets" face of the paper's Spack-packaging
+direction (Sec. V).  ``epg datasets`` prints it; the datasets
+themselves are made by :class:`~repro.core.experiment.Experiment`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.errors import DatasetError
-from repro.graph.edgelist import EdgeList
+from repro.datasets.realworld import (
+    CIT_PATENTS_FULL,
+    DOTA_LEAGUE_FULL,
+    DatasetSpec,
+)
 
-__all__ = ["CatalogEntry", "catalog", "get_entry", "generate"]
+__all__ = ["CatalogEntry", "catalog"]
 
 
 @dataclass(frozen=True)
@@ -30,35 +32,16 @@ class CatalogEntry:
     full_vertices: int | None
     full_edges: int | None
     source: str
-    generator: Callable[..., EdgeList]
 
 
-def _kron(scale: int = 14, seed: int = 20170402,
-          weighted: bool = True) -> EdgeList:
-    from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
-
-    return generate_kronecker(KroneckerSpec(scale=scale, seed=seed,
-                                            weighted=weighted))
-
-
-def _patents(factor: float | None = None, seed: int | None = None
-             ) -> EdgeList:
-    from repro.datasets.realworld import (
-        CIT_PATENTS_DEFAULT_FACTOR,
-        cit_patents,
-    )
-
-    return cit_patents(factor or CIT_PATENTS_DEFAULT_FACTOR, seed=seed)
-
-
-def _dota(factor: float | None = None, seed: int | None = None
-          ) -> EdgeList:
-    from repro.datasets.realworld import (
-        DOTA_LEAGUE_DEFAULT_FACTOR,
-        dota_league,
-    )
-
-    return dota_league(factor or DOTA_LEAGUE_DEFAULT_FACTOR, seed=seed)
+def _standin(name: str, full: DatasetSpec, description: str,
+             source: str) -> CatalogEntry:
+    """A real-world stand-in, sized and flagged by its published spec."""
+    return CatalogEntry(
+        name=name, kind="real-world-standin", description=description,
+        directed=full.directed, weighted=full.weighted,
+        full_vertices=full.n_vertices, full_edges=full.n_edges,
+        source=source)
 
 
 _CATALOG: dict[str, CatalogEntry] = {
@@ -69,44 +52,22 @@ _CATALOG: dict[str, CatalogEntry] = {
                     "scale-22/23 workload",
         directed=False, weighted=True,
         full_vertices=None, full_edges=None,
-        source="Graph500 specification / paper Sec. III-B",
-        generator=_kron),
-    "cit-patents": CatalogEntry(
-        name="cit-patents", kind="real-world-standin",
-        description="NBER patent citation network stand-in: sparse "
-                    "directed unweighted DAG, heavy-tailed in-degree",
-        directed=True, weighted=False,
-        full_vertices=3_774_768, full_edges=16_518_948,
-        source="SNAP (Leskovec et al.); synthetic model in "
-               "repro.datasets.realworld",
-        generator=_patents),
-    "dota-league": CatalogEntry(
-        name="dota-league", kind="real-world-standin",
-        description="Defense of the Ancients interaction graph "
-                    "stand-in: dense weighted undirected, avg "
-                    "out-degree ~824 at full size",
-        directed=False, weighted=True,
-        full_vertices=61_670, full_edges=50_870_313,
-        source="Game Trace Archive via Graphalytics; synthetic model "
-               "in repro.datasets.realworld",
-        generator=_dota),
+        source="Graph500 specification / paper Sec. III-B"),
+    "cit-patents": _standin(
+        "cit-patents", CIT_PATENTS_FULL,
+        "NBER patent citation network stand-in: sparse directed "
+        "unweighted DAG, heavy-tailed in-degree",
+        "SNAP (Leskovec et al.); synthetic model in "
+        "repro.datasets.realworld"),
+    "dota-league": _standin(
+        "dota-league", DOTA_LEAGUE_FULL,
+        "Defense of the Ancients interaction graph stand-in: dense "
+        "weighted undirected, avg out-degree ~824 at full size",
+        "Game Trace Archive via Graphalytics; synthetic model in "
+        "repro.datasets.realworld"),
 }
 
 
 def catalog() -> list[CatalogEntry]:
     """All known entries, name-sorted."""
     return [_CATALOG[k] for k in sorted(_CATALOG)]
-
-
-def get_entry(name: str) -> CatalogEntry:
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise DatasetError(
-            f"unknown dataset {name!r}; known: {sorted(_CATALOG)}"
-        ) from None
-
-
-def generate(name: str, **kwargs) -> EdgeList:
-    """Generate a catalog dataset (kwargs go to its generator)."""
-    return get_entry(name).generator(**kwargs)

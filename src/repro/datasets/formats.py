@@ -7,12 +7,12 @@ serialized data structure file formats" (Sec. III-B).  Each format here
 mirrors the observable layout of the real system's format:
 
 =============  ==================================================
-GAP            ``.sg`` / ``.wsg`` -- serialized CSR binary
+GAP            ``.wel`` -- weighted text edge list; ``.wsg`` --
+               serialized weighted CSR binary
 Graph500       ``.g500`` -- packed int64 edge tuples (generator dump)
 GraphBIG       ``vertex.csv`` + ``edge.csv`` (IBM System G CSV)
 GraphMat       ``.mtxbin`` -- binary 1-based (src, dst, weight) triples
 PowerGraph     ``.tsv`` -- whitespace edge list (snap loader)
-plain          ``.el`` / ``.wel`` -- text edge list
 =============  ==================================================
 
 Only the binary formats have readers.  A system's load is priced from

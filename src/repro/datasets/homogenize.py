@@ -13,8 +13,8 @@ from a SNAP file), :func:`homogenize` writes a dataset directory:
 
     <out>/<name>/
         manifest.json          dataset statistics + file inventory
-        <name>.el / .wel       plain edge list (weighted variant)
-        <name>.sg / .wsg       GAP serialized CSR
+        <name>.wel             GAP's weighted text edge list
+        <name>.wsg             GAP serialized weighted CSR
         <name>.g500            Graph500 packed tuples
         <name>.mtxbin          GraphMat binary matrix
         <name>.tsv             PowerGraph edge TSV
@@ -25,7 +25,10 @@ Auxiliary rules from the paper:
 
 * 32 roots per graph, each with degree greater than 1 (Graph500 rule);
 * SSSP on unweighted datasets uses generated uniform weights (the
-  Graph500 SSSP convention), so a ``.wel`` twin is always produced.
+  Graph500 SSSP convention), so every file holds weighted edges.
+
+Only files a system reads or prices are written, and the manifest's
+``files`` lists them in write order.
 """
 
 from __future__ import annotations
@@ -44,12 +47,6 @@ __all__ = ["HomogenizedDataset", "homogenize", "load_manifest",
            "select_roots"]
 
 N_ROOTS_DEFAULT = 32
-
-#: Per-format writer keys, in the order :func:`homogenize` emits them.
-#: The cache restore path replays identical ``write:<key>`` spans in
-#: this order so a warm trace is indistinguishable from a cold one.
-_WRITER_KEYS = ("el", "wel", "sg", "wsg", "g500", "mtxbin", "tsv",
-                "graphbig")
 
 
 def select_roots(edges: EdgeList, n_roots: int = N_ROOTS_DEFAULT,
@@ -86,7 +83,7 @@ class HomogenizedDataset:
     files: dict
 
     def path(self, key: str) -> Path:
-        """Absolute path of one homogenized artifact (e.g. ``'sg'``)."""
+        """Absolute path of one homogenized artifact (e.g. ``'wsg'``)."""
         try:
             return self.directory / self.files[key]
         except KeyError:
@@ -113,8 +110,9 @@ def _restore_tree(tree: Path, ddir: Path, tracer,
                   name: str) -> HomogenizedDataset:
     """Copy a cached homogenized tree into ``ddir``.
 
-    Emits the same ``write:<key>`` spans, in the same order, as a cold
-    :func:`homogenize` so traces stay byte-transparent to caching.
+    Replays the manifest's ``files`` in write order with a cold
+    :func:`homogenize`'s ``write:<key>`` spans, so traces stay
+    byte-transparent to caching.
     """
     import shutil
 
@@ -131,14 +129,13 @@ def _restore_tree(tree: Path, ddir: Path, tracer,
             dst.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dst)
 
-    for key in _WRITER_KEYS:
-        if tracer is not None:
+    for key, rel in files.items():
+        if tracer is not None and key != "roots":
             with tracer.span(f"write:{key}", category="dataset",
                              dataset=name):
-                _copy(files[key])
+                _copy(rel)
         else:
-            _copy(files[key])
-    _copy(files["roots"])
+            _copy(rel)
     shutil.copy2(tree / "manifest.json", ddir / "manifest.json")
     return load_manifest(ddir)
 
@@ -171,10 +168,7 @@ def homogenize(edges: EdgeList, out_dir: str | Path,
             try:
                 return _restore_tree(entry / "tree", ddir, tracer, name)
             except Exception as exc:  # noqa: BLE001 -- degrade to miss
-                cache._log.warning(
-                    "cache entry %s unusable (%s: %s); rebuilding",
-                    ckey, type(exc).__name__, exc)
-                cache._evict(cache._entry_dir(ckey))
+                cache.discard(ckey, exc)
 
     ddir.mkdir(parents=True, exist_ok=True)
 
@@ -186,16 +180,10 @@ def homogenize(edges: EdgeList, out_dir: str | Path,
     def _rel(p: Path) -> str:
         return str(p.relative_to(ddir))
 
-    unweighted_el = EdgeList(edges.src, edges.dst, edges.n_vertices,
-                             directed=edges.directed, name=name)
     # The two other text formats of weighted_el are its .wel re-delimited.
     wel_path = ddir / f"{name}.wel"
     writers = [
-        ("el", lambda: formats.write_el(unweighted_el,
-                                        ddir / f"{name}.el")),
         ("wel", lambda: formats.write_el(weighted_el, wel_path)),
-        ("sg", lambda: formats.write_sg(
-            edges, ddir / f"{name}.sg", symmetrize=not edges.directed)),
         ("wsg", lambda: formats.write_sg(
             weighted_el, ddir / f"{name}.wsg",
             symmetrize=not edges.directed)),

@@ -9,7 +9,7 @@ from repro.errors import SystemCapabilityError
 from repro.machine.spec import MachineSpec, haswell_server
 from repro.machine.variance import VarianceModel
 from repro.systems import create_system
-from repro.systems.base import KernelResult
+from repro.systems.base import ROOTED_ALGORITHMS, KernelResult
 
 __all__ = ["GraphalyticsHarness", "GraphalyticsResult",
            "GRAPHALYTICS_PLATFORMS", "GRAPHALYTICS_ALGORITHMS"]
@@ -180,7 +180,7 @@ class GraphalyticsHarness:
         if algorithm == "cdlp":
             return system.run(loaded, algorithm,
                               iterations=CDLP_ITERATIONS)
-        if algorithm in ("bfs", "sssp"):
+        if algorithm in ROOTED_ALGORITHMS:
             return system.run(loaded, algorithm, root=root)
         return system.run(loaded, algorithm)
 

@@ -32,14 +32,13 @@ import numpy as np
 from repro.errors import ReproError
 from repro.logging_util import get_logger
 from repro.service.workers import Promise
+from repro.systems.base import ROOTED_ALGORITHMS
 
 __all__ = ["BatchingExecutor", "Job", "summarize", "validate_output"]
 
 #: Longest an injected hang can wedge a worker before giving up on its
 #: own (the watchdog normally quarantines it much earlier).
 HANG_CAP_S = 60.0
-
-_ROOTED = ("bfs", "sssp")
 
 
 @dataclass
@@ -258,7 +257,7 @@ class BatchingExecutor:
         if not runnable or ctx.abandoned.is_set():
             return
         first = runnable[0]
-        rooted = first.algorithm in _ROOTED
+        rooted = first.algorithm in ROOTED_ALGORITHMS
         try:
             with self.manager.lease(first.graph, first.system,
                                     first.n_threads) as (system, loaded):

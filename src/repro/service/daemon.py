@@ -41,7 +41,7 @@ from repro.service.breaker import CircuitBreaker
 from repro.service.graphs import ResidentGraphManager
 from repro.service.telemetry import ServiceTelemetry
 from repro.service.workers import WorkerPool
-from repro.systems.base import ALGORITHMS
+from repro.systems.base import ALGORITHMS, ROOTED_ALGORITHMS
 
 __all__ = ["QueryDaemon", "ServeConfig", "STATS_SCHEMA_VERSION"]
 
@@ -273,7 +273,7 @@ class QueryDaemon:
         try:
             n_threads = int(payload.get("n_threads", 32))
             root = payload.get("root")
-            if algorithm in ("bfs", "sssp"):
+            if algorithm in ROOTED_ALGORITHMS:
                 root = int(root if root is not None else 0)
                 if not 0 <= root < dataset.n_vertices:
                     return 400, {

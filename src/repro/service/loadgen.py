@@ -25,6 +25,7 @@ from random import Random
 from repro.errors import ServiceError
 from repro.ioutil import atomic_write_json
 from repro.logging_util import get_logger
+from repro.systems.base import ROOTED_ALGORITHMS
 
 __all__ = ["LoadGenerator", "LoadReport"]
 
@@ -215,7 +216,7 @@ class LoadGenerator:
                     "algorithm": algorithm,
                     "n_threads": self.n_threads,
                 }
-                if algorithm in ("bfs", "sssp"):
+                if algorithm in ROOTED_ALGORITHMS:
                     payload["root"] = rng.randrange(
                         max(graph["n_vertices"], 1))
                 t0 = time.monotonic()

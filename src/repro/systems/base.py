@@ -27,7 +27,8 @@ from repro.observability import Tracer
 from repro.power.energy import PowerParams
 from repro.systems import calibration
 
-__all__ = ["GraphSystem", "LoadedGraph", "KernelResult", "ALGORITHMS"]
+__all__ = ["GraphSystem", "LoadedGraph", "KernelResult", "ALGORITHMS",
+           "ROOTED_ALGORITHMS"]
 
 #: Algorithm identifiers used across the package.  ``bc`` and ``tc``
 #: are the paper's Sec. V extension kernels (GAP provides them);
@@ -36,6 +37,8 @@ __all__ = ["GraphSystem", "LoadedGraph", "KernelResult", "ALGORITHMS"]
 #: label-propagation ``wcc``; see docs/algorithms.md).
 ALGORITHMS = ("bfs", "sssp", "pagerank", "wcc", "cdlp", "lcc",
               "bc", "tc", "kcore", "mis", "cc")
+#: The algorithms that run from a search root, one execution per root.
+ROOTED_ALGORITHMS = ("bfs", "sssp")
 
 
 @dataclass
@@ -214,8 +217,7 @@ class GraphSystem(ABC):
         path = dataset.path(self.input_key)
         n_bytes = (sum(f.stat().st_size for f in path.iterdir())
                    if path.is_dir() else path.stat().st_size)
-        read_s = n_bytes / (calibration.read_rate_mbs(
-            self._read_rate_key()) * 1e6)
+        read_s = n_bytes / (calibration.read_rate_mbs(self.input_key) * 1e6)
 
         built = {} if built is None else built
         key = (self.name, *sorted(self._cache_token().items()))
@@ -261,10 +263,7 @@ class GraphSystem(ABC):
                         meta["profile_serial_units"])
                     return self._assemble(arrays, meta), profile
                 except Exception as exc:
-                    cache._log.warning(
-                        "cache entry %s unusable (%s: %s); rebuilding",
-                        key, type(exc).__name__, exc)
-                    cache._evict(cache._entry_dir(key))
+                    cache.discard(key, exc)
 
         arrays, meta, profile = self._build(self._read_input(dataset),
                                             dataset)
@@ -274,9 +273,6 @@ class GraphSystem(ABC):
                 {**arrays, **profile.to_arrays()},
                 {**meta, "profile_serial_units": profile.serial_units})
         return self._assemble(arrays, meta), profile
-
-    def _read_rate_key(self) -> str:
-        return self.input_key
 
     def _cache_token(self) -> dict:
         """Build-affecting knobs beyond the input bytes (cache key
@@ -288,9 +284,9 @@ class GraphSystem(ABC):
 
         The native file is priced, not parsed: by default this is the
         binary ``.g500`` dump of the same rows every text format holds
-        (:meth:`HomogenizedDataset.load_edges`).  A system whose native
-        file is itself binary (GraphMat, Graph500, GAP's ``.wsg``)
-        overrides this to read it."""
+        (:meth:`HomogenizedDataset.load_edges`), also the Graph500's own
+        file.  A system whose native file is another binary format
+        (GraphMat, GAP's ``.wsg``) overrides this to read it."""
         return dataset.load_edges()
 
     @abstractmethod
@@ -316,7 +312,7 @@ class GraphSystem(ABC):
         """Execute one kernel and price it."""
         self.require(algorithm)
         method = getattr(self, f"_run_{algorithm}")
-        if algorithm not in ("bfs", "sssp"):
+        if algorithm not in ROOTED_ALGORITHMS:
             return self._execute(loaded, algorithm, root,
                                  lambda: method(loaded, **params))
         self._check_root(algorithm, root, loaded)
@@ -391,7 +387,7 @@ class GraphSystem(ABC):
         order, shared entries aliased.
         """
         self.require(algorithm)
-        if algorithm not in ("bfs", "sssp"):
+        if algorithm not in ROOTED_ALGORITHMS:
             shared = self.run(loaded, algorithm, **params)
             return [shared] * max(len(roots), 1)
         if not roots:

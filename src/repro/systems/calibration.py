@@ -121,11 +121,11 @@ _M = float(SCALE22_ARCS)
 _N = float(SCALE22_N)
 
 # Unit counts below marked "measured" are the per-arc work fractions the
-# actual kernels report on Kronecker graphs (they are scale-stable for
-# fixed edge factor; verified at scales 10-14 by
-# tests/systems/test_calibration.py), projected to the scale-22 arc
-# count.  Anchor *times* exclude the per-invocation startup overhead
-# (_STARTUP_S), which the thread model adds separately.
+# actual kernels report on Kronecker graphs, projected to the scale-22
+# arc count; no test checks that they are scale-stable, and GAP's BFS
+# fraction is not (0.155 at scale 10, 0.061 at 16).  Anchor *times*
+# exclude the per-invocation startup overhead (_STARTUP_S), which the
+# thread model adds separately.
 _ANCHORS: dict[str, dict[str, Anchor]] = {
     "gap": {
         # Direction-optimizing BFS examines ~17% of arcs per root
@@ -246,17 +246,16 @@ _NOISE_SENSITIVITY: dict[str, float] = {
     "powergraph": 0.8,
 }
 
-#: Effective file ingest rates in MB/s, including format parse cost.
+#: Effective file ingest rates in MB/s, including format parse cost,
+#: keyed by the homogenized file a system prices (its ``input_key``).
 #: The GraphMat binary rate reproduces the Table I log excerpt: 610 MB
 #: of dota-league records read in 2.65 s ~= 230 MB/s.
 _READ_RATE_MBS: dict[str, float] = {
-    "el": 85.0,        # whitespace text parsing
-    "wel": 85.0,
+    "wel": 85.0,       # whitespace text parsing
     "tsv": 85.0,
-    "csv": 70.0,       # GraphBIG's quoted CSV is slower to parse
+    "graphbig": 70.0,  # GraphBIG's quoted CSV is slower to parse
     "mtxbin": 230.0,
     "g500": 450.0,
-    "sg": 450.0,
     "wsg": 450.0,
 }
 

@@ -81,7 +81,7 @@ class GapSystem(GraphSystem):
         directed = True if self.use_serialized else dataset.directed
         graph, profile = build_gap_graph(edges, directed=directed)
         if self.use_serialized:
-            # The .sg file *is* the CSR: deserialization replaces the
+            # The .wsg file *is* the CSR: deserialization replaces the
             # three construction passes with one mmap-style placement
             # pass (GAP's point in shipping the converter).  Keep only
             # the transpose build, which the file does not store.

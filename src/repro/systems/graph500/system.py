@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.datasets import formats
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
@@ -23,10 +22,6 @@ class Graph500System(GraphSystem):
     kronecker_only = True
 
     # -- loading -------------------------------------------------------
-    def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
-        return formats.read_g500(dataset.path(self.read_key),
-                                 name=dataset.name)
-
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
         profile = WorkProfile()
         el = edges.symmetrized()

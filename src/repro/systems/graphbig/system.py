@@ -48,9 +48,6 @@ class GraphBigSystem(GraphSystem):
     separable_construction = False
     input_key = "graphbig"
 
-    def _read_rate_key(self) -> str:
-        return "csv"
-
     # -- loading -------------------------------------------------------
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
         profile = WorkProfile()

@@ -15,6 +15,8 @@ matrix here.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.algorithms.bfs import bfs_rounds
@@ -83,7 +85,7 @@ def sssp_bellman_spmv(at: DCSRMatrix, root: int, symmetric: bool = False):
 def pagerank_float32(at: DCSRMatrix, out_degrees: np.ndarray,
                      damping: float, max_iterations: int,
                      epsilon: float = 0.0):
-    """GraphMat PageRank: float32, stop when no rank visibly changes.
+    """GraphMat PageRank: float32, stop when the stored ranks repeat.
 
     "GraphMat continues to run until none of the vertices' ranks change
     ... effectively its stopping criterion requires the infinity-norm be
@@ -91,12 +93,21 @@ def pagerank_float32(at: DCSRMatrix, out_degrees: np.ndarray,
     ranks are single precision, and the vertex program's apply step only
     *stores* a new rank when it differs from the old one by at least a
     single-precision ulp (write-if-changed -- the vertex-program idiom
-    that also drives the engine's convergence detection).  The engine
-    stops when a sweep stores nothing.  Freezing is monotone (a frozen
-    state reproduces itself exactly), so no float32 limit cycles, and
-    reaching per-vertex relative deltas below ~1.2e-7 takes far more
-    sweeps than the homogenized L1 < 6e-8 criterion the other systems
-    use -- the Fig 4 iteration gap.
+    that also drives the engine's convergence detection).  Reaching
+    per-vertex relative deltas below ~1.2e-7 takes far more sweeps than
+    the homogenized L1 < 6e-8 criterion the other systems use -- the
+    Fig 4 iteration gap.
+
+    The engine stops at the first sweep whose stored vector equals one
+    an earlier sweep stored, and reports that sweep.  A sweep that
+    stores nothing repeats the previous vector: the fixpoint.  But
+    float32 rounding can also leave a few vertices toggling by more
+    than an ulp forever (Kronecker scale 13, seed 7 repeats sweep 33 at
+    sweep 35), and no later sweep stores nothing.  The sweep is a
+    deterministic map of the stored vector, so a repeat is a true
+    cycle: nothing after it is new.  A run that reaches the fixpoint
+    never repeats before it, so its ranks and count are unchanged.  Only
+    a digest of each stored vector is kept.
 
     ``epsilon`` is accepted for interface homogeneity, checked like the
     other systems' and otherwise unused: "with GraphMat there is no
@@ -115,6 +126,7 @@ def pagerank_float32(at: DCSRMatrix, out_degrees: np.ndarray,
     nnz = at.nnz
     profile = WorkProfile()
     iterations = max_iterations
+    seen = {_digest(rank)}
     for it in range(1, max_iterations + 1):
         contrib = at.spmv_plus_times((rank * inv_out).astype(np.float32),
                                      pattern_only=True)
@@ -126,11 +138,19 @@ def pagerank_float32(at: DCSRMatrix, out_degrees: np.ndarray,
         changed = np.abs(new_rank - rank) > flt_eps * np.abs(rank)
         profile.add_round(units=nnz + n,
                           memory_bytes=12.0 * nnz + 12.0 * n, skew=0.05)
-        if not changed.any():
+        rank = np.where(changed, new_rank, rank)
+        key = _digest(rank)
+        if key in seen:
             iterations = it
             break
-        rank = np.where(changed, new_rank, rank)
+        seen.add(key)
     return rank.astype(np.float64), iterations, profile
+
+
+def _digest(values: np.ndarray) -> bytes:
+    # SHA-256, not BLAKE2b: 15 vs 38 us per 16 kB vector on an x86 core
+    # with SHA extensions, paid once per sweep.
+    return hashlib.sha256(values).digest()
 
 
 def wcc_minplus(at: DCSRMatrix):

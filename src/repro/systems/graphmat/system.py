@@ -117,8 +117,8 @@ class GraphMatSystem(GraphSystem):
 
     def _run_pagerank(self, loaded, damping: float = 0.85,
                       max_iterations: int = 1000, epsilon: float = 0.0):
-        # GraphMat stops only on exact no-change; the kernel checks
-        # ``epsilon`` and ignores it.
+        # GraphMat stops when its stored ranks repeat, never on a
+        # norm; the kernel checks ``epsilon`` and ignores it.
         data = loaded.data
         rank, iterations, profile = kernels.pagerank_float32(
             data.at, data.out_degrees, damping, max_iterations, epsilon)

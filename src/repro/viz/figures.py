@@ -9,6 +9,7 @@ full-scale projection tables.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.core.analysis import Analysis
@@ -130,11 +131,12 @@ def render_figure(analysis: Analysis, figure: str,
     raise ConfigError(f"unknown figure {figure!r}")
 
 
-def render_all_figures(analysis: Analysis, out_dir: str | Path
+def render_all_figures(analysis: Analysis, out_dir: str | Path,
+                       figures: Iterable[str] = FIGURES
                        ) -> dict[str, list[Path]]:
-    """Render every figure the record set has data for."""
+    """Render each of ``figures`` the record set has data for."""
     out: dict[str, list[Path]] = {}
-    for fig in FIGURES:
+    for fig in figures:
         try:
             out[fig] = render_figure(analysis, fig, out_dir)
         except (ConfigError, ValueError):

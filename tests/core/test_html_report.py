@@ -33,14 +33,18 @@ def test_distributions_not_single_trials(analysis, tmp_path):
 
 
 def test_inline_svg_figures(analysis, tmp_path):
-    body = render_epg_html(analysis, tmp_path / "r.html").read_text()
-    assert "<svg" in body
-    assert "<figcaption>" in body
+    from repro.viz import render_all_figures
+
+    rendered = render_all_figures(analysis, tmp_path / "figures")
+    figures = [p for fig in sorted(rendered) for p in rendered[fig]]
+    body = render_epg_html(analysis, tmp_path / "r.html",
+                           figures=figures).read_text()
+    assert body.count("<svg") == len(figures) > 0
+    assert "<figcaption>fig2-time</figcaption>" in body
 
 
 def test_no_figures_mode(analysis, tmp_path):
-    body = render_epg_html(analysis, tmp_path / "r.html",
-                           embed_figures=False).read_text()
+    body = render_epg_html(analysis, tmp_path / "r.html").read_text()
     assert "<svg" not in body
 
 

@@ -33,6 +33,10 @@ def test_figures_rendered(suite_dir):
     assert "fig2-time.svg" in names
     assert "fig5-speedup.svg" in names
     assert "fig9-pkg_watts.svg" in names
+    # Fig 8 plots the real-world experiments, as REPORT.md's section does.
+    fig8 = (suite_dir / "figures" / "fig8-bfs.svg").read_text()
+    assert "dota-league" in fig8 and "cit-Patents" in fig8
+    assert "kron-scale" not in fig8
 
 
 def test_graphalytics_html_pages(suite_dir):

@@ -2,8 +2,20 @@
 
 import pytest
 
-from repro.datasets.catalog import catalog, generate, get_entry
-from repro.errors import DatasetError
+from repro.datasets.catalog import catalog
+from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
+from repro.datasets.realworld import cit_patents, dota_league
+
+_GENERATORS = {
+    "kronecker": lambda: generate_kronecker(KroneckerSpec(scale=8,
+                                                          weighted=True)),
+    "cit-patents": lambda: cit_patents(1.0 / 2048.0),
+    "dota-league": lambda: dota_league(1.0 / 512.0),
+}
+
+
+def _entries():
+    return {e.name: e for e in catalog()}
 
 
 def test_three_paper_datasets_present():
@@ -12,27 +24,17 @@ def test_three_paper_datasets_present():
 
 
 def test_published_sizes_recorded():
-    assert get_entry("cit-patents").full_vertices == 3_774_768
-    assert get_entry("dota-league").full_edges == 50_870_313
-    assert get_entry("kronecker").full_vertices is None
+    entries = _entries()
+    assert entries["cit-patents"].full_vertices == 3_774_768
+    assert entries["dota-league"].full_edges == 50_870_313
+    assert entries["kronecker"].full_vertices is None
 
 
 def test_flags_match_generators():
-    for entry in catalog():
-        el = generate(entry.name) if entry.name != "kronecker" else \
-            generate(entry.name, scale=8)
-        assert el.directed == entry.directed, entry.name
-        assert el.weighted == entry.weighted, entry.name
-
-
-def test_generate_passes_kwargs():
-    el = generate("kronecker", scale=9)
-    assert el.n_vertices == 512
-
-
-def test_unknown_entry():
-    with pytest.raises(DatasetError):
-        get_entry("twitter-2010")
+    for name, entry in _entries().items():
+        el = _GENERATORS[name]()
+        assert el.directed == entry.directed, name
+        assert el.weighted == entry.weighted, name
 
 
 def test_cli_lists_catalog(capsys):
@@ -42,3 +44,13 @@ def test_cli_lists_catalog(capsys):
     out = capsys.readouterr().out
     assert "dota-league" in out
     assert "3,774,768" in out
+
+
+def test_unknown_dataset_rejected(tmp_path):
+    """The CLI accepts exactly the dataset kinds an Experiment makes."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["homogenize", "--output", str(tmp_path),
+              "--dataset", "twitter-2010"])
+    assert exc.value.code == 2

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import formats
-from repro.datasets.homogenize import _WRITER_KEYS, homogenize
+from repro.datasets.homogenize import homogenize
 from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
 from repro.datasets.realworld import cit_patents
 from repro.errors import DatasetError
@@ -59,7 +59,7 @@ def _tree_digests(edges, out_dir):
     """``{relative path: sha256}`` of every file under the dataset dir.
 
     The two degenerate inputs have no vertex of degree > 1, so root
-    selection refuses them -- after all eight formats are on disk,
+    selection refuses them -- after all six formats are on disk,
     which is the part pinned here.
     """
     try:
@@ -73,16 +73,15 @@ def _tree_digests(edges, out_dir):
 
 
 #: Pinned from commit 2af891b (``np.savetxt`` writers, ``lexsort`` CSR).
+#: The ``manifest.json`` rows were re-pinned when the unread ``.el`` and
+#: ``.sg`` files left the tree: each is the old manifest minus those two
+#: ``files`` entries, byte for byte.
 GOLDEN = {
     "empty": {
-        "empty.el":
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "empty.g500":
             "dfaa8e303f6b4680f8720ceb98b66ab9e1bcfc93f19fdc34192e24cf2a475110",
         "empty.mtxbin":
             "2151b55db513cb1ef8e343aa3a3e25346ec0d1ce85b6868ee5ade2d546e5422e",
-        "empty.sg":
-            "3437d09f9f4771d5b5915f5444ab4aaf7c4e0ebe6ed141d52a1a60dbc44ebe8d",
         "empty.tsv":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "empty.wel":
@@ -99,14 +98,10 @@ GOLDEN = {
             "27016225bfe96b9af35be85a6c0a4ee184bbd174537c93579ff07363dffdf517",
         "graphbig/vertex.csv":
             "21fc72c684cc4fc6bbf9a699d94c47efedd1d3b4505af53d29d1a27f8d49c40c",
-        "kron-scale8.el":
-            "b6d61e2934b7b37fa40498043f3c2538099a4a3c52410496aff920b8fd3ed649",
         "kron-scale8.g500":
             "ed4ea18308ee08780d940d7b450d20bf2937f4a7f3024acf996e94682d771bba",
         "kron-scale8.mtxbin":
             "e4395305aaeb3cf42a96deff7b27cec836859a8ce4a00a435b2a74a779c25f8f",
-        "kron-scale8.sg":
-            "0ba099937efc0cbd9d4426f4ad92142aea71b9a2cfdeef6b5da276b5be956355",
         "kron-scale8.tsv":
             "b26e89da3281e4fc4d5464dfb78e9ec423ee0de70a27556a534b8c4a72bd0239",
         "kron-scale8.wel":
@@ -114,7 +109,7 @@ GOLDEN = {
         "kron-scale8.wsg":
             "0ba099937efc0cbd9d4426f4ad92142aea71b9a2cfdeef6b5da276b5be956355",
         "manifest.json":
-            "62a3e99c4c71f208f037415334f9aced983ace48e491b627503e23e3e0d4968d",
+            "6ce376bec24713be3b488764bbed1655565e8f996d1c998f3e54bf04b835c7eb",
         "roots.txt":
             "81b6ea78e9277808ee919dd4e5c2958e8c7e5e719c7ed83992c24aff3b6b0675",
     },
@@ -123,14 +118,10 @@ GOLDEN = {
             "d51c64afbd142a1bdb12abd663b3921ca56908ec0bea77ac1870bbd8438cab05",
         "graphbig/vertex.csv":
             "71c12f00c9ddee9c92f283104eaf3f95bc0a19fe2747b8326daafddd04a8189a",
-        "one.el":
-            "a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
         "one.g500":
             "ceff0c1ddcfcbe6be5ddb9a99283f321bd744e6f96a2f8f6dfa51e1aea8072bf",
         "one.mtxbin":
             "38ede9a5712e1401c8a04989bd5a3e2c9497d903f22dbfae83b0fafe7881f1d6",
-        "one.sg":
-            "2224b5ca8fa14f2f44465ce93c540b905d6eeeb6edea73d9e5049c2150fc5238",
         "one.tsv":
             "380539a3bd70af7934826d8838040735f645ee7578ecc4813f9284b4c11d7e8a",
         "one.wel":
@@ -139,14 +130,10 @@ GOLDEN = {
             "2224b5ca8fa14f2f44465ce93c540b905d6eeeb6edea73d9e5049c2150fc5238",
     },
     "patents": {
-        "cit-Patents.el":
-            "0469c4581146a105c046a1040705fa4ad530de74c1d0facf41ea66f567fe7425",
         "cit-Patents.g500":
             "240d405190abd25212eae053712375a2e631735c77e0602ab9723f53c9f6dc29",
         "cit-Patents.mtxbin":
             "695954f51b528d20e3c19462e1fd359b41d70b85e0ddbd591b5a269173115ead",
-        "cit-Patents.sg":
-            "c16d42a2e4743a240be7447a7bcb8e95f43c182a9550ea4bd4eb9982ed1e6eea",
         "cit-Patents.tsv":
             "23c0c8f9b8e10d76c5c3730c0eb88bf1a158402a9a109deda6eb14891a866a67",
         "cit-Patents.wel":
@@ -158,7 +145,7 @@ GOLDEN = {
         "graphbig/vertex.csv":
             "fe05420141921fa49a0be1822a0f98b79339485db5ec95a118f8dd1259f0e9f0",
         "manifest.json":
-            "3026c50713c476ec7bf2eb2e0776e4734d6e225da82303664ce777eb9462c4d5",
+            "417fffe46c285753a0381efd8fff07e596683eeecd39b710f955444d464c5b45",
         "roots.txt":
             "dd297fcc47c1e5326cbcf1e24d983adf48d52bece441730ed7312b86cca8c1a5",
     },
@@ -168,17 +155,13 @@ GOLDEN = {
         "graphbig/vertex.csv":
             "84af90e34bf4397b70dcd44da60cf8fdfbf19ddeca86ecb2d3399bb2c06e0940",
         "manifest.json":
-            "34975d27f73000401ff3f441245f8ca1c2763b914182fc1a74335a76ef9053d4",
+            "c709b0fd3717913dc829ddfeeb42f0efaeced199e0ef089950e9ad4f251d6162",
         "roots.txt":
             "f576a94eabb7ebc0c5f09aa414b27e0e4c89dbd2970b1be72455f3f63878091e",
-        "stress.el":
-            "df09429273234e5298d3bd919ec985e68312bbca4b3cd898538bc72350269c58",
         "stress.g500":
             "d6185b1b2ddebe44140abb85f5f62410b4bdd87ad57534bc3f3cc623ca43032b",
         "stress.mtxbin":
             "df0b279bba7af1f40a3ab15ca363867399f83bee227373945744d132516dc7e4",
-        "stress.sg":
-            "7a6da455b0269d67d21b6a4c60ed960f8b33a77c522ef80ad75a59a2149b4f41",
         "stress.tsv":
             "f35157cfd58ba0c23537bf2b52e81e17fa5dfa6607b145c6ad96dc7ff8a75903",
         "stress.wel":
@@ -225,11 +208,14 @@ def test_each_format_keeps_its_write_span_in_writer_order(tmp_path):
     from repro.observability.export import read_events
 
     tracer = Tracer(tmp_path / "trace")
-    homogenize(_cases()["kron8"], tmp_path / "d", n_roots=4, tracer=tracer)
+    ds = homogenize(_cases()["kron8"], tmp_path / "d", n_roots=4,
+                    tracer=tracer)
     tracer.close()
     names = [ev["name"] for ev in read_events(tracer.path)
              if ev.get("type") == "span"]
-    assert names == [f"write:{key}" for key in _WRITER_KEYS]
+    # The manifest lists the files in write order, roots.txt last.
+    assert list(ds.files)[-1] == "roots"
+    assert names == [f"write:{key}" for key in list(ds.files)[:-1]]
 
 
 # ----------------------------------------------------------------------

@@ -612,7 +612,7 @@ class TestResidentGraphManager:
         mgr = self.make_manager(tmp_path)
         mgr.add_graph("kron:6")
         # Damage the dataset: byte total no longer matches the roster.
-        victim = next((data_dir / "graphs" / "kron6").rglob("*.el"))
+        victim = next((data_dir / "graphs" / "kron6").rglob("*.wel"))
         victim.write_bytes(victim.read_bytes() + b"garbage")
         fresh = self.make_manager(tmp_path)
         assert fresh.recover() == 1

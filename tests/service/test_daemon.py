@@ -439,7 +439,7 @@ class TestServeCLI:
                 proc.kill()
 
         # Damage the on-disk dataset before the restart.
-        victim = next((data_dir / "graphs" / "kron6").rglob("*.el"))
+        victim = next((data_dir / "graphs" / "kron6").rglob("*.wel"))
         victim.write_bytes(b"not an edge list")
 
         proc = self._serve(data_dir, port)  # roster from served.json

@@ -68,7 +68,7 @@ class TestKernels:
         from repro.systems import calibration
 
         bare_read = loaded.input_bytes / (
-            calibration.read_rate_mbs("csv") * 1e6)
+            calibration.read_rate_mbs("graphbig") * 1e6)
         assert loaded.read_s > bare_read
 
     def test_pagerank_fixed_budget_mode(self, gbig):

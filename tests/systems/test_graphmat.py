@@ -42,6 +42,28 @@ class TestPagerankCriterion:
         assert iters["gap"] == min(iters.values())
         assert iters["graphmat"] > 1.3 * iters["graphbig"]
 
+    def test_float32_limit_cycle_stops_the_run(self, tmp_path):
+        """Kronecker scale 13, seed 7 never reaches a fixpoint: a few
+        ranks toggle by more than an ulp, and sweep 35 stores the
+        vector sweep 33 stored.  The run stops there, not at the cap."""
+        from repro.datasets.homogenize import homogenize
+        from repro.datasets.kronecker import (KroneckerSpec,
+                                              generate_kronecker)
+
+        ds = homogenize(generate_kronecker(
+            KroneckerSpec(scale=13, seed=7, weighted=True)), tmp_path,
+            n_roots=4)
+        s = create_system("graphmat")
+        loaded = s.load(ds)
+        full = s.run(loaded, "pagerank", max_iterations=1000)
+        assert full.iterations == 35 < 1000
+        at_33, at_34 = (s.run(loaded, "pagerank", max_iterations=k)
+                        for k in (33, 34))
+        assert at_33.iterations == 33
+        assert np.array_equal(full.output["rank"], at_33.output["rank"])
+        assert not np.array_equal(at_34.output["rank"],
+                                  at_33.output["rank"])
+
     def test_epsilon_parameter_ignored(self, gmat):
         """Sec. IV-A: 'with GraphMat there is no computation of
         |p_k - p_k'|' -- the homogenized epsilon cannot be applied."""

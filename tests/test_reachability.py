@@ -13,10 +13,11 @@ connect it to a root or delete it.
 The same rule holds per definition: every ``def`` and ``class`` under
 ``src/repro`` is named somewhere outside its own body, in the package,
 a benchmark or an example -- never only in ``tests/``.  A name counts
-as an ``ast.Name`` or ``ast.Attribute`` load, or as an identifier in a
-string constant (``getattr`` and ``bench/trace.py``'s span boundary
-reach code that way); ``__all__`` entries, imports, docstrings and
-f-string text do not.  Exempt by rule, never by name: dunders, the
+as an ``ast.Name`` or ``ast.Attribute`` load, or as a part of a string
+constant that is a whole dotted identifier (``getattr`` and
+``bench/trace.py``'s span boundary reach code that way); prose such as
+help text, ``__all__`` entries, imports, docstrings and f-string text
+do not.  Exempt by rule, never by name: dunders, the
 name-dispatched prefixes ``do_`` and ``_run_``, and methods overriding
 an attribute of a base class from outside ``repro``.
 """
@@ -113,7 +114,7 @@ CALLER_ROOTS = ("src/repro/**/*.py", "benchmarks/*.py", "bench/**/*.py",
 #: Prefixes dispatched by name: ``http.server`` calls ``do_<VERB>``,
 #: ``GraphSystem.run`` calls ``_run_<algorithm>``.
 DISPATCHED = ("do_", "_run_")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", re.ASCII)
 
 
 def _docstrings(tree: ast.AST) -> set[int]:
@@ -150,7 +151,8 @@ def _all_entries(tree: ast.AST) -> set[int]:
 def _uses(tree: ast.AST) -> list[tuple[str, int]]:
     """(identifier, line) for every name *tree* uses.  Import statements
     bind names through ``ast.alias``, so they never appear here.  The
-    literal text of an f-string is output, not a name looked up."""
+    literal text of an f-string is output, not a name looked up, and
+    neither is a string that is not a dotted identifier."""
     skip = _docstrings(tree) | _all_entries(tree) | {
         id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
         for part in node.values}
@@ -162,9 +164,10 @@ def _uses(tree: ast.AST) -> list[tuple[str, int]]:
                 isinstance(node.ctx, ast.Load):
             out.append((node.attr, node.lineno))
         elif isinstance(node, ast.Constant) and \
-                isinstance(node.value, str) and id(node) not in skip:
+                isinstance(node.value, str) and id(node) not in skip and \
+                _DOTTED.fullmatch(node.value):
             out.extend((word, node.lineno)
-                       for word in _IDENT.findall(node.value))
+                       for word in node.value.split("."))
     return out
 
 
