@@ -43,17 +43,22 @@ def test_parallel_gate(benchmark, tmp_path_factory):
 
     cores = os.cpu_count() or 1
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
+    # Below the gate's core count the ratio measures fork and pickle
+    # overhead, not the scheduler: say it was not measured.
+    measured = cores >= MIN_CORES_FOR_SPEEDUP
+    shown = (f"{speedup:.2f}x" if measured else
+             f"not measured (cores: {cores} < {MIN_CORES_FOR_SPEEDUP})")
     write_artifact(
         "parallel_gate.txt",
         f"cores: {cores}\n"
         f"serial_s: {serial_s:.2f}\n"
         f"jobs4_s: {parallel_s:.2f}\n"
-        f"speedup: {speedup:.2f}x\n"
+        f"speedup: {shown}\n"
         f"byte_identical: true")
     print(f"\nserial {serial_s:.2f}s  jobs=4 {parallel_s:.2f}s  "
-          f"speedup {speedup:.2f}x  ({cores} cores)")
+          f"speedup {shown}  ({cores} cores)")
 
-    if cores < MIN_CORES_FOR_SPEEDUP:
+    if not measured:
         pytest.skip(f"{cores} core(s): speedup assertion needs "
                     f">= {MIN_CORES_FOR_SPEEDUP}; byte-identity checked")
     assert speedup >= SPEEDUP_FLOOR, \

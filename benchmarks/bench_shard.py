@@ -152,6 +152,12 @@ def test_shard_speedup_gate(gate_graph, benchmark):
     assert identical, "shards=4 PageRank diverged from serial"
 
     speedup = serial_s / sharded_s if sharded_s > 0 else float("inf")
+    # Below the gate's core count the ratio measures fork and
+    # shared-memory overhead, not sharding: record that it was not
+    # measured instead of a number that reads like a result.
+    measured = cores >= MIN_CORES_FOR_SPEEDUP
+    shown = (f"{speedup:.2f}x" if measured else
+             f"not measured (cores: {cores} < {MIN_CORES_FOR_SPEEDUP})")
     write_artifact(
         "shard_gate.txt",
         f"scale: {SHARD_SCALE}\n"
@@ -159,7 +165,7 @@ def test_shard_speedup_gate(gate_graph, benchmark):
         f"process_mode: {str(process_mode).lower()}\n"
         f"serial_s: {serial_s:.3f}\n"
         f"shards4_s: {sharded_s:.3f}\n"
-        f"speedup: {speedup:.2f}x\n"
+        f"speedup: {shown}\n"
         f"rounds: {rounds}\n"
         f"bytes_exchanged: {nbytes}\n"
         f"cut_edges: {cut}\n"
@@ -171,7 +177,7 @@ def test_shard_speedup_gate(gate_graph, benchmark):
             "process_mode": process_mode,
             "serial_s": round(serial_s, 4),
             "shards4_s": round(sharded_s, 4),
-            "speedup": round(speedup, 3),
+            "speedup": round(speedup, 3) if measured else shown,
             "pagerank_iterations": it0,
             "rounds": rounds, "bytes_exchanged": nbytes,
             "cut_edges": int(cut),
@@ -180,9 +186,9 @@ def test_shard_speedup_gate(gate_graph, benchmark):
             "bit_identical": identical,
         }, indent=2))
     print(f"\nserial {serial_s:.3f}s  shards=4 {sharded_s:.3f}s  "
-          f"speedup {speedup:.2f}x  ({cores} cores)")
+          f"speedup {shown}  ({cores} cores)")
 
-    if cores < MIN_CORES_FOR_SPEEDUP:
+    if not measured:
         pytest.skip(f"{cores} core(s): speedup assertion needs "
                     f">= {MIN_CORES_FOR_SPEEDUP}; bit-identity checked")
     assert speedup >= SPEEDUP_FLOOR, \

@@ -51,10 +51,10 @@ def bfs_rounds(out: CSRGraph, inn: CSRGraph | None, root: int
     while frontier.size:
         arcs = int((out.row_ptr[frontier + 1] - out.row_ptr[frontier]).sum())
         rounds.append((int(frontier.size), arcs))
-        if arcs < fr.PULL_SHARE * out.n_edges:
-            frontier, _ = sweeps.top_down(frontier, parent)
-        else:
+        if fr.pulls(out, arcs):
             frontier, _ = sweeps.bottom_up(frontier, parent)
+        else:
+            frontier, _ = sweeps.top_down(frontier, parent)
         level[frontier] = len(rounds)
     return parent, level, rounds
 

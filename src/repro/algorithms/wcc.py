@@ -61,16 +61,16 @@ def hashmin_rounds(out: CSRGraph, inn: CSRGraph | None
     """
     if inn is None:
         inn = out.transposed()
-    sides = [(c, np.flatnonzero(c.out_degrees()))
+    sides = [(c, *c.pull_rows())
              for c in ((out,) if inn is out else (out, inn))]
-    arcs = sum(c.n_edges for c, _ in sides)
+    arcs = sum(c.n_edges for c, _, _ in sides)
     labels = np.arange(out.n_vertices, dtype=np.int64)
     rounds: list[tuple[int, int]] = []
     while True:
         new = labels.copy()
-        for c, rows in sides:
+        for c, rows, starts in sides:
             if rows.size:
-                y = pull_min(c.row_ptr[rows], c.col_idx, None, labels)
+                y = pull_min(starts, c.col_idx, None, labels)
                 new[rows] = np.minimum(new[rows], y)
         changed = int(np.count_nonzero(new != labels))
         rounds.append((changed, arcs))

@@ -81,7 +81,8 @@ class CSRGraph:
 
     #: Derived-structure caches (set lazily via ``object.__setattr__``;
     #: not dataclass fields, dropped from pickles).
-    _MEMO_ATTRS = ("_source_ids", "_transposed", "_weight_split")
+    _MEMO_ATTRS = ("_source_ids", "_transposed", "_weight_split",
+                   "_pull_rows", "_max_weight")
 
     # ------------------------------------------------------------------
     # Constructors
@@ -272,6 +273,40 @@ class CSRGraph:
             cached.setflags(write=False)
             object.__setattr__(self, "_source_ids", cached)
         return cached
+
+    def pull_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, starts)``: the non-empty rows and the first arc of
+        each, the segments a pull reduces over
+        (:func:`repro.graph.frontier.pull_min`).  Memoized: every dense
+        relaxation round over this CSR asks for the same two arrays."""
+        cached = self.__dict__.get("_pull_rows")
+        if cached is None:
+            rows = np.flatnonzero(self.out_degrees())
+            cached = (rows, self.row_ptr[rows])
+            object.__setattr__(self, "_pull_rows", cached)
+        return cached
+
+    def max_weight(self) -> float:
+        """The largest arc weight (``-inf`` without arcs), memoized."""
+        cached = self.__dict__.get("_max_weight")
+        if cached is None:
+            if self.weights is None:
+                raise GraphFormatError("graph is unweighted")
+            cached = float(self.weights.max(initial=-np.inf))
+            object.__setattr__(self, "_max_weight", cached)
+        return cached
+
+    def row_block(self, lo: int, hi: int) -> "CSRGraph":
+        """Rows ``lo .. hi - 1`` as a CSR of their own (row ``lo``
+        becomes row 0; ids in ``col_idx`` keep their meaning).  Arcs
+        and weights are views; only ``row_ptr`` is rebased.  Filtering
+        keeps arc order, so the parts of a block are the blocks of the
+        parts (:meth:`weight_split`)."""
+        ptr = self.row_ptr[lo:hi + 1]
+        a0, a1 = int(ptr[0]), int(ptr[-1])
+        return CSRGraph(
+            row_ptr=ptr - a0, col_idx=self.col_idx[a0:a1],
+            weights=None if self.weights is None else self.weights[a0:a1])
 
     def to_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.source_ids(), self.col_idx.copy()

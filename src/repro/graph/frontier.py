@@ -64,7 +64,7 @@ from repro.graph.scratch import COUNTERS, KernelScratch
 __all__ = ["GatherSlots", "gather_slots", "first_parent_candidates",
            "claim_first_parent", "first_hit_scan", "out_arc_count",
            "push_candidates",
-           "segment_min_scatter", "pull_min", "relax_round",
+           "segment_min_scatter", "pull_min", "pulls", "relax_round",
            "arc_sum_operator", "dedup_ids", "BucketQueue",
            "resolve_batch_rows"]
 
@@ -350,6 +350,15 @@ def pull_min(starts: np.ndarray, col_idx: np.ndarray,
     return np.minimum.reduceat(terms, starts)
 
 
+def pulls(out: CSRGraph, arcs: int) -> bool:
+    """The direction rule: a round over ``arcs`` of ``out``'s arcs pulls
+    (or, for a BFS level, runs bottom-up) once they are at least
+    :data:`PULL_SHARE` of them.  :func:`relax_round`,
+    :func:`repro.algorithms.bfs.bfs_rounds` and the shard engine's
+    ``relax`` all decide with it."""
+    return arcs >= PULL_SHARE * out.n_edges
+
+
 def relax_round(out: CSRGraph, inn: CSRGraph | None,
                 members: np.ndarray, values: np.ndarray,
                 dist: np.ndarray, scratch: KernelScratch,
@@ -369,9 +378,9 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
     given, is a ``bool[n]`` set at every destination of a member's arc,
     improved or not (the GAS engine's signalled set).
 
-    Two ways to the same ``dist``.  *Push*, below :data:`PULL_SHARE`
-    of the arcs: :func:`gather_slots` over the members' out-arcs, then
-    :func:`segment_min_scatter`.  *Pull*, at or above it: a per-vertex
+    Two ways to the same ``dist``, picked by :func:`pulls`.  *Push*,
+    below :data:`PULL_SHARE` of the arcs: :func:`gather_slots` over
+    the members' out-arcs, then :func:`segment_min_scatter`.  *Pull*, at or above it: a per-vertex
     source value that is ``+inf`` off ``members`` goes through
     :func:`pull_min` over every non-empty in-row, and rows whose minimum
     beats ``dist`` take it.  A non-member's arc offers ``inf`` and never
@@ -400,7 +409,7 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
     is reduced over the in-arcs as well.
     """
     examined = out_arc_count(out.row_ptr, members)
-    if examined < PULL_SHARE * out.n_edges:
+    if not pulls(out, examined):
         dsts, cand = _push_sparse(out, out.weights if weighted else None,
                                   members, values, dist, scratch, touched)
         return segment_min_scatter(dist, dsts, cand, scratch), examined
@@ -408,17 +417,16 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
     COUNTERS["gather_edges"] += float(examined)
     if inn is None:
         inn = out.transposed()
-    rows = np.flatnonzero(inn.out_degrees())
+    rows, starts = inn.pull_rows()
     if rows.size == 0:
         return rows, examined
-    starts = inn.row_ptr[rows]
     lengths = inn.weights if weighted else None
     src_val = np.full(dist.size, np.inf)
     src_val[members] = values[members]
     y = pull_min(starts, inn.col_idx, lengths, src_val)
     if touched is not None:
         if (src_val[members].max(initial=-np.inf) < np.inf
-                and (lengths is None or lengths.max() < np.inf)):
+                and (lengths is None or inn.max_weight() < np.inf)):
             # Every offer is finite, so a row is reached by a member
             # exactly when its minimum is.
             hit = y < np.inf

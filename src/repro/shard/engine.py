@@ -2,9 +2,11 @@
 
 One :class:`ShardEngine` owns a partitioned copy of a single graph:
 
-* a **static arena** (one shared-memory segment) holding every shard's
+* a **static arena** (one shared-memory segment) holding the workers'
   push/pull CSR slices plus the out-degree vector -- written once,
-  read-only for the engine's lifetime;
+  read-only for the engine's lifetime (shard 0's slices stay in the
+  parent's own memory, its pull slice a view of the in-CSR when it can
+  be);
 * a **dynamic arena** holding the round state the parent and the shards
   exchange: the rank/distance double buffer, visited / in-frontier
   bitmaps, the broadcast frontier, two small control blocks, and one
@@ -24,7 +26,9 @@ bound to the same round state.
 The round trip is plain semaphores rather than an ``mp.Barrier`` on
 purpose: a barrier hides a condition lock, and a worker SIGKILLed while
 holding it deadlocks every timed wait that follows -- a semaphore has
-no state a dead process can leave locked.  Workers are forked once
+no state a dead process can leave locked.  Each wait polls for
+:data:`SPIN_S` before it blocks, when the engine's CPU set holds every
+shard.  Workers are forked once
 (:func:`repro.parallel.scheduler`'s context -- the same fork preference
 as the suite's cell pool) and live until :meth:`ShardEngine.close`.
 
@@ -63,7 +67,7 @@ import numpy as np
 
 from repro.errors import ConfigError, ShardError
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import dedup_ids, out_arc_count
+from repro.graph.frontier import dedup_ids, out_arc_count, pulls
 from repro.graph.scratch import KernelScratch
 from repro.graph.sweeps import LocalSweeps
 from repro.parallel.scheduler import _mp_context, resolve_jobs
@@ -107,6 +111,31 @@ MESSAGE_BYTES = 16
 #: ``docs/sharding.md``), so this is the floor, not the break-even.
 _INLINE_ARCS = 5000
 
+#: How long a waiting side of the round trip polls its semaphore with
+#: ``acquire(False)``, yielding the CPU between polls, before it falls
+#: back to a blocking wait: a worker waiting for its next ``go`` token,
+#: the parent waiting for the ``done`` tokens.  A token posted to a
+#: blocked process costs a wake-up, and on a box with as many CPUs as
+#: shards the woken worker preempts the parent that posted it, so the
+#: two shards of a round run one after the other (OpenMP runtimes spin
+#: at a barrier for the same reason before they sleep).  Only an engine
+#: whose CPU set holds every shard at once spins (:func:`_usable_cpus`);
+#: an idle worker stops using the CPU one window after its last round.
+#:
+#: Measured on a 2-vCPU x86 box (GAP delta-stepping, symmetrized
+#: Kronecker scale 13, 32 roots, 2 shards, four passes): the gaps
+#: between consecutive supersteps of one kernel are 0.23-0.34 ms at the
+#: median, 1.0-1.4 ms at p90, 1.5-2.2 ms at p95 and 2.0-2.8 ms at p99,
+#: so 2 ms covers about 95-99 % of them and none of the longer gaps
+#: between kernels.  A polling worker starts its op a median 8 us after
+#: the parent posts ``go`` (37 us, p90 81 us, when it blocks), and a
+#: crossing relax superstep takes a median 0.30-0.37 ms instead of
+#: 0.48.  ``bench/run.py --workload shard-sweep`` at windows of 0.5, 2
+#: and 5 ms read ``p95_ms`` 12.1 / 11.8 / 11.1 and, in a slower pass of
+#: the box, 15.0 / 15.1 / 13.7: past 0.5 ms the window matters less
+#: than the box's own drift.
+SPIN_S = 0.002
+
 #: How often an idle worker wakes to check whether its parent is still
 #: alive.  A worker orphaned by a hard-killed parent (which can never
 #: send ``OP_SHUTDOWN``) exits within one poll instead of blocking on
@@ -132,10 +161,50 @@ def resolve_shards(shards: int | None) -> int:
     return int(shards)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which a
+    container or ``taskset`` narrows below the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _spin_acquire(sem, window_s: float, count: int = 1) -> int:
+    """Take up to ``count`` tokens from ``sem`` without blocking,
+    polling for at most ``window_s`` seconds and yielding the CPU
+    between polls; returns how many were taken (see :data:`SPIN_S`)."""
+    taken = 0
+    deadline = time.perf_counter() + window_s
+    while taken < count:
+        if sem.acquire(False):
+            taken += 1
+        elif time.perf_counter() < deadline:
+            os.sched_yield()
+        else:
+            break
+    return taken
+
+
+def _name_process(name: str) -> None:
+    """Give this process ``name`` as its OS-visible name (Linux
+    ``PR_SET_NAME``, at most 15 bytes), so ``pgrep epg-shard`` finds a
+    pool from outside; elsewhere a no-op."""
+    try:
+        import ctypes
+
+        ctypes.CDLL(None).prctl(15, name.encode()[:15], 0, 0, 0)
+    except (OSError, AttributeError):
+        pass
+
+
 def _build_context(shard: int, n: int, arrays, weighted: bool,
-                   has_in: bool) -> ops.ShardContext:
+                   has_in: bool, whole_in: CSRGraph | None = None
+                   ) -> ops.ShardContext:
     """Assemble one shard's op context from an arena's (or an inline
-    dict's) arrays -- the single construction path for both modes."""
+    dict's) arrays -- the single construction path for both modes.
+    ``whole_in`` is the whole in-CSR, which only a context in the
+    engine's own process has."""
     return ops.ShardContext(
         shard, n,
         out_row_ptr=arrays[f"o{shard}_rp"],
@@ -144,6 +213,8 @@ def _build_context(shard: int, n: int, arrays, weighted: bool,
         owned=arrays[f"i{shard}_own"] if has_in else None,
         in_row_ptr=arrays[f"i{shard}_rp"] if has_in else None,
         in_col_idx=arrays[f"i{shard}_ci"] if has_in else None,
+        in_weights=arrays.get(f"i{shard}_w"),
+        whole_in=whole_in,
         out_degrees=arrays["outdeg"] if has_in else None,
         vec=arrays["vec"], vec2=arrays["vec2"],
         visited=arrays["visited"], in_frontier=arrays["in_frontier"],
@@ -154,7 +225,7 @@ def _build_context(shard: int, n: int, arrays, weighted: bool,
 
 def _worker_main(shard: int, n: int, static_spec, dyn_spec,
                  go, done, weighted: bool, has_in: bool,
-                 owner_pid: int) -> None:
+                 owner_pid: int, spin_s: float) -> None:
     """Worker loop for shard ``shard`` (1..N-1; the parent computes
     shard 0): attach arenas, then serve supersteps until told to shut
     down.  Each round is one ``go`` token in, one ``done`` token out --
@@ -162,7 +233,9 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
     ``mp.Barrier`` hides a condition lock that dies with its holder
     and deadlocks everyone else).  Op exceptions are already
     recorded in the ring header by :func:`~repro.shard.ops.run_op`; the
-    loop swallows them so the worker always posts its token.
+    loop swallows them so the worker always posts its token.  The wait
+    for ``go`` polls for ``spin_s`` seconds (:data:`SPIN_S`, or 0)
+    before it blocks.
 
     ``owner_pid`` is the engine owner's pid as *it* read it: a
     ``getppid()`` taken here would already be 1 if the owner died
@@ -174,6 +247,7 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
     # children -- deadlocking the join that follows.  Restore the
     # default so this worker is always reapable.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _name_process(f"epg-shard-{shard}")
     static = ShmArena.attach(static_spec)
     dyn = ShmArena.attach(dyn_spec)
     arrays = dict(static.arrays)
@@ -181,9 +255,10 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
     ctx = _build_context(shard, n, arrays, weighted, has_in)
     try:
         while True:
-            while not go.acquire(True, ORPHAN_POLL_S):
-                if os.getppid() != owner_pid:
-                    return  # orphaned: parent died, shutdown never comes
+            if not _spin_acquire(go, spin_s):
+                while not go.acquire(True, ORPHAN_POLL_S):
+                    if os.getppid() != owner_pid:
+                        return  # orphaned: shutdown never comes
             op = int(ctx.ctrl_i[ops.CTRL_OP])
             if op == ops.OP_SHUTDOWN:
                 break
@@ -247,28 +322,34 @@ class ShardEngine:
         #: ``rounds`` counts only the supersteps that crossed.
         self.local_rounds = 0
 
-        static = self._build_static(out, inn)
+        #: Seconds either side of a superstep polls before it blocks
+        #: (:data:`SPIN_S`): only when every shard can have a CPU.
+        self._spin_s = (SPIN_S if _usable_cpus() >= self.n_shards
+                        else 0.0)
+
         dyn = self._build_dynamic()
         self._static_arena = None
         self._dyn_arena = None
         self._workers: list = []
-        if self.inline:
-            arrays = dict(static)
-            arrays.update(dyn)
-            self._arrays = arrays
-            self._contexts = [
-                _build_context(k, self.n, arrays, self.weighted,
-                               self.has_in)
-                for k in range(self.n_shards)]
-        else:
-            self._static_arena = ShmArena.create(static)
+        # Shard 0 always runs here; the static arena holds only what
+        # the workers read (their slices), so the parent never writes
+        # a copy of its own.
+        here = range(self.n_shards) if self.inline else range(1)
+        arrays = self._build_static(out, inn, here)
+        if not self.inline:
+            self._static_arena = ShmArena.create(self._build_static(
+                out, inn, range(1, self.n_shards)))
             self._dyn_arena = ShmArena.create(dyn)
-            arrays = dict(self._static_arena.arrays)
-            arrays.update(self._dyn_arena.arrays)
-            self._arrays = arrays
-            #: The parent is shard 0; workers serve shards 1..N-1.
-            self._contexts = [_build_context(0, self.n, arrays,
-                                             self.weighted, self.has_in)]
+            dyn = self._dyn_arena.arrays
+        arrays.update(dyn)
+        self._arrays = arrays
+        #: The contexts this process computes: every shard inline,
+        #: shard 0 beside workers serving shards 1..N-1.
+        self._contexts = [
+            _build_context(k, self.n, arrays, self.weighted, self.has_in,
+                           whole_in=inn)
+            for k in here]
+        if not self.inline:
             ctx = _mp_context()
             #: One release per worker per superstep; per-worker so a
             #: token can never be stolen by a sibling.
@@ -282,7 +363,7 @@ class ShardEngine:
                         args=(k, self.n, self._static_arena.spec,
                               self._dyn_arena.spec, go,
                               self._done, self.weighted,
-                              self.has_in, os.getpid()),
+                              self.has_in, os.getpid(), self._spin_s),
                         daemon=True,
                         name=f"epg-shard-{k}")
                     proc.start()
@@ -313,10 +394,11 @@ class ShardEngine:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _build_static(self, out: CSRGraph,
-                      inn: CSRGraph | None) -> dict[str, np.ndarray]:
+    def _build_static(self, out: CSRGraph, inn: CSRGraph | None,
+                      shards) -> dict[str, np.ndarray]:
+        """The slices of ``shards`` plus the arrays every shard reads."""
         arrays: dict[str, np.ndarray] = {}
-        for k in range(self.n_shards):
+        for k in shards:
             sl = shard_out_slice(out, self.partition, k)
             arrays[f"o{k}_rp"] = sl.row_ptr
             arrays[f"o{k}_ci"] = sl.col_idx
@@ -327,6 +409,8 @@ class ShardEngine:
                 arrays[f"i{k}_own"] = owned
                 arrays[f"i{k}_rp"] = isl.row_ptr
                 arrays[f"i{k}_ci"] = isl.col_idx
+                if isl.weights is not None:
+                    arrays[f"i{k}_w"] = isl.weights
         if inn is not None:
             # PageRank's per-vertex divisor: dangling vertices own no
             # arc; 1 only keeps 0/0 out of it.
@@ -415,9 +499,11 @@ class ShardEngine:
                 pass
 
     def _collect_tokens(self) -> None:
-        """Wait for one ``done`` token per worker."""
-        deadline = time.monotonic() + self.step_timeout_s
+        """Wait for one ``done`` token per worker: poll for
+        :data:`SPIN_S` when the engine spins, then block."""
         pending = len(self._workers)
+        pending -= _spin_acquire(self._done, self._spin_s, pending)
+        deadline = time.monotonic() + self.step_timeout_s
         while pending:
             # Short slices so worker deaths surface promptly; a plain
             # semaphore acquire cannot deadlock on a lock a SIGKILLed
@@ -524,10 +610,17 @@ class ShardEngine:
               ) -> tuple[np.ndarray, int]:
         """Shards take per-destination minima against the pre-round
         distances; the parent applies the exact merged minimum between
-        barriers and stays the single writer of the vector."""
+        barriers and stays the single writer of the vector.  The
+        direction is the serial round's -- ``frontier.pulls`` over the
+        whole graph's light or heavy part -- decided here once for every
+        shard; a push-only engine always pushes."""
         local = self._local
         if self._stays_local(local.out.row_ptr, members):
             return local.relax(members, mode)
+        part = local.out_parts[mode]
+        self._arrays["ctrl_i"][ops.CTRL_PULL] = (
+            self.has_in and pulls(part, out_arc_count(part.row_ptr,
+                                                      members)))
         rings = self._superstep(ops.OP_RELAX, frontier=members,
                                 mode=mode)
         improved = self._merge_min(rings, self._arrays["vec"])

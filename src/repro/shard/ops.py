@@ -11,10 +11,12 @@ They are the step bodies of :class:`repro.graph.sweeps.LocalSweeps`
 applied to a slice: the same :mod:`repro.graph.frontier` primitives
 (:func:`~repro.graph.frontier.first_parent_candidates`,
 :func:`~repro.graph.frontier.first_hit_scan`,
-:func:`~repro.graph.frontier.push_candidates`) find the round's
-candidates, a scatter into a shard-private accumulator keeps the best
-one per vertex, and the writes a local sweep would make are left to the
-parent: an op never writes ``visited``, ``vec`` or ``in_frontier``.
+:func:`~repro.graph.frontier.push_candidates`,
+:func:`~repro.graph.frontier.pull_min`) find the round's candidates,
+a scatter into a shard-private accumulator (or a pull over whole
+owned rows) keeps the best one per vertex, and the writes a local
+sweep would make are left to the parent: an op never writes
+``visited``, ``vec`` or ``in_frontier``.
 
 Each op reads shared state (parent-written, stable between barriers),
 computes on its own slice, and writes ``(ids, values)`` deltas plus an
@@ -37,6 +39,7 @@ from repro.graph.frontier import (
     first_parent_candidates,
     gather_slots,
     out_arc_count,
+    pull_min,
     push_candidates,
     segment_min_scatter,
 )
@@ -52,11 +55,13 @@ OP_RELAX = 3
 OP_PR = 4
 
 #: ctrl_i layout: [0] op, [1] frontier length, [2] relax mode,
-#: [3] PageRank reads ``vec2`` and writes ``vec`` instead of the reverse.
+#: [3] PageRank reads ``vec2`` and writes ``vec`` instead of the reverse,
+#: [4] a relax round pulls instead of pushing.
 CTRL_OP = 0
 CTRL_FRONT_LEN = 1
 CTRL_MODE = 2
 CTRL_FLIP = 3
+CTRL_PULL = 4
 #: ctrl_f layout: [0] delta, [1] dangling mass, [2] base, [3] damping.
 CTRL_DELTA = 0
 CTRL_DANGLING = 1
@@ -73,8 +78,13 @@ class ShardContext:
     """Everything one shard's op functions touch.
 
     ``out`` is the push slice as a CSR over the full row space,
-    ``in_*`` the pull slice (local rows over ``owned``); shared arrays
+    ``inn`` the pull slice (local rows over ``owned``); shared arrays
     are views into the dynamic arena (or plain arrays in inline mode).
+    ``whole_in``, when given, is the whole graph's in-CSR.  When the
+    owned ids are one contiguous range, the pull slice is a row block
+    of it, and a context in the engine's own process pulls over blocks
+    of that CSR's light/heavy split -- which the engine's local rounds
+    memoize anyway -- instead of splitting its slice a second time.
     """
 
     def __init__(self, shard: int, n: int, *,
@@ -83,6 +93,8 @@ class ShardContext:
                  owned: np.ndarray | None = None,
                  in_row_ptr: np.ndarray | None = None,
                  in_col_idx: np.ndarray | None = None,
+                 in_weights: np.ndarray | None = None,
+                 whole_in: CSRGraph | None = None,
                  out_degrees: np.ndarray | None = None,
                  vec: np.ndarray, vec2: np.ndarray,
                  visited: np.ndarray, in_frontier: np.ndarray,
@@ -94,8 +106,14 @@ class ShardContext:
         self.out = CSRGraph(row_ptr=out_row_ptr, col_idx=out_col_idx,
                             weights=out_weights)
         self.owned = owned
-        self.in_row_ptr = in_row_ptr
-        self.in_col_idx = in_col_idx
+        self.inn = (CSRGraph(row_ptr=in_row_ptr, col_idx=in_col_idx,
+                             weights=in_weights)
+                    if in_row_ptr is not None else None)
+        contiguous = (owned is not None and owned.size > 0
+                      and owned[-1] - owned[0] + 1 == owned.size)
+        self.whole_in = whole_in if contiguous else None
+        #: ``(delta, (light, heavy))`` of the pull slice.
+        self._pull_parts: tuple | None = None
         self.out_degrees = out_degrees
         self.vec = vec
         self.vec2 = vec2
@@ -110,8 +128,9 @@ class ShardContext:
         n_edges = max(out_col_idx.size,
                       in_col_idx.size if in_col_idx is not None else 0)
         self.scratch = KernelScratch(self.n, n_edges)
-        #: Best candidate per destination within one relax round; all
-        #: ``+inf`` between rounds.
+        #: Best candidate per destination within a pushed relax round,
+        #: source value per member within a pulled one; all ``+inf``
+        #: between rounds.
         self.best = np.full(self.n, np.inf)
         #: The pull slice as PageRank's sum over the owned rows' in-arcs
         #: (static, built once per engine).
@@ -119,6 +138,19 @@ class ShardContext:
                         if in_row_ptr is not None else None)
 
     # ------------------------------------------------------------------
+    def pull_parts(self, delta: float) -> tuple[CSRGraph, CSRGraph]:
+        """The light and heavy part of the pull slice, local rows over
+        ``owned``; rebuilt only when ``delta`` changes."""
+        if self._pull_parts is None or self._pull_parts[0] != delta:
+            if self.whole_in is not None:
+                lo, hi = int(self.owned[0]), int(self.owned[-1]) + 1
+                parts = tuple(p.row_block(lo, hi)
+                              for p in self.whole_in.weight_split(delta))
+            else:
+                parts = self.inn.weight_split(delta)
+            self._pull_parts = (delta, parts)
+        return self._pull_parts[1]
+
     def emit(self, ids: np.ndarray, vals: np.ndarray,
              examined: int) -> None:
         k = ids.size
@@ -146,24 +178,42 @@ def op_bu(ctx: ShardContext) -> None:
     owned = ctx.owned
     cand = owned[~ctx.visited[owned]]
     found, parents, examined = first_hit_scan(
-        ctx.in_row_ptr, ctx.in_col_idx, np.searchsorted(owned, cand),
+        ctx.inn.row_ptr, ctx.inn.col_idx, np.searchsorted(owned, cand),
         ctx.in_frontier, ctx.scratch)
     ctx.emit(cand[found], parents.astype(np.float64), examined)
 
 
 def op_relax(ctx: ShardContext) -> None:
     """One relaxation round over the light or heavy part of this
-    shard's slice (split once per delta, memoized on the slice) for the
-    broadcast members; per-destination minimum of the candidates that
-    beat the pre-round distance.  The count is over the whole slice,
-    light and heavy, as the serial round prices it."""
+    shard's slices (split once per delta) for the broadcast members:
+    the ids whose minimum candidate beats the pre-round distance, with
+    that minimum.  The parent picks the direction for every shard at
+    once (``CTRL_PULL``, :func:`repro.graph.frontier.pulls` over the
+    whole graph's part).  A push scatters the candidates along the
+    push slice's arcs into ``best``; a pull takes each owned vertex's
+    minimum over its complete in-row, so it emits only owned ids.  The
+    count is over the push slice, light and heavy, as the serial round
+    prices it, whichever way the round went."""
     members = ctx.frontier[:int(ctx.ctrl_i[CTRL_FRONT_LEN])]
-    part = ctx.out.weight_split(float(ctx.ctrl_f[CTRL_DELTA]))[
-        int(ctx.ctrl_i[CTRL_MODE])]
+    delta = float(ctx.ctrl_f[CTRL_DELTA])
+    mode = int(ctx.ctrl_i[CTRL_MODE])
+    examined = out_arc_count(ctx.out.row_ptr, members)
+    if ctx.ctrl_i[CTRL_PULL]:
+        part = ctx.pull_parts(delta)[mode]
+        rows, starts = part.pull_rows()
+        src_val = ctx.best
+        src_val[members] = ctx.vec[members]
+        y = pull_min(starts, part.col_idx, part.weights, src_val)
+        src_val[members] = np.inf
+        ids = ctx.owned[rows]
+        better = y < ctx.vec[ids]
+        ctx.emit(ids[better], y[better], examined)
+        return
+    part = ctx.out.weight_split(delta)[mode]
     dsts, cand, _ = push_candidates(part, part.weights, members, ctx.vec,
                                     ctx.vec, ctx.scratch)
     ids = segment_min_scatter(ctx.best, dsts, cand, ctx.scratch)
-    ctx.emit(ids, ctx.best[ids], out_arc_count(ctx.out.row_ptr, members))
+    ctx.emit(ids, ctx.best[ids], examined)
     ctx.best[ids] = np.inf
 
 
@@ -185,7 +235,7 @@ def op_pr(ctx: ShardContext) -> None:
     contrib = ctx.pr_arcs @ (rank / ctx.out_degrees)
     new_rank[ctx.owned] = base + damping * (contrib + dangling)
     ctx.ring_hdr[HDR_COUNT] = 0
-    ctx.ring_hdr[HDR_EXAMINED] = ctx.in_col_idx.size
+    ctx.ring_hdr[HDR_EXAMINED] = ctx.inn.n_edges
 
 
 _OPS = {OP_TD: op_td, OP_BU: op_bu, OP_RELAX: op_relax, OP_PR: op_pr}

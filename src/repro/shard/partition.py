@@ -268,9 +268,20 @@ def shard_in_slice(inn: CSRGraph, part: ShardPartition, shard: int
     Returns ``(owned_ids, slice)`` where ``slice.row_ptr`` is local
     (``len(owned_ids) + 1`` entries).  Keeping whole rows is what makes
     bottom-up early-exit counts and PageRank's per-destination
-    accumulation order identical to the serial kernels.
+    accumulation order identical to the serial kernels.  When the owned
+    ids are one contiguous range (as under the block strategies) the
+    slice is a :meth:`~repro.graph.csr.CSRGraph.row_block` of
+    ``inn``: its arcs and weights are views, not copies.
     """
     owned = np.flatnonzero(part.owner == shard)
+    if owned.size and owned[-1] - owned[0] + 1 == owned.size:
+        lo, hi = int(owned[0]), int(owned[-1]) + 1
+        block = inn.row_block(lo, hi)
+        a0 = int(inn.row_ptr[lo])
+        return owned, ShardSlice(
+            row_ptr=block.row_ptr, col_idx=block.col_idx,
+            weights=block.weights,
+            slot_map=np.arange(a0, a0 + block.n_edges, dtype=np.int64))
     in_src = inn.source_ids()
     slots = np.flatnonzero(part.owner[in_src] == shard)
     rows = np.searchsorted(owned, in_src[slots])

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import GraphFormatError
 from repro.graph import frontier as frontier_lib
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
@@ -637,6 +638,37 @@ def test_memo_caches_dropped_from_pickle():
     assert "_source_ids" not in clone.__dict__
     assert "_transposed" not in clone.__dict__
     assert np.array_equal(clone.source_ids(), csr.source_ids())
+
+
+def test_pull_constants_memoized_and_dropped_from_pickle():
+    csr = CSRGraph.from_arrays(np.array([0, 0, 3, 3]),
+                               np.array([1, 3, 0, 3]), 5,
+                               weights=np.array([1.0, 2.0, np.inf, 4.0]))
+    rows, starts = csr.pull_rows()
+    assert csr.pull_rows()[0] is rows
+    assert rows.tolist() == [0, 3] and starts.tolist() == [0, 2]
+    assert csr.max_weight() == np.inf
+    clone = pickle.loads(pickle.dumps(csr))
+    assert "_pull_rows" not in clone.__dict__
+    assert "_max_weight" not in clone.__dict__
+    assert clone.pull_rows()[1].tolist() == [0, 2]
+    with pytest.raises(GraphFormatError):
+        CSRGraph.from_arrays(rows, rows, 5).max_weight()
+
+
+def test_row_block_views_rows_and_commutes_with_the_split():
+    csr = CSRGraph.from_arrays(np.array([0, 1, 1, 2, 2, 2]),
+                               np.array([1, 0, 2, 0, 1, 2]), 4,
+                               weights=np.array([.1, .9, .2, .8, .3, .7]))
+    block = csr.row_block(1, 3)
+    assert block.row_ptr.tolist() == [0, 2, 5]
+    assert block.col_idx.base is csr.col_idx
+    assert block.col_idx.tolist() == [0, 2, 0, 1, 2]
+    for whole, part in zip(csr.weight_split(0.5), block.weight_split(0.5)):
+        same = whole.row_block(1, 3)
+        assert same.row_ptr.tolist() == part.row_ptr.tolist()
+        assert same.col_idx.tolist() == part.col_idx.tolist()
+        assert same.weights.tolist() == part.weights.tolist()
 
 
 def test_dcsr_row_sources_memoized():

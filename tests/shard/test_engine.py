@@ -467,3 +467,102 @@ def test_three_shards_fork_two_workers_and_match_serial(monkeypatch):
         assert _same(pagerank(g.out, sweeps=engine), pagerank(g.out))
         assert engine.rounds > 0 and engine.local_rounds == 0
     assert os.listdir("/dev/shm") == []
+
+
+# ----------------------------------------------------------------------
+# Spin, then block
+# ----------------------------------------------------------------------
+def _cpu_ticks(pid: int) -> int:
+    """User + system CPU time of ``pid`` in clock ticks (fields 14 and
+    15 of ``/proc/<pid>/stat``; the name before them may hold spaces)."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return int(fields[11]) + int(fields[12])
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                                reason="reads /proc/<pid>/stat")
+
+
+@needs_proc
+@pytest.mark.parametrize("window", [None, 0.6], ids=["shipped", "long"])
+def test_idle_worker_stops_spinning(window, monkeypatch):
+    """After a kernel a worker polls for its next token for one window,
+    then blocks: its CPU time stops growing.  The long window shows
+    the spin itself, so the test can tell the two apart."""
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+    monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: 64)
+    if window is not None:
+        monkeypatch.setattr(engine_mod, "SPIN_S", window)
+    g = _gap_graph()
+    with ShardEngine(g.out, g.inn, n_shards=2, inline=False) as engine:
+        assert engine._spin_s == engine_mod.SPIN_S > 0
+        pid = engine._workers[0].pid
+        assert _same(delta_stepping(g, 0, 0.25, engine),
+                     delta_stepping(g, 0, 0.25))
+        if window is not None:
+            t0 = _cpu_ticks(pid)
+            time.sleep(window / 2)
+            assert _cpu_ticks(pid) > t0, "the worker never spun"
+        time.sleep(engine_mod.SPIN_S + 0.3)
+        t0 = _cpu_ticks(pid)
+        time.sleep(0.5)
+        assert _cpu_ticks(pid) - t0 <= 1
+    assert os.listdir("/dev/shm") == []
+
+
+@needs_proc
+def test_engine_on_fewer_cpus_than_shards_never_spins(monkeypatch):
+    """A CPU set smaller than the shard count would put a spinning
+    worker on the parent's CPU: the engine blocks at once instead."""
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+    monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(engine_mod, "SPIN_S", 5.0)  # a spin would show
+    g = _gap_graph()
+    with ShardEngine(g.out, g.inn, n_shards=2, inline=False) as engine:
+        assert engine._spin_s == 0
+        pid = engine._workers[0].pid
+        assert _same(delta_stepping(g, 0, 0.25, engine),
+                     delta_stepping(g, 0, 0.25))
+        t0 = _cpu_ticks(pid)
+        time.sleep(0.5)
+        assert _cpu_ticks(pid) - t0 <= 1
+    assert os.listdir("/dev/shm") == []
+
+
+def test_workers_carry_their_names_outside_python():
+    """``pgrep epg-shard`` sees a pool: the OS name is the worker's."""
+    out, inn = _graph()
+    with ShardEngine(out, inn, n_shards=3, inline=False) as engine:
+        for proc in engine._workers:
+            comm = Path(f"/proc/{proc.pid}/comm")
+            if not comm.exists():
+                pytest.skip("no /proc/<pid>/comm")
+            deadline = time.monotonic() + 10
+            while (comm.read_text().strip() != proc.name
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert comm.read_text().strip() == proc.name
+
+
+def test_spinning_pool_with_more_workers_than_cpus_matches_serial(
+        monkeypatch):
+    """Spinning forced on with more workers than CPUs: every token is
+    still taken exactly once per round (no lost or stolen ``go`` /
+    ``done``), so many crossing rounds in a row match serial."""
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+    monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: 64)
+    shards = min(len(os.sched_getaffinity(0)) + 2, 6)
+    g = _gap_graph()
+    t0 = time.monotonic()
+    with ShardEngine(g.out, g.inn, n_shards=shards, inline=False,
+                     step_timeout_s=30.0) as engine:
+        assert engine._spin_s > 0
+        for root in range(0, g.n, 37):
+            assert _same(dobfs(g, root, 15.0, 18.0, engine),
+                         dobfs(g, root, 15.0, 18.0))
+            assert _same(delta_stepping(g, root, 0.25, engine),
+                         delta_stepping(g, root, 0.25))
+        assert _same(pagerank(g.out, sweeps=engine), pagerank(g.out))
+        assert not engine._done.acquire(False)  # no token left over
+    assert time.monotonic() - t0 < 60
+    assert os.listdir("/dev/shm") == []

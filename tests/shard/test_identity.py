@@ -1,14 +1,19 @@
-"""Which rounds cross to the shards never shows in a result.
+"""Which rounds cross to the shards, and which way they relax, never
+shows in a result.
 
 ``ShardEngine`` serves a round in the parent when it would gather fewer
 than ``_INLINE_ARCS`` arcs, so on the small graphs tests use every round
 stays local and ``repro.shard.ops`` would go unexercised.  This pins the
 constant to 0 (every round crosses), leaves it alone, and pins it to
-infinity (none does), and holds all three to the serial kernels: output
-arrays, ``WorkProfile`` arrays, examined counts and iteration counts,
-byte for byte, at every shard count, strategy and execution mode.
+infinity (none does).  Across that it pins ``PULL_SHARE`` to 0 (every
+relax round pulls, serial and crossing alike), leaves it alone, and
+pins it to infinity (every one pushes).  Each combination is held to
+the serial kernels: output arrays, ``WorkProfile`` arrays, examined
+counts and iteration counts, byte for byte, at every shard count,
+strategy and execution mode.
 """
 
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -16,9 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graph.frontier as frontier_mod
 import repro.shard.engine as engine_mod
 from repro.algorithms.pagerank import pagerank
 from repro.graph.csr import CSRGraph
+from repro.shard import ops
 from repro.shard.engine import ShardEngine
 from repro.shard.partition import PARTITION_STRATEGIES
 from repro.systems.gap.bfs import dobfs
@@ -48,13 +55,8 @@ def multigraphs(draw, max_n=24, max_m=72):
     return GapGraph(out=out, inn=out.transposed(), n=n, directed=True)
 
 
-@pytest.mark.parametrize("inline", [True, False], ids=["inline", "process"])
-@pytest.mark.parametrize("strategy", sorted(PARTITION_STRATEGIES))
-@pytest.mark.parametrize("shards", [1, 2, 3])
-@pytest.mark.parametrize("inline_arcs", [0, None, float("inf")],
-                         ids=["all-cross", "default", "none-cross"])
-def test_results_do_not_depend_on_which_rounds_cross(inline_arcs, shards,
-                                                     strategy, inline):
+def _check_against_serial(inline_arcs, pull_share, shards, strategy,
+                          inline):
     @given(multigraphs(), st.data())
     @settings(max_examples=12 if inline else 4, deadline=None)
     def check(g, data):
@@ -72,14 +74,51 @@ def test_results_do_not_depend_on_which_rounds_cross(inline_arcs, shards,
                          bfs_bitmap(g.out, root))
             assert _same(delta_stepping(g, root, delta, engine),
                          delta_stepping(g, root, delta))
+            # The last relax round crossed, and went the pinned way.
+            pulled = engine._arrays["ctrl_i"][ops.CTRL_PULL]
             assert _same(pagerank(g.out, sweeps=engine), pagerank(g.out))
         if inline_arcs == 0:
             assert rounds[0] > 0 and rounds[1] == 0
+            if pull_share is not None:
+                assert pulled == (pull_share == 0)
         elif inline_arcs is not None:
             assert rounds[0] == 0 and rounds[1] > 0
 
-    if inline_arcs is None:
+    with ExitStack() as pinned:
+        for module, name, value in (
+                (engine_mod, "_INLINE_ARCS", inline_arcs),
+                (frontier_mod, "PULL_SHARE", pull_share)):
+            if value is not None:
+                pinned.enter_context(mock.patch.object(module, name, value))
         check()
-    else:
-        with mock.patch.object(engine_mod, "_INLINE_ARCS", inline_arcs):
-            check()
+
+
+cases = pytest.mark.parametrize
+modes = cases("inline", [True, False], ids=["inline", "process"])
+strategies = cases("strategy", sorted(PARTITION_STRATEGIES))
+shard_counts = cases("shards", [1, 2, 3])
+crossings = cases("inline_arcs", [0, None, float("inf")],
+                  ids=["all-cross", "default", "none-cross"])
+
+
+@modes
+@strategies
+@shard_counts
+@crossings
+def test_results_do_not_depend_on_which_rounds_cross(inline_arcs, shards,
+                                                     strategy, inline):
+    _check_against_serial(inline_arcs, None, shards, strategy, inline)
+
+
+@modes
+@strategies
+@shard_counts
+@crossings
+@cases("pull_share", [0.0, float("inf")], ids=["all-pull", "all-push"])
+def test_results_do_not_depend_on_which_way_rounds_relax(
+        pull_share, inline_arcs, shards, strategy, inline):
+    """``PULL_SHARE`` pinned to 0 and to infinity: every relax round
+    pulls, or every one pushes, serial and crossing alike (its default
+    is the test above)."""
+    _check_against_serial(inline_arcs, pull_share, shards, strategy,
+                          inline)

@@ -6,6 +6,9 @@ now the :mod:`repro.graph.frontier` primitives applied to a slice, with
 scatters doing the per-id minima.  The old bodies, as of commit d5b168a,
 are typed out below as the oracle: ring contents and merged results
 must be equal, on both sides of the primitives' internal switches.
+That oracle is a push: ``PULL_SHARE`` is pinned to infinity and the
+control block says push.  A pulled round has its own oracle, the
+minimum over each owned vertex's whole in-row.
 """
 
 from contextlib import ExitStack
@@ -148,6 +151,7 @@ def test_ops_and_merge_match_the_old_bodies(small_shift, dense_share):
             assert got_ids.tobytes() == want_ids.tobytes()
             assert best[got_ids].tobytes() == want_min.tobytes()
 
+            state["ctrl_i"][ops.CTRL_PULL] = 0
             rings = superstep(ops.OP_RELAX, frontier=members, mode=mode)
             assert unchanged()
             _assert_rings_equal(
@@ -168,8 +172,72 @@ def test_ops_and_merge_match_the_old_bodies(small_shift, dense_share):
 
     with ExitStack() as pinned:
         for name, value in (("_SMALL_SHIFT", small_shift),
-                            ("_DENSE_SHARE", dense_share)):
+                            ("_DENSE_SHARE", dense_share),
+                            ("PULL_SHARE", float("inf"))):
             if value is not None:
                 pinned.enter_context(
                     mock.patch.object(frontier_mod, name, value))
         check()
+
+
+def whole_row_minima(inn, owned, members, vec, mode, delta):
+    """The pull ring of a shard owning ``owned``: each owned vertex
+    whose minimum ``vec[u] + w`` over its whole in-row (arcs of the
+    mode's weight class, members ``u`` only) beats ``vec[v]``."""
+    is_member = np.zeros(vec.size, dtype=bool)
+    is_member[members] = True
+    ids, vals = [], []
+    for v in owned:
+        lo, hi = inn.row_ptr[v], inn.row_ptr[v + 1]
+        u, w = inn.col_idx[lo:hi], inn.weights[lo:hi]
+        keep = is_member[u] & ((w < delta) == (mode == RELAX_LIGHT))
+        if keep.any():
+            best = (vec[u[keep]] + w[keep]).min()
+            if best < vec[v]:
+                ids.append(v)
+                vals.append(best)
+    return (np.array(ids, dtype=np.int64), np.array(vals, dtype=np.float64))
+
+
+@given(multigraphs(), st.integers(1, 3),
+       st.sampled_from(sorted(PARTITION_STRATEGIES)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pull_rings_are_whole_row_minima(g, shards, strategy, data):
+    """A pulled relax round: each shard emits its owned vertices'
+    improved whole-row minima, counts the members' push-slice arcs as a
+    pushed round does, writes no shared state, and merges to the same
+    distances as the push."""
+    n = g.n
+    with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
+                     inline=True) as engine:
+        state = engine._arrays
+        state["vec"][:] = data.draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, np.inf]),
+            min_size=n, max_size=n))
+        members = _subset(data, n)
+        delta = data.draw(st.sampled_from([0.01, 0.25, 5.0]))
+        state["ctrl_f"][ops.CTRL_DELTA] = delta
+        mode = data.draw(st.sampled_from([RELAX_LIGHT, RELAX_HEAVY]))
+        before = state["vec"].tobytes()
+
+        def superstep(pull):
+            state["ctrl_i"][ops.CTRL_PULL] = pull
+            return [(ids.copy(), vals.copy(), examined) for
+                    ids, vals, examined in engine._superstep(
+                        ops.OP_RELAX, frontier=members, mode=mode)]
+
+        pushed = superstep(0)
+        pulled = superstep(1)
+        assert state["vec"].tobytes() == before
+        want = [(*whole_row_minima(g.inn, c.owned, members, state["vec"],
+                                   mode, delta), examined)
+                for c, (_, _, examined) in zip(engine._contexts, pushed)]
+        _assert_rings_equal(pulled, want)
+        assert all(not np.isfinite(c.best).any()
+                   for c in engine._contexts)  # handed back clean
+        merged = []
+        for rings in (pushed, pulled):
+            vec = state["vec"].copy()
+            ids = engine._merge_min(rings, vec)
+            merged.append((ids.tobytes(), vec.tobytes()))
+        assert merged[0] == merged[1]
