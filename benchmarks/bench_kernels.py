@@ -11,10 +11,11 @@ benchmark run:
   reference BFS/CDLP/Dijkstra-dedup) and asserts that parent / level /
   dist / label arrays, WorkProfile round vectors, and stats dicts match
   the library-backed kernels *exactly* -- ``array_equal`` on every
-  array, never a tolerance.  The two-sided primitives are compared
-  with themselves too: ``push_candidates``' sparse and dense sides,
-  and ``relax_round``'s push and pull, round by round over a whole
-  Bellman-Ford, GAS SSSP and GraphMat SSSP.
+  array, never a tolerance.  The two-sided primitive is compared with
+  itself too: ``relax_round``'s push and pull, round by round over a
+  whole Bellman-Ford, GAS SSSP and GraphMat SSSP, and over a whole
+  hop-count relaxation with every arc adding 1 (the streaming BFS
+  repair's round).
 * **Speedup.**  The gathered-edge hot loop (always-top-down BFS over a
   symmetrized Kronecker graph at scale >= 16) must run at least
   ``SPEEDUP_FLOOR``x faster than the old idiom, and the relaxation
@@ -41,8 +42,7 @@ from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
 from repro.graph import frontier as frontier_lib
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
-from repro.graph.frontier import (_push_dense, _push_sparse,
-                                  segment_min_scatter)
+from repro.graph.frontier import segment_min_scatter
 from repro.graph.scratch import KernelScratch
 from repro.machine.threads import WorkProfile
 from repro.systems.gap.bfs import dobfs
@@ -484,32 +484,26 @@ def _assert_identical(label, got, want, checks):
     checks.append(label)
 
 
-def _assert_push_sides_identical(csr, root, checks):
-    """Both sides of ``push_candidates``' switch, every round of a
-    Bellman-Ford from ``root``."""
+def _assert_hop_sides_identical(csr, root, checks):
+    """Both sides of ``relax_round`` with every arc adding 1, every
+    round of a hop-count relaxation from ``root`` to its fixed point."""
     scratch = KernelScratch(csr.n_vertices, csr.n_edges)
     dist = np.full(csr.n_vertices, np.inf)
     dist[root] = 0.0
     active = np.array([root], dtype=np.int64)
-    rounds = 0
+    pulls = []
+    relax = _relax_both_sides(pulls)
     while active.size:
-        rounds += 1
-        dsts, cand = _push_sparse(csr, csr.weights, active, dist, dist,
-                                  scratch)
-        d_dsts, d_cand = _push_dense(csr, csr.weights, active, dist, dist)
-        assert np.array_equal(dsts, d_dsts) and np.array_equal(
-            cand, d_cand), f"push_candidates[{root}]: sides diverged"
-        if dsts.size == 0:
-            break
-        active = segment_min_scatter(dist, dsts, cand, scratch)
-    checks.append(f"frontier/push_candidates[{root}] x{rounds}")
+        active, _ = relax(csr, csr, active, dist, dist, scratch, adds=1.0)
+    checks.append(f"hop count adds=1 push|pull[{root}] "
+                  f"x{len(pulls)} ({sum(pulls)} pull)")
 
 
 def _relax_both_sides(rounds):
     """A stand-in for ``relax_round`` that runs each call down the push
     and the pull side on copies of its state, asserts they wrote the
     same bytes and returned the same ids, then runs it for real."""
-    def relax(out, inn, members, values, dist, scratch, weighted=True,
+    def relax(out, inn, members, values, dist, scratch, adds=None,
               touched=None):
         runs = []
         saved = frontier_lib.PULL_SHARE
@@ -520,7 +514,7 @@ def _relax_both_sides(rounds):
                 t = None if touched is None else touched.copy()
                 ids, examined = frontier_lib.relax_round(
                     out, inn, members, d if values is dist else values, d,
-                    scratch, weighted, t)
+                    scratch, adds, t)
                 runs.append((d.tobytes(), ids.tobytes(), examined,
                              None if t is None else t.tobytes()))
         finally:
@@ -528,7 +522,7 @@ def _relax_both_sides(rounds):
         assert runs[0] == runs[1], "relax_round: push and pull diverged"
         rounds.append(runs[0][2] >= frontier_lib.PULL_SHARE * out.n_edges)
         return frontier_lib.relax_round(out, inn, members, values, dist,
-                                    scratch, weighted, touched)
+                                        scratch, adds, touched)
     return relax
 
 
@@ -613,9 +607,9 @@ def test_kernel_gate(benchmark):
     _assert_identical(f"powergraph/gas_sssp[{root}]",
                       ((gd,), gprof, gst), ((rd,), rprof, rst), checks)
 
-    # The push primitive: both sides of its switch, every round of a
-    # Bellman-Ford over the same graph.
-    _assert_push_sides_identical(out, root, checks)
+    # The relaxation primitive with every arc adding 1: push and pull,
+    # every round of a hop count over the same graph.
+    _assert_hop_sides_identical(out, root, checks)
 
     # The relaxation primitive: push and pull, every round of a whole
     # Bellman-Ford, GAS SSSP and GraphMat SSSP over the same graph.

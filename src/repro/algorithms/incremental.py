@@ -31,15 +31,15 @@ Deletion repair is Ramalingam-Reps style: arcs whose removal cuts a
 shortest-path-tree link orphan the cut vertex's whole tree subtree;
 orphans are unsettled and re-settled -- together with insertion-improved
 vertices -- by frontier rounds of the cold kernels' own relaxation
-(:func:`~repro.graph.frontier.push_candidates` +
-:func:`~repro.graph.frontier.segment_min_scatter`) over the affected
-region only, whose fixed point is the same whatever the order.  BFS is
-that one repair over unit arc lengths: its hop counts are ``float64``
-during the repair, exact far past any vertex count.  Vertices outside
-the affected region keep their answer: a non-orphan's parent chain is
-intact, so its distance cannot increase, and any decrease must travel
-through an inserted arc or a repaired vertex, both of which seed or
-relax the frontier.
+(:func:`~repro.graph.frontier.relax_round`, which pushes a small round
+and pulls a wide one over the transpose the repair already holds) over
+the affected region only, whose fixed point is the same whatever the
+order.  BFS is that one repair with every arc adding 1: its hop counts
+are ``float64`` during the repair, exact far past any vertex count.
+Vertices outside the affected region keep their answer: a non-orphan's
+parent chain is intact, so its distance cannot increase, and any
+decrease must travel through an inserted arc or a repaired vertex, both
+of which seed or relax the frontier.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from repro.graph.dynamic import AppliedBatch
 from repro.graph.frontier import (
     dedup_ids,
     gather_slots,
-    push_candidates,
+    relax_round,
     segment_min_scatter,
 )
 from repro.graph.scratch import scratch_for
@@ -191,19 +191,28 @@ class _PathRepair:
     ``inf`` unreached) and ``parent`` (the minimum-id supporter of every
     finite non-root vertex, ``-1`` unreached, ``parent[root] == root``).
 
-    A subclass names its arc lengths through :meth:`_lengths`.
+    A subclass names what an arc adds in ``_adds``, as
+    :func:`~repro.graph.frontier.relax_round` takes it: ``None`` for the
+    arc's weight, else a number every arc adds.
     """
 
+    _adds: float | None = None
+
     def _lengths(self, csr: CSRGraph) -> np.ndarray:
-        raise NotImplementedError
+        if self._adds is None:
+            return csr.weights
+        return np.broadcast_to(self._adds, (csr.n_edges,))
 
     def _supports(self, csr, u, v, slots):
         """Exact float equality: both sides are the same double sums."""
         return self.dist[u] + self._lengths(csr)[slots] == self.dist[v]
 
-    def _repair(self, graph: CSRGraph, applied: AppliedBatch,
-                inserted_lengths: np.ndarray) -> RepairStats:
+    def _repair(self, graph: CSRGraph, applied: AppliedBatch
+                ) -> RepairStats:
         dist, parent = self.dist, self.parent
+        inserted_lengths = (
+            applied.inserted_weights if self._adds is None
+            else np.full(applied.inserted_dst.size, self._adds))
         cut, orphans, rev, scratch, rscratch = _cut_and_orphan(
             graph, applied, parent, self.root, dist)
 
@@ -228,12 +237,10 @@ class _PathRepair:
         # immaterial for the final floats (see the module docstring);
         # strict ``<`` and non-negative lengths end it.
         n = dist.size
-        lengths = self._lengths(graph)
         rounds = [dedup_ids(np.concatenate(seeds), n, scratch)]
         while rounds[-1].size:
-            dsts, cand, _ = push_candidates(graph, lengths, rounds[-1],
-                                            dist, dist, scratch)
-            rounds.append(segment_min_scatter(dist, dsts, cand, scratch))
+            rounds.append(relax_round(graph, rev, rounds[-1], dist, dist,
+                                      scratch, adds=self._adds)[0])
 
         # Re-settled = distance dropped, however many times: what a
         # monotone Dijkstra pass over the region settles exactly once.
@@ -265,21 +272,19 @@ class IncrementalBFS(_PathRepair):
     of the reference BFS.
     """
 
+    _adds = 1.0
+
     def __init__(self, graph: CSRGraph, root: int):
         self.root = int(root)
         self.parent, self.level = bfs_parents(graph, self.root)
         self.graph = graph
-
-    def _lengths(self, csr: CSRGraph) -> np.ndarray:
-        return np.broadcast_to(1.0, (csr.n_edges,))
 
     def update(self, graph: CSRGraph,
                applied: AppliedBatch) -> RepairStats:
         """Repair across one applied batch; ``graph`` is the post-batch
         snapshot."""
         self.dist = np.where(self.level >= 0, self.level, np.inf)
-        stats = self._repair(graph, applied,
-                             np.ones(applied.inserted_dst.size))
+        stats = self._repair(graph, applied)
         finite = np.isfinite(self.dist)
         self.level = np.where(finite, self.dist, -1).astype(np.int64)
         return stats
@@ -313,9 +318,6 @@ class IncrementalSSSP(_PathRepair):
             self._supports, "SSSP")
         self.graph = graph
 
-    def _lengths(self, csr: CSRGraph) -> np.ndarray:
-        return csr.weights
-
     def update(self, graph: CSRGraph,
                applied: AppliedBatch) -> RepairStats:
         # NaN fails ``>=`` too.  Checked before any state is touched:
@@ -323,7 +325,7 @@ class IncrementalSSSP(_PathRepair):
         if not (applied.inserted_weights >= 0).all():
             raise ValidationError(
                 "incremental SSSP requires non-negative weights")
-        return self._repair(graph, applied, applied.inserted_weights)
+        return self._repair(graph, applied)
 
 
 def pagerank_warm(graph: CSRGraph, rank0: np.ndarray,

@@ -17,9 +17,6 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
 
 * :func:`gather_slots` produces the identical ``int64`` slot vector via
   an integer cumulative sum (exact arithmetic, different association);
-* :func:`push_candidates` emits the arcs of a relaxation round in CSR
-  order with each candidate the sum of the same two operands, whether
-  it expanded slots or walked the whole CSR;
 * :func:`first_parent_candidates` (and :func:`claim_first_parent`, which
   writes its result) selects the minimum source per target --
   the same winner ``np.lexsort((srcs, nbrs))`` + first-occurrence picks
@@ -30,9 +27,9 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
   (minimum is exact and order-independent over floats without NaN) and
   rebuilds ``np.unique``'s sorted-unique output with a boolean-mask
   pass;
-* :func:`relax_round` pushes (the two primitives above) or pulls the
-  same minima over the in-arcs with :func:`pull_min`, for the same
-  reason;
+* :func:`relax_round` pushes (:func:`gather_slots`, then
+  :func:`segment_min_scatter`) or pulls the same minima over the
+  in-arcs with :func:`pull_min`, for the same reason;
 * :func:`dedup_ids` is ``np.unique`` for bounded non-negative ids.
 
 Floating-point *sums* are never re-associated -- that changes low-order
@@ -63,7 +60,6 @@ from repro.graph.scratch import COUNTERS, KernelScratch
 
 __all__ = ["GatherSlots", "gather_slots", "first_parent_candidates",
            "claim_first_parent", "first_hit_scan", "out_arc_count",
-           "push_candidates",
            "segment_min_scatter", "pull_min", "pulls", "relax_round",
            "arc_sum_operator", "dedup_ids", "BucketQueue",
            "resolve_batch_rows"]
@@ -73,16 +69,12 @@ __all__ = ["GatherSlots", "gather_slots", "first_parent_candidates",
 #: constant-factor switch.
 _SMALL_SHIFT = 4
 
-#: :func:`push_candidates` walks the whole CSR instead of expanding slots
-#: once the members own at least this share of its arcs.  Both sides
-#: return identical arrays, so this too is only a constant factor; the
-#: measurement that chose it is in that function's docstring.
-_DENSE_SHARE = 0.3
-
 #: :func:`relax_round` pulls over the in-arcs instead of pushing along
 #: the out-arcs once the members own at least this share of the arcs,
-#: and a level of :func:`repro.algorithms.bfs.bfs_rounds` runs bottom-up;
-#: chosen like :data:`_DENSE_SHARE`, see that function's docstring.
+#: and a level of :func:`repro.algorithms.bfs.bfs_levels` runs bottom-up
+#: by default.  Both sides return identical arrays, so this is only a
+#: constant factor; the measurement that chose it is in
+#: :func:`relax_round`'s docstring.
 PULL_SHARE = 0.3
 
 
@@ -242,78 +234,6 @@ def out_arc_count(row_ptr: np.ndarray, members: np.ndarray) -> int:
     return int((row_ptr[members + 1] - row_ptr[members]).sum())
 
 
-def push_candidates(csr: CSRGraph, lengths: np.ndarray | None,
-                    members: np.ndarray, values: np.ndarray,
-                    dist: np.ndarray, scratch: KernelScratch
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Out-arcs of ``members`` whose candidate beats ``dist`` at the
-    far end: the push half of a relaxation round that must not write
-    ``dist`` (the shard op, streaming repair).
-
-    The candidate of arc ``s -> d`` is ``values[s] + lengths[arc]``
-    (``values[s]`` itself when ``lengths`` is ``None``).  Returns
-    ``(dsts, cand, examined)``: destination and candidate of every arc
-    with ``cand < dist[dst]``, in CSR order, and the out-degree sum of
-    ``members`` -- the count the work profiles price, whatever the
-    filter drops.  ``members`` are sorted unique ids.
-
-    Two ways to the same arrays.  *Sparse*: :func:`gather_slots`, then
-    one gather each of ``col_idx`` and ``lengths``; source values are
-    repeated per segment instead of gathered per arc.  *Dense*: a
-    per-vertex source value that is ``+inf`` off ``members`` is
-    repeated over the whole CSR, so no slot vector is built and
-    ``col_idx`` / ``lengths`` are read in place; an arc of a
-    non-member has candidate ``inf`` and never passes ``<``.  Element
-    order is CSR order on both sides and each candidate is the sum of
-    the same two operands, so the outputs are bit-identical and
-    :data:`_DENSE_SHARE` only picks the cheaper one.
-
-    Measured per call inside real SSSP runs (12 roots, symmetrized
-    Kronecker scale 13 / 16, each side forced in turn, best of 3): the
-    dense side costs a flat 1.0-1.5 ms / 7-9 ms whatever the share, the
-    sparse side grows linearly to 3.5-4.5 ms / 27-35 ms at a full
-    sweep.  They cross at a share of 0.30-0.35 for Bellman-Ford's
-    unmasked rounds, the kind the shard op runs over a light or heavy
-    part; 0.3 is the low end.
-    """
-    examined = out_arc_count(csr.row_ptr, members)
-    if examined < _DENSE_SHARE * csr.n_edges:
-        dsts, cand = _push_sparse(csr, lengths, members, values, dist,
-                                  scratch)
-    else:
-        # The sparse side's arcs are counted by ``gather_slots``.
-        COUNTERS["gather_edges"] += float(examined)
-        dsts, cand = _push_dense(csr, lengths, members, values, dist)
-    return dsts, cand, examined
-
-
-def _push_sparse(csr, lengths, members, values, dist, scratch,
-                 touched=None):
-    """:func:`push_candidates`' sparse side; ``touched``, when given, is
-    a ``bool[n]`` set at every destination an arc of a member reaches,
-    improved or not (:func:`relax_round`'s signalled set)."""
-    gs = gather_slots(csr.row_ptr, members, scratch)
-    cand = np.repeat(values[members], gs.counts)
-    dsts = csr.col_idx[gs.slots]
-    if lengths is not None:
-        cand += lengths[gs.slots]
-    if touched is not None:
-        touched[dsts] = True
-    better = cand < dist[dsts]
-    return dsts[better], cand[better]
-
-
-def _push_dense(csr, lengths, members, values, dist):
-    src_val = np.full(csr.n_vertices, np.inf)
-    src_val[members] = values[members]
-    cand = np.repeat(src_val, csr.out_degrees())
-    if lengths is not None:
-        cand += lengths
-    dsts = csr.col_idx
-    better = cand < dist[dsts]
-    return dsts[better], cand[better]
-
-
 def segment_min_scatter(dist: np.ndarray, dsts: np.ndarray,
                         cand: np.ndarray,
                         scratch: KernelScratch) -> np.ndarray:
@@ -353,22 +273,25 @@ def pull_min(starts: np.ndarray, col_idx: np.ndarray,
 def pulls(out: CSRGraph, arcs: int) -> bool:
     """The direction rule: a round over ``arcs`` of ``out``'s arcs pulls
     (or, for a BFS level, runs bottom-up) once they are at least
-    :data:`PULL_SHARE` of them.  :func:`relax_round`,
-    :func:`repro.algorithms.bfs.bfs_rounds` and the shard engine's
-    ``relax`` all decide with it."""
+    :data:`PULL_SHARE` of them.  :func:`relax_round`, the default rule
+    of :func:`repro.algorithms.bfs.bfs_levels` and the shard engine's
+    ``relax`` (which crosses only a round that pulls) all decide with
+    it."""
     return arcs >= PULL_SHARE * out.n_edges
 
 
 def relax_round(out: CSRGraph, inn: CSRGraph | None,
                 members: np.ndarray, values: np.ndarray,
                 dist: np.ndarray, scratch: KernelScratch,
-                weighted: bool = True,
+                adds: float | None = None,
                 touched: np.ndarray | None = None
                 ) -> tuple[np.ndarray, int]:
     """One relaxation round along the out-arcs of ``members``:
-    ``dist[d] = min(dist[d], values[s] + w)`` over every arc ``s -> d``
-    (``values[s]`` alone unless ``weighted``; the lengths are each CSR's
-    own ``weights``).
+    ``dist[d] = min(dist[d], values[s] + w)`` over every arc ``s -> d``,
+    where ``w`` is what the arc adds: its weight (each CSR's own
+    ``weights``; nothing on an unweighted CSR) when ``adds`` is
+    ``None``, else ``adds`` for every arc -- 1 for BFS hops, 0 for WCC
+    labels.  ``values[s] + adds`` is formed once per member.
 
     Returns ``(improved, examined)``: the sorted ids whose ``dist``
     dropped and the out-degree sum of ``members`` (what the profiles
@@ -379,9 +302,10 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
     improved or not (the GAS engine's signalled set).
 
     Two ways to the same ``dist``, picked by :func:`pulls`.  *Push*,
-    below :data:`PULL_SHARE` of the arcs: :func:`gather_slots` over
-    the members' out-arcs, then :func:`segment_min_scatter`.  *Pull*, at or above it: a per-vertex
-    source value that is ``+inf`` off ``members`` goes through
+    below :data:`PULL_SHARE` of the arcs: :func:`gather_slots` over the
+    members' out-arcs, each member's offer repeated over its segment,
+    then :func:`segment_min_scatter`.  *Pull*, at or above it: a
+    per-vertex offer that is ``+inf`` off ``members`` goes through
     :func:`pull_min` over every non-empty in-row, and rows whose minimum
     beats ``dist`` take it.  A non-member's arc offers ``inf`` and never
     wins; the minimum over NaN-free floats does not depend on order, so
@@ -405,14 +329,22 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
 
     ``touched`` needs no second pass when every offer is finite (no
     member at ``inf``, no ``inf`` length): a member reached a row
-    exactly when the row's minimum is finite.  Otherwise a member mask
-    is reduced over the in-arcs as well.
+    exactly when the row's minimum is.  Otherwise a member mask is
+    reduced over the in-arcs as well.
     """
     examined = out_arc_count(out.row_ptr, members)
+    offers = values[members] if adds is None else values[members] + adds
     if not pulls(out, examined):
-        dsts, cand = _push_sparse(out, out.weights if weighted else None,
-                                  members, values, dist, scratch, touched)
-        return segment_min_scatter(dist, dsts, cand, scratch), examined
+        gs = gather_slots(out.row_ptr, members, scratch)
+        cand = np.repeat(offers, gs.counts)
+        dsts = out.col_idx[gs.slots]
+        if adds is None and out.weights is not None:
+            cand += out.weights[gs.slots]
+        if touched is not None:
+            touched[dsts] = True
+        better = cand < dist[dsts]
+        return (segment_min_scatter(dist, dsts[better], cand[better],
+                                    scratch), examined)
     # The push side's arcs are counted by ``gather_slots``.
     COUNTERS["gather_edges"] += float(examined)
     if inn is None:
@@ -420,12 +352,12 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
     rows, starts = inn.pull_rows()
     if rows.size == 0:
         return rows, examined
-    lengths = inn.weights if weighted else None
+    lengths = inn.weights if adds is None else None
     src_val = np.full(dist.size, np.inf)
-    src_val[members] = values[members]
+    src_val[members] = offers
     y = pull_min(starts, inn.col_idx, lengths, src_val)
     if touched is not None:
-        if (src_val[members].max(initial=-np.inf) < np.inf
+        if (offers.max(initial=-np.inf) < np.inf
                 and (lengths is None or inn.max_weight() < np.inf)):
             # Every offer is finite, so a row is reached by a member
             # exactly when its minimum is.

@@ -1,11 +1,13 @@
 """The sweep interface the control loops are written against.
 
-``dobfs``, ``bfs_bitmap``, ``delta_stepping`` and ``pagerank`` each keep
-their control flow -- direction switch, bucket bookkeeping, residual,
-work profile -- in one function and hand the per-round edge sweep to an
-executor.  Two exist: :class:`LocalSweeps` below runs the serial step
-bodies in-process, :class:`repro.shard.engine.ShardEngine` fans the same
-calls out over its shards.  Both return bit-identical values, so which
+The BFS level loop (:func:`repro.algorithms.bfs.bfs_levels`, which
+``dobfs`` and ``bfs_bitmap`` run under their own direction rules),
+``delta_stepping`` and ``pagerank`` each keep their control flow --
+direction switch, bucket bookkeeping, residual -- in one function and
+hand the per-round edge sweep to an executor.  Two exist:
+:class:`LocalSweeps` below runs the serial step bodies in-process,
+:class:`repro.shard.engine.ShardEngine` fans the same calls out over
+its shards.  Both return bit-identical values, so which
 one ran never shows in an output, a profile or a stat.
 
 An executor owns the state its sweeps read (visited set, distance

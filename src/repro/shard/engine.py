@@ -19,7 +19,8 @@ arrays, collects one ``done`` token per worker, then merges the
 per-shard rings with *exact* reductions (integer/float minima applied
 ring by ring with one gather-scatter each, disjoint scatters; nothing
 sorts).  A round that would gather fewer than :data:`_INLINE_ARCS`
-arcs does not cross at all: the engine runs it on a
+arcs does not cross at all, and neither does a relax round that
+pushes: the engine runs it on a
 :class:`~repro.graph.sweeps.LocalSweeps` it keeps over the whole graph,
 bound to the same round state.
 
@@ -198,9 +199,8 @@ def _name_process(name: str) -> None:
         pass
 
 
-def _build_context(shard: int, n: int, arrays, weighted: bool,
-                   has_in: bool, whole_in: CSRGraph | None = None
-                   ) -> ops.ShardContext:
+def _build_context(shard: int, n: int, arrays, has_in: bool,
+                   whole_in: CSRGraph | None = None) -> ops.ShardContext:
     """Assemble one shard's op context from an arena's (or an inline
     dict's) arrays -- the single construction path for both modes.
     ``whole_in`` is the whole in-CSR, which only a context in the
@@ -209,7 +209,6 @@ def _build_context(shard: int, n: int, arrays, weighted: bool,
         shard, n,
         out_row_ptr=arrays[f"o{shard}_rp"],
         out_col_idx=arrays[f"o{shard}_ci"],
-        out_weights=arrays[f"o{shard}_w"] if weighted else None,
         owned=arrays[f"i{shard}_own"] if has_in else None,
         in_row_ptr=arrays[f"i{shard}_rp"] if has_in else None,
         in_col_idx=arrays[f"i{shard}_ci"] if has_in else None,
@@ -224,8 +223,8 @@ def _build_context(shard: int, n: int, arrays, weighted: bool,
 
 
 def _worker_main(shard: int, n: int, static_spec, dyn_spec,
-                 go, done, weighted: bool, has_in: bool,
-                 owner_pid: int, spin_s: float) -> None:
+                 go, done, has_in: bool, owner_pid: int,
+                 spin_s: float) -> None:
     """Worker loop for shard ``shard`` (1..N-1; the parent computes
     shard 0): attach arenas, then serve supersteps until told to shut
     down.  Each round is one ``go`` token in, one ``done`` token out --
@@ -252,7 +251,7 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
     dyn = ShmArena.attach(dyn_spec)
     arrays = dict(static.arrays)
     arrays.update(dyn.arrays)
-    ctx = _build_context(shard, n, arrays, weighted, has_in)
+    ctx = _build_context(shard, n, arrays, has_in)
     try:
         while True:
             if not _spin_acquire(go, spin_s):
@@ -303,7 +302,6 @@ class ShardEngine:
                  inline: bool | None = None):
         self.n_shards = resolve_shards(n_shards)
         self.n = out.n_vertices
-        self.weighted = out.weights is not None
         self.has_in = inn is not None
         self.step_timeout_s = float(step_timeout_s)
         self.partition: ShardPartition = partition_graph(
@@ -318,8 +316,9 @@ class ShardEngine:
         #: zeroes it).
         self.rounds = 0
         self.bytes_exchanged = 0
-        #: Rounds served in this process, below :data:`_INLINE_ARCS`;
-        #: ``rounds`` counts only the supersteps that crossed.
+        #: Rounds served in this process: below :data:`_INLINE_ARCS`,
+        #: and every relax round that pushes; ``rounds`` counts only
+        #: the supersteps that crossed.
         self.local_rounds = 0
 
         #: Seconds either side of a superstep polls before it blocks
@@ -346,8 +345,7 @@ class ShardEngine:
         #: The contexts this process computes: every shard inline,
         #: shard 0 beside workers serving shards 1..N-1.
         self._contexts = [
-            _build_context(k, self.n, arrays, self.weighted, self.has_in,
-                           whole_in=inn)
+            _build_context(k, self.n, arrays, self.has_in, whole_in=inn)
             for k in here]
         if not self.inline:
             ctx = _mp_context()
@@ -361,8 +359,7 @@ class ShardEngine:
                     proc = ctx.Process(
                         target=_worker_main,
                         args=(k, self.n, self._static_arena.spec,
-                              self._dyn_arena.spec, go,
-                              self._done, self.weighted,
+                              self._dyn_arena.spec, go, self._done,
                               self.has_in, os.getpid(), self._spin_s),
                         daemon=True,
                         name=f"epg-shard-{k}")
@@ -402,8 +399,6 @@ class ShardEngine:
             sl = shard_out_slice(out, self.partition, k)
             arrays[f"o{k}_rp"] = sl.row_ptr
             arrays[f"o{k}_ci"] = sl.col_idx
-            if self.weighted:
-                arrays[f"o{k}_w"] = sl.weights
             if inn is not None:
                 owned, isl = shard_in_slice(inn, self.partition, k)
                 arrays[f"i{k}_own"] = owned
@@ -535,11 +530,12 @@ class ShardEngine:
             raise ShardError("engine is closed")
         return self._local_sweeps
 
-    def _stays_local(self, row_ptr: np.ndarray,
-                     members: np.ndarray) -> bool:
-        """Whether the round over ``members``' rows is too small to be
-        worth a superstep (see :data:`_INLINE_ARCS`)."""
-        if out_arc_count(row_ptr, members) >= _INLINE_ARCS:
+    def _stays_local(self, row_ptr: np.ndarray, members: np.ndarray,
+                     crosses: bool = True) -> bool:
+        """Whether the round over ``members``' rows is served here: it
+        is too small to be worth a superstep (see :data:`_INLINE_ARCS`)
+        or it does not ``cross`` at all."""
+        if crosses and out_arc_count(row_ptr, members) >= _INLINE_ARCS:
             return False
         self.local_rounds += 1
         return True
@@ -608,23 +604,25 @@ class ShardEngine:
 
     def relax(self, members: np.ndarray, mode: int
               ) -> tuple[np.ndarray, int]:
-        """Shards take per-destination minima against the pre-round
-        distances; the parent applies the exact merged minimum between
-        barriers and stays the single writer of the vector.  The
-        direction is the serial round's -- ``frontier.pulls`` over the
-        whole graph's light or heavy part -- decided here once for every
-        shard; a push-only engine always pushes."""
+        """Only a round that pulls crosses -- ``frontier.pulls`` over the
+        whole graph's light or heavy part, the serial round's direction
+        -- and only on an engine with in-arcs: each shard takes its
+        owned vertices' whole-row minima against the pre-round
+        distances, and the parent applies them between barriers and
+        stays the single writer of the vector.  A pushed round runs
+        here: split over shards, each would pay most of the whole
+        push's per-call cost (``docs/sharding.md``).  Either way the
+        round is priced as :meth:`LocalSweeps.relax` prices it."""
         local = self._local
-        if self._stays_local(local.out.row_ptr, members):
-            return local.relax(members, mode)
         part = local.out_parts[mode]
-        self._arrays["ctrl_i"][ops.CTRL_PULL] = (
-            self.has_in and pulls(part, out_arc_count(part.row_ptr,
-                                                      members)))
+        crosses = self.has_in and pulls(
+            part, out_arc_count(part.row_ptr, members))
+        if self._stays_local(local.out.row_ptr, members, crosses):
+            return local.relax(members, mode)
         rings = self._superstep(ops.OP_RELAX, frontier=members,
                                 mode=mode)
-        improved = self._merge_min(rings, self._arrays["vec"])
-        return improved, sum(r[2] for r in rings)
+        return (self._merge_min(rings, self._arrays["vec"]),
+                out_arc_count(local.out.row_ptr, members))
 
     def begin_pagerank(self, rank: np.ndarray) -> np.ndarray:
         shared = self._begin("vec")

@@ -11,12 +11,11 @@ They are the step bodies of :class:`repro.graph.sweeps.LocalSweeps`
 applied to a slice: the same :mod:`repro.graph.frontier` primitives
 (:func:`~repro.graph.frontier.first_parent_candidates`,
 :func:`~repro.graph.frontier.first_hit_scan`,
-:func:`~repro.graph.frontier.push_candidates`,
-:func:`~repro.graph.frontier.pull_min`) find the round's candidates,
-a scatter into a shard-private accumulator (or a pull over whole
-owned rows) keeps the best one per vertex, and the writes a local
-sweep would make are left to the parent: an op never writes
-``visited``, ``vec`` or ``in_frontier``.
+:func:`~repro.graph.frontier.pull_min`) find the round's candidates or
+minima over whole owned rows, and the writes a local sweep would make
+are left to the parent: an op never writes ``visited``, ``vec`` or
+``in_frontier``.  A relax round crosses only when it pulls; a pushed
+one stays in the parent (``ShardEngine.relax``).
 
 Each op reads shared state (parent-written, stable between barriers),
 computes on its own slice, and writes ``(ids, values)`` deltas plus an
@@ -38,10 +37,7 @@ from repro.graph.frontier import (
     first_hit_scan,
     first_parent_candidates,
     gather_slots,
-    out_arc_count,
     pull_min,
-    push_candidates,
-    segment_min_scatter,
 )
 from repro.graph.scratch import KernelScratch
 
@@ -55,13 +51,11 @@ OP_RELAX = 3
 OP_PR = 4
 
 #: ctrl_i layout: [0] op, [1] frontier length, [2] relax mode,
-#: [3] PageRank reads ``vec2`` and writes ``vec`` instead of the reverse,
-#: [4] a relax round pulls instead of pushing.
+#: [3] PageRank reads ``vec2`` and writes ``vec`` instead of the reverse.
 CTRL_OP = 0
 CTRL_FRONT_LEN = 1
 CTRL_MODE = 2
 CTRL_FLIP = 3
-CTRL_PULL = 4
 #: ctrl_f layout: [0] delta, [1] dangling mass, [2] base, [3] damping.
 CTRL_DELTA = 0
 CTRL_DANGLING = 1
@@ -77,9 +71,10 @@ HDR_ERROR = 2
 class ShardContext:
     """Everything one shard's op functions touch.
 
-    ``out`` is the push slice as a CSR over the full row space,
-    ``inn`` the pull slice (local rows over ``owned``); shared arrays
-    are views into the dynamic arena (or plain arrays in inline mode).
+    ``out`` is the push slice as a CSR over the full row space (arcs
+    only: top-down reads no weight), ``inn`` the pull slice (local rows
+    over ``owned``); shared arrays are views into the dynamic arena (or
+    plain arrays in inline mode).
     ``whole_in``, when given, is the whole graph's in-CSR.  When the
     owned ids are one contiguous range, the pull slice is a row block
     of it, and a context in the engine's own process pulls over blocks
@@ -89,7 +84,6 @@ class ShardContext:
 
     def __init__(self, shard: int, n: int, *,
                  out_row_ptr: np.ndarray, out_col_idx: np.ndarray,
-                 out_weights: np.ndarray | None,
                  owned: np.ndarray | None = None,
                  in_row_ptr: np.ndarray | None = None,
                  in_col_idx: np.ndarray | None = None,
@@ -103,8 +97,7 @@ class ShardContext:
                  ring_val: np.ndarray, ring_hdr: np.ndarray):
         self.shard = int(shard)
         self.n = int(n)
-        self.out = CSRGraph(row_ptr=out_row_ptr, col_idx=out_col_idx,
-                            weights=out_weights)
+        self.out = CSRGraph(row_ptr=out_row_ptr, col_idx=out_col_idx)
         self.owned = owned
         self.inn = (CSRGraph(row_ptr=in_row_ptr, col_idx=in_col_idx,
                              weights=in_weights)
@@ -128,10 +121,9 @@ class ShardContext:
         n_edges = max(out_col_idx.size,
                       in_col_idx.size if in_col_idx is not None else 0)
         self.scratch = KernelScratch(self.n, n_edges)
-        #: Best candidate per destination within a pushed relax round,
-        #: source value per member within a pulled one; all ``+inf``
+        #: Source value per member within a relax round; all ``+inf``
         #: between rounds.
-        self.best = np.full(self.n, np.inf)
+        self.src_val = np.full(self.n, np.inf)
         #: The pull slice as PageRank's sum over the owned rows' in-arcs
         #: (static, built once per engine).
         self.pr_arcs = (arc_sum_operator(in_row_ptr, in_col_idx, self.n)
@@ -184,37 +176,22 @@ def op_bu(ctx: ShardContext) -> None:
 
 
 def op_relax(ctx: ShardContext) -> None:
-    """One relaxation round over the light or heavy part of this
-    shard's slices (split once per delta) for the broadcast members:
-    the ids whose minimum candidate beats the pre-round distance, with
-    that minimum.  The parent picks the direction for every shard at
-    once (``CTRL_PULL``, :func:`repro.graph.frontier.pulls` over the
-    whole graph's part).  A push scatters the candidates along the
-    push slice's arcs into ``best``; a pull takes each owned vertex's
-    minimum over its complete in-row, so it emits only owned ids.  The
-    count is over the push slice, light and heavy, as the serial round
-    prices it, whichever way the round went."""
+    """One pulled relaxation round over the light or heavy part of this
+    shard's pull slice (split once per delta) for the broadcast
+    members: each owned vertex's minimum over its complete in-row, the
+    ids where it beats the pre-round distance.  The examined count is
+    the parent's to price (``ShardEngine.relax``)."""
     members = ctx.frontier[:int(ctx.ctrl_i[CTRL_FRONT_LEN])]
-    delta = float(ctx.ctrl_f[CTRL_DELTA])
-    mode = int(ctx.ctrl_i[CTRL_MODE])
-    examined = out_arc_count(ctx.out.row_ptr, members)
-    if ctx.ctrl_i[CTRL_PULL]:
-        part = ctx.pull_parts(delta)[mode]
-        rows, starts = part.pull_rows()
-        src_val = ctx.best
-        src_val[members] = ctx.vec[members]
-        y = pull_min(starts, part.col_idx, part.weights, src_val)
-        src_val[members] = np.inf
-        ids = ctx.owned[rows]
-        better = y < ctx.vec[ids]
-        ctx.emit(ids[better], y[better], examined)
-        return
-    part = ctx.out.weight_split(delta)[mode]
-    dsts, cand, _ = push_candidates(part, part.weights, members, ctx.vec,
-                                    ctx.vec, ctx.scratch)
-    ids = segment_min_scatter(ctx.best, dsts, cand, ctx.scratch)
-    ctx.emit(ids, ctx.best[ids], examined)
-    ctx.best[ids] = np.inf
+    part = ctx.pull_parts(float(ctx.ctrl_f[CTRL_DELTA]))[
+        int(ctx.ctrl_i[CTRL_MODE])]
+    rows, starts = part.pull_rows()
+    src_val = ctx.src_val
+    src_val[members] = ctx.vec[members]
+    y = pull_min(starts, part.col_idx, part.weights, src_val)
+    src_val[members] = np.inf
+    ids = ctx.owned[rows]
+    better = y < ctx.vec[ids]
+    ctx.emit(ids[better], y[better], 0)
 
 
 def op_pr(ctx: ShardContext) -> None:

@@ -14,9 +14,11 @@ reproduces: bottom-up pays off only when it prunes enough edge
 examinations, and the *actual* examined-edge counts are what the cost
 model prices.
 
-The loop below is the only copy of that control flow.  The per-round
-edge sweeps go through a :class:`~repro.graph.sweeps.SweepExecutor`:
-in-process :class:`~repro.graph.sweeps.LocalSweeps` by default, a
+The level loop is :func:`repro.algorithms.bfs.bfs_levels`; GAP
+contributes the alpha/beta direction rule and its pricing.  The
+per-level sweeps go through a
+:class:`~repro.graph.sweeps.SweepExecutor`: in-process
+:class:`~repro.graph.sweeps.LocalSweeps` by default, a
 :class:`~repro.shard.engine.ShardEngine` when the run is sharded --
 bit-identical either way (``docs/kernels.md``).
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.bfs import bfs_levels
 from repro.graph.scratch import scratch_for
 from repro.graph.sweeps import LocalSweeps, SweepExecutor
 from repro.machine.threads import WorkProfile
@@ -41,46 +44,24 @@ def dobfs(graph: GapGraph, root: int, alpha: float = DEFAULT_ALPHA,
           ) -> tuple[np.ndarray, np.ndarray, WorkProfile, dict]:
     """Run direction-optimizing BFS; return (parent, level, profile, stats)."""
     n = graph.n
-    out_deg = graph.out_degree()
     if sweeps is None:
         sweeps = LocalSweeps(graph.out, graph.inn,
                              scratch_for(graph, n, graph.out.n_edges))
-    sweeps.begin_bfs(root)
-    parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)
-    parent[root] = root
-    level[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    profile = WorkProfile()
-    edges_unexplored = int(out_deg.sum()) - int(out_deg[root])
-    depth = 0
-    steps = ""
-    bottom_up = False
-    max_deg = float(out_deg.max()) if n else 0.0
 
-    while frontier.size:
-        depth += 1
-        edges_front = int(out_deg[frontier].sum())
-        if not bottom_up and edges_front * alpha > max(edges_unexplored, 1):
-            bottom_up = True
-        elif bottom_up and frontier.size * beta < n:
-            bottom_up = False
-
+    def rule(frontier, arcs, unexplored, bottom_up):
         if bottom_up:
-            new_v, examined = sweeps.bottom_up(frontier, parent)
-            steps += "B"
-        else:
-            new_v, examined = sweeps.top_down(frontier, parent)
-            steps += "T"
+            return frontier * beta >= n
+        return arcs * alpha > max(unexplored, 1)
 
+    parent, level, levels = bfs_levels(graph.out, root, sweeps, rule)
+    profile = WorkProfile()
+    max_deg = float(graph.out_degree().max()) if n else 0.0
+    for frontier, _, examined, _ in levels:
         # GAP parallelizes over *edges* (OpenMP dynamic scheduling over
         # neighbor chunks), so a single hub cannot stall a thread: round
         # skew is capped low regardless of the frontier's degree spread.
         skew = min(max_deg / max(examined, 1.0), 0.15)
-        profile.add_round(units=examined + frontier.size,
+        profile.add_round(units=examined + frontier,
                           memory_bytes=12.0 * examined, skew=skew)
-        level[new_v] = depth
-        edges_unexplored -= int(out_deg[new_v].sum())
-        frontier = new_v
-
-    return parent, level, profile, {"depth": depth, "steps": steps}
+    steps = "".join("B" if bottom_up else "T" for *_, bottom_up in levels)
+    return parent, level, profile, {"depth": len(levels), "steps": steps}

@@ -9,7 +9,8 @@ wins).  Every frontier out-edge is examined, so the per-root work is
 per-edge constant is the leanest but its examined-edge count the
 highest (see calibration anchors).
 
-The per-level expansion and claim is one ``top_down`` call on a
+The level loop is :func:`repro.algorithms.bfs.bfs_levels` under a rule
+that never goes bottom-up; each level is one ``top_down`` call on a
 :class:`~repro.graph.sweeps.SweepExecutor` (in-process by default, the
 shard engine when sharded; ``docs/kernels.md``).
 """
@@ -18,12 +19,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.bfs import bfs_levels
 from repro.graph.csr import CSRGraph
 from repro.graph.scratch import scratch_for
 from repro.graph.sweeps import LocalSweeps, SweepExecutor
 from repro.machine.threads import WorkProfile
 
 __all__ = ["bfs_bitmap"]
+
+
+def _top_down(_frontier, _arcs, _unexplored, _bottom_up) -> bool:
+    return False
 
 
 def bfs_bitmap(csr: CSRGraph, root: int,
@@ -33,29 +39,16 @@ def bfs_bitmap(csr: CSRGraph, root: int,
     n = csr.n_vertices
     if sweeps is None:
         sweeps = LocalSweeps(csr, None, scratch_for(csr, n, csr.n_edges))
-    sweeps.begin_bfs(root)
-    parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)
-    parent[root] = root
-    level[root] = 0
-    frontier = np.array([root], dtype=np.int64)
+    parent, level, levels = bfs_levels(csr, root, sweeps, _top_down)
     profile = WorkProfile()
-    deg = csr.out_degrees()
-    max_deg = float(deg.max()) if n else 0.0
-    depth = 0
+    max_deg = float(csr.out_degrees().max()) if n else 0.0
     examined_total = 0
-
-    while frontier.size:
-        depth += 1
-        new_v, total = sweeps.top_down(frontier, parent)
-        if total == 0:
-            break
-        examined_total += total
-        skew = min(max_deg / max(total, 1.0), 1.0)
-        profile.add_round(units=total + frontier.size,
-                          memory_bytes=9.0 * total, skew=skew)
-        level[new_v] = depth
-        frontier = new_v
-
-    stats = {"depth": depth, "edges_examined": examined_total}
+    for frontier, _, examined, _ in levels:
+        if examined == 0:
+            continue  # a frontier without out-arcs is not a priced round
+        examined_total += examined
+        skew = min(max_deg / max(examined, 1.0), 1.0)
+        profile.add_round(units=examined + frontier,
+                          memory_bytes=9.0 * examined, skew=skew)
+    stats = {"depth": len(levels), "edges_examined": examined_total}
     return parent, level, profile, stats

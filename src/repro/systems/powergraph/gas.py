@@ -81,14 +81,12 @@ class GasEngine:
               touched: np.ndarray | None = None) -> int:
         """Post the terms of ``members`` along their out-arcs into
         ``acc``; returns the out-arcs examined.  By default every vertex
-        with a finite term posts -- the full gather of every in-edge,
+        with a finite value posts -- the full gather of every in-edge,
         since an infinite term lowers no accumulator."""
-        values = data + adds if adds else data
         if members is None:
-            members = np.flatnonzero(values < np.inf)
-        _, examined = relax_round(self.out, self.inn, members, values, acc,
-                                  self._scratch(), weighted=adds is None,
-                                  touched=touched)
+            members = np.flatnonzero(data < np.inf)
+        _, examined = relax_round(self.out, self.inn, members, data, acc,
+                                  self._scratch(), adds, touched)
         return examined
 
     def run(self, initial: np.ndarray, initially_active: np.ndarray,

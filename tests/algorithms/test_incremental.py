@@ -35,6 +35,7 @@ from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import sssp_dijkstra
 from repro.errors import ValidationError
 from repro.graph.dynamic import DynamicGraph, MutationBatch
+from repro.graph.frontier import out_arc_count, pulls
 
 
 def _batch(ins=(), dels=(), w=None):
@@ -389,6 +390,39 @@ def test_non_improving_insert_into_hub_skips_its_in_arcs(kind, monkeypatch):
     _update(kind, g, k, ins=[(hub + 1, hub)], w=[1.0])
     assert k.parent[hub] == 0
     assert sum(gathered) < hub
+
+
+@pytest.mark.parametrize("kind", ["bfs", "sssp"])
+def test_deletion_heavy_batch_repairs_by_a_pulled_round(kind, monkeypatch):
+    # Deleting the root's only short way into vertex 1 orphans 1 and the
+    # fan of 60 vertices below it.  Re-seeded through the backup path
+    # 0 -> 2 -> 1, vertex 1 alone owns most of the graph's arcs, so the
+    # next repair round pulls over the transpose (and writes what the
+    # push would have).
+    fan = range(3, 63)
+    arcs = ([(0, 1), (0, 2), (2, 1)] + [(1, v) for v in fan]
+            + [(v, v + 1) for v in fan[:-1]] + [(v, 2) for v in fan[::7]])
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.1, 2.0, len(arcs)).tolist()
+    g, k = _path_kernel(kind, arcs, w)
+    pulled = []
+    real = incremental.relax_round
+
+    def recording(out, inn, members, *args, **kwargs):
+        pulled.append(pulls(out, out_arc_count(out.row_ptr, members)))
+        return real(out, inn, members, *args, **kwargs)
+
+    monkeypatch.setattr(incremental, "relax_round", recording)
+    applied = g.apply(_batch(dels=[(0, 1)]))
+    snap = g.snapshot()
+    stats = k.update(snap, applied)
+    assert stats.n_orphaned == 1 + len(fan) and any(pulled)
+    if kind == "sssp":
+        assert_sssp_matches(k, snap, 0)
+        assert k.parent.tobytes() == _min_witness_parents(
+            snap, 0, k.dist, snap.weights).tobytes()
+    else:
+        assert_bfs_matches(k, snap, 0)
 
 
 # ----------------------------------------------------------------------

@@ -21,11 +21,10 @@ from repro.graph import frontier as frontier_lib
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
 from repro.graph.edgelist import EdgeList
-from repro.graph.frontier import (_push_dense, _push_sparse,
-                                  arc_sum_operator,
+from repro.graph.frontier import (arc_sum_operator,
                                   claim_first_parent, dedup_ids,
                                   first_parent_candidates,
-                                  gather_slots, pull_min, push_candidates,
+                                  gather_slots, pull_min,
                                   relax_round, segment_min_scatter)
 from repro.graph.scratch import (COUNTERS, KernelScratch, consume_counters,
                                  scratch_for)
@@ -64,17 +63,21 @@ def ref_claim(nbrs, srcs, visited, parent):
     return new_v
 
 
-def ref_push(csr, lengths, members, values, dist):
-    """The relaxation kernels' expansion as it stood before
-    ``push_candidates``: slot vector, three gathers per arc, filter."""
-    slots, counts = ref_gather(csr.row_ptr, members)
-    srcs = np.repeat(members, counts)
-    dsts = csr.col_idx[slots]
-    cand = values[srcs]
+def old_push_round(csr, lengths, members, values, dist, scratch):
+    """The push round the shard op and the streaming repair ran before
+    every relaxation went through ``relax_round``: the sparse side of
+    the deleted ``push_candidates`` (slot vector, source values repeated
+    per segment, one gather each of ``col_idx`` and ``lengths``, filter)
+    and then ``segment_min_scatter``.  Returns the improved ids and the
+    members' out-degree sum."""
+    gs = gather_slots(csr.row_ptr, members, scratch)
+    cand = np.repeat(values[members], gs.counts)
+    dsts = csr.col_idx[gs.slots]
     if lengths is not None:
-        cand = cand + lengths[slots]
+        cand += lengths[gs.slots]
     better = cand < dist[dsts]
-    return dsts, dsts[better], cand[better], int(counts.sum())
+    return segment_min_scatter(dist, dsts[better], cand[better],
+                               scratch), gs.total
 
 
 def ref_min_scatter(dist, dsts, cand):
@@ -233,113 +236,23 @@ def test_claim_mask_path_dense_graph():
 
 
 # ----------------------------------------------------------------------
-# push_candidates
-# ----------------------------------------------------------------------
-
-
-@st.composite
-def push_cases(draw):
-    """A CSR (zero-weight arcs, parallel arcs, self-loops), sorted
-    members (some without out-arcs), and per-vertex values and
-    distances with ``inf`` entries."""
-    weighted = draw(st.booleans())
-    csr, members = draw(graph_and_frontier(weighted=weighted))
-    n, m = csr.n_vertices, csr.n_edges
-    lengths = csr.weights
-    if weighted and m and draw(st.booleans()):
-        lengths = csr.weights.copy()
-        lengths[::3] = 0.0
-    finite = st.floats(0.0, 20.0, allow_nan=False)
-    maybe_inf = st.one_of(finite, st.just(np.inf))
-    dist = np.array(draw(st.lists(maybe_inf, min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        values = dist
-    else:
-        values = np.array(draw(st.lists(maybe_inf, min_size=n, max_size=n)))
-    return csr, lengths, members, values, dist
-
-
-@given(push_cases())
-@settings(max_examples=200, deadline=None)
-def test_push_candidates_sides_match_reference(case):
-    csr, lengths, members, values, dist = case
-    n = csr.n_vertices
-    scratch = KernelScratch(n, csr.n_edges)
-    _, want_d, want_c, want_examined = ref_push(
-        csr, lengths, members, values, dist)
-
-    for side in ("sparse", "dense", None):
-        before = dist.copy()
-        if side is None:
-            dsts, cand, examined = push_candidates(
-                csr, lengths, members, values, dist, scratch)
-            assert examined == want_examined
-        elif side == "sparse":
-            dsts, cand = _push_sparse(csr, lengths, members, values, dist,
-                                      scratch)
-        else:
-            dsts, cand = _push_dense(csr, lengths, members, values, dist)
-        assert dsts.dtype == np.int64 and cand.dtype == np.float64
-        assert np.array_equal(dsts, want_d)
-        assert cand.tobytes() == want_c.tobytes()
-        assert np.array_equal(dist, before)      # read-only on dist
-
-
-def test_push_candidates_switches_on_share_of_arcs():
-    """A star: the hub owns every arc, a leaf none -- the hub goes down
-    the dense side (no slot expansion is requested), a leaf the sparse
-    one, and both count the arcs they examined."""
-    k = 40
-    csr = CSRGraph.from_arrays(np.zeros(k, dtype=np.int64),
-                               np.arange(1, k + 1), k + 1,
-                               weights=np.full(k, 0.5))
-    scratch = KernelScratch(k + 1, k)
-    dist = np.full(k + 1, np.inf)
-    dist[0] = 0.0
-    consume_counters()
-    dsts, cand, examined = push_candidates(
-        csr, csr.weights, np.array([0]), dist, dist, scratch)
-    assert examined == k and np.array_equal(dsts, np.arange(1, k + 1))
-    assert np.array_equal(cand, np.full(k, 0.5))
-    dense = consume_counters()
-    assert dense == {"gather_edges": float(k), "scratch_reuse": 0.0}
-    dsts, cand, examined = push_candidates(
-        csr, csr.weights, np.array([3]), dist, dist, scratch)
-    assert examined == 0 and dsts.size == 0 and cand.size == 0
-    assert consume_counters()["scratch_reuse"] > 0     # went sparse
-
-
-def test_push_candidates_empty_members_and_empty_graph():
-    none = np.empty(0, dtype=np.int64)
-    csr = CSRGraph.from_arrays(np.array([0, 1]), np.array([1, 0]), 2)
-    scratch = KernelScratch(2, 2)
-    dist = np.zeros(2)
-    for dsts, cand in (
-            _push_sparse(csr, None, none, dist, dist, scratch),
-            _push_dense(csr, None, none, dist, dist)):
-        assert dsts.size == 0 and cand.size == 0
-    empty = CSRGraph.from_arrays(none, none, 3)
-    dsts, cand, examined = push_candidates(
-        empty, None, np.array([0, 2]), np.zeros(3), np.zeros(3),
-        KernelScratch(3, 0))
-    assert (dsts.size, cand.size, examined) == (0, 0, 0)
-
-
-# ----------------------------------------------------------------------
 # relax_round: push below PULL_SHARE, pull at or above it
 # ----------------------------------------------------------------------
 
 
-def ref_relax(csr, members, values, dist, weighted):
+def ref_relax(csr, members, values, dist, adds):
     """The round as the push kernels typed it out: every out-arc of a
-    member offers ``values[src] + w``, ``np.minimum.at`` applies the
+    member offers ``values[src] + w`` (``w`` the arc's weight when
+    ``adds`` is ``None``, else ``adds``), ``np.minimum.at`` applies the
     offers to a copy, ``np.unique`` names the improved destinations and
     every destination reached is touched."""
     slots, counts = ref_gather(csr.row_ptr, members)
     dsts = csr.col_idx[slots]
     cand = values[np.repeat(members, counts)]
-    if weighted:
+    if adds is None:
         cand = cand + csr.weights[slots]
+    else:
+        cand = cand + adds
     after = dist.copy()
     np.minimum.at(after, dsts, cand)
     touched = np.zeros(dist.size, dtype=bool)
@@ -385,13 +298,16 @@ def _relax_forced(share, *args, **kwargs):
         frontier_lib.PULL_SHARE = saved
 
 
-@given(relax_cases(), st.booleans(), st.booleans())
+ADDS = st.sampled_from([None, 0.0, 1.0])
+
+
+@given(relax_cases(), ADDS, st.booleans())
 @settings(max_examples=250, deadline=None)
-def test_relax_round_sides_match_reference(case, weighted, use_touched):
+def test_relax_round_sides_match_reference(case, adds, use_touched):
     csr, members, values, dist0, alias = case
     n = csr.n_vertices
     want_dist, want_ids, want_examined, want_touched = ref_relax(
-        csr, members, values, dist0, weighted)
+        csr, members, values, dist0, adds)
     scratch = KernelScratch(n, csr.n_edges)
     for share in (0.0, 2.0, frontier_lib.PULL_SHARE):
         for inn in (None, csr.transposed()):
@@ -399,7 +315,7 @@ def test_relax_round_sides_match_reference(case, weighted, use_touched):
             vals = dist if alias else values
             touched = np.zeros(n, dtype=bool) if use_touched else None
             ids, examined = _relax_forced(share, csr, inn, members, vals,
-                                          dist, scratch, weighted=weighted,
+                                          dist, scratch, adds=adds,
                                           touched=touched)
             assert dist.tobytes() == want_dist.tobytes()
             assert ids.dtype == np.int64
@@ -409,6 +325,73 @@ def test_relax_round_sides_match_reference(case, weighted, use_touched):
                 assert np.array_equal(touched, want_touched)
             assert not scratch.mask("push").any()
             assert not scratch.mask("dedup").any()
+
+
+@st.composite
+def old_push_cases(draw):
+    """A multigraph (zero-weight arcs, parallel arcs, self-loops, rows
+    without arcs, sometimes no weights at all), sorted members, what an
+    arc adds, and per-vertex values and distances with ``inf``
+    entries, the values sometimes the distances themselves."""
+    weighted = draw(st.booleans())
+    csr, members = draw(graph_and_frontier(weighted=weighted))
+    n, m = csr.n_vertices, csr.n_edges
+    if weighted and m and draw(st.booleans()):
+        w = csr.weights.copy()
+        w[::3] = 0.0
+        csr = CSRGraph(csr.row_ptr, csr.col_idx, w)
+    adds = draw(ADDS)
+    maybe_inf = st.one_of(st.floats(0.0, 20.0, allow_nan=False),
+                          st.just(np.inf))
+    dist = np.array(draw(st.lists(maybe_inf, min_size=n, max_size=n)))
+    alias = draw(st.booleans())
+    values = dist if alias else np.array(
+        draw(st.lists(maybe_inf, min_size=n, max_size=n)))
+    return csr, members, adds, values, dist, alias
+
+
+@given(old_push_cases())
+@settings(max_examples=250, deadline=None)
+def test_relax_round_matches_the_old_push_body(case):
+    """Pinned to always pull (``PULL_SHARE`` 0) and to always push
+    (infinity), ``relax_round`` writes the bytes the old push round
+    wrote and returns its ids and examined count, for every kind of
+    ``adds``: the arc's weight, or 0 or 1 for every arc (the old body
+    read the latter as a length array of that constant)."""
+    csr, members, adds, values, dist0, alias = case
+    n, m = csr.n_vertices, csr.n_edges
+    lengths = csr.weights if adds is None else np.full(m, adds)
+    scratch = KernelScratch(n, m)
+    want = dist0.copy()
+    want_ids, want_examined = old_push_round(
+        csr, lengths, members, want if alias else values, want, scratch)
+    for share in (0.0, float("inf")):
+        dist = dist0.copy()
+        ids, examined = _relax_forced(share, csr, None, members,
+                                      dist if alias else values, dist,
+                                      scratch, adds=adds)
+        assert dist.tobytes() == want.tobytes()
+        assert ids.tobytes() == want_ids.tobytes()
+        assert examined == want_examined
+
+
+def test_relax_round_empty_members_and_empty_graph():
+    none = np.empty(0, dtype=np.int64)
+    csr = CSRGraph.from_arrays(np.array([0, 1]), np.array([1, 0]), 2)
+    for share in (0.0, float("inf")):
+        for adds in (None, 1.0):
+            dist = np.zeros(2)
+            ids, examined = _relax_forced(share, csr, None, none, dist,
+                                          dist, KernelScratch(2, 2),
+                                          adds=adds)
+            assert (ids.size, examined) == (0, 0)
+            assert dist.tolist() == [0.0, 0.0]
+            empty = CSRGraph.from_arrays(none, none, 3)
+            dist = np.zeros(3)
+            ids, examined = _relax_forced(share, empty, None,
+                                          np.array([0, 2]), dist, dist,
+                                          KernelScratch(3, 0), adds=adds)
+            assert (ids.size, examined) == (0, 0)
 
 
 @given(csr_graphs(weighted=True), st.data())

@@ -21,6 +21,7 @@ import pytest
 from repro.algorithms.pagerank import pagerank
 from repro.errors import ConfigError, ShardError
 from repro.graph.csr import CSRGraph
+from repro.graph.frontier import out_arc_count, pulls
 from repro.parallel.scheduler import resolve_jobs
 import repro.shard.engine as engine_mod
 from repro.shard import ops
@@ -358,6 +359,36 @@ def test_closed_engine_refuses_every_round(inline):
                  lambda: engine.relax(frontier, 0)):
         with pytest.raises(ShardError, match="engine is closed"):
             call()
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_relax_rounds_below_pull_share_never_cross(inline, monkeypatch):
+    """A relax round below ``PULL_SHARE`` pushes, and a pushed round is
+    served in the parent however many arcs it has: it adds to
+    ``local_rounds``, never to ``rounds``.  One at or above it pulls and
+    crosses.  Either way the kernel matches serial."""
+    monkeypatch.setattr(engine_mod, "_INLINE_ARCS", 0)
+    g = _gap_graph()
+    seen = {True: 0, False: 0}
+    with ShardEngine(g.out, g.inn, n_shards=2, inline=inline) as engine:
+        relax = engine.relax
+
+        def checked(members, mode):
+            part = engine._local.out_parts[mode]
+            dense = pulls(part, out_arc_count(part.row_ptr, members))
+            before = engine.rounds, engine.local_rounds
+            result = relax(members, mode)
+            assert (engine.rounds - before[0],
+                    engine.local_rounds - before[1]) == (
+                        (1, 0) if dense else (0, 1))
+            seen[dense] += 1
+            return result
+
+        engine.relax = checked
+        for root in range(0, g.n, 50):
+            assert _same(delta_stepping(g, root, 0.25, engine),
+                         delta_stepping(g, root, 0.25))
+    assert seen[True] and seen[False]
 
 
 @pytest.mark.parametrize("report", ["crossing round", "close"])

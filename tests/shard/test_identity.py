@@ -7,10 +7,10 @@ stays local and ``repro.shard.ops`` would go unexercised.  This pins the
 constant to 0 (every round crosses), leaves it alone, and pins it to
 infinity (none does).  Across that it pins ``PULL_SHARE`` to 0 (every
 relax round pulls, serial and crossing alike), leaves it alone, and
-pins it to infinity (every one pushes).  Each combination is held to
-the serial kernels: output arrays, ``WorkProfile`` arrays, examined
-counts and iteration counts, byte for byte, at every shard count,
-strategy and execution mode.
+pins it to infinity (every one pushes, and so stays in the parent).
+Each combination is held to the serial kernels: output arrays,
+``WorkProfile`` arrays, examined counts and iteration counts, byte for
+byte, at every shard count, strategy and execution mode.
 """
 
 from contextlib import ExitStack
@@ -25,7 +25,6 @@ import repro.graph.frontier as frontier_mod
 import repro.shard.engine as engine_mod
 from repro.algorithms.pagerank import pagerank
 from repro.graph.csr import CSRGraph
-from repro.shard import ops
 from repro.shard.engine import ShardEngine
 from repro.shard.partition import PARTITION_STRATEGIES
 from repro.systems.gap.bfs import dobfs
@@ -74,15 +73,19 @@ def _check_against_serial(inline_arcs, pull_share, shards, strategy,
                          bfs_bitmap(g.out, root))
             assert _same(delta_stepping(g, root, delta, engine),
                          delta_stepping(g, root, delta))
-            # The last relax round crossed, and went the pinned way.
-            pulled = engine._arrays["ctrl_i"][ops.CTRL_PULL]
+            relax_rounds = engine.rounds, engine.local_rounds
             assert _same(pagerank(g.out, sweeps=engine), pagerank(g.out))
         if inline_arcs == 0:
             assert rounds[0] > 0 and rounds[1] == 0
-            if pull_share is not None:
-                assert pulled == (pull_share == 0)
+            # Only pulled relax rounds cross; the root's round always
+            # relaxes something.
+            if pull_share == 0:
+                assert relax_rounds[0] > 0 and relax_rounds[1] == 0
+            elif pull_share is not None:
+                assert relax_rounds[0] == 0 and relax_rounds[1] > 0
         elif inline_arcs is not None:
             assert rounds[0] == 0 and rounds[1] > 0
+            assert relax_rounds[0] == 0
 
     with ExitStack() as pinned:
         for module, name, value in (

@@ -32,15 +32,18 @@ def test_system_results_identical_under_sharding(kron_ds, system, algos):
     sharded = create_system(system, n_threads=4, shards=2)
     l0 = serial.load(kron_ds)
     l1 = sharded.load(kron_ds)
-    for algo in algos:
-        for root in (0, 3):
-            r0 = serial.run(l0, algo, root=root)
-            r1 = sharded.run(l1, algo, root=root)
-            assert r0.time_s == r1.time_s
-            assert r0.iterations == r1.iterations
-            assert r0.counters == r1.counters
-            for key in r0.output:
-                assert np.array_equal(r0.output[key], r1.output[key])
+    try:
+        for algo in algos:
+            for root in (0, 3):
+                r0 = serial.run(l0, algo, root=root)
+                r1 = sharded.run(l1, algo, root=root)
+                assert r0.time_s == r1.time_s
+                assert r0.iterations == r1.iterations
+                assert r0.counters == r1.counters
+                for key in r0.output:
+                    assert np.array_equal(r0.output[key], r1.output[key])
+    finally:
+        l1.close()  # the loaded graph owns the shard pool
 
 
 def test_shard_metrics_emitted_only_when_sharded(kron_ds, tmp_path,
@@ -53,7 +56,11 @@ def test_shard_metrics_emitted_only_when_sharded(kron_ds, tmp_path,
         # as the runner does.
         system = create_system("gap", n_threads=4, **kwargs)
         system.tracer = Tracer(tmp_path / name)
-        system.run(system.load(kron_ds), "bfs", root=0)
+        loaded = system.load(kron_ds)
+        try:
+            system.run(loaded, "bfs", root=0)
+        finally:
+            loaded.close()
         labels = dict(system="gap", algorithm="bfs", shards=2)
         return {key: system.tracer.metrics.counter(
                     f"epg_shard_{key}_total").value(**labels)

@@ -1,17 +1,20 @@
 """The shard ops and the ring merge against the bodies they replaced.
 
 ``op_td`` and ``op_relax`` used to be a third copy of the sweep (slot
-vector, three gathers per arc, a stable argsort per reduction) and are
-now the :mod:`repro.graph.frontier` primitives applied to a slice, with
-scatters doing the per-id minima.  The old bodies, as of commit d5b168a,
-are typed out below as the oracle: ring contents and merged results
-must be equal, on both sides of the primitives' internal switches.
-That oracle is a push: ``PULL_SHARE`` is pinned to infinity and the
-control block says push.  A pulled round has its own oracle, the
-minimum over each owned vertex's whole in-row.
+vector, three gathers per arc, a stable argsort per reduction).
+``op_td`` is now the :mod:`repro.graph.frontier` primitives applied to
+a slice, with scatters doing the per-id minima; the old body, as of
+commit d5b168a, is typed out below as the oracle of its ring and of the
+merge, on both sides of the primitives' internal switch.  A relax round
+crosses only when it pulls, so ``op_relax`` has no push ring left: the
+old push body, run over the whole graph, is the oracle of what
+``ShardEngine.relax`` writes whichever way the round goes, and a pulled
+ring has its own oracle, the minimum over each owned vertex's whole
+in-row.
 """
 
 from contextlib import ExitStack
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.graph.frontier as frontier_mod
-from repro.graph.frontier import gather_slots
+import repro.shard.engine as engine_mod
+from repro.graph.frontier import gather_slots, out_arc_count
+from repro.graph.scratch import KernelScratch
 from repro.graph.sweeps import RELAX_HEAVY, RELAX_LIGHT
 from repro.shard import ops
 from repro.shard.engine import ShardEngine
@@ -59,6 +64,7 @@ def old_op_td(ctx, frontier):
 
 
 def old_op_relax(ctx, members, mode, delta):
+    """The old push ring; over the whole graph it is the serial push."""
     gs = gather_slots(ctx.out.row_ptr, members, ctx.scratch)
     if gs.total == 0:
         return *EMPTY, 0
@@ -77,6 +83,16 @@ def old_op_relax(ctx, members, mode, delta):
         return *EMPTY, gs.total
     uniq, mins = old_min_per_id(dsts_b, cand[better])
     return uniq, mins, gs.total
+
+
+def old_relax(g, vec, members, mode, delta):
+    """The distances and improved ids the old push round leaves."""
+    whole = SimpleNamespace(out=g.out, vec=vec,
+                            scratch=KernelScratch(g.n, g.out.n_edges))
+    ids, mins, _ = old_op_relax(whole, members, mode, delta)
+    want = vec.copy()
+    want[ids] = np.minimum(want[ids], mins)
+    return ids, want
 
 
 def old_merge_min(rings):
@@ -103,13 +119,14 @@ def _subset(data, n):
 
 
 #: ``_SMALL_SHIFT`` 0 sorts whenever fewer than ``n`` arcs are touched
-#: and 63 never does; ``_DENSE_SHARE`` 0 always walks the whole slice
-#: and infinity never does.  ``None`` leaves the module's own value.
-@pytest.mark.parametrize("dense_share", [0.0, None, float("inf")],
+#: and 63 never does; ``PULL_SHARE`` 0 makes every relax round dense
+#: (it pulls, and crosses) and infinity every one sparse (it pushes, in
+#: the parent).  ``None`` leaves the module's own value.
+@pytest.mark.parametrize("pull_share", [0.0, None, float("inf")],
                          ids=["dense", "default", "sparse"])
 @pytest.mark.parametrize("small_shift", [0, None, 63],
                          ids=["sort", "default", "mask"])
-def test_ops_and_merge_match_the_old_bodies(small_shift, dense_share):
+def test_ops_and_merge_match_the_old_bodies(small_shift, pull_share):
     @given(multigraphs(), st.integers(1, 3),
            st.sampled_from(sorted(PARTITION_STRATEGIES)), st.data())
     @settings(max_examples=25, deadline=None)
@@ -118,6 +135,8 @@ def test_ops_and_merge_match_the_old_bodies(small_shift, dense_share):
         with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
                          inline=True) as engine:
             state = engine._arrays
+            delta = data.draw(st.sampled_from([0.01, 0.25, 5.0]))
+            engine.begin_sssp(0, delta)
             state["visited"][:] = False
             state["visited"][_subset(data, n)] = True
             state["in_frontier"][_subset(data, n)] = True
@@ -125,8 +144,6 @@ def test_ops_and_merge_match_the_old_bodies(small_shift, dense_share):
                 st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, np.inf]),
                 min_size=n, max_size=n))
             members = _subset(data, n)
-            delta = data.draw(st.sampled_from([0.01, 0.25, 5.0]))
-            state["ctrl_f"][ops.CTRL_DELTA] = delta
             mode = data.draw(st.sampled_from([RELAX_LIGHT, RELAX_HEAVY]))
             before = {k: state[k].tobytes()
                       for k in ("visited", "vec", "in_frontier")}
@@ -151,32 +168,27 @@ def test_ops_and_merge_match_the_old_bodies(small_shift, dense_share):
             assert got_ids.tobytes() == want_ids.tobytes()
             assert best[got_ids].tobytes() == want_min.tobytes()
 
-            state["ctrl_i"][ops.CTRL_PULL] = 0
-            rings = superstep(ops.OP_RELAX, frontier=members, mode=mode)
-            assert unchanged()
-            _assert_rings_equal(
-                rings, [old_op_relax(c, members, mode, delta)
-                        for c in engine._contexts])
-            assert all(not np.isfinite(c.best).any()
-                       for c in engine._contexts)  # handed back clean
-            want_ids, want_min = old_merge_min(rings)
-            want = state["vec"].copy()
-            want[want_ids] = np.minimum(want[want_ids], want_min)
-            got = state["vec"].copy()
-            got_ids = engine._merge_min(rings, got)
-            assert got_ids.tobytes() == want_ids.tobytes()
-            assert got.tobytes() == want.tobytes()
-
             superstep(ops.OP_BU)
             assert unchanged()
 
+            want_ids, want = old_relax(g, state["vec"], members, mode,
+                                       delta)
+            crossed = engine.rounds
+            got_ids, examined = engine.relax(members, mode)
+            assert got_ids.tobytes() == want_ids.tobytes()
+            assert state["vec"].tobytes() == want.tobytes()
+            assert examined == out_arc_count(g.out.row_ptr, members)
+            if pull_share is not None:
+                assert engine.rounds - crossed == (pull_share == 0)
+
     with ExitStack() as pinned:
-        for name, value in (("_SMALL_SHIFT", small_shift),
-                            ("_DENSE_SHARE", dense_share),
-                            ("PULL_SHARE", float("inf"))):
+        for module, name, value in (
+                (frontier_mod, "_SMALL_SHIFT", small_shift),
+                (frontier_mod, "PULL_SHARE", pull_share),
+                (engine_mod, "_INLINE_ARCS", 0)):
             if value is not None:
                 pinned.enter_context(
-                    mock.patch.object(frontier_mod, name, value))
+                    mock.patch.object(module, name, value))
         check()
 
 
@@ -204,9 +216,9 @@ def whole_row_minima(inn, owned, members, vec, mode, delta):
 @settings(max_examples=60, deadline=None)
 def test_pull_rings_are_whole_row_minima(g, shards, strategy, data):
     """A pulled relax round: each shard emits its owned vertices'
-    improved whole-row minima, counts the members' push-slice arcs as a
-    pushed round does, writes no shared state, and merges to the same
-    distances as the push."""
+    improved whole-row minima (the examined count is the parent's),
+    writes no shared state, and merges to the distances the old push
+    body leaves."""
     n = g.n
     with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
                      inline=True) as engine:
@@ -220,24 +232,19 @@ def test_pull_rings_are_whole_row_minima(g, shards, strategy, data):
         mode = data.draw(st.sampled_from([RELAX_LIGHT, RELAX_HEAVY]))
         before = state["vec"].tobytes()
 
-        def superstep(pull):
-            state["ctrl_i"][ops.CTRL_PULL] = pull
-            return [(ids.copy(), vals.copy(), examined) for
-                    ids, vals, examined in engine._superstep(
-                        ops.OP_RELAX, frontier=members, mode=mode)]
-
-        pushed = superstep(0)
-        pulled = superstep(1)
+        pulled = [(ids.copy(), vals.copy(), examined) for
+                  ids, vals, examined in engine._superstep(
+                      ops.OP_RELAX, frontier=members, mode=mode)]
         assert state["vec"].tobytes() == before
         want = [(*whole_row_minima(g.inn, c.owned, members, state["vec"],
-                                   mode, delta), examined)
-                for c, (_, _, examined) in zip(engine._contexts, pushed)]
+                                   mode, delta), 0)
+                for c in engine._contexts]
         _assert_rings_equal(pulled, want)
-        assert all(not np.isfinite(c.best).any()
+        assert all(not np.isfinite(c.src_val).any()
                    for c in engine._contexts)  # handed back clean
-        merged = []
-        for rings in (pushed, pulled):
-            vec = state["vec"].copy()
-            ids = engine._merge_min(rings, vec)
-            merged.append((ids.tobytes(), vec.tobytes()))
-        assert merged[0] == merged[1]
+        want_ids, want_vec = old_relax(g, state["vec"], members, mode,
+                                       delta)
+        vec = state["vec"].copy()
+        ids = engine._merge_min(pulled, vec)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert vec.tobytes() == want_vec.tobytes()
