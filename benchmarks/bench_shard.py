@@ -6,7 +6,7 @@ scheduler:
 * **Bit-identity (always runs).**  Every sharded driver -- BFS
   (direction-optimizing), bitmap BFS, delta-stepping SSSP, pull
   PageRank -- must reproduce its serial kernel *exactly* at every shard
-  count and partitioning strategy: outputs, :class:`WorkProfile`
+  count, inline and process-backed: outputs, :class:`WorkProfile`
   arrays, ``serial_units``, and stats dicts, compared bytewise.  This
   is the invariant that keeps ``--shards N`` out of REPORT.md.
 * **Speedup (needs >= 4 physical cores).**  Process-backed PageRank at
@@ -36,7 +36,6 @@ from repro.shard.drivers import (
     shard_pagerank,
 )
 from repro.shard.engine import ShardEngine
-from repro.shard.partition import PARTITION_STRATEGIES
 from repro.systems.gap.bfs import dobfs
 from repro.systems.gap.graph import build_gap_graph
 from repro.systems.gap.sssp import delta_stepping
@@ -103,15 +102,12 @@ def _run_and_compare(g, engine, serial):
     assert it0 == it1, "pagerank iteration count diverged"
 
 
-@pytest.mark.parametrize("strategy", sorted(PARTITION_STRATEGIES))
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_shard_bit_identity(gate_graph, serial_results, strategy,
-                            shards):
-    """Inline engines: every (strategy, shard count) cell, all four
-    kernels, byte-for-byte."""
+def test_shard_bit_identity(gate_graph, serial_results, shards):
+    """Inline engines: every shard count, all four kernels,
+    byte-for-byte."""
     g = gate_graph
-    with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
-                     inline=True) as engine:
+    with ShardEngine(g.out, g.inn, n_shards=shards, inline=True) as engine:
         _run_and_compare(g, engine, serial_results)
 
 
@@ -119,8 +115,7 @@ def test_shard_bit_identity_process(gate_graph, serial_results):
     """Process-backed engine (real fork + shared memory): the same
     contract through the worker pool."""
     g = gate_graph
-    with ShardEngine(g.out, g.inn, n_shards=2,
-                     strategy="edge_blocks") as engine:
+    with ShardEngine(g.out, g.inn, n_shards=2) as engine:
         assert not engine.inline
         _run_and_compare(g, engine, serial_results)
 
@@ -136,8 +131,7 @@ def test_shard_speedup_gate(gate_graph, benchmark):
     r0, it0 = pagerank(g.out)
     serial_s = time.perf_counter() - t0
 
-    with ShardEngine(g.out, g.inn, n_shards=4,
-                     strategy="edge_blocks") as engine:
+    with ShardEngine(g.out, g.inn, n_shards=4) as engine:
         # Warm the worker pool before timing (fork cost is one-time).
         shard_pagerank(g.out, engine)
         t0 = time.perf_counter()
@@ -182,7 +176,6 @@ def test_shard_speedup_gate(gate_graph, benchmark):
             "rounds": rounds, "bytes_exchanged": nbytes,
             "cut_edges": int(cut),
             "shard_counts": list(SHARD_COUNTS),
-            "strategies": sorted(PARTITION_STRATEGIES),
             "bit_identical": identical,
         }, indent=2))
     print(f"\nserial {serial_s:.3f}s  shards=4 {sharded_s:.3f}s  "

@@ -10,9 +10,10 @@ kernels at every shard count (see ``docs/sharding.md``).
 
 Layers:
 
-* :mod:`repro.shard.partition` -- 1-D contiguous / balanced-edge vertex
-  blocks and a PowerGraph-style greedy vertex-cut, all producing exact
-  per-shard CSR slices that reassemble byte-identically;
+* :mod:`repro.shard.partition` -- the one partition: contiguous vertex
+  ranges balancing arc counts, each shard executing the arcs into its
+  own range, with exact per-shard CSR slices that reassemble
+  byte-identically;
 * :mod:`repro.shard.shm` -- zero-copy array publication over
   :mod:`multiprocessing.shared_memory` (the artifact cache's
   memmap-bundle idiom, re-targeted at shared segments);
@@ -20,10 +21,10 @@ Layers:
   verbatim between worker processes, the parent's own shard 0 and the
   inline fallback;
 * :mod:`repro.shard.engine` -- the persistent worker pool, semaphore
-  protocol, and preallocated delta rings; implements
-  :class:`repro.graph.sweeps.SweepExecutor`, so the serial control
-  loops (direction-optimizing BFS, bitmap BFS, delta-stepping SSSP,
-  PageRank) run sharded when handed an engine;
+  protocol, and preallocated delta rings, merged by concatenation;
+  implements :class:`repro.graph.sweeps.SweepExecutor`, so the serial
+  control loops (direction-optimizing BFS, bitmap BFS, delta-stepping
+  SSSP, PageRank) run sharded when handed an engine;
 * :mod:`repro.shard.drivers` -- those four kernels under their
   ``shard_*`` names, engine passed through (no control flow of its
   own; kept for the benchmark's span boundary).
@@ -36,14 +37,9 @@ from repro.shard.drivers import (
     shard_pagerank,
 )
 from repro.shard.engine import ShardEngine, resolve_shards
-from repro.shard.partition import (
-    PARTITION_STRATEGIES,
-    ShardPartition,
-    partition_graph,
-)
+from repro.shard.partition import ShardPartition, partition_graph
 
 __all__ = [
-    "PARTITION_STRATEGIES",
     "ShardEngine",
     "ShardPartition",
     "partition_graph",

@@ -5,8 +5,7 @@ One :class:`ShardEngine` owns a partitioned copy of a single graph:
 * a **static arena** (one shared-memory segment) holding the workers'
   push/pull CSR slices plus the out-degree vector -- written once,
   read-only for the engine's lifetime (shard 0's slices stay in the
-  parent's own memory, its pull slice a view of the in-CSR when it can
-  be);
+  parent's own memory, its pull slice a view of the in-CSR);
 * a **dynamic arena** holding the round state the parent and the shards
   exchange: the rank/distance double buffer, visited / in-frontier
   bitmaps, the broadcast frontier, two small control blocks, and one
@@ -16,9 +15,12 @@ Execution is parent-driven bulk-synchronous supersteps: the parent
 writes the op code and round inputs, posts one ``go`` token to each of
 the ``N - 1`` workers, runs shard 0's op itself on the same arena
 arrays, collects one ``done`` token per worker, then merges the
-per-shard rings with *exact* reductions (integer/float minima applied
-ring by ring with one gather-scatter each, disjoint scatters; nothing
-sorts).  A round that would gather fewer than :data:`_INLINE_ARCS`
+per-shard rings by concatenating them.  Each shard owns one contiguous
+vertex range and executes every arc into it
+(:mod:`repro.shard.partition`), so a ring holds sorted ids of its own
+range, rings come in shard order, and their concatenation is already
+the sorted, duplicate-free merge: nothing dedups and nothing sorts.
+A round that would gather fewer than :data:`_INLINE_ARCS`
 arcs does not cross at all, and neither does a relax round that
 pushes: the engine runs it on a
 :class:`~repro.graph.sweeps.LocalSweeps` it keeps over the whole graph,
@@ -68,7 +70,7 @@ import numpy as np
 
 from repro.errors import ConfigError, ShardError
 from repro.graph.csr import CSRGraph
-from repro.graph.frontier import dedup_ids, out_arc_count, pulls
+from repro.graph.frontier import out_arc_count, pulls
 from repro.graph.scratch import KernelScratch
 from repro.graph.sweeps import LocalSweeps
 from repro.parallel.scheduler import _mp_context, resolve_jobs
@@ -76,7 +78,6 @@ from repro.shard import ops
 from repro.shard.partition import (
     ShardPartition,
     partition_graph,
-    shard_in_slice,
     shard_out_slice,
 )
 from repro.shard.shm import ShmArena
@@ -199,17 +200,18 @@ def _name_process(name: str) -> None:
         pass
 
 
-def _build_context(shard: int, n: int, arrays, has_in: bool,
-                   whole_in: CSRGraph | None = None) -> ops.ShardContext:
+def _build_context(shard: int, n: int, owned: tuple[int, int], arrays,
+                   has_in: bool, whole_in: CSRGraph | None = None
+                   ) -> ops.ShardContext:
     """Assemble one shard's op context from an arena's (or an inline
     dict's) arrays -- the single construction path for both modes.
-    ``whole_in`` is the whole in-CSR, which only a context in the
-    engine's own process has."""
+    ``owned`` is the shard's ``(lo, hi)`` vertex range; ``whole_in`` is
+    the whole in-CSR, which only a context in the engine's own process
+    has."""
     return ops.ShardContext(
-        shard, n,
+        shard, n, *owned,
         out_row_ptr=arrays[f"o{shard}_rp"],
         out_col_idx=arrays[f"o{shard}_ci"],
-        owned=arrays[f"i{shard}_own"] if has_in else None,
         in_row_ptr=arrays[f"i{shard}_rp"] if has_in else None,
         in_col_idx=arrays[f"i{shard}_ci"] if has_in else None,
         in_weights=arrays.get(f"i{shard}_w"),
@@ -222,8 +224,8 @@ def _build_context(shard: int, n: int, arrays, has_in: bool,
         ring_val=arrays[f"r{shard}_val"], ring_hdr=arrays[f"r{shard}_hdr"])
 
 
-def _worker_main(shard: int, n: int, static_spec, dyn_spec,
-                 go, done, has_in: bool, owner_pid: int,
+def _worker_main(shard: int, n: int, owned: tuple[int, int], static_spec,
+                 dyn_spec, go, done, has_in: bool, owner_pid: int,
                  spin_s: float) -> None:
     """Worker loop for shard ``shard`` (1..N-1; the parent computes
     shard 0): attach arenas, then serve supersteps until told to shut
@@ -251,7 +253,7 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
     dyn = ShmArena.attach(dyn_spec)
     arrays = dict(static.arrays)
     arrays.update(dyn.arrays)
-    ctx = _build_context(shard, n, arrays, has_in)
+    ctx = _build_context(shard, n, owned, arrays, has_in)
     try:
         while True:
             if not _spin_acquire(go, spin_s):
@@ -287,8 +289,9 @@ class ShardEngine:
         Optional in-CSR (pull direction), ``out`` itself for a
         symmetrized graph.  Required for bottom-up BFS and PageRank;
         ``None`` builds a push-only engine (Graph500).
-    n_shards, strategy:
-        Partitioning (see :mod:`repro.shard.partition`).
+    n_shards:
+        Shard count; the partition is
+        :func:`~repro.shard.partition.partition_graph`'s.
     inline:
         Force (``True``) or forbid (``False``) the in-process path;
         ``None`` auto-selects: inline when ``n_shards == 1`` or the
@@ -297,7 +300,6 @@ class ShardEngine:
 
     def __init__(self, out: CSRGraph, inn: CSRGraph | None = None, *,
                  n_shards: int | None = None,
-                 strategy: str = "edge_blocks",
                  step_timeout_s: float = DEFAULT_STEP_TIMEOUT_S,
                  inline: bool | None = None):
         self.n_shards = resolve_shards(n_shards)
@@ -305,7 +307,7 @@ class ShardEngine:
         self.has_in = inn is not None
         self.step_timeout_s = float(step_timeout_s)
         self.partition: ShardPartition = partition_graph(
-            out, self.n_shards, strategy)
+            out, self.n_shards)
         if inline is None:
             inline = (self.n_shards == 1
                       or multiprocessing.current_process().daemon)
@@ -345,7 +347,8 @@ class ShardEngine:
         #: The contexts this process computes: every shard inline,
         #: shard 0 beside workers serving shards 1..N-1.
         self._contexts = [
-            _build_context(k, self.n, arrays, self.has_in, whole_in=inn)
+            _build_context(k, self.n, self.partition.owned(k), arrays,
+                           self.has_in, whole_in=inn)
             for k in here]
         if not self.inline:
             ctx = _mp_context()
@@ -358,7 +361,8 @@ class ShardEngine:
                 for k, go in enumerate(self._go, start=1):
                     proc = ctx.Process(
                         target=_worker_main,
-                        args=(k, self.n, self._static_arena.spec,
+                        args=(k, self.n, self.partition.owned(k),
+                              self._static_arena.spec,
                               self._dyn_arena.spec, go, self._done,
                               self.has_in, os.getpid(), self._spin_s),
                         daemon=True,
@@ -384,9 +388,6 @@ class ShardEngine:
         local.visited = self._arrays["visited"]
         local.dist = self._arrays["vec"]
         self._local_sweeps = local
-        #: Minimum source per target while top-down rings merge; all
-        #: ``+inf`` between rounds.
-        self._min_src = np.full(self.n, np.inf)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -400,8 +401,9 @@ class ShardEngine:
             arrays[f"o{k}_rp"] = sl.row_ptr
             arrays[f"o{k}_ci"] = sl.col_idx
             if inn is not None:
-                owned, isl = shard_in_slice(inn, self.partition, k)
-                arrays[f"i{k}_own"] = owned
+                # The owned rows of the in-CSR: views, which only the
+                # static arena copies.
+                isl = inn.row_block(*self.partition.owned(k))
                 arrays[f"i{k}_rp"] = isl.row_ptr
                 arrays[f"i{k}_ci"] = isl.col_idx
                 if isl.weights is not None:
@@ -514,15 +516,14 @@ class ShardEngine:
                     + (f" (dead workers: {', '.join(dead)})" if dead else
                        f" (timeout after {self.step_timeout_s}s)"))
 
-    def _merge_min(self, rings, best: np.ndarray) -> np.ndarray:
-        """``best[id] = min(best[id], value)`` over every ring (ids are
-        unique within a ring, so one gather-scatter each); returns the
-        sorted unique ids -- a target a vertex-cut gives to several
-        shards comes back once."""
-        for ids, vals, _ in rings:
-            best[ids] = np.minimum(best[ids], vals)
-        return dedup_ids(np.concatenate([r[0] for r in rings]), self.n,
-                         self._local_sweeps.scratch)
+    @staticmethod
+    def merge(rings) -> tuple[np.ndarray, np.ndarray]:
+        """The round's ``(ids, values)``: the rings concatenated in
+        shard order.  A ring holds sorted ids of its shard's own range,
+        and each id's value is already its minimum, so the ids come out
+        strictly ascending and the values need no further reduction."""
+        return (np.concatenate([r[0] for r in rings]),
+                np.concatenate([r[1] for r in rings]))
 
     @property
     def _local(self) -> LocalSweeps:
@@ -555,9 +556,10 @@ class ShardEngine:
         visited[:] = False
         visited[root] = True
 
-    def _claim(self, rings, new_v: np.ndarray, parents: np.ndarray,
-               parent: np.ndarray) -> tuple[np.ndarray, int]:
-        """The parent's write after a merge: record and mark the claims."""
+    def _claim(self, rings, parent: np.ndarray) -> tuple[np.ndarray, int]:
+        """The parent's write after a BFS level: merge the rings, then
+        record and mark the claims."""
+        new_v, parents = self.merge(rings)
         parent[new_v] = parents.astype(np.int64)  # ring values are float64
         self._arrays["visited"][new_v] = True
         return new_v, sum(r[2] for r in rings)
@@ -571,16 +573,13 @@ class ShardEngine:
         if self._stays_local(local.out.row_ptr, frontier):
             return local.top_down(frontier, parent)
         rings = self._superstep(ops.OP_TD, frontier=frontier)
-        new_v = self._merge_min(rings, self._min_src)
-        parents = self._min_src[new_v]
-        self._min_src[new_v] = np.inf
-        return self._claim(rings, new_v, parents, parent)
+        return self._claim(rings, parent)
 
     def bottom_up(self, frontier: np.ndarray, parent: np.ndarray
                   ) -> tuple[np.ndarray, int]:
-        """Owners partition the vertex space, so shard results are
-        disjoint; each shard scans *complete* in-rows, making its
-        early-exit examined counts sum to the serial count."""
+        """Each shard scans the *complete* in-rows of its own range,
+        making its early-exit examined counts sum to the serial
+        count."""
         local = self._local
         if self._stays_local(local.inn.row_ptr,
                              np.flatnonzero(~local.visited)):
@@ -589,10 +588,7 @@ class ShardEngine:
         f[:] = False
         f[frontier] = True
         rings = self._superstep(ops.OP_BU)
-        ids = np.concatenate([r[0] for r in rings])
-        order = np.argsort(ids, kind="stable")
-        val = np.concatenate([r[1] for r in rings])
-        return self._claim(rings, ids[order], val[order], parent)
+        return self._claim(rings, parent)
 
     def begin_sssp(self, root: int, delta: float) -> np.ndarray:
         dist = self._begin("vec")
@@ -621,8 +617,10 @@ class ShardEngine:
             return local.relax(members, mode)
         rings = self._superstep(ops.OP_RELAX, frontier=members,
                                 mode=mode)
-        return (self._merge_min(rings, self._arrays["vec"]),
-                out_arc_count(local.out.row_ptr, members))
+        ids, dists = self.merge(rings)
+        # A ring holds only the ids whose minimum beats the distance.
+        self._arrays["vec"][ids] = dists
+        return ids, out_arc_count(local.out.row_ptr, members)
 
     def begin_pagerank(self, rank: np.ndarray) -> np.ndarray:
         shared = self._begin("vec")
@@ -631,9 +629,9 @@ class ShardEngine:
 
     def pagerank_sweep(self, rank: np.ndarray, dangling_mass: float,
                        base: float, damping: float) -> np.ndarray:
-        """Each shard scatters its owned slice of the new rank vector
-        into whichever of the two shared buffers ``rank`` is not
-        (owners are disjoint, so this *is* the allreduce)."""
+        """Each shard writes its own range of the new rank vector into
+        whichever of the two shared buffers ``rank`` is not (the ranges
+        are disjoint, so this *is* the allreduce)."""
         a = self._arrays
         flip = rank is a["vec2"]
         a["ctrl_i"][ops.CTRL_FLIP] = flip

@@ -19,12 +19,12 @@ one stays in the parent (``ShardEngine.relax``).
 
 Each op reads shared state (parent-written, stable between barriers),
 computes on its own slice, and writes ``(ids, values)`` deltas plus an
-examined-arc count into its ring.  Reductions that must merge across
-shards (min-parent, min-distance) are exact integer/float minima, which
-are order-independent; floating-point *sums* never cross a shard
-boundary -- PageRank accumulates per destination inside the owning
-shard, in the destination's full in-neighbor order, exactly as the
-serial sweep does (see ``docs/sharding.md``).
+examined-arc count into its ring.  Every arc is executed by its
+target's owner, so a ring holds sorted ids of the shard's own range and
+the whole reduction per vertex (min-parent, min-distance, PageRank's
+sum in the full in-neighbor order, as the serial sweep adds it) happens
+on one shard; nothing is reduced across shards (see
+``docs/sharding.md``).
 """
 
 from __future__ import annotations
@@ -71,20 +71,20 @@ HDR_ERROR = 2
 class ShardContext:
     """Everything one shard's op functions touch.
 
-    ``out`` is the push slice as a CSR over the full row space (arcs
-    only: top-down reads no weight), ``inn`` the pull slice (local rows
-    over ``owned``); shared arrays are views into the dynamic arena (or
+    The shard owns the vertices ``lo .. hi - 1``.  ``out`` is the push
+    slice as a CSR over the full row space (arcs only: top-down reads
+    no weight), ``inn`` the pull slice (local row ``i`` is vertex
+    ``lo + i``); shared arrays are views into the dynamic arena (or
     plain arrays in inline mode).
-    ``whole_in``, when given, is the whole graph's in-CSR.  When the
-    owned ids are one contiguous range, the pull slice is a row block
-    of it, and a context in the engine's own process pulls over blocks
-    of that CSR's light/heavy split -- which the engine's local rounds
-    memoize anyway -- instead of splitting its slice a second time.
+    ``whole_in``, when given, is the whole graph's in-CSR, of which the
+    pull slice is a row block: a context in the engine's own process
+    pulls over blocks of that CSR's light/heavy split -- which the
+    engine's local rounds memoize anyway -- instead of splitting its
+    slice a second time.
     """
 
-    def __init__(self, shard: int, n: int, *,
+    def __init__(self, shard: int, n: int, lo: int, hi: int, *,
                  out_row_ptr: np.ndarray, out_col_idx: np.ndarray,
-                 owned: np.ndarray | None = None,
                  in_row_ptr: np.ndarray | None = None,
                  in_col_idx: np.ndarray | None = None,
                  in_weights: np.ndarray | None = None,
@@ -97,14 +97,13 @@ class ShardContext:
                  ring_val: np.ndarray, ring_hdr: np.ndarray):
         self.shard = int(shard)
         self.n = int(n)
+        self.lo = int(lo)
+        self.hi = int(hi)
         self.out = CSRGraph(row_ptr=out_row_ptr, col_idx=out_col_idx)
-        self.owned = owned
         self.inn = (CSRGraph(row_ptr=in_row_ptr, col_idx=in_col_idx,
                              weights=in_weights)
                     if in_row_ptr is not None else None)
-        contiguous = (owned is not None and owned.size > 0
-                      and owned[-1] - owned[0] + 1 == owned.size)
-        self.whole_in = whole_in if contiguous else None
+        self.whole_in = whole_in
         #: ``(delta, (light, heavy))`` of the pull slice.
         self._pull_parts: tuple | None = None
         self.out_degrees = out_degrees
@@ -131,12 +130,11 @@ class ShardContext:
 
     # ------------------------------------------------------------------
     def pull_parts(self, delta: float) -> tuple[CSRGraph, CSRGraph]:
-        """The light and heavy part of the pull slice, local rows over
-        ``owned``; rebuilt only when ``delta`` changes."""
+        """The light and heavy part of the pull slice, local rows as
+        ``inn``'s; rebuilt only when ``delta`` changes."""
         if self._pull_parts is None or self._pull_parts[0] != delta:
             if self.whole_in is not None:
-                lo, hi = int(self.owned[0]), int(self.owned[-1]) + 1
-                parts = tuple(p.row_block(lo, hi)
+                parts = tuple(p.row_block(self.lo, self.hi)
                               for p in self.whole_in.weight_split(delta))
             else:
                 parts = self.inn.weight_split(delta)
@@ -164,15 +162,14 @@ def op_td(ctx: ShardContext) -> None:
 
 
 def op_bu(ctx: ShardContext) -> None:
-    """Bottom-up parent search over the mastered vertices' full
+    """Bottom-up parent search over the owned vertices' full
     in-neighbor lists, so the per-vertex early-exit counts sum to the
     serial count."""
-    owned = ctx.owned
-    cand = owned[~ctx.visited[owned]]
+    rows = np.flatnonzero(~ctx.visited[ctx.lo:ctx.hi])
     found, parents, examined = first_hit_scan(
-        ctx.inn.row_ptr, ctx.inn.col_idx, np.searchsorted(owned, cand),
-        ctx.in_frontier, ctx.scratch)
-    ctx.emit(cand[found], parents.astype(np.float64), examined)
+        ctx.inn.row_ptr, ctx.inn.col_idx, rows, ctx.in_frontier,
+        ctx.scratch)
+    ctx.emit(rows[found] + ctx.lo, parents.astype(np.float64), examined)
 
 
 def op_relax(ctx: ShardContext) -> None:
@@ -189,13 +186,13 @@ def op_relax(ctx: ShardContext) -> None:
     src_val[members] = ctx.vec[members]
     y = pull_min(starts, part.col_idx, part.weights, src_val)
     src_val[members] = np.inf
-    ids = ctx.owned[rows]
+    ids = rows + ctx.lo
     better = y < ctx.vec[ids]
     ctx.emit(ids[better], y[better], 0)
 
 
 def op_pr(ctx: ShardContext) -> None:
-    """One PageRank sweep over the mastered destinations.
+    """One PageRank sweep over the owned destinations.
 
     The local sweep on the owned rows: each destination's contributions
     are added in its full in-neighbor (ascending source) order -- the
@@ -210,7 +207,7 @@ def op_pr(ctx: ShardContext) -> None:
     rank, new_rank = ((ctx.vec2, ctx.vec) if ctx.ctrl_i[CTRL_FLIP]
                       else (ctx.vec, ctx.vec2))
     contrib = ctx.pr_arcs @ (rank / ctx.out_degrees)
-    new_rank[ctx.owned] = base + damping * (contrib + dangling)
+    new_rank[ctx.lo:ctx.hi] = base + damping * (contrib + dangling)
     ctx.ring_hdr[HDR_COUNT] = 0
     ctx.ring_hdr[HDR_EXAMINED] = ctx.inn.n_edges
 

@@ -109,8 +109,7 @@ class GraphSystem(ABC):
     kronecker_only: ClassVar[bool] = False
 
     def __init__(self, machine: MachineSpec | None = None,
-                 n_threads: int = 32, shards: int = 1,
-                 shard_strategy: str = "edge_blocks"):
+                 n_threads: int = 32, shards: int = 1):
         if n_threads < 1:
             raise SystemCapabilityError("n_threads must be >= 1")
         if shards < 1:
@@ -122,7 +121,6 @@ class GraphSystem(ABC):
         #: ``n_threads``, which is the *simulated* thread count being
         #: priced -- sharding changes who computes, never the numbers.
         self.shards = int(shards)
-        self.shard_strategy = shard_strategy
         self.thread_model = ThreadModel(self.machine)
         #: Observability hook; the runner swaps in its live tracer.
         self.tracer = Tracer()
@@ -139,11 +137,10 @@ class GraphSystem(ABC):
         from repro.shard.engine import ShardEngine
 
         engines = loaded.__dict__.setdefault("_shard_engines", {})
-        key = (self.shards, self.shard_strategy, inn is not None)
+        key = (self.shards, inn is not None)
         engine = engines.get(key)
         if engine is None or engine.closed:
-            engine = ShardEngine(out, inn, n_shards=self.shards,
-                                 strategy=self.shard_strategy)
+            engine = ShardEngine(out, inn, n_shards=self.shards)
             engines[key] = engine
         return engine
 

@@ -44,10 +44,9 @@ class GapSystem(GraphSystem):
 
     def __init__(self, machine=None, n_threads: int = 32,
                  use_serialized: bool = False,
-                 weight_dtype: str = "float64", shards: int = 1,
-                 shard_strategy: str = "edge_blocks"):
+                 weight_dtype: str = "float64", shards: int = 1):
         super().__init__(machine=machine, n_threads=n_threads,
-                         shards=shards, shard_strategy=shard_strategy)
+                         shards=shards)
         self.use_serialized = use_serialized
         if use_serialized:
             self.input_key = self.read_key = "wsg"

@@ -15,8 +15,8 @@ Behavioural fidelity points:
   small graphs (Figs 3-4) yet lets it handle dota-league's high-degree
   vertices gracefully (Sec. IV-C).  Ingest places each arc on a random
   partition, counts replicas with
-  :func:`repro.shard.partition.replica_counts`, and keeps the two
-  numbers it prices: the replication factor and the mirror count;
+  :func:`repro.systems.powergraph.system.replica_counts`, and keeps the
+  two numbers it prices: the replication factor and the mirror count;
 * SSSP, WCC and the BFS below are min-programs, each named by what an
   arc adds (its weight, nothing, one hop respectively); on undirected
   input WCC runs on the same engine as SSSP, whose arcs are already

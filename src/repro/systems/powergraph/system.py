@@ -15,7 +15,21 @@ from repro.systems.base import GraphSystem, KernelResult
 from repro.systems.powergraph import programs
 from repro.systems.powergraph.gas import AsyncGasEngine, GasEngine
 
-__all__ = ["PowerGraphSystem", "PowerGraphData", "random_ingress"]
+__all__ = ["PowerGraphSystem", "PowerGraphData", "random_ingress",
+           "replica_counts"]
+
+
+def replica_counts(src: np.ndarray, dst: np.ndarray, part: np.ndarray,
+                   n_vertices: int, n_parts: int) -> np.ndarray:
+    """Parts hosting each vertex, when arc ``src[e] -> dst[e]`` is
+    placed on part ``part[e]``: a vertex is replicated onto every part
+    that holds one of its arcs, so this counts its distinct parts (0 for
+    a vertex with no arc).  Counted on an ``n_vertices x n_parts``
+    table of flags (``n * P`` bytes), so nothing is sorted."""
+    hosts = np.zeros((n_vertices, n_parts), dtype=bool)
+    hosts[src, part] = True
+    hosts[dst, part] = True
+    return np.count_nonzero(hosts, axis=1)
 
 
 def random_ingress(src: np.ndarray, dst: np.ndarray, n_vertices: int,
@@ -28,8 +42,6 @@ def random_ingress(src: np.ndarray, dst: np.ndarray, n_vertices: int,
     (mean replicas over vertices with an arc; 0.0 with none) and the
     mirror count (replicas beyond each master).
     """
-    from repro.shard.partition import replica_counts
-
     part = np.random.default_rng(7).integers(0, n_partitions, size=src.size,
                                              dtype=np.int64)
     replicas = replica_counts(src, dst, part, n_vertices, n_partitions)
@@ -74,12 +86,11 @@ class PowerGraphSystem(GraphSystem):
 
     def __init__(self, machine=None, n_threads: int = 32,
                  n_partitions: int | None = None,
-                 engine: str = "sync", shards: int = 1,
-                 shard_strategy: str = "edge_blocks"):
+                 engine: str = "sync", shards: int = 1):
         # ``shards`` accepted for interface homogeneity; PowerGraph's
         # GAS programs model their own partitioned execution already.
         super().__init__(machine=machine, n_threads=n_threads,
-                         shards=shards, shard_strategy=shard_strategy)
+                         shards=shards)
         if n_partitions is not None and n_partitions < 1:
             raise SystemCapabilityError(
                 f"n_partitions must be >= 1, got {n_partitions}")

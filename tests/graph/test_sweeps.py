@@ -28,7 +28,6 @@ from repro.graph.sweeps import (
 )
 import repro.shard.engine as engine_mod
 from repro.shard.engine import ShardEngine
-from repro.shard.partition import PARTITION_STRATEGIES
 from repro.systems.gap.bfs import dobfs
 from repro.systems.gap.graph import GapGraph
 from repro.systems.gap.sssp import delta_stepping
@@ -197,16 +196,14 @@ def test_loop_touches_only_the_interface(kron10_gap, kernel, touched):
 # Every round crosses: left to itself the engine would serve graphs
 # this small with a LocalSweeps of its own.
 @mock.patch.object(engine_mod, "_INLINE_ARCS", 0)
-@given(csr_graphs(max_n=40, max_m=160), st.integers(1, 4),
-       st.sampled_from(sorted(PARTITION_STRATEGIES)), st.data())
+@given(csr_graphs(max_n=40, max_m=160), st.integers(1, 4), st.data())
 @settings(max_examples=60, deadline=None)
-def test_local_sweeps_match_inline_engine(out, n_shards, strategy, data):
+def test_local_sweeps_match_inline_engine(out, n_shards, data):
     n = out.n_vertices
     inn = out.transposed()
     root = data.draw(st.integers(0, n - 1))
     local = LocalSweeps(out, inn, KernelScratch(n, out.n_edges))
-    with ShardEngine(out, inn, n_shards=n_shards, strategy=strategy,
-                     inline=True) as engine:
+    with ShardEngine(out, inn, n_shards=n_shards, inline=True) as engine:
         both = (local, engine)
 
         for ex in both:

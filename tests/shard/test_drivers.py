@@ -1,7 +1,7 @@
 """Bit-identity of the sharded drivers against the serial kernels.
 
 Small adversarial graphs (hubs, chains, disconnected pieces,
-self-loops, duplicates) across every strategy and shard count 1-4 --
+self-loops, duplicates) at every shard count 1-4 --
 outputs, WorkProfile arrays, serial_units, and stats dicts must match
 the serial kernels exactly, in both inline and process-backed modes.
 """
@@ -20,7 +20,6 @@ from repro.shard.drivers import (
 )
 import repro.shard.engine as engine_mod
 from repro.shard.engine import ShardEngine
-from repro.shard.partition import PARTITION_STRATEGIES
 from repro.systems.gap.bfs import dobfs
 from repro.systems.gap.graph import GapGraph
 from repro.systems.gap.sssp import delta_stepping
@@ -63,17 +62,15 @@ def _profiles_equal(a, b):
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-@pytest.mark.parametrize("strategy", sorted(PARTITION_STRATEGIES))
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-def test_inline_bit_identity(name, strategy, shards):
+def test_inline_bit_identity(name, shards):
     g = GRAPHS[name]
     root = 0
     p0, l0, prof0, st0 = dobfs(g, root)
     d0, dprof0, dst0 = delta_stepping(g, root)
     bp0, bl0, bprof0, bst0 = bfs_bitmap(g.out, root)
     r0, it0 = pagerank(g.out)
-    with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
-                     inline=True) as engine:
+    with ShardEngine(g.out, g.inn, n_shards=shards, inline=True) as engine:
         p1, l1, prof1, st1 = shard_dobfs(g, root, engine)
         assert p0.tobytes() == p1.tobytes()
         assert l0.tobytes() == l1.tobytes()
@@ -100,8 +97,7 @@ def test_process_backed_bit_identity_and_pool_reuse():
     """One process pool serving all four kernels back to back -- the
     resident-engine pattern the systems layer relies on."""
     g = GRAPHS["random"]
-    with ShardEngine(g.out, g.inn, n_shards=2,
-                     strategy="edge_blocks") as engine:
+    with ShardEngine(g.out, g.inn, n_shards=2) as engine:
         assert not engine.inline
         for root in (0, 17, 93):
             p0, l0, prof0, st0 = dobfs(g, root)

@@ -15,9 +15,14 @@ import textwrap
 import time
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.graph.frontier as frontier_mod
 from repro.algorithms.pagerank import pagerank
 from repro.errors import ConfigError, ShardError
 from repro.graph.csr import CSRGraph
@@ -32,6 +37,7 @@ from repro.systems.gap.graph import GapGraph
 from repro.systems.gap.sssp import delta_stepping
 from repro.systems.graph500.bfs import bfs_bitmap
 from tests.graph.test_sweeps import _same
+from tests.shard.test_identity import multigraphs
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -597,3 +603,53 @@ def test_spinning_pool_with_more_workers_than_cpus_matches_serial(
         assert not engine._done.acquire(False)  # no token left over
     assert time.monotonic() - t0 < 60
     assert os.listdir("/dev/shm") == []
+
+
+# ----------------------------------------------------------------------
+# Merging rings is concatenating them
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("inline", [True, False],
+                         ids=["inline", "process"])
+def test_rings_concatenate_to_ascending_ids(inline):
+    """The invariant ``ShardEngine.merge`` rests on: each shard emits
+    sorted ids of its own range only, so for every superstep of every op
+    the rings, concatenated in shard order, are strictly ascending.
+    Every round crosses (``_INLINE_ARCS`` 0) and every relax round
+    pulls (``PULL_SHARE`` 0), so all four ops run on the shards."""
+    seen = set()
+
+    @given(multigraphs(), st.integers(1, 5), st.data())
+    @settings(max_examples=20 if inline else 5, deadline=None)
+    def check(g, shards, data):
+        root = data.draw(st.integers(0, g.n - 1))
+        # A high alpha sends dobfs bottom-up early, beta 1 keeps it there.
+        alpha, beta = data.draw(st.sampled_from(
+            [(15.0, 18.0), (1e6, 1.0)]))
+        rounds = []
+        with ShardEngine(g.out, g.inn, n_shards=shards,
+                         inline=inline) as engine:
+            superstep = engine._superstep
+
+            def recorded(op, *args, **kwargs):
+                rings = superstep(op, *args, **kwargs)
+                # Copies, checked once the engine is closed: a failure
+                # report must not read rings that are unmapped by then.
+                rounds.append((op, [r[0].copy() for r in rings]))
+                return rings
+
+            engine._superstep = recorded
+            dobfs(g, root, alpha, beta, engine)
+            bfs_bitmap(g.out, root, engine)
+            delta_stepping(g, root, 0.25, engine)
+            pagerank(g.out, sweeps=engine)
+        bounds = engine.partition.bounds
+        for op, ids in rounds:
+            for k, own in enumerate(ids):
+                assert np.all((own >= bounds[k]) & (own < bounds[k + 1]))
+            assert np.all(np.diff(np.concatenate(ids)) > 0)
+            seen.add(op)
+
+    with mock.patch.object(engine_mod, "_INLINE_ARCS", 0), \
+            mock.patch.object(frontier_mod, "PULL_SHARE", 0.0):
+        check()
+    assert seen == {ops.OP_TD, ops.OP_BU, ops.OP_RELAX, ops.OP_PR}

@@ -10,7 +10,7 @@ relax round pulls, serial and crossing alike), leaves it alone, and
 pins it to infinity (every one pushes, and so stays in the parent).
 Each combination is held to the serial kernels: output arrays,
 ``WorkProfile`` arrays, examined counts and iteration counts, byte for
-byte, at every shard count, strategy and execution mode.
+byte, at every shard count and execution mode.
 """
 
 from contextlib import ExitStack
@@ -26,7 +26,6 @@ import repro.shard.engine as engine_mod
 from repro.algorithms.pagerank import pagerank
 from repro.graph.csr import CSRGraph
 from repro.shard.engine import ShardEngine
-from repro.shard.partition import PARTITION_STRATEGIES
 from repro.systems.gap.bfs import dobfs
 from repro.systems.gap.graph import GapGraph
 from repro.systems.gap.sssp import delta_stepping
@@ -54,8 +53,7 @@ def multigraphs(draw, max_n=24, max_m=72):
     return GapGraph(out=out, inn=out.transposed(), n=n, directed=True)
 
 
-def _check_against_serial(inline_arcs, pull_share, shards, strategy,
-                          inline):
+def _check_against_serial(inline_arcs, pull_share, shards, inline):
     @given(multigraphs(), st.data())
     @settings(max_examples=12 if inline else 4, deadline=None)
     def check(g, data):
@@ -64,7 +62,7 @@ def _check_against_serial(inline_arcs, pull_share, shards, strategy,
         alpha, beta = data.draw(st.sampled_from(
             [(15.0, 18.0), (1e6, 1.0), (1e6, 18.0)]))
         delta = data.draw(st.sampled_from([0.01, 0.25, 5.0]))
-        with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
+        with ShardEngine(g.out, g.inn, n_shards=shards,
                          inline=inline) as engine:
             assert _same(dobfs(g, root, alpha, beta, engine),
                          dobfs(g, root, alpha, beta))
@@ -98,30 +96,26 @@ def _check_against_serial(inline_arcs, pull_share, shards, strategy,
 
 cases = pytest.mark.parametrize
 modes = cases("inline", [True, False], ids=["inline", "process"])
-strategies = cases("strategy", sorted(PARTITION_STRATEGIES))
 shard_counts = cases("shards", [1, 2, 3])
 crossings = cases("inline_arcs", [0, None, float("inf")],
                   ids=["all-cross", "default", "none-cross"])
 
 
 @modes
-@strategies
 @shard_counts
 @crossings
 def test_results_do_not_depend_on_which_rounds_cross(inline_arcs, shards,
-                                                     strategy, inline):
-    _check_against_serial(inline_arcs, None, shards, strategy, inline)
+                                                     inline):
+    _check_against_serial(inline_arcs, None, shards, inline)
 
 
 @modes
-@strategies
 @shard_counts
 @crossings
 @cases("pull_share", [0.0, float("inf")], ids=["all-pull", "all-push"])
 def test_results_do_not_depend_on_which_way_rounds_relax(
-        pull_share, inline_arcs, shards, strategy, inline):
+        pull_share, inline_arcs, shards, inline):
     """``PULL_SHARE`` pinned to 0 and to infinity: every relax round
     pulls, or every one pushes, serial and crossing alike (its default
     is the test above)."""
-    _check_against_serial(inline_arcs, pull_share, shards, strategy,
-                          inline)
+    _check_against_serial(inline_arcs, pull_share, shards, inline)

@@ -4,8 +4,9 @@
 vector, three gathers per arc, a stable argsort per reduction).
 ``op_td`` is now the :mod:`repro.graph.frontier` primitives applied to
 a slice, with scatters doing the per-id minima; the old body, as of
-commit d5b168a, is typed out below as the oracle of its ring and of the
-merge, on both sides of the primitives' internal switch.  A relax round
+commit d5b168a, is typed out below as the oracle of its ring, on both
+sides of the primitives' internal switch, and the old sort-and-reduce
+merge as the oracle of the engine's concatenation.  A relax round
 crosses only when it pulls, so ``op_relax`` has no push ring left: the
 old push body, run over the whole graph, is the oracle of what
 ``ShardEngine.relax`` writes whichever way the round goes, and a pulled
@@ -29,7 +30,6 @@ from repro.graph.scratch import KernelScratch
 from repro.graph.sweeps import RELAX_HEAVY, RELAX_LIGHT
 from repro.shard import ops
 from repro.shard.engine import ShardEngine
-from repro.shard.partition import PARTITION_STRATEGIES
 from tests.shard.test_identity import multigraphs
 
 
@@ -127,12 +127,11 @@ def _subset(data, n):
 @pytest.mark.parametrize("small_shift", [0, None, 63],
                          ids=["sort", "default", "mask"])
 def test_ops_and_merge_match_the_old_bodies(small_shift, pull_share):
-    @given(multigraphs(), st.integers(1, 3),
-           st.sampled_from(sorted(PARTITION_STRATEGIES)), st.data())
+    @given(multigraphs(), st.integers(1, 3), st.data())
     @settings(max_examples=25, deadline=None)
-    def check(g, shards, strategy, data):
+    def check(g, shards, data):
         n = g.n
-        with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
+        with ShardEngine(g.out, g.inn, n_shards=shards,
                          inline=True) as engine:
             state = engine._arrays
             delta = data.draw(st.sampled_from([0.01, 0.25, 5.0]))
@@ -163,10 +162,9 @@ def test_ops_and_merge_match_the_old_bodies(small_shift, pull_share):
             _assert_rings_equal(
                 rings, [old_op_td(c, members) for c in engine._contexts])
             want_ids, want_min = old_merge_min(rings)
-            best = np.full(n, np.inf)
-            got_ids = engine._merge_min(rings, best)
+            got_ids, got_min = ShardEngine.merge(rings)
             assert got_ids.tobytes() == want_ids.tobytes()
-            assert best[got_ids].tobytes() == want_min.tobytes()
+            assert got_min.tobytes() == want_min.tobytes()
 
             superstep(ops.OP_BU)
             assert unchanged()
@@ -211,17 +209,15 @@ def whole_row_minima(inn, owned, members, vec, mode, delta):
     return (np.array(ids, dtype=np.int64), np.array(vals, dtype=np.float64))
 
 
-@given(multigraphs(), st.integers(1, 3),
-       st.sampled_from(sorted(PARTITION_STRATEGIES)), st.data())
+@given(multigraphs(), st.integers(1, 3), st.data())
 @settings(max_examples=60, deadline=None)
-def test_pull_rings_are_whole_row_minima(g, shards, strategy, data):
+def test_pull_rings_are_whole_row_minima(g, shards, data):
     """A pulled relax round: each shard emits its owned vertices'
     improved whole-row minima (the examined count is the parent's),
     writes no shared state, and merges to the distances the old push
     body leaves."""
     n = g.n
-    with ShardEngine(g.out, g.inn, n_shards=shards, strategy=strategy,
-                     inline=True) as engine:
+    with ShardEngine(g.out, g.inn, n_shards=shards, inline=True) as engine:
         state = engine._arrays
         state["vec"][:] = data.draw(st.lists(
             st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, np.inf]),
@@ -236,15 +232,17 @@ def test_pull_rings_are_whole_row_minima(g, shards, strategy, data):
                   ids, vals, examined in engine._superstep(
                       ops.OP_RELAX, frontier=members, mode=mode)]
         assert state["vec"].tobytes() == before
-        want = [(*whole_row_minima(g.inn, c.owned, members, state["vec"],
-                                   mode, delta), 0)
+        want = [(*whole_row_minima(g.inn, range(c.lo, c.hi), members,
+                                   state["vec"], mode, delta), 0)
                 for c in engine._contexts]
         _assert_rings_equal(pulled, want)
         assert all(not np.isfinite(c.src_val).any()
                    for c in engine._contexts)  # handed back clean
         want_ids, want_vec = old_relax(g, state["vec"], members, mode,
                                        delta)
-        vec = state["vec"].copy()
-        ids = engine._merge_min(pulled, vec)
+        ids, dists = ShardEngine.merge(pulled)
         assert ids.tobytes() == want_ids.tobytes()
+        assert dists.tobytes() == want_vec[ids].tobytes()
+        vec = state["vec"].copy()
+        vec[ids] = dists
         assert vec.tobytes() == want_vec.tobytes()

@@ -13,17 +13,48 @@ from repro.graph.csr import CSRGraph
 from repro.graph.frontier import dedup_ids, gather_slots
 from repro.graph.scratch import COUNTERS
 from repro.machine.threads import WorkProfile
-from repro.shard.partition import replica_counts
 from repro.systems import create_system
 from repro.systems.powergraph import programs
 from repro.systems.powergraph.gas import GasEngine
-from repro.systems.powergraph.system import random_ingress
+from repro.systems.powergraph.system import random_ingress, replica_counts
 
 
 def _placement(m, n_partitions):
     """The random ingress's arc placement."""
     return np.random.default_rng(7).integers(0, n_partitions, size=m,
                                              dtype=np.int64)
+
+
+def replica_counts_by_sorting(src, dst, part, n_vertices, n_parts):
+    """The census as it was before it counted on a table of flags:
+    sort the distinct (vertex, part) keys, count them per vertex."""
+    pairs = np.unique(np.concatenate([src * np.int64(n_parts) + part,
+                                      dst * np.int64(n_parts) + part]))
+    return np.bincount(pairs // n_parts, minlength=n_vertices)
+
+
+@st.composite
+def placed_arcs(draw):
+    """Arcs (possibly none) over ``n`` vertices, any of which may have
+    no arc, each placed on one of ``n_parts`` parts (``n_parts = 1``
+    included)."""
+    n = draw(st.integers(1, 12))
+    n_parts = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 40))
+    ids = st.integers(0, n - 1)
+    src, dst, part = (np.array(draw(st.lists(values, min_size=m,
+                                             max_size=m)), dtype=np.int64)
+                      for values in (ids, ids, st.integers(0, n_parts - 1)))
+    return src, dst, part, n, n_parts
+
+
+@given(placed_arcs())
+@settings(max_examples=200, deadline=None)
+def test_replica_census_equals_the_sorting_census(case):
+    got = replica_counts(*case)
+    want = replica_counts_by_sorting(*case)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 class TestVertexCut:
