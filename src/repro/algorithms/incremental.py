@@ -64,6 +64,7 @@ from repro.graph.frontier import (
     gather_slots,
     relax_round,
     segment_min_scatter,
+    sorted_unique,
 )
 from repro.graph.scratch import scratch_for
 
@@ -111,7 +112,7 @@ def _tree_descendants(graph: CSRGraph, parent: np.ndarray,
         frontier = nbrs[parent[nbrs] == srcs]
         if frontier.size:
             out.append(frontier)
-    return np.unique(np.concatenate(out))
+    return dedup_ids(np.concatenate(out), graph.n_vertices, scratch)
 
 
 def _segmented_min(values: np.ndarray, offsets: np.ndarray,
@@ -134,7 +135,8 @@ def _cut_and_orphan(graph: CSRGraph, applied: AppliedBatch,
     """
     n = graph.n_vertices
     rd = applied.removed_dst
-    cut = np.unique(rd[(parent[rd] == applied.removed_src) & (rd != root)])
+    cut = sorted_unique(
+        rd[(parent[rd] == applied.removed_src) & (rd != root)])
     rev = graph.transposed()
     scratch = scratch_for(graph, n, graph.n_edges)
     rscratch = scratch_for(rev, n, rev.n_edges)
@@ -245,7 +247,7 @@ class _PathRepair:
         # Re-settled = distance dropped, however many times: what a
         # monotone Dijkstra pass over the region settles exactly once.
         touched = dedup_ids(np.concatenate(rounds), n, scratch)
-        moved = np.unique(np.concatenate([orphans, touched]))
+        moved = dedup_ids(np.concatenate([orphans, touched]), n, scratch)
         # Held vertices take the minimum with the witnesses they
         # gained; only ``moved`` rescans its in-arcs.
         reached = np.isfinite(dist[moved])

@@ -91,7 +91,10 @@ def read_snap(path: str | Path, directed: bool = True,
         raise GraphFormatError(f"{path}: negative vertex id")
     weights = arr[:, 2].copy() if arr.shape[1] == 3 else None
 
-    ids = np.union1d(raw_src, raw_dst)
+    # Imported here: the frontier module loads scipy, which the CLI's
+    # start-up path never needs.
+    from repro.graph.frontier import sorted_unique
+    ids = sorted_unique(np.concatenate([raw_src, raw_dst]))
     src = np.searchsorted(ids, raw_src)
     dst = np.searchsorted(ids, raw_dst)
     return EdgeList(src, dst, int(ids.size), weights=weights,

@@ -45,6 +45,7 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph, _arc_order
 from repro.graph.edgelist import EdgeList
+from repro.graph.frontier import sorted_unique
 
 __all__ = ["MutationBatch", "AppliedBatch", "DynamicGraph"]
 
@@ -243,8 +244,8 @@ class DynamicGraph:
         # -- delete phase ------------------------------------------------
         removed_keys = _EMPTY_IDS
         if batch.n_deletes:
-            dkeys = np.unique(batch.delete_src * np.int64(n)
-                              + batch.delete_dst)
+            dkeys = sorted_unique(batch.delete_src * np.int64(n)
+                                  + batch.delete_dst)
             pos = np.searchsorted(keys, dkeys)
             ok = pos < keys.size
             present = np.zeros(dkeys.size, dtype=bool)
@@ -298,8 +299,8 @@ class DynamicGraph:
 
         # A weight change is a remove + insert for path repair.
         if changed_keys.size:
-            removed_keys = np.unique(np.concatenate([removed_keys,
-                                                     changed_keys]))
+            removed_keys = sorted_unique(np.concatenate([removed_keys,
+                                                         changed_keys]))
         if n == 0:
             rs = rd = isrc = idst = _EMPTY_IDS
         else:

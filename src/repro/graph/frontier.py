@@ -30,7 +30,12 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
 * :func:`relax_round` pushes (:func:`gather_slots`, then
   :func:`segment_min_scatter`) or pulls the same minima over the
   in-arcs with :func:`pull_min`, for the same reason;
-* :func:`dedup_ids` is ``np.unique`` for bounded non-negative ids.
+* :func:`sorted_unique` is ``np.unique`` for integer ids, values and
+  dtype, by one sort and one adjacent compare; :func:`dedup_ids` is
+  the same for ids bounded by ``n``, by a scratch-mask sweep once they
+  are dense.  No module calls a plain ``np.unique`` or ``np.union1d``
+  (``tests/test_no_hash_unique.py``): from NumPy 2.3 on it hashes and
+  then sorts, 3-17x the cost of the sort alone.
 
 Floating-point *sums* are never re-associated -- that changes low-order
 bits, which the byte-identity gate (``benchmarks/bench_kernels.py``)
@@ -61,13 +66,18 @@ from repro.graph.scratch import COUNTERS, KernelScratch
 __all__ = ["GatherSlots", "gather_slots", "first_parent_candidates",
            "claim_first_parent", "first_hit_scan", "out_arc_count",
            "segment_min_scatter", "pull_min", "pulls", "relax_round",
-           "arc_sum_operator", "dedup_ids", "BucketQueue",
-           "resolve_batch_rows"]
+           "arc_sum_operator", "sorted_unique", "dedup_ids",
+           "BucketQueue", "resolve_batch_rows"]
 
-#: Below ``n >> _SMALL_SHIFT`` touched elements, sort-based paths beat
-#: O(n) mask sweeps; both sides are bit-identical so this is purely a
-#: constant-factor switch.
-_SMALL_SHIFT = 4
+#: :func:`dedup_ids` sorts (:func:`sorted_unique`) below ``n >>
+#: _SMALL_SHIFT`` ids and sweeps an O(n) scratch mask from there on;
+#: :func:`first_parent_candidates` switches the same way at ``n >>
+#: _CLAIM_SHIFT`` arcs.  Both sides are bit-identical, so these are
+#: constant factors only.  Measured on uniform ids (NumPy 2.4.6, 2-vCPU
+#: Xeon, n = 2**13 .. 2**20): the sort costs 0.68-0.86x the sweep at
+#: ``n / 8`` and 1.08-2.2x at ``n / 4`` (table in ``docs/kernels.md``).
+_SMALL_SHIFT = 3
+_CLAIM_SHIFT = 4
 
 #: :func:`relax_round` pulls over the in-arcs instead of pushing along
 #: the out-arcs once the members own at least this share of the arcs,
@@ -167,11 +177,10 @@ def first_parent_candidates(nbrs: np.ndarray, srcs: np.ndarray,
     if nbrs.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     n = visited.size
-    if nbrs.size < (n >> _SMALL_SHIFT):
+    if nbrs.size < (n >> _CLAIM_SHIFT):
         order = np.argsort(nbrs, kind="stable")
         nbrs_s = nbrs[order]
-        first = np.ones(nbrs_s.size, dtype=bool)
-        first[1:] = nbrs_s[1:] != nbrs_s[:-1]
+        first = _run_heads(nbrs_s)
         uniq = nbrs_s[first]
         mins = np.minimum.reduceat(srcs[order], np.flatnonzero(first))
         fresh = ~visited[uniq]
@@ -284,7 +293,8 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
                 members: np.ndarray, values: np.ndarray,
                 dist: np.ndarray, scratch: KernelScratch,
                 adds: float | None = None,
-                touched: np.ndarray | None = None
+                touched: np.ndarray | None = None,
+                arcs: int | None = None
                 ) -> tuple[np.ndarray, int]:
     """One relaxation round along the out-arcs of ``members``:
     ``dist[d] = min(dist[d], values[s] + w)`` over every arc ``s -> d``,
@@ -299,7 +309,9 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
     itself for a symmetrized one -- or ``None`` for ``out.transposed()``,
     built on the first pull and memoized on ``out``.  ``touched``, when
     given, is a ``bool[n]`` set at every destination of a member's arc,
-    improved or not (the GAS engine's signalled set).
+    improved or not (the GAS engine's signalled set).  ``arcs`` is the
+    members' out-degree sum in ``out`` when the caller has counted it
+    already.
 
     Two ways to the same ``dist``, picked by :func:`pulls`.  *Push*,
     below :data:`PULL_SHARE` of the arcs: :func:`gather_slots` over the
@@ -332,7 +344,8 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
     exactly when the row's minimum is.  Otherwise a member mask is
     reduced over the in-arcs as well.
     """
-    examined = out_arc_count(out.row_ptr, members)
+    examined = (out_arc_count(out.row_ptr, members) if arcs is None
+                else arcs)
     offers = values[members] if adds is None else values[members] + adds
     if not pulls(out, examined):
         gs = gather_slots(out.row_ptr, members, scratch)
@@ -403,19 +416,44 @@ def arc_sum_operator(row_ptr: np.ndarray, col_idx: np.ndarray, n: int,
     return csr_matrix(arrays, shape=(n_rows, n))
 
 
+def _run_heads(sorted_ids: np.ndarray) -> np.ndarray:
+    """``bool`` mask of the first element of each run of equal values
+    in the non-empty, sorted ``sorted_ids``."""
+    heads = np.empty(sorted_ids.size, dtype=bool)
+    heads[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=heads[1:])
+    return heads
+
+
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` for integer ``ids``: one sort and one adjacent
+    compare, same values and same dtype.
+
+    NumPy >= 2.3 answers a plain ``np.unique`` on integers through a
+    hash table and then sorts the result anyway, which costs 3-17x this
+    on 100 to 65 536 ids (table in ``docs/kernels.md``); the sorted
+    output is the same either way.  Use :func:`dedup_ids` where ids are
+    bounded by ``n`` and a scratch mask is at hand.
+    """
+    ordered = np.sort(ids, axis=None)
+    if ordered.size == 0:
+        return ordered
+    return ordered[_run_heads(ordered)]
+
+
 def dedup_ids(ids: np.ndarray, n: int,
               scratch: KernelScratch) -> np.ndarray:
     """Sorted unique ids out of ``ids`` (all in ``[0, n)``).
 
-    ``np.unique`` without the sort: scatter into a scratch mask, sweep
-    once, re-clear only the touched entries.  Small inputs keep
-    ``np.unique`` (the sweep would cost O(n) regardless of input size);
-    both branches return identical arrays.
+    Scatter into a scratch mask, sweep once, re-clear only the touched
+    entries.  Small inputs take :func:`sorted_unique` instead (the sweep
+    would cost O(n) regardless of input size); both branches return
+    identical arrays.
     """
     if ids.size == 0:
         return np.empty(0, dtype=np.int64)
     if ids.size < (n >> _SMALL_SHIFT):
-        return np.unique(ids)
+        return sorted_unique(ids)
     mask = scratch.mask("dedup")
     mask[ids] = True
     out = np.flatnonzero(mask)
@@ -467,10 +505,9 @@ class BucketQueue:
         order = np.argsort(keys, kind="stable")
         sorted_vertices = vertices[order]
         sorted_keys = keys[order]
-        uniq, starts = np.unique(sorted_keys, return_index=True)
-        bounds = np.append(starts, sorted_keys.size)
-        for i, k in enumerate(uniq):
-            k = int(k)
+        starts = np.flatnonzero(_run_heads(sorted_keys))
+        bounds = np.append(starts, sorted_keys.size).tolist()
+        for i, k in enumerate(sorted_keys[starts].tolist()):
             part = sorted_vertices[bounds[i]:bounds[i + 1]]
             lst = self._pending.get(k)
             if lst is None:
@@ -490,7 +527,7 @@ class BucketQueue:
             k = heapq.heappop(self._heap)
             parts = self._pending.pop(k)
             cand = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            members = np.unique(cand[key[cand] == k])
+            members = sorted_unique(cand[key[cand] == k])
             if members.size:
                 return k, members
         return None

@@ -145,12 +145,15 @@ class LocalSweeps:
         self.out_parts = self.out.weight_split(delta)
         self.in_parts = self._in_arcs().weight_split(delta)
 
-    def relax(self, members, mode):
+    def relax(self, members, mode, examined=None, arcs=None):
         # Priced on every out-arc of the members, light and heavy alike.
-        examined = out_arc_count(self.out.row_ptr, members)
+        # A caller that has counted those (``examined``) or the part's
+        # (``arcs``) passes the count in.
+        if examined is None:
+            examined = out_arc_count(self.out.row_ptr, members)
         improved, _ = relax_round(self.out_parts[mode], self.in_parts[mode],
                                   members, self.dist, self.dist,
-                                  self.scratch)
+                                  self.scratch, arcs=arcs)
         return improved, examined
 
     # -- PageRank ------------------------------------------------------

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ReproError
+from repro.graph.frontier import sorted_unique
 from repro.logging_util import get_logger
 from repro.service.workers import Promise
 from repro.systems.base import ROOTED_ALGORITHMS
@@ -120,7 +121,7 @@ def summarize(result, n_vertices: int) -> dict:
         out["reached"] = int(np.isfinite(output["dist"]).sum())
     elif "labels" in output:
         labels = output["labels"]
-        out["components"] = int(np.unique(labels).size)
+        out["components"] = int(sorted_unique(labels).size)
     for name, value in sorted(result.counters.items()):
         out.setdefault(name, float(value))
     return out

@@ -439,7 +439,9 @@ class ShardEngine:
                    mode: int = 0) -> list[tuple[np.ndarray, np.ndarray,
                                                 int]]:
         """Run one op on every shard; return per-shard
-        ``(ids, values, examined)`` ring contents."""
+        ``(ids, values, examined)`` ring contents, copied out of the
+        arena so that none outlives :meth:`close` as a view of unmapped
+        memory."""
         if self._closed:
             raise ShardError("engine is closed")
         a = self._arrays
@@ -477,8 +479,8 @@ class ShardEngine:
                 # run_op clears the flag on entry.
                 raise ShardError(f"shard {s} op {op} failed")
             count = int(hdr[ops.HDR_COUNT])
-            results.append((a[f"r{s}_ids"][:count],
-                            a[f"r{s}_val"][:count],
+            results.append((a[f"r{s}_ids"][:count].copy(),
+                            a[f"r{s}_val"][:count].copy(),
                             int(hdr[ops.HDR_EXAMINED])))
             exchanged += count * MESSAGE_BYTES
         self.rounds += 1
@@ -531,12 +533,11 @@ class ShardEngine:
             raise ShardError("engine is closed")
         return self._local_sweeps
 
-    def _stays_local(self, row_ptr: np.ndarray, members: np.ndarray,
-                     crosses: bool = True) -> bool:
-        """Whether the round over ``members``' rows is served here: it
-        is too small to be worth a superstep (see :data:`_INLINE_ARCS`)
-        or it does not ``cross`` at all."""
-        if crosses and out_arc_count(row_ptr, members) >= _INLINE_ARCS:
+    def _stays_local(self, arcs: int, crosses: bool = True) -> bool:
+        """Whether a round over ``arcs`` arcs is served here: it is too
+        small to be worth a superstep (see :data:`_INLINE_ARCS`) or it
+        does not ``cross`` at all."""
+        if crosses and arcs >= _INLINE_ARCS:
             return False
         self.local_rounds += 1
         return True
@@ -570,7 +571,7 @@ class ShardEngine:
         target -- exactly the serial ``claim_first_parent`` winner --
         in sorted target order."""
         local = self._local
-        if self._stays_local(local.out.row_ptr, frontier):
+        if self._stays_local(out_arc_count(local.out.row_ptr, frontier)):
             return local.top_down(frontier, parent)
         rings = self._superstep(ops.OP_TD, frontier=frontier)
         return self._claim(rings, parent)
@@ -581,8 +582,8 @@ class ShardEngine:
         making its early-exit examined counts sum to the serial
         count."""
         local = self._local
-        if self._stays_local(local.inn.row_ptr,
-                             np.flatnonzero(~local.visited)):
+        if self._stays_local(out_arc_count(local.inn.row_ptr,
+                                           np.flatnonzero(~local.visited))):
             return local.bottom_up(frontier, parent)
         f = self._arrays["in_frontier"]
         f[:] = False
@@ -608,19 +609,20 @@ class ShardEngine:
         stays the single writer of the vector.  A pushed round runs
         here: split over shards, each would pay most of the whole
         push's per-call cost (``docs/sharding.md``).  Either way the
-        round is priced as :meth:`LocalSweeps.relax` prices it."""
+        round is priced as :meth:`LocalSweeps.relax` prices it.  Each
+        of the two arc counts is taken once per round."""
         local = self._local
         part = local.out_parts[mode]
-        crosses = self.has_in and pulls(
-            part, out_arc_count(part.row_ptr, members))
-        if self._stays_local(local.out.row_ptr, members, crosses):
-            return local.relax(members, mode)
+        arcs = out_arc_count(part.row_ptr, members)
+        examined = out_arc_count(local.out.row_ptr, members)
+        if self._stays_local(examined, self.has_in and pulls(part, arcs)):
+            return local.relax(members, mode, examined, arcs)
         rings = self._superstep(ops.OP_RELAX, frontier=members,
                                 mode=mode)
         ids, dists = self.merge(rings)
         # A ring holds only the ids whose minimum beats the distance.
         self._arrays["vec"][ids] = dists
-        return ids, out_arc_count(local.out.row_ptr, members)
+        return ids, examined
 
     def begin_pagerank(self, rank: np.ndarray) -> np.ndarray:
         shared = self._begin("vec")

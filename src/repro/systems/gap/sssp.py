@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.algorithms.sssp import check_sssp_weights
 from repro.errors import SystemCapabilityError
-from repro.graph.frontier import BucketQueue
+from repro.graph.frontier import BucketQueue, sorted_unique
 from repro.graph.scratch import scratch_for
 from repro.graph.sweeps import (
     RELAX_HEAVY,
@@ -118,7 +118,7 @@ def delta_stepping(graph: GapGraph, root: int,
             else:
                 members = np.empty(0, dtype=np.int64)
         # Heavy-edge phase: once per bucket.
-        settled = np.unique(np.concatenate(settled_this_bucket))
+        settled = sorted_unique(np.concatenate(settled_this_bucket))
         phases += 1
         improved, examined = sweeps.relax(settled, RELAX_HEAVY)
         relaxations += examined

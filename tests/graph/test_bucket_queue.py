@@ -100,6 +100,41 @@ def test_duplicate_pushes_pop_sorted_unique(key):
         assert np.array_equal(members, np.unique(members))
 
 
+def old_push_slices(vertices, keys):
+    """The per-key slices ``push`` used to cut: ``np.unique(...,
+    return_index=True)`` over the stably sorted keys."""
+    order = np.argsort(keys, kind="stable")
+    sorted_vertices = vertices[order]
+    sorted_keys = keys[order]
+    uniq, starts = np.unique(sorted_keys, return_index=True)
+    bounds = np.append(starts, sorted_keys.size)
+    return [(int(k), sorted_vertices[bounds[i]:bounds[i + 1]])
+            for i, k in enumerate(uniq)]
+
+
+@given(st.lists(key_arrays(max_key=40), min_size=1, max_size=4))
+@settings(max_examples=120, deadline=None)
+def test_push_cuts_the_slices_of_the_old_body(batches):
+    """Each batch lands in the pending lists as exactly the old body's
+    per-key slices, appended in push order; the heap holds each pending
+    key once."""
+    bq = BucketQueue()
+    want: dict[int, list[np.ndarray]] = {}
+    for keys in batches:
+        vertices = np.random.default_rng(keys.size).permutation(keys.size)
+        bq.push(vertices, keys)
+        for k, part in old_push_slices(vertices, keys):
+            want.setdefault(k, []).append(part)
+    assert sorted(bq._heap) == sorted(want)
+    assert bq._pending.keys() == want.keys()
+    for k, parts in want.items():
+        got = bq._pending[k]
+        assert len(got) == len(parts)
+        for g, w in zip(got, parts):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+
 def test_pop_skips_fully_stale_bucket():
     """A bucket whose every entry went stale is skipped, not returned
     empty -- the lazy-bucket part of the contract."""

@@ -25,7 +25,8 @@ from repro.graph.frontier import (arc_sum_operator,
                                   claim_first_parent, dedup_ids,
                                   first_parent_candidates,
                                   gather_slots, pull_min,
-                                  relax_round, segment_min_scatter)
+                                  relax_round, segment_min_scatter,
+                                  sorted_unique)
 from repro.graph.scratch import (COUNTERS, KernelScratch, consume_counters,
                                  scratch_for)
 
@@ -510,14 +511,59 @@ def test_dedup_ids_is_unique(n, data):
     assert not scratch.mask("dedup").any()
 
 
-def test_dedup_ids_both_paths():
-    scratch = KernelScratch(1000)
-    small = np.array([5, 3, 5, 999], dtype=np.int64)
-    assert np.array_equal(dedup_ids(small, 1000, scratch),
-                          np.unique(small))
-    big = np.arange(500, dtype=np.int64).repeat(2)
-    assert np.array_equal(dedup_ids(big, 1000, scratch), np.unique(big))
-    assert not scratch.mask("dedup").any()
+def test_dedup_ids_both_paths(monkeypatch):
+    """Just below ``n >> _SMALL_SHIFT`` ids the sort branch answers,
+    from there on the mask sweep; both are ``np.unique``."""
+    sorted_calls = []
+    real = frontier_lib.sorted_unique
+
+    def spy(ids):
+        sorted_calls.append(ids.size)
+        return real(ids)
+
+    monkeypatch.setattr(frontier_lib, "sorted_unique", spy)
+    for n in (1000, 4096, 1 << 16):
+        scratch = KernelScratch(n)
+        for size in ((n >> frontier_lib._SMALL_SHIFT) - 1,
+                     n >> frontier_lib._SMALL_SHIFT):
+            sorted_calls.clear()
+            ids = np.random.default_rng(size).integers(0, n, size)
+            assert np.array_equal(dedup_ids(ids, n, scratch),
+                                  np.unique(ids))
+            small = size < (n >> frontier_lib._SMALL_SHIFT)
+            assert sorted_calls == ([size] if small else [])
+            assert not scratch.mask("dedup").any()
+
+
+# ----------------------------------------------------------------------
+# sorted_unique
+# ----------------------------------------------------------------------
+@given(st.sampled_from([np.int32, np.int64]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sorted_unique_is_np_unique(dtype, data):
+    """Same values and same dtype as ``np.unique``, negative ids and
+    the extremes of the dtype included."""
+    info = np.iinfo(dtype)
+    values = data.draw(st.lists(st.one_of(
+        st.integers(-4, 4), st.integers(int(info.min), int(info.max))),
+        max_size=200))
+    ids = np.array(values, dtype=dtype)
+    got, want = sorted_unique(ids), np.unique(ids)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("values", [[], [7], [-3], [5] * 9, [-1] * 4,
+                                    [3, -2, 3, -2, 0]],
+                         ids=["empty", "one", "one-negative", "all-equal",
+                              "all-equal-negative", "mixed-sign"])
+def test_sorted_unique_edge_cases(dtype, values):
+    ids = np.array(values, dtype=dtype)
+    got, want = sorted_unique(ids), np.unique(ids)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

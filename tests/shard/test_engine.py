@@ -220,6 +220,38 @@ def test_exit_without_close_is_clean():
     assert os.listdir("/dev/shm") == []
 
 
+def test_round_results_outlive_close():
+    """A superstep's rings own their memory: read after ``close()``
+    unmapped the arena the shards wrote them to, they hold what they
+    held before.  A view into the arena would SIGSEGV the script, which
+    is why it runs in a subprocess."""
+    proc = _run_script("""
+        import numpy as np
+        import repro.shard.engine as engine_mod
+        from repro.graph.csr import CSRGraph
+        from repro.shard import ops
+        from repro.shard.engine import ShardEngine
+
+        engine_mod._INLINE_ARCS = 0
+        rng = np.random.default_rng(0)
+        n, m = 300, 1500
+        out = CSRGraph.from_arrays(rng.integers(0, n, m),
+                                   rng.integers(0, n, m), n)
+        inn = CSRGraph.from_arrays(out.col_idx, out.source_ids(), n)
+        with ShardEngine(out, inn, n_shards=2, inline=False) as engine:
+            engine.begin_bfs(0)
+            rings = engine._superstep(ops.OP_TD, frontier=np.arange(n // 2))
+            before = [(ids.tolist(), vals.tolist()) for ids, vals, _ in rings]
+        assert engine.closed
+        assert all(ids for ids, _ in before), before
+        after = [(ids.tolist(), vals.tolist()) for ids, vals, _ in rings]
+        assert after == before
+        print("READ_OK")
+    """)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert "READ_OK" in proc.stdout
+
+
 def test_pool_worker_hosting_engine_exits_cleanly():
     """A non-daemonic ProcessPoolExecutor worker (the suite's --jobs
     cell workers, which also SIG_IGN SIGTERM) hosting a process-backed
@@ -632,9 +664,7 @@ def test_rings_concatenate_to_ascending_ids(inline):
 
             def recorded(op, *args, **kwargs):
                 rings = superstep(op, *args, **kwargs)
-                # Copies, checked once the engine is closed: a failure
-                # report must not read rings that are unmapped by then.
-                rounds.append((op, [r[0].copy() for r in rings]))
+                rounds.append((op, [r[0] for r in rings]))
                 return rings
 
             engine._superstep = recorded
