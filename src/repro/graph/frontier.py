@@ -17,12 +17,11 @@ slot expansion, ``np.lexsort`` first-parent dedup, ``np.minimum.at`` +
 
 * :func:`gather_slots` produces the identical ``int64`` slot vector via
   an integer cumulative sum (exact arithmetic, different association);
-* :func:`first_parent_candidates` (and :func:`claim_first_parent`, which
-  writes its result) selects the minimum source per target --
-  the same winner ``np.lexsort((srcs, nbrs))`` + first-occurrence picks
-  -- either by reverse-order scatter (last write wins, so the first =
-  minimum source lands; requires the documented non-decreasing ``srcs``)
-  or by stable sort + ``minimum.reduceat`` on small rounds;
+* :func:`first_parent_candidates` expands the frontier and selects the
+  minimum source per target -- the same winner ``np.lexsort((srcs,
+  nbrs))`` + first-occurrence picks -- by reverse-order scatter (last
+  write wins, so the first = minimum source lands; the expansion's
+  sources are non-decreasing by construction);
 * :func:`segment_min_scatter` applies the same ``np.minimum.at`` update
   (minimum is exact and order-independent over floats without NaN) and
   rebuilds ``np.unique``'s sorted-unique output with a boolean-mask
@@ -64,20 +63,20 @@ from repro.graph.csr import CSRGraph
 from repro.graph.scratch import COUNTERS, KernelScratch
 
 __all__ = ["GatherSlots", "gather_slots", "first_parent_candidates",
-           "claim_first_parent", "first_hit_scan", "out_arc_count",
-           "segment_min_scatter", "pull_min", "pulls", "relax_round",
-           "arc_sum_operator", "sorted_unique", "dedup_ids",
-           "BucketQueue", "resolve_batch_rows"]
+           "first_hit_scan", "out_arc_count", "segment_min_scatter",
+           "pull_min", "pulls", "relax_round", "arc_sum_operator",
+           "sorted_unique", "dedup_ids", "BucketQueue",
+           "resolve_batch_rows"]
 
 #: :func:`dedup_ids` sorts (:func:`sorted_unique`) below ``n >>
-#: _SMALL_SHIFT`` ids and sweeps an O(n) scratch mask from there on;
-#: :func:`first_parent_candidates` switches the same way at ``n >>
-#: _CLAIM_SHIFT`` arcs.  Both sides are bit-identical, so these are
-#: constant factors only.  Measured on uniform ids (NumPy 2.4.6, 2-vCPU
-#: Xeon, n = 2**13 .. 2**20): the sort costs 0.68-0.86x the sweep at
-#: ``n / 8`` and 1.08-2.2x at ``n / 4`` (table in ``docs/kernels.md``).
+#: _SMALL_SHIFT`` ids and sweeps an O(n) scratch mask from there on.
+#: Both sides are bit-identical, so this is a constant factor only.
+#: Measured on uniform ids (NumPy 2.4.6, 2-vCPU Xeon, n = 2**13 ..
+#: 2**20): the sort costs 0.68-0.86x the sweep at ``n / 8`` and
+#: 1.08-2.2x at ``n / 4``; a replay of every real call of the benchmark
+#: sweeps confirms the switch beats either side alone (both tables in
+#: ``docs/kernels.md``).
 _SMALL_SHIFT = 3
-_CLAIM_SHIFT = 4
 
 #: :func:`relax_round` pulls over the in-arcs instead of pushing along
 #: the out-arcs once the members own at least this share of the arcs,
@@ -150,62 +149,41 @@ def gather_slots(row_ptr: np.ndarray, frontier: np.ndarray,
     return GatherSlots(slots, counts, offsets, total)
 
 
-def first_parent_candidates(nbrs: np.ndarray, srcs: np.ndarray,
-                            visited: np.ndarray, scratch: KernelScratch
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Every unvisited target in ``nbrs`` with its smallest source.
+def first_parent_candidates(row_ptr: np.ndarray, col_idx: np.ndarray,
+                            frontier: np.ndarray, visited: np.ndarray,
+                            scratch: KernelScratch
+                            ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every unvisited out-neighbor of ``frontier`` with its smallest
+    frontier source.
 
     Replaces the per-round ``np.lexsort((srcs, nbrs))`` +
-    first-occurrence dedup.  ``srcs`` must be non-decreasing -- always
-    true for frontier expansions, since frontiers are sorted vertex ids
-    and :func:`gather_slots` emits segments in frontier order.  Under
-    that precondition a *reverse-order* scatter leaves, for each target,
-    the value of its first (= minimum) source: NumPy assignment with
-    duplicate indices stores the last write.  Visited targets are
+    first-occurrence dedup over the expanded frontier.  The expansion
+    (:func:`gather_slots`) emits segments in frontier order and
+    frontiers are sorted vertex ids, so the sources come out
+    non-decreasing; a *reverse-order* scatter then leaves, for each
+    target, the value of its first (= minimum) source: NumPy assignment
+    with duplicate indices stores the last write.  Visited targets are
     dropped afterwards, which is equivalent to the old pre-filter
-    because a still-unvisited target keeps all of its frontier edges.
+    because a still-unvisited target keeps all of its frontier arcs.
 
-    Returns ``(new_v, parents)``: the sorted ids of the unvisited
-    targets, exactly as the lexsort version produced them, and the
-    minimum source of each.  Writes nothing but scratch, so a shard
-    worker may call it on state only the parent process may write.
-
-    On rounds touching far fewer edges than ``n`` the O(n) mask sweep
-    would dominate, so a stable counting sort (NumPy's radix path for
-    int64) + ``minimum.reduceat`` computes the same winners instead.
+    Returns ``(new_v, parents, examined)``: the sorted ids of the
+    unvisited targets, exactly as the lexsort version produced them, the
+    minimum source of each, and the frontier's out-degree sum.  Writes
+    nothing but scratch, so a shard worker may call it on state only the
+    parent process may write.
     """
-    if nbrs.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    n = visited.size
-    if nbrs.size < (n >> _CLAIM_SHIFT):
-        order = np.argsort(nbrs, kind="stable")
-        nbrs_s = nbrs[order]
-        first = _run_heads(nbrs_s)
-        uniq = nbrs_s[first]
-        mins = np.minimum.reduceat(srcs[order], np.flatnonzero(first))
-        fresh = ~visited[uniq]
-        return uniq[fresh], mins[fresh]
+    gs = gather_slots(row_ptr, frontier, scratch)
+    if gs.total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+    nbrs = col_idx[gs.slots]
     mask = scratch.mask("claim")
     claim = scratch.vertex_i64("claim")
     mask[nbrs] = True
-    claim[nbrs[::-1]] = srcs[::-1]
+    claim[nbrs[::-1]] = np.repeat(frontier, gs.counts)[::-1]
     touched = np.flatnonzero(mask)
     mask[touched] = False
     new_v = touched[~visited[touched]]
-    return new_v, claim[new_v]
-
-
-def claim_first_parent(nbrs: np.ndarray, srcs: np.ndarray,
-                       visited: np.ndarray, parent: np.ndarray,
-                       scratch: KernelScratch) -> np.ndarray:
-    """Claim every unvisited target in ``nbrs`` for its smallest source:
-    :func:`first_parent_candidates` plus the two writes,
-    ``parent[new] = min src`` and ``visited[new] = True``.  Returns the
-    sorted ids of the newly claimed vertices (the next frontier)."""
-    new_v, parents = first_parent_candidates(nbrs, srcs, visited, scratch)
-    parent[new_v] = parents
-    visited[new_v] = True
-    return new_v
+    return new_v, claim[new_v], gs.total
 
 
 def first_hit_scan(row_ptr: np.ndarray, col_idx: np.ndarray,

@@ -25,9 +25,8 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import (
     arc_sum_operator,
-    claim_first_parent,
     first_hit_scan,
-    gather_slots,
+    first_parent_candidates,
     out_arc_count,
     relax_round,
 )
@@ -78,7 +77,9 @@ class SweepExecutor(Protocol):
 
 
 class LocalSweeps:
-    """The serial step bodies over one graph's CSR.
+    """The serial step bodies over one graph's CSR.  ``top_down`` is
+    :func:`first_parent_candidates` plus its two writes (``parent``,
+    ``visited``), the same call a shard's ``OP_TD`` makes on its slice.
 
     ``inn`` is the in-arc CSR of the same multigraph -- ``out`` itself
     for a symmetrized one -- read by ``bottom_up`` and by the pulls of
@@ -105,17 +106,12 @@ class LocalSweeps:
         self.visited[root] = True
 
     def top_down(self, frontier, parent):
-        gs = gather_slots(self.out.row_ptr, frontier, self.scratch)
-        if gs.total == 0:
-            return np.empty(0, dtype=np.int64), 0
-        nbrs = self.out.col_idx[gs.slots]
-        srcs = np.repeat(frontier, gs.counts)
-        # Claiming over the *unfiltered* edges equals filtering first: a
-        # still-unvisited target keeps all of its frontier edges, so its
-        # minimum source is unchanged.
-        new_v = claim_first_parent(nbrs, srcs, self.visited, parent,
-                                   self.scratch)
-        return new_v, gs.total
+        new_v, parents, examined = first_parent_candidates(
+            self.out.row_ptr, self.out.col_idx, frontier, self.visited,
+            self.scratch)
+        parent[new_v] = parents
+        self.visited[new_v] = True
+        return new_v, examined
 
     def bottom_up(self, frontier, parent):
         inn = self._in_arcs()

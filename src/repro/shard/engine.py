@@ -568,8 +568,9 @@ class ShardEngine:
     def top_down(self, frontier: np.ndarray, parent: np.ndarray
                  ) -> tuple[np.ndarray, int]:
         """The global minimum frontier source per still-unvisited
-        target -- exactly the serial ``claim_first_parent`` winner --
-        in sorted target order."""
+        target -- exactly the winner the serial ``LocalSweeps.top_down``
+        claims -- in sorted target order: each shard runs
+        ``first_parent_candidates`` over the arcs into its own range."""
         local = self._local
         if self._stays_local(out_arc_count(local.out.row_ptr, frontier)):
             return local.top_down(frontier, parent)

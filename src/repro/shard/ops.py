@@ -36,7 +36,6 @@ from repro.graph.frontier import (
     arc_sum_operator,
     first_hit_scan,
     first_parent_candidates,
-    gather_slots,
     pull_min,
 )
 from repro.graph.scratch import KernelScratch
@@ -154,11 +153,8 @@ def op_td(ctx: ShardContext) -> None:
     """Top-down expansion: minimum source over this shard's arcs for
     every unvisited target (visited is stable within the superstep)."""
     frontier = ctx.frontier[:int(ctx.ctrl_i[CTRL_FRONT_LEN])]
-    gs = gather_slots(ctx.out.row_ptr, frontier, ctx.scratch)
-    new_v, parents = first_parent_candidates(
-        ctx.out.col_idx[gs.slots], np.repeat(frontier, gs.counts),
-        ctx.visited, ctx.scratch)
-    ctx.emit(new_v, parents, gs.total)
+    ctx.emit(*first_parent_candidates(ctx.out.row_ptr, ctx.out.col_idx,
+                                      frontier, ctx.visited, ctx.scratch))
 
 
 def op_bu(ctx: ShardContext) -> None:

@@ -5,8 +5,8 @@ contract against the naive NumPy idiom it replaced; these tests state
 the naive versions inline and compare outputs exactly (``array_equal``,
 never ``allclose``) under hypothesis-generated graphs covering empty
 frontiers, self-loops, duplicate edges, and single-vertex graphs.  Both
-the sort-based small path and the mask-sweep large path are exercised
-explicitly.
+of ``dedup_ids``' paths, the sort below ``n >> _SMALL_SHIFT`` ids and
+the mask sweep above it, are exercised explicitly.
 """
 
 import pickle
@@ -21,8 +21,7 @@ from repro.graph import frontier as frontier_lib
 from repro.graph.csr import CSRGraph
 from repro.graph.dcsr import DCSRMatrix
 from repro.graph.edgelist import EdgeList
-from repro.graph.frontier import (arc_sum_operator,
-                                  claim_first_parent, dedup_ids,
+from repro.graph.frontier import (arc_sum_operator, dedup_ids,
                                   first_parent_candidates,
                                   gather_slots, pull_min,
                                   relax_round, segment_min_scatter,
@@ -167,7 +166,7 @@ def test_gather_slots_grows_arena():
 
 
 # ----------------------------------------------------------------------
-# claim_first_parent
+# first_parent_candidates
 # ----------------------------------------------------------------------
 
 
@@ -182,27 +181,22 @@ def _run_claim_case(csr, frontier, visited0):
     visited_ref = visited0.copy()
     want_new = ref_claim(nbrs, srcs, visited_ref, parent_ref)
 
-    parent_new = np.where(visited0, np.arange(n, dtype=np.int64), -1)
-    visited_new = visited0.copy()
-    # The candidates half alone writes nothing but scratch.
-    cand_v, cand_p = first_parent_candidates(nbrs, srcs, visited_new,
-                                             scratch)
-    assert np.array_equal(visited_new, visited0)
-    assert np.array_equal(cand_v, want_new)
-    assert np.array_equal(cand_p, parent_ref[want_new])
+    visited = visited0.copy()
+    got_new, got_parents, examined = first_parent_candidates(
+        csr.row_ptr, csr.col_idx, frontier, visited, scratch)
+    # Writes nothing but scratch, and hands the mask back all-False
+    # (the reuse contract).
+    assert np.array_equal(visited, visited0)
     assert not scratch.mask("claim").any()
-    got_new = claim_first_parent(nbrs, srcs, visited_new, parent_new,
-                                 scratch)
+    assert got_new.dtype == np.int64 and got_parents.dtype == np.int64
     assert np.array_equal(got_new, want_new)
-    assert np.array_equal(parent_new, parent_ref)
-    assert np.array_equal(visited_new, visited_ref)
-    # Scratch masks must come back all-False (the reuse contract).
-    assert not scratch.mask("claim").any()
+    assert np.array_equal(got_parents, parent_ref[want_new])
+    assert examined == int(counts.sum())
 
 
 @given(graph_and_frontier(), st.data())
 @settings(max_examples=120, deadline=None)
-def test_claim_first_parent_matches_lexsort(case, data):
+def test_first_parent_candidates_matches_lexsort(case, data):
     csr, frontier = case
     n = csr.n_vertices
     visited0 = np.array(
@@ -212,7 +206,7 @@ def test_claim_first_parent_matches_lexsort(case, data):
 
 
 def test_claim_small_path_large_graph():
-    """n large vs few edges forces the sort-based branch."""
+    """n large vs few edges: a duplicate target and a self-loop."""
     n = 1000
     src = np.array([0, 0, 1, 1, 2], dtype=np.int64)
     dst = np.array([5, 7, 5, 999, 2], dtype=np.int64)  # dup target + loop
@@ -223,7 +217,7 @@ def test_claim_small_path_large_graph():
 
 
 def test_claim_mask_path_dense_graph():
-    """Edge count >= n/16 forces the scatter branch."""
+    """Many more edges than vertices: each target has many sources."""
     rng = np.random.default_rng(7)
     n = 64
     m = 512
@@ -234,6 +228,14 @@ def test_claim_mask_path_dense_graph():
     visited0[rng.integers(0, n, 8)] = True
     frontier = np.unique(rng.integers(0, n, 20))
     _run_claim_case(csr, frontier, visited0)
+
+
+def test_claim_frontier_without_out_arcs():
+    """A frontier whose members all have out-degree 0 returns
+    ``(int64[0], int64[0], 0)``."""
+    csr = CSRGraph.from_arrays(np.array([0, 0]), np.array([1, 2]), 5)
+    _run_claim_case(csr, np.array([1, 3, 4], dtype=np.int64),
+                    np.zeros(5, dtype=bool))
 
 
 # ----------------------------------------------------------------------

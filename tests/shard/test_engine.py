@@ -647,16 +647,18 @@ def test_rings_concatenate_to_ascending_ids(inline):
     sorted ids of its own range only, so for every superstep of every op
     the rings, concatenated in shard order, are strictly ascending.
     Every round crosses (``_INLINE_ARCS`` 0) and every relax round
-    pulls (``PULL_SHARE`` 0), so all four ops run on the shards."""
+    pulls (``PULL_SHARE`` 0), so all four ops run on the shards in
+    every example: the root has an out-arc, so its level crosses
+    top-down under ``bfs_bitmap`` and bottom-up under ``dobfs`` with
+    alpha 1e6."""
     seen = set()
 
-    @given(multigraphs(), st.integers(1, 5), st.data())
+    @given(multigraphs().filter(lambda g: g.out.n_edges > 0),
+           st.integers(1, 5), st.data())
     @settings(max_examples=20 if inline else 5, deadline=None)
     def check(g, shards, data):
-        root = data.draw(st.integers(0, g.n - 1))
-        # A high alpha sends dobfs bottom-up early, beta 1 keeps it there.
-        alpha, beta = data.draw(st.sampled_from(
-            [(15.0, 18.0), (1e6, 1.0)]))
+        root = data.draw(st.sampled_from(
+            np.flatnonzero(np.diff(g.out.row_ptr)).tolist()))
         rounds = []
         with ShardEngine(g.out, g.inn, n_shards=shards,
                          inline=inline) as engine:
@@ -668,7 +670,10 @@ def test_rings_concatenate_to_ascending_ids(inline):
                 return rings
 
             engine._superstep = recorded
-            dobfs(g, root, alpha, beta, engine)
+            # A high alpha sends dobfs bottom-up early, beta 1 keeps it
+            # there.
+            for alpha, beta in ((15.0, 18.0), (1e6, 1.0)):
+                dobfs(g, root, alpha, beta, engine)
             bfs_bitmap(g.out, root, engine)
             delta_stepping(g, root, 0.25, engine)
             pagerank(g.out, sweeps=engine)

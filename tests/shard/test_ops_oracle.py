@@ -118,10 +118,11 @@ def _subset(data, n):
     return np.flatnonzero(np.array(picks, dtype=bool))
 
 
-#: ``_SMALL_SHIFT`` and ``_CLAIM_SHIFT`` 0 sort whenever fewer than
-#: ``n`` ids or arcs are touched and 63 never do; ``PULL_SHARE`` 0
-#: makes every relax round dense (it pulls, and crosses) and infinity
-#: every one sparse (it pushes, in the parent).  ``None`` leaves the module's own value.
+#: ``_SMALL_SHIFT`` 0 makes ``dedup_ids`` sort whenever fewer than
+#: ``n`` ids are touched and 63 never; ``PULL_SHARE`` 0 makes every
+#: relax round dense (it pulls, and crosses) and infinity every one
+#: sparse (it pushes, in the parent).  ``None`` leaves the module's own
+#: value.
 @pytest.mark.parametrize("pull_share", [0.0, None, float("inf")],
                          ids=["dense", "default", "sparse"])
 @pytest.mark.parametrize("small_shift", [0, None, 63],
@@ -182,7 +183,6 @@ def test_ops_and_merge_match_the_old_bodies(small_shift, pull_share):
     with ExitStack() as pinned:
         for module, name, value in (
                 (frontier_mod, "_SMALL_SHIFT", small_shift),
-                (frontier_mod, "_CLAIM_SHIFT", small_shift),
                 (frontier_mod, "PULL_SHARE", pull_share),
                 (engine_mod, "_INLINE_ARCS", 0)):
             if value is not None:
