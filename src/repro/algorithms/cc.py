@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.wcc import min_label_pull
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 
@@ -30,20 +31,19 @@ __all__ = ["afforest", "afforest_rounds", "shiloach_vishkin",
 DEFAULT_NEIGHBOR_ROUNDS = 2
 
 
-def shiloach_vishkin(src: np.ndarray, dst: np.ndarray, n: int
+def shiloach_vishkin(out: CSRGraph, inn: CSRGraph | None
                      ) -> tuple[np.ndarray, int]:
-    """Component labels over the arcs ``src -> dst`` (direction
-    ignored) and the number of rounds, each one hook over every arc and
-    one pointer jump; the last round changes nothing."""
-    comp = np.arange(n, dtype=np.int64)
+    """Component labels over the arcs of ``out`` (direction ignored)
+    and the number of rounds, each one hook over every arc and one
+    pointer jump; the last round changes nothing.  ``inn`` as for
+    :func:`~repro.algorithms.wcc.min_label_pull`."""
+    comp = np.arange(out.n_vertices, dtype=np.int64)
     rounds = 0
     while True:
         rounds += 1
-        # Hook: every edge pulls both endpoints to the smaller label.
-        low = np.minimum(comp[src], comp[dst])
-        new_comp = comp.copy()
-        np.minimum.at(new_comp, src, low)
-        np.minimum.at(new_comp, dst, low)
+        # Hook: every vertex pulls the smallest label around it, which
+        # is every arc pulling both endpoints to the smaller label.
+        new_comp = min_label_pull(out, inn, comp)
         # Compress: pointer-jump labels toward the roots.
         new_comp = new_comp[new_comp]
         if np.array_equal(new_comp, comp):

@@ -8,8 +8,10 @@ system implementation shares, so core numbers (which are mathematically
 unique) compare exactly across systems.
 
 :func:`peel_cores` is the body all four systems with a k-core price
-round by round; GraphMat, which recounts degrees with a superstep, also
-prices the superstep that finds a level exhausted.  The deliberately
+round by round, called once for them all by
+:class:`~repro.systems.base.GraphSystem`; GraphMat, which recounts
+degrees with a superstep, also prices the superstep that finds a level
+exhausted.  The deliberately
 slow :func:`core_numbers_naive` re-scans the full adjacency every
 sub-round and shares nothing with it but the view;
 ``benchmarks/bench_algorithms.py`` holds the peel to a >=2x advantage
@@ -86,10 +88,11 @@ def core_numbers_naive(graph: CSRGraph) -> np.ndarray:
 
     Each sub-round *re-scans the full adjacency* to recount every
     vertex's alive-neighbor degree -- the ``O(m)``-per-sub-round shape
-    the matrix-based systems execute (GraphMat's ``kcore_spmv`` prices a
-    full SpMV recount per superstep) -- then peels by an ``O(n)`` scan.  No
-    incremental decrements: correct, the benchmark's foil, and the
-    cross-system tests' independent oracle.
+    the matrix-based systems execute (GraphMat's pricing, ``kcore_spmv``,
+    charges an SpMV recount over the live columns per superstep; the
+    answer comes from :func:`peel_cores`) -- then peels by an ``O(n)``
+    scan.  No incremental decrements: correct, the benchmark's foil,
+    and the cross-system tests' independent oracle.
     """
     view = simple_undirected_view(
         graph.source_ids(), graph.col_idx, graph.n_vertices)

@@ -27,9 +27,10 @@ far below 2**24, so ``float32`` holds every entry and every partial sum
 exactly in any BLAS summation order.  The row sums are taken in
 ``float64`` and are integers of at most ``n**2``, exact below 2**53,
 like the sparse path's ``int64`` sums converted to ``float64``.
-GraphBIG, GraphMat and PowerGraph run :func:`clustering_blocks` and
-price its ``wedges`` and ``blocks`` each their own way; neither depends
-on the path.
+GraphBIG, GraphMat and PowerGraph run :func:`clustering_blocks`, at
+its default block height, through its one call in
+:class:`~repro.systems.base.GraphSystem`, and price its ``wedges`` and
+``blocks`` each their own way; neither depends on the path.
 """
 
 from __future__ import annotations

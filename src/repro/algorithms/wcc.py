@@ -11,7 +11,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.frontier import pull_min
 
 __all__ = ["weakly_connected_components", "canonical_component_labels",
-           "hashmin_rounds"]
+           "hashmin_rounds", "min_label_pull"]
 
 
 def weakly_connected_components(graph: CSRGraph) -> np.ndarray:
@@ -43,35 +43,43 @@ def canonical_component_labels(labels: np.ndarray) -> np.ndarray:
     return mins[labels]
 
 
+def min_label_pull(out: CSRGraph, inn: CSRGraph | None,
+                   labels: np.ndarray) -> np.ndarray:
+    """Each vertex's minimum of its own label and its neighbours'
+    labels, pulled with :func:`~repro.graph.frontier.pull_min` over the
+    rows of ``out`` (out-neighbours) and of ``inn`` (in-neighbours) --
+    ``out`` itself when symmetrized, then pulled once -- or ``None`` for
+    ``out.transposed()``: the step of hash-min and the hook of
+    :func:`~repro.algorithms.cc.shiloach_vishkin`."""
+    if inn is None:
+        inn = out.transposed()
+    new = labels.copy()
+    for c in (out,) if inn is out else (out, inn):
+        rows, starts = c.pull_rows()
+        if rows.size:
+            y = pull_min(starts, c.col_idx, None, labels)
+            new[rows] = np.minimum(new[rows], y)
+    return new
+
+
 def hashmin_rounds(out: CSRGraph, inn: CSRGraph | None
                    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Synchronous hash-min over the arcs of ``out`` taken both ways.
 
     Every round each vertex keeps the minimum of its own label and its
-    neighbours' labels from the round before, pulled with
-    :func:`~repro.graph.frontier.pull_min` over the rows of ``out``
-    (out-neighbours) and of ``inn`` (in-neighbours).  ``inn`` is the
-    in-arc CSR -- ``out`` itself when symmetrized, then pulled once --
-    or ``None`` for ``out.transposed()``.  The loop stops on, and
-    counts, the first round that changes nothing.
+    neighbours' labels from the round before (:func:`min_label_pull`).
+    The loop stops on, and counts, the first round that changes
+    nothing.
 
     Returns ``(labels, rounds)``: the minimum member id of each vertex's
     weak component, and per round ``(changed, arcs)``: how many labels
     dropped and how many arcs were pulled.
     """
-    if inn is None:
-        inn = out.transposed()
-    sides = [(c, *c.pull_rows())
-             for c in ((out,) if inn is out else (out, inn))]
-    arcs = sum(c.n_edges for c, _, _ in sides)
+    arcs = out.n_edges if inn is out else 2 * out.n_edges
     labels = np.arange(out.n_vertices, dtype=np.int64)
     rounds: list[tuple[int, int]] = []
     while True:
-        new = labels.copy()
-        for c, rows, starts in sides:
-            if rows.size:
-                y = pull_min(starts, c.col_idx, None, labels)
-                new[rows] = np.minimum(new[rows], y)
+        new = min_label_pull(out, inn, labels)
         changed = int(np.count_nonzero(new != labels))
         rounds.append((changed, arcs))
         if not changed:

@@ -13,14 +13,19 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
+from repro.algorithms.cdlp import DEFAULT_CDLP_ITERATIONS, propagate_labels
+from repro.algorithms.kcore import peel_cores
+from repro.algorithms.lcc import clustering_blocks
+from repro.algorithms.mis import luby_rounds, mis_priorities
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.errors import SystemCapabilityError
 from repro.graph.edgelist import EdgeList
 from repro.graph.scratch import consume_counters
+from repro.graph.simple import simple_undirected_view
 from repro.machine.spec import MachineSpec, haswell_server
 from repro.machine.threads import SimResult, ThreadModel, WorkProfile
 from repro.observability import Tracer
@@ -107,6 +112,11 @@ class GraphSystem(ABC):
     #: True for the Graph500, which only processes the synthetic graphs
     #: its own generator produces.
     kronecker_only: ClassVar[bool] = False
+    #: How this system prices each shared body it runs (kcore, mis,
+    #: cdlp, lcc): ``price(loaded.data, *facts)`` returns ``(profile,
+    #: iterations)``, plus a counters dict where the system reports
+    #: one.  Each ``_run_<algorithm>`` below names its body's facts.
+    pricing: ClassVar[dict[str, Callable]] = {}
 
     def __init__(self, machine: MachineSpec | None = None,
                  n_threads: int = 32, shards: int = 1):
@@ -315,6 +325,63 @@ class GraphSystem(ABC):
         self._check_root(algorithm, root, loaded)
         return self._execute(loaded, algorithm, root,
                              lambda: method(loaded, int(root), **params))
+
+    # ------------------------------------------------------------------
+    # The shared bodies: one call each, priced by ``pricing``
+    # ------------------------------------------------------------------
+    def _arcs(self, data: Any) -> tuple[np.ndarray, np.ndarray]:
+        """The directed arcs ``(src, dst)`` of A as this system stores
+        them: the input of every shared body."""
+        raise NotImplementedError
+
+    def _priced(self, loaded: LoadedGraph, algorithm: str,
+                output: dict[str, np.ndarray], counters: dict,
+                *facts: Any):
+        """``(output, profile, iterations, counters)`` of one shared
+        body's run, priced by this system from the body's ``facts``."""
+        profile, iterations, *extra = self.pricing[algorithm](
+            loaded.data, *facts)
+        return output, profile, iterations, {**dict(*extra), **counters}
+
+    def _run_kcore(self, loaded: LoadedGraph):
+        """:func:`~repro.algorithms.kcore.peel_cores` on the simple
+        view; priced from ``(view, rounds)``."""
+        view = simple_undirected_view(*self._arcs(loaded.data),
+                                      loaded.n_vertices)
+        core, rounds = peel_cores(view)
+        return self._priced(
+            loaded, "kcore", {"core": core},
+            {"max_core": float(core.max()) if core.size else 0.0},
+            view, rounds)
+
+    def _run_mis(self, loaded: LoadedGraph, seed: int | None = None):
+        """:func:`~repro.algorithms.mis.luby_rounds` on the simple view
+        under the shared seeded priorities; priced from ``(view,
+        rounds)``."""
+        view = simple_undirected_view(*self._arcs(loaded.data),
+                                      loaded.n_vertices)
+        in_set, rounds = luby_rounds(view, mis_priorities(view.n, seed))
+        return self._priced(
+            loaded, "mis", {"in_set": in_set.astype(np.int64)},
+            {"set_size": float(in_set.sum())}, view, rounds)
+
+    def _run_cdlp(self, loaded: LoadedGraph,
+                  iterations: int = DEFAULT_CDLP_ITERATIONS):
+        """:func:`~repro.algorithms.cdlp.propagate_labels` along the
+        arcs; priced from ``(iterations,)``."""
+        labels = propagate_labels(*self._arcs(loaded.data),
+                                  loaded.n_vertices, iterations)
+        return self._priced(loaded, "cdlp", {"labels": labels}, {},
+                            iterations)
+
+    def _run_lcc(self, loaded: LoadedGraph):
+        """:func:`~repro.algorithms.lcc.clustering_blocks` over the
+        arcs; priced from ``(wedges, blocks)``."""
+        lcc, wedges, blocks = clustering_blocks(*self._arcs(loaded.data),
+                                                loaded.n_vertices)
+        return self._priced(loaded, "lcc", {"lcc": lcc},
+                            {"wedges": float(wedges.sum())},
+                            wedges, blocks)
 
     def untimed_phases(self, loaded: LoadedGraph,
                        build_s: float | None) -> dict[str, float]:

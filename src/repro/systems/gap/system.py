@@ -41,6 +41,7 @@ class GapSystem(GraphSystem):
     #: built from the ``.g500`` dump); the ``.wsg`` serialized form is
     #: read as such through ``use_serialized=True``.
     input_key = "wel"
+    pricing = {"kcore": kcore_peel, "mis": mis_luby}
 
     def __init__(self, machine=None, n_threads: int = 32,
                  use_serialized: bool = False,
@@ -105,6 +106,9 @@ class GapSystem(GraphSystem):
                         directed=bool(meta["directed"]))
 
     # -- kernels -------------------------------------------------------
+    def _arcs(self, data: GapGraph):
+        return data.out.source_ids(), data.out.col_idx
+
     def _run_bfs(self, loaded, root: int, alpha: float = DEFAULT_ALPHA,
                  beta: float = DEFAULT_BETA):
         if self.shards > 1:
@@ -154,16 +158,6 @@ class GapSystem(GraphSystem):
         labels, rounds, profile = afforest_components(loaded.data,
                                                       neighbor_rounds)
         return ({"labels": labels}, profile, rounds, {})
-
-    def _run_kcore(self, loaded):
-        core, rounds, profile = kcore_peel(loaded.data)
-        return ({"core": core}, profile, rounds,
-                {"max_core": float(core.max()) if core.size else 0.0})
-
-    def _run_mis(self, loaded, seed: int | None = None):
-        in_set, rounds, profile = mis_luby(loaded.data, seed)
-        return ({"in_set": in_set.astype(np.int64)}, profile, rounds,
-                {"set_size": float(in_set.sum())})
 
     def _run_bc(self, loaded, n_sources: int | None = None,
                 seed: int = 27):

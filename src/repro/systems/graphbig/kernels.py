@@ -6,9 +6,11 @@ per-vertex property arrays, in the bulk-synchronous vertex-centric style
 of the original benchmark suite: a task queue of active vertices, one
 "process vertex" sweep per superstep.  Every kernel runs the one body
 of its algorithm in :mod:`repro.algorithms` (BFS, Bellman-Ford,
-PageRank, hash-min WCC, CDLP, LCC, k-core, MIS, Shiloach-Vishkin);
-what is GraphBIG's about them is the pricing, with every vertex visit
-paying :data:`PROPERTY_ACCESS_COST`.  The property graph keeps in-edge
+PageRank, hash-min WCC, Shiloach-Vishkin here; CDLP, LCC, k-core and
+MIS through :class:`~repro.systems.base.GraphSystem`, which hands
+their facts to the pricing functions below); what is GraphBIG's about
+them is the pricing, with every vertex visit paying
+:data:`PROPERTY_ACCESS_COST`.  The property graph keeps in-edge
 lists as well as out-edge lists: the in-arcs a BFS, Bellman-Ford or
 WCC pull reads are ``pg.out`` itself on undirected input (symmetrized)
 and otherwise ``pg.out.transposed()``, built on first use and memoized.
@@ -16,16 +18,14 @@ and otherwise ``pg.out.transposed()``, built on first use and memoized.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.bfs import bfs_rounds
 from repro.algorithms.cc import shiloach_vishkin
-from repro.algorithms.cdlp import propagate_labels
-from repro.algorithms.kcore import peel_cores
-from repro.algorithms.lcc import clustering_blocks
-from repro.algorithms.mis import luby_rounds, mis_priorities
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import bellman_ford_rounds
 from repro.algorithms.wcc import hashmin_rounds
-from repro.graph.simple import simple_undirected_view
+from repro.graph.simple import SimpleView
 from repro.machine.threads import WorkProfile
 
 __all__ = ["bfs_queue", "sssp_bellman_ford", "pagerank_jacobi",
@@ -121,30 +121,27 @@ def wcc_hashmin(pg, symmetric: bool = False):
     return labels, len(rounds), profile
 
 
-def cdlp_sync(pg, iterations: int):
-    """Synchronous label propagation (Graphalytics CDLP semantics)."""
-    n = pg.n
-    labels = propagate_labels(pg.out.source_ids(), pg.out.col_idx, n,
-                              iterations)
+def cdlp_sync(pg, iterations: int) -> tuple[WorkProfile, int]:
+    """Synchronous label propagation (Graphalytics CDLP semantics):
+    every superstep visits each arc and vertex record once."""
     profile = WorkProfile()
     m = pg.out.n_edges
     for _ in range(iterations):
-        profile.add_round(units=m + n, memory_bytes=32.0 * m, skew=0.08)
-    return labels, iterations, profile
+        profile.add_round(units=m + pg.n, memory_bytes=32.0 * m, skew=0.08)
+    return profile, iterations
 
 
-def _simplify(pg):
-    """The simple view plus its profile's first round: every arc and
-    every vertex record visited once."""
-    view = simple_undirected_view(pg.out.source_ids(), pg.out.col_idx,
-                                  pg.n)
+def _view_profile(pg) -> WorkProfile:
+    """A profile whose first round builds the simple view: every arc
+    and every vertex record visited once."""
     profile = WorkProfile()
     profile.add_round(units=pg.out.n_edges + PROPERTY_ACCESS_COST * pg.n,
                       memory_bytes=16.0 * pg.out.n_edges, skew=0.05)
-    return view, profile
+    return profile
 
 
-def kcore_props(pg):
+def kcore_props(pg, view: SimpleView, rounds: list
+                ) -> tuple[WorkProfile, int]:
     """Level-synchronous k-core peel through the property records.
 
     GraphBIG keeps the residual degree as a vertex property and sweeps
@@ -152,17 +149,17 @@ def kcore_props(pg):
     every neighbor decrement goes through the property API, so the
     per-visit overhead is charged on top of the edge work.
     """
-    view, profile = _simplify(pg)
-    core, rounds = peel_cores(view)
+    profile = _view_profile(pg)
     max_deg = float(view.degrees.max()) if pg.n else 0.0
     for peeled, arcs, _ in rounds:
         profile.add_round(units=arcs + PROPERTY_ACCESS_COST * peeled,
                           memory_bytes=32.0 * arcs,
                           skew=min(max_deg / max(arcs, 1.0), 1.0))
-    return core, len(rounds), profile
+    return profile, len(rounds)
 
 
-def mis_props(pg, seed: int | None = None):
+def mis_props(pg, view: SimpleView, rounds: list
+              ) -> tuple[WorkProfile, int]:
     """Pull-based Luby rounds over the vertex property array.
 
     Each superstep is a full vertex-centric sweep: every undecided
@@ -170,21 +167,20 @@ def mis_props(pg, seed: int | None = None):
     if its own beats it, and winners' neighbors are retired through the
     property API.
     """
-    view, profile = _simplify(pg)
-    in_set, rounds = luby_rounds(view, mis_priorities(pg.n, seed))
+    profile = _view_profile(pg)
     for undecided, _, winner_arcs in rounds:
         profile.add_round(
             units=view.nnz + winner_arcs + PROPERTY_ACCESS_COST * undecided,
             memory_bytes=24.0 * (view.nnz + winner_arcs), skew=0.1)
-    return in_set, len(rounds), profile
+    return profile, len(rounds)
 
 
-def cc_sv(pg):
+def cc_sv(pg, symmetric: bool):
     """Shiloach-Vishkin components through the property records: the
-    GAP ``wcc`` loop, but each label read/write is a property access."""
+    GAP ``wcc`` loop, but each label read/write is a property access.
+    ``symmetric`` as for :func:`wcc_hashmin`."""
     m = pg.out.n_edges
-    comp, rounds = shiloach_vishkin(pg.out.source_ids(), pg.out.col_idx,
-                                    pg.n)
+    comp, rounds = shiloach_vishkin(pg.out, pg.out if symmetric else None)
     profile = WorkProfile()
     for _ in range(rounds):
         profile.add_round(units=2.0 * m + PROPERTY_ACCESS_COST * pg.n,
@@ -192,21 +188,19 @@ def cc_sv(pg):
     return comp, rounds, profile
 
 
-def lcc_wedges(pg, batch_rows: int | None = None):
+def lcc_wedges(pg, wedges: np.ndarray, blocks: list
+               ) -> tuple[WorkProfile, None]:
     """Per-vertex clustering via neighborhood wedge checks.
 
     Work is charged per wedge (ordered neighbor pair), matching the
     vertex-centric implementation that intersects adjacency lists --
     the cost blow-up on dense graphs that makes GraphBIG's dota-league
-    LCC the largest number in Table I (1073.7 s).  ``batch_rows``
-    (default: min(2048, n)) must tile the matrix or ``ConfigError``.
+    LCC the largest number in Table I (1073.7 s).
     """
-    lcc, wedges, blocks = clustering_blocks(
-        pg.out.source_ids(), pg.out.col_idx, pg.n, batch_rows)
     profile = WorkProfile()
     max_w = float(wedges.max()) if pg.n else 0.0
     for lo, hi in blocks:
         units = float(wedges[lo:hi].sum()) + (hi - lo)
         profile.add_round(units=units, memory_bytes=8.0 * units,
                           skew=min(max_w / max(units, 1.0), 1.0))
-    return lcc, profile, {"wedges": float(wedges.sum())}
+    return profile, None

@@ -47,6 +47,8 @@ class GraphBigSystem(GraphSystem):
     #: simultaneously" -- construction is not separable (Fig 2 caption).
     separable_construction = False
     input_key = "graphbig"
+    pricing = {"kcore": kernels.kcore_props, "mis": kernels.mis_props,
+               "cdlp": kernels.cdlp_sync, "lcc": kernels.lcc_wedges}
 
     # -- loading -------------------------------------------------------
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
@@ -79,6 +81,9 @@ class GraphBigSystem(GraphSystem):
                              n=n, properties=props)
 
     # -- kernels -------------------------------------------------------
+    def _arcs(self, data: PropertyGraph):
+        return data.out.source_ids(), data.out.col_idx
+
     def _run_bfs(self, loaded, root: int):
         parent, level, profile, stats = kernels.bfs_queue(
             loaded.data, root, symmetric=not loaded.directed)
@@ -107,25 +112,7 @@ class GraphBigSystem(GraphSystem):
             loaded.data, symmetric=not loaded.directed)
         return ({"labels": labels}, profile, rounds, {})
 
-    def _run_cdlp(self, loaded, iterations: int = 10):
-        labels, iters, profile = kernels.cdlp_sync(loaded.data, iterations)
-        return ({"labels": labels}, profile, iters, {})
-
-    def _run_lcc(self, loaded):
-        lcc, profile, stats = kernels.lcc_wedges(loaded.data)
-        return ({"lcc": lcc}, profile, None,
-                {"wedges": stats["wedges"]})
-
-    def _run_kcore(self, loaded):
-        core, supersteps, profile = kernels.kcore_props(loaded.data)
-        return ({"core": core}, profile, supersteps,
-                {"max_core": float(core.max()) if core.size else 0.0})
-
-    def _run_mis(self, loaded, seed: int | None = None):
-        in_set, supersteps, profile = kernels.mis_props(loaded.data, seed)
-        return ({"in_set": in_set.astype(np.int64)}, profile, supersteps,
-                {"set_size": float(in_set.sum())})
-
     def _run_cc(self, loaded):
-        labels, rounds, profile = kernels.cc_sv(loaded.data)
+        labels, rounds, profile = kernels.cc_sv(
+            loaded.data, symmetric=not loaded.directed)
         return ({"labels": labels}, profile, rounds, {})

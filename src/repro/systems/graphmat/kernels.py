@@ -7,10 +7,11 @@ SpMV touches *plus* a full-vector term, which is exactly the overhead
 that makes GraphMat uncompetitive on small graphs (Sec. IV-A) while
 scaling beautifully (Fig 5).  That is what each kernel here prices.
 What computes the answer is the one body of each algorithm in
-:mod:`repro.algorithms` -- BFS, Bellman-Ford, hash-min, CDLP, LCC,
-k-core, MIS -- whose rounds are the SpMV iterations; only PageRank,
-whose float32 write-if-changed sweep is GraphMat's own, multiplies the
-matrix here.
+:mod:`repro.algorithms` -- BFS, Bellman-Ford and hash-min here; CDLP,
+LCC, k-core and MIS through :class:`~repro.systems.base.GraphSystem`,
+which hands their facts to the pricing functions below -- whose rounds
+are the SpMV iterations; only PageRank, whose float32 write-if-changed
+sweep is GraphMat's own, multiplies the matrix here.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ import hashlib
 import numpy as np
 
 from repro.algorithms.bfs import bfs_rounds
-from repro.algorithms.cdlp import propagate_labels
-from repro.algorithms.kcore import peel_cores
-from repro.algorithms.lcc import clustering_blocks
-from repro.algorithms.mis import luby_rounds
 from repro.algorithms.pagerank import check_pagerank_params
 from repro.algorithms.sssp import bellman_ford_rounds
 from repro.algorithms.wcc import hashmin_rounds
 from repro.graph.dcsr import DCSRMatrix
-from repro.graph.simple import simple_undirected_view
+from repro.graph.simple import SimpleView
 from repro.machine.threads import WorkProfile
 
 __all__ = ["bfs_spmv", "sssp_bellman_spmv", "pagerank_float32",
@@ -171,33 +168,30 @@ def wcc_minplus(at: DCSRMatrix):
     return labels, len(rounds), profile
 
 
-def cdlp_spmv(at: DCSRMatrix, iterations: int):
+def cdlp_spmv(data, iterations: int) -> tuple[WorkProfile, int]:
     """CDLP: the mode-of-neighbor-labels step does not fit a semiring,
     so GraphMat's vertex program materializes per-vertex label
     multisets -- reflected here in the heavy per-iteration anchor."""
-    n = at.n
-    # A^T entries: (row=dst, col=src) of A.
-    labels = propagate_labels(at.col_idx, at.row_sources(), n, iterations)
-    nnz = at.nnz
+    at = data.at
     profile = WorkProfile()
     for _ in range(iterations):
-        profile.add_round(units=nnz + n, memory_bytes=40.0 * nnz,
+        profile.add_round(units=at.nnz + at.n, memory_bytes=40.0 * at.nnz,
                           skew=0.08)
-    return labels, iterations, profile
+    return profile, iterations
 
 
-def _simplify(at: DCSRMatrix):
-    """The simple view k-core and MIS are defined on (GraphMat stores
-    the matrix as given, self-loops and duplicates included), plus the
-    profile's first round: the pass over ``at`` that builds it."""
-    view = simple_undirected_view(at.row_sources(), at.col_idx, at.n)
+def _view_profile(at: DCSRMatrix) -> WorkProfile:
+    """A profile whose first round is the pass over ``at`` that builds
+    the simple view k-core and MIS are defined on (GraphMat stores the
+    matrix as given, self-loops and duplicates included)."""
     profile = WorkProfile()
     profile.add_round(units=at.nnz + at.n, memory_bytes=16.0 * at.nnz,
                       skew=0.05)
-    return view, profile
+    return profile
 
 
-def kcore_spmv(at: DCSRMatrix):
+def kcore_spmv(data, view: SimpleView, rounds: list
+               ) -> tuple[WorkProfile, int]:
     """k-core as repeated degree-count SpMV plus a threshold apply.
 
     Every superstep recounts live degrees with one SpMV over the live
@@ -210,9 +204,8 @@ def kcore_spmv(at: DCSRMatrix):
     each touches the live columns, ``view.nnz`` minus the arcs peeled
     before it.
     """
-    view, profile = _simplify(at)
-    core, rounds = peel_cores(view)
-    n = at.n
+    profile = _view_profile(data.at)
+    n = data.at.n
     nnz = view.nnz
     steps = []
     alive = nnz
@@ -224,39 +217,33 @@ def kcore_spmv(at: DCSRMatrix):
     for alive in steps:
         profile.add_round(units=alive + n,
                           memory_bytes=12.0 * nnz + 8.0 * n, skew=0.05)
-    return core, len(steps), profile
+    return profile, len(steps)
 
 
-def mis_spmv(at: DCSRMatrix, priorities: np.ndarray):
+def mis_spmv(data, view: SimpleView, rounds: list
+             ) -> tuple[WorkProfile, int]:
     """MIS as min-gather SpMV rounds with an OR-AND knockout step.
 
     Each round of :func:`~repro.algorithms.mis.luby_rounds` is priced as
     two whole-matrix SpMVs: a min-gather of the undecided neighbors'
     priorities, then an OR-AND over the winner mask that retires their
-    neighbors.  Shared seeded priorities pin the unique greedy result.
+    neighbors.
     """
-    view, profile = _simplify(at)
-    in_set, rounds = luby_rounds(view, priorities)
-    n = at.n
+    profile = _view_profile(data.at)
+    n = data.at.n
     nnz = view.nnz
     for _ in rounds:
         profile.add_round(units=2.0 * nnz + n,
                           memory_bytes=20.0 * nnz + 8.0 * n, skew=0.05)
-    return in_set, len(rounds), profile
+    return profile, len(rounds)
 
 
-def lcc_spmv(at: DCSRMatrix, batch_rows: int | None = None):
+def lcc_spmv(data, wedges: np.ndarray, blocks: list
+             ) -> tuple[WorkProfile, None]:
     """LCC via masked sparse-matrix products (SpGEMM on the pattern),
-    one row tile per round.
-
-    ``batch_rows`` (default: min(2048, n)) is the row-tile width;
-    out-of-range values raise ``ConfigError``.
-    """
-    # The directed adjacency A is the transpose of the stored A^T.
-    lcc, wedges, blocks = clustering_blocks(at.col_idx, at.row_sources(),
-                                            at.n, batch_rows)
+    one row tile per round."""
     profile = WorkProfile()
     for lo, hi in blocks:
         units = float(wedges[lo:hi].sum()) + (hi - lo)
         profile.add_round(units=units, memory_bytes=8.0 * units, skew=0.3)
-    return lcc, profile, {"wedges": float(wedges.sum())}
+    return profile, None

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms.mis import mis_priorities
 from repro.datasets import formats
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.graph.csr import CSRGraph
@@ -62,6 +61,8 @@ class GraphMatSystem(GraphSystem):
     separable_construction = True
     input_key = "mtxbin"
     read_key = "mtxbin"
+    pricing = {"kcore": kernels.kcore_spmv, "mis": kernels.mis_spmv,
+               "cdlp": kernels.cdlp_spmv, "lcc": kernels.lcc_spmv}
 
     # -- loading -------------------------------------------------------
     def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
@@ -102,6 +103,10 @@ class GraphMatSystem(GraphSystem):
             out_degrees=arrays["out_degrees"], n=n)
 
     # -- kernels -------------------------------------------------------
+    def _arcs(self, data: GraphMatMatrices):
+        # A^T entries are (row=dst, col=src) of A.
+        return data.at.col_idx, data.at.row_sources()
+
     def _run_bfs(self, loaded, root: int):
         data = loaded.data
         parent, level, profile, stats = kernels.bfs_spmv(
@@ -127,25 +132,6 @@ class GraphMatSystem(GraphSystem):
     def _run_wcc(self, loaded):
         labels, rounds, profile = kernels.wcc_minplus(loaded.data.at_sym)
         return ({"labels": labels}, profile, rounds, {})
-
-    def _run_cdlp(self, loaded, iterations: int = 10):
-        labels, iters, profile = kernels.cdlp_spmv(loaded.data.at, iterations)
-        return ({"labels": labels}, profile, iters, {})
-
-    def _run_lcc(self, loaded):
-        lcc, profile, stats = kernels.lcc_spmv(loaded.data.at)
-        return ({"lcc": lcc}, profile, None, {"wedges": stats["wedges"]})
-
-    def _run_kcore(self, loaded):
-        core, supersteps, profile = kernels.kcore_spmv(loaded.data.at)
-        return ({"core": core}, profile, supersteps,
-                {"max_core": float(core.max()) if core.size else 0.0})
-
-    def _run_mis(self, loaded, seed: int | None = None):
-        in_set, rounds, profile = kernels.mis_spmv(
-            loaded.data.at, mis_priorities(loaded.data.n, seed))
-        return ({"in_set": in_set.astype(np.int64)}, profile, rounds,
-                {"set_size": float(in_set.sum())})
 
     # -- native phase view ---------------------------------------------
     def untimed_phases(self, loaded, build_s):

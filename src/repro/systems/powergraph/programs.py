@@ -7,23 +7,20 @@ Graphalytics PowerGraph driver to emulate BFS lives here too, under its
 own name, so the capability hole in PowerGraph itself stays visible.
 SSSP, that BFS and WCC are min-programs on the GAS engine, each named
 by what an arc adds (:mod:`repro.systems.powergraph.gas`).  CDLP, LCC,
-k-core and MIS run the one body of each in
-:mod:`repro.algorithms`, priced as supersteps whose vertex term is
-weighted by the vertex cut's replication factor.
+k-core and MIS run the one body of each in :mod:`repro.algorithms`,
+called by :class:`~repro.systems.base.GraphSystem`; here they are only
+priced, as supersteps whose vertex term is weighted by the vertex cut's
+replication factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.cdlp import propagate_labels
-from repro.algorithms.kcore import peel_cores
-from repro.algorithms.lcc import clustering_blocks
-from repro.algorithms.mis import luby_rounds, mis_priorities
 from repro.algorithms.pagerank import check_pagerank_params
 from repro.algorithms.sssp import check_sssp_weights
 from repro.graph.frontier import arc_sum_operator
-from repro.graph.simple import simple_undirected_view
+from repro.graph.simple import SimpleView
 from repro.machine.threads import WorkProfile
 from repro.systems.powergraph.gas import GasEngine
 
@@ -128,53 +125,47 @@ def run_wcc(engine_sym: GasEngine
 
 
 # ----------------------------------------------------------------------
+# CDLP, LCC, k-core and MIS: GraphSystem runs the shared body and hands
+# its facts to these prices, each of which takes the PowerGraphData.
 # CDLP -- the mode reduction does not fit gather-sum/min, so the toolkit
 # implements it with a gather of full label multisets; we account the
-# same work through the engine-style profile while computing labels with
-# the shared synchronous propagation rule.
+# same work through the engine-style profile.
 # ----------------------------------------------------------------------
-def cdlp_gas(engine: GasEngine, iterations: int = 10
-             ) -> tuple[np.ndarray, int, WorkProfile, dict]:
-    inn = engine.inn
-    n = inn.n_vertices
-    labels = propagate_labels(inn.col_idx, inn.source_ids(), n, iterations)
-    profile = WorkProfile()
-    nnz = inn.n_edges
+def cdlp_gas(data, iterations: int) -> tuple[WorkProfile, int, dict]:
+    engine = data.engine
+    nnz = engine.inn.n_edges
+    n = engine.inn.n_vertices
     rep = max(engine.replication_factor, 1.0)
+    profile = WorkProfile()
     for _ in range(iterations):
         profile.add_round(units=nnz + n + rep * n,
                           memory_bytes=40.0 * nnz, skew=0.08)
-    return labels, iterations, profile, {
+    return profile, iterations, {
         "replication_factor": engine.replication_factor}
 
 
 # ----------------------------------------------------------------------
 # LCC (toolkit: graph_analytics/simple_undirected_triangle_count.cpp)
 # ----------------------------------------------------------------------
-def lcc_gas(engine: GasEngine, batch_rows: int | None = None
-            ) -> tuple[np.ndarray, WorkProfile, dict]:
-    inn = engine.inn
-    lcc, wedges, blocks = clustering_blocks(
-        inn.col_idx, inn.source_ids(), inn.n_vertices, batch_rows)
+def lcc_gas(data, wedges: np.ndarray, blocks: list
+            ) -> tuple[WorkProfile, None]:
     profile = WorkProfile()
-    rep = max(engine.replication_factor, 1.0)
+    rep = max(data.engine.replication_factor, 1.0)
     for lo, hi in blocks:
         units = float(wedges[lo:hi].sum()) + rep * (hi - lo)
         profile.add_round(units=units, memory_bytes=8.0 * units, skew=0.3)
-    return lcc, profile, {"wedges": float(wedges.sum())}
+    return profile, None
 
 
-def _simplify(engine: GasEngine):
-    """The simple view, the replication factor and the profile's first
-    round: every arc plus every mirror once."""
+def _view_profile(engine: GasEngine) -> tuple[WorkProfile, float]:
+    """The replication factor and a profile whose first round builds
+    the simple view: every arc plus every mirror once."""
     inn = engine.inn
-    n = inn.n_vertices
-    view = simple_undirected_view(inn.col_idx, inn.source_ids(), n)
     rep = max(engine.replication_factor, 1.0)
     profile = WorkProfile()
-    profile.add_round(units=inn.n_edges + rep * n,
+    profile.add_round(units=inn.n_edges + rep * inn.n_vertices,
                       memory_bytes=16.0 * inn.n_edges, skew=0.05)
-    return view, rep, profile
+    return profile, rep
 
 
 # ----------------------------------------------------------------------
@@ -182,15 +173,14 @@ def _simplify(engine: GasEngine):
 # signaling sub-k vertices; each apply runs on every mirror, so the
 # per-round vertex term is replication-weighted like LCC's.
 # ----------------------------------------------------------------------
-def kcore_gas(engine: GasEngine
-              ) -> tuple[np.ndarray, int, WorkProfile, dict]:
-    view, rep, profile = _simplify(engine)
-    core, rounds = peel_cores(view)
+def kcore_gas(data, view: SimpleView, rounds: list
+              ) -> tuple[WorkProfile, int, dict]:
+    profile, rep = _view_profile(data.engine)
     for peeled, arcs, _ in rounds:
         profile.add_round(units=arcs + rep * peeled,
                           memory_bytes=24.0 * arcs, skew=0.1)
-    return core, len(rounds), profile, {
-        "replication_factor": engine.replication_factor}
+    return profile, len(rounds), {
+        "replication_factor": data.engine.replication_factor}
 
 
 # ----------------------------------------------------------------------
@@ -198,13 +188,12 @@ def kcore_gas(engine: GasEngine
 # is a min over mirror-replicated neighbor priorities, apply decides
 # winners, scatter retires their neighbors.
 # ----------------------------------------------------------------------
-def mis_gas(engine: GasEngine, seed: int | None = None
-            ) -> tuple[np.ndarray, int, WorkProfile, dict]:
-    view, rep, profile = _simplify(engine)
-    in_set, rounds = luby_rounds(view, mis_priorities(view.n, seed))
+def mis_gas(data, view: SimpleView, rounds: list
+            ) -> tuple[WorkProfile, int, dict]:
+    profile, rep = _view_profile(data.engine)
     for undecided, _, winner_arcs in rounds:
         profile.add_round(
             units=view.nnz + winner_arcs + rep * undecided,
             memory_bytes=24.0 * (view.nnz + winner_arcs), skew=0.1)
-    return in_set, len(rounds), profile, {
-        "replication_factor": engine.replication_factor}
+    return profile, len(rounds), {
+        "replication_factor": data.engine.replication_factor}

@@ -83,6 +83,8 @@ class PowerGraphSystem(GraphSystem):
     #: Reads the TSV and partitions in one ingest pass.
     separable_construction = False
     input_key = "tsv"
+    pricing = {"kcore": programs.kcore_gas, "mis": programs.mis_gas,
+               "cdlp": programs.cdlp_gas, "lcc": programs.lcc_gas}
 
     def __init__(self, machine=None, n_threads: int = 32,
                  n_partitions: int | None = None,
@@ -167,6 +169,10 @@ class PowerGraphSystem(GraphSystem):
             mirrors=int(meta["mirrors"]), n=int(meta["n"]))
 
     # -- kernels -------------------------------------------------------
+    def _arcs(self, data: PowerGraphData):
+        inn = data.engine.inn
+        return inn.col_idx, inn.source_ids()
+
     def _run_sssp(self, loaded, root: int):
         dist, steps, profile, stats = programs.run_sssp(
             loaded.data.engine, root)
@@ -187,30 +193,6 @@ class PowerGraphSystem(GraphSystem):
             loaded.data.engine_sym)
         return ({"labels": labels}, profile, steps,
                 {"replication_factor": stats["replication_factor"]})
-
-    def _run_cdlp(self, loaded, iterations: int = 10):
-        labels, iters, profile, stats = programs.cdlp_gas(
-            loaded.data.engine, iterations=iterations)
-        return ({"labels": labels}, profile, iters,
-                {"replication_factor": stats["replication_factor"]})
-
-    def _run_lcc(self, loaded):
-        lcc, profile, stats = programs.lcc_gas(loaded.data.engine)
-        return ({"lcc": lcc}, profile, None, {"wedges": stats["wedges"]})
-
-    def _run_kcore(self, loaded):
-        core, supersteps, profile, stats = programs.kcore_gas(
-            loaded.data.engine)
-        return ({"core": core}, profile, supersteps,
-                {"replication_factor": stats["replication_factor"],
-                 "max_core": float(core.max()) if core.size else 0.0})
-
-    def _run_mis(self, loaded, seed: int | None = None):
-        in_set, supersteps, profile, stats = programs.mis_gas(
-            loaded.data.engine, seed)
-        return ({"in_set": in_set.astype(np.int64)}, profile, supersteps,
-                {"replication_factor": stats["replication_factor"],
-                 "set_size": float(in_set.sum())})
 
     # -- the Graphalytics BFS driver -----------------------------------
     def run_toolkit_extension(self, loaded, program: str,

@@ -65,10 +65,20 @@ def test_afforest_matches_union_find_oracle(graph):
 @given(csr_graphs())
 @settings(max_examples=100, deadline=None)
 def test_shiloach_vishkin_matches_union_find_oracle(graph):
-    labels, rounds = shiloach_vishkin(graph.source_ids(), graph.col_idx,
-                                      graph.n_vertices)
-    assert np.array_equal(labels, oracle_labels(graph))
-    assert rounds >= 1
+    """The hook pulls over out- and in-rows, with the in-arcs
+    transposed lazily or handed over, and over a symmetrization once;
+    each reads the oracle's labels in the same number of rounds."""
+    want = oracle_labels(graph)
+    src, dst = graph.source_ids(), graph.col_idx
+    n = graph.n_vertices
+    sym = CSRGraph.from_arrays(np.concatenate([src, dst]),
+                               np.concatenate([dst, src]), n)
+    results = [shiloach_vishkin(graph, None),
+               shiloach_vishkin(graph, CSRGraph.from_arrays(dst, src, n)),
+               shiloach_vishkin(sym, sym)]
+    for labels, rounds in results:
+        assert np.array_equal(labels, want)
+        assert rounds == results[0][1] >= 1
 
 
 @given(csr_graphs())

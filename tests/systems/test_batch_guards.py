@@ -3,10 +3,9 @@
 Before the guard, a non-positive ``batch_rows`` silently produced an
 empty ``range`` -- the kernels returned all-zero clustering / triangle
 counts instead of failing -- and a width past ``n`` silently clamped.
-Both are configuration errors now (:func:`resolve_batch_rows`), across
-every batched kernel: the reference ``triangle_count`` and
-``clustering_blocks``, GraphBIG's ``lcc_wedges``, GraphMat's
-``lcc_spmv``, and PowerGraph's ``lcc_gas``.
+Both are configuration errors now (:func:`resolve_batch_rows`), in
+both batched kernels: ``triangle_count`` and ``clustering_blocks``, the
+one LCC body every system runs at its default width.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from repro.algorithms.tc import triangle_count
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import resolve_batch_rows
-from repro.systems import create_system
 
 
 @pytest.fixture(scope="module")
@@ -70,42 +68,3 @@ def test_reference_kernels_accept_explicit_valid_width(small_csr):
         assert np.array_equal(local_clustering(small_csr,
                                                batch_rows=width),
                               want_lcc)
-
-
-@pytest.fixture(scope="module")
-def loaded_systems(kron10_dataset):
-    out = {}
-    for name in ("graphbig", "graphmat", "powergraph"):
-        s = create_system(name, n_threads=32)
-        out[name] = s.load(kron10_dataset)
-    return out
-
-
-def _call(name, loaded, batch_rows):
-    if name == "graphbig":
-        from repro.systems.graphbig.kernels import lcc_wedges
-        return lcc_wedges(loaded.data, batch_rows=batch_rows)
-    if name == "graphmat":
-        from repro.systems.graphmat.kernels import lcc_spmv
-        return lcc_spmv(loaded.data.at, batch_rows=batch_rows)
-    from repro.systems.powergraph.programs import lcc_gas
-    return lcc_gas(loaded.data.engine, batch_rows=batch_rows)
-
-
-@pytest.mark.parametrize("name", ("graphbig", "graphmat", "powergraph"))
-def test_system_lcc_kernels_reject_bad_widths(name, loaded_systems,
-                                              kron10_csr):
-    loaded = loaded_systems[name]
-    for bad in (*BAD_WIDTHS, kron10_csr.n_vertices + 1):
-        with pytest.raises(ConfigError):
-            _call(name, loaded, bad)
-
-
-@pytest.mark.parametrize("name", ("graphbig", "graphmat", "powergraph"))
-def test_system_lcc_kernels_accept_explicit_valid_width(
-        name, loaded_systems, kron10_csr):
-    loaded = loaded_systems[name]
-    default = _call(name, loaded, None)[0]
-    explicit = _call(name, loaded, 64)[0]
-    assert np.array_equal(default, explicit)
-    assert np.allclose(default, local_clustering(kron10_csr))
