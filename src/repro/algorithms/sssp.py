@@ -4,7 +4,6 @@ the one Bellman-Ford loop GraphBIG and GraphMat run."""
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
@@ -40,7 +39,10 @@ def sssp_dijkstra(graph: CSRGraph, root: int) -> np.ndarray:
     check_sssp_weights(graph.weights)
     # scipy sums duplicate entries when canonicalizing; parallel edges must
     # instead keep their *minimum* weight, so dedupe explicitly first.
+    # csgraph is imported here: it pulls in scipy.linalg, which nothing
+    # else on the CLI's start-up path needs.
     import scipy.sparse as sp
+    import scipy.sparse.csgraph as csgraph
 
     n = graph.n_vertices
     src = graph.source_ids()

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from repro.graph.csr import CSRGraph
 from repro.graph.frontier import pull_min
@@ -16,6 +15,9 @@ __all__ = ["weakly_connected_components", "canonical_component_labels",
 
 def weakly_connected_components(graph: CSRGraph) -> np.ndarray:
     """Component label per vertex, canonicalized (see below)."""
+    # Imported here, like sssp_dijkstra's: csgraph pulls in scipy.linalg.
+    import scipy.sparse.csgraph as csgraph
+
     n = graph.n_vertices
     src = graph.source_ids()
     mat = sp.csr_matrix(

@@ -68,7 +68,9 @@ class Runner:
         self._loaded_cache: dict = {}
         #: The real half of those loads, kept by ``GraphSystem.load``
         #: per (system, build knobs): a thread sweep builds each
-        #: structure once and prices it per thread count.
+        #: structure once and prices it per thread count.  The loads
+        #: keep it as their answer memo too (``GraphSystem._answer``),
+        #: so k-core and MIS run once per graph, not once per system.
         self._built: dict = {}
         #: Optional on-disk artifact cache (layer 2: loaded graph
         #: structures).  ``None`` unless the config names a cache dir.

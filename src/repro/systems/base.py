@@ -11,6 +11,7 @@ the shared machinery here prices that profile on the simulated machine.
 
 from __future__ import annotations
 
+import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar
@@ -24,8 +25,9 @@ from repro.algorithms.mis import luby_rounds, mis_priorities
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.errors import SystemCapabilityError
 from repro.graph.edgelist import EdgeList
+from repro.graph.frontier import resolve_batch_rows
 from repro.graph.scratch import consume_counters
-from repro.graph.simple import simple_undirected_view
+from repro.graph.simple import SimpleView, simple_undirected_view
 from repro.machine.spec import MachineSpec, haswell_server
 from repro.machine.threads import SimResult, ThreadModel, WorkProfile
 from repro.observability import Tracer
@@ -66,6 +68,10 @@ class LoadedGraph:
     data: Any
     #: Bytes of the input file actually read.
     input_bytes: int = 0
+    #: The caller's per-dataset dict (``load(built=...)``), in which
+    #: the shared bodies keep their answers by arc digest
+    #: (:meth:`GraphSystem._answer`); ``None``: every run computes.
+    answers: dict | None = None
 
     @property
     def load_s(self) -> float:
@@ -92,6 +98,18 @@ class KernelResult:
     root: int | None = None
     iterations: int | None = None
     counters: dict[str, float] = field(default_factory=dict)
+
+
+def _frozen(value: Any) -> Any:
+    """``value`` with every array read-only and every list a tuple, so
+    no reader of a memoized answer can change it for the next."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, SimpleView):
+        _frozen((value.indptr, value.indices, value.degrees))
+    elif isinstance(value, (tuple, list)):
+        return tuple(_frozen(item) for item in value)
+    return value
 
 
 class GraphSystem(ABC):
@@ -207,7 +225,10 @@ class GraphSystem(ABC):
         the real half of a load (structure + build profile) is kept in
         it per (system, :meth:`_cache_token`), and a later load at any
         thread count only prices it again.  It sits above ``cache``
-        and never reads or changes a cache key.
+        and never reads or changes a cache key.  The returned graph
+        keeps ``built`` as its ``answers``: every system loaded with
+        the same dict shares one answer per shared body (``None``, the
+        default: no memo).
 
         ``cache`` is an optional :class:`repro.cache.ArtifactCache`:
         on a hit the built arrays come back as read-only memmaps of the
@@ -226,6 +247,7 @@ class GraphSystem(ABC):
                    if path.is_dir() else path.stat().st_size)
         read_s = n_bytes / (calibration.read_rate_mbs(self.input_key) * 1e6)
 
+        answers = built
         built = {} if built is None else built
         key = (self.name, *sorted(self._cache_token().items()))
         if key not in built:
@@ -241,7 +263,7 @@ class GraphSystem(ABC):
             n_vertices=dataset.n_vertices, n_arcs=self._n_arcs(data),
             directed=dataset.directed, weighted=True,
             read_s=read_s, build_s=build_s, data=data,
-            input_bytes=n_bytes)
+            input_bytes=n_bytes, answers=answers)
 
     def _cached_build(self, dataset: HomogenizedDataset, cache
                       ) -> tuple[Any, WorkProfile]:
@@ -343,12 +365,53 @@ class GraphSystem(ABC):
             loaded.data, *facts)
         return output, profile, iterations, {**dict(*extra), **counters}
 
+    def _answer(self, loaded: LoadedGraph, body: str, params: tuple,
+                compute: Callable[[], Any]) -> Any:
+        """What ``compute()`` -- the shared body ``body`` under
+        ``params`` on ``loaded``'s arcs -- returns, kept in the
+        caller's per-dataset memo ``loaded.answers``.
+
+        The key holds ``n`` and a digest of the arcs in canonical
+        order, so a hit is proven by the input bytes, never by a
+        dataset name, and every platform storing the same arcs shares
+        one answer.  The value is frozen (arrays read-only, lists as
+        tuples) and holds no priced number: each system still prices
+        the facts itself.  Without a memo every call computes."""
+        memo = loaded.answers
+        if memo is None:
+            return compute()
+        key = (body, params, loaded.n_vertices, self._arc_digest(loaded))
+        if key not in memo:
+            memo[key] = _frozen(compute())
+        return memo[key]
+
+    def _arc_digest(self, loaded: LoadedGraph) -> str:
+        """blake2b of the sorted ``src * n + dst`` keys of ``loaded``'s
+        arcs (duplicates kept), computed once per loaded graph."""
+        digest = loaded.__dict__.get("_arc_digest")
+        if digest is None:
+            src, dst = self._arcs(loaded.data)
+            keys = np.sort(np.asarray(src, dtype=np.int64)
+                           * loaded.n_vertices + dst)
+            digest = hashlib.blake2b(keys.tobytes(),
+                                     digest_size=16).hexdigest()
+            loaded.__dict__["_arc_digest"] = digest
+        return digest
+
+    def _simple_view(self, loaded: LoadedGraph) -> SimpleView:
+        """The simple undirected view of ``loaded``'s arcs (k-core and
+        MIS share it)."""
+        return self._answer(
+            loaded, "simple_undirected_view", (),
+            lambda: simple_undirected_view(*self._arcs(loaded.data),
+                                           loaded.n_vertices))
+
     def _run_kcore(self, loaded: LoadedGraph):
         """:func:`~repro.algorithms.kcore.peel_cores` on the simple
         view; priced from ``(view, rounds)``."""
-        view = simple_undirected_view(*self._arcs(loaded.data),
-                                      loaded.n_vertices)
-        core, rounds = peel_cores(view)
+        view = self._simple_view(loaded)
+        core, rounds = self._answer(loaded, "peel_cores", (),
+                                    lambda: peel_cores(view))
         return self._priced(
             loaded, "kcore", {"core": core},
             {"max_core": float(core.max()) if core.size else 0.0},
@@ -356,29 +419,40 @@ class GraphSystem(ABC):
 
     def _run_mis(self, loaded: LoadedGraph, seed: int | None = None):
         """:func:`~repro.algorithms.mis.luby_rounds` on the simple view
-        under the shared seeded priorities; priced from ``(view,
-        rounds)``."""
-        view = simple_undirected_view(*self._arcs(loaded.data),
-                                      loaded.n_vertices)
-        in_set, rounds = luby_rounds(view, mis_priorities(view.n, seed))
+        under the shared seeded priorities, packed as int64; priced
+        from ``(view, rounds)``."""
+        view = self._simple_view(loaded)
+
+        def compute():
+            in_set, rounds = luby_rounds(view, mis_priorities(view.n, seed))
+            return in_set.astype(np.int64), rounds
+
+        in_set, rounds = self._answer(loaded, "luby_rounds", (seed,),
+                                      compute)
         return self._priced(
-            loaded, "mis", {"in_set": in_set.astype(np.int64)},
+            loaded, "mis", {"in_set": in_set},
             {"set_size": float(in_set.sum())}, view, rounds)
 
     def _run_cdlp(self, loaded: LoadedGraph,
                   iterations: int = DEFAULT_CDLP_ITERATIONS):
         """:func:`~repro.algorithms.cdlp.propagate_labels` along the
         arcs; priced from ``(iterations,)``."""
-        labels = propagate_labels(*self._arcs(loaded.data),
-                                  loaded.n_vertices, iterations)
+        labels = self._answer(
+            loaded, "propagate_labels", (iterations,),
+            lambda: propagate_labels(*self._arcs(loaded.data),
+                                     loaded.n_vertices, iterations))
         return self._priced(loaded, "cdlp", {"labels": labels}, {},
                             iterations)
 
     def _run_lcc(self, loaded: LoadedGraph):
         """:func:`~repro.algorithms.lcc.clustering_blocks` over the
-        arcs; priced from ``(wedges, blocks)``."""
-        lcc, wedges, blocks = clustering_blocks(*self._arcs(loaded.data),
-                                                loaded.n_vertices)
+        arcs at the default block height; priced from ``(wedges,
+        blocks)``."""
+        height = resolve_batch_rows(None, loaded.n_vertices)
+        lcc, wedges, blocks = self._answer(
+            loaded, "clustering_blocks", (height,),
+            lambda: clustering_blocks(*self._arcs(loaded.data),
+                                      loaded.n_vertices, height))
         return self._priced(loaded, "lcc", {"lcc": lcc},
                             {"wedges": float(wedges.sum())},
                             wedges, blocks)

@@ -7,6 +7,11 @@ on} x {shards 1, 2}, every row digested to one sha256 over
 ``results.csv`` and the native logs and compared with the plain run's.
 Traced rows also compare ``events.jsonl``, modulo wall stamps and the
 ``epg_shard_*`` counters only a sharded run emits.
+
+The answer memo of the shared bodies (``GraphSystem._answer``) is an
+execution detail too: the structural row runs k-core and MIS on every
+platform that has them, where all but the first platform hit, and must
+match the same run with every lookup forced to miss.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.observability import Tracer
 from repro.observability.export import read_events
+from repro.systems.base import GraphSystem
 
 WALL_FIELDS = ("t0_wall", "t1_wall", "wall_unix")
 
@@ -33,11 +39,17 @@ COVER = (
 )
 
 
-def run(out, *, jobs=1, cache_dir=None, trace=False, shards=1):
+#: The structural row's cells: k-core and MIS on every platform.
+STRUCTURAL = {"systems": ("gap", "graphbig", "graphmat", "powergraph"),
+              "algorithms": ("kcore", "mis")}
+
+
+def run(out, *, jobs=1, cache_dir=None, trace=False, shards=1,
+        systems=("gap", "graph500"), **cells):
     """One experiment; returns (files digest, events digest or None)."""
     cfg = ExperimentConfig(
-        output_dir=out, scale=6, n_roots=1, systems=("gap", "graph500"),
-        jobs=jobs, shards=shards, cache_dir=cache_dir)
+        output_dir=out, scale=6, n_roots=1, systems=systems,
+        jobs=jobs, shards=shards, cache_dir=cache_dir, **cells)
     tracer = Tracer(out / "trace") if trace else Tracer()
     try:
         Experiment(cfg, tracer=tracer).run_all()
@@ -78,3 +90,14 @@ def test_flag_compositions_change_no_byte(jobs, cache, trace, shards,
     assert files == plain
     if trace:
         assert events == request.getfixturevalue("plain_events")
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_answer_memo_changes_no_byte(jobs, tmp_path, monkeypatch):
+    with monkeypatch.context() as forced:
+        forced.setattr(GraphSystem, "_answer",
+                       lambda self, loaded, body, params, compute: compute())
+        missed = run(tmp_path / "missed", jobs=jobs, trace=True,
+                     **STRUCTURAL)
+    assert run(tmp_path / "memo", jobs=jobs, trace=True,
+               **STRUCTURAL) == missed
