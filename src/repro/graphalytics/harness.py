@@ -72,13 +72,19 @@ class GraphalyticsHarness:
         #: Per-job wall-clock budget; cells whose makespan exceeds it
         #: are reported failed ("F"), the Sec. V behaviour.
         self.time_limit_s = time_limit_s
-        #: (platform, dataset dir) -> (system, LoadedGraph): loads are
-        #: deterministic, so each platform ingests a dataset once per
-        #: harness instead of once per algorithm cell.
+        #: The one resident dataset directory.  Cells arrive grouped by
+        #: dataset (``run_matrix`` runs one dataset's), so a cell naming
+        #: another directory closes and drops everything loaded from
+        #: this one; coming back to a dataset loads it again.
+        self._resident: str | None = None
+        #: platform -> (system, LoadedGraph) of the resident dataset:
+        #: loads are deterministic, so each platform ingests it once
+        #: instead of once per algorithm cell.
         self._loaded: dict = {}
-        #: dataset dir -> the ``built`` dict every platform loads it
-        #: with, which also memoizes the shared bodies' answers
-        #: (``GraphSystem._answer``): LCC and CDLP run once per graph.
+        #: The ``built`` dict every platform loads the resident dataset
+        #: with: it holds each distinct built array once and memoizes
+        #: the shared bodies' answers (``GraphSystem._answer``), so LCC
+        #: and CDLP run once per graph.
         self._built: dict = {}
 
     # ------------------------------------------------------------------
@@ -136,15 +142,25 @@ class GraphalyticsHarness:
 
     def _system_and_loaded(self, platform: str,
                            dataset: HomogenizedDataset):
-        key = (platform, str(dataset.directory))
-        hit = self._loaded.get(key)
+        if str(dataset.directory) != self._resident:
+            self.close()
+            self._resident = str(dataset.directory)
+        hit = self._loaded.get(platform)
         if hit is None:
             system = create_system(platform, machine=self.machine,
                                    n_threads=self.n_threads)
-            built = self._built.setdefault(str(dataset.directory), {})
-            hit = (system, system.load(dataset, built=built))
-            self._loaded[key] = hit
+            hit = (system, system.load(dataset, built=self._built))
+            self._loaded[platform] = hit
         return hit
+
+    def close(self) -> None:
+        """Close and drop the resident dataset's loads and its
+        ``built`` dict; the next cell loads afresh."""
+        for _, loaded in self._loaded.values():
+            loaded.close()
+        self._loaded = {}
+        self._built = {}
+        self._resident = None
 
     # ------------------------------------------------------------------
     def run_matrix(self, dataset: HomogenizedDataset,
@@ -169,7 +185,8 @@ class GraphalyticsHarness:
     def __getstate__(self) -> dict:
         """Pickle the parameters, never the loaded graphs or answers: a
         worker process loads its own (once, on its resident harness)."""
-        return {**self.__dict__, "_loaded": {}, "_built": {}}
+        return {**self.__dict__, "_resident": None, "_loaded": {},
+                "_built": {}}
 
     # ------------------------------------------------------------------
     def _run_kernel(self, system, loaded, algorithm: str,

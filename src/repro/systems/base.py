@@ -68,9 +68,10 @@ class LoadedGraph:
     data: Any
     #: Bytes of the input file actually read.
     input_bytes: int = 0
-    #: The caller's per-dataset dict (``load(built=...)``), in which
-    #: the shared bodies keep their answers by arc digest
-    #: (:meth:`GraphSystem._answer`); ``None``: every run computes.
+    #: The caller's per-dataset dict (``load(built=...)``), which holds
+    #: the load's interned arrays and in which the shared bodies keep
+    #: their answers by arc digest (:meth:`GraphSystem._answer`);
+    #: ``None``: every run computes.
     answers: dict | None = None
 
     @property
@@ -110,6 +111,46 @@ def _frozen(value: Any) -> Any:
     elif isinstance(value, (tuple, list)):
         return tuple(_frozen(item) for item in value)
     return value
+
+
+def _interned(arrays: dict[str, np.ndarray], built: dict | None
+              ) -> dict[str, np.ndarray]:
+    """``arrays`` with each array replaced by the canonical array kept
+    in ``built`` whose dtype, shape and raw bytes equal its own; an
+    array with no equal becomes canonical.  Canonical arrays are
+    read-only, so however many loads share one, none can change it.
+
+    Equality is of bytes, never of values: ``-0.0`` and ``0.0`` stay
+    apart and equal NaN payloads meet.  ``built=None`` (a load with no
+    per-dataset dict) returns ``arrays`` as they are."""
+    if built is None:
+        return arrays
+    out = {}
+    for name, array in arrays.items():
+        bucket = built.setdefault(
+            ("interned", array.dtype.str, array.shape), [])
+        canonical = next((c for c in bucket if _same_bytes(c, array)),
+                         None)
+        if canonical is None:
+            array.flags.writeable = False
+            bucket.append(canonical := array)
+        out[name] = canonical
+    return out
+
+
+#: Bytes compared per step of :func:`_same_bytes`: arrays that differ
+#: usually differ early, so a mismatch stops after one chunk, and no
+#: step allocates more than this much for its comparison result.
+_COMPARE_CHUNK = 1 << 20
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the C-order raw bytes of ``a`` and ``b`` are equal."""
+    a = np.ascontiguousarray(a).reshape(-1).view(np.uint8)
+    b = np.ascontiguousarray(b).reshape(-1).view(np.uint8)
+    return a.size == b.size and all(
+        np.array_equal(a[i:i + _COMPARE_CHUNK], b[i:i + _COMPARE_CHUNK])
+        for i in range(0, a.size, _COMPARE_CHUNK))
 
 
 class GraphSystem(ABC):
@@ -228,7 +269,9 @@ class GraphSystem(ABC):
         and never reads or changes a cache key.  The returned graph
         keeps ``built`` as its ``answers``: every system loaded with
         the same dict shares one answer per shared body (``None``, the
-        default: no memo).
+        default: no memo).  Every built array is interned in it too
+        (:func:`_interned`), so each distinct array is held once per
+        dataset however many systems and thread counts load it.
 
         ``cache`` is an optional :class:`repro.cache.ArtifactCache`:
         on a hit the built arrays come back as read-only memmaps of the
@@ -251,7 +294,7 @@ class GraphSystem(ABC):
         built = {} if built is None else built
         key = (self.name, *sorted(self._cache_token().items()))
         if key not in built:
-            built[key] = self._cached_build(dataset, cache)
+            built[key] = self._cached_build(dataset, cache, answers)
         data, build_profile = built[key]
         build_s = self.thread_model.simulate(
             build_profile, calibration.build_params(self.name, self.machine),
@@ -265,11 +308,12 @@ class GraphSystem(ABC):
             read_s=read_s, build_s=build_s, data=data,
             input_bytes=n_bytes, answers=answers)
 
-    def _cached_build(self, dataset: HomogenizedDataset, cache
-                      ) -> tuple[Any, WorkProfile]:
+    def _cached_build(self, dataset: HomogenizedDataset, cache,
+                      built: dict | None) -> tuple[Any, WorkProfile]:
         """Produce (data, build_profile): look the built arrays up in
-        ``cache``, else build (and store) them, then assemble -- a warm
-        load is a cold load minus the build.
+        ``cache``, else build (and store) them, intern them in
+        ``built`` (:func:`_interned`), then assemble -- a warm load is
+        a cold load minus the build.
 
         Layer 2 of the artifact cache: the built structure's arrays and
         the recorded build profile round-trip through one ``.npy``
@@ -287,10 +331,12 @@ class GraphSystem(ABC):
                 arrays, meta = hit
                 try:
                     profile = WorkProfile.from_arrays(
-                        arrays["profile_units"], arrays["profile_mem"],
-                        arrays["profile_skew"],
+                        arrays.pop("profile_units"),
+                        arrays.pop("profile_mem"),
+                        arrays.pop("profile_skew"),
                         meta["profile_serial_units"])
-                    return self._assemble(arrays, meta), profile
+                    return (self._assemble(_interned(arrays, built), meta),
+                            profile)
                 except Exception as exc:
                     cache.discard(key, exc)
 
@@ -301,7 +347,7 @@ class GraphSystem(ABC):
                 key, f"graph:{self.name}",
                 {**arrays, **profile.to_arrays()},
                 {**meta, "profile_serial_units": profile.serial_units})
-        return self._assemble(arrays, meta), profile
+        return self._assemble(_interned(arrays, built), meta), profile
 
     def _cache_token(self) -> dict:
         """Build-affecting knobs beyond the input bytes (cache key

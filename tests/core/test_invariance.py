@@ -11,7 +11,10 @@ Traced rows also compare ``events.jsonl``, modulo wall stamps and the
 The answer memo of the shared bodies (``GraphSystem._answer``) is an
 execution detail too: the structural row runs k-core and MIS on every
 platform that has them, where all but the first platform hit, and must
-match the same run with every lookup forced to miss.
+match the same run with every lookup forced to miss.  So is interning
+the built arrays (``repro.systems.base._interned``): the interning row
+loads all five systems into one ``built`` dict, where most arrays meet
+a byte-equal one, and must match the same run with interning off.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ import json
 
 import pytest
 
+import repro.systems.base as base
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.observability import Tracer
@@ -42,6 +46,10 @@ COVER = (
 #: The structural row's cells: k-core and MIS on every platform.
 STRUCTURAL = {"systems": ("gap", "graphbig", "graphmat", "powergraph"),
               "algorithms": ("kcore", "mis")}
+
+#: The interning row's cells: the paper's kernels on every system.
+ALL_SYSTEMS = {"systems": ("gap", "graph500", "graphbig", "graphmat",
+                           "powergraph")}
 
 
 def run(out, *, jobs=1, cache_dir=None, trace=False, shards=1,
@@ -101,3 +109,13 @@ def test_answer_memo_changes_no_byte(jobs, tmp_path, monkeypatch):
                      **STRUCTURAL)
     assert run(tmp_path / "memo", jobs=jobs, trace=True,
                **STRUCTURAL) == missed
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_interning_changes_no_byte(jobs, tmp_path, monkeypatch):
+    with monkeypatch.context() as off:
+        off.setattr(base, "_interned", lambda arrays, built: arrays)
+        apart = run(tmp_path / "apart", jobs=jobs, trace=True,
+                    **ALL_SYSTEMS)
+    assert run(tmp_path / "interned", jobs=jobs, trace=True,
+               **ALL_SYSTEMS) == apart
