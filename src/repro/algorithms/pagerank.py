@@ -26,7 +26,7 @@ DEFAULT_MAX_ITERATIONS = 1000
 
 
 def check_pagerank_params(damping: float, epsilon: float,
-                          max_iterations: int, n_blocks: int = 1) -> None:
+                          max_iterations: int) -> None:
     """Reject parameters no power iteration is defined for -- every
     PageRank here (this one and the four systems') calls it first.
 
@@ -40,8 +40,6 @@ def check_pagerank_params(damping: float, epsilon: float,
     if max_iterations < 1:
         raise ConfigError(
             f"max_iterations must be >= 1, got {max_iterations}")
-    if n_blocks < 1:
-        raise ConfigError(f"n_blocks must be >= 1, got {n_blocks}")
 
 
 def pagerank(graph: CSRGraph, damping: float = DEFAULT_DAMPING,

@@ -1,7 +1,7 @@
 """Persistent content-addressed artifact cache.
 
 ``epg reproduce`` pays its data-preparation cost on every invocation:
-the Kronecker generator, eight homogenized file formats, and one
+the Kronecker generator, five homogenized file formats, and one
 parse-and-build per (system, thread-count) pairing per worker process.
 The paper's EPG* design separates *preparation* from *measurement*
 precisely so prep is paid once; this package makes that literal across

@@ -135,13 +135,15 @@ def projected_scalability(system: str, algorithm: str = "bfs",
 #: read off ``LoadedGraph.data.nbytes()`` on Kronecker graphs (within
 #: 0.7 % at scales 10 and 12, edge factors 4 and 16).  Every Kronecker
 #: scale has arcs = 32 n at the default edge factor, so the two columns
-#: are pinned by two edge factors, not by two scales.
+#: are pinned by two edge factors, not by two scales.  Kronecker graphs
+#: are undirected: GAP's inverse and GraphMat's symmetric pattern are
+#: the structure itself and cost nothing more.
 _MEMORY_MODEL: dict[str, tuple[float, float]] = {
     # (bytes_per_arc, bytes_per_vertex)
-    "gap": (32.0, 32.0),          # out + in weighted CSR + degrees
+    "gap": (16.0, 24.0),          # one weighted CSR + degrees
     "graph500": (8.0, 8.0),       # single unweighted CSR
     "graphbig": (16.0, 48.0),     # weighted CSR + property records
-    "graphmat": (24.0, 28.0),     # DCSR A^T + symmetric pattern
+    "graphmat": (16.0, 18.0),     # one DCSR A^T + degrees
     "powergraph": (32.0, 16.0),   # engine's in + out weighted CSR
 }
 

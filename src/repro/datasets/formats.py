@@ -7,8 +7,7 @@ serialized data structure file formats" (Sec. III-B).  Each format here
 mirrors the observable layout of the real system's format:
 
 =============  ==================================================
-GAP            ``.wel`` -- weighted text edge list; ``.wsg`` --
-               serialized weighted CSR binary
+GAP            ``.wel`` -- weighted text edge list
 Graph500       ``.g500`` -- packed int64 edge tuples (generator dump)
 GraphBIG       ``vertex.csv`` + ``edge.csv`` (IBM System G CSV)
 GraphMat       ``.mtxbin`` -- binary 1-based (src, dst, weight) triples
@@ -37,14 +36,12 @@ from repro.graph.edgelist import EdgeList
 
 __all__ = [
     "write_el",
-    "write_sg", "read_sg",
     "write_g500", "read_g500",
     "write_graphbig_csv",
     "write_graphmat_bin", "read_graphmat_bin",
     "write_powergraph_tsv",
 ]
 
-_SG_MAGIC = b"GAPBSSG1"
 _G500_MAGIC = b"GRPH500E"
 _GMAT_MAGIC = b"GMATBIN1"
 #: ``(n_vertices, n_edges, weighted)``, after every binary format's magic.
@@ -138,43 +135,6 @@ def write_el(edges: EdgeList, path: str | Path) -> Path:
     with path.open("wb") as fh:
         write_edge_rows(fh, edges, " ")
     return path
-
-
-# ----------------------------------------------------------------------
-# GAP serialized graph (.sg/.wsg): header + row_ptr + col_idx (+ weights).
-# ----------------------------------------------------------------------
-def write_sg(edges: EdgeList, path: str | Path,
-             symmetrize: bool = False) -> Path:
-    """Serialize CSR the way GAP's ``converter -b`` does.
-
-    GAP stores the *built* graph so benchmark runs skip text parsing;
-    EPG* measures that difference as the read-vs-build phase split.
-    """
-    from repro.graph.csr import CSRGraph
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    csr = CSRGraph.from_edge_list(edges, symmetrize=symmetrize)
-    with path.open("wb") as fh:
-        fh.write(_SG_MAGIC)
-        fh.write(_HEADER.pack(csr.n_vertices, csr.n_edges, csr.weighted))
-        fh.write(csr.row_ptr.tobytes())
-        fh.write(csr.col_idx.tobytes())
-        if csr.weighted:
-            fh.write(csr.weights.tobytes())
-    return path
-
-
-def read_sg(path: str | Path):
-    """Load a ``.sg`` file back into a :class:`CSRGraph`."""
-    from repro.graph.csr import CSRGraph
-
-    _, _, (row_ptr, col_idx, *weights) = _read_blocks(
-        path, _SG_MAGIC, "GAP .sg file",
-        lambda n, m, weighted: [(np.int64, n + 1), (np.int64, m)]
-        + ([(np.float64, m)] if weighted else []))
-    return CSRGraph(row_ptr=row_ptr, col_idx=col_idx,
-                    weights=weights[0] if weights else None)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from a SNAP file), :func:`homogenize` writes a dataset directory:
     <out>/<name>/
         manifest.json          dataset statistics + file inventory
         <name>.wel             GAP's weighted text edge list
-        <name>.wsg             GAP serialized weighted CSR
         <name>.g500            Graph500 packed tuples
         <name>.mtxbin          GraphMat binary matrix
         <name>.tsv             PowerGraph edge TSV
@@ -83,7 +82,7 @@ class HomogenizedDataset:
     files: dict
 
     def path(self, key: str) -> Path:
-        """Absolute path of one homogenized artifact (e.g. ``'wsg'``)."""
+        """Absolute path of one homogenized artifact (e.g. ``'wel'``)."""
         try:
             return self.directory / self.files[key]
         except KeyError:
@@ -184,9 +183,6 @@ def homogenize(edges: EdgeList, out_dir: str | Path,
     wel_path = ddir / f"{name}.wel"
     writers = [
         ("wel", lambda: formats.write_el(weighted_el, wel_path)),
-        ("wsg", lambda: formats.write_sg(
-            weighted_el, ddir / f"{name}.wsg",
-            symmetrize=not edges.directed)),
         ("g500", lambda: formats.write_g500(weighted_el,
                                             ddir / f"{name}.g500")),
         ("mtxbin", lambda: formats.write_graphmat_bin(

@@ -308,9 +308,6 @@ class CSRGraph:
             row_ptr=ptr - a0, col_idx=self.col_idx[a0:a1],
             weights=None if self.weights is None else self.weights[a0:a1])
 
-    def to_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.source_ids(), self.col_idx.copy()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CSRGraph(n={self.n_vertices}, arcs={self.n_edges}, "

@@ -95,7 +95,7 @@ class LocalSweeps:
         self.scratch = scratch
         self.n = out.n_vertices
 
-    def _in_arcs(self) -> CSRGraph:
+    def _pull_csr(self) -> CSRGraph:
         if self.inn is None:
             self.inn = self.out.transposed()
         return self.inn
@@ -114,7 +114,7 @@ class LocalSweeps:
         return new_v, examined
 
     def bottom_up(self, frontier, parent):
-        inn = self._in_arcs()
+        inn = self._pull_csr()
         cand = np.flatnonzero(~self.visited)
         in_frontier = self.scratch.mask("frontier")
         in_frontier[frontier] = True
@@ -139,7 +139,7 @@ class LocalSweeps:
         Each CSR memoizes its split while ``delta`` repeats, so only the
         first kernel at a delta pays for it."""
         self.out_parts = self.out.weight_split(delta)
-        self.in_parts = self._in_arcs().weight_split(delta)
+        self.in_parts = self._pull_csr().weight_split(delta)
 
     def relax(self, members, mode, examined=None, arcs=None):
         # Priced on every out-arc of the members, light and heavy alike.

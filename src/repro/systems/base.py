@@ -361,7 +361,7 @@ class GraphSystem(ABC):
         binary ``.g500`` dump of the same rows every text format holds
         (:meth:`HomogenizedDataset.load_edges`), also the Graph500's own
         file.  A system whose native file is another binary format
-        (GraphMat, GAP's ``.wsg``) overrides this to read it."""
+        (GraphMat) overrides this to read it."""
         return dataset.load_edges()
 
     @abstractmethod

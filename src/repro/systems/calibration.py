@@ -256,7 +256,6 @@ _READ_RATE_MBS: dict[str, float] = {
     "graphbig": 70.0,  # GraphBIG's quoted CSV is slower to parse
     "mtxbin": 230.0,
     "g500": 450.0,
-    "wsg": 450.0,
 }
 
 

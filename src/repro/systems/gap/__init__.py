@@ -10,10 +10,10 @@
 * delta-stepping SSSP;
 * PageRank with the homogenized L1 stopping criterion, converging in the
   fewest iterations of all systems (Fig 4);
-* both out- and in-adjacency stored (CSR + transpose), so BFS and SSSP
-  reuse one construction (Fig 2/3: "the platforms create the same data
-  structure for both algorithms");
-* serialized ``.sg`` graphs for fast reload.
+* both out- and in-adjacency stored (CSR + transpose; on undirected
+  input the CSR is its own transpose), so BFS and SSSP reuse one
+  construction (Fig 2/3: "the platforms create the same data structure
+  for both algorithms").
 """
 
 from repro.systems.gap.system import GapSystem

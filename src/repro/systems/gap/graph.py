@@ -16,7 +16,9 @@ __all__ = ["GapGraph", "build_gap_graph"]
 @dataclass
 class GapGraph:
     """Out- and in-adjacency with cached degrees (what ``BuildGraph``
-    in GAP's ``builder.h`` produces)."""
+    in GAP's ``builder.h`` produces).  On undirected input ``inn`` is
+    ``out`` itself: GAP keeps no inverse of a symmetrized graph, whose
+    rows already hold each vertex's sorted in-neighbours."""
 
     out: CSRGraph
     inn: CSRGraph
@@ -27,20 +29,14 @@ class GapGraph:
     def n_arcs(self) -> int:
         return self.out.n_edges
 
-    @property
-    def in_arcs(self) -> CSRGraph:
-        """The CSR a pull reads: ``inn``, or on undirected input ``out``
-        itself -- symmetrized, so each row holds the same sorted
-        neighbours and (neighbour, weight) multiset either way."""
-        return self.inn if self.directed else self.out
-
     def out_degree(self) -> np.ndarray:
         return self.out.out_degrees()
 
     def nbytes(self) -> int:
-        """Resident footprint: both CSR directions + degree caches."""
-        return (self.out.nbytes() + self.inn.nbytes()
-                + 2 * 8 * self.n)
+        """Resident footprint: each distinct CSR (a shared one counts
+        once) + degree caches."""
+        inn = 0 if self.inn is self.out else self.inn.nbytes()
+        return self.out.nbytes() + inn + 2 * 8 * self.n
 
 
 def build_gap_graph(edges: EdgeList, directed: bool
@@ -50,7 +46,8 @@ def build_gap_graph(edges: EdgeList, directed: bool
     GAP squishes the edge list (dedup is optional and off by default in
     the benchmark binaries, matching the Graph500 input contract), sorts
     it into CSR, then builds the transpose -- three passes over the
-    tuples.
+    tuples.  Undirected input keeps the third pass's price but stores
+    no transpose: ``inn`` is ``out``.
     """
     profile = WorkProfile()
     el = edges if directed else edges.symmetrized()
@@ -60,7 +57,8 @@ def build_gap_graph(edges: EdgeList, directed: bool
     out = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices,
                                weights=el.weights)
     profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
-    inn = out.transposed()  # from_arrays(el.dst, el.src)'s bytes, no sort
+    # The transpose is from_arrays(el.dst, el.src)'s bytes, no sort.
+    inn = out.transposed() if directed else out
     profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
     return GapGraph(out=out, inn=inn, n=el.n_vertices,
                     directed=directed), profile

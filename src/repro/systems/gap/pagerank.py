@@ -6,7 +6,7 @@ Stopping criterion (paper Sec. III-D): iterate until
 Reproduction note -- why GAP needs the fewest iterations (Fig 4): GAP's
 pull-direction kernel sweeps vertices in index order, and this
 implementation models that as a *block Gauss-Seidel*: vertices are
-processed in ``n_blocks`` ordered chunks, each chunk pulling from ranks
+processed in ``N_BLOCKS`` ordered chunks, each chunk pulling from ranks
 that earlier chunks already updated this sweep.  Using fresh values
 within a sweep accelerates convergence over the pure Jacobi sweeps of
 GraphBIG/GraphMat/PowerGraph, yielding the iteration ordering the paper
@@ -27,16 +27,15 @@ __all__ = ["pagerank_gs", "DEFAULT_EPSILON", "DEFAULT_DAMPING"]
 DEFAULT_EPSILON = 6e-8
 DEFAULT_DAMPING = 0.85
 DEFAULT_MAX_ITERATIONS = 1000
-DEFAULT_N_BLOCKS = 8
+N_BLOCKS = 8
 
 
 def pagerank_gs(graph: GapGraph, damping: float = DEFAULT_DAMPING,
                 epsilon: float = DEFAULT_EPSILON,
-                max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                n_blocks: int = DEFAULT_N_BLOCKS
+                max_iterations: int = DEFAULT_MAX_ITERATIONS
                 ) -> tuple[np.ndarray, int, WorkProfile]:
     """Return (ranks, iterations, profile)."""
-    check_pagerank_params(damping, epsilon, max_iterations, n_blocks)
+    check_pagerank_params(damping, epsilon, max_iterations)
     n = graph.n
     inn = graph.inn
     out_deg = graph.out_degree().astype(np.float64)
@@ -48,7 +47,7 @@ def pagerank_gs(graph: GapGraph, damping: float = DEFAULT_DAMPING,
     rank = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     profile = WorkProfile()
-    bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64)
+    bounds = np.linspace(0, n, N_BLOCKS + 1).astype(np.int64)
     nnz = inn.n_edges
     # Per block: its vertex range and the in-arcs of those rows.
     blocks = [(lo, hi, arc_sum_operator(inn.row_ptr, inn.col_idx, n,

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets import formats
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.errors import SystemCapabilityError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
-from repro.machine.threads import WorkProfile
 from repro.systems.base import GraphSystem
 from repro.systems.gap.bfs import DEFAULT_ALPHA, DEFAULT_BETA, dobfs
 from repro.systems.gap.graph import GapGraph, build_gap_graph
@@ -38,19 +36,14 @@ class GapSystem(GraphSystem):
                           "kcore", "mis", "cc"})
     separable_construction = True
     #: EPG* feeds GAP the weighted text edge list (priced by size,
-    #: built from the ``.g500`` dump); the ``.wsg`` serialized form is
-    #: read as such through ``use_serialized=True``.
+    #: built from the ``.g500`` dump).
     input_key = "wel"
     pricing = {"kcore": kcore_peel, "mis": mis_luby}
 
     def __init__(self, machine=None, n_threads: int = 32,
-                 use_serialized: bool = False,
                  weight_dtype: str = "float64", shards: int = 1):
         super().__init__(machine=machine, n_threads=n_threads,
                          shards=shards)
-        self.use_serialized = use_serialized
-        if use_serialized:
-            self.input_key = self.read_key = "wsg"
         if weight_dtype not in ("float64", "int32"):
             raise SystemCapabilityError(
                 "weight_dtype must be 'float64' or 'int32'")
@@ -61,14 +54,6 @@ class GapSystem(GraphSystem):
         self.weight_dtype = weight_dtype
 
     # -- loading -------------------------------------------------------
-    def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
-        if not self.use_serialized:
-            return super()._read_input(dataset)
-        csr = formats.read_sg(dataset.path(self.read_key))
-        src, dst = csr.to_edge_arrays()
-        return EdgeList(src, dst, csr.n_vertices, weights=csr.weights,
-                        directed=True, name=dataset.name)
-
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
         if self.weight_dtype == "int32" and edges.weights is not None:
             # The integer-weight build truncates at ingest (0.2 -> 0).
@@ -77,31 +62,24 @@ class GapSystem(GraphSystem):
                 weights=edges.weights.astype(np.int32).astype(
                     np.float64),
                 directed=edges.directed, name=edges.name)
-        # A serialized graph was already symmetrized by the converter.
-        directed = True if self.use_serialized else dataset.directed
-        graph, profile = build_gap_graph(edges, directed=directed)
-        if self.use_serialized:
-            # The .wsg file *is* the CSR: deserialization replaces the
-            # three construction passes with one mmap-style placement
-            # pass (GAP's point in shipping the converter).  Keep only
-            # the transpose build, which the file does not store.
-            profile = WorkProfile(rounds=profile.rounds[-1:])
-        arrays = {**graph.out.to_arrays_map("out_"),
-                  **graph.inn.to_arrays_map("inn_")}
+        graph, profile = build_gap_graph(edges, directed=dataset.directed)
+        arrays = graph.out.to_arrays_map("out_")
+        if graph.inn is not graph.out:
+            arrays.update(graph.inn.to_arrays_map("inn_"))
         return arrays, {"n": graph.n, "directed": graph.directed}, profile
 
     def _n_arcs(self, data: GapGraph) -> int:
         return data.n_arcs
 
     def _cache_token(self) -> dict:
-        # Both knobs change the built bytes: int32 truncates weights at
-        # ingest, and the serialized path skips symmetrization.
-        return {"weight_dtype": self.weight_dtype,
-                "serialized": self.use_serialized}
+        # int32 truncates weights at ingest: other built bytes.
+        return {"weight_dtype": self.weight_dtype}
 
     def _assemble(self, arrays, meta) -> GapGraph:
-        return GapGraph(out=CSRGraph.from_arrays_map(arrays, "out_"),
-                        inn=CSRGraph.from_arrays_map(arrays, "inn_"),
+        out = CSRGraph.from_arrays_map(arrays, "out_")
+        return GapGraph(out=out,
+                        inn=(CSRGraph.from_arrays_map(arrays, "inn_")
+                             if "inn_row_ptr" in arrays else out),
                         n=int(meta["n"]),
                         directed=bool(meta["directed"]))
 
@@ -115,7 +93,7 @@ class GapSystem(GraphSystem):
             from repro.shard.drivers import shard_dobfs
 
             engine = self._shard_engine(loaded, loaded.data.out,
-                                        loaded.data.in_arcs)
+                                        loaded.data.inn)
             parent, level, profile, stats = shard_dobfs(
                 loaded.data, root, engine, alpha=alpha, beta=beta)
             self._note_shard_exchange("bfs", engine)
@@ -131,7 +109,7 @@ class GapSystem(GraphSystem):
             from repro.shard.drivers import shard_delta_stepping
 
             engine = self._shard_engine(loaded, loaded.data.out,
-                                        loaded.data.in_arcs)
+                                        loaded.data.inn)
             dist, profile, stats = shard_delta_stepping(
                 loaded.data, root, engine, delta=delta)
             self._note_shard_exchange("sssp", engine)

@@ -35,7 +35,8 @@ __all__ = ["GraphMatSystem", "GraphMatMatrices"]
 
 @dataclass
 class GraphMatMatrices:
-    """GraphMat's graph: DCSR transpose (pull direction) + degrees."""
+    """GraphMat's graph: DCSR transpose (pull direction) + degrees.
+    On undirected input ``at_sym`` is ``at`` itself."""
 
     at: DCSRMatrix          # A^T with weights
     at_sym: DCSRMatrix      # symmetrized pattern (for WCC)
@@ -47,9 +48,10 @@ class GraphMatMatrices:
         return self.at.nnz
 
     def nbytes(self) -> int:
-        """Both DCSR matrices plus the degree cache."""
-        return (self.at.nbytes() + self.at_sym.nbytes()
-                + self.out_degrees.nbytes)
+        """Each distinct DCSR matrix (a shared one counts once) plus
+        the degree cache."""
+        sym = 0 if self.at_sym is self.at else self.at_sym.nbytes()
+        return self.at.nbytes() + sym + self.out_degrees.nbytes
 
 
 class GraphMatSystem(GraphSystem):
@@ -81,15 +83,17 @@ class GraphMatSystem(GraphSystem):
         csr_t = CSRGraph.from_arrays(el.dst, el.src, n, weights=el.weights)
         at = DCSRMatrix.from_csr(csr_t)
         profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
-        # Symmetrized pattern for CC.
-        sym = el.symmetrized() if dataset.directed else el
-        csr_sym = CSRGraph.from_arrays(sym.dst, sym.src, n)
-        at_sym = DCSRMatrix.from_csr(csr_sym)
+        arrays = {"out_degrees": np.bincount(el.src, minlength=n),
+                  **at.to_arrays_map("at_")}
+        # Symmetrized pattern for CC: on undirected input ``at``'s own,
+        # so only directed input stores a second matrix.
+        sym = el
+        if dataset.directed:
+            sym = el.symmetrized()
+            arrays.update(DCSRMatrix.from_csr(CSRGraph.from_arrays(
+                sym.dst, sym.src, n)).to_arrays_map("ats_"))
         profile.add_round(units=sym.n_edges, memory_bytes=16.0 * sym.n_edges,
                           skew=0.05)
-        arrays = {"out_degrees": np.bincount(el.src, minlength=n),
-                  **at.to_arrays_map("at_"),
-                  **at_sym.to_arrays_map("ats_")}
         return arrays, {"n": n}, profile
 
     def _n_arcs(self, data: GraphMatMatrices) -> int:
@@ -97,9 +101,11 @@ class GraphMatSystem(GraphSystem):
 
     def _assemble(self, arrays, meta) -> GraphMatMatrices:
         n = int(meta["n"])
+        at = DCSRMatrix.from_arrays_map(arrays, n, "at_")
         return GraphMatMatrices(
-            at=DCSRMatrix.from_arrays_map(arrays, n, "at_"),
-            at_sym=DCSRMatrix.from_arrays_map(arrays, n, "ats_"),
+            at=at,
+            at_sym=(DCSRMatrix.from_arrays_map(arrays, n, "ats_")
+                    if "ats_row_ptr" in arrays else at),
             out_degrees=arrays["out_degrees"], n=n)
 
     # -- kernels -------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.algorithms.pagerank import pagerank
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.systems import create_system
-from repro.systems.gap.pagerank import pagerank_gs
 
 #: ``pagerank(kron10_csr)`` as computed by the per-arc ``np.add.at``
 #: sweep, pinned at commit 45ef066 before the sweep body was rewritten.
@@ -95,12 +94,6 @@ def test_bad_parameters_are_config_errors(system, params, kron10_csr,
         else:
             s = create_system(system)
             s.run(s.load(kron10_dataset), "pagerank", **params)
-
-
-def test_gap_rejects_zero_blocks(kron10_dataset):
-    s = create_system("gap")
-    with pytest.raises(ConfigError, match="n_blocks"):
-        pagerank_gs(s.load(kron10_dataset).data, n_blocks=0)
 
 
 @pytest.mark.parametrize("system", ["reference"] + PAGERANK_SYSTEMS)

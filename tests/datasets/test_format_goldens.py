@@ -59,7 +59,7 @@ def _tree_digests(edges, out_dir):
     """``{relative path: sha256}`` of every file under the dataset dir.
 
     The two degenerate inputs have no vertex of degree > 1, so root
-    selection refuses them -- after all six formats are on disk,
+    selection refuses them -- after all five formats are on disk,
     which is the part pinned here.
     """
     try:
@@ -74,8 +74,8 @@ def _tree_digests(edges, out_dir):
 
 #: Pinned from commit 2af891b (``np.savetxt`` writers, ``lexsort`` CSR).
 #: The ``manifest.json`` rows were re-pinned when the unread ``.el`` and
-#: ``.sg`` files left the tree: each is the old manifest minus those two
-#: ``files`` entries, byte for byte.
+#: ``.sg`` files left the tree, and again when the ``.wsg`` did: each is
+#: the old manifest minus those ``files`` entries, byte for byte.
 GOLDEN = {
     "empty": {
         "empty.g500":
@@ -86,8 +86,6 @@ GOLDEN = {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "empty.wel":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "empty.wsg":
-            "cb7a5d57d8215086225a0d5f2f6cb7f7ca2db6df1ada642903ccc793cd9a7cd7",
         "graphbig/edge.csv":
             "79fba3dc264dd8355eb0ab135433439769fcd01a92b67b3afb15b66aab334810",
         "graphbig/vertex.csv":
@@ -106,10 +104,8 @@ GOLDEN = {
             "b26e89da3281e4fc4d5464dfb78e9ec423ee0de70a27556a534b8c4a72bd0239",
         "kron-scale8.wel":
             "73a0a9e4d3158fbd629cc766a058b3925594c62b0a2e4657b2a3993cf0b8f01d",
-        "kron-scale8.wsg":
-            "0ba099937efc0cbd9d4426f4ad92142aea71b9a2cfdeef6b5da276b5be956355",
         "manifest.json":
-            "6ce376bec24713be3b488764bbed1655565e8f996d1c998f3e54bf04b835c7eb",
+            "0293c1c8b2f1a87b4f229276797174de3a280d373db97a1d2410d07218285c6d",
         "roots.txt":
             "81b6ea78e9277808ee919dd4e5c2958e8c7e5e719c7ed83992c24aff3b6b0675",
     },
@@ -126,8 +122,6 @@ GOLDEN = {
             "380539a3bd70af7934826d8838040735f645ee7578ecc4813f9284b4c11d7e8a",
         "one.wel":
             "e4f3de5ab028859bac29cf7e71dbe43f1125bd3200deb7279454d071d7a4311f",
-        "one.wsg":
-            "2224b5ca8fa14f2f44465ce93c540b905d6eeeb6edea73d9e5049c2150fc5238",
     },
     "patents": {
         "cit-Patents.g500":
@@ -138,14 +132,12 @@ GOLDEN = {
             "23c0c8f9b8e10d76c5c3730c0eb88bf1a158402a9a109deda6eb14891a866a67",
         "cit-Patents.wel":
             "fd39c77c267e2730ce1133c6253ceb95a31a836d53790d74ef3e62475bde2296",
-        "cit-Patents.wsg":
-            "166014e52f8b6213becc49e7bd3d311f08e83cdcd9954655b398abaf6ca2e30a",
         "graphbig/edge.csv":
             "bbfbb5937bd2a1516d7ba52a275755d6d686d212d13c4a67d66b39ad9703a768",
         "graphbig/vertex.csv":
             "fe05420141921fa49a0be1822a0f98b79339485db5ec95a118f8dd1259f0e9f0",
         "manifest.json":
-            "417fffe46c285753a0381efd8fff07e596683eeecd39b710f955444d464c5b45",
+            "bde5586e738068c37221b733bd1f8ed0a099ac043b7ea9e437d17615a09f97bd",
         "roots.txt":
             "dd297fcc47c1e5326cbcf1e24d983adf48d52bece441730ed7312b86cca8c1a5",
     },
@@ -155,7 +147,7 @@ GOLDEN = {
         "graphbig/vertex.csv":
             "84af90e34bf4397b70dcd44da60cf8fdfbf19ddeca86ecb2d3399bb2c06e0940",
         "manifest.json":
-            "c709b0fd3717913dc829ddfeeb42f0efaeced199e0ef089950e9ad4f251d6162",
+            "0a5930fb83d46378bac7e90247cb5fd52cf65e04a2f6cf08376b836d55ba5886",
         "roots.txt":
             "f576a94eabb7ebc0c5f09aa414b27e0e4c89dbd2970b1be72455f3f63878091e",
         "stress.g500":
@@ -166,8 +158,6 @@ GOLDEN = {
             "f35157cfd58ba0c23537bf2b52e81e17fa5dfa6607b145c6ad96dc7ff8a75903",
         "stress.wel":
             "23c1203a1b700596cb051fb7309b50842236fe3a497e15dd4f164b8066978447",
-        "stress.wsg":
-            "7a6da455b0269d67d21b6a4c60ed960f8b33a77c522ef80ad75a59a2149b4f41",
     },
 }
 

@@ -21,8 +21,6 @@ def cases(tmp_path, kron10, kron10_dataset):
     shutil.copytree(kron10_dataset.directory, tmp_path / "h")
     dataset = load_manifest(tmp_path / "h")
     return {
-        "sg": (formats.write_sg(kron10, tmp_path / "g.sg",
-                                symmetrize=True), formats.read_sg),
         "g500": (formats.write_g500(kron10, tmp_path / "g.g500"),
                  formats.read_g500),
         "mtxbin": (formats.write_graphmat_bin(kron10,
@@ -33,7 +31,7 @@ def cases(tmp_path, kron10, kron10_dataset):
     }
 
 
-KEYS = ["g500", "load_edges", "mtxbin", "sg"]
+KEYS = ["g500", "load_edges", "mtxbin"]
 
 
 @pytest.mark.parametrize("key", KEYS)

@@ -40,24 +40,6 @@ def test_el_infers_vertex_count(tmp_path, tiny_edges):
     assert back.n_vertices == 5
 
 
-def test_sg_roundtrip(tmp_path, kron10):
-    from repro.graph.csr import CSRGraph
-
-    p = formats.write_sg(kron10, tmp_path / "g.wsg", symmetrize=True)
-    csr = formats.read_sg(p)
-    want = CSRGraph.from_edge_list(kron10, symmetrize=True)
-    assert np.array_equal(csr.row_ptr, want.row_ptr)
-    assert np.array_equal(csr.col_idx, want.col_idx)
-    assert np.array_equal(csr.weights, want.weights)
-
-
-def test_sg_magic_check(tmp_path):
-    p = tmp_path / "bad.sg"
-    p.write_bytes(b"NOTASGFILE")
-    with pytest.raises(GraphFormatError):
-        formats.read_sg(p)
-
-
 def test_g500_roundtrip(tmp_path, kron10):
     p = formats.write_g500(kron10, tmp_path / "g.g500")
     back = formats.read_g500(p)

@@ -51,11 +51,12 @@ class TestRootSelection:
 class TestHomogenize:
     def test_all_formats_written(self, kron10_dataset):
         assert list(kron10_dataset.files) == [
-            "wel", "wsg", "g500", "mtxbin", "tsv", "graphbig", "roots"]
+            "wel", "g500", "mtxbin", "tsv", "graphbig", "roots"]
         for key in kron10_dataset.files:
             assert kron10_dataset.path(key).exists(), key
         assert not list(kron10_dataset.directory.glob("*.el"))
         assert not list(kron10_dataset.directory.glob("*.sg"))
+        assert not list(kron10_dataset.directory.glob("*.wsg"))
 
     def test_manifest_roundtrip(self, kron10_dataset):
         back = load_manifest(kron10_dataset.directory)

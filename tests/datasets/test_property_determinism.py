@@ -58,7 +58,7 @@ def test_csr_edgelist_round_trip_preserves_graph(el):
     """CSR build -> edge-array round trip: the weighted edge multiset
     and vertex count survive exactly."""
     csr = CSRGraph.from_edge_list(el)
-    src, dst = csr.to_edge_arrays()
+    src, dst = csr.source_ids(), csr.col_idx
     weights = csr.weights
     assert csr.n_vertices == el.n_vertices
     want = sorted(zip(el.src.tolist(), el.dst.tolist(),

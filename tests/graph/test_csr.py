@@ -81,9 +81,9 @@ class TestDerived:
         deg = np.bincount(src, minlength=kron10_csr.n_vertices)
         assert np.array_equal(deg, kron10_csr.out_degrees())
 
-    def test_to_edge_arrays_roundtrip(self, kron10):
+    def test_source_ids_roundtrip(self, kron10):
         csr = CSRGraph.from_edge_list(kron10)
-        src, dst = csr.to_edge_arrays()
+        src, dst = csr.source_ids(), csr.col_idx
         back = CSRGraph.from_arrays(src, dst, csr.n_vertices)
         assert np.array_equal(back.col_idx, csr.col_idx)
         assert np.array_equal(back.row_ptr, csr.row_ptr)

@@ -405,7 +405,7 @@ def test_pull_over_a_symmetrized_out_csr_is_the_pull_over_its_transpose(
     weight) multiset in and out, so the out-CSR serves as its own
     in-arcs: the identity the systems rely on for undirected input."""
     n = csr.n_vertices
-    src, dst = csr.to_edge_arrays()
+    src, dst = csr.source_ids(), csr.col_idx
     sym = EdgeList(src, dst, n, weights=csr.weights).symmetrized()
     out = CSRGraph.from_arrays(sym.src, sym.dst, n, weights=sym.weights)
     members = np.unique(np.array(data.draw(st.lists(

@@ -40,7 +40,7 @@ def edge_lists(draw, max_n=40, max_m=120, weighted=None):
 @settings(max_examples=60, deadline=None)
 def test_csr_preserves_edge_multiset(el):
     csr = CSRGraph.from_edge_list(el)
-    src, dst = csr.to_edge_arrays()
+    src, dst = csr.source_ids(), csr.col_idx
     want = sorted(zip(el.src.tolist(), el.dst.tolist()))
     got = sorted(zip(src.tolist(), dst.tolist()))
     assert got == want
@@ -99,8 +99,8 @@ def test_symmetrized_degree_identity(el):
 def test_transpose_preserves_multiset(el):
     csr = CSRGraph.from_edge_list(el)
     t = csr.transposed()
-    s1, d1 = csr.to_edge_arrays()
-    s2, d2 = t.to_edge_arrays()
+    s1, d1 = csr.source_ids(), csr.col_idx
+    s2, d2 = t.source_ids(), t.col_idx
     assert sorted(zip(s1.tolist(), d1.tolist())) == \
         sorted(zip(d2.tolist(), s2.tolist()))
 

@@ -87,9 +87,10 @@ class TestLookups:
 
     def test_read_rates(self):
         assert cal.read_rate_mbs("mtxbin") == pytest.approx(230.0)
-        assert cal.read_rate_mbs("wel") < cal.read_rate_mbs("wsg")
+        assert cal.read_rate_mbs("wel") < cal.read_rate_mbs("g500")
         assert cal.read_rate_mbs("graphbig") < cal.read_rate_mbs("tsv")
-        for key in ("el", "sg", "csv"):  # no homogenized file has these
+        # No homogenized file has these.
+        for key in ("el", "sg", "wsg", "csv"):
             with pytest.raises(ConfigError):
                 cal.read_rate_mbs(key)
         with pytest.raises(ConfigError):

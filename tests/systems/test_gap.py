@@ -1,5 +1,5 @@
 """GAP-specific behaviour: direction optimization, delta-stepping,
-Gauss-Seidel PageRank, serialized graphs."""
+Gauss-Seidel PageRank, the integer-weight build."""
 
 import numpy as np
 import pytest
@@ -129,28 +129,8 @@ class TestGaussSeidelPagerank:
         rank, _, _ = pagerank_gs(gap_graph)
         assert rank.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_block_count_does_not_change_fixpoint(self, gap_graph):
-        a, _, _ = pagerank_gs(gap_graph, n_blocks=2)
-        b, _, _ = pagerank_gs(gap_graph, n_blocks=32)
-        assert np.abs(a - b).sum() < 1e-5
-
 
 class TestGapSystem:
-    def test_serialized_load_matches_text_load(self, kron10_dataset):
-        text = create_system("gap")
-        ser = create_system("gap", use_serialized=True)
-        lt = text.load(kron10_dataset)
-        ls = ser.load(kron10_dataset)
-        root = int(kron10_dataset.roots[0])
-        a = text.run(lt, "bfs", root=root)
-        b = ser.run(ls, "bfs", root=root)
-        assert np.array_equal(a.output["level"], b.output["level"])
-
-    def test_serialized_read_faster_than_text(self, kron10_dataset):
-        lt = create_system("gap").load(kron10_dataset)
-        ls = create_system("gap", use_serialized=True).load(kron10_dataset)
-        assert ls.read_s < lt.read_s
-
     def test_counters(self, kron10_dataset):
         s = create_system("gap")
         loaded = s.load(kron10_dataset)
@@ -225,10 +205,3 @@ class TestIntegerWeightBuild:
         with pytest.raises(SystemCapabilityError):
             create_system("gap", weight_dtype="float16")
 
-
-def test_serialized_build_cheaper_than_text_build(kron10_dataset):
-    """The .sg file stores the built CSR: deserializing must cost less
-    construction time than building from the text edge list."""
-    text = create_system("gap").load(kron10_dataset)
-    ser = create_system("gap", use_serialized=True).load(kron10_dataset)
-    assert ser.build_s < text.build_s
