@@ -15,6 +15,9 @@ Execution protocol, mirroring the paper:
   executes once per root (results are deterministic) and its priced
   time is re-jittered per trial -- behaviourally identical to rerunning
   the binary, minus the Python-side redundancy.
+* Loads: a Runner's one :class:`~repro.systems.session.DatasetSession`
+  loads each (system, threads) pairing once; every execution still
+  prices its own read and construction.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.systems.base import (
     GraphSystem,
     KernelResult,
 )
+from repro.systems.session import DatasetSession
 
 __all__ = ["Runner"]
 
@@ -60,103 +64,83 @@ class Runner:
         self.dataset = dataset
         self.tracer = tracer if tracer is not None else Tracer()
         self.variance = VarianceModel(config.seed)
+        #: The ``--validate`` reference CSR and its oracles' answers.
         self._reference_cache: dict = {}
-        #: (system, n_threads) -> (system instance, LoadedGraph).
-        #: ``load()`` is deterministic and emits no trace events, so
-        #: reusing it changes nothing observable (one load per pairing
-        #: per Runner, i.e. per worker process under ``--jobs``).
-        self._loaded_cache: dict = {}
-        #: The real half of those loads, kept by ``GraphSystem.load``
-        #: per (system, build knobs): a thread sweep builds each
-        #: structure once and prices it per thread count.  The loads
-        #: keep it as their answer memo too (``GraphSystem._answer``),
-        #: so k-core and MIS run once per graph, not once per system.
-        self._built: dict = {}
-        #: Optional on-disk artifact cache (layer 2: loaded graph
-        #: structures).  ``None`` unless the config names a cache dir.
         from repro.cache import ArtifactCache
 
-        self.cache = ArtifactCache.from_config(config, tracer=self.tracer)
+        #: Everything loaded from ``dataset`` (``load()`` emits no trace
+        #: events, so reusing a load changes nothing observable), over
+        #: the ``--cache-dir`` artifact cache if the config names one.
+        self.session = DatasetSession(
+            dataset, ArtifactCache.from_config(config, tracer=self.tracer))
         #: Simulated seconds the most recent cell (or faulted partial
         #: cell) consumed; the resilience supervisor prices its attempt
         #: timeline from this.
         self.last_cell_seconds: float = 0.0
 
     def close(self) -> None:
-        """Release the loaded graphs (and the shard pools cached on
-        them) now, not whenever the collector gets to them."""
-        for _, loaded in self._loaded_cache.values():
-            loaded.close()
-        self._loaded_cache.clear()
-        self._built.clear()
+        """Release the session (its loads' shard pools too) and the
+        validation reference now, not whenever the collector runs."""
+        self.session.close()
+        self._reference_cache.clear()
 
     # ------------------------------------------------------------------
     # Graph500-style output validation (config.validate_outputs)
     # ------------------------------------------------------------------
-    def _reference_csr(self):
-        if "csr" not in self._reference_cache:
-            from repro.graph.csr import CSRGraph
-
-            edges = self.dataset.load_edges()
-            self._reference_cache["csr"] = CSRGraph.from_edge_list(
-                edges, symmetrize=not self.dataset.directed)
-        return self._reference_cache["csr"]
+    def _reference(self, key, compute):
+        """The validation reference ``key``, computed on first use."""
+        if key not in self._reference_cache:
+            self._reference_cache[key] = compute()
+        return self._reference_cache[key]
 
     def _validate(self, result: KernelResult, algorithm: str,
                   root: int) -> None:
         """Check a kernel result against the reference oracles; raises
         :class:`repro.errors.ValidationError` on disagreement."""
-        from repro.algorithms import pagerank, sssp_dijkstra
+        from repro.algorithms import (
+            core_numbers,
+            maximal_independent_set,
+            pagerank,
+            sssp_dijkstra,
+            weakly_connected_components,
+        )
+        from repro.errors import ValidationError
+        from repro.graph.csr import CSRGraph
         from repro.graph.validation import (
             validate_bfs_parents,
             validate_pagerank,
             validate_sssp_distances,
         )
 
-        csr = self._reference_csr()
-        cache = self._reference_cache
+        csr = self._reference("csr", lambda: CSRGraph.from_edge_list(
+            self.dataset.load_edges(),
+            symmetrize=not self.dataset.directed))
         if algorithm == "bfs" and "parent" in result.output:
             validate_bfs_parents(csr, root, result.output["parent"],
                                  directed=self.dataset.directed)
         elif algorithm == "sssp":
-            key = ("sssp", root)
-            if key not in cache:
-                cache[key] = sssp_dijkstra(csr, root)
-            validate_sssp_distances(result.output["dist"], cache[key],
-                                    rtol=1e-4, atol=1e-5)
+            validate_sssp_distances(
+                result.output["dist"],
+                self._reference(("sssp", root),
+                                lambda: sssp_dijkstra(csr, root)),
+                rtol=1e-4, atol=1e-5)
         elif algorithm == "pagerank":
-            if "pr" not in cache:
-                cache["pr"] = pagerank(csr)[0]
-            validate_pagerank(result.output["rank"], cache["pr"],
+            validate_pagerank(result.output["rank"],
+                              self._reference("pr",
+                                              lambda: pagerank(csr)[0]),
                               tol=5e-3)
         elif algorithm in ("kcore", "mis", "cc"):
             # The structural kernels are deterministic and unique
             # (docs/algorithms.md), so the oracle contract is exact
             # array equality, not a tolerance.
-            from repro.errors import ValidationError
-
-            if algorithm == "kcore":
-                from repro.algorithms import core_numbers
-
-                if "kcore" not in cache:
-                    cache["kcore"] = core_numbers(csr)
-                got, want = result.output["core"], cache["kcore"]
-            elif algorithm == "mis":
-                from repro.algorithms import maximal_independent_set
-
-                if "mis" not in cache:
-                    cache["mis"] = maximal_independent_set(
-                        csr).astype(np.int64)
-                got, want = result.output["in_set"], cache["mis"]
-            else:
-                from repro.algorithms.wcc import (
-                    weakly_connected_components,
-                )
-
-                if "cc" not in cache:
-                    cache["cc"] = weakly_connected_components(csr)
-                got, want = result.output["labels"], cache["cc"]
-            if not np.array_equal(got, want):
+            field, oracle = {
+                "kcore": ("core", core_numbers),
+                "mis": ("in_set", lambda g: maximal_independent_set(
+                    g).astype(np.int64)),
+                "cc": ("labels", weakly_connected_components),
+            }[algorithm]
+            want = self._reference(algorithm, lambda: oracle(csr))
+            if not np.array_equal(result.output[field], want):
                 raise ValidationError(
                     f"{algorithm} output disagrees with the reference")
 
@@ -178,25 +162,16 @@ class Runner:
         cell complete but damages one log line afterwards.
         """
         self.last_cell_seconds = 0.0
-        cached = self._loaded_cache.get((system_name, n_threads))
-        if cached is not None:
-            system, loaded = cached
-            if not system.supports(algorithm):
-                return None
-        else:
-            system = create_system(system_name,
-                                   machine=self.config.machine,
-                                   n_threads=n_threads,
-                                   shards=self.config.shards)
-            if not system.supports(algorithm):
-                return None
-            try:
-                loaded = system.load(self.dataset, cache=self.cache,
-                                     built=self._built)
-            except SystemCapabilityError:
-                # e.g. the Graph500 refusing a non-Kronecker dataset.
-                return None
-            self._loaded_cache[(system_name, n_threads)] = (system, loaded)
+        system = create_system(system_name, machine=self.config.machine,
+                               n_threads=n_threads,
+                               shards=self.config.shards)
+        if not system.supports(algorithm):
+            return None
+        try:
+            system, loaded = self.session.load(system)
+        except SystemCapabilityError:
+            # e.g. the Graph500 refusing a non-Kronecker dataset.
+            return None
 
         writer = LogWriter(system_name, self.dataset.name, n_threads,
                            algorithm)
@@ -322,27 +297,19 @@ class Runner:
         power_rapl_start(ps)
         times = []
         index = 0
-        kernel_cache: dict[int, KernelResult] = {}
+        results: dict[int, KernelResult] = {}
         for trial in range(cfg.n_trials):
-            for root in roots:
-                root = int(root)
-                if root not in kernel_cache:
-                    res = system.run(loaded, "bfs", root=root)
-                    if self.config.validate_outputs:
-                        self._validate(res, "bfs", root)
-                    kernel_cache[root] = res
-                else:
-                    self.tracer.counter("epg_kernel_cache_hits_total",
-                                        system=system.name,
-                                        algorithm="bfs")
-                t = self._jitter(kernel_cache[root].time_s, system, "bfs",
-                                 "time", root, trial)
+            for root in map(int, roots):
+                result = self._kernel(results, system, loaded, "bfs", root,
+                                      root=root)
+                t = self._jitter(result.time_s, system, "bfs", "time", root,
+                                 trial)
                 with self.tracer.span("phase:kernel", category="phase",
                                       system=system.name, algorithm="bfs",
                                       root=root, trial=trial):
                     clock.advance(t, pkg_w, dram_w)
                 writer.native(trial=index, root=root, time=t)
-                times.append((t, kernel_cache[root]))
+                times.append((t, result))
                 index += 1
         power_rapl_end(ps)
         ts = [t for t, _ in times]
@@ -355,28 +322,31 @@ class Runner:
             writer.power_lines(ps.package_joules, ps.dram_joules,
                                ps.duration_s, root=-1, trial=0)
 
+    def _kernel(self, results: dict, system: GraphSystem, loaded,
+                algorithm: str, key: int, **params) -> KernelResult:
+        """``algorithm``'s result from root ``key`` (-1: rootless), kept
+        in ``results``: run and validated once, a counted hit after."""
+        if key in results:
+            self.tracer.counter("epg_kernel_cache_hits_total",
+                                system=system.name, algorithm=algorithm)
+        else:
+            results[key] = system.run(loaded, algorithm, **params)
+            if self.config.validate_outputs:
+                self._validate(results[key], algorithm, key)
+        return results[key]
+
     # ------------------------------------------------------------------
     def _run_per_root(self, system: GraphSystem, loaded, writer: LogWriter,
                       clock: SimulatedClock, algorithm: str) -> None:
         """Fresh execution per root/trial for the other four systems."""
-        kernel_cache: dict[int, KernelResult] = {}
+        results: dict[int, KernelResult] = {}
+        params = ({"epsilon": self.config.epsilon}
+                  if algorithm == "pagerank" else {})
         for root, trial in self._roots_and_trials(algorithm):
-            cache_key = root if algorithm in ROOTED_ALGORITHMS else -1
-            if cache_key not in kernel_cache:
-                kwargs = {}
-                if algorithm in ROOTED_ALGORITHMS:
-                    kwargs["root"] = root
-                if algorithm == "pagerank":
-                    kwargs["epsilon"] = self.config.epsilon
-                result = system.run(loaded, algorithm, **kwargs)
-                if self.config.validate_outputs:
-                    self._validate(result, algorithm, root)
-                kernel_cache[cache_key] = result
-            else:
-                self.tracer.counter("epg_kernel_cache_hits_total",
-                                    system=system.name,
-                                    algorithm=algorithm)
-            result = kernel_cache[cache_key]
+            if algorithm in ROOTED_ALGORITHMS:
+                params["root"] = root
+            result = self._kernel(results, system, loaded, algorithm, root,
+                                  **params)
 
             read = self._jitter(loaded.read_s, system, algorithm, "read",
                                 root, trial)

@@ -1,4 +1,9 @@
-"""The Graphalytics execution harness (with its timing flaw intact)."""
+"""The Graphalytics execution harness (with its timing flaw intact).
+
+A harness keeps one :class:`~repro.systems.session.DatasetSession`, for
+the dataset directory its last cell named; a cell naming another
+directory closes it (``run_matrix`` runs one dataset's cells).
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ from repro.machine.spec import MachineSpec, haswell_server
 from repro.machine.variance import VarianceModel
 from repro.systems import create_system
 from repro.systems.base import ROOTED_ALGORITHMS, KernelResult
+from repro.systems.session import DatasetSession
 
 __all__ = ["GraphalyticsHarness", "GraphalyticsResult",
            "GRAPHALYTICS_PLATFORMS", "GRAPHALYTICS_ALGORITHMS"]
@@ -72,20 +78,8 @@ class GraphalyticsHarness:
         #: Per-job wall-clock budget; cells whose makespan exceeds it
         #: are reported failed ("F"), the Sec. V behaviour.
         self.time_limit_s = time_limit_s
-        #: The one resident dataset directory.  Cells arrive grouped by
-        #: dataset (``run_matrix`` runs one dataset's), so a cell naming
-        #: another directory closes and drops everything loaded from
-        #: this one; coming back to a dataset loads it again.
-        self._resident: str | None = None
-        #: platform -> (system, LoadedGraph) of the resident dataset:
-        #: loads are deterministic, so each platform ingests it once
-        #: instead of once per algorithm cell.
-        self._loaded: dict = {}
-        #: The ``built`` dict every platform loads the resident dataset
-        #: with: it holds each distinct built array once and memoizes
-        #: the shared bodies' answers (``GraphSystem._answer``), so LCC
-        #: and CDLP run once per graph.
-        self._built: dict = {}
+        #: The resident dataset's session (``None``: nothing loaded).
+        self._session: DatasetSession | None = None
 
     # ------------------------------------------------------------------
     def run_cell(self, platform: str, algorithm: str,
@@ -105,7 +99,12 @@ class GraphalyticsHarness:
                 dataset=dataset.name, reported_s=float("nan"),
                 not_available=True)
 
-        system, loaded = self._system_and_loaded(platform, dataset)
+        if (self._session is None or str(self._session.dataset.directory)
+                != str(dataset.directory)):
+            self.close()
+            self._session = DatasetSession(dataset)
+        system, loaded = self._session.load(create_system(
+            platform, machine=self.machine, n_threads=self.n_threads))
         root = int(dataset.roots[0])
 
         result = self._run_kernel(system, loaded, algorithm, root)
@@ -140,27 +139,12 @@ class GraphalyticsHarness:
             platform=platform, algorithm=algorithm, dataset=dataset.name,
             reported_s=reported, breakdown=breakdown, failed=failed)
 
-    def _system_and_loaded(self, platform: str,
-                           dataset: HomogenizedDataset):
-        if str(dataset.directory) != self._resident:
-            self.close()
-            self._resident = str(dataset.directory)
-        hit = self._loaded.get(platform)
-        if hit is None:
-            system = create_system(platform, machine=self.machine,
-                                   n_threads=self.n_threads)
-            hit = (system, system.load(dataset, built=self._built))
-            self._loaded[platform] = hit
-        return hit
-
     def close(self) -> None:
-        """Close and drop the resident dataset's loads and its
-        ``built`` dict; the next cell loads afresh."""
-        for _, loaded in self._loaded.values():
-            loaded.close()
-        self._loaded = {}
-        self._built = {}
-        self._resident = None
+        """Close and drop the resident dataset's session; the next cell
+        loads afresh."""
+        if self._session is not None:
+            self._session.close()
+            self._session = None
 
     # ------------------------------------------------------------------
     def run_matrix(self, dataset: HomogenizedDataset,
@@ -183,10 +167,9 @@ class GraphalyticsHarness:
             return [f.result() for f in futures]
 
     def __getstate__(self) -> dict:
-        """Pickle the parameters, never the loaded graphs or answers: a
-        worker process loads its own (once, on its resident harness)."""
-        return {**self.__dict__, "_resident": None, "_loaded": {},
-                "_built": {}}
+        """Pickle the parameters, never the session: a worker process
+        loads its own (once, on its resident harness)."""
+        return {**self.__dict__, "_session": None}
 
     # ------------------------------------------------------------------
     def _run_kernel(self, system, loaded, algorithm: str,

@@ -5,8 +5,8 @@ share: a :class:`~repro.observability.tracer.Tracer`, one
 :class:`~repro.resilience.supervisor.CellSupervisor` per experiment
 configuration, and the resident Graphalytics harnesses.  The
 supervisors hold the worker's :class:`~repro.core.runner.Runner`, whose
-loaded-graph cache means a worker deserializes each (system, threads)
-CSR once, not once per cell.  A pool worker process owns one for its
+:class:`~repro.systems.session.DatasetSession` loads each (system,
+threads) pairing once per process.  A pool worker process owns one for its
 lifetime (:func:`init_worker`), capturing on a tracer with no log of
 its own (:meth:`~repro.observability.tracer.Tracer.capture_only`); a
 one-job :class:`~repro.parallel.CellPool` makes one per sweep *its

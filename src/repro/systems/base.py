@@ -33,6 +33,7 @@ from repro.machine.threads import SimResult, ThreadModel, WorkProfile
 from repro.observability import Tracer
 from repro.power.energy import PowerParams
 from repro.systems import calibration
+from repro.systems.session import DatasetSession
 
 __all__ = ["GraphSystem", "LoadedGraph", "KernelResult", "ALGORITHMS",
            "ROOTED_ALGORITHMS"]
@@ -68,11 +69,10 @@ class LoadedGraph:
     data: Any
     #: Bytes of the input file actually read.
     input_bytes: int = 0
-    #: The caller's per-dataset dict (``load(built=...)``), which holds
-    #: the load's interned arrays and in which the shared bodies keep
-    #: their answers by arc digest (:meth:`GraphSystem._answer`);
-    #: ``None``: every run computes.
-    answers: dict | None = None
+    #: The ``answers`` map of the :class:`DatasetSession` this graph
+    #: was loaded in: the shared bodies keep their answers in it by arc
+    #: digest (:meth:`GraphSystem._answer`).
+    answers: dict = field(default_factory=dict)
 
     @property
     def load_s(self) -> float:
@@ -113,22 +113,19 @@ def _frozen(value: Any) -> Any:
     return value
 
 
-def _interned(arrays: dict[str, np.ndarray], built: dict | None
+def _interned(arrays: dict[str, np.ndarray], interned: dict
               ) -> dict[str, np.ndarray]:
     """``arrays`` with each array replaced by the canonical array kept
-    in ``built`` whose dtype, shape and raw bytes equal its own; an
-    array with no equal becomes canonical.  Canonical arrays are
-    read-only, so however many loads share one, none can change it.
+    in a session's ``interned`` map whose dtype, shape and raw bytes
+    equal its own; an array with no equal becomes canonical.  Canonical
+    arrays are read-only, so however many loads share one, none can
+    change it.
 
     Equality is of bytes, never of values: ``-0.0`` and ``0.0`` stay
-    apart and equal NaN payloads meet.  ``built=None`` (a load with no
-    per-dataset dict) returns ``arrays`` as they are."""
-    if built is None:
-        return arrays
+    apart and equal NaN payloads meet."""
     out = {}
     for name, array in arrays.items():
-        bucket = built.setdefault(
-            ("interned", array.dtype.str, array.shape), [])
+        bucket = interned.setdefault((array.dtype.str, array.shape), [])
         canonical = next((c for c in bucket if _same_bytes(c, array)),
                          None)
         if canonical is None:
@@ -251,8 +248,8 @@ class GraphSystem(ABC):
     # ------------------------------------------------------------------
     # Loading (template method)
     # ------------------------------------------------------------------
-    def load(self, dataset: HomogenizedDataset,
-             cache=None, built: dict | None = None) -> LoadedGraph:
+    def load(self, dataset: HomogenizedDataset, cache=None,
+             session: DatasetSession | None = None) -> LoadedGraph:
         """Ingest a homogenized dataset.
 
         Prices the read from the byte count of this system's native
@@ -262,16 +259,12 @@ class GraphSystem(ABC):
         and fold the construction cost into ``read_s`` (their "load"
         time).
 
-        ``built`` is an optional dict the caller owns for one dataset:
-        the real half of a load (structure + build profile) is kept in
-        it per (system, :meth:`_cache_token`), and a later load at any
-        thread count only prices it again.  It sits above ``cache``
-        and never reads or changes a cache key.  The returned graph
-        keeps ``built`` as its ``answers``: every system loaded with
-        the same dict shares one answer per shared body (``None``, the
-        default: no memo).  Every built array is interned in it too
-        (:func:`_interned`), so each distinct array is held once per
-        dataset however many systems and thread counts load it.
+        ``session`` is the caller's :class:`DatasetSession` for
+        ``dataset`` (default: a private one).  The build (structure +
+        profile) is kept in it per :meth:`_build_key` and only priced
+        again by later loads at any thread count, its arrays are
+        interned in it (:func:`_interned`), and the returned graph
+        shares its ``answers``.  It never reads or changes a cache key.
 
         ``cache`` is an optional :class:`repro.cache.ArtifactCache`:
         on a hit the built arrays come back as read-only memmaps of the
@@ -290,12 +283,12 @@ class GraphSystem(ABC):
                    if path.is_dir() else path.stat().st_size)
         read_s = n_bytes / (calibration.read_rate_mbs(self.input_key) * 1e6)
 
-        answers = built
-        built = {} if built is None else built
-        key = (self.name, *sorted(self._cache_token().items()))
-        if key not in built:
-            built[key] = self._cached_build(dataset, cache, answers)
-        data, build_profile = built[key]
+        session = session or DatasetSession(dataset, cache)
+        key = self._build_key()
+        if key not in session.builds:
+            session.builds[key] = self._cached_build(dataset, cache,
+                                                     session.interned)
+        data, build_profile = session.builds[key]
         build_s = self.thread_model.simulate(
             build_profile, calibration.build_params(self.name, self.machine),
             self.n_threads).time_s
@@ -306,14 +299,14 @@ class GraphSystem(ABC):
             n_vertices=dataset.n_vertices, n_arcs=self._n_arcs(data),
             directed=dataset.directed, weighted=True,
             read_s=read_s, build_s=build_s, data=data,
-            input_bytes=n_bytes, answers=answers)
+            input_bytes=n_bytes, answers=session.answers)
 
     def _cached_build(self, dataset: HomogenizedDataset, cache,
-                      built: dict | None) -> tuple[Any, WorkProfile]:
+                      interned: dict) -> tuple[Any, WorkProfile]:
         """Produce (data, build_profile): look the built arrays up in
         ``cache``, else build (and store) them, intern them in
-        ``built`` (:func:`_interned`), then assemble -- a warm load is
-        a cold load minus the build.
+        ``interned`` (:func:`_interned`), then assemble -- a warm load
+        is a cold load minus the build.
 
         Layer 2 of the artifact cache: the built structure's arrays and
         the recorded build profile round-trip through one ``.npy``
@@ -335,8 +328,8 @@ class GraphSystem(ABC):
                         arrays.pop("profile_mem"),
                         arrays.pop("profile_skew"),
                         meta["profile_serial_units"])
-                    return (self._assemble(_interned(arrays, built), meta),
-                            profile)
+                    return (self._assemble(_interned(arrays, interned),
+                                           meta), profile)
                 except Exception as exc:
                     cache.discard(key, exc)
 
@@ -347,12 +340,16 @@ class GraphSystem(ABC):
                 key, f"graph:{self.name}",
                 {**arrays, **profile.to_arrays()},
                 {**meta, "profile_serial_units": profile.serial_units})
-        return self._assemble(_interned(arrays, built), meta), profile
+        return self._assemble(_interned(arrays, interned), meta), profile
 
     def _cache_token(self) -> dict:
         """Build-affecting knobs beyond the input bytes (cache key
         material)."""
         return {}
+
+    def _build_key(self) -> tuple:
+        """Which structure of a dataset this system builds."""
+        return (self.name, *sorted(self._cache_token().items()))
 
     def _read_input(self, dataset: HomogenizedDataset) -> EdgeList:
         """The edges the build starts from, read from ``read_key``.
@@ -415,17 +412,15 @@ class GraphSystem(ABC):
                 compute: Callable[[], Any]) -> Any:
         """What ``compute()`` -- the shared body ``body`` under
         ``params`` on ``loaded``'s arcs -- returns, kept in the
-        caller's per-dataset memo ``loaded.answers``.
+        answers of the session it was loaded in (``loaded.answers``).
 
         The key holds ``n`` and a digest of the arcs in canonical
         order, so a hit is proven by the input bytes, never by a
         dataset name, and every platform storing the same arcs shares
         one answer.  The value is frozen (arrays read-only, lists as
         tuples) and holds no priced number: each system still prices
-        the facts itself.  Without a memo every call computes."""
+        the facts itself."""
         memo = loaded.answers
-        if memo is None:
-            return compute()
         key = (body, params, loaded.n_vertices, self._arc_digest(loaded))
         if key not in memo:
             memo[key] = _frozen(compute())

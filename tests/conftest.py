@@ -3,9 +3,17 @@
 Session-scoped graph/dataset fixtures keep the suite fast: the scale-10
 Kronecker graph and its homogenized directory are built once and shared
 by every system test.
+
+Every test module runs under a leak guard: a module that leaves a new
+``/dev/shm`` entry or a live ``epg-shard-*`` worker behind, once the
+collector has run, fails and names what it left.
 """
 
 from __future__ import annotations
+
+import gc
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +23,27 @@ from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
 from repro.datasets.realworld import cit_patents, dota_league
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
+
+SHM = "/dev/shm"
+
+
+def _shm_entries() -> set[str]:
+    return set(os.listdir(SHM)) if os.path.isdir(SHM) else set()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def leak_guard():
+    """Fail the module if it leaves shard-engine state behind: a new
+    ``/dev/shm`` entry or a live ``epg-shard-*`` child process."""
+    before = _shm_entries()
+    yield
+    gc.collect()
+    shm = sorted(_shm_entries() - before)
+    workers = sorted(p.name for p in multiprocessing.active_children()
+                     if p.name.startswith("epg-shard-"))
+    if shm or workers:
+        pytest.fail(f"module left behind: /dev/shm entries {shm}, "
+                    f"shard workers {workers}", pytrace=False)
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,8 @@ execution detail too: the structural row runs k-core and MIS on every
 platform that has them, where all but the first platform hit, and must
 match the same run with every lookup forced to miss.  So is interning
 the built arrays (``repro.systems.base._interned``): the interning row
-loads all five systems into one ``built`` dict, where most arrays meet
-a byte-equal one, and must match the same run with interning off.
+loads all five systems into one ``DatasetSession``, where most arrays
+meet a byte-equal one, and must match the same run with interning off.
 """
 
 import hashlib

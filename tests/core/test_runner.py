@@ -242,6 +242,8 @@ class TestThreadSweepBuildsOnce:
 
     def test_close_drops_the_built_structures(self, runner):
         runner.run_system_algorithm("gap", "bfs", 4)
-        assert runner._built and runner._loaded_cache
+        session = runner.session
+        assert session.builds and session.loads and session.interned
         runner.close()
-        assert not runner._built and not runner._loaded_cache
+        assert not (session.builds or session.loads or session.interned
+                    or session.answers)

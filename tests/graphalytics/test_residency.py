@@ -1,8 +1,8 @@
 """The Graphalytics harness keeps one dataset resident.
 
 ``run_matrix`` never returns to a dataset, so when a cell names another
-dataset directory the harness closes and drops the previous one's loads
-and its ``built`` dict.  Which datasets a harness ran before must change
+dataset directory the harness closes the previous one's
+``DatasetSession``: its loads, built arrays and answers.  Which datasets a harness ran before must change
 no cell: the tables equal those of a fresh harness per dataset, in
 process and through a pool of worker processes.
 """
@@ -30,24 +30,26 @@ def test_only_the_last_dataset_stays_loaded(dota_dataset, patents_dataset,
     harness = GraphalyticsHarness(seed=7)
     harness.run_matrix(dota_dataset)
     first = {id(loaded): weakref.ref(loaded)
-             for _, loaded in harness._loaded.values()}
-    first_built = harness._built
-    first_arrays = [weakref.ref(a) for key, bucket in first_built.items()
-                    if key[0] == "interned" for a in bucket]
+             for _, loaded in harness._session.loads.values()}
+    first_session = harness._session
+    first_arrays = [weakref.ref(a)
+                    for bucket in first_session.interned.values()
+                    for a in bucket]
     assert len(first) == 3 and not closed
 
     harness.run_matrix(patents_dataset)
     assert sorted(closed) == sorted(first)
-    assert harness._built is not first_built
-    del first_built
+    assert harness._session is not first_session
+    del first_session
     gc.collect()
     assert all(ref() is None for ref in first.values())
     assert first_arrays and all(ref() is None for ref in first_arrays)
-    assert harness._resident == str(patents_dataset.directory)
-    assert len(harness._loaded) == 3
-    for _, loaded in harness._loaded.values():
+    session = harness._session
+    assert session.dataset.directory == patents_dataset.directory
+    assert len(session.loads) == 3
+    for _, loaded in session.loads.values():
         assert loaded.name == patents_dataset.name
-        assert loaded.answers is harness._built
+        assert loaded.answers is session.answers
 
 
 @pytest.mark.parametrize("jobs", (1, 2))

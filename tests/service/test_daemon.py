@@ -295,6 +295,35 @@ class TestSharedGraph:
         assert sum(map(len, answers)) == 2 * self.QUERIES
 
 
+class TestResidentAnswers:
+    """Each resident (graph, system, threads) entry is loaded in a
+    session of its own, whose answer memo serves its later queries."""
+
+    def test_two_lcc_queries_run_the_body_once(self, data_dir,
+                                               monkeypatch):
+        import repro.systems.base as base
+
+        calls = []
+        body = base.clustering_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return body(*args)
+
+        monkeypatch.setattr(base, "clustering_blocks", counted)
+        daemon = QueryDaemon(ServeConfig(data_dir=data_dir))
+        daemon.start()
+        query = {"graph": "kron6", "system": "graphbig",
+                 "algorithm": "lcc", "n_threads": 2}
+        try:
+            replies = [daemon.handle_query(dict(query), "test")
+                       for _ in range(2)]
+        finally:
+            daemon.drain()
+        assert [status for status, _, _ in replies] == [200, 200]
+        assert replies[0][1]["result"] == replies[1][1]["result"]
+        assert len(calls) == 1
+
 @pytest.mark.faulty
 class TestChaos:
     def test_crash_burst_opens_then_recloses_circuit(self, data_dir):

@@ -2,7 +2,8 @@
 
 ``GraphSystem._answer`` keeps what ``peel_cores``, ``luby_rounds``,
 ``propagate_labels``, ``clustering_blocks`` and the simple view return
-in the caller's per-dataset dict (``LoadedGraph.answers``), keyed by
+in the ``answers`` map of the ``DatasetSession`` the graph was loaded
+in (``LoadedGraph.answers``), keyed by
 the body, its parameters, ``n`` and a digest of the arcs in canonical
 order.  Every platform storing the same arcs then shares one answer
 and still prices it itself, so whichever platform runs first must not
@@ -39,7 +40,7 @@ MEMO_RUNS = [(s, a, p) for s, a, p in RUNS if a in MEMOIZED]
 
 @pytest.fixture(scope="module")
 def plain(kron10_dataset, patents_dataset, tmp_path_factory):
-    """``(graph, system) -> LoadedGraph`` loaded with no memo."""
+    """``(graph, system) -> LoadedGraph``, each in its own session."""
     datasets = {"kron10": kron10_dataset, "patents_small": patents_dataset}
     src, dst = MULTI10
     el = EdgeList(np.array(src), np.array(dst), 10, directed=True,
@@ -55,14 +56,15 @@ def plain(kron10_dataset, patents_dataset, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def unmemoized(plain):
-    """The digest of every memoized cell run with no memo."""
-    assert all(g.answers is None for g in plain.values())
-    return {(graph, s, a, repr(p)): run_digest(s, a, p, plain[graph, s])
+    """The digest of every memoized cell run on an empty memo."""
+    return {(graph, s, a, repr(p)):
+            run_digest(s, a, p, with_memo(plain[graph, s], {}))
             for graph in GRAPHS for s, a, p in MEMO_RUNS}
 
 
 def with_memo(loaded, memo: dict):
-    """``loaded`` sharing ``memo``, as if loaded with ``built=memo``."""
+    """``loaded`` sharing ``memo``, as if loaded in a session whose
+    ``answers`` map is ``memo``."""
     return dataclasses.replace(loaded, answers=memo)
 
 
@@ -125,7 +127,7 @@ def test_a_graph_one_arc_apart_misses(algorithm):
             algorithm)
     other = _output("graphmat",
                     _loaded_arcs("graphmat", *moved, 10, memo), algorithm)
-    alone = _output("graphmat", _loaded_arcs("graphmat", *moved, 10, None),
+    alone = _output("graphmat", _loaded_arcs("graphmat", *moved, 10, {}),
                     algorithm)
     for key in alone:
         assert np.array_equal(other[key], alone[key])
@@ -141,7 +143,7 @@ def test_other_parameters_miss(algorithm, params):
     loaded = _loaded_arcs("graphbig", *MULTI10, 10, memo)
     for knobs in params:
         want = _output("graphbig", _loaded_arcs("graphbig", *MULTI10, 10,
-                                                None), algorithm, **knobs)
+                                                {}), algorithm, **knobs)
         got = _output("graphbig", loaded, algorithm, **knobs)
         for key in want:
             assert np.array_equal(got[key], want[key])
@@ -178,9 +180,3 @@ def test_harness_shares_one_answer_per_dataset(kron10_dataset,
         harness.run_matrix(dataset, algorithms=("lcc",))
     assert len(lccs) == 2
 
-
-def test_a_load_without_built_has_no_memo(kron10_dataset):
-    loaded = create_system("graphbig").load(kron10_dataset)
-    assert loaded.answers is None
-    create_system("graphbig").run(loaded, "lcc")
-    assert "_arc_digest" not in loaded.__dict__

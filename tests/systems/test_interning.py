@@ -1,12 +1,13 @@
-"""Loads that share a ``built`` dict hold each distinct array once.
+"""Loads that share a ``DatasetSession`` hold each distinct array once.
 
-``GraphSystem.load(dataset, built=...)`` interns every array ``_build``
-returns (``repro.systems.base._interned``): an array whose dtype, shape
-and raw bytes equal those of one already in the dict is replaced by
-that read-only canonical array.  On one dataset the five systems store
-the same symmetrized CSR several times over, so most arrays meet an
-equal one.  Interning is an execution detail: every kernel of every
-system must report the bytes it reports on a load without ``built``.
+``GraphSystem.load(dataset, session=...)`` interns every array
+``_build`` returns (``repro.systems.base._interned``): an array whose
+dtype, shape and raw bytes equal those of one already in the session's
+``interned`` map is replaced by that read-only canonical array.  On one
+dataset the five systems store the same symmetrized CSR several times
+over, so most arrays meet an equal one.  Interning is an execution
+detail: every kernel of every system must report the bytes it reports
+on a load in a session of its own.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import pytest
 import repro.systems.base as base
 from repro.systems import create_system
 from repro.systems.base import ROOTED_ALGORITHMS, LoadedGraph
+from repro.systems.session import DatasetSession
 from tests.systems.test_structural_goldens import run_digest
 
 #: (label, system, constructor knobs).  GAP's int32 build shares its
@@ -31,7 +33,7 @@ GRAPHS = ("kron10", "dota_small", "patents_small")
 
 @dataclass
 class Load:
-    """One system's load with the shared ``built`` and one without."""
+    """One system's load in the shared session and one in its own."""
 
     system: str
     shared: LoadedGraph
@@ -42,33 +44,33 @@ class Load:
 
 @pytest.fixture(scope="module")
 def loads(kron10_dataset, dota_dataset, patents_dataset):
-    """``graph -> (label -> Load, built, two roots)``: every system on
-    one dataset loaded with one ``built`` dict, each array map
-    ``_assemble`` got recorded."""
+    """``graph -> (label -> Load, session, two roots)``: every system on
+    one dataset loaded in one session, each array map ``_assemble`` got
+    recorded."""
     datasets = {"kron10": kron10_dataset, "dota_small": dota_dataset,
                 "patents_small": patents_dataset}
     intern, seen = base._interned, []
 
-    def recorded(arrays, built):
-        seen.append(intern(arrays, built))
+    def recorded(arrays, interned):
+        seen.append(intern(arrays, interned))
         return seen[-1]
 
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(base, "_interned", recorded)
         for graph, dataset in datasets.items():
-            built: dict = {}
+            session = DatasetSession(dataset)
             by_label = {}
             for label, system, knobs in LOADERS:
                 if system == "graph500" and graph != "kron10":
                     continue    # it runs only its own Kronecker graphs
-                shared = create_system(system, **knobs).load(dataset,
-                                                             built=built)
+                shared = create_system(system, **knobs).load(
+                    dataset, session=session)
                 shared_arrays = seen[-1]
                 plain = create_system(system, **knobs).load(dataset)
                 by_label[label] = Load(system, shared, shared_arrays,
                                        plain, seen[-1])
-            out[graph] = by_label, built, [int(r) for r in
+            out[graph] = by_label, session, [int(r) for r in
                                            dataset.roots[:2]]
     return out
 
@@ -85,12 +87,11 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("graph", GRAPHS)
 def test_equal_bytes_are_one_object(graph, loads):
-    by_label, built, _ = loads[graph]
+    by_label, session, _ = loads[graph]
     arrays = _shared_arrays(by_label)
     for a, b in itertools.combinations(arrays, 2):
         assert (a is b) == _same(a, b)
-    canonical = [a for key, bucket in built.items()
-                 if key[0] == "interned" for a in bucket]
+    canonical = [a for bucket in session.interned.values() for a in bucket]
     assert {id(a) for a in arrays} == {id(a) for a in canonical}
     assert len(canonical) < len(arrays)       # something was shared
 
@@ -120,7 +121,9 @@ def test_interned_arrays_are_read_only_and_equal_the_plain_ones(graph,
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0
-        assert any(a.flags.writeable for a in load.plain_arrays.values())
+        # A session of its own shares no array with the shared one.
+        shared = {id(a) for a in load.shared_arrays.values()}
+        assert not shared & {id(a) for a in load.plain_arrays.values()}
 
 
 @pytest.mark.parametrize("graph", GRAPHS)
@@ -139,17 +142,17 @@ def test_every_kernel_reports_the_plain_bytes(graph, label, loads):
 
 
 def test_interning_compares_bytes_not_values():
-    built: dict = {}
+    interned: dict = {}
     pos, neg = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
-    got = base._interned({"pos": pos, "neg": neg}, built)
+    got = base._interned({"pos": pos, "neg": neg}, interned)
     assert got["pos"] is pos and got["neg"] is neg     # 0.0 == -0.0
     nan = np.array([np.nan, 2.0])
-    got = base._interned({"a": nan, "b": nan.copy()}, built)
+    got = base._interned({"a": nan, "b": nan.copy()}, interned)
     assert got["a"] is nan and got["b"] is nan         # nan != nan
     zeros = np.zeros(4)
     got = base._interned({"f8": zeros, "i8": np.zeros(4, np.int64),
                           "2x2": np.zeros((2, 2)), "again": zeros.copy()},
-                         built)
+                         interned)
     assert got["i8"] is not zeros and got["2x2"] is not zeros
     assert got["again"] is zeros
 
@@ -163,8 +166,3 @@ def test_a_difference_past_the_first_chunk_keeps_arrays_apart(monkeypatch):
                           "same": first.copy()}, {})
     assert got["last"] is last and got["same"] is first
 
-
-def test_no_built_dict_interns_nothing():
-    arrays = {"a": np.zeros(3), "b": np.zeros(3)}
-    assert base._interned(arrays, None) is arrays
-    assert arrays["a"].flags.writeable and arrays["b"] is not arrays["a"]

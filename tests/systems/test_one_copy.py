@@ -22,6 +22,7 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.systems import create_system
 from repro.systems.gap.graph import GapGraph
+from repro.systems.session import DatasetSession
 from tests.systems.test_interning import _same
 from tests.systems.test_structural_goldens import run_digest
 
@@ -60,10 +61,11 @@ def datasets(kron10_dataset, dota_dataset, patents_dataset):
 
 
 def _loads(dataset, system):
-    """The load without ``built``, and the one with (plus the dict)."""
-    built: dict = {}
+    """The load in a private session, and the one in a session of the
+    caller's (plus that session)."""
+    session = DatasetSession(dataset)
     return (create_system(system).load(dataset),
-            create_system(system).load(dataset, built=built), built)
+            create_system(system).load(dataset, session=session), session)
 
 
 @pytest.mark.parametrize("graph", UNDIRECTED)
@@ -108,10 +110,11 @@ def test_directed_structures_stay_distinct(datasets):
 def test_load_prices_and_build_rounds_are_the_pinned_ones(graph, system,
                                                           datasets):
     read_s, build_s, rounds = PINNED[graph, system]
-    plain, shared, built = _loads(datasets[graph], system)
+    plain, shared, session = _loads(datasets[graph], system)
     for loaded in (plain, shared):
         assert (loaded.read_s, loaded.build_s) == (read_s, build_s)
-    (_, profile), = [v for k, v in built.items() if k[0] == system]
+    (_, profile), = [v for k, v in session.builds.items()
+                     if k[0] == system]
     assert [(r.units, r.memory_bytes) for r in profile.rounds] == rounds
     assert {r.skew for r in profile.rounds} == {0.05}
     assert profile.serial_units == 0.0
