@@ -15,9 +15,9 @@ Execution protocol, mirroring the paper:
   executes once per root (results are deterministic) and its priced
   time is re-jittered per trial -- behaviourally identical to rerunning
   the binary, minus the Python-side redundancy.
-* Loads: a Runner's one :class:`~repro.systems.session.DatasetSession`
-  loads each (system, threads) pairing once; every execution still
-  prices its own read and construction.
+* Loads: a Runner loads each (system, threads) pairing once, in the
+  :class:`~repro.systems.session.DatasetSession` its owner lends it;
+  every execution still prices its own read and construction.
 """
 
 from __future__ import annotations
@@ -59,39 +59,30 @@ class Runner:
     """Executes one experiment's run phase and writes native logs."""
 
     def __init__(self, config: ExperimentConfig,
-                 dataset: HomogenizedDataset, tracer: Tracer | None = None):
+                 dataset: HomogenizedDataset, session: DatasetSession,
+                 tracer: Tracer | None = None):
         self.config = config
         self.dataset = dataset
+        #: Borrowed: its owner closes it.  ``load()`` emits no trace
+        #: events, so reusing a load changes nothing observable.
+        self.session = session
         self.tracer = tracer if tracer is not None else Tracer()
         self.variance = VarianceModel(config.seed)
-        #: The ``--validate`` reference CSR and its oracles' answers.
-        self._reference_cache: dict = {}
-        from repro.cache import ArtifactCache
-
-        #: Everything loaded from ``dataset`` (``load()`` emits no trace
-        #: events, so reusing a load changes nothing observable), over
-        #: the ``--cache-dir`` artifact cache if the config names one.
-        self.session = DatasetSession(
-            dataset, ArtifactCache.from_config(config, tracer=self.tracer))
         #: Simulated seconds the most recent cell (or faulted partial
         #: cell) consumed; the resilience supervisor prices its attempt
         #: timeline from this.
         self.last_cell_seconds: float = 0.0
 
-    def close(self) -> None:
-        """Release the session (its loads' shard pools too) and the
-        validation reference now, not whenever the collector runs."""
-        self.session.close()
-        self._reference_cache.clear()
-
     # ------------------------------------------------------------------
     # Graph500-style output validation (config.validate_outputs)
     # ------------------------------------------------------------------
     def _reference(self, key, compute):
-        """The validation reference ``key``, computed on first use."""
-        if key not in self._reference_cache:
-            self._reference_cache[key] = compute()
-        return self._reference_cache[key]
+        """The validation reference ``key``, computed on first use and
+        kept in the session, so it goes with the dataset's loads."""
+        references = self.session.references
+        if key not in references:
+            references[key] = compute()
+        return references[key]
 
     def _validate(self, result: KernelResult, algorithm: str,
                   root: int) -> None:

@@ -1,8 +1,7 @@
 """The Graphalytics execution harness (with its timing flaw intact).
 
-A harness keeps one :class:`~repro.systems.session.DatasetSession`, for
-the dataset directory its last cell named; a cell naming another
-directory closes it (``run_matrix`` runs one dataset's cells).
+A harness holds only its parameters; each cell loads in the cell
+worker's :class:`~repro.systems.session.DatasetSession`.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from repro.datasets.homogenize import HomogenizedDataset
 from repro.errors import SystemCapabilityError
 from repro.machine.spec import MachineSpec, haswell_server
 from repro.machine.variance import VarianceModel
+from repro.observability import Tracer
 from repro.systems import create_system
 from repro.systems.base import ROOTED_ALGORITHMS, KernelResult
 from repro.systems.session import DatasetSession
@@ -78,13 +78,13 @@ class GraphalyticsHarness:
         #: Per-job wall-clock budget; cells whose makespan exceeds it
         #: are reported failed ("F"), the Sec. V behaviour.
         self.time_limit_s = time_limit_s
-        #: The resident dataset's session (``None``: nothing loaded).
-        self._session: DatasetSession | None = None
 
     # ------------------------------------------------------------------
     def run_cell(self, platform: str, algorithm: str,
-                 dataset: HomogenizedDataset) -> GraphalyticsResult:
-        """One experiment = one run (the flaw the Table I caption notes)."""
+                 dataset: HomogenizedDataset,
+                 session: DatasetSession) -> GraphalyticsResult:
+        """One experiment = one run (the flaw the Table I caption notes),
+        loaded in ``session``, the caller's for ``dataset``."""
         if platform not in GRAPHALYTICS_PLATFORMS:
             raise SystemCapabilityError(
                 f"Graphalytics v0.3 has no {platform!r} driver")
@@ -99,12 +99,10 @@ class GraphalyticsHarness:
                 dataset=dataset.name, reported_s=float("nan"),
                 not_available=True)
 
-        if (self._session is None or str(self._session.dataset.directory)
-                != str(dataset.directory)):
-            self.close()
-            self._session = DatasetSession(dataset)
-        system, loaded = self._session.load(create_system(
+        system, loaded = session.load(create_system(
             platform, machine=self.machine, n_threads=self.n_threads))
+        # The comparator is not traced, whichever cell loaded ``system``.
+        system.tracer = Tracer()
         root = int(dataset.roots[0])
 
         result = self._run_kernel(system, loaded, algorithm, root)
@@ -139,13 +137,6 @@ class GraphalyticsHarness:
             platform=platform, algorithm=algorithm, dataset=dataset.name,
             reported_s=reported, breakdown=breakdown, failed=failed)
 
-    def close(self) -> None:
-        """Close and drop the resident dataset's session; the next cell
-        loads afresh."""
-        if self._session is not None:
-            self._session.close()
-            self._session = None
-
     # ------------------------------------------------------------------
     def run_matrix(self, dataset: HomogenizedDataset,
                    platforms=GRAPHALYTICS_PLATFORMS,
@@ -154,10 +145,10 @@ class GraphalyticsHarness:
         """Tables I-II: every platform x algorithm cell on one dataset.
 
         The cells go through ``pool`` (a :class:`repro.parallel.
-        CellPool`; default: one job, i.e. on this harness, in this
-        process) and are gathered in table order -- every cell is a
-        pure function of the harness seed, so the tables are identical
-        at any job count.
+        CellPool`; default: one job, i.e. in this process, on a session
+        the sweep closes) and are gathered in table order -- every cell
+        is a pure function of the harness seed, so the tables are
+        identical at any job count.
         """
         from repro.parallel import CellPool
 
@@ -165,11 +156,6 @@ class GraphalyticsHarness:
             futures = [pool.submit_graphalytics(self, p, a, dataset)
                        for p in platforms for a in algorithms]
             return [f.result() for f in futures]
-
-    def __getstate__(self) -> dict:
-        """Pickle the parameters, never the session: a worker process
-        loads its own (once, on its resident harness)."""
-        return {**self.__dict__, "_session": None}
 
     # ------------------------------------------------------------------
     def _run_kernel(self, system, loaded, algorithm: str,

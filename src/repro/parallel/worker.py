@@ -3,20 +3,21 @@
 A :class:`CellWorker` runs cell tasks and holds what consecutive tasks
 share: a :class:`~repro.observability.tracer.Tracer`, one
 :class:`~repro.resilience.supervisor.CellSupervisor` per experiment
-configuration, and the resident Graphalytics harnesses.  The
-supervisors hold the worker's :class:`~repro.core.runner.Runner`, whose
-:class:`~repro.systems.session.DatasetSession` loads each (system,
-threads) pairing once per process.  A pool worker process owns one for its
-lifetime (:func:`init_worker`), capturing on a tracer with no log of
-its own (:meth:`~repro.observability.tracer.Tracer.capture_only`); a
-one-job :class:`~repro.parallel.CellPool` makes one per sweep *its
-executor* (:meth:`CellWorker.submit`), capturing on the experiment's
-tracer -- the only difference between the two.  Either way a cell's
+configuration, and the one :class:`~repro.systems.session.DatasetSession`
+(:meth:`CellWorker.session`) that the supervisors'
+:class:`~repro.core.runner.Runner` and the Graphalytics harness borrow:
+one dataset at a time per process.  A pool worker process owns one
+worker for its lifetime (:func:`init_worker`), capturing on a tracer
+with no log of its own
+(:meth:`~repro.observability.tracer.Tracer.capture_only`); a one-job
+:class:`~repro.parallel.CellPool` makes one per sweep *its executor*
+(:meth:`CellWorker.submit`), capturing on the experiment's tracer --
+the only difference between the two.  Either way a cell's
 events are held in memory and written once, by the parent.
 
 When the run names a ``--cache-dir``, the parent prewarms every graph
 structure into the on-disk artifact cache before a multi-process
-fan-out, and each worker's Runner maps the cached ``.npy`` arrays
+fan-out, and each worker's session maps the cached ``.npy`` arrays
 read-only (``np.load(mmap_mode="r")``): the OS page cache backs one
 physical copy of each graph shared zero-copy across all workers,
 instead of every worker parsing and building its own (see
@@ -49,12 +50,32 @@ class CellWorker:
     def __init__(self, tracer=None):
         self.tracer = tracer if tracer is not None else Tracer()
         self._supervisors: dict = {}
-        self._harnesses: dict = {}
+        #: The held session and the (dataset, cache root) it is for.
+        self._session: DatasetSession | None = None
+        self._key = None
+
+    def session(self, dataset, cache=None) -> DatasetSession:
+        """The one session, while cells name the same dataset and cache
+        root; another closes it first.  A dataset is its directory and
+        the stat signature of its ``manifest.json``, which homogenizing
+        writes last (a cache hit too): a directory rewritten with
+        another graph -- another seed -- never meets the old session."""
+        from repro.systems.session import DatasetSession
+
+        st = (dataset.directory / "manifest.json").stat()
+        key = (dataset.directory.resolve(), st.st_ino, st.st_size,
+               st.st_mtime_ns, st.st_ctime_ns,
+               None if cache is None else cache.root.resolve())
+        if key != self._key:
+            self.close()
+            self._session, self._key = DatasetSession(dataset, cache), key
+        return self._session
 
     def _supervisor(self, config, dataset):
         """The supervised Runner for ``config`` -- keyed on all of it
         (directory, digest inputs, machine), so experiments sharing a
         pool or a directory never run on each other's Runner."""
+        from repro.cache import ArtifactCache
         from repro.core.runner import Runner
         from repro.resilience import (
             CellSupervisor,
@@ -62,9 +83,11 @@ class CellWorker:
             RetryPolicy,
         )
 
+        session = self.session(dataset, ArtifactCache.from_config(
+            config, tracer=self.tracer))
         sup = self._supervisors.get(config)
         if sup is None:
-            runner = Runner(config, dataset, tracer=self.tracer)
+            runner = Runner(config, dataset, session, tracer=self.tracer)
             injector = (FaultInjector(config.seed, config.fault_spec)
                         if config.fault_spec else None)
             sup = self._supervisors[config] = CellSupervisor(
@@ -86,13 +109,10 @@ class CellWorker:
 
     def run_graphalytics(self, harness, platform: str, algorithm: str,
                          dataset):
-        """Run one Graphalytics cell on the resident harness with
-        ``harness``'s parameters -- the first one seen (in process the
-        caller's own), so loaded graphs are reused across cells."""
-        key = (harness.machine, harness.n_threads, harness.seed,
-               harness.time_limit_s)
-        resident = self._harnesses.setdefault(key, harness)
-        return resident.run_cell(platform, algorithm, dataset)
+        """Run one Graphalytics cell with ``harness``'s parameters on
+        this worker's session for ``dataset`` (no artifact cache)."""
+        return harness.run_cell(platform, algorithm, dataset,
+                                self.session(dataset))
 
     def submit(self, task, *args):
         """The one-job executor: a future that runs ``task`` on this
@@ -100,9 +120,10 @@ class CellWorker:
         return SimpleNamespace(result=partial(task, *args, worker=self))
 
     def close(self) -> None:
-        """Drop the shared state, shutting down what it holds open."""
-        for supervisor in self._supervisors.values():
-            supervisor.runner.close()
+        """Close the held session and drop the supervisors over it."""
+        if self._session is not None:
+            self._session.close()
+        self._session = self._key = None
         self._supervisors.clear()
 
 

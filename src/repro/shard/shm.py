@@ -26,6 +26,8 @@ its segments reaped by the shared tracker's shutdown sweep.
 from __future__ import annotations
 
 import multiprocessing.util
+import os
+import secrets
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -48,6 +50,11 @@ class ArenaSpec:
     segment: str
     #: ``(key, dtype string, shape tuple, byte offset)`` per array.
     layout: tuple[tuple[str, str, tuple[int, ...], int], ...]
+
+
+def _segment_name() -> str:
+    """``epg-<creator pid>-<token>``: the pid names who must unlink it."""
+    return f"epg-{os.getpid()}-{secrets.token_hex(4)}"
 
 
 def _align(offset: int, alignment: int = 64) -> int:
@@ -84,8 +91,13 @@ class ShmArena:
             offset = _align(offset)
             layout.append((key, arr.dtype.str, tuple(arr.shape), offset))
             offset += arr.nbytes
-        shm = shared_memory.SharedMemory(create=True,
-                                         size=max(offset, 1))
+        while True:
+            try:
+                shm = shared_memory.SharedMemory(
+                    name=_segment_name(), create=True, size=max(offset, 1))
+            except FileExistsError:  # the token clashed: draw again
+                continue
+            break
         spec = ArenaSpec(segment=shm.name, layout=tuple(layout))
         arena = cls(shm, spec, owner=True)
         for key, arr in arrays.items():

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
@@ -18,23 +16,21 @@ __all__ = ["GraphBigSystem", "PropertyGraph"]
 
 @dataclass
 class PropertyGraph:
-    """GraphBIG's structure: CSR adjacency plus per-vertex property
-    records (the System G heritage the suite keeps)."""
+    """GraphBIG's structure: CSR adjacency; its per-vertex property
+    records (the System G heritage) are counted, not held."""
 
     out: CSRGraph
     n: int
-    #: Property record per vertex: (id, level, color, rank, distance) --
-    #: allocated up-front like the C++ struct-of-arrays.
-    properties: dict[str, np.ndarray]
 
     @property
     def n_arcs(self) -> int:
         return self.out.n_edges
 
     def nbytes(self) -> int:
-        """CSR plus the per-vertex property records."""
-        props = sum(a.nbytes for a in self.properties.values())
-        return self.out.nbytes() + props + 8 * self.n
+        """CSR plus the per-vertex property records the C++ framework
+        allocates up-front: id, level, color, rank and distance, 8
+        bytes each."""
+        return self.out.nbytes() + 5 * 8 * self.n
 
 
 class GraphBigSystem(GraphSystem):
@@ -67,18 +63,8 @@ class GraphBigSystem(GraphSystem):
         return data.n_arcs
 
     def _assemble(self, arrays, meta) -> PropertyGraph:
-        # The property records are kernel *outputs* (kernels replace
-        # them per run), so they are allocated fresh per load instead
-        # of stored and shared read-only.
-        n = int(meta["n"])
-        props = {
-            "level": np.full(n, -1, dtype=np.int64),
-            "color": np.zeros(n, dtype=np.int64),
-            "rank": np.zeros(n, dtype=np.float64),
-            "distance": np.full(n, np.inf),
-        }
         return PropertyGraph(out=CSRGraph.from_arrays_map(arrays, "out_"),
-                             n=n, properties=props)
+                             n=int(meta["n"]))
 
     # -- kernels -------------------------------------------------------
     def _arcs(self, data: PropertyGraph):
@@ -87,14 +73,12 @@ class GraphBigSystem(GraphSystem):
     def _run_bfs(self, loaded, root: int):
         parent, level, profile, stats = kernels.bfs_queue(
             loaded.data, root, symmetric=not loaded.directed)
-        loaded.data.properties["level"] = level
         return ({"parent": parent, "level": level}, profile, None,
                 {"depth": float(stats["depth"])})
 
     def _run_sssp(self, loaded, root: int):
         dist, profile, stats = kernels.sssp_bellman_ford(
             loaded.data, root, symmetric=not loaded.directed)
-        loaded.data.properties["distance"] = dist
         return ({"dist": dist}, profile, None,
                 {"supersteps": float(stats["supersteps"]),
                  "relaxations": float(stats["relaxations"])})
@@ -104,7 +88,6 @@ class GraphBigSystem(GraphSystem):
         rank, iterations, profile = kernels.pagerank_jacobi(
             loaded.data, damping=damping, epsilon=epsilon,
             max_iterations=max_iterations)
-        loaded.data.properties["rank"] = rank
         return ({"rank": rank}, profile, iterations, {})
 
     def _run_wcc(self, loaded):

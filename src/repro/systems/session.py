@@ -1,7 +1,9 @@
 """One owner for everything loaded from one homogenized dataset:
 ``GraphSystem.load`` keeps its builds, interned arrays and shared-body
 answers in a :class:`DatasetSession` (a private one when given none),
-and :meth:`DatasetSession.load` keeps the loads themselves."""
+and :meth:`DatasetSession.load` keeps the loads themselves.  In the
+suite the cell worker owns them, one at a time
+(:meth:`repro.parallel.worker.CellWorker.session`)."""
 
 from __future__ import annotations
 
@@ -12,8 +14,7 @@ class DatasetSession:
     """What has been loaded from ``dataset``, and its one ``close()``.
 
     ``cache`` is the optional :class:`repro.cache.ArtifactCache` that
-    :meth:`load` reads and fills.  A session prices for one machine:
-    its owner creates every system with the same one.
+    :meth:`load` reads and fills.
     """
 
     def __init__(self, dataset, cache=None):
@@ -25,14 +26,17 @@ class DatasetSession:
         self.interned: dict = {}
         #: ``(body, params, n, arc digest) -> frozen answer``.
         self.answers: dict = {}
-        #: ``(system, *knobs, n_threads, shards) -> (system, loaded)``.
+        #: ``(system, *knobs, machine, threads, shards) -> (system, load)``.
         self.loads: dict = {}
+        #: The ``--validate`` reference CSR and its oracles' answers.
+        self.references: dict = {}
 
     def load(self, system):
-        """``(system, its load)`` per name, build knobs, threads and
-        shards: loaded on the first ask, the same pair after.  A refused
-        load (``SystemCapabilityError``) is not kept."""
-        key = (*system._build_key(), system.n_threads, system.shards)
+        """``(system, its load)`` per name, build knobs, machine, threads
+        and shards: loaded on the first ask, the same pair after.  A
+        refused load (``SystemCapabilityError``) is not kept."""
+        key = (*system._build_key(), system.machine, system.n_threads,
+               system.shards)
         if key not in self.loads:
             self.loads[key] = system, system.load(self.dataset, self.cache,
                                                   session=self)
@@ -40,9 +44,9 @@ class DatasetSession:
 
     def close(self) -> None:
         """Close every load (its shard pools: workers and ``/dev/shm``
-        arenas) and drop all four maps.  Idempotent."""
+        arenas) and drop all five maps.  Idempotent."""
         for _, loaded in self.loads.values():
             loaded.close()
         for store in (self.loads, self.builds, self.interned,
-                      self.answers):
+                      self.answers, self.references):
             store.clear()

@@ -34,14 +34,13 @@ def memmap_backed(a) -> bool:
 
 def structure_arrays(obj, path="data"):
     """Every array a loaded structure is made of, as ``{path: array}``:
-    public fields, recursively.  Underscore attributes are memo caches
-    and GraphBIG's ``properties`` are per-load kernel outputs -- neither
-    comes from the build."""
+    public fields, recursively.  Underscore attributes are memo caches,
+    which do not come from the build."""
     if isinstance(obj, np.ndarray):
         return {path: obj}
     found = {}
     for name, value in getattr(obj, "__dict__", {}).items():
-        if not name.startswith("_") and name != "properties":
+        if not name.startswith("_"):
             found.update(structure_arrays(value, f"{path}.{name}"))
     return found
 

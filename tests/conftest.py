@@ -4,9 +4,10 @@ Session-scoped graph/dataset fixtures keep the suite fast: the scale-10
 Kronecker graph and its homogenized directory are built once and shared
 by every system test.
 
-Every test module runs under a leak guard: a module that leaves a new
-``/dev/shm`` entry or a live ``epg-shard-*`` worker behind, once the
-collector has run, fails and names what it left.
+Every test module runs under a leak guard: a module that leaves a shard
+segment of this process or of an exited one in ``/dev/shm``, or a live
+``epg-shard-*`` worker, once the collector has run, fails and names
+what it left.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -31,14 +33,40 @@ def _shm_entries() -> set[str]:
     return set(os.listdir(SHM)) if os.path.isdir(SHM) else set()
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:         # alive, another user's
+        pass
+    return True
+
+
+def leaked_segments(before: set[str]) -> list[str]:
+    """The shard segments (``epg-<creator pid>-<token>``) made since
+    ``before`` that are still there although their creator is this
+    process or has exited.  A live process other than this one may be
+    using its segments (a sharded run beside this one), so they are not
+    this process's leaks."""
+    leaked = []
+    for name in sorted(_shm_entries() - before):
+        match = re.fullmatch(r"epg-(\d+)-.+", name)
+        if match and (int(match[1]) == os.getpid()
+                      or not _alive(int(match[1]))):
+            leaked.append(name)
+    return leaked
+
+
 @pytest.fixture(scope="module", autouse=True)
 def leak_guard():
-    """Fail the module if it leaves shard-engine state behind: a new
-    ``/dev/shm`` entry or a live ``epg-shard-*`` child process."""
+    """Fail the module if it leaves shard-engine state behind: a
+    leaked ``/dev/shm`` segment (:func:`leaked_segments`) or a live
+    ``epg-shard-*`` child process."""
     before = _shm_entries()
     yield
     gc.collect()
-    shm = sorted(_shm_entries() - before)
+    shm = leaked_segments(before)
     workers = sorted(p.name for p in multiprocessing.active_children()
                      if p.name.startswith("epg-shard-"))
     if shm or workers:

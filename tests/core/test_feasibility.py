@@ -118,10 +118,12 @@ class TestGraphalyticsTimeouts:
         """Sec. V: Graphalytics fails on computationally expensive
         algorithms; with a job budget the LCC cell reports 'F'."""
         from repro.graphalytics import GraphalyticsHarness, render_table
+        from repro.systems.session import DatasetSession
 
         h = GraphalyticsHarness(n_threads=32, seed=7, time_limit_s=0.01)
-        lcc = h.run_cell("graphbig", "lcc", dota_dataset)
-        bfs = h.run_cell("graphbig", "bfs", dota_dataset)
+        session = DatasetSession(dota_dataset)
+        lcc = h.run_cell("graphbig", "lcc", dota_dataset, session)
+        bfs = h.run_cell("graphbig", "bfs", dota_dataset, session)
         assert lcc.failed and lcc.display == "F"
         assert not bfs.failed
         out = render_table([lcc, bfs])

@@ -15,6 +15,8 @@ match the same run with every lookup forced to miss.  So is interning
 the built arrays (``repro.systems.base._interned``): the interning row
 loads all five systems into one ``DatasetSession``, where most arrays
 meet a byte-equal one, and must match the same run with interning off.
+And so is ``--validate``: its references live in the worker's session,
+and a validated run must match the plain one at every job count.
 """
 
 import hashlib
@@ -119,3 +121,9 @@ def test_interning_changes_no_byte(jobs, tmp_path, monkeypatch):
                     **ALL_SYSTEMS)
     assert run(tmp_path / "interned", jobs=jobs, trace=True,
                **ALL_SYSTEMS) == apart
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_validation_changes_no_byte(jobs, tmp_path, plain, plain_events):
+    assert run(tmp_path / "out", jobs=jobs, trace=True,
+               validate_outputs=True) == (plain, plain_events)

@@ -23,8 +23,10 @@ from repro.core.logs import parse_all_logs
 from repro.core.runner import Runner
 from repro.core.suite import run_paper_suite, resume_paper_suite
 from repro.errors import ConfigError
+from repro.observability import Tracer
 from repro.observability.export import read_events, validate_events
 from repro.parallel import CellPool, resolve_jobs, run_cell_task
+from repro.parallel.worker import CellWorker
 from repro.resilience import SuiteCheckpoint, cell_id
 
 PARAMS = dict(scale=8, n_roots=2, render_svg=False)
@@ -119,15 +121,23 @@ class TestCellPool:
     def test_shared_pool_never_reuses_a_stale_runner(self, tmp_path):
         """Regression: worker state was keyed on the output directory
         alone, so a second experiment in the same directory and pool
-        silently ran on the first one's Runner (and its ``n_roots``)."""
-        def roots_per_cell(n_roots, pool):
+        silently ran on the first one's Runner (and its ``n_roots``).
+        One pool-path worker runs both experiments' cells, as a pool
+        worker does when it draws cells of both."""
+        worker = CellWorker(Tracer.capture_only())
+
+        def roots_per_cell(n_roots):
             cfg = ExperimentConfig(
                 output_dir=tmp_path, scale=6, n_roots=n_roots,
                 systems=("gap", "graphbig"), algorithms=("bfs", "sssp"))
             SuiteCheckpoint.clear(tmp_path)
             exp = Experiment(cfg)
             exp.setup()
-            exp.run(pool=pool)
+            dataset = exp.homogenize()
+            for cell in exp._cells():
+                outcome, _ = run_cell_task(cfg, dataset, *cell,
+                                           worker=worker)
+                assert outcome.status == "completed"
             roots = {}
             for r in parse_all_logs(tmp_path / "logs"):
                 if r.metric == "time":
@@ -135,9 +145,11 @@ class TestCellPool:
                                      set()).add(r.root)
             return {len(v) for v in roots.values()}
 
-        with CellPool(2) as pool:
-            assert roots_per_cell(2, pool) == {2}
-            assert roots_per_cell(3, pool) == {3}
+        try:
+            assert roots_per_cell(2) == {2}
+            assert roots_per_cell(3) == {3}
+        finally:
+            worker.close()
 
 
 # ----------------------------------------------------------------------

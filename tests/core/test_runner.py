@@ -8,6 +8,13 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.core.logs import parse_log
 from repro.core.runner import Runner
+from repro.parallel.worker import CellWorker
+from repro.systems.session import DatasetSession
+
+
+def _runner(cfg, dataset) -> Runner:
+    """A Runner on a session of its own, as a test owns it."""
+    return Runner(cfg, dataset, DatasetSession(dataset))
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +24,7 @@ def runner(tmp_path_factory):
     exp = Experiment(cfg)
     exp.setup()
     dataset = exp.homogenize()
-    return Runner(cfg, dataset)
+    return _runner(cfg, dataset)
 
 
 def test_skips_unsupported_cells(runner):
@@ -32,7 +39,7 @@ def test_graph500_skips_real_world(tmp_path):
     cfg = ExperimentConfig(output_dir=tmp_path, dataset="dota-league",
                            n_roots=2)
     dataset = homogenize(dota_league(1 / 512), tmp_path / "ds")
-    r = Runner(cfg, dataset)
+    r = _runner(cfg, dataset)
     assert r.run_system_algorithm("graph500", "bfs", 32) is None
 
 
@@ -71,7 +78,7 @@ def test_power_disabled(tmp_path):
     exp = Experiment(cfg)
     exp.setup()
     dataset = exp.homogenize()
-    path = Runner(cfg, dataset).run_system_algorithm("gap", "bfs", 32)
+    path = _runner(cfg, dataset).run_system_algorithm("gap", "bfs", 32)
     records = parse_log(path)
     assert not any("joule" in r.metric for r in records)
 
@@ -80,7 +87,7 @@ def test_trial_jitter_varies_but_kernel_output_cached(runner):
     """Multiple trials re-jitter the priced time without rerunning the
     kernel; values must differ across trials of the same root."""
     cfg = dataclasses.replace(runner.config, n_trials=3, n_roots=2)
-    r2 = Runner(cfg, runner.dataset)
+    r2 = Runner(cfg, runner.dataset, runner.session)
     path = r2.run_system_algorithm("gap", "sssp", 32)
     records = parse_log(path)
     by_root: dict[int, set] = {}
@@ -105,7 +112,7 @@ def test_power_traces_captured(tmp_path):
     exp = Experiment(cfg)
     exp.setup()
     dataset = exp.homogenize()
-    path = Runner(cfg, dataset).run_system_algorithm("gap", "bfs", 32)
+    path = _runner(cfg, dataset).run_system_algorithm("gap", "bfs", 32)
     traces = sorted((tmp_path / "traces").glob("gap-bfs-*.csv"))
     assert len(traces) == 2
     records = parse_log(path)
@@ -127,7 +134,7 @@ def test_traces_off_by_default(tmp_path):
     exp = Experiment(cfg)
     exp.setup()
     dataset = exp.homogenize()
-    Runner(cfg, dataset).run_system_algorithm("gap", "bfs", 32)
+    _runner(cfg, dataset).run_system_algorithm("gap", "bfs", 32)
     assert not (tmp_path / "traces").exists()
 
 
@@ -145,7 +152,7 @@ class TestOutputValidation:
         exp = Experiment(cfg)
         exp.setup()
         dataset = exp.homogenize()
-        r = Runner(cfg, dataset)
+        r = _runner(cfg, dataset)
         for sysname in cfg.systems:
             for algo in cfg.algorithms:
                 r.run_system_algorithm(sysname, algo, 32)  # no raise
@@ -178,7 +185,7 @@ class TestOutputValidation:
         registry.available_systems()  # register the built-ins first
         monkeypatch.setitem(registry._FACTORIES, "gap", CheatingGap)
         with pytest.raises(ValidationError):
-            Runner(cfg, dataset).run_system_algorithm("gap", "sssp", 32)
+            _runner(cfg, dataset).run_system_algorithm("gap", "sssp", 32)
 
 
 class TestThreadSweepBuildsOnce:
@@ -241,9 +248,15 @@ class TestThreadSweepBuildsOnce:
         assert cold == warm == (self.RESULTS_SHA256, self.LOGS_SHA256)
 
     def test_close_drops_the_built_structures(self, runner):
-        runner.run_system_algorithm("gap", "bfs", 4)
-        session = runner.session
+        worker = CellWorker()
+        outcome, _ = worker.run_cell(runner.config, runner.dataset, "gap",
+                                     "bfs", 4)
+        assert outcome.status == "completed"
+        session = worker.session(runner.dataset)
         assert session.builds and session.loads and session.interned
-        runner.close()
+        assert worker._supervisors
+        worker.close()
         assert not (session.builds or session.loads or session.interned
-                    or session.answers)
+                    or session.answers or session.references)
+        assert not worker._supervisors
+        assert worker.session(runner.dataset) is not session

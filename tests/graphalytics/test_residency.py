@@ -1,10 +1,11 @@
-"""The Graphalytics harness keeps one dataset resident.
+"""A worker keeps one Graphalytics dataset resident.
 
 ``run_matrix`` never returns to a dataset, so when a cell names another
-dataset directory the harness closes the previous one's
-``DatasetSession``: its loads, built arrays and answers.  Which datasets a harness ran before must change
-no cell: the tables equal those of a fresh harness per dataset, in
-process and through a pool of worker processes.
+dataset directory the cell worker closes the previous one's
+``DatasetSession``: its loads, built arrays and answers.  Which
+datasets a worker ran before must change no cell: the tables equal
+those of a fresh harness per dataset, in process and through a pool of
+worker processes.
 """
 
 import gc
@@ -12,8 +13,13 @@ import weakref
 
 import pytest
 
-from repro.graphalytics import GraphalyticsHarness
+from repro.graphalytics import (
+    GRAPHALYTICS_ALGORITHMS,
+    GRAPHALYTICS_PLATFORMS,
+    GraphalyticsHarness,
+)
 from repro.parallel import CellPool
+from repro.parallel.worker import CellWorker
 from repro.systems.base import LoadedGraph
 
 
@@ -28,28 +34,37 @@ def test_only_the_last_dataset_stays_loaded(dota_dataset, patents_dataset,
     monkeypatch.setattr(LoadedGraph, "close",
                         lambda self: (closed.append(id(self)), close(self)))
     harness = GraphalyticsHarness(seed=7)
-    harness.run_matrix(dota_dataset)
+    worker = CellWorker()
+
+    def matrix(dataset):
+        for platform in GRAPHALYTICS_PLATFORMS:
+            for algorithm in GRAPHALYTICS_ALGORITHMS:
+                worker.run_graphalytics(harness, platform, algorithm,
+                                        dataset)
+
+    matrix(dota_dataset)
+    first_session = worker.session(dota_dataset)
     first = {id(loaded): weakref.ref(loaded)
-             for _, loaded in harness._session.loads.values()}
-    first_session = harness._session
+             for _, loaded in first_session.loads.values()}
     first_arrays = [weakref.ref(a)
                     for bucket in first_session.interned.values()
                     for a in bucket]
     assert len(first) == 3 and not closed
 
-    harness.run_matrix(patents_dataset)
+    matrix(patents_dataset)
     assert sorted(closed) == sorted(first)
-    assert harness._session is not first_session
+    session = worker.session(patents_dataset)
+    assert session is not first_session
     del first_session
     gc.collect()
     assert all(ref() is None for ref in first.values())
     assert first_arrays and all(ref() is None for ref in first_arrays)
-    session = harness._session
     assert session.dataset.directory == patents_dataset.directory
     assert len(session.loads) == 3
     for _, loaded in session.loads.values():
         assert loaded.name == patents_dataset.name
         assert loaded.answers is session.answers
+    worker.close()
 
 
 @pytest.mark.parametrize("jobs", (1, 2))

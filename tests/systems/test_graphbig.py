@@ -1,6 +1,5 @@
-"""GraphBIG-specific behaviour: property graph, vertex-centric kernels."""
+"""GraphBIG-specific behaviour: fused load, vertex-centric kernels."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms import bfs_parents, sssp_dijkstra
@@ -11,23 +10,6 @@ from repro.systems import create_system
 def gbig(kron10_dataset):
     s = create_system("graphbig", n_threads=32)
     return s, s.load(kron10_dataset)
-
-
-class TestPropertyGraph:
-    def test_property_arrays_allocated(self, gbig):
-        _, loaded = gbig
-        props = loaded.data.properties
-        for key in ("level", "color", "rank", "distance"):
-            assert props[key].shape == (loaded.n_vertices,)
-
-    def test_kernels_update_properties(self, gbig, kron10_dataset):
-        s, loaded = gbig
-        root = int(kron10_dataset.roots[0])
-        s.run(loaded, "bfs", root=root)
-        assert loaded.data.properties["level"][root] == 0
-        s.run(loaded, "pagerank")
-        assert loaded.data.properties["rank"].sum() == pytest.approx(
-            1.0, abs=1e-6)
 
 
 class TestKernels:

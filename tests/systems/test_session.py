@@ -3,8 +3,9 @@
 ``session.load(system)`` loads once per system, build knobs, thread
 count and shard count; ``GraphSystem.load`` keeps one build per system
 and build knobs, one copy of each array and one answer per shared
-body in the session; ``close()`` closes every load and drops it all.
-A load given no session gets a private one and behaves the same way.
+body in the session, as do a Runner's ``--validate`` references;
+``close()`` closes every load and drops it all.  A load given no
+session gets a private one and behaves the same way.
 """
 
 import gc
@@ -19,6 +20,7 @@ import repro.shard.engine as engine_mod
 import repro.systems.base as base
 from repro.core.config import ExperimentConfig
 from repro.core.runner import Runner
+from repro.parallel.worker import CellWorker
 from repro.systems import create_system
 from repro.systems.base import GraphSystem, LoadedGraph
 from repro.systems.session import DatasetSession
@@ -148,12 +150,17 @@ def test_a_load_without_a_session_memoizes_and_interns(kron10_dataset,
 
 
 @pytest.fixture
-def runner(tmp_path, kron10_dataset):
+def worker():
+    worker = CellWorker()
+    yield worker
+    worker.close()
+
+
+@pytest.fixture
+def runner(tmp_path, kron10_dataset, worker):
     cfg = ExperimentConfig(output_dir=tmp_path, n_roots=2,
                            validate_outputs=True)
-    runner = Runner(cfg, kron10_dataset)
-    yield runner
-    runner.close()
+    return Runner(cfg, kron10_dataset, worker.session(kron10_dataset))
 
 
 def test_an_unsupported_cell_loads_nothing(runner, monkeypatch):
@@ -163,8 +170,10 @@ def test_an_unsupported_cell_loads_nothing(runner, monkeypatch):
     assert not loads and not runner.session.loads
 
 
-def test_runner_close_drops_the_validation_reference(runner):
+def test_closing_the_session_drops_the_validation_reference(runner,
+                                                            worker):
     assert runner.run_system_algorithm("gap", "sssp", 4) is not None
-    assert runner._reference_cache and runner.session.loads
-    runner.close()
-    assert not runner._reference_cache and not runner.session.loads
+    session = runner.session
+    assert session.references and session.loads
+    worker.close()
+    assert not session.references and not session.loads
