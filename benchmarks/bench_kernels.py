@@ -584,7 +584,7 @@ def test_kernel_gate(benchmark):
         _assert_identical(f"graphbig/bfs_queue[{root}]",
                           (got[:2], got[2], got[3]),
                           (ref[:2], ref[2], ref[3]), checks)
-        gd, gprof, gst = sssp_bellman_ford(pg, root, symmetric=True)
+        gd, gprof, gst = sssp_bellman_ford(pg, root)
         rd, rprof, rst = _ref_sssp_bellman_ford(pg, root)
         _assert_identical(f"graphbig/bellman_ford[{root}]",
                           ((gd,), gprof, gst), ((rd,), rprof, rst),
@@ -594,13 +594,13 @@ def test_kernel_gate(benchmark):
     # pre-library full-gather engine.
     sym = el.symmetrized()
     out = CSRGraph.from_arrays(sym.src, sym.dst, sym.n_vertices,
-                               weights=sym.weights)
+                               weights=sym.weights, symmetric=True)
     inn = CSRGraph.from_arrays(sym.dst, sym.src, sym.n_vertices,
-                               weights=sym.weights)
+                               weights=sym.weights, symmetric=True)
     rep, _ = random_ingress(sym.src, sym.dst, sym.n_vertices, 4)
     root = int(roots[0])
-    engine = GasEngine(inn, out, rep)
-    ref_engine = _RefGasEngine(inn, out, rep)
+    engine = GasEngine(out, rep)
+    ref_engine = _RefGasEngine(out, rep)
     gd, git, gprof, gst = run_sssp(engine, root)
     rd, rit, rprof, rst = _ref_run_sssp(ref_engine, root)
     assert git == rit
@@ -618,15 +618,14 @@ def test_kernel_gate(benchmark):
     # GraphBIG and GraphMat relax through the one Bellman-Ford loop.
     _assert_relax_sides_identical(
         f"graphbig/bellman_ford push|pull[{root}]", sssp_module,
-        lambda: sssp_bellman_ford(bf_graph, root, symmetric=True)[:2],
+        lambda: sssp_bellman_ford(bf_graph, root)[:2],
         checks)
     _assert_relax_sides_identical(
         f"powergraph/gas_sssp push|pull[{root}]", gas_module,
         lambda: run_sssp(engine, root)[::2], checks)
     _assert_relax_sides_identical(
         f"graphmat/sssp_spmv push|pull[{root}]", sssp_module,
-        lambda: graphmat_kernels.sssp_bellman_spmv(at, root,
-                                                   symmetric=True)[:2],
+        lambda: graphmat_kernels.sssp_bellman_spmv(at, root)[:2],
         checks)
 
     # ------------------------------------------------------------------

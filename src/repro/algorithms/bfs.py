@@ -80,18 +80,15 @@ def bfs_levels(out: CSRGraph, root: int, sweeps: SweepExecutor,
     return parent, level, levels
 
 
-def bfs_rounds(out: CSRGraph, inn: CSRGraph | None, root: int
+def bfs_rounds(out: CSRGraph, root: int
                ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """:func:`bfs_levels` in-process under the default rule, per level
     ``(frontier, arcs)``: what GraphBIG and GraphMat price whichever
-    direction ran.
-
-    ``inn`` is the in-arc CSR of the same graph -- ``out`` itself when
-    it was symmetrized -- or ``None`` for ``out.transposed()``, built on
-    the first bottom-up level and memoized on ``out``.
+    direction ran.  A bottom-up level reads ``out.transposed()``, first
+    asked for on the first such level.
     """
-    sweeps = LocalSweeps(out, inn, scratch_for(out, out.n_vertices,
-                                               out.n_edges))
+    sweeps = LocalSweeps(out, scratch_for(out, out.n_vertices,
+                                          out.n_edges))
     parent, level, levels = bfs_levels(out, root, sweeps)
     return parent, level, [(f, a) for f, a, _, _ in levels]
 
@@ -102,4 +99,4 @@ def bfs_parents(graph: CSRGraph, root: int) -> tuple[np.ndarray, np.ndarray]:
     ``parent[v] == -1`` and ``level[v] == -1`` mark unreached vertices;
     ``parent[root] == root``.
     """
-    return bfs_rounds(graph, None, root)[:2]
+    return bfs_rounds(graph, root)[:2]

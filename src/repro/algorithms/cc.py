@@ -31,19 +31,18 @@ __all__ = ["afforest", "afforest_rounds", "shiloach_vishkin",
 DEFAULT_NEIGHBOR_ROUNDS = 2
 
 
-def shiloach_vishkin(out: CSRGraph, inn: CSRGraph | None
-                     ) -> tuple[np.ndarray, int]:
+def shiloach_vishkin(out: CSRGraph) -> tuple[np.ndarray, int]:
     """Component labels over the arcs of ``out`` (direction ignored)
-    and the number of rounds, each one hook over every arc and one
-    pointer jump; the last round changes nothing.  ``inn`` as for
-    :func:`~repro.algorithms.wcc.min_label_pull`."""
+    and the number of rounds, each one hook over every arc
+    (:func:`~repro.algorithms.wcc.min_label_pull`) and one pointer
+    jump; the last round changes nothing."""
     comp = np.arange(out.n_vertices, dtype=np.int64)
     rounds = 0
     while True:
         rounds += 1
         # Hook: every vertex pulls the smallest label around it, which
         # is every arc pulling both endpoints to the smaller label.
-        new_comp = min_label_pull(out, inn, comp)
+        new_comp = min_label_pull(out, comp)
         # Compress: pointer-jump labels toward the roots.
         new_comp = new_comp[new_comp]
         if np.array_equal(new_comp, comp):

@@ -66,13 +66,13 @@ def sssp_dijkstra(graph: CSRGraph, root: int) -> np.ndarray:
     return np.asarray(dist, dtype=np.float64)
 
 
-def bellman_ford_rounds(out: CSRGraph, inn: CSRGraph | None, root: int
+def bellman_ford_rounds(out: CSRGraph, root: int
                         ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Label-correcting SSSP from ``root`` along the weighted arcs of
     ``out``: each round relaxes the out-arcs of the vertices whose
     distance dropped in the previous one, with one
     :func:`~repro.graph.frontier.relax_round` (push below its
-    ``PULL_SHARE``, pull over ``inn`` at or above it; ``inn`` as there).
+    ``PULL_SHARE``, pull over ``out.transposed()`` at or above it).
 
     Returns ``(dist, rounds)``: ``+inf`` marks unreached vertices, and
     per round ``(active, examined)`` is how many vertices it relaxed and
@@ -86,7 +86,7 @@ def bellman_ford_rounds(out: CSRGraph, inn: CSRGraph | None, root: int
     active = np.array([root], dtype=np.int64)
     rounds: list[tuple[int, int]] = []
     while active.size:
-        improved, examined = relax_round(out, inn, active, dist, dist,
+        improved, examined = relax_round(out, None, active, dist, dist,
                                          scratch)
         rounds.append((int(active.size), examined))
         active = improved

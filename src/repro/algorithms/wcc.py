@@ -45,16 +45,14 @@ def canonical_component_labels(labels: np.ndarray) -> np.ndarray:
     return mins[labels]
 
 
-def min_label_pull(out: CSRGraph, inn: CSRGraph | None,
-                   labels: np.ndarray) -> np.ndarray:
+def min_label_pull(out: CSRGraph, labels: np.ndarray) -> np.ndarray:
     """Each vertex's minimum of its own label and its neighbours'
     labels, pulled with :func:`~repro.graph.frontier.pull_min` over the
-    rows of ``out`` (out-neighbours) and of ``inn`` (in-neighbours) --
-    ``out`` itself when symmetrized, then pulled once -- or ``None`` for
-    ``out.transposed()``: the step of hash-min and the hook of
+    rows of ``out`` (out-neighbours) and of ``out.transposed()``
+    (in-neighbours) -- pulled once when ``out`` is its own transpose:
+    the step of hash-min and the hook of
     :func:`~repro.algorithms.cc.shiloach_vishkin`."""
-    if inn is None:
-        inn = out.transposed()
+    inn = out.transposed()
     new = labels.copy()
     for c in (out,) if inn is out else (out, inn):
         rows, starts = c.pull_rows()
@@ -64,8 +62,7 @@ def min_label_pull(out: CSRGraph, inn: CSRGraph | None,
     return new
 
 
-def hashmin_rounds(out: CSRGraph, inn: CSRGraph | None
-                   ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def hashmin_rounds(out: CSRGraph) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Synchronous hash-min over the arcs of ``out`` taken both ways.
 
     Every round each vertex keeps the minimum of its own label and its
@@ -77,11 +74,11 @@ def hashmin_rounds(out: CSRGraph, inn: CSRGraph | None
     weak component, and per round ``(changed, arcs)``: how many labels
     dropped and how many arcs were pulled.
     """
-    arcs = out.n_edges if inn is out else 2 * out.n_edges
+    arcs = out.n_edges if out.symmetric else 2 * out.n_edges
     labels = np.arange(out.n_vertices, dtype=np.int64)
     rounds: list[tuple[int, int]] = []
     while True:
-        new = min_label_pull(out, inn, labels)
+        new = min_label_pull(out, labels)
         changed = int(np.count_nonzero(new != labels))
         rounds.append((changed, arcs))
         if not changed:

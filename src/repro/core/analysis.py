@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.records import Record
+from repro.core.records import Record, record_values
 from repro.errors import ConfigError
 from repro.machine.spec import MachineSpec, haswell_server
 from repro.power.energy import EnergyReport
@@ -127,30 +127,14 @@ class Analysis:
                   dataset: str | None = None,
                   threads: int | None = None,
                   metric: str = "time") -> float:
-        vals = [r.value for r in self.records
-                if r.system == system and r.algorithm == algorithm
-                and r.metric == metric
-                and (dataset is None or r.dataset == dataset)
-                and (threads is None or r.threads == threads)]
-        if not vals:
-            raise ConfigError(
-                f"no {metric} records for {system}/{algorithm}"
-                f"/{dataset}/{threads}")
-        return float(np.mean(vals))
+        return float(np.mean(record_values(
+            self.records, system, algorithm, metric, dataset, threads)))
 
     def median_time(self, system: str, algorithm: str,
                     dataset: str | None = None,
                     threads: int | None = None) -> float:
-        vals = [r.value for r in self.records
-                if r.system == system and r.algorithm == algorithm
-                and r.metric == "time"
-                and (dataset is None or r.dataset == dataset)
-                and (threads is None or r.threads == threads)]
-        if not vals:
-            raise ConfigError(
-                f"no time records for {system}/{algorithm}"
-                f"/{dataset}/{threads}")
-        return float(np.median(vals))
+        return float(np.median(record_values(
+            self.records, system, algorithm, "time", dataset, threads)))
 
     def scalability(self, system: str, algorithm: str,
                     dataset: str | None = None) -> EfficiencyTable:

@@ -137,7 +137,8 @@ def projected_scalability(system: str, algorithm: str = "bfs",
 #: scale has arcs = 32 n at the default edge factor, so the two columns
 #: are pinned by two edge factors, not by two scales.  Kronecker graphs
 #: are undirected: GAP's inverse and GraphMat's symmetric pattern are
-#: the structure itself and cost nothing more.
+#: the structure itself and cost nothing more.  PowerGraph counts its
+#: in-CSR, one object with its out-CSR there, all the same.
 _MEMORY_MODEL: dict[str, tuple[float, float]] = {
     # (bytes_per_arc, bytes_per_vertex)
     "gap": (16.0, 24.0),          # one weighted CSR + degrees

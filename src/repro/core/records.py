@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-__all__ = ["Record", "METRICS"]
+from repro.errors import ConfigError
+
+__all__ = ["Record", "METRICS", "record_values"]
 
 #: Known metric names.
 METRICS = (
@@ -61,3 +63,21 @@ class Record:
             system=parts[0], algorithm=parts[1], dataset=parts[2],
             threads=int(parts[3]), root=int(parts[4]), trial=int(parts[5]),
             metric=parts[6], value=float(parts[7]))
+
+
+def record_values(records: list[Record], system: str, algorithm: str,
+                  metric: str = "time", dataset: str | None = None,
+                  threads: int | None = None,
+                  label: str | None = None) -> list[float]:
+    """The values of ``system``'s ``algorithm`` records of ``metric``
+    (on ``dataset``, at ``threads`` when given); none is a
+    ``ConfigError`` naming ``label`` (default: all four)."""
+    vals = [r.value for r in records
+            if r.system == system and r.algorithm == algorithm
+            and r.metric == metric
+            and (dataset is None or r.dataset == dataset)
+            and (threads is None or r.threads == threads)]
+    if not vals:
+        label = label or f"{system}/{algorithm}/{dataset}/{threads}"
+        raise ConfigError(f"no {metric} records for {label}")
+    return vals

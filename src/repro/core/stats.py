@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.records import Record
+from repro.core.records import Record, record_values
 from repro.errors import ConfigError
 
 __all__ = ["bootstrap_ci", "mann_whitney_u", "cliffs_delta",
@@ -168,15 +168,9 @@ def compare_systems(records: list[Record], system_a: str, system_b: str,
                     seed: int = 0) -> ComparisonVerdict:
     """Pairwise comparison of kernel times from a parsed record set."""
     def _times(system):
-        vals = [r.value for r in records
-                if r.system == system and r.algorithm == algorithm
-                and r.metric == "time"
-                and (dataset is None or r.dataset == dataset)
-                and (threads is None or r.threads == threads)]
-        if not vals:
-            raise ConfigError(
-                f"no time records for {system}/{algorithm}")
-        return np.asarray(vals)
+        return np.asarray(record_values(
+            records, system, algorithm, "time", dataset, threads,
+            label=f"{system}/{algorithm}"))
 
     a = _times(system_a)
     b = _times(system_b)

@@ -7,12 +7,15 @@ and GraphMat doubly-compresses it (:mod:`repro.graph.dcsr`).
 Construction is fully vectorized: ``bincount``/``cumsum`` row pointers
 plus one value sort of packed ``(src, dst, position)`` keys for the arc
 order (:func:`_arc_order`); transposition is the linear
-bucket-then-place pass the C systems use.
+bucket-then-place pass the C systems use.  :meth:`CSRGraph.transposed`
+is the one source of in-arcs: no caller passes them beside out-arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import weakref
 
 import numpy as np
 
@@ -73,11 +76,15 @@ class CSRGraph:
         ``int64[nnz]`` neighbor ids, sorted within each row.
     weights:
         Optional ``float64[nnz]`` aligned with ``col_idx``.
+    symmetric:
+        Whether the arcs are a symmetrized list (each arc's reverse, of
+        the same weight, is an arc), making the CSR its own transpose.
     """
 
     row_ptr: np.ndarray
     col_idx: np.ndarray
     weights: np.ndarray | None = None
+    symmetric: bool = False
 
     #: Derived-structure caches (set lazily via ``object.__setattr__``;
     #: not dataclass fields, dropped from pickles).
@@ -89,7 +96,8 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @staticmethod
     def from_arrays(src: np.ndarray, dst: np.ndarray, n: int,
-                    weights: np.ndarray | None = None) -> "CSRGraph":
+                    weights: np.ndarray | None = None,
+                    symmetric: bool = False) -> "CSRGraph":
         """Build CSR from parallel endpoint arrays, in any order: row
         pointers from a counting pass over ``src``, arc order (source,
         destination, then input position) from the one ``O(m log m)``
@@ -111,7 +119,8 @@ class CSRGraph:
         if weights is not None:
             w = np.ascontiguousarray(
                 np.asarray(weights, dtype=np.float64)[order])
-        return CSRGraph(row_ptr=row_ptr, col_idx=col_idx, weights=w)
+        return CSRGraph(row_ptr=row_ptr, col_idx=col_idx, weights=w,
+                        symmetric=symmetric)
 
     @staticmethod
     def from_edge_list(edges: EdgeList, symmetrize: bool = False) -> "CSRGraph":
@@ -122,7 +131,8 @@ class CSRGraph:
         """
         el = edges.symmetrized() if symmetrize else edges
         return CSRGraph.from_arrays(
-            el.src, el.dst, el.n_vertices, weights=el.weights)
+            el.src, el.dst, el.n_vertices, weights=el.weights,
+            symmetric=symmetrize)
 
     def __post_init__(self) -> None:
         rp = np.ascontiguousarray(self.row_ptr, dtype=np.int64)
@@ -164,13 +174,15 @@ class CSRGraph:
         return out
 
     @staticmethod
-    def from_arrays_map(arrays: dict, prefix: str = "") -> "CSRGraph":
+    def from_arrays_map(arrays: dict, prefix: str = "",
+                        symmetric: bool = False) -> "CSRGraph":
         """Inverse of :meth:`to_arrays_map`.  Memmap-backed arrays pass
         through unchanged (``ascontiguousarray`` is a no-op on them),
         so a cache-restored CSR stays zero-copy."""
         return CSRGraph(row_ptr=arrays[f"{prefix}row_ptr"],
                         col_idx=arrays[f"{prefix}col_idx"],
-                        weights=arrays.get(f"{prefix}weights"))
+                        weights=arrays.get(f"{prefix}weights"),
+                        symmetric=symmetric)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -205,7 +217,9 @@ class CSRGraph:
     # Derived structures
     # ------------------------------------------------------------------
     def transposed(self) -> "CSRGraph":
-        """CSR of the reverse graph (i.e. CSC of this one), memoized.
+        """CSR of the reverse graph (i.e. CSC of this one): itself if
+        ``symmetric`` (a computed one differs at most in the order of
+        parallel arcs' weights), else the attached one, made on demand.
 
         Arcs are already in source order, so one stable linear counting
         pass by destination (SciPy's ``csr -> csc``) lands them exactly
@@ -214,7 +228,10 @@ class CSRGraph:
         every fresh snapshot.  The C pass trusts its indices, which
         ``__post_init__`` never looked at, hence the check.
         """
-        cached = self.__dict__.get("_transposed")
+        if self.symmetric:
+            return self
+        link = self.__dict__.get("_transposed")
+        cached = link() if isinstance(link, weakref.ref) else link
         if cached is None:
             import scipy.sparse as sp
 
@@ -224,11 +241,18 @@ class CSRGraph:
                     else np.zeros(self.n_edges, dtype=np.int8))
             csc = sp.csr_matrix((data, self.col_idx, self.row_ptr),
                                 shape=(n, n)).tocsc()
-            cached = CSRGraph(
+            cached = self.attach_transpose(CSRGraph(
                 row_ptr=csc.indptr, col_idx=csc.indices,
-                weights=None if self.weights is None else csc.data)
-            object.__setattr__(self, "_transposed", cached)
+                weights=None if self.weights is None else csc.data))
         return cached
+
+    def attach_transpose(self, inn: "CSRGraph") -> "CSRGraph":
+        """Make ``inn`` (e.g. a transpose read back from a cache bundle)
+        this CSR's :meth:`transposed`, and this CSR ``inn``'s, weakly:
+        the pair forms no reference cycle.  Returns ``inn``."""
+        object.__setattr__(self, "_transposed", inn)
+        object.__setattr__(inn, "_transposed", weakref.ref(self))
+        return inn
 
     def weight_split(self, delta: float) -> tuple["CSRGraph", "CSRGraph"]:
         """``(light, heavy)``: the arcs with ``weight < delta`` and the
@@ -250,11 +274,10 @@ class CSRGraph:
             before = np.zeros(self.n_edges + 1, dtype=np.int64)
             np.cumsum(light, out=before[1:])
             light_ptr = before[self.row_ptr]
-            cached = (delta,
-                      (CSRGraph(light_ptr, self.col_idx[light],
-                                self.weights[light]),
-                       CSRGraph(self.row_ptr - light_ptr,
-                                self.col_idx[heavy], self.weights[heavy])))
+            parts = ((light_ptr, light), (self.row_ptr - light_ptr, heavy))
+            cached = (delta, tuple(
+                CSRGraph(ptr, self.col_idx[keep], self.weights[keep],
+                         self.symmetric) for ptr, keep in parts))
             object.__setattr__(self, "_weight_split", cached)
         return cached[1]
 

@@ -37,6 +37,9 @@ class DCSRMatrix:
         ``int64[nnz]`` column indices, sorted within each row.
     values:
         Optional ``float64[nnz]`` entries; ``None`` means pattern-only.
+    symmetric:
+        As for :class:`~repro.graph.csr.CSRGraph`; :meth:`csr_view`
+        carries it.
     """
 
     n: int
@@ -44,6 +47,7 @@ class DCSRMatrix:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray | None = None
+    symmetric: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -84,6 +88,7 @@ class DCSRMatrix:
             row_ptr=row_ptr,
             col_idx=csr.col_idx.copy(),
             values=None if csr.weights is None else csr.weights.copy(),
+            symmetric=csr.symmetric,
         )
 
     # ------------------------------------------------------------------
@@ -100,14 +105,15 @@ class DCSRMatrix:
         return out
 
     @staticmethod
-    def from_arrays_map(arrays: dict, n: int,
-                        prefix: str = "") -> "DCSRMatrix":
+    def from_arrays_map(arrays: dict, n: int, prefix: str = "",
+                        symmetric: bool = False) -> "DCSRMatrix":
         """Inverse of :meth:`to_arrays_map`; memmap arrays stay mmapped."""
         return DCSRMatrix(n=int(n),
                           row_ids=arrays[f"{prefix}row_ids"],
                           row_ptr=arrays[f"{prefix}row_ptr"],
                           col_idx=arrays[f"{prefix}col_idx"],
-                          values=arrays.get(f"{prefix}values"))
+                          values=arrays.get(f"{prefix}values"),
+                          symmetric=symmetric)
 
     # ------------------------------------------------------------------
     @property
@@ -142,16 +148,16 @@ class DCSRMatrix:
         """The same matrix as a plain CSR (the inverse of
         :meth:`from_csr`) that shares ``col_idx`` and ``values`` -- only
         the ``n + 1`` row pointer is new -- memoized like
-        :meth:`row_sources`.  Its memoized
+        :meth:`row_sources`.  Its
         :meth:`~repro.graph.csr.CSRGraph.transposed` is the matrix's
-        other direction: GraphMat's out-arcs on directed input."""
+        other direction."""
         cached = self.__dict__.get("_csr_view")
         if cached is None:
             row_ptr = np.zeros(self.n + 1, dtype=np.int64)
             row_ptr[self.row_ids + 1] = np.diff(self.row_ptr)
             np.cumsum(row_ptr, out=row_ptr)
             cached = CSRGraph(row_ptr=row_ptr, col_idx=self.col_idx,
-                              weights=self.values)
+                              weights=self.values, symmetric=self.symmetric)
             object.__setattr__(self, "_csr_view", cached)
         return cached
 

@@ -283,9 +283,9 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
 
     Returns ``(improved, examined)``: the sorted ids whose ``dist``
     dropped and the out-degree sum of ``members`` (what the profiles
-    price).  ``inn`` is the in-arc CSR of the same multigraph -- ``out``
-    itself for a symmetrized one -- or ``None`` for ``out.transposed()``,
-    built on the first pull and memoized on ``out``.  ``touched``, when
+    price).  A pull reads ``inn``, ``out.transposed()`` if ``None``: a
+    caller passes in-arcs it holds, such as the in-arcs' part when
+    ``out`` is a weight-split part.  ``touched``, when
     given, is a ``bool[n]`` set at every destination of a member's arc,
     improved or not (the GAS engine's signalled set).  ``arcs`` is the
     members' out-degree sum in ``out`` when the caller has counted it

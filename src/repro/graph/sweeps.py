@@ -81,24 +81,15 @@ class LocalSweeps:
     :func:`first_parent_candidates` plus its two writes (``parent``,
     ``visited``), the same call a shard's ``OP_TD`` makes on its slice.
 
-    ``inn`` is the in-arc CSR of the same multigraph -- ``out`` itself
-    for a symmetrized one -- read by ``bottom_up`` and by the pulls of
-    ``relax``; ``None`` stands for ``out.transposed()``, built on the
-    first call and memoized on ``out``.  ``scratch`` serves everything
-    but PageRank.
+    ``bottom_up`` and the pulls of ``relax`` read the in-arcs,
+    ``out.transposed()``, first asked for by the first of them.
+    ``scratch`` serves everything but PageRank.
     """
 
-    def __init__(self, out: CSRGraph, inn: CSRGraph | None = None,
-                 scratch: KernelScratch | None = None):
+    def __init__(self, out: CSRGraph, scratch: KernelScratch | None = None):
         self.out = out
-        self.inn = inn
         self.scratch = scratch
         self.n = out.n_vertices
-
-    def _pull_csr(self) -> CSRGraph:
-        if self.inn is None:
-            self.inn = self.out.transposed()
-        return self.inn
 
     # -- BFS -----------------------------------------------------------
     def begin_bfs(self, root: int) -> None:
@@ -114,7 +105,7 @@ class LocalSweeps:
         return new_v, examined
 
     def bottom_up(self, frontier, parent):
-        inn = self._pull_csr()
+        inn = self.out.transposed()
         cand = np.flatnonzero(~self.visited)
         in_frontier = self.scratch.mask("frontier")
         in_frontier[frontier] = True
@@ -139,7 +130,7 @@ class LocalSweeps:
         Each CSR memoizes its split while ``delta`` repeats, so only the
         first kernel at a delta pays for it."""
         self.out_parts = self.out.weight_split(delta)
-        self.in_parts = self._pull_csr().weight_split(delta)
+        self.in_parts = self.out.transposed().weight_split(delta)
 
     def relax(self, members, mode, examined=None, arcs=None):
         # Priced on every out-arc of the members, light and heavy alike.

@@ -286,9 +286,9 @@ class ShardEngine:
     out:
         The graph's out-CSR (push direction).
     inn:
-        Optional in-CSR (pull direction), ``out`` itself for a
-        symmetrized graph.  Required for bottom-up BFS and PageRank;
-        ``None`` builds a push-only engine (Graph500).
+        Optional in-CSR (pull direction), ``out.transposed()``.
+        Required for bottom-up BFS and PageRank; ``None`` builds a
+        push-only engine (Graph500).
     n_shards:
         Shard count; the partition is
         :func:`~repro.shard.partition.partition_graph`'s.
@@ -384,7 +384,7 @@ class ShardEngine:
                 None, self.close, exitpriority=ENGINE_FINALIZE_PRIORITY)
         #: The serial step bodies over the whole graph, on the round
         #: state the shards read: what a round too small to cross runs.
-        local = LocalSweeps(out, inn, KernelScratch(self.n))
+        local = LocalSweeps(out, KernelScratch(self.n))
         local.visited = self._arrays["visited"]
         local.dist = self._arrays["vec"]
         self._local_sweeps = local
@@ -583,7 +583,7 @@ class ShardEngine:
         making its early-exit examined counts sum to the serial
         count."""
         local = self._local
-        if self._stays_local(out_arc_count(local.inn.row_ptr,
+        if self._stays_local(out_arc_count(local.out.transposed().row_ptr,
                                            np.flatnonzero(~local.visited))):
             return local.bottom_up(frontier, parent)
         f = self._arrays["in_frontier"]

@@ -194,19 +194,20 @@ class GraphSystem(ABC):
     # ------------------------------------------------------------------
     # Sharded execution support
     # ------------------------------------------------------------------
-    def _shard_engine(self, loaded: "LoadedGraph", out, inn=None):
+    def _shard_engine(self, loaded: "LoadedGraph", out, pull: bool = True):
         """The persistent :class:`~repro.shard.engine.ShardEngine` for
-        ``loaded``, created on first use and cached *on the loaded
-        graph* so it lives exactly as long as the resident graph does
-        (the engine's ``__del__``/atexit guards reap workers and
-        shared-memory segments when the graph is evicted)."""
+        ``loaded`` (push-only unless ``pull``), created on first use and
+        cached *on the loaded graph* so it lives exactly as long as the
+        resident graph does (the engine's ``__del__``/atexit guards reap
+        workers and shared-memory segments when the graph is evicted)."""
         from repro.shard.engine import ShardEngine
 
         engines = loaded.__dict__.setdefault("_shard_engines", {})
-        key = (self.shards, inn is not None)
+        key = (self.shards, pull)
         engine = engines.get(key)
         if engine is None or engine.closed:
-            engine = ShardEngine(out, inn, n_shards=self.shards)
+            engine = ShardEngine(out, out.transposed() if pull else None,
+                                 n_shards=self.shards)
             engines[key] = engine
         return engine
 

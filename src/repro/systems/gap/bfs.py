@@ -45,7 +45,7 @@ def dobfs(graph: GapGraph, root: int, alpha: float = DEFAULT_ALPHA,
     """Run direction-optimizing BFS; return (parent, level, profile, stats)."""
     n = graph.n
     if sweeps is None:
-        sweeps = LocalSweeps(graph.out, graph.inn,
+        sweeps = LocalSweeps(graph.out,
                              scratch_for(graph, n, graph.out.n_edges))
 
     def rule(frontier, arcs, unexplored, bottom_up):

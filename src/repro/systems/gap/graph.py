@@ -16,14 +16,17 @@ __all__ = ["GapGraph", "build_gap_graph"]
 @dataclass
 class GapGraph:
     """Out- and in-adjacency with cached degrees (what ``BuildGraph``
-    in GAP's ``builder.h`` produces).  On undirected input ``inn`` is
-    ``out`` itself: GAP keeps no inverse of a symmetrized graph, whose
-    rows already hold each vertex's sorted in-neighbours."""
+    in GAP's ``builder.h`` produces).  ``inn`` is ``out.transposed()``:
+    ``out`` itself on undirected input, since GAP keeps no inverse of a
+    symmetrized graph, whose rows already hold the in-neighbours."""
 
     out: CSRGraph
-    inn: CSRGraph
     n: int
     directed: bool
+
+    @property
+    def inn(self) -> CSRGraph:
+        return self.out.transposed()
 
     @property
     def n_arcs(self) -> int:
@@ -47,18 +50,15 @@ def build_gap_graph(edges: EdgeList, directed: bool
     the benchmark binaries, matching the Graph500 input contract), sorts
     it into CSR, then builds the transpose -- three passes over the
     tuples.  Undirected input keeps the third pass's price but stores
-    no transpose: ``inn`` is ``out``.
+    no transpose: ``out`` is its own.
     """
     profile = WorkProfile()
-    el = edges if directed else edges.symmetrized()
-    m = el.n_edges
-    # Pass 1: degree histogram; pass 2: placement; pass 3: transpose.
-    profile.add_round(units=m, memory_bytes=16.0 * m, skew=0.05)
-    out = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices,
-                               weights=el.weights)
-    profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
-    # The transpose is from_arrays(el.dst, el.src)'s bytes, no sort.
-    inn = out.transposed() if directed else out
-    profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
-    return GapGraph(out=out, inn=inn, n=el.n_vertices,
+    out = CSRGraph.from_edge_list(edges, symmetrize=not directed)
+    m = out.n_edges
+    # Pass 1: degree histogram; pass 2: placement; pass 3: transpose
+    # (``out.transposed()``, taken when first read).
+    for memory_bytes in (16.0, 24.0, 24.0):
+        profile.add_round(units=m, memory_bytes=memory_bytes * m,
+                          skew=0.05)
+    return GapGraph(out=out, n=out.n_vertices,
                     directed=directed), profile

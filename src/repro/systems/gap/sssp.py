@@ -13,8 +13,8 @@ Suite defines them, and are stored that way: each CSR is split once per
 (:meth:`~repro.graph.csr.CSRGraph.weight_split`, memoized on the graph),
 and a relaxation round is one :func:`~repro.graph.frontier.relax_round`
 over the part -- a push along its out-arcs on sparse rounds, a pull
-over its in-arcs on dense ones (the part of ``inn``, which is ``out``
-on undirected input).  No round reads an arc of the other set.
+over its in-arcs on dense ones (the part of ``out.transposed()``, which
+is ``out`` on undirected input).  No round reads an arc of the other set.
 Each round is still priced on every out-arc of its members, light and
 heavy, so the profile is the one the gather-everything kernel priced.
 The rounds go through a :class:`~repro.graph.sweeps.SweepExecutor`
@@ -73,8 +73,7 @@ def delta_stepping(graph: GapGraph, root: int,
     check_sssp_weights(out.weights)
     n = graph.n
     if sweeps is None:
-        sweeps = LocalSweeps(out, graph.inn,
-                             scratch_for(graph, n, out.n_edges))
+        sweeps = LocalSweeps(out, scratch_for(graph, n, out.n_edges))
     dist = sweeps.begin_sssp(root, delta)
     profile = WorkProfile()
     max_deg = float(out.out_degrees().max()) if n else 0.0

@@ -29,7 +29,7 @@ def sv_components(graph: GapGraph) -> tuple[np.ndarray, int, WorkProfile]:
     """Shiloach-Vishkin (GAP's ``wcc``): (labels, rounds, profile), each
     round one hook over every arc plus a compress over the vertices."""
     m = graph.out.n_edges
-    comp, rounds = shiloach_vishkin(graph.out, graph.inn)
+    comp, rounds = shiloach_vishkin(graph.out)
     profile = WorkProfile()
     for _ in range(rounds):
         profile.add_round(units=2.0 * m + graph.n, memory_bytes=24.0 * m,

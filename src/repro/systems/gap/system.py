@@ -64,7 +64,7 @@ class GapSystem(GraphSystem):
                 directed=edges.directed, name=edges.name)
         graph, profile = build_gap_graph(edges, directed=dataset.directed)
         arrays = graph.out.to_arrays_map("out_")
-        if graph.inn is not graph.out:
+        if graph.directed:
             arrays.update(graph.inn.to_arrays_map("inn_"))
         return arrays, {"n": graph.n, "directed": graph.directed}, profile
 
@@ -76,12 +76,12 @@ class GapSystem(GraphSystem):
         return {"weight_dtype": self.weight_dtype}
 
     def _assemble(self, arrays, meta) -> GapGraph:
-        out = CSRGraph.from_arrays_map(arrays, "out_")
-        return GapGraph(out=out,
-                        inn=(CSRGraph.from_arrays_map(arrays, "inn_")
-                             if "inn_row_ptr" in arrays else out),
-                        n=int(meta["n"]),
-                        directed=bool(meta["directed"]))
+        directed = bool(meta["directed"])
+        out = CSRGraph.from_arrays_map(arrays, "out_",
+                                       symmetric=not directed)
+        if directed:
+            out.attach_transpose(CSRGraph.from_arrays_map(arrays, "inn_"))
+        return GapGraph(out=out, n=int(meta["n"]), directed=directed)
 
     # -- kernels -------------------------------------------------------
     def _arcs(self, data: GapGraph):
@@ -92,8 +92,7 @@ class GapSystem(GraphSystem):
         if self.shards > 1:
             from repro.shard.drivers import shard_dobfs
 
-            engine = self._shard_engine(loaded, loaded.data.out,
-                                        loaded.data.inn)
+            engine = self._shard_engine(loaded, loaded.data.out)
             parent, level, profile, stats = shard_dobfs(
                 loaded.data, root, engine, alpha=alpha, beta=beta)
             self._note_shard_exchange("bfs", engine)
@@ -108,8 +107,7 @@ class GapSystem(GraphSystem):
         if self.shards > 1:
             from repro.shard.drivers import shard_delta_stepping
 
-            engine = self._shard_engine(loaded, loaded.data.out,
-                                        loaded.data.inn)
+            engine = self._shard_engine(loaded, loaded.data.out)
             dist, profile, stats = shard_delta_stepping(
                 loaded.data, root, engine, delta=delta)
             self._note_shard_exchange("sssp", engine)

@@ -38,7 +38,7 @@ def bfs_bitmap(csr: CSRGraph, root: int,
     """Return (parent, level, profile, stats) for one search key."""
     n = csr.n_vertices
     if sweeps is None:
-        sweeps = LocalSweeps(csr, None, scratch_for(csr, n, csr.n_edges))
+        sweeps = LocalSweeps(csr, scratch_for(csr, n, csr.n_edges))
     parent, level, levels = bfs_levels(csr, root, sweeps, _top_down)
     profile = WorkProfile()
     max_deg = float(csr.out_degrees().max()) if n else 0.0

@@ -28,7 +28,8 @@ class Graph500System(GraphSystem):
         m = el.n_edges
         # The reference builder: counting pass, prefix sums, placement.
         profile.add_round(units=m, memory_bytes=16.0 * m, skew=0.05)
-        csr = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices)
+        csr = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices,
+                                   symmetric=True)
         profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
         return csr.to_arrays_map("g_"), {"n": csr.n_vertices}, profile
 
@@ -36,14 +37,14 @@ class Graph500System(GraphSystem):
         return data.n_edges
 
     def _assemble(self, arrays, meta) -> CSRGraph:
-        return CSRGraph.from_arrays_map(arrays, "g_")
+        return CSRGraph.from_arrays_map(arrays, "g_", symmetric=True)
 
     # -- kernels -------------------------------------------------------
     def _run_bfs(self, loaded, root: int):
         if self.shards > 1:
             from repro.shard.drivers import shard_bfs_bitmap
 
-            engine = self._shard_engine(loaded, loaded.data)
+            engine = self._shard_engine(loaded, loaded.data, pull=False)
             parent, level, profile, stats = shard_bfs_bitmap(
                 loaded.data, root, engine)
             self._note_shard_exchange("bfs", engine)

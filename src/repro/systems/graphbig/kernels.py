@@ -12,8 +12,8 @@ their facts to the pricing functions below); what is GraphBIG's about
 them is the pricing, with every vertex visit paying
 :data:`PROPERTY_ACCESS_COST`.  The property graph keeps in-edge
 lists as well as out-edge lists: the in-arcs a BFS, Bellman-Ford or
-WCC pull reads are ``pg.out`` itself on undirected input (symmetrized)
-and otherwise ``pg.out.transposed()``, built on first use and memoized.
+WCC pull reads are ``pg.out.transposed()``, ``pg.out`` itself on
+undirected input (symmetrized).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = ["bfs_queue", "sssp_bellman_ford", "pagerank_jacobi",
 PROPERTY_ACCESS_COST = 16.0
 
 
-def bfs_queue(pg, root: int, symmetric: bool = False):
+def bfs_queue(pg, root: int):
     """Task-queue BFS, priced as plain top-down: no bitmap, no direction
     switch.
 
@@ -51,10 +51,8 @@ def bfs_queue(pg, root: int, symmetric: bool = False):
     every out-arc of the queue, which is what the calibration's high
     per-edge constant prices, whichever direction the shared level loop
     (:func:`~repro.algorithms.bfs.bfs_rounds`) computed the level in.
-    ``symmetric`` as for :func:`sssp_bellman_ford`.
     """
-    parent, level, rounds = bfs_rounds(
-        pg.out, pg.out if symmetric else None, root)
+    parent, level, rounds = bfs_rounds(pg.out, root)
     profile = WorkProfile()
     max_deg = float(pg.out.out_degrees().max()) if pg.n else 0.0
     for queued, arcs in rounds:
@@ -64,18 +62,14 @@ def bfs_queue(pg, root: int, symmetric: bool = False):
     return parent, level, profile, {"depth": len(rounds)}
 
 
-def sssp_bellman_ford(pg, root: int, symmetric: bool = False):
+def sssp_bellman_ford(pg, root: int):
     """Queue-driven Bellman-Ford: active vertices relax all out-edges.
 
-    ``symmetric`` says ``pg.out`` was symmetrized (undirected input), so
-    a dense round pulls over the one CSR; otherwise it pulls over the
-    transpose, built on the first dense round and memoized.  Each
-    superstep is one round of
+    Each superstep is one round of
     :func:`~repro.algorithms.sssp.bellman_ford_rounds`.
     """
     csr = pg.out
-    dist, rounds = bellman_ford_rounds(csr, csr if symmetric else None,
-                                       root)
+    dist, rounds = bellman_ford_rounds(csr, root)
     profile = WorkProfile()
     max_deg = float(csr.out_degrees().max()) if pg.n else 0.0
     for active, examined in rounds:
@@ -107,13 +101,13 @@ def pagerank_jacobi(pg, damping: float, epsilon: float,
     return rank, iterations, profile
 
 
-def wcc_hashmin(pg, symmetric: bool = False):
+def wcc_hashmin(pg):
     """HashMin label propagation along every arc both ways
     (:func:`~repro.algorithms.wcc.hashmin_rounds` over the out- and
-    in-edge lists, one pull when ``symmetric`` makes them the same
-    rows); a superstep visits each arc once per direction."""
+    in-edge lists, one pull when they are the same rows); a superstep
+    visits each arc once per direction."""
     n = pg.n
-    labels, rounds = hashmin_rounds(pg.out, pg.out if symmetric else None)
+    labels, rounds = hashmin_rounds(pg.out)
     profile = WorkProfile()
     m = 2 * pg.out.n_edges
     for _ in rounds:
@@ -175,12 +169,11 @@ def mis_props(pg, view: SimpleView, rounds: list
     return profile, len(rounds)
 
 
-def cc_sv(pg, symmetric: bool):
+def cc_sv(pg):
     """Shiloach-Vishkin components through the property records: the
-    GAP ``wcc`` loop, but each label read/write is a property access.
-    ``symmetric`` as for :func:`wcc_hashmin`."""
+    GAP ``wcc`` loop, but each label read/write is a property access."""
     m = pg.out.n_edges
-    comp, rounds = shiloach_vishkin(pg.out, pg.out if symmetric else None)
+    comp, rounds = shiloach_vishkin(pg.out)
     profile = WorkProfile()
     for _ in range(rounds):
         profile.add_round(units=2.0 * m + PROPERTY_ACCESS_COST * pg.n,

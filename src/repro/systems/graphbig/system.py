@@ -49,36 +49,34 @@ class GraphBigSystem(GraphSystem):
     # -- loading -------------------------------------------------------
     def _build(self, edges: EdgeList, dataset: HomogenizedDataset):
         profile = WorkProfile()
-        el = edges if dataset.directed else edges.symmetrized()
-        m = el.n_edges
+        csr = CSRGraph.from_edge_list(edges, symmetrize=not dataset.directed)
+        m = csr.n_edges
         # Vertex table allocation + edge insertion through the property
         # API; single fused pass (hence not separately measurable).
-        profile.add_round(units=m + el.n_vertices,
+        profile.add_round(units=m + csr.n_vertices,
                           memory_bytes=48.0 * m, skew=0.05)
-        csr = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices,
-                                   weights=el.weights)
-        return csr.to_arrays_map("out_"), {"n": el.n_vertices}, profile
+        meta = {"n": csr.n_vertices, "directed": dataset.directed}
+        return csr.to_arrays_map("out_"), meta, profile
 
     def _n_arcs(self, data: PropertyGraph) -> int:
         return data.n_arcs
 
     def _assemble(self, arrays, meta) -> PropertyGraph:
-        return PropertyGraph(out=CSRGraph.from_arrays_map(arrays, "out_"),
-                             n=int(meta["n"]))
+        out = CSRGraph.from_arrays_map(arrays, "out_",
+                                       symmetric=not meta["directed"])
+        return PropertyGraph(out=out, n=int(meta["n"]))
 
     # -- kernels -------------------------------------------------------
     def _arcs(self, data: PropertyGraph):
         return data.out.source_ids(), data.out.col_idx
 
     def _run_bfs(self, loaded, root: int):
-        parent, level, profile, stats = kernels.bfs_queue(
-            loaded.data, root, symmetric=not loaded.directed)
+        parent, level, profile, stats = kernels.bfs_queue(loaded.data, root)
         return ({"parent": parent, "level": level}, profile, None,
                 {"depth": float(stats["depth"])})
 
     def _run_sssp(self, loaded, root: int):
-        dist, profile, stats = kernels.sssp_bellman_ford(
-            loaded.data, root, symmetric=not loaded.directed)
+        dist, profile, stats = kernels.sssp_bellman_ford(loaded.data, root)
         return ({"dist": dist}, profile, None,
                 {"supersteps": float(stats["supersteps"]),
                  "relaxations": float(stats["relaxations"])})
@@ -91,11 +89,9 @@ class GraphBigSystem(GraphSystem):
         return ({"rank": rank}, profile, iterations, {})
 
     def _run_wcc(self, loaded):
-        labels, rounds, profile = kernels.wcc_hashmin(
-            loaded.data, symmetric=not loaded.directed)
+        labels, rounds, profile = kernels.wcc_hashmin(loaded.data)
         return ({"labels": labels}, profile, rounds, {})
 
     def _run_cc(self, loaded):
-        labels, rounds, profile = kernels.cc_sv(
-            loaded.data, symmetric=not loaded.directed)
+        labels, rounds, profile = kernels.cc_sv(loaded.data)
         return ({"labels": labels}, profile, rounds, {})

@@ -12,6 +12,9 @@ LCC, k-core and MIS through :class:`~repro.systems.base.GraphSystem`,
 which hands their facts to the pricing functions below -- whose rounds
 are the SpMV iterations; only PageRank, whose float32 write-if-changed
 sweep is GraphMat's own, multiplies the matrix here.
+
+``at`` holds the in-arcs, read as its ``csr_view()``; the out-arcs are
+that view's ``transposed()``, the view itself on symmetrized input.
 """
 
 from __future__ import annotations
@@ -33,17 +36,7 @@ __all__ = ["bfs_spmv", "sssp_bellman_spmv", "pagerank_float32",
            "kcore_spmv", "mis_spmv"]
 
 
-def _directions(at: DCSRMatrix, symmetric: bool):
-    """``(out, inn)`` CSRs over ``at``'s arrays: ``at`` holds the
-    in-arcs, and on symmetrized (undirected) input it is its own
-    transpose; otherwise the out-arcs are its transpose, built once and
-    memoized on the matrix."""
-    inn = at.csr_view()
-    return (inn if symmetric else inn.transposed()), inn
-
-
-def bfs_spmv(at: DCSRMatrix, out_degrees: np.ndarray, root: int,
-             symmetric: bool = False):
+def bfs_spmv(at: DCSRMatrix, out_degrees: np.ndarray, root: int):
     """BFS as repeated OR-AND SpMV with a visited mask, one level per
     iteration of :func:`~repro.algorithms.bfs.bfs_rounds`.
 
@@ -51,8 +44,7 @@ def bfs_spmv(at: DCSRMatrix, out_degrees: np.ndarray, root: int,
     whichever direction the level loop computed it in.
     """
     n = at.n
-    out, inn = _directions(at, symmetric)
-    parent, level, rounds = bfs_rounds(out, inn, root)
+    parent, level, rounds = bfs_rounds(at.csr_view().transposed(), root)
     profile = WorkProfile()
     max_deg = float(out_degrees.max()) if n else 0.0
     for _, touched in rounds:
@@ -62,7 +54,7 @@ def bfs_spmv(at: DCSRMatrix, out_degrees: np.ndarray, root: int,
     return parent, level, profile, {"depth": len(rounds)}
 
 
-def sssp_bellman_spmv(at: DCSRMatrix, root: int, symmetric: bool = False):
+def sssp_bellman_spmv(at: DCSRMatrix, root: int):
     """SSSP as min-plus SpMV iterations with an active set, one per
     round of :func:`~repro.algorithms.sssp.bellman_ford_rounds`.
 
@@ -70,7 +62,7 @@ def sssp_bellman_spmv(at: DCSRMatrix, root: int, symmetric: bool = False):
     whether the round pushed along their out-arcs or pulled.
     """
     n = at.n
-    dist, rounds = bellman_ford_rounds(*_directions(at, symmetric), root)
+    dist, rounds = bellman_ford_rounds(at.csr_view().transposed(), root)
     profile = WorkProfile()
     for _, touched in rounds:
         profile.add_round(units=touched + n,
@@ -159,7 +151,7 @@ def wcc_minplus(at: DCSRMatrix):
     once per iteration, and directed inputs still produce *weak*
     components."""
     n = at.n
-    labels, rounds = hashmin_rounds(*_directions(at, symmetric=True))
+    labels, rounds = hashmin_rounds(at.csr_view())
     profile = WorkProfile()
     nnz = at.nnz
     for _ in rounds:

@@ -80,7 +80,8 @@ class GraphMatSystem(GraphSystem):
         # GraphMat partitions the matrix into tiles then doubly
         # compresses each: two sorting passes plus the tile build.
         profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
-        csr_t = CSRGraph.from_arrays(el.dst, el.src, n, weights=el.weights)
+        csr_t = CSRGraph.from_arrays(el.dst, el.src, n, weights=el.weights,
+                                     symmetric=not dataset.directed)
         at = DCSRMatrix.from_csr(csr_t)
         profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
         arrays = {"out_degrees": np.bincount(el.src, minlength=n),
@@ -91,22 +92,23 @@ class GraphMatSystem(GraphSystem):
         if dataset.directed:
             sym = el.symmetrized()
             arrays.update(DCSRMatrix.from_csr(CSRGraph.from_arrays(
-                sym.dst, sym.src, n)).to_arrays_map("ats_"))
+                sym.dst, sym.src, n, symmetric=True)).to_arrays_map("ats_"))
         profile.add_round(units=sym.n_edges, memory_bytes=16.0 * sym.n_edges,
                           skew=0.05)
-        return arrays, {"n": n}, profile
+        return arrays, {"n": n, "directed": dataset.directed}, profile
 
     def _n_arcs(self, data: GraphMatMatrices) -> int:
         return data.n_arcs
 
     def _assemble(self, arrays, meta) -> GraphMatMatrices:
-        n = int(meta["n"])
-        at = DCSRMatrix.from_arrays_map(arrays, n, "at_")
-        return GraphMatMatrices(
-            at=at,
-            at_sym=(DCSRMatrix.from_arrays_map(arrays, n, "ats_")
-                    if "ats_row_ptr" in arrays else at),
-            out_degrees=arrays["out_degrees"], n=n)
+        n, directed = int(meta["n"]), bool(meta["directed"])
+        at = at_sym = DCSRMatrix.from_arrays_map(arrays, n, "at_",
+                                                 symmetric=not directed)
+        if directed:
+            at_sym = DCSRMatrix.from_arrays_map(arrays, n, "ats_",
+                                                symmetric=True)
+        return GraphMatMatrices(at=at, at_sym=at_sym,
+                                out_degrees=arrays["out_degrees"], n=n)
 
     # -- kernels -------------------------------------------------------
     def _arcs(self, data: GraphMatMatrices):
@@ -116,13 +118,13 @@ class GraphMatSystem(GraphSystem):
     def _run_bfs(self, loaded, root: int):
         data = loaded.data
         parent, level, profile, stats = kernels.bfs_spmv(
-            data.at, data.out_degrees, root, symmetric=not loaded.directed)
+            data.at, data.out_degrees, root)
         return ({"parent": parent, "level": level}, profile, None,
                 {"depth": float(stats["depth"])})
 
     def _run_sssp(self, loaded, root: int):
-        dist, profile, stats = kernels.sssp_bellman_spmv(
-            loaded.data.at, root, symmetric=not loaded.directed)
+        dist, profile, stats = kernels.sssp_bellman_spmv(loaded.data.at,
+                                                         root)
         return ({"dist": dist}, profile, None,
                 {"iterations": float(stats["iterations"])})
 

@@ -24,7 +24,8 @@ min-reduced gather of ``v``; one full gather fills it and from then on
 the scatter of a changed vertex posts its new term to its
 out-neighbours' accumulators.  Both are one
 :func:`~repro.graph.frontier.relax_round`, which pushes along the
-out-CSR or pulls over the in-CSR by the share of arcs it covers.  A
+out-CSR or pulls over the in-CSR, ``out.transposed()``, by the share
+of arcs it covers.  A
 gather is then a read of ``acc``, and the scatter's round also names
 the next superstep's signalled set.  That is exact for min-programs,
 whose apply never raises a value, because the term of an unchanged
@@ -58,16 +59,17 @@ class GasEngine:
     vertex, which prices the mirror sync.
     """
 
-    def __init__(self, inn: CSRGraph, out: CSRGraph,
-                 replication_factor: float):
-        self.inn = inn
+    def __init__(self, out: CSRGraph, replication_factor: float):
         self.out = out
         self.replication_factor = replication_factor
 
+    @property
+    def inn(self) -> CSRGraph:
+        return self.out.transposed()
+
     def _scratch(self):
-        """Kernel scratch keyed on the engine (which owns both CSRs)."""
-        return scratch_for(self, self.inn.n_vertices,
-                           max(self.inn.n_edges, self.out.n_edges))
+        """Kernel scratch keyed on the engine (which owns its CSR)."""
+        return scratch_for(self, self.out.n_vertices, self.out.n_edges)
 
     def _stats(self, supersteps: int, gathered: int, scattered: int
                ) -> dict:
@@ -95,7 +97,7 @@ class GasEngine:
         """Run the min-program whose arcs add ``adds`` (``None``: their
         weight) to quiescence; return (data, supersteps, profile,
         stats)."""
-        n = self.inn.n_vertices
+        n = self.out.n_vertices
         scratch = self._scratch()
         data = initial.copy()
         superstep = 0

@@ -32,7 +32,7 @@ def _from_root(engine: GasEngine, root: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """Initial values and signals of a rooted min-program: 0 at the
     signalled root, ``inf`` elsewhere."""
-    n = engine.inn.n_vertices
+    n = engine.out.n_vertices
     data = np.full(n, np.inf)
     data[root] = 0.0
     active = np.zeros(n, dtype=bool)
@@ -117,7 +117,7 @@ def pagerank_gas(engine: GasEngine, damping: float = 0.85,
 def run_wcc(engine_sym: GasEngine
             ) -> tuple[np.ndarray, int, WorkProfile, dict]:
     """Label min-propagation over the symmetrized engine."""
-    n = engine_sym.inn.n_vertices
+    n = engine_sym.out.n_vertices
     labels = np.arange(n, dtype=np.float64)
     active = np.ones(n, dtype=bool)
     data, steps, profile, stats = engine_sym.run(labels, active, adds=0.0)
@@ -133,8 +133,8 @@ def run_wcc(engine_sym: GasEngine
 # ----------------------------------------------------------------------
 def cdlp_gas(data, iterations: int) -> tuple[WorkProfile, int, dict]:
     engine = data.engine
-    nnz = engine.inn.n_edges
-    n = engine.inn.n_vertices
+    nnz = engine.out.n_edges
+    n = engine.out.n_vertices
     rep = max(engine.replication_factor, 1.0)
     profile = WorkProfile()
     for _ in range(iterations):
@@ -160,11 +160,11 @@ def lcc_gas(data, wedges: np.ndarray, blocks: list
 def _view_profile(engine: GasEngine) -> tuple[WorkProfile, float]:
     """The replication factor and a profile whose first round builds
     the simple view: every arc plus every mirror once."""
-    inn = engine.inn
+    out = engine.out
     rep = max(engine.replication_factor, 1.0)
     profile = WorkProfile()
-    profile.add_round(units=inn.n_edges + rep * inn.n_vertices,
-                      memory_bytes=16.0 * inn.n_edges, skew=0.05)
+    profile.add_round(units=out.n_edges + rep * out.n_vertices,
+                      memory_bytes=16.0 * out.n_edges, skew=0.05)
     return profile, rep
 
 

@@ -67,7 +67,9 @@ class PowerGraphData:
         return self.engine.out.n_edges
 
     def nbytes(self) -> int:
-        """Each distinct engine's CSR pair (a shared one counts once)."""
+        """Each distinct engine's in- plus out-CSR (a shared engine
+        counts once).  Where the two are one object both count: counted,
+        not held, like GraphBIG's property records."""
         return sum(e.inn.nbytes() + e.out.nbytes()
                    for e in {self.engine, self.engine_sym})
 
@@ -118,27 +120,25 @@ class PowerGraphSystem(GraphSystem):
         # finalization -- charged per edge plus per replica.
         profile.add_round(units=m + mirrors, memory_bytes=40.0 * m,
                           skew=0.05)
-        inn = CSRGraph.from_arrays(el.dst, el.src, el.n_vertices,
-                                   weights=el.weights)
         out = CSRGraph.from_arrays(el.src, el.dst, el.n_vertices,
-                                   weights=el.weights)
+                                   weights=el.weights,
+                                   symmetric=not dataset.directed)
         profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
-        arrays = {**inn.to_arrays_map("inn_"), **out.to_arrays_map("out_")}
+        arrays = out.to_arrays_map("out_")
 
-        # WCC's symmetrized pair: undirected input already is one (WCC
-        # reads no weights), but the round is priced either way --
-        # construction is a paper measurement.
+        # WCC's symmetrized CSR, its own transpose: undirected input
+        # already is one (WCC reads no weights), but the round is
+        # priced either way -- construction is a paper measurement.
         sym = el.symmetrized() if dataset.directed else el
         if dataset.directed:
-            arrays.update(
-                **CSRGraph.from_arrays(sym.dst, sym.src, sym.n_vertices
-                                       ).to_arrays_map("inns_"),
-                **CSRGraph.from_arrays(sym.src, sym.dst, sym.n_vertices
-                                       ).to_arrays_map("outs_"))
+            arrays.update(out.transposed().to_arrays_map("inn_"))
+            arrays.update(CSRGraph.from_arrays(
+                sym.src, sym.dst, sym.n_vertices,
+                symmetric=True).to_arrays_map("sym_"))
         profile.add_round(units=sym.n_edges, memory_bytes=16.0 * sym.n_edges,
                           skew=0.05)
-        meta = {"n": el.n_vertices, "replication_factor": replication,
-                "mirrors": mirrors}
+        meta = {"n": el.n_vertices, "directed": dataset.directed,
+                "replication_factor": replication, "mirrors": mirrors}
         return arrays, meta, profile
 
     def _n_arcs(self, data: PowerGraphData) -> int:
@@ -155,18 +155,16 @@ class PowerGraphSystem(GraphSystem):
         engine_cls = (AsyncGasEngine if self.engine_kind == "async"
                       else GasEngine)
         replication = float(meta["replication_factor"])
-
-        def engine(inn: str, out: str) -> GasEngine:
-            return engine_cls(CSRGraph.from_arrays_map(arrays, inn),
-                              CSRGraph.from_arrays_map(arrays, out),
-                              replication)
-
-        directed = engine("inn_", "out_")
-        return PowerGraphData(
-            engine=directed,
-            engine_sym=(engine("inns_", "outs_")
-                        if "inns_row_ptr" in arrays else directed),
-            mirrors=int(meta["mirrors"]), n=int(meta["n"]))
+        directed = bool(meta["directed"])
+        out = CSRGraph.from_arrays_map(arrays, "out_",
+                                       symmetric=not directed)
+        engine = engine_sym = engine_cls(out, replication)
+        if directed:
+            out.attach_transpose(CSRGraph.from_arrays_map(arrays, "inn_"))
+            engine_sym = engine_cls(CSRGraph.from_arrays_map(
+                arrays, "sym_", symmetric=True), replication)
+        return PowerGraphData(engine=engine, engine_sym=engine_sym,
+                              mirrors=int(meta["mirrors"]), n=int(meta["n"]))
 
     # -- kernels -------------------------------------------------------
     def _arcs(self, data: PowerGraphData):

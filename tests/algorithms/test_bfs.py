@@ -85,18 +85,20 @@ def test_level_loop_matches_push_only_oracle(share, graph, data,
                                              monkeypatch):
     """Whichever direction each level runs in, the level loop writes the
     push-only oracle's parent and level bytes and reports its rounds:
-    on the directed multigraph (in-arcs transposed lazily or handed
-    over) and on its symmetrization read as its own transpose."""
+    on the directed multigraph (in-arcs transposed lazily or a stored
+    transpose attached) and on its symmetrization read as its own
+    transpose."""
     monkeypatch.setattr(fr, "PULL_SHARE", share)
     n, src, dst = graph
     root = data.draw(st.integers(0, n - 1), label="root")
     directed = CSRGraph.from_arrays(src, dst, n)
+    stored = CSRGraph.from_arrays(src, dst, n)
+    stored.attach_transpose(CSRGraph.from_arrays(dst, src, n))
     sym = CSRGraph.from_arrays(np.concatenate([src, dst]),
-                               np.concatenate([dst, src]), n)
-    for out, inn in ((directed, None),
-                     (directed, CSRGraph.from_arrays(dst, src, n)),
-                     (sym, sym)):
-        parent, level, rounds = bfs_rounds(out, inn, root)
+                               np.concatenate([dst, src]), n,
+                               symmetric=True)
+    for out in (directed, stored, sym):
+        parent, level, rounds = bfs_rounds(out, root)
         want_parent, want_level, want_rounds = oracle_bfs(out, root)
         assert parent.tobytes() == want_parent.tobytes()
         assert level.tobytes() == want_level.tobytes()

@@ -66,16 +66,19 @@ def test_afforest_matches_union_find_oracle(graph):
 @settings(max_examples=100, deadline=None)
 def test_shiloach_vishkin_matches_union_find_oracle(graph):
     """The hook pulls over out- and in-rows, with the in-arcs
-    transposed lazily or handed over, and over a symmetrization once;
-    each reads the oracle's labels in the same number of rounds."""
+    transposed lazily or a stored transpose attached, and over a
+    symmetrization once; each reads the oracle's labels in the same
+    number of rounds."""
     want = oracle_labels(graph)
     src, dst = graph.source_ids(), graph.col_idx
     n = graph.n_vertices
+    stored = CSRGraph(graph.row_ptr, graph.col_idx, graph.weights)
+    stored.attach_transpose(CSRGraph.from_arrays(dst, src, n))
     sym = CSRGraph.from_arrays(np.concatenate([src, dst]),
-                               np.concatenate([dst, src]), n)
-    results = [shiloach_vishkin(graph, None),
-               shiloach_vishkin(graph, CSRGraph.from_arrays(dst, src, n)),
-               shiloach_vishkin(sym, sym)]
+                               np.concatenate([dst, src]), n,
+                               symmetric=True)
+    results = [shiloach_vishkin(graph), shiloach_vishkin(stored),
+               shiloach_vishkin(sym)]
     for labels, rounds in results:
         assert np.array_equal(labels, want)
         assert rounds == results[0][1] >= 1

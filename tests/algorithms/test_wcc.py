@@ -59,20 +59,21 @@ def test_empty():
 def test_hashmin_matches_whole_array_oracle(graph):
     """The pull over out- and in-rows gives the oracle's labels and
     round count on the directed multigraph, with the in-arcs transposed
-    lazily or handed over, and on its symmetrization pulled once."""
+    lazily or a stored transpose attached, and on its symmetrization
+    pulled once."""
     n, src, dst = graph
     directed = CSRGraph.from_arrays(src, dst, n)
+    stored = CSRGraph.from_arrays(src, dst, n)
+    stored.attach_transpose(CSRGraph.from_arrays(dst, src, n))
     sym = CSRGraph.from_arrays(np.concatenate([src, dst]),
-                               np.concatenate([dst, src]), n)
+                               np.concatenate([dst, src]), n,
+                               symmetric=True)
     want_labels, want_rounds = oracle_hashmin(directed)
     assert want_labels.tobytes() == \
         weakly_connected_components(directed).tobytes()
-    for out, inn, arcs in ((directed, None, 2 * src.size),
-                           (directed, CSRGraph.from_arrays(dst, src, n),
-                            2 * src.size),
-                           (sym, sym, 2 * src.size)):
-        labels, rounds = hashmin_rounds(out, inn)
+    for out in (directed, stored, sym):
+        labels, rounds = hashmin_rounds(out)
         assert labels.tobytes() == want_labels.tobytes()
         assert len(rounds) == want_rounds
-        assert [a for _, a in rounds] == [arcs] * want_rounds
+        assert [a for _, a in rounds] == [2 * src.size] * want_rounds
         assert rounds[-1][0] == 0 and all(c for c, _ in rounds[:-1])

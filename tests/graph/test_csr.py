@@ -167,8 +167,11 @@ class TestTransposeIsTheOldSort:
         _assert_same_bytes(g.transposed(), _old_transposed(g))
 
     def test_kron10_byte_identical(self, kron10_csr):
-        _assert_same_bytes(kron10_csr.transposed(),
-                           _old_transposed(kron10_csr))
+        # The fixture is symmetric, so it is its own transpose: the
+        # counting pass runs on a copy that does not say so.
+        g = CSRGraph(kron10_csr.row_ptr, kron10_csr.col_idx,
+                     kron10_csr.weights)
+        _assert_same_bytes(g.transposed(), _old_transposed(g))
 
     @pytest.mark.parametrize("bad", (3, -1))
     def test_bad_col_idx_still_raises(self, bad):

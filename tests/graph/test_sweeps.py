@@ -153,8 +153,7 @@ class Recording:
 
 
 def _local(g: GapGraph) -> Recording:
-    return Recording(LocalSweeps(g.out, g.inn,
-                                 KernelScratch(g.n, g.out.n_edges)))
+    return Recording(LocalSweeps(g.out, KernelScratch(g.n, g.out.n_edges)))
 
 
 def _same(a, b) -> bool:
@@ -202,7 +201,7 @@ def test_local_sweeps_match_inline_engine(out, n_shards, data):
     n = out.n_vertices
     inn = out.transposed()
     root = data.draw(st.integers(0, n - 1))
-    local = LocalSweeps(out, inn, KernelScratch(n, out.n_edges))
+    local = LocalSweeps(out, KernelScratch(n, out.n_edges))
     with ShardEngine(out, inn, n_shards=n_shards, inline=True) as engine:
         both = (local, engine)
 

@@ -32,19 +32,16 @@ DELTAS = st.sampled_from([0.001, 0.25, 0.3, 1.0, 5.0, np.inf])
 
 @st.composite
 def weighted_graphs(draw, directed=None):
-    """``(out, inn)``: a weighted multigraph and its in-arc CSR --
-    the transpose when directed, ``out`` itself when symmetrized."""
+    """``(out, inn)``: a weighted multigraph and its in-arc CSR,
+    ``out.transposed()`` -- ``out`` itself when symmetrized."""
     n, src, dst = draw(multigraphs(min_n=1))
     w = np.array(draw(st.lists(WEIGHTS, min_size=src.size,
                                max_size=src.size)), dtype=np.float64)
     if directed is None:
         directed = draw(st.booleans())
-    if directed:
-        out = CSRGraph.from_arrays(src, dst, n, weights=w)
-        return out, out.transposed()
-    sym = EdgeList(src, dst, n, weights=w).symmetrized()
-    out = CSRGraph.from_arrays(sym.src, sym.dst, n, weights=sym.weights)
-    return out, out
+    out = CSRGraph.from_edge_list(EdgeList(src, dst, n, weights=w),
+                                  symmetrize=not directed)
+    return out, out.transposed()
 
 
 def _same_csr(a: CSRGraph, b: CSRGraph) -> bool:
@@ -120,10 +117,10 @@ def test_relax_matches_the_keep_mask_body(directed, pull_share):
     @given(weighted_graphs(directed), DELTAS, st.data())
     @settings(max_examples=80, deadline=None)
     def check(graph, delta, data):
-        out, inn = graph
+        out, _ = graph
         n = out.n_vertices
         root = data.draw(st.integers(0, n - 1))
-        local = LocalSweeps(out, inn, KernelScratch(n, out.n_edges))
+        local = LocalSweeps(out, KernelScratch(n, out.n_edges))
         dist = local.begin_sssp(root, delta)
         want = dist.copy()
         members = np.array([root], dtype=np.int64)

@@ -30,8 +30,8 @@ def _gap_graph(src, dst, n, weights=None):
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     out = CSRGraph.from_arrays(src, dst, n, weights=weights)
-    inn = CSRGraph.from_arrays(dst, src, n, weights=weights)
-    return GapGraph(out=out, inn=inn, n=n, directed=True)
+    out.attach_transpose(CSRGraph.from_arrays(dst, src, n, weights=weights))
+    return GapGraph(out=out, n=n, directed=True)
 
 
 def _random_graph(n, m, seed):

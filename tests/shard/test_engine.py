@@ -464,7 +464,8 @@ def test_worker_death_during_local_rounds_is_reported(report, monkeypatch):
 # ----------------------------------------------------------------------
 def _gap_graph():
     out, inn = _graph()
-    return GapGraph(out=out, inn=inn, n=out.n_vertices, directed=True)
+    out.attach_transpose(inn)
+    return GapGraph(out=out, n=out.n_vertices, directed=True)
 
 
 def test_parent_shard_exception_drains_the_round(monkeypatch):

@@ -50,7 +50,7 @@ def multigraphs(draw, max_n=24, max_m=72):
     dst = np.array([b for _, b in arcs], dtype=np.int64)
     out = CSRGraph.from_arrays(src, dst, n,
                                weights=np.array(weights, dtype=np.float64))
-    return GapGraph(out=out, inn=out.transposed(), n=n, directed=True)
+    return GapGraph(out=out, n=n, directed=True)
 
 
 def _check_against_serial(inline_arcs, pull_share, shards, inline):

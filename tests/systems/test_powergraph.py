@@ -114,9 +114,8 @@ class TestGasEngine:
         src = np.array([0, 1])
         dst = np.array([1, 2])
         w = np.array([1.0, 1.0])
-        inn = CSRGraph.from_arrays(dst, src, 3, weights=w)
         out = CSRGraph.from_arrays(src, dst, 3, weights=w)
-        engine = GasEngine(inn, out, random_ingress(src, dst, 3, 2)[0])
+        engine = GasEngine(out, random_ingress(src, dst, 3, 2)[0])
         dist, _, _, _ = programs.run_sssp(engine, 0)
         assert dist.tolist() == [0.0, 1.0, 2.0]
 
@@ -275,9 +274,8 @@ def gas_cases(draw):
 
 def _engines(n, src, dst, w):
     rep, _ = random_ingress(src, dst, n, 4)
-    inn = CSRGraph.from_arrays(dst, src, n, weights=w)
     out = CSRGraph.from_arrays(src, dst, n, weights=w)
-    return GasEngine(inn, out, rep), FullGatherEngine(inn, out, rep)
+    return GasEngine(out, rep), FullGatherEngine(out, rep)
 
 
 def _assert_same_run(got, want):
@@ -314,12 +312,10 @@ class TestAccumulatorCache:
         if symmetrize:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         rep, _ = random_ingress(src, dst, n, 4)
-        inn = CSRGraph.from_arrays(dst, src, n)
-        out = CSRGraph.from_arrays(src, dst, n)
-        data, steps, profile, stats = programs.run_wcc(
-            GasEngine(inn, out, rep))
-        w_data, *rest = _full_gather_run(
-            FullGatherEngine(inn, out, rep), "wcc", None)
+        out = CSRGraph.from_arrays(src, dst, n, symmetric=symmetrize)
+        data, steps, profile, stats = programs.run_wcc(GasEngine(out, rep))
+        w_data, *rest = _full_gather_run(FullGatherEngine(out, rep), "wcc",
+                                         None)
         _assert_same_run((data, steps, profile, stats),
                          (w_data.astype(np.int64), *rest))
 
@@ -354,8 +350,7 @@ class TestAccumulatorCache:
         s = create_system("powergraph")
         loaded = s.load(kron10_dataset)
         engine = loaded.data.engine
-        reference = FullGatherEngine(engine.inn, engine.out,
-                                     engine.replication_factor)
+        reference = FullGatherEngine(engine.out, engine.replication_factor)
         for root in kron10_dataset.roots[:4]:
             for name in ("sssp", "bfs-hops"):
                 _assert_same_run(
