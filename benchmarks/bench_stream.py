@@ -16,15 +16,17 @@ over small mutation batches:
   log.  PageRank's warm/cold ratio is *recorded* but not gated: the
   warm start saves sweeps, not per-sweep cost, and the saving is
   modest (~1.2-1.6x).
-* **Transposition.**  Repair walks incoming adjacency, so ``epg
-  stream`` transposes every fresh snapshot once.  The repair timings
-  above run on a snapshot whose transpose is already memoized (the
-  warm-up call builds it), i.e. they *exclude* that per-snapshot cost;
-  the ``transpose`` row reports it on its own: the linear counting pass
-  of ``CSRGraph.transposed()`` against the two-key sort it replaced
+* **Transposition.**  Repair walks incoming adjacency.  A snapshot of
+  this (symmetrized) stream is its own transpose, so ``epg stream``
+  transposes nothing; a stream fed one unsymmetrized batch transposes
+  every fresh snapshot once.  The ``transpose`` row keeps timing that
+  pass on an unmarked copy of each snapshot (``_unmemoized``; a marked
+  one would make the row free): the linear counting pass of
+  ``CSRGraph.transposed()`` against the two-key sort it replaced
   (embedded verbatim below, the ``bench_kernels.py`` pattern), arrays
   byte-identical on every snapshot and at least ``SPEEDUP_FLOOR``x
-  faster.
+  faster.  The sort of the snapshot itself must give the snapshot back
+  byte for byte, which checks that it is its own transpose.
 
 Artifacts: ``bench_results/stream_gate.txt`` (human-readable) and
 ``bench_results/BENCH_stream.json`` (machine-readable, consumed by the
@@ -78,8 +80,8 @@ def _unmemoized(snap):
 
 def _best_of(fn, *args):
     times = []
-    # Warmup; also builds the snapshot's memoized transpose and scratch,
-    # so repair timings exclude them (see the ``transpose`` row).
+    # Warmup; also builds the snapshot's scratch, so repair timings
+    # exclude it.
     fn(*args)
     for _ in range(TIMING_REPS):
         t0 = time.perf_counter()
@@ -214,10 +216,10 @@ def test_stream_gate():
         f"{'transpose':<14}{t_tr_new:>13.5f}{t_tr_old:>10.5f}"
         f"{transpose_speedup:>8.1f}x  (arrays byte-identical)",
         "",
-        "repair rows run on a snapshot whose transpose is already "
-        "memoized: they exclude",
-        "the transpose row, which `epg stream` pays once per snapshot "
-        "on top of them.",
+        "the transpose row times an unmarked copy of each snapshot: "
+        "the symmetrized stream's",
+        "own snapshots are their own transpose, so `epg stream` pays "
+        "none of it.",
         "",
         f"floor: >= {SPEEDUP_FLOOR}x on bfs, sssp and transpose",
     ]

@@ -138,6 +138,11 @@ def _cut_and_orphan(graph: CSRGraph, applied: AppliedBatch,
     cut = sorted_unique(
         rd[(parent[rd] == applied.removed_src) & (rd != root)])
     rev = graph.transposed()
+    # A snapshot of a symmetrized stream is its own transpose, so
+    # ``rev is graph`` and the two arenas are one.  That is safe: each
+    # gather's slots, counts and offsets are read to the end (or copied
+    # by fancy indexing) before the repair gathers again, from either
+    # arena, so no view of one is live while the other is written.
     scratch = scratch_for(graph, n, graph.n_edges)
     rscratch = scratch_for(rev, n, rev.n_edges)
     orphans = _tree_descendants(graph, parent, cut, scratch)

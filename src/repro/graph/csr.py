@@ -224,9 +224,11 @@ class CSRGraph:
         Arcs are already in source order, so one stable linear counting
         pass by destination (SciPy's ``csr -> csc``) lands them exactly
         where ``from_arrays(col_idx, source_ids())`` would, parallel
-        arcs included, without the sort -- streaming repair transposes
-        every fresh snapshot.  The C pass trusts its indices, which
-        ``__post_init__`` never looked at, hence the check.
+        arcs included, without the sort -- streaming repair reads the
+        in-arcs of every fresh snapshot, and only a snapshot of a
+        stream that was not symmetrized pays for this pass.  The C pass
+        trusts its indices, which ``__post_init__`` never looked at,
+        hence the check.
         """
         if self.symmetric:
             return self

@@ -11,8 +11,11 @@ of distinct ``(src, dst)`` arcs with an optional weight each -- stored
 as one sorted ``int64`` array of combined keys ``src * n + dst`` (plus
 an aligned weight array).  Batch application is three vectorized
 passes: delete lookup via ``searchsorted``, last-write-wins dedup of
-the inserts, and a sorted merge (``np.insert``).  No Python-level loop
-ever touches an edge.
+the inserts, and a sorted merge (one mask over the merged length,
+shared by the key and weight arrays).  No Python-level loop ever
+touches an edge.  ``apply`` also keeps every vertex's out-degree, so a
+snapshot's row pointers are a cumsum over ``n``, not a count over the
+arcs.
 
 Why sorted keys: for *distinct* pairs, ascending ``src * n + dst``
 order is exactly the ``np.lexsort((dst, src))`` order
@@ -34,6 +37,17 @@ Semantics of one batch (matching an OpsLog-style event stream):
   also within the batch);
 * endpoints are validated against ``[0, n)`` up front, raising
   :class:`~repro.errors.GraphFormatError` naming the offending index.
+
+Undirected streams.  :meth:`MutationBatch.symmetrized` writes each
+tuple's mirror right after it, so last-write-wins gives both arcs of
+an edge the weight of the last tuple that touched it -- one weight per
+undirected edge, the rule :meth:`EdgeList.symmetrized` follows on the
+static path.  Such a batch is marked ``symmetric``, and a
+:class:`DynamicGraph` fed only marked batches records that it is its
+own transpose and says so on every snapshot
+(:attr:`CSRGraph.symmetric`), so repair reads the in-arcs from the
+snapshot itself.  One unmarked batch drops the record for good: a
+dynamic graph is a general arc set, so that is not an error.
 """
 
 from __future__ import annotations
@@ -66,7 +80,9 @@ class MutationBatch:
 
     All arrays are ``int64`` endpoint ids; ``insert_weights`` is an
     optional aligned ``float64`` array (required iff the target
-    :class:`DynamicGraph` is weighted).
+    :class:`DynamicGraph` is weighted).  ``symmetric`` is set by
+    :meth:`symmetrized` only: applying the batch keeps a graph its own
+    transpose.
     """
 
     insert_src: np.ndarray = field(default_factory=lambda: _EMPTY_IDS)
@@ -74,6 +90,7 @@ class MutationBatch:
     insert_weights: np.ndarray | None = None
     delete_src: np.ndarray = field(default_factory=lambda: _EMPTY_IDS)
     delete_dst: np.ndarray = field(default_factory=lambda: _EMPTY_IDS)
+    symmetric: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         for name in ("insert_src", "insert_dst", "delete_src",
@@ -105,29 +122,38 @@ class MutationBatch:
         return int(self.delete_src.size)
 
     def symmetrized(self) -> "MutationBatch":
-        """Both directions of every insert *and* delete (loops single).
+        """Both directions of every insert *and* delete (loops single),
+        each mirror right after its tuple, marked ``symmetric``.
 
         Event-stream scenarios treat edges as undirected, exactly like
         :meth:`repro.graph.edgelist.EdgeList.symmetrized`; the dynamic
-        graph itself stays a directed arc set.
+        graph itself stays a directed arc set.  Because a mirror follows
+        its tuple, last-write-wins leaves both arcs of ``{u, v}`` the
+        weight of the last tuple that touched it, whichever way round
+        that tuple was written.
         """
-        loops = self.insert_src == self.insert_dst
-        ins_s = np.concatenate([self.insert_src,
-                                self.insert_dst[~loops]])
-        ins_d = np.concatenate([self.insert_dst,
-                                self.insert_src[~loops]])
+        ins_s, ins_d, rep = _with_mirrors(self.insert_src, self.insert_dst)
         w = None
         if self.insert_weights is not None:
-            w = np.concatenate([self.insert_weights,
-                                self.insert_weights[~loops]])
-        dloops = self.delete_src == self.delete_dst
-        del_s = np.concatenate([self.delete_src,
-                                self.delete_dst[~dloops]])
-        del_d = np.concatenate([self.delete_dst,
-                                self.delete_src[~dloops]])
-        return MutationBatch(insert_src=ins_s, insert_dst=ins_d,
-                             insert_weights=w, delete_src=del_s,
-                             delete_dst=del_d)
+            w = np.repeat(self.insert_weights, rep)
+        del_s, del_d, _ = _with_mirrors(self.delete_src, self.delete_dst)
+        batch = MutationBatch(insert_src=ins_s, insert_dst=ins_d,
+                              insert_weights=w, delete_src=del_s,
+                              delete_dst=del_d)
+        object.__setattr__(batch, "symmetric", True)
+        return batch
+
+
+def _with_mirrors(src: np.ndarray, dst: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst)`` with each non-loop pair followed by its mirror;
+    also the per-pair repeat count (1 for a loop, else 2) that carries
+    any aligned array along."""
+    rep = np.where(src == dst, 1, 2)
+    s, d = np.repeat(src, rep), np.repeat(dst, rep)
+    mirror = (np.cumsum(rep) - 1)[rep == 2]
+    s[mirror], d[mirror] = d[mirror - 1], s[mirror - 1]
+    return s, d, rep
 
 
 @dataclass(frozen=True)
@@ -161,10 +187,11 @@ class DynamicGraph:
 
     ``n`` is fixed at construction (mutations add and remove arcs, not
     vertices -- the Kronecker id space is dense).  ``weighted`` decides
-    whether batches must carry insert weights.
+    whether batches must carry insert weights.  ``symmetric`` holds
+    while every applied batch was marked so (see the module docstring).
     """
 
-    __slots__ = ("n", "weighted", "_keys", "_w")
+    __slots__ = ("n", "weighted", "symmetric", "_keys", "_w", "_deg")
 
     def __init__(self, n: int, *, weighted: bool = False):
         n = int(n)
@@ -172,8 +199,10 @@ class DynamicGraph:
             raise GraphFormatError("n must be non-negative")
         self.n = n
         self.weighted = bool(weighted)
+        self.symmetric = True
         self._keys = _EMPTY_IDS
         self._w = _EMPTY_W if weighted else None
+        self._deg = np.zeros(n, dtype=np.int64)
 
     @classmethod
     def from_edge_list(cls, edges: EdgeList, *,
@@ -257,6 +286,7 @@ class DynamicGraph:
                 keys = keys[keep]          # fresh arrays: old snapshot
                 if w is not None:          # references stay intact
                     w = w[keep]
+                self._deg -= np.bincount(removed_keys // n, minlength=n)
         n_deleted = int(removed_keys.size)
 
         # -- insert phase (last-write-wins dedup, sorted merge) ----------
@@ -289,13 +319,21 @@ class DynamicGraph:
                     w[pos[present][diff]] = new[diff]
             fresh = ~present
             if fresh.any():
-                at = pos[fresh]
-                n_new = int(fresh.sum())
-                keys = np.insert(keys, at, ins_keys[fresh])
+                # ``pos`` ascends, so fresh arc ``j`` lands at
+                # ``pos + j`` of the merged array; one mask places the
+                # survivors of both arrays around them.
+                slot = pos[fresh] + np.arange(fresh.sum())
+                n_new = int(slot.size)
+                old = np.ones(keys.size + n_new, dtype=bool)
+                old[slot] = False
+                keys = _merged(keys, ins_keys[fresh], slot, old)
                 if w is not None:
-                    w = np.insert(w, at, ins_w[fresh])
+                    w = _merged(w, ins_w[fresh], slot, old)
+                self._deg += np.bincount(ins_keys[fresh] // n,
+                                         minlength=n)
 
         self._keys, self._w = keys, w
+        self.symmetric = self.symmetric and batch.symmetric
 
         # A weight change is a remove + insert for path repair.
         if changed_keys.size:
@@ -314,7 +352,8 @@ class DynamicGraph:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> CSRGraph:
-        """Materialize the live arc set as an immutable CSR.
+        """Materialize the live arc set as an immutable CSR, marked
+        ``symmetric`` while the graph's record holds.
 
         Byte-identical to ``CSRGraph.from_arrays`` over the replayed
         edge list: the keys are already in ``lexsort((dst, src))``
@@ -325,15 +364,29 @@ class DynamicGraph:
         if n == 0 or not self._keys.size:
             return CSRGraph(row_ptr=row_ptr, col_idx=_EMPTY_IDS.copy(),
                             weights=(_EMPTY_W.copy() if self.weighted
-                                     else None))
-        src = self._keys // n
-        np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
-        # ``dst = key - src * n``: the remainder without a second
-        # integer division, in a fresh array; ``_w`` is copy-on-write
-        # (see apply), so sharing it keeps the snapshot immutable.
-        return CSRGraph(row_ptr=row_ptr, col_idx=self._keys - src * n,
-                        weights=self._w)
+                                     else None),
+                            symmetric=self.symmetric)
+        np.cumsum(self._deg, out=row_ptr[1:])
+        # ``dst = key - (key // n) * n``: the remainder by the one
+        # integer division NumPy does fast, built in place in a fresh
+        # array; ``_w`` is copy-on-write (see apply), so sharing it
+        # keeps the snapshot immutable.
+        col_idx = self._keys // n
+        col_idx *= n
+        np.subtract(self._keys, col_idx, out=col_idx)
+        return CSRGraph(row_ptr=row_ptr, col_idx=col_idx, weights=self._w,
+                        symmetric=self.symmetric)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DynamicGraph(n={self.n}, arcs={self.n_arcs}, "
                 f"weighted={self.weighted})")
+
+
+def _merged(old_values: np.ndarray, new_values: np.ndarray,
+            slot: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``old_values`` at the ``old`` positions and ``new_values`` at
+    ``slot``: what ``np.insert`` builds, with the mask made once."""
+    out = np.empty(old.size, dtype=old_values.dtype)
+    out[slot] = new_values
+    out[old] = old_values
+    return out

@@ -56,7 +56,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
@@ -366,32 +366,30 @@ def relax_round(out: CSRGraph, inn: CSRGraph | None,
 
 
 def arc_sum_operator(row_ptr: np.ndarray, col_idx: np.ndarray, n: int,
-                     rows: tuple[int, int] | None = None,
-                     scatter: bool = False) -> csr_matrix | csc_matrix:
-    """A CSR's arcs as an all-ones float64 sparse matrix ``A``, so that
-    ``A @ x`` is the per-vertex sum of ``x`` over the arcs.
+                     rows: tuple[int, int] | None = None) -> csr_matrix:
+    """A CSR's arcs as an all-ones float64 ``csr_matrix`` ``A``, so that
+    ``(A @ x)[r]`` sums ``x[col_idx[a]]`` over row ``r``'s arcs.
 
     The CSR has ids below ``n`` in ``col_idx``; ``rows = (lo, hi)``
-    keeps rows ``lo .. hi - 1`` only (row ``lo`` becomes row 0).  By
-    default ``y[r]`` sums ``x[col_idx[a]]`` over row ``r``'s arcs (a
-    ``csr_matrix``, ``x`` of length ``n``); with ``scatter`` every arc
-    of row ``r`` adds ``x[r]`` into ``y[col_idx[a]]`` (the same arrays
-    read as a ``csc_matrix``, ``y`` of length ``n``).
+    keeps rows ``lo .. hi - 1`` only (row ``lo`` becomes row 0).  Every
+    caller passes in-arcs (``out.transposed()`` or a slice of it), so a
+    row's sum is a vertex's gather over its in-neighbours.
 
-    Either mat-vec walks the rows in order and each row's arcs in
-    order, adding one ``1.0 * x[...]`` at a time into a ``y`` that
-    starts at zero: arc order, bit-identical to ``np.add.at`` into
-    zeros and to ``np.bincount(rows_of_arcs, weights=x[col_idx])``.
+    The mat-vec walks the rows in order and each row's arcs in order,
+    adding one ``1.0 * x[...]`` at a time into a ``y`` that starts at
+    zero: arc order, bit-identical to
+    ``np.bincount(rows_of_arcs, weights=x[col_idx])``.  Over a stable
+    transpose (:meth:`CSRGraph.transposed`) that is also the order in
+    which ``np.add.at`` scatters along the out-arcs into zeros, since
+    each in-row lists its sources ascending.
     """
     if rows is not None:
         ptr = row_ptr[rows[0]:rows[1] + 1]
         col_idx = col_idx[ptr[0]:ptr[-1]]
         row_ptr = ptr - ptr[0]
     n_rows = row_ptr.size - 1
-    arrays = (np.ones(col_idx.size), col_idx, row_ptr)
-    if scatter:
-        return csc_matrix(arrays, shape=(n, n_rows))
-    return csr_matrix(arrays, shape=(n_rows, n))
+    return csr_matrix((np.ones(col_idx.size), col_idx, row_ptr),
+                      shape=(n_rows, n))
 
 
 def _run_heads(sorted_ids: np.ndarray) -> np.ndarray:

@@ -81,9 +81,9 @@ class LocalSweeps:
     :func:`first_parent_candidates` plus its two writes (``parent``,
     ``visited``), the same call a shard's ``OP_TD`` makes on its slice.
 
-    ``bottom_up`` and the pulls of ``relax`` read the in-arcs,
-    ``out.transposed()``, first asked for by the first of them.
-    ``scratch`` serves everything but PageRank.
+    ``bottom_up``, the pulls of ``relax`` and the PageRank sweep read
+    the in-arcs, ``out.transposed()``, first asked for by the first of
+    them.  ``scratch`` serves everything but PageRank.
     """
 
     def __init__(self, out: CSRGraph, scratch: KernelScratch | None = None):
@@ -148,11 +148,12 @@ class LocalSweeps:
         out = self.out
         # Dangling vertices own no arc; 1 only keeps 0/0 out of it.
         self.divisor = np.maximum(out.out_degrees(), 1).astype(np.float64)
-        self.arcs = arc_sum_operator(out.row_ptr, out.col_idx, self.n,
-                                     scatter=True)
+        inn = out.transposed()
+        self.arcs = arc_sum_operator(inn.row_ptr, inn.col_idx, self.n)
         return rank
 
     def pagerank_sweep(self, rank, dangling_mass, base, damping):
-        # Shares are divided once per vertex, then pushed along the arcs.
+        # Shares are divided once per vertex, then gathered over the
+        # in-arcs, sources ascending: the order a push adds them in.
         contrib = self.arcs @ (rank / self.divisor)
         return base + damping * (contrib + dangling_mass)

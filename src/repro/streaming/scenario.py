@@ -14,7 +14,9 @@ batches routinely re-delete an arc an earlier batch already removed:
 the delete-of-absent no-op path is exercised by construction, not just
 by unit tests.  Batches are symmetrized
 (:meth:`~repro.graph.dynamic.MutationBatch.symmetrized`) because the
-Kronecker list is undirected.
+Kronecker list is undirected: both arcs of an edge carry the weight of
+the last tuple that touched it, so every snapshot of the replay is its
+own transpose and repair reads in-arcs without transposing.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from repro.algorithms.incremental import (
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import sssp_dijkstra
 from repro.errors import ValidationError
+from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, MutationBatch
 from repro.graph.frontier import out_arc_count, pulls
 
@@ -592,3 +593,47 @@ def test_sssp_repair_bit_identical_hypothesis(case, rnd):
         assert k.dist.tobytes() == want_dist.tobytes()
         assert k.parent.tobytes() == _min_witness_parents(
             snap, root, want_dist, snap.weights).tobytes()
+
+
+# ----------------------------------------------------------------------
+# One arena: a symmetrized stream's snapshot is its own transpose
+# ----------------------------------------------------------------------
+def _unmarked(snap):
+    """The snapshot's arrays, unmarked: its transpose is computed, and
+    scratch is kept per CSR, so the repair runs on two arenas."""
+    return CSRGraph(snap.row_ptr, snap.col_idx, snap.weights)
+
+
+@given(mutation_chains(), st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_shared_arena_repair_matches_computed_transpose(case, rnd):
+    # Positive weights only: symmetrized, a zero-weight arc would close
+    # a flat cycle with its mirror (test_zero_weight_cycle_hides_a_cut).
+    n, base, steps, root = case
+
+    def weights(arcs):
+        return [rnd.choice(TIED_WEIGHTS[1:] + (rnd.uniform(0.1, 2.0),))
+                for _ in arcs]
+
+    g = DynamicGraph(n, weighted=True)
+    g.apply(_batch(ins=base, w=weights(base)).symmetrized())
+    snap = g.snapshot()
+    pairs = [(cls(snap, root), cls(_unmarked(snap), root))
+             for cls in (IncrementalBFS, IncrementalSSSP)]
+    for step in steps:
+        ins, dels = _resolve(*step, g, root)
+        applied = g.apply(_batch(ins=ins, w=weights(ins),
+                                 dels=dels).symmetrized())
+        snap = g.snapshot()
+        plain = _unmarked(snap)
+        assert snap.transposed() is snap
+        assert plain.transposed() is not plain
+        for shared, split in pairs:
+            assert shared.update(snap, applied) == split.update(plain,
+                                                                applied)
+            assert shared.parent.tobytes() == split.parent.tobytes()
+        bfs, sssp = (shared for shared, _ in pairs)
+        assert bfs.level.tobytes() == pairs[0][1].level.tobytes()
+        assert sssp.dist.tobytes() == pairs[1][1].dist.tobytes()
+        assert_bfs_matches(bfs, snap, root)
+        assert_sssp_matches(sssp, snap, root)

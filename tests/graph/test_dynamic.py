@@ -133,6 +133,54 @@ def test_applied_delta_reconstructs_arc_set(case):
         assert arcs == set(zip(src.tolist(), dst.tolist()))
 
 
+@st.composite
+def symmetrized_sequences(draw):
+    """Batch sequences, symmetrized; in a batch, an edge may come both
+    ways round with different weights, and deletes may miss."""
+    n, weighted, batches = draw(batch_sequences())
+    return n, weighted, [b.symmetrized() for b in batches]
+
+
+def _unmarked(snap: CSRGraph) -> CSRGraph:
+    return CSRGraph(snap.row_ptr, snap.col_idx, snap.weights)
+
+
+@given(symmetrized_sequences(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_symmetrized_stream_snapshots_are_their_own_transpose(case, data):
+    """One weight per undirected edge: every snapshot is marked, its
+    counting transpose is itself byte for byte, its kept degrees never
+    drift from the keys, and one unmarked batch drops the record."""
+    n, weighted, batches = case
+    g = DynamicGraph(n, weighted=weighted)
+    model: dict = {}
+    for batch in batches:
+        g.apply(batch)
+        model_apply(model, batch)
+        snap = g.snapshot()
+        assert snap.symmetric and snap.transposed() is snap
+        assert_snapshots_equal(snap, model_csr(model, n, weighted))
+        assert_snapshots_equal(_unmarked(snap).transposed(), snap)
+        src, _, _ = g.arcs()                # the keys' ``// n`` decode
+        decoded = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=decoded[1:])
+        assert snap.row_ptr.tobytes() == decoded.tobytes()
+
+    # A directed batch (possibly empty) drops the record for good.
+    k = data.draw(st.integers(0, 3))
+    ends = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+    g.apply(MutationBatch(
+        insert_src=data.draw(ends), insert_dst=data.draw(ends),
+        insert_weights=np.ones(k) if weighted else None))
+    g.apply(MutationBatch().symmetrized())
+    snap = g.snapshot()
+    assert not g.symmetric and not snap.symmetric
+    rev = snap.transposed()
+    assert rev is not snap
+    assert_snapshots_equal(rev, CSRGraph.from_arrays(
+        snap.col_idx, snap.source_ids(), n, weights=snap.weights))
+
+
 class TestSemantics:
     def test_delete_of_absent_is_noop(self):
         g = DynamicGraph(4)
@@ -191,13 +239,24 @@ class TestSemantics:
         assert snap.neighbors(2).tolist() == [2]
 
     def test_symmetrized_batch(self):
-        b = MutationBatch(insert_src=[0, 1], insert_dst=[1, 1],
+        # Each mirror follows its tuple; loops stay single.
+        b = MutationBatch(insert_src=[0, 1, 2], insert_dst=[1, 1, 0],
+                          insert_weights=[1.0, 2.0, 3.0],
                           delete_src=[2], delete_dst=[3]).symmetrized()
-        assert sorted(zip(b.insert_src.tolist(),
-                          b.insert_dst.tolist())) == [(0, 1), (1, 0),
-                                                      (1, 1)]
-        assert sorted(zip(b.delete_src.tolist(),
-                          b.delete_dst.tolist())) == [(2, 3), (3, 2)]
+        assert list(zip(b.insert_src.tolist(), b.insert_dst.tolist(),
+                        b.insert_weights.tolist())) == [
+            (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0),
+            (0, 2, 3.0)]
+        assert list(zip(b.delete_src.tolist(),
+                        b.delete_dst.tolist())) == [(2, 3), (3, 2)]
+        assert b.symmetric and not MutationBatch().symmetric
+
+    def test_both_orientations_in_one_batch_get_the_later_weight(self):
+        g = DynamicGraph(3, weighted=True)
+        g.apply(MutationBatch(insert_src=[0, 1], insert_dst=[1, 0],
+                              insert_weights=[5.0, 7.0]).symmetrized())
+        assert g.arcs()[2].tolist() == [7.0, 7.0]
+        assert g.snapshot().symmetric
 
     def test_from_edge_list_dedupes(self):
         el = EdgeList(np.array([0, 0]), np.array([1, 1]), 3,

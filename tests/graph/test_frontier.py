@@ -573,13 +573,18 @@ def test_sorted_unique_edge_cases(dtype, values):
 # ----------------------------------------------------------------------
 
 
-@given(csr_graphs(max_n=30, max_m=200), st.data())
+@given(csr_graphs(max_n=30, max_m=200), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_arc_sum_operator_is_the_ordered_bincount(csr, data):
+def test_arc_sum_operator_is_the_ordered_bincount(csr, symmetrize, data):
     # Parallel arcs, self-loops, empty rows and m = 0 all come out of
     # ``csr_graphs``; operands ten orders of magnitude apart make a
-    # re-associated sum land on other low-order bits.
+    # re-associated sum land on other low-order bits.  A symmetrized
+    # multigraph is marked so, and is its own transpose.
     n = csr.n_vertices
+    if symmetrize:
+        csr = CSRGraph.from_edge_list(
+            EdgeList(csr.source_ids(), csr.col_idx, n), symmetrize=True)
+        assert csr.transposed() is csr
     x = np.array(data.draw(st.lists(st.floats(1e-10, 1.0),
                                     min_size=n, max_size=n)))
     row_ptr, col_idx = csr.row_ptr, csr.col_idx
@@ -591,9 +596,11 @@ def test_arc_sum_operator_is_the_ordered_bincount(csr, data):
     got = arc_sum_operator(row_ptr, col_idx, n) @ x
     assert got.tobytes() == want.tobytes()
 
-    # Scatter form -- GraphBIG's and the reference's.
+    # Over the in-arcs it is the scatter along the out-arcs --
+    # GraphBIG's and the reference's sweep, once typed out as either.
+    inn = csr.transposed()
     want = np.bincount(col_idx, weights=x[rows], minlength=n)
-    got = arc_sum_operator(row_ptr, col_idx, n, scatter=True) @ x
+    got = arc_sum_operator(inn.row_ptr, inn.col_idx, n) @ x
     assert got.tobytes() == want.tobytes()
     at_zeros = np.zeros(n)
     np.add.at(at_zeros, col_idx, x[rows])
