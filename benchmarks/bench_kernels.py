@@ -41,7 +41,6 @@ import repro.systems.powergraph.gas as gas_module
 from repro.datasets.kronecker import KroneckerSpec, generate_kronecker
 from repro.graph import frontier as frontier_lib
 from repro.graph.csr import CSRGraph
-from repro.graph.dcsr import DCSRMatrix
 from repro.graph.frontier import segment_min_scatter
 from repro.graph.scratch import KernelScratch
 from repro.machine.threads import WorkProfile
@@ -614,7 +613,6 @@ def test_kernel_gate(benchmark):
     # The relaxation primitive: push and pull, every round of a whole
     # Bellman-Ford, GAS SSSP and GraphMat SSSP over the same graph.
     bf_graph = SimpleNamespace(out=out, n=out.n_vertices)
-    at = DCSRMatrix.from_csr(inn)
     # GraphBIG and GraphMat relax through the one Bellman-Ford loop.
     _assert_relax_sides_identical(
         f"graphbig/bellman_ford push|pull[{root}]", sssp_module,
@@ -625,7 +623,7 @@ def test_kernel_gate(benchmark):
         lambda: run_sssp(engine, root)[::2], checks)
     _assert_relax_sides_identical(
         f"graphmat/sssp_spmv push|pull[{root}]", sssp_module,
-        lambda: graphmat_kernels.sssp_bellman_spmv(at, root)[:2],
+        lambda: graphmat_kernels.sssp_bellman_spmv(inn, root)[:2],
         checks)
 
     # ------------------------------------------------------------------

@@ -23,12 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.simple import SimpleView, simple_undirected_view
+from repro.graph.frontier import gather_slots
+from repro.graph.scratch import scratch_for
+from repro.graph.simple import simple_undirected_view
 
 __all__ = ["core_numbers", "core_numbers_naive", "peel_cores"]
 
 
-def peel_cores(view: SimpleView
+def peel_cores(view: CSRGraph
                ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """Level-synchronous peel of an already-simplified view.
 
@@ -48,10 +50,11 @@ def peel_cores(view: SimpleView
     bucket: the clamp keeps every pushed key at or above the level, so
     the lowest live bucket is always the current frontier.
     """
-    n = view.n
+    n = view.n_vertices
+    scratch = scratch_for(view, n, view.n_edges)
     core = np.zeros(n, dtype=np.int64)
     rounds: list[tuple[int, int, int]] = []
-    deg = view.degrees.copy()
+    deg = view.out_degrees()
     alive = np.ones(n, dtype=bool)
     remaining = n
     level = 0
@@ -63,7 +66,8 @@ def peel_cores(view: SimpleView
             core[frontier] = level
             alive[frontier] = False
             remaining -= int(frontier.size)
-            nbrs = view.neighbors_of(frontier)
+            nbrs = view.col_idx[
+                gather_slots(view.row_ptr, frontier, scratch).slots]
             rounds.append((int(frontier.size), int(nbrs.size), level))
             nbrs = nbrs[alive[nbrs]]
             if nbrs.size == 0:
@@ -96,7 +100,7 @@ def core_numbers_naive(graph: CSRGraph) -> np.ndarray:
     """
     view = simple_undirected_view(
         graph.source_ids(), graph.col_idx, graph.n_vertices)
-    n = view.n
+    n = view.n_vertices
     core = np.zeros(n, dtype=np.int64)
     if n == 0:
         return core
@@ -106,9 +110,9 @@ def core_numbers_naive(graph: CSRGraph) -> np.ndarray:
     while remaining:
         # Re-scan: residual degree = alive neighbors, counted from
         # scratch over the whole edge array.
-        nbr_alive = alive[view.indices].astype(np.int64)
+        nbr_alive = alive[view.col_idx].astype(np.int64)
         sums = np.concatenate(([0], np.cumsum(nbr_alive)))
-        deg = sums[view.indptr[1:]] - sums[view.indptr[:-1]]
+        deg = sums[view.row_ptr[1:]] - sums[view.row_ptr[:-1]]
         level = max(level, int(deg[alive].min()))
         peel = np.flatnonzero(alive & (deg <= level))
         core[peel] = level

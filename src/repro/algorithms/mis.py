@@ -20,7 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.simple import SimpleView, simple_undirected_view
+from repro.graph.frontier import gather_slots, out_arc_count, pull_min
+from repro.graph.scratch import scratch_for
+from repro.graph.simple import simple_undirected_view
 
 __all__ = [
     "DEFAULT_MIS_SEED",
@@ -41,7 +43,7 @@ def mis_priorities(n: int, seed: int | None = None) -> np.ndarray:
     return rng.permutation(n).astype(np.int64)
 
 
-def luby_rounds(view: SimpleView, priorities: np.ndarray
+def luby_rounds(view: CSRGraph, priorities: np.ndarray
                 ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """Run the rounds on an already-simplified view.
 
@@ -51,32 +53,31 @@ def luby_rounds(view: SimpleView, priorities: np.ndarray
     the round's winners (whose far ends drop out), which is what the
     systems price.
     """
-    n = view.n
+    n = view.n_vertices
+    scratch = scratch_for(view, n, view.n_edges)
     priorities = np.asarray(priorities, dtype=np.int64)
     in_set = np.zeros(n, dtype=bool)
     decided = np.zeros(n, dtype=bool)
     rounds: list[tuple[int, int, int]] = []
     sentinel = np.int64(n)
-    starts = view.indptr[:-1]
-    nonempty = view.degrees > 0
+    rows, starts = view.pull_rows()
     while not decided.all():
         undecided = np.flatnonzero(~decided)
-        vals = np.where(decided[view.indices], sentinel,
-                        priorities[view.indices])
+        # A decided neighbor offers the sentinel, which beats no one.
+        offer = np.where(decided, sentinel, priorities)
         best = np.full(n, sentinel, dtype=np.int64)
-        if nonempty.any():
-            # Empty rows occupy zero width, so the starts of the
-            # non-empty rows alone partition ``vals`` correctly.
-            best[nonempty] = np.minimum.reduceat(vals, starts[nonempty])
+        if rows.size:
+            best[rows] = pull_min(starts, view.col_idx, None, offer)
         winners = ~decided & (priorities < best)
         # The undecided vertex with the globally smallest priority
         # always wins, so progress is guaranteed.
         in_set[winners] = True
         decided[winners] = True
-        losers = view.neighbors_of(np.flatnonzero(winners))
+        losers = view.col_idx[gather_slots(
+            view.row_ptr, np.flatnonzero(winners), scratch).slots]
         decided[losers] = True
         rounds.append((int(undecided.size),
-                       int(view.degrees[undecided].sum()),
+                       out_arc_count(view.row_ptr, undecided),
                        int(losers.size)))
     return in_set, rounds
 
@@ -88,5 +89,5 @@ def maximal_independent_set(graph: CSRGraph,
     view = simple_undirected_view(
         graph.source_ids(), graph.col_idx, graph.n_vertices)
     if priorities is None:
-        priorities = mis_priorities(view.n, seed)
+        priorities = mis_priorities(view.n_vertices, seed)
     return luby_rounds(view, priorities)[0]

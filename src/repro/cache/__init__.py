@@ -13,7 +13,7 @@ spirit of the GAP Benchmark Suite's serialized ``.sg`` graphs:
   dataset directories under a digest of the source edge list plus the
   homogenization recipe (root count, seed).
 * **Layer 2 -- loaded graphs.**  Each system's built structure
-  (CSR/DCSR arrays) is stored as one ``.npy`` file per array, so the
+  (CSR arrays) is stored as one ``.npy`` file per array, so the
   parent process materializes a graph once and every worker maps it
   back read-only with ``np.load(mmap_mode="r")`` -- zero copies, no
   per-worker deserialization.

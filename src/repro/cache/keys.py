@@ -23,7 +23,7 @@ __all__ = ["CACHE_SCHEMA_VERSION", "digest_json", "edgelist_digest",
 
 #: Bump whenever the on-disk layout of any cached artifact changes;
 #: part of every key, so stale-format entries simply stop matching.
-CACHE_SCHEMA_VERSION = 6
+CACHE_SCHEMA_VERSION = 7
 
 
 def _hasher():

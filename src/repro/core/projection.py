@@ -138,13 +138,15 @@ def projected_scalability(system: str, algorithm: str = "bfs",
 #: are pinned by two edge factors, not by two scales.  Kronecker graphs
 #: are undirected: GAP's inverse and GraphMat's symmetric pattern are
 #: the structure itself and cost nothing more.  PowerGraph counts its
-#: in-CSR, one object with its out-CSR there, all the same.
+#: in-CSR, one object with its out-CSR there, all the same.  GraphMat
+#: counts the DCSR it models, not the CSR it holds: the row pointer
+#: becomes 16 B per non-empty row (``GraphMatMatrices.nbytes``).
 _MEMORY_MODEL: dict[str, tuple[float, float]] = {
     # (bytes_per_arc, bytes_per_vertex)
     "gap": (16.0, 24.0),          # one weighted CSR + degrees
     "graph500": (8.0, 8.0),       # single unweighted CSR
     "graphbig": (16.0, 48.0),     # weighted CSR + property records
-    "graphmat": (16.0, 18.0),     # one DCSR A^T + degrees
+    "graphmat": (16.0, 18.0),     # A^T counted as DCSR + degrees
     "powergraph": (32.0, 16.0),   # engine's in + out weighted CSR
 }
 

@@ -8,9 +8,10 @@ built on:
   system's "data structure construction" phase starts from one of these.
 * :class:`~repro.graph.csr.CSRGraph` -- compressed sparse row adjacency,
   the representation used (per the paper, Sec. III-C) by the Graph500,
-  GAP, and GraphBIG.
-* :class:`~repro.graph.dcsr.DCSRMatrix` -- doubly-compressed sparse row,
-  the representation GraphMat layers its SpMV kernels on.
+  GAP, and GraphBIG, and the one row-pointer type: GraphMat's
+  doubly-compressed row index is a CSR's
+  :meth:`~repro.graph.csr.CSRGraph.pull_rows`, and the simple
+  undirected view and the shard push slices are CSRs too.
 * :mod:`~repro.graph.validation` -- the Graph500 result-validation rules
   (BFS tree checks) plus SSSP/PageRank verifiers used by the test suite.
 * :mod:`~repro.graph.frontier` + :mod:`~repro.graph.scratch` -- the
@@ -22,8 +23,6 @@ built on:
 
 from repro.graph.edgelist import EdgeList
 from repro.graph.csr import CSRGraph
-from repro.graph.dcsr import DCSRMatrix
 from repro.graph.scratch import KernelScratch, scratch_for
 
-__all__ = ["EdgeList", "CSRGraph", "DCSRMatrix", "KernelScratch",
-           "scratch_for"]
+__all__ = ["EdgeList", "CSRGraph", "KernelScratch", "scratch_for"]

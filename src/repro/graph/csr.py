@@ -2,7 +2,8 @@
 
 CSR is the representation the paper reports for the Graph500, GAP, and
 GraphBIG (Sec. III-C); PowerGraph layers a vertex-cut scheme on top of it
-and GraphMat doubly-compresses it (:mod:`repro.graph.dcsr`).
+and GraphMat doubly-compresses it: DCSR's index of non-empty rows is
+:meth:`CSRGraph.pull_rows`.
 
 Construction is fully vectorized: ``bincount``/``cumsum`` row pointers
 plus one value sort of packed ``(src, dst, position)`` keys for the arc

@@ -10,9 +10,10 @@ set of named vertex-sized arrays and hands out views, so steady-state
 rounds perform zero allocations.
 
 Scratch is *per graph object*: :func:`scratch_for` memoizes one
-:class:`KernelScratch` per structure (CSR, DCSR, GAP graph pair, GAS
-engine, ...) in a :class:`weakref.WeakKeyDictionary`, so buffers die
-with the graph and two graphs never share (or race on) an arena.
+:class:`KernelScratch` per structure (CSR, GAP graph pair, GAS engine,
+...) in a dict keyed by the structure's ``id``, and a
+:func:`weakref.finalize` on the structure drops the entry, so buffers
+die with the graph and two graphs never share (or race on) an arena.
 
 Bit-identity note: scratch only changes *where* intermediates live,
 never their values.  Mask buffers are handed out all-``False`` and the

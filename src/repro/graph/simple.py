@@ -14,43 +14,12 @@ multiply, packaged once so five systems cannot drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["SimpleView", "simple_patterns", "simple_undirected_view"]
+from repro.graph.csr import CSRGraph
 
-
-@dataclass(frozen=True)
-class SimpleView:
-    """CSR of the simple undirected graph (sorted, deduplicated)."""
-
-    n: int
-    #: ``int64[n + 1]`` row pointer (compatible with ``gather_slots``).
-    indptr: np.ndarray
-    #: ``int64[nnz]`` neighbor ids, sorted within each row.
-    indices: np.ndarray
-    #: ``int64[n]`` simple degrees (``diff(indptr)``).
-    degrees: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        """Stored directed slots (2x the simple edge count)."""
-        return int(self.indices.size)
-
-    def neighbors_of(self, vertices: np.ndarray) -> np.ndarray:
-        """Concatenated neighbor lists of ``vertices`` (copy)."""
-        counts = self.degrees[vertices]
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.indptr[vertices]
-        offsets = np.zeros(counts.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        slots = (np.repeat(starts - offsets, counts)
-                 + np.arange(total, dtype=np.int64))
-        return self.indices[slots]
+__all__ = ["simple_patterns", "simple_undirected_view"]
 
 
 def simple_patterns(src: np.ndarray, dst: np.ndarray, n: int
@@ -74,17 +43,16 @@ def simple_patterns(src: np.ndarray, dst: np.ndarray, n: int
 
 
 def simple_undirected_view(src: np.ndarray, dst: np.ndarray,
-                           n: int) -> SimpleView:
-    """Reduce raw arcs to the canonical simple undirected view.
+                           n: int) -> CSRGraph:
+    """Reduce raw arcs to the canonical simple undirected view: a
+    symmetric CSR, rows sorted and deduplicated.
 
     The symmetric closure of :func:`simple_patterns` -- the pattern the
     LCC body multiplies -- so every caller lands on byte-identical
-    ``indptr``/``indices`` arrays for the same input edge set,
+    ``row_ptr``/``col_idx`` arrays for the same input edge set,
     whichever system's representation the arcs came from.
     """
     und = simple_patterns(src, dst, n)[1]
     und.sort_indices()
-    indptr = und.indptr.astype(np.int64)
-    indices = und.indices.astype(np.int64)
-    return SimpleView(n=int(n), indptr=indptr, indices=indices,
-                      degrees=np.diff(indptr))
+    return CSRGraph(row_ptr=und.indptr.astype(np.int64),
+                    col_idx=und.indices.astype(np.int64), symmetric=True)

@@ -35,8 +35,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["ShardPartition", "ShardSlice", "partition_graph",
-           "shard_out_slice"]
+__all__ = ["ShardPartition", "partition_graph", "shard_out_slice"]
 
 
 @dataclass(frozen=True)
@@ -53,20 +52,6 @@ class ShardPartition:
     def owned(self, shard: int) -> tuple[int, int]:
         """The ``(lo, hi)`` vertex range ``shard`` owns."""
         return int(self.bounds[shard]), int(self.bounds[shard + 1])
-
-
-@dataclass(frozen=True)
-class ShardSlice:
-    """One shard's push slice: every row, only its own arcs.
-
-    ``slot_map`` carries each local arc's global slot index, which is
-    what makes the slice losslessly reassemblable (and lets tests prove
-    byte-identity of the decomposition).
-    """
-
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    slot_map: np.ndarray
 
 
 def partition_graph(csr: CSRGraph, n_shards: int) -> ShardPartition:
@@ -97,19 +82,19 @@ def partition_graph(csr: CSRGraph, n_shards: int) -> ShardPartition:
 
 
 def shard_out_slice(csr: CSRGraph, part: ShardPartition,
-                    shard: int) -> ShardSlice:
+                    shard: int) -> CSRGraph:
     """The push slice: every row, restricted to arcs into the shard's
     range.
 
     ``np.flatnonzero`` preserves the global arc order, so each row's
     surviving neighbor list keeps its sorted order and the slice is a
-    well-formed CSR over the full vertex space.  It carries no weights:
-    top-down reads none, and no relax round pushes on a shard.
+    well-formed CSR over the full vertex space; a row of the input is
+    its rows of the slices joined in shard order.  It carries no
+    weights: top-down reads none, and no relax round pushes on a shard.
     """
     lo, hi = part.owned(shard)
     slots = np.flatnonzero((csr.col_idx >= lo) & (csr.col_idx < hi))
     row_ptr = np.zeros(csr.n_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(csr.source_ids()[slots],
                           minlength=csr.n_vertices), out=row_ptr[1:])
-    return ShardSlice(row_ptr=row_ptr, col_idx=csr.col_idx[slots],
-                      slot_map=slots)
+    return CSRGraph(row_ptr=row_ptr, col_idx=csr.col_idx[slots])

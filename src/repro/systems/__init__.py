@@ -11,8 +11,9 @@ gap             GAP Benchmark Suite: CSR, direction-optimizing BFS
                 (alpha/beta), delta-stepping SSSP, PageRank, CC, ...
 graphbig        vertex-centric property-graph framework; reads the
                 input file and builds the graph simultaneously
-graphmat        everything is generalized SpMV over a DCSR matrix;
-                separate read / build / run phases with its own logs
+graphmat        everything is generalized SpMV over the transpose,
+                modelled as DCSR (a CSR's non-empty rows); separate
+                read / build / run phases with its own logs
 powergraph      gather-apply-scatter engine over a vertex-cut
                 partitioning; provides *no* BFS reference
 ==============  =====================================================

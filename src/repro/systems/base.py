@@ -24,10 +24,11 @@ from repro.algorithms.lcc import clustering_blocks
 from repro.algorithms.mis import luby_rounds, mis_priorities
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.errors import SystemCapabilityError
+from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.frontier import resolve_batch_rows
 from repro.graph.scratch import consume_counters
-from repro.graph.simple import SimpleView, simple_undirected_view
+from repro.graph.simple import simple_undirected_view
 from repro.machine.spec import MachineSpec, haswell_server
 from repro.machine.threads import SimResult, ThreadModel, WorkProfile
 from repro.observability import Tracer
@@ -106,8 +107,8 @@ def _frozen(value: Any) -> Any:
     no reader of a memoized answer can change it for the next."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
-    elif isinstance(value, SimpleView):
-        _frozen((value.indptr, value.indices, value.degrees))
+    elif isinstance(value, CSRGraph):
+        _frozen((value.row_ptr, value.col_idx))
     elif isinstance(value, (tuple, list)):
         return tuple(_frozen(item) for item in value)
     return value
@@ -440,7 +441,7 @@ class GraphSystem(ABC):
             loaded.__dict__["_arc_digest"] = digest
         return digest
 
-    def _simple_view(self, loaded: LoadedGraph) -> SimpleView:
+    def _simple_view(self, loaded: LoadedGraph) -> CSRGraph:
         """The simple undirected view of ``loaded``'s arcs (k-core and
         MIS share it)."""
         return self._answer(
@@ -466,7 +467,8 @@ class GraphSystem(ABC):
         view = self._simple_view(loaded)
 
         def compute():
-            in_set, rounds = luby_rounds(view, mis_priorities(view.n, seed))
+            priorities = mis_priorities(view.n_vertices, seed)
+            in_set, rounds = luby_rounds(view, priorities)
             return in_set.astype(np.int64), rounds
 
         in_set, rounds = self._answer(loaded, "luby_rounds", (seed,),

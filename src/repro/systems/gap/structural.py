@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.cc import afforest_rounds, shiloach_vishkin
-from repro.graph.simple import SimpleView
+from repro.graph.csr import CSRGraph
 from repro.machine.threads import WorkProfile
 from repro.systems.gap.graph import GapGraph
 
@@ -71,12 +71,12 @@ def _view_profile(graph: GapGraph) -> WorkProfile:
     return profile
 
 
-def kcore_peel(graph: GapGraph, view: SimpleView, rounds: list
+def kcore_peel(graph: GapGraph, view: CSRGraph, rounds: list
                ) -> tuple[WorkProfile, int]:
     """k-core's price: (profile, rounds).  A round gathers only the
     peeled vertices' neighborhoods -- never an ``O(n)`` rescan."""
     profile = _view_profile(graph)
-    max_deg = float(view.degrees.max()) if graph.n else 0.0
+    max_deg = float(view.out_degrees().max()) if graph.n else 0.0
     for peeled, arcs, _ in rounds:
         profile.add_round(units=float(arcs + peeled),
                           memory_bytes=24.0 * arcs,
@@ -84,13 +84,13 @@ def kcore_peel(graph: GapGraph, view: SimpleView, rounds: list
     return profile, len(rounds)
 
 
-def mis_luby(graph: GapGraph, view: SimpleView, rounds: list
+def mis_luby(graph: GapGraph, view: CSRGraph, rounds: list
              ) -> tuple[WorkProfile, int]:
     """MIS's price: (profile, rounds).  A round gathers the undecided
     frontier's neighborhoods, then the winners' to knock their
     neighbors out."""
     profile = _view_profile(graph)
-    max_deg = float(view.degrees.max()) if graph.n else 0.0
+    max_deg = float(view.out_degrees().max()) if graph.n else 0.0
     for undecided, arcs, winner_arcs in rounds:
         profile.add_round(units=float(arcs + winner_arcs + undecided),
                           memory_bytes=24.0 * (arcs + winner_arcs),

@@ -25,7 +25,7 @@ from repro.algorithms.cc import shiloach_vishkin
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import bellman_ford_rounds
 from repro.algorithms.wcc import hashmin_rounds
-from repro.graph.simple import SimpleView
+from repro.graph.csr import CSRGraph
 from repro.machine.threads import WorkProfile
 
 __all__ = ["bfs_queue", "sssp_bellman_ford", "pagerank_jacobi",
@@ -134,7 +134,7 @@ def _view_profile(pg) -> WorkProfile:
     return profile
 
 
-def kcore_props(pg, view: SimpleView, rounds: list
+def kcore_props(pg, view: CSRGraph, rounds: list
                 ) -> tuple[WorkProfile, int]:
     """Level-synchronous k-core peel through the property records.
 
@@ -144,7 +144,7 @@ def kcore_props(pg, view: SimpleView, rounds: list
     per-visit overhead is charged on top of the edge work.
     """
     profile = _view_profile(pg)
-    max_deg = float(view.degrees.max()) if pg.n else 0.0
+    max_deg = float(view.out_degrees().max()) if pg.n else 0.0
     for peeled, arcs, _ in rounds:
         profile.add_round(units=arcs + PROPERTY_ACCESS_COST * peeled,
                           memory_bytes=32.0 * arcs,
@@ -152,7 +152,7 @@ def kcore_props(pg, view: SimpleView, rounds: list
     return profile, len(rounds)
 
 
-def mis_props(pg, view: SimpleView, rounds: list
+def mis_props(pg, view: CSRGraph, rounds: list
               ) -> tuple[WorkProfile, int]:
     """Pull-based Luby rounds over the vertex property array.
 
@@ -162,10 +162,11 @@ def mis_props(pg, view: SimpleView, rounds: list
     property API.
     """
     profile = _view_profile(pg)
+    arcs = view.n_edges
     for undecided, _, winner_arcs in rounds:
         profile.add_round(
-            units=view.nnz + winner_arcs + PROPERTY_ACCESS_COST * undecided,
-            memory_bytes=24.0 * (view.nnz + winner_arcs), skew=0.1)
+            units=arcs + winner_arcs + PROPERTY_ACCESS_COST * undecided,
+            memory_bytes=24.0 * (arcs + winner_arcs), skew=0.1)
     return profile, len(rounds)
 
 

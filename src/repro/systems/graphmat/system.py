@@ -1,4 +1,5 @@
-"""GraphMat system wrapper: DCSR matrices, phase-structured execution.
+"""GraphMat system wrapper: DCSR-modelled matrices, phase-structured
+execution.
 
 Every ``run`` reproduces GraphMat's phase sequence -- the one the
 paper's Table I excerpt shows for PageRank on dota-league::
@@ -24,7 +25,6 @@ import numpy as np
 from repro.datasets import formats
 from repro.datasets.homogenize import HomogenizedDataset
 from repro.graph.csr import CSRGraph
-from repro.graph.dcsr import DCSRMatrix
 from repro.graph.edgelist import EdgeList
 from repro.machine.threads import WorkProfile
 from repro.systems.base import GraphSystem
@@ -33,25 +33,35 @@ from repro.systems.graphmat import kernels
 __all__ = ["GraphMatSystem", "GraphMatMatrices"]
 
 
+def _dcsr_nbytes(matrix: CSRGraph) -> int:
+    """What GraphMat's DCSR of ``matrix`` holds: its CSR's arrays with
+    the ``n + 1`` row pointer replaced by a row id and a row offset per
+    non-empty row (the :meth:`~repro.graph.csr.CSRGraph.pull_rows`
+    index) plus the closing offset."""
+    rows = int(np.count_nonzero(matrix.out_degrees()))
+    return matrix.nbytes() - matrix.row_ptr.nbytes + 16 * rows + 8
+
+
 @dataclass
 class GraphMatMatrices:
-    """GraphMat's graph: DCSR transpose (pull direction) + degrees.
+    """GraphMat's graph: the transpose (pull direction) + degrees.
     On undirected input ``at_sym`` is ``at`` itself."""
 
-    at: DCSRMatrix          # A^T with weights
-    at_sym: DCSRMatrix      # symmetrized pattern (for WCC)
+    at: CSRGraph            # A^T with weights
+    at_sym: CSRGraph        # symmetrized pattern (for WCC)
     out_degrees: np.ndarray
     n: int
 
     @property
     def n_arcs(self) -> int:
-        return self.at.nnz
+        return self.at.n_edges
 
     def nbytes(self) -> int:
-        """Each distinct DCSR matrix (a shared one counts once) plus
-        the degree cache."""
-        sym = 0 if self.at_sym is self.at else self.at_sym.nbytes()
-        return self.at.nbytes() + sym + self.out_degrees.nbytes
+        """The modelled footprint, counted, not held: each distinct
+        matrix (a shared one counts once) as DCSR stores it, plus the
+        degree cache."""
+        sym = 0 if self.at_sym is self.at else _dcsr_nbytes(self.at_sym)
+        return _dcsr_nbytes(self.at) + sym + self.out_degrees.nbytes
 
 
 class GraphMatSystem(GraphSystem):
@@ -80,9 +90,7 @@ class GraphMatSystem(GraphSystem):
         # GraphMat partitions the matrix into tiles then doubly
         # compresses each: two sorting passes plus the tile build.
         profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
-        csr_t = CSRGraph.from_arrays(el.dst, el.src, n, weights=el.weights,
-                                     symmetric=not dataset.directed)
-        at = DCSRMatrix.from_csr(csr_t)
+        at = CSRGraph.from_arrays(el.dst, el.src, n, weights=el.weights)
         profile.add_round(units=m, memory_bytes=24.0 * m, skew=0.05)
         arrays = {"out_degrees": np.bincount(el.src, minlength=n),
                   **at.to_arrays_map("at_")}
@@ -91,8 +99,8 @@ class GraphMatSystem(GraphSystem):
         sym = el
         if dataset.directed:
             sym = el.symmetrized()
-            arrays.update(DCSRMatrix.from_csr(CSRGraph.from_arrays(
-                sym.dst, sym.src, n, symmetric=True)).to_arrays_map("ats_"))
+            arrays.update(CSRGraph.from_arrays(
+                sym.dst, sym.src, n).to_arrays_map("ats_"))
         profile.add_round(units=sym.n_edges, memory_bytes=16.0 * sym.n_edges,
                           skew=0.05)
         return arrays, {"n": n, "directed": dataset.directed}, profile
@@ -102,18 +110,18 @@ class GraphMatSystem(GraphSystem):
 
     def _assemble(self, arrays, meta) -> GraphMatMatrices:
         n, directed = int(meta["n"]), bool(meta["directed"])
-        at = at_sym = DCSRMatrix.from_arrays_map(arrays, n, "at_",
-                                                 symmetric=not directed)
+        at = at_sym = CSRGraph.from_arrays_map(arrays, "at_",
+                                               symmetric=not directed)
         if directed:
-            at_sym = DCSRMatrix.from_arrays_map(arrays, n, "ats_",
-                                                symmetric=True)
+            at_sym = CSRGraph.from_arrays_map(arrays, "ats_",
+                                              symmetric=True)
         return GraphMatMatrices(at=at, at_sym=at_sym,
                                 out_degrees=arrays["out_degrees"], n=n)
 
     # -- kernels -------------------------------------------------------
     def _arcs(self, data: GraphMatMatrices):
         # A^T entries are (row=dst, col=src) of A.
-        return data.at.col_idx, data.at.row_sources()
+        return data.at.col_idx, data.at.source_ids()
 
     def _run_bfs(self, loaded, root: int):
         data = loaded.data

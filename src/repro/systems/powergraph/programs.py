@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.algorithms.pagerank import check_pagerank_params
 from repro.algorithms.sssp import check_sssp_weights
+from repro.graph.csr import CSRGraph
 from repro.graph.frontier import arc_sum_operator
-from repro.graph.simple import SimpleView
 from repro.machine.threads import WorkProfile
 from repro.systems.powergraph.gas import GasEngine
 
@@ -173,7 +173,7 @@ def _view_profile(engine: GasEngine) -> tuple[WorkProfile, float]:
 # signaling sub-k vertices; each apply runs on every mirror, so the
 # per-round vertex term is replication-weighted like LCC's.
 # ----------------------------------------------------------------------
-def kcore_gas(data, view: SimpleView, rounds: list
+def kcore_gas(data, view: CSRGraph, rounds: list
               ) -> tuple[WorkProfile, int, dict]:
     profile, rep = _view_profile(data.engine)
     for peeled, arcs, _ in rounds:
@@ -188,12 +188,12 @@ def kcore_gas(data, view: SimpleView, rounds: list
 # is a min over mirror-replicated neighbor priorities, apply decides
 # winners, scatter retires their neighbors.
 # ----------------------------------------------------------------------
-def mis_gas(data, view: SimpleView, rounds: list
+def mis_gas(data, view: CSRGraph, rounds: list
             ) -> tuple[WorkProfile, int, dict]:
     profile, rep = _view_profile(data.engine)
     for undecided, _, winner_arcs in rounds:
         profile.add_round(
-            units=view.nnz + winner_arcs + rep * undecided,
-            memory_bytes=24.0 * (view.nnz + winner_arcs), skew=0.1)
+            units=view.n_edges + winner_arcs + rep * undecided,
+            memory_bytes=24.0 * (view.n_edges + winner_arcs), skew=0.1)
     return profile, len(rounds), {
         "replication_factor": data.engine.replication_factor}

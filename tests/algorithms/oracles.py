@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 def oracle_greedy(view, priorities):
     """Sequential greedy by increasing priority over the simple view."""
     order = np.argsort(priorities, kind="stable")
-    in_set = np.zeros(view.n, dtype=bool)
-    blocked = np.zeros(view.n, dtype=bool)
+    in_set = np.zeros(view.n_vertices, dtype=bool)
+    blocked = np.zeros(view.n_vertices, dtype=bool)
     for v in order:
         if blocked[v]:
             continue
         in_set[v] = True
-        nbrs = view.indices[view.indptr[v]:view.indptr[v + 1]]
-        blocked[nbrs] = True
+        blocked[view.neighbors(v)] = True
     return in_set
 
 

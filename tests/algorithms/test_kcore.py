@@ -34,11 +34,11 @@ def oracle_core_numbers(graph):
     """Vertex-at-a-time min-degree peel over the simple undirected view."""
     view = simple_undirected_view(graph.col_idx, graph.source_ids(),
                                   graph.n_vertices)
-    adj = {v: set(view.indices[view.indptr[v]:view.indptr[v + 1]].tolist())
-           for v in range(view.n)}
-    deg = {v: len(adj[v]) for v in range(view.n)}
-    remaining = set(range(view.n))
-    core = np.zeros(view.n, dtype=np.int64)
+    n = view.n_vertices
+    adj = {v: set(view.neighbors(v).tolist()) for v in range(n)}
+    deg = {v: len(adj[v]) for v in range(n)}
+    remaining = set(range(n))
+    core = np.zeros(n, dtype=np.int64)
     level = 0
     while remaining:
         v = min(remaining, key=lambda u: (deg[u], u))
@@ -124,8 +124,8 @@ def test_peel_rounds_cover_every_vertex_and_arc_once(graph):
     view = simple_undirected_view(graph.col_idx, graph.source_ids(),
                                   graph.n_vertices)
     core, rounds = peel_cores(view)
-    assert sum(peeled for peeled, _, _ in rounds) == view.n
-    assert sum(arcs for _, arcs, _ in rounds) == view.nnz
+    assert sum(peeled for peeled, _, _ in rounds) == view.n_vertices
+    assert sum(arcs for _, arcs, _ in rounds) == view.n_edges
     levels = [level for _, _, level in rounds]
     assert levels == sorted(levels)
     assert levels[-1] == core.max()

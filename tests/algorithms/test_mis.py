@@ -45,7 +45,7 @@ def test_luby_matches_sequential_greedy(graph, seed):
     assert np.array_equal(in_set, oracle_greedy(view, pr))
     assert len(rounds) >= (1 if graph.n_vertices else 0)
     # The first round starts with every vertex undecided.
-    assert rounds[0][:2] == (view.n, view.nnz)
+    assert rounds[0][:2] == (view.n_vertices, view.n_edges)
 
 
 @given(csr_graphs())
@@ -53,8 +53,8 @@ def test_luby_matches_sequential_greedy(graph, seed):
 def test_result_is_independent_and_maximal(graph):
     in_set = maximal_independent_set(graph)
     view = _view(graph)
-    src = np.repeat(np.arange(view.n, dtype=np.int64), view.degrees)
-    dst = view.indices
+    src = view.source_ids()
+    dst = view.col_idx
     # Independence: no simple edge joins two set members.
     assert not np.any(in_set[src] & in_set[dst])
     # Maximality: every non-member has a member neighbor (self-loop-free
@@ -62,7 +62,7 @@ def test_result_is_independent_and_maximal(graph):
     covered = in_set.copy()
     if src.size:
         covered |= np.bincount(src, weights=in_set[dst].astype(np.float64),
-                               minlength=view.n) > 0
+                               minlength=view.n_vertices) > 0
     assert covered.all()
 
 

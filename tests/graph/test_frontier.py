@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.errors import GraphFormatError
 from repro.graph import frontier as frontier_lib
 from repro.graph.csr import CSRGraph
-from repro.graph.dcsr import DCSRMatrix
 from repro.graph.edgelist import EdgeList
 from repro.graph.frontier import (arc_sum_operator, dedup_ids,
                                   first_parent_candidates,
@@ -648,7 +647,7 @@ def test_scratch_reuse_counter():
 
 
 # ----------------------------------------------------------------------
-# CSRGraph / DCSRMatrix derived-structure regressions
+# CSRGraph derived-structure regressions
 # ----------------------------------------------------------------------
 
 
@@ -707,31 +706,3 @@ def test_row_block_views_rows_and_commutes_with_the_split():
         assert same.row_ptr.tolist() == part.row_ptr.tolist()
         assert same.col_idx.tolist() == part.col_idx.tolist()
         assert same.weights.tolist() == part.weights.tolist()
-
-
-def test_dcsr_row_sources_memoized():
-    csr = CSRGraph.from_arrays(np.array([0, 0, 2]), np.array([1, 2, 0]), 3)
-    d = DCSRMatrix.from_csr(csr)
-    r1 = d.row_sources()
-    assert r1 is d.row_sources()
-    assert not r1.flags.writeable
-    clone = pickle.loads(pickle.dumps(d))
-    assert "_row_sources" not in clone.__dict__
-    assert np.array_equal(clone.row_sources(), r1)
-
-
-def test_dcsr_csr_view_shares_arrays_and_is_dropped_from_pickle():
-    csr = CSRGraph.from_arrays(np.array([0, 0, 3, 3]),
-                               np.array([1, 3, 0, 3]), 5,
-                               weights=np.array([1.0, 2.0, 3.0, 4.0]))
-    d = DCSRMatrix.from_csr(csr)
-    view = d.csr_view()
-    assert view is d.csr_view()
-    assert np.array_equal(view.row_ptr, csr.row_ptr)
-    assert view.col_idx is d.col_idx and view.weights is d.values
-    out = view.transposed()          # GraphMat's directed out-arcs
-    clone = pickle.loads(pickle.dumps(d))
-    assert "_csr_view" not in clone.__dict__
-    assert np.array_equal(clone.csr_view().row_ptr, view.row_ptr)
-    assert np.array_equal(clone.csr_view().transposed().col_idx,
-                          out.col_idx)

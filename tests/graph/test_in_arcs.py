@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
-from repro.graph.dcsr import DCSRMatrix
 from repro.graph.edgelist import EdgeList
 from tests.algorithms.oracles import multigraphs
 
@@ -106,14 +105,6 @@ def test_the_record_survives_a_pickle_round_trip():
 def test_row_block_drops_the_record():
     block = _square().row_block(1, 3)
     assert not block.symmetric
-
-
-def test_a_dcsr_view_carries_the_record():
-    csr = _square()
-    view = DCSRMatrix.from_csr(csr).csr_view()
-    assert view.symmetric and view.transposed() is view
-    plain = DCSRMatrix.from_csr(CSRGraph(csr.row_ptr, csr.col_idx))
-    assert not plain.csr_view().symmetric
 
 
 @st.composite

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
-from repro.graph.dcsr import DCSRMatrix
 from repro.graph.edgelist import EdgeList
+from repro.systems.graphmat.kernels import _pattern_spmv
+from tests.algorithms.oracles import multigraphs
 
 
 def to_scipy(csr):
@@ -60,29 +61,19 @@ def test_csr_row_ptr_invariants(el):
         assert np.all(np.diff(nbrs) >= 0)
 
 
-@given(edge_lists())
+@given(multigraphs(min_n=1), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_dcsr_csr_equivalence(el):
-    csr = CSRGraph.from_edge_list(el)
-    d = DCSRMatrix.from_csr(csr)
-    back = d.csr_view()
-    assert np.array_equal(back.row_ptr, csr.row_ptr)
-    assert np.array_equal(back.col_idx, csr.col_idx)
-    # Every stored row is genuinely non-empty.
-    assert np.all(np.diff(d.row_ptr) > 0)
-    assert d.nnz == csr.n_edges
-
-
-@given(edge_lists(weighted=True))
-@settings(max_examples=40, deadline=None)
-def test_dcsr_spmv_agrees_with_scipy(el):
-    csr = CSRGraph.from_edge_list(el)
-    d = DCSRMatrix.from_csr(csr)
-    x = np.linspace(0.5, 2.0, csr.n_vertices)
-    got = d.spmv_plus_times(x)
-    # scipy sums duplicates, matching plus-times semantics.
-    want = np.asarray(to_scipy(csr) @ x).ravel()
-    assert np.allclose(got, want)
+def test_dcsr_spmv_agrees_with_scipy(graph, weighted):
+    """GraphMat's sweep over the DCSR row index (``pull_rows()``) of a
+    multigraph with empty rows is the pattern's ``A @ x``: parallel
+    arcs add, empty rows are zero, stored weights are not read."""
+    n, src, dst = graph
+    weights = np.arange(1.0, src.size + 1.0) if weighted else None
+    csr = CSRGraph.from_arrays(src, dst, n, weights=weights)
+    x = np.linspace(0.5, 2.0, n)
+    pattern = CSRGraph(csr.row_ptr, csr.col_idx)
+    want = np.asarray(to_scipy(pattern) @ x).ravel()
+    assert np.allclose(_pattern_spmv(csr, x), want)
 
 
 @given(edge_lists())

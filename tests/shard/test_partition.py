@@ -17,19 +17,17 @@ from repro.shard.engine import ShardEngine
 from repro.shard.partition import partition_graph, shard_out_slice
 
 
-def reassemble_out_slices(slices, csr):
-    """Scatter shard slices back into one CSR through their slot maps:
-    the result must be byte-identical to ``csr``.  Push slices carry no
-    weights; the slot maps gather them from ``csr``."""
-    col_idx = np.empty(csr.n_edges, dtype=np.int64)
-    weights = (np.empty(csr.n_edges) if csr.weights is not None
-               else None)
-    for sl in slices:
-        col_idx[sl.slot_map] = sl.col_idx
-        if weights is not None:
-            weights[sl.slot_map] = csr.weights[sl.slot_map]
-    return CSRGraph(row_ptr=csr.row_ptr.copy(), col_idx=col_idx,
-                    weights=weights)
+def reassemble_out_slices(slices):
+    """Join each row of the shard slices, in shard order, into one CSR:
+    rows are sorted and shards own ascending target ranges, so the
+    result must be byte-identical to the pattern the slices came
+    from."""
+    src = np.concatenate([sl.source_ids() for sl in slices])
+    order = np.argsort(src, kind="stable")
+    col_idx = np.concatenate([sl.col_idx for sl in slices])[order]
+    degrees = np.sum([sl.out_degrees() for sl in slices], axis=0)
+    row_ptr = np.concatenate(([0], np.cumsum(degrees)))
+    return CSRGraph(row_ptr=row_ptr, col_idx=col_idx)
 
 
 def owner_of(part, n):
@@ -78,15 +76,15 @@ def test_each_vertex_has_one_owner(csr, n_shards):
 @given(csr_graphs(), shard_counts)
 @settings(max_examples=80, deadline=None)
 def test_each_edge_assigned_exactly_once(csr, n_shards):
+    """Every row's arcs split over the slices: per row, the slices'
+    degrees add up to the input's, and each slice is an unweighted CSR
+    over every vertex."""
     part = partition_graph(csr, n_shards)
-    slot_count = np.zeros(csr.n_edges, dtype=np.int64)
-    total = 0
-    for k in range(n_shards):
-        sl = shard_out_slice(csr, part, k)
-        slot_count[sl.slot_map] += 1
-        total += sl.col_idx.size
-    assert total == csr.n_edges
-    assert np.all(slot_count == 1)
+    slices = [shard_out_slice(csr, part, k) for k in range(n_shards)]
+    for sl in slices:
+        assert sl.n_vertices == csr.n_vertices and sl.weights is None
+    assert np.array_equal(sum(sl.out_degrees() for sl in slices),
+                          csr.out_degrees())
     assert edge_balance(csr, part).sum() == csr.n_edges
 
 
@@ -95,13 +93,9 @@ def test_each_edge_assigned_exactly_once(csr, n_shards):
 def test_reassembly_is_byte_identical(csr, n_shards):
     part = partition_graph(csr, n_shards)
     slices = [shard_out_slice(csr, part, k) for k in range(n_shards)]
-    back = reassemble_out_slices(slices, csr)
+    back = reassemble_out_slices(slices)
     assert back.row_ptr.tobytes() == csr.row_ptr.tobytes()
     assert back.col_idx.tobytes() == csr.col_idx.tobytes()
-    if csr.weights is None:
-        assert back.weights is None
-    else:
-        assert back.weights.tobytes() == csr.weights.tobytes()
 
 
 @given(csr_graphs(), shard_counts)

@@ -263,7 +263,7 @@ def _oracles(csr):
 
     view = simple_undirected_view(csr.source_ids(), csr.col_idx,
                                   csr.n_vertices)
-    mis = oracle_greedy(view, mis_priorities(view.n))
+    mis = oracle_greedy(view, mis_priorities(view.n_vertices))
     return {"kcore": ("core", core_numbers_naive(csr)),
             "mis": ("in_set", mis.astype(np.int64)),
             "cc": ("labels", weakly_connected_components(csr))}

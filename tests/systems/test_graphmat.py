@@ -1,9 +1,10 @@
-"""GraphMat-specific behaviour: DCSR SpMV, phases, f32 PageRank."""
+"""GraphMat-specific behaviour: SpMV over the DCSR row index, phases,
+f32 PageRank."""
 
 import numpy as np
 import pytest
 
-from repro.graph.dcsr import DCSRMatrix
+from repro.graph.csr import CSRGraph
 from repro.systems import create_system
 
 
@@ -15,14 +16,18 @@ def gmat(kron10_dataset):
 
 class TestStructure:
     def test_uses_dcsr(self, gmat):
+        """The DCSR row index is the transpose's non-empty rows."""
         _, loaded = gmat
-        assert isinstance(loaded.data.at, DCSRMatrix)
-        assert isinstance(loaded.data.at_sym, DCSRMatrix)
+        at = loaded.data.at
+        assert isinstance(at, CSRGraph) and loaded.data.at_sym is at
+        rows, starts = at.pull_rows()
+        assert np.array_equal(rows, np.flatnonzero(at.out_degrees()))
+        assert np.array_equal(starts, at.row_ptr[rows])
 
     def test_transpose_stored(self, gmat, kron10_csr):
         """GraphMat pulls along in-edges: the matrix is A^T."""
         _, loaded = gmat
-        at = loaded.data.at.csr_view()
+        at = loaded.data.at
         in_degrees = np.bincount(kron10_csr.col_idx,
                                  minlength=kron10_csr.n_vertices)
         assert np.array_equal(np.sort(at.out_degrees()),
@@ -114,7 +119,7 @@ class TestSpmvKernels:
         """Masked SpMV: total touched entries ~ one pass over nnz."""
         s, loaded = gmat
         res = s.run(loaded, "bfs", root=int(kron10_dataset.roots[0]))
-        nnz = loaded.data.at.nnz
+        nnz = loaded.data.at.n_edges
         n = loaded.data.n
         depth = res.counters["depth"]
         assert res.profile.total_units <= nnz + (depth + 1) * n + n

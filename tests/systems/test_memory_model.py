@@ -8,9 +8,13 @@ and 4 (two densities pin both the per-arc and the per-vertex
 coefficient), and checks the orderings feasibility decisions rely on.
 """
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.core.projection import WorkloadSize, estimate_memory_bytes
+from repro.graph.edgelist import EdgeList
 from repro.systems import create_system
 from repro.systems.registry import ALL_SYSTEM_NAMES
 
@@ -76,3 +80,39 @@ def test_nbytes_positive_and_scales(kron10_dataset, tmp_path):
         a = s.load(small).data.nbytes()
         b = s.load(big).data.nbytes()
         assert 0 < a < b, name
+
+
+#: GraphMat's ``nbytes()``: the DCSR it models (the transpose's CSR
+#: with the row pointer swapped for 16 B per non-empty row plus 8),
+#: counted, not held.  Pinned from the DCSR record it used to store.
+GRAPHMAT_NBYTES = {"kron10": 544_968, "kron10_ef4": 150_056,
+                   "patents_small": 628_320}
+
+
+def test_graphmat_footprint_is_pinned(kron10_dataset, kron10_ef4_dataset,
+                                      patents_dataset):
+    """Undirected input shares one symmetric ``at`` (counted once);
+    the directed cit-Patents stand-in adds its symmetrized pattern."""
+    s = create_system("graphmat")
+    for key, dataset in (("kron10", kron10_dataset),
+                         ("kron10_ef4", kron10_ef4_dataset),
+                         ("patents_small", patents_dataset)):
+        data = s.load(dataset).data
+        assert data.nbytes() == GRAPHMAT_NBYTES[key], key
+        if dataset.directed:
+            assert data.at_sym is not data.at and data.at_sym.symmetric
+            assert not data.at.symmetric
+        else:
+            assert data.at_sym is data.at and data.at.symmetric
+            assert data.at.transposed() is data.at
+
+
+@pytest.mark.parametrize("directed, want", [(False, 48), (True, 56)])
+def test_graphmat_footprint_of_an_edgeless_graph(directed, want):
+    """Five vertices, no arc: each matrix is its 8 B closing offset,
+    beside 40 B of degrees."""
+    empty = np.empty(0, dtype=np.int64)
+    s = create_system("graphmat")
+    arrays, meta, _ = s._build(EdgeList(empty, empty, 5, directed=directed),
+                               SimpleNamespace(directed=directed))
+    assert s._assemble(arrays, meta).nbytes() == want
